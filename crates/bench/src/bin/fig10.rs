@@ -32,11 +32,7 @@ fn main() {
                     s.shared_mem_bytes as f64 / 1024.0,
                     s.registers
                 ),
-                None => println!(
-                    "  {:<44} {:>14}",
-                    o.config.label(),
-                    o.error.as_deref().unwrap_or("failed")
-                ),
+                None => println!("  {:<44} {:>14}", o.config.label(), o.failure()),
             }
         }
         println!();

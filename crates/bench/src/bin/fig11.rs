@@ -93,7 +93,7 @@ fn main() {
                     println!(
                         "  {:<44} {:>14} {:>9} {:>9}",
                         o.config.label(),
-                        o.error.as_deref().unwrap_or("failed"),
+                        o.failure(),
                         "OOM",
                         paper_str
                     );

@@ -83,6 +83,11 @@
 //! `docs/TELEMETRY.md`). Telemetry is off by default and costs one
 //! atomic load per instrumentation point when disabled.
 //!
+//! Every value-taking flag is read strictly: a missing or malformed
+//! value is a usage error (exit `2`) naming the flag — `ompgpu: invalid
+//! value "x" for --teams`, `ompgpu: missing value for --kernel` — never
+//! a silent fallback to the default.
+//!
 //! Exit codes are stable and machine-checkable: `0` success/clean,
 //! `1` compile or I/O failure, `2` usage error, `3` simulation or
 //! launch failure, `4` oracle divergence, `5` error-severity sanitizer
@@ -91,35 +96,27 @@
 //! the launch fails; `ompgpu sanitize --json` prints an
 //! `ompgpu-sanitize/v1` report either way.
 
-use omp_gpu::oracle::{self, ArgSpec, ExampleSpec, VerifyOptions};
-use omp_gpu::serve;
+use omp_gpu::job::{
+    Job, JobError, JobResult, Knobs, Mode, Readback, Store, Subject, EXIT_BUILD, EXIT_DIVERGED,
+    EXIT_SIM, EXIT_USAGE,
+};
+use omp_gpu::oracle::{self, ArgSpec, BufInit, ExampleSpec, VerifyOptions, ORACLE_CONFIGS};
+use omp_gpu::pipeline::{self, SanitizeOutcome};
 use omp_gpu::{
-    all_proxies, pipeline, BuildConfig, Device, FaultPlan, KernelStats, LaunchDims, LaunchProfile,
-    OptReport, ProfileMode, SanitizeMode, Scale, SimErrorKind, Tier,
+    all_proxies, serve, BuildConfig, FaultPlan, LaunchDims, LaunchProfile, OptReport, ProxyApp,
+    Scale, SimErrorKind, Tier,
 };
 use std::process::ExitCode;
 use std::time::Duration;
 
-/// Exit code for compile/IO failures.
-const EXIT_BUILD: u8 = 1;
-/// Exit code for usage errors.
-const EXIT_USAGE: u8 = 2;
-/// Exit code for simulation/launch failures.
-const EXIT_SIM: u8 = 3;
-/// Exit code for oracle divergence.
-const EXIT_DIVERGED: u8 = 4;
-/// Exit code for error-severity sanitizer findings.
-const EXIT_FINDINGS: u8 = 5;
 /// Exit code for artifacts that carry an unknown `schema` id.
 const EXIT_SCHEMA: u8 = 6;
 
 /// Schema ids `json-validate` recognizes. Artifacts with a top-level
 /// `schema` member outside this list fail with [`EXIT_SCHEMA`];
 /// artifacts without one only get the syntax check.
-const KNOWN_SCHEMAS: [&str; 8] = [
-    "bench_gpusim/v2",
+const KNOWN_SCHEMAS: [&str; 6] = [
     "ompgpu-access-log/v1",
-    "ompgpu-bench-serve/v1",
     "ompgpu-error/v1",
     "ompgpu-profile/v1",
     "ompgpu-sanitize/v1",
@@ -168,79 +165,120 @@ fn usage() -> ExitCode {
     ExitCode::from(EXIT_USAGE)
 }
 
-fn verify_main(args: &[String]) -> ExitCode {
+/// The one typed flag reader: every subcommand walks its arguments
+/// through this, so a value-taking flag can fail only one way.
+struct Flags<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Flags<'a> {
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The value of `flag`, parsed by `parse`; a missing or rejected
+    /// value is a usage error naming the flag.
+    fn value_with<T>(
+        &mut self,
+        flag: &str,
+        parse: impl Fn(&'a str) -> Option<T>,
+    ) -> Result<T, ExitCode> {
+        let Some(v) = self.next() else {
+            eprintln!("ompgpu: missing value for {flag}");
+            return Err(ExitCode::from(EXIT_USAGE));
+        };
+        parse(v).ok_or_else(|| {
+            eprintln!("ompgpu: invalid value {v:?} for {flag}");
+            ExitCode::from(EXIT_USAGE)
+        })
+    }
+
+    fn value<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, ExitCode> {
+        self.value_with(flag, |s| s.parse().ok())
+    }
+}
+
+fn parse_scale(s: &str) -> Option<Scale> {
+    match s {
+        "small" => Some(Scale::Small),
+        "bench" => Some(Scale::Bench),
+        _ => None,
+    }
+}
+
+/// Reads a subject file; `who` prefixes the diagnostic.
+fn read_source(who: &str, path: &str) -> Result<String, ExitCode> {
+    std::fs::read_to_string(path).map_err(|e| {
+        eprintln!("{who}: cannot read {path}: {e}");
+        ExitCode::from(EXIT_BUILD)
+    })
+}
+
+/// A usage error of `command` that needs no usage screen.
+fn usage_error(command: &str, message: &str) -> ExitCode {
+    eprintln!("ompgpu {command}: {message}");
+    ExitCode::from(EXIT_USAGE)
+}
+
+/// An unknown flag: names it, prints the usage screen, exits 2.
+fn unknown_flag(command: &str, flag: &str) -> ExitCode {
+    eprintln!("ompgpu{command}: unknown flag {flag}");
+    usage()
+}
+
+/// The proxy called `name` (case-insensitive).
+fn find_proxy<'p>(
+    proxies: &'p [Box<dyn ProxyApp>],
+    name: &str,
+) -> Result<&'p dyn ProxyApp, String> {
+    proxies
+        .iter()
+        .find(|p| p.name().eq_ignore_ascii_case(name))
+        .map(|p| p.as_ref())
+        .ok_or_else(|| {
+            let known: Vec<&str> = proxies.iter().map(|p| p.name()).collect();
+            format!("unknown proxy {name:?} (known: {})", known.join(", "))
+        })
+}
+
+fn verify_main(args: &[String]) -> Result<ExitCode, ExitCode> {
     let mut scale = Scale::Small;
-    let mut jobs: Option<u32> = None;
-    let mut watchdog_secs: u64 = 60;
-    let mut tier: Option<Tier> = None;
+    let mut opts = VerifyOptions {
+        watchdog: Some(Duration::from_secs(60)),
+        ..VerifyOptions::default()
+    };
     let mut telemetry: Option<String> = None;
     let mut dirs: Vec<String> = Vec::new();
     let mut files: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => match it.next().map(String::as_str) {
-                Some("small") => scale = Scale::Small,
-                Some("bench") => scale = Scale::Bench,
-                _ => return usage(),
-            },
-            "--telemetry" => match it.next() {
-                Some(p) => telemetry = Some(p.clone()),
-                None => return usage(),
-            },
-            "--jobs" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => jobs = Some(n),
-                None => return usage(),
-            },
-            "--watchdog" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => watchdog_secs = n,
-                None => return usage(),
-            },
-            "--tier" => match it.next().and_then(|s| Tier::parse(s)) {
-                Some(t) => tier = Some(t),
-                None => return usage(),
-            },
-            "--examples" => match it.next() {
-                Some(d) => dirs.push(d.clone()),
-                None => return usage(),
-            },
+    let mut flags = Flags(args.iter());
+    while let Some(a) = flags.next() {
+        match a {
+            "--scale" => scale = flags.value_with(a, parse_scale)?,
+            "--telemetry" => telemetry = Some(flags.value(a)?),
+            "--jobs" => opts.jobs = Some(flags.value(a)?),
+            "--watchdog" => {
+                let secs: u64 = flags.value(a)?;
+                opts.watchdog = (secs > 0).then(|| Duration::from_secs(secs));
+            }
+            "--tier" => opts.tier = Some(flags.value_with(a, Tier::parse)?),
+            "--examples" => dirs.push(flags.value(a)?),
             f if !f.starts_with('-') => files.push(f.to_string()),
-            _ => return usage(),
+            _ => return Err(usage()),
         }
     }
-    let opts = VerifyOptions {
-        jobs,
-        watchdog: (watchdog_secs > 0).then(|| Duration::from_secs(watchdog_secs)),
-        tier,
-    };
     if telemetry.is_some() {
         telemetry_begin();
     }
-    let mut report = oracle::verify_proxies_opts(scale, opts);
+    let fail = |e: String| {
+        eprintln!("ompgpu verify: {e}");
+        ExitCode::from(EXIT_BUILD)
+    };
+    let mut report = oracle::verify_proxies(scale, &opts);
     for dir in &dirs {
-        match oracle::verify_examples_dir_opts(std::path::Path::new(dir), opts) {
-            Ok(r) => report.cases.extend(r.cases),
-            Err(e) => {
-                eprintln!("ompgpu verify: {e}");
-                return ExitCode::from(EXIT_BUILD);
-            }
-        }
+        let found = oracle::verify_examples_dir(std::path::Path::new(dir), &opts);
+        report.cases.extend(found.map_err(fail)?.cases);
     }
     for file in &files {
-        let source = match std::fs::read_to_string(file) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("ompgpu verify: cannot read {file}: {e}");
-                return ExitCode::from(EXIT_BUILD);
-            }
-        };
-        let name = std::path::Path::new(file)
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| file.clone());
-        report
-            .cases
-            .push(oracle::verify_example_opts(&name, &source, opts));
+        let case = oracle::verify_file(std::path::Path::new(file), &opts);
+        report.cases.push(case.map_err(fail)?);
     }
     print!("{}", report.render());
     let (pass, total) = (
@@ -253,131 +291,86 @@ fn verify_main(args: &[String]) -> ExitCode {
         reg.counter_add("verify.cases", total as u64);
         reg.counter_add("verify.passed", pass as u64);
         reg.counter_add("verify.failed", (total - pass) as u64);
-        if let Err(e) = telemetry_write(tpath, &reg) {
-            eprintln!("ompgpu verify: {e}");
-            return ExitCode::from(EXIT_BUILD);
-        }
+        telemetry_write(tpath, &reg).map_err(fail)?;
     }
-    if report.passed() {
+    Ok(if report.passed() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(EXIT_DIVERGED)
-    }
+    })
 }
 
 // ---------------------------------------------------------------------
 // ompgpu sanitize
 // ---------------------------------------------------------------------
 
-/// The OpenMP-source configurations `--all-configs` sweeps (CUDA-style
-/// builds compile a different source and are not part of the ablation).
-const OPENMP_CONFIGS: [BuildConfig; 6] = [
-    BuildConfig::Llvm12Baseline,
-    BuildConfig::NoOpenmpOpt,
-    BuildConfig::H2S2,
-    BuildConfig::H2S2Rtc,
-    BuildConfig::H2S2RtcCsm,
-    BuildConfig::LlvmDev,
-];
-
-fn sanitize_main(args: &[String]) -> ExitCode {
+fn sanitize_main(args: &[String]) -> Result<ExitCode, ExitCode> {
     let mut path: Option<String> = None;
     let mut proxy: Option<String> = None;
     let mut self_test = false;
     let mut scale = Scale::Small;
     let mut config = BuildConfig::LlvmDev;
     let mut all_configs = false;
-    let mut jobs: Option<u32> = None;
-    let mut max_insts: Option<u64> = None;
+    let mut knobs = Knobs {
+        watchdog: Some(Duration::from_secs(60)),
+        ..Knobs::default()
+    };
     let mut json = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--proxy" => proxy = it.next().cloned(),
+    let mut flags = Flags(args.iter());
+    while let Some(a) = flags.next() {
+        match a {
+            "--proxy" => proxy = Some(flags.value(a)?),
             "--self-test" => self_test = true,
-            "--scale" => match it.next().map(String::as_str) {
-                Some("small") => scale = Scale::Small,
-                Some("bench") => scale = Scale::Bench,
-                _ => return usage(),
-            },
-            "--config" => match it.next().and_then(|s| BuildConfig::from_cli_name(s)) {
-                Some(c) => config = c,
-                None => return usage(),
-            },
+            "--scale" => scale = flags.value_with(a, parse_scale)?,
+            "--config" => config = flags.value_with(a, BuildConfig::from_cli_name)?,
             "--all-configs" => all_configs = true,
-            "--jobs" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => jobs = Some(n),
-                None => return usage(),
-            },
-            "--max-insts" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => max_insts = Some(n),
-                None => return usage(),
-            },
+            "--jobs" => knobs.jobs = Some(flags.value(a)?),
+            "--max-insts" => knobs.max_insts = Some(flags.value(a)?),
             "--json" => json = true,
             f if !f.starts_with('-') && path.is_none() => path = Some(f.to_string()),
-            other => {
-                eprintln!("ompgpu sanitize: unknown flag {other}");
-                return usage();
-            }
+            other => return Err(unknown_flag(" sanitize", other)),
         }
     }
+    let usage_error = |message: &str| usage_error("sanitize", message);
     if self_test {
         if path.is_some() || proxy.is_some() {
-            eprintln!("ompgpu sanitize: --self-test takes no subject");
-            return ExitCode::from(EXIT_USAGE);
+            return Err(usage_error("--self-test takes no subject"));
         }
-        return sanitize_self_test(jobs);
+        return Ok(sanitize_self_test(knobs.jobs));
     }
-    let opts = pipeline::SanitizeOptions {
-        jobs,
-        fault: FaultPlan::default(),
-        watchdog: Some(Duration::from_secs(60)),
-        max_insts,
+    let configs = match all_configs {
+        true => &ORACLE_CONFIGS[..],
+        false => std::slice::from_ref(&config),
     };
-    let configs: Vec<BuildConfig> = if all_configs {
-        OPENMP_CONFIGS.to_vec()
-    } else {
-        vec![config]
+    let mut store = Store::new(0);
+    let mut sanitize = |subject: Result<Subject, JobError>| -> Vec<SanitizeOutcome> {
+        let of = |&c: &BuildConfig| match &subject {
+            Ok(s) => pipeline::sanitize(&mut store, *s, c, &knobs),
+            Err(e) => SanitizeOutcome::of(c, Err(e.clone())),
+        };
+        configs.iter().map(of).collect()
     };
-
-    let (subject, outcomes): (String, Vec<pipeline::SanitizeOutcome>) = if let Some(name) = proxy {
+    let (subject, outcomes) = if let Some(name) = proxy {
         if path.is_some() {
-            eprintln!("ompgpu sanitize: give either a source file or --proxy, not both");
-            return ExitCode::from(EXIT_USAGE);
+            return Err(usage_error(
+                "give either a source file or --proxy, not both",
+            ));
         }
         let proxies = all_proxies(scale);
-        let Some(app) = proxies
-            .iter()
-            .find(|p| p.name().eq_ignore_ascii_case(&name))
-        else {
-            let known: Vec<&str> = proxies.iter().map(|p| p.name()).collect();
-            eprintln!(
-                "ompgpu sanitize: unknown proxy {name:?} (known: {})",
-                known.join(", ")
-            );
-            return ExitCode::from(EXIT_USAGE);
-        };
-        let outcomes = configs
-            .iter()
-            .map(|&c| pipeline::sanitize_proxy(app.as_ref(), c, &opts))
-            .collect();
-        (app.name().to_string(), outcomes)
+        let app = find_proxy(&proxies, &name).map_err(|e| usage_error(&e))?;
+        (app.name().to_string(), sanitize(Ok(Subject::Proxy(app))))
     } else {
         let Some(path) = path else {
             eprintln!("ompgpu sanitize: need a source file, --proxy NAME, or --self-test");
-            return usage();
+            return Err(usage());
         };
-        let source = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("ompgpu sanitize: cannot read {path}: {e}");
-                return ExitCode::from(EXIT_BUILD);
-            }
-        };
-        let outcomes = configs
-            .iter()
-            .map(|&c| pipeline::sanitize_source(&source, c, &opts))
-            .collect();
+        let source = read_source("ompgpu sanitize", &path)?;
+        let spec = ExampleSpec::parse(&source).map_err(JobError::Spec);
+        let outcomes = sanitize(
+            spec.as_ref()
+                .map(|s| s.subject(&source))
+                .map_err(Clone::clone),
+        );
         (path, outcomes)
     };
 
@@ -398,15 +391,7 @@ fn sanitize_main(args: &[String]) -> ExitCode {
             outcomes.len()
         );
     }
-    if outcomes.iter().any(|o| o.error_findings() > 0) {
-        ExitCode::from(EXIT_FINDINGS)
-    } else if outcomes.iter().any(|o| o.error.is_some()) {
-        ExitCode::from(EXIT_SIM)
-    } else if outcomes.iter().any(|o| o.setup_error.is_some()) {
-        ExitCode::from(EXIT_BUILD)
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(ExitCode::from(pipeline::sanitize_exit_code(&outcomes)))
 }
 
 /// A tiny kernel that globalizes per-dispatch capture structs when the
@@ -429,16 +414,28 @@ void counted(double* a, long n) {
 /// structured error (or a sanitizer note) — no panic, no hang, and the
 /// same outcome for every worker-thread count.
 fn sanitize_self_test(jobs: Option<u32>) -> ExitCode {
-    let (module, _) = match pipeline::build(SELF_TEST_SRC, BuildConfig::NoOpenmpOpt) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("ompgpu sanitize --self-test: build failed: {e}");
-            return ExitCode::from(EXIT_BUILD);
-        }
-    };
-    let dims = LaunchDims {
-        teams: Some(4),
-        threads: Some(4),
+    let args = [ArgSpec::BufF64(16, BufInit::Zero), ArgSpec::I64(4)];
+    let mut store = Store::new(0);
+    let mut launch = |mode: Mode, jobs: Option<u32>, fault: &FaultPlan| {
+        let subject = Subject::Source {
+            source: SELF_TEST_SRC,
+            kernel: "counted",
+            dims: LaunchDims {
+                teams: Some(4),
+                threads: Some(4),
+            },
+            args: &args,
+        };
+        let job = Job {
+            mode,
+            knobs: Knobs {
+                jobs,
+                fault: fault.clone(),
+                ..Knobs::default()
+            },
+            ..Job::new(subject, BuildConfig::NoOpenmpOpt)
+        };
+        job.run(&mut store)
     };
     type Scenario = (&'static str, FaultPlan, fn(&SimErrorKind) -> bool);
     let scenarios: [Scenario; 3] = [
@@ -473,36 +470,14 @@ fn sanitize_self_test(jobs: Option<u32>) -> ExitCode {
         // outcome must be byte-identical across worker-thread counts.
         let mut rendered: Vec<String> = Vec::new();
         for run_jobs in [1, jobs.unwrap_or(4).max(2)] {
-            let mut dev = match Device::new(&module, Default::default()) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("FAIL {what}: device setup failed: {e}");
-                    failed += 1;
-                    continue;
-                }
-            };
-            dev.set_jobs(run_jobs);
-            dev.set_fault_plan(plan.clone());
-            let a = match dev.alloc_f64(&[0.0; 16]) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("FAIL {what}: alloc failed: {e}");
-                    failed += 1;
-                    continue;
-                }
-            };
-            match dev.launch(
-                "counted",
-                &[omp_gpu::RtVal::Ptr(a), omp_gpu::RtVal::I64(4)],
-                dims,
-            ) {
+            match launch(Mode::Plain, Some(run_jobs), plan) {
                 Ok(_) => {
                     eprintln!("FAIL {what}: launch unexpectedly succeeded (jobs {run_jobs})");
                     failed += 1;
                 }
-                Err(e) if expect(&e.kind) => rendered.push(e.to_string()),
+                Err(JobError::Launch(e)) if expect(&e.kind) => rendered.push(e.to_string()),
                 Err(e) => {
-                    eprintln!("FAIL {what}: wrong error kind (jobs {run_jobs}): {e}");
+                    eprintln!("FAIL {what}: wrong error (jobs {run_jobs}): {e}");
                     failed += 1;
                 }
             }
@@ -521,30 +496,14 @@ fn sanitize_self_test(jobs: Option<u32>) -> ExitCode {
     // a sanitizer note — not an error.
     {
         let what = "shared-stack exhaustion falls back to the device heap";
-        let mut dev = match Device::new(&module, Default::default()) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("FAIL {what}: device setup failed: {e}");
-                return ExitCode::from(EXIT_SIM);
-            }
-        };
-        dev.set_sanitize(SanitizeMode::On);
-        dev.set_fault_plan(FaultPlan {
+        let plan = FaultPlan {
             shared_stack_limit: Some(0),
             ..FaultPlan::default()
-        });
-        if let Some(j) = jobs {
-            dev.set_jobs(j);
-        }
-        match dev.alloc_f64(&[0.0; 16]).and_then(|a| {
-            dev.launch_checked(
-                "counted",
-                &[omp_gpu::RtVal::Ptr(a), omp_gpu::RtVal::I64(4)],
-                dims,
-            )
-        }) {
-            Ok((_, findings)) => {
-                let fallbacks = findings
+        };
+        match launch(Mode::Sanitize, jobs, &plan) {
+            Ok(done) => {
+                let fallbacks = done
+                    .findings
                     .iter()
                     .filter(|f| f.kind == omp_gpu::FindingKind::SharedStackFallback)
                     .count();
@@ -592,131 +551,84 @@ fn serve_startup_error(message: &str) -> ExitCode {
     ExitCode::from(EXIT_USAGE)
 }
 
-fn serve_main(args: &[String]) -> ExitCode {
+fn serve_main(args: &[String]) -> Result<ExitCode, ExitCode> {
     let mut socket: Option<String> = None;
     let mut device_cache = serve::DEFAULT_DEVICE_CAPACITY;
     let mut access_log: Option<String> = None;
     let mut queue: Option<usize> = None;
     let mut deadline_ms: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => match it.next() {
-                Some(p) => socket = Some(p.clone()),
-                None => return usage(),
-            },
-            "--device-cache" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => device_cache = n,
-                None => return usage(),
-            },
-            "--access-log" => match it.next() {
-                Some(p) => access_log = Some(p.clone()),
-                None => return usage(),
-            },
-            "--queue" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => queue = Some(n),
-                None => return usage(),
-            },
-            "--deadline-ms" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => deadline_ms = Some(n),
-                None => return usage(),
-            },
-            other => {
-                eprintln!("ompgpu serve: unknown flag {other}");
-                return usage();
-            }
+    let mut flags = Flags(args.iter());
+    while let Some(a) = flags.next() {
+        match a {
+            "--socket" => socket = Some(flags.value(a)?),
+            "--device-cache" => device_cache = flags.value(a)?,
+            "--access-log" => access_log = Some(flags.value(a)?),
+            "--queue" => queue = Some(flags.value(a)?),
+            "--deadline-ms" => deadline_ms = Some(flags.value(a)?),
+            other => return Err(unknown_flag(" serve", other)),
         }
     }
     let Some(socket) = socket else {
         eprintln!("ompgpu serve: --socket PATH is required");
-        return usage();
+        return Err(usage());
     };
-    let mut session = match serve::Session::try_new(device_cache) {
-        Ok(s) => s,
-        Err(e) => return serve_startup_error(&e),
-    };
+    let mut session = serve::Session::try_new(device_cache).map_err(|e| serve_startup_error(&e))?;
     if let Some(n) = queue {
         session.set_queue_capacity(n);
     }
     if let Some(ms) = deadline_ms {
         session.set_default_deadline_ms(ms);
     }
+    let fail = |e: String| {
+        eprintln!("ompgpu serve: {e}");
+        ExitCode::from(EXIT_BUILD)
+    };
     if let Some(path) = &access_log {
-        if let Err(e) = session.set_access_log(std::path::Path::new(path)) {
-            eprintln!("ompgpu serve: {e}");
-            return ExitCode::from(EXIT_BUILD);
-        }
+        session
+            .set_access_log(std::path::Path::new(path))
+            .map_err(fail)?;
     }
-    match serve::serve_unix(std::path::Path::new(&socket), session) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("ompgpu serve: {e}");
-            ExitCode::from(EXIT_BUILD)
-        }
-    }
+    serve::serve_unix(std::path::Path::new(&socket), session).map_err(fail)?;
+    Ok(ExitCode::SUCCESS)
 }
 
-fn client_main(args: &[String]) -> ExitCode {
+fn client_main(args: &[String]) -> Result<ExitCode, ExitCode> {
     use std::io::{BufRead, BufReader, Write as _};
     use std::os::unix::net::UnixStream;
     let mut socket: Option<String> = None;
     let mut requests: Vec<String> = Vec::new();
     let mut retries: u32 = 0;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => match it.next() {
-                Some(p) => socket = Some(p.clone()),
-                None => return usage(),
-            },
-            "--retries" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => retries = n,
-                None => return usage(),
-            },
-            "--ping" => requests.push("{\"op\":\"ping\"}".to_string()),
-            "--stats" => requests.push("{\"op\":\"stats\"}".to_string()),
-            "--metrics" => requests.push("{\"op\":\"metrics\"}".to_string()),
-            "--shutdown" => requests.push("{\"op\":\"shutdown\"}".to_string()),
-            other => {
-                eprintln!("ompgpu client: unknown flag {other}");
-                return usage();
+    let mut flags = Flags(args.iter());
+    while let Some(a) = flags.next() {
+        match a {
+            "--socket" => socket = Some(flags.value(a)?),
+            "--retries" => retries = flags.value(a)?,
+            "--ping" | "--stats" | "--metrics" | "--shutdown" => {
+                requests.push(format!("{{\"op\":\"{}\"}}", &a[2..]))
             }
+            other => return Err(unknown_flag(" client", other)),
         }
     }
     let Some(socket) = socket else {
         eprintln!("ompgpu client: --socket PATH is required");
-        return usage();
+        return Err(usage());
+    };
+    let fail = |code: u8, what: String| {
+        eprintln!("ompgpu client: {what}");
+        ExitCode::from(code)
     };
     if requests.is_empty() {
         for line in std::io::stdin().lock().lines() {
-            match line {
-                Ok(l) => {
-                    if !l.trim().is_empty() {
-                        requests.push(l);
-                    }
-                }
-                Err(e) => {
-                    eprintln!("ompgpu client: stdin read failed: {e}");
-                    return ExitCode::from(EXIT_BUILD);
-                }
+            let line = line.map_err(|e| fail(EXIT_BUILD, format!("stdin read failed: {e}")))?;
+            if !line.trim().is_empty() {
+                requests.push(line);
             }
         }
     }
-    let stream = match UnixStream::connect(&socket) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("ompgpu client: cannot connect to {socket}: {e}");
-            return ExitCode::from(EXIT_BUILD);
-        }
-    };
-    let mut reader = match stream.try_clone() {
-        Ok(s) => BufReader::new(s),
-        Err(e) => {
-            eprintln!("ompgpu client: {e}");
-            return ExitCode::from(EXIT_BUILD);
-        }
-    };
-    let mut writer = stream;
+    let mut writer = UnixStream::connect(&socket)
+        .map_err(|e| fail(EXIT_BUILD, format!("cannot connect to {socket}: {e}")))?;
+    let stream = writer.try_clone();
+    let mut reader = BufReader::new(stream.map_err(|e| fail(EXIT_BUILD, e.to_string()))?);
     let mut worst: u8 = 0;
     for req in &requests {
         // A response with the overload exit code is retried (when
@@ -724,23 +636,16 @@ fn client_main(args: &[String]) -> ExitCode {
         // the server's retry_after_ms hint; only the final response of
         // a request is printed.
         let mut attempt: u32 = 0;
-        let resp = loop {
-            if writer
+        let code = loop {
+            writer
                 .write_all(req.as_bytes())
                 .and_then(|()| writer.write_all(b"\n"))
                 .and_then(|()| writer.flush())
-                .is_err()
-            {
-                eprintln!("ompgpu client: connection closed while sending");
-                return ExitCode::from(EXIT_SIM);
-            }
+                .map_err(|_| fail(EXIT_SIM, "connection closed while sending".into()))?;
             let mut resp = String::new();
-            match reader.read_line(&mut resp) {
-                Ok(0) | Err(_) => {
-                    eprintln!("ompgpu client: connection closed before a response arrived");
-                    return ExitCode::from(EXIT_SIM);
-                }
-                Ok(_) => {}
+            if matches!(reader.read_line(&mut resp), Ok(0) | Err(_)) {
+                let what = "connection closed before a response arrived";
+                return Err(fail(EXIT_SIM, what.into()));
             }
             let parsed = omp_json::parse(resp.trim_end()).ok();
             let code = parsed
@@ -748,7 +653,8 @@ fn client_main(args: &[String]) -> ExitCode {
                 .and_then(|v| v.get("exit_code"))
                 .and_then(omp_json::Value::as_u64);
             if code != Some(serve::EXIT_OVERLOAD as u64) || attempt >= retries {
-                break resp;
+                print!("{resp}");
+                break code;
             }
             let base = parsed
                 .as_ref()
@@ -760,14 +666,9 @@ fn client_main(args: &[String]) -> ExitCode {
             std::thread::sleep(std::time::Duration::from_millis(backoff));
             attempt += 1;
         };
-        print!("{resp}");
-        if let Ok(v) = omp_json::parse(resp.trim_end()) {
-            if let Some(code) = v.get("exit_code").and_then(omp_json::Value::as_u64) {
-                worst = worst.max(code.min(u8::MAX as u64) as u8);
-            }
-        }
+        worst = worst.max(code.unwrap_or(0).min(u8::MAX as u64) as u8);
     }
-    ExitCode::from(worst)
+    Ok(ExitCode::from(worst))
 }
 
 // ---------------------------------------------------------------------
@@ -844,23 +745,17 @@ fn check_artifact_shape(value: &omp_json::Value, schema: &str) -> Result<(), Str
     }
 }
 
-/// Strict check of a JSON artifact (e.g. the committed
-/// BENCH_gpusim.json, a telemetry trace, or a serve access log) with
-/// the in-tree parser CI relies on. JSON-lines artifacts — one object
+/// Strict check of a JSON artifact (e.g. a telemetry trace, a serve
+/// access log, or a `benchmark/` result) with the in-tree parser CI
+/// relies on. JSON-lines artifacts — one object
 /// per line, like the access log — are validated record by record.
 /// Known `schema` ids additionally get a shape check; unknown ids fail
 /// with exit code [`EXIT_SCHEMA`].
-fn json_validate_main(args: &[String]) -> ExitCode {
+fn json_validate_main(args: &[String]) -> Result<ExitCode, ExitCode> {
     let Some(path) = args.first() else {
-        return usage();
+        return Err(usage());
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("ompgpu: cannot read {path}: {e}");
-            return ExitCode::from(EXIT_BUILD);
-        }
-    };
+    let text = read_source("ompgpu", path)?;
     let values: Vec<(usize, omp_json::Value)> = match omp_json::parse(&text) {
         Ok(v) => vec![(0, v)],
         Err(whole_file_err) => {
@@ -875,13 +770,13 @@ fn json_validate_main(args: &[String]) -> ExitCode {
                     Ok(v) => records.push((i + 1, v)),
                     Err(_) => {
                         eprintln!("ompgpu: {path}: invalid JSON: {whole_file_err}");
-                        return ExitCode::from(EXIT_BUILD);
+                        return Err(ExitCode::from(EXIT_BUILD));
                     }
                 }
             }
             if records.len() < 2 {
                 eprintln!("ompgpu: {path}: invalid JSON: {whole_file_err}");
-                return ExitCode::from(EXIT_BUILD);
+                return Err(ExitCode::from(EXIT_BUILD));
             }
             records
         }
@@ -896,11 +791,11 @@ fn json_validate_main(args: &[String]) -> ExitCode {
         if let Some(schema) = value.get("schema").and_then(omp_json::Value::as_str) {
             if !KNOWN_SCHEMAS.contains(&schema) {
                 eprintln!("ompgpu: {path}{at}: unknown schema id {schema:?}");
-                return ExitCode::from(EXIT_SCHEMA);
+                return Err(ExitCode::from(EXIT_SCHEMA));
             }
             if let Err(e) = check_artifact_shape(value, schema) {
                 eprintln!("ompgpu: {path}{at}: {e}");
-                return ExitCode::from(EXIT_BUILD);
+                return Err(ExitCode::from(EXIT_BUILD));
             }
             if !schemas.contains(&schema) {
                 schemas.push(schema);
@@ -911,14 +806,12 @@ fn json_validate_main(args: &[String]) -> ExitCode {
         [] => println!("{path}: valid JSON"),
         s => println!("{path}: valid JSON ({})", s.join(", ")),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn print_time_passes(report: Option<&OptReport>) {
-    match report {
-        Some(r) => eprint!("{}", pipeline::render_pass_timings(&r.pass_timings)),
-        None => eprint!("{}", pipeline::render_pass_timings(&[])),
-    }
+    let timings = report.map_or(&[][..], |r| &r.pass_timings);
+    eprint!("{}", pipeline::render_pass_timings(timings));
 }
 
 /// Per-team cycle spread of a launch: `(min, median, max)`. The median
@@ -932,78 +825,14 @@ fn team_spread(team_cycles: &[u64]) -> Option<(u64, u64, u64)> {
     Some((v[0], v[(v.len() - 1) / 2], v[v.len() - 1]))
 }
 
-// ---------------------------------------------------------------------
-// ompgpu profile
-// ---------------------------------------------------------------------
-
-/// One profiled launch: the statistics, the profile, and the optimizer
-/// report of the build that produced it.
-struct Profiled {
-    stats: KernelStats,
-    profile: LaunchProfile,
-    report: Option<OptReport>,
-}
-
-/// Profiles `kernel` of a source file under one configuration.
-fn profile_file(
-    source: &str,
-    kernel: &str,
-    dims: LaunchDims,
-    specs: &[ArgSpec],
-    config: BuildConfig,
-    jobs: Option<u32>,
-) -> Result<Profiled, String> {
-    let (module, report) = pipeline::build(source, config).map_err(|e| e.to_string())?;
-    let mut dev = Device::new(&module, Default::default()).map_err(|e| e.to_string())?;
-    dev.set_profile(ProfileMode::On);
-    if let Some(j) = jobs {
-        dev.set_jobs(j);
-    }
-    let (args, _buffers) = oracle::materialize_args(&mut dev, specs)?;
-    let (stats, profile) = dev
-        .launch_plan_profiled(kernel, &args, dims)
-        .map_err(|e| format!("launch failed: {e}"))?;
-    let profile = profile.expect("profiling was enabled");
-    Ok(Profiled {
-        stats,
-        profile,
-        report,
-    })
-}
-
-/// Profiles one proxy application under one configuration.
-fn profile_proxy_config(
-    name: &str,
-    scale: Scale,
-    config: BuildConfig,
-    jobs: Option<u32>,
-) -> Result<Profiled, String> {
-    let proxies = all_proxies(scale);
-    let app = proxies
-        .iter()
-        .find(|p| p.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| {
-            let known: Vec<&str> = proxies.iter().map(|p| p.name()).collect();
-            format!("unknown proxy {name:?} (known: {})", known.join(", "))
-        })?;
-    let run = pipeline::profile_proxy(app.as_ref(), config, jobs);
-    match (run.outcome.stats, run.profile) {
-        (Some(stats), Some(profile)) => Ok(Profiled {
-            stats,
-            profile,
-            report: run.outcome.report,
-        }),
-        _ => Err(run
-            .outcome
-            .error
-            .unwrap_or_else(|| "launch produced no profile".into())),
-    }
+fn profile_of(done: &JobResult) -> &LaunchProfile {
+    done.profile.as_ref().expect("profiling was enabled")
 }
 
 /// Renders the `--all-configs` ablation view: a Figure-10-style summary
 /// per configuration plus a side-by-side exclusive-cycle table per
 /// function.
-fn render_ablation(results: &[(BuildConfig, Result<Profiled, String>)]) -> String {
+fn render_ablation(results: &[(BuildConfig, Result<JobResult, String>)]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     out.push_str("ablation summary:\n");
@@ -1036,7 +865,7 @@ fn render_ablation(results: &[(BuildConfig, Result<Profiled, String>)]) -> Strin
     let mut names: Vec<String> = Vec::new();
     for (_, r) in results.iter().rev() {
         if let Ok(p) = r {
-            for f in p.profile.hot_functions() {
+            for f in profile_of(p).hot_functions() {
                 if !names.contains(&f.name) {
                     names.push(f.name.clone());
                 }
@@ -1054,8 +883,7 @@ fn render_ablation(results: &[(BuildConfig, Result<Profiled, String>)]) -> Strin
         let mut row = format!("  {:<28}", name);
         for (_, r) in results {
             let cell = match r {
-                Ok(p) => p
-                    .profile
+                Ok(p) => profile_of(p)
                     .functions
                     .iter()
                     .find(|f| &f.name == name)
@@ -1079,150 +907,142 @@ fn write_trace(path: &str, profile: &LaunchProfile) -> Result<(), String> {
     Ok(())
 }
 
-fn profile_main(args: &[String]) -> ExitCode {
+fn profile_main(args: &[String]) -> Result<ExitCode, ExitCode> {
     let mut path: Option<String> = None;
     let mut proxy: Option<String> = None;
     let mut scale = Scale::Small;
     let mut config = BuildConfig::LlvmDev;
     let mut all_configs = false;
     let mut kernel: Option<String> = None;
-    let mut teams: Option<u32> = None;
-    let mut threads: Option<u32> = None;
+    let mut dims = LaunchDims::default();
     let mut jobs: Option<u32> = None;
     let mut specs: Vec<ArgSpec> = Vec::new();
     let mut trace: Option<String> = None;
     let mut json = false;
     let mut time_passes = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--proxy" => proxy = it.next().cloned(),
-            "--scale" => match it.next().map(String::as_str) {
-                Some("small") => scale = Scale::Small,
-                Some("bench") => scale = Scale::Bench,
-                _ => return usage(),
-            },
-            "--config" => match it.next().and_then(|s| BuildConfig::from_cli_name(s)) {
-                Some(c) => config = c,
-                None => return usage(),
-            },
+    let mut flags = Flags(args.iter());
+    while let Some(a) = flags.next() {
+        match a {
+            "--proxy" => proxy = Some(flags.value(a)?),
+            "--scale" => scale = flags.value_with(a, parse_scale)?,
+            "--config" => config = flags.value_with(a, BuildConfig::from_cli_name)?,
             "--all-configs" => all_configs = true,
-            "--kernel" => kernel = it.next().cloned(),
-            "--teams" => teams = it.next().and_then(|s| s.parse().ok()),
-            "--threads" => threads = it.next().and_then(|s| s.parse().ok()),
-            "--jobs" => jobs = it.next().and_then(|s| s.parse().ok()),
-            "--trace" => trace = it.next().cloned(),
+            "--kernel" => kernel = Some(flags.value(a)?),
+            "--teams" => dims.teams = Some(flags.value(a)?),
+            "--threads" => dims.threads = Some(flags.value(a)?),
+            "--jobs" => jobs = Some(flags.value(a)?),
+            "--trace" => trace = Some(flags.value(a)?),
             "--json" => json = true,
             "--time-passes" => time_passes = true,
-            "--arg" => match it.next().and_then(|s| ArgSpec::parse_colon(s)) {
-                Some(s) => specs.push(s),
-                None => return usage(),
-            },
+            "--arg" => specs.push(flags.value_with(a, ArgSpec::parse_colon)?),
             f if !f.starts_with('-') && path.is_none() => path = Some(f.to_string()),
-            other => {
-                eprintln!("ompgpu profile: unknown flag {other}");
-                return usage();
-            }
+            other => return Err(unknown_flag(" profile", other)),
         }
     }
+    let usage_error = |message: &str| usage_error("profile", message);
     if all_configs && (json || trace.is_some()) {
-        eprintln!(
-            "ompgpu profile: --json/--trace need a single configuration (drop --all-configs)"
-        );
-        return ExitCode::from(2);
+        return Err(usage_error(
+            "--json/--trace need a single configuration (drop --all-configs)",
+        ));
     }
 
-    // Resolve the subject into a closure profiling it under one config.
-    let subject: Box<dyn Fn(BuildConfig) -> Result<Profiled, String>> = if let Some(name) = proxy {
+    // Resolve the subject; `profile` runs it under one configuration.
+    let proxies = all_proxies(scale);
+    let source;
+    let subject = if let Some(name) = &proxy {
         if path.is_some() {
-            eprintln!("ompgpu profile: give either a source file or --proxy, not both");
-            return ExitCode::from(2);
+            return Err(usage_error(
+                "give either a source file or --proxy, not both",
+            ));
         }
-        Box::new(move |c| profile_proxy_config(&name, scale, c, jobs))
+        Subject::Proxy(find_proxy(&proxies, name).map_err(|e| {
+            eprintln!("ompgpu profile: [{}] {e}", config.label());
+            ExitCode::FAILURE
+        })?)
     } else {
         let Some(path) = path else {
             eprintln!("ompgpu profile: need a source file or --proxy NAME");
-            return usage();
+            return Err(usage());
         };
-        let source = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("ompgpu: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        source = read_source("ompgpu", &path)?;
         // Fall back to the file's `// oracle-*:` header for anything the
         // flags left unspecified.
         if let Ok(spec) = ExampleSpec::parse(&source) {
             kernel = kernel.or(Some(spec.kernel));
-            teams = teams.or(spec.teams);
-            threads = threads.or(spec.threads);
+            dims.teams = dims.teams.or(spec.teams);
+            dims.threads = dims.threads.or(spec.threads);
             if specs.is_empty() {
                 specs = spec.args;
             }
         }
-        let Some(kernel) = kernel else {
-            eprintln!(
-                "ompgpu profile: --kernel NAME is required \
-                 (no `// oracle-kernel:` header in {path})"
-            );
-            return ExitCode::from(2);
+        let Some(kernel) = &kernel else {
+            return Err(usage_error(&format!(
+                "--kernel NAME is required (no `// oracle-kernel:` header in {path})"
+            )));
         };
-        let dims = LaunchDims { teams, threads };
-        Box::new(move |c| profile_file(&source, &kernel, dims, &specs, c, jobs))
+        Subject::Source {
+            source: &source,
+            kernel,
+            dims,
+            args: &specs,
+        }
+    };
+    let mut store = Store::new(0);
+    let mut profile = |config: BuildConfig| -> Result<JobResult, String> {
+        let job = Job {
+            mode: Mode::Profile,
+            knobs: Knobs {
+                jobs,
+                ..Knobs::default()
+            },
+            ..Job::new(subject, config)
+        };
+        job.run(&mut store).map_err(|e| match (&e, subject) {
+            (JobError::Launch(sim), Subject::Source { .. }) => format!("launch failed: {sim}"),
+            _ => e.tagged(),
+        })
     };
 
     if all_configs {
         // CUDA-style builds compile a different source; the ablation view
         // covers the OpenMP-source configurations the paper ablates.
-        let configs = [
-            BuildConfig::Llvm12Baseline,
-            BuildConfig::NoOpenmpOpt,
-            BuildConfig::H2S2,
-            BuildConfig::H2S2Rtc,
-            BuildConfig::H2S2RtcCsm,
-            BuildConfig::LlvmDev,
-        ];
-        let results: Vec<(BuildConfig, Result<Profiled, String>)> =
-            configs.iter().map(|&c| (c, subject(c))).collect();
+        let results: Vec<(BuildConfig, Result<JobResult, String>)> =
+            ORACLE_CONFIGS.iter().map(|&c| (c, profile(c))).collect();
         if time_passes {
             for (config, r) in &results {
                 if let Ok(p) = r {
                     eprintln!("[{}]", config.label());
-                    print_time_passes(p.report.as_ref());
+                    print_time_passes(p.built.report.as_ref());
                 }
             }
         }
         print!("{}", render_ablation(&results));
-        if results.iter().any(|(_, r)| r.is_err()) {
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
+        return Ok(match results.iter().any(|(_, r)| r.is_err()) {
+            true => ExitCode::FAILURE,
+            false => ExitCode::SUCCESS,
+        });
     }
 
-    let profiled = match subject(config) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("ompgpu profile: [{}] {e}", config.label());
-            return ExitCode::FAILURE;
-        }
-    };
+    let profiled = profile(config).map_err(|e| {
+        eprintln!("ompgpu profile: [{}] {e}", config.label());
+        ExitCode::FAILURE
+    })?;
     if time_passes {
-        print_time_passes(profiled.report.as_ref());
+        print_time_passes(profiled.built.report.as_ref());
     }
     if let Some(path) = &trace {
-        if let Err(e) = write_trace(path, &profiled.profile) {
+        if let Err(e) = write_trace(path, profile_of(&profiled)) {
             eprintln!("ompgpu profile: {e}");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
         eprintln!("trace written to {path} (load in Perfetto or chrome://tracing)");
     }
     if json {
-        println!("{}", profiled.profile.to_json());
+        println!("{}", profile_of(&profiled).to_json());
     } else {
-        print!("{}", profiled.profile.render());
+        print!("{}", profile_of(&profiled).render());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
@@ -1230,95 +1050,67 @@ fn main() -> ExitCode {
     let Some(mode) = args.first() else {
         return usage();
     };
-    if mode == "verify" {
-        return verify_main(&args[1..]);
-    }
-    if mode == "profile" {
-        return profile_main(&args[1..]);
-    }
-    if mode == "sanitize" {
-        return sanitize_main(&args[1..]);
-    }
-    if mode == "serve" {
-        return serve_main(&args[1..]);
-    }
-    if mode == "client" {
-        return client_main(&args[1..]);
-    }
-    if mode == "json-validate" {
-        return json_validate_main(&args[1..]);
-    }
-    let Some(path) = args.get(1) else {
-        return usage();
+    // `Err` is a command that could not start (bad flag, unreadable
+    // input); `Ok` carries the verdict of one that ran.
+    let done = match mode.as_str() {
+        "verify" => verify_main(&args[1..]),
+        "profile" => profile_main(&args[1..]),
+        "sanitize" => sanitize_main(&args[1..]),
+        "serve" => serve_main(&args[1..]),
+        "client" => client_main(&args[1..]),
+        "json-validate" => json_validate_main(&args[1..]),
+        _ => build_or_run_main(mode, &args[1..]),
     };
-    let source = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("ompgpu: cannot read {path}: {e}");
-            return ExitCode::from(EXIT_BUILD);
-        }
+    done.unwrap_or_else(|code| code)
+}
+
+fn build_or_run_main(mode: &str, args: &[String]) -> Result<ExitCode, ExitCode> {
+    let Some(path) = args.first() else {
+        return Err(usage());
     };
+    let source = read_source("ompgpu", path)?;
     let mut config = BuildConfig::LlvmDev;
     let mut emit_ir = false;
     let mut show_remarks = false;
     let mut time_passes = false;
     let mut json = false;
     let mut kernel: Option<String> = None;
-    let mut teams: Option<u32> = None;
-    let mut threads: Option<u32> = None;
-    let mut jobs: Option<u32> = None;
-    let mut max_insts: Option<u64> = None;
-    let mut tier: Option<Tier> = None;
+    let mut dims = LaunchDims::default();
+    let mut knobs = Knobs::default();
     let mut specs: Vec<ArgSpec> = Vec::new();
     let mut dump = 0usize;
     let mut telemetry: Option<String> = None;
-    let mut it = args.iter().skip(2);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--config" => match it.next().and_then(|s| BuildConfig::from_cli_name(s)) {
-                Some(c) => config = c,
-                None => return usage(),
-            },
-            "--telemetry" => match it.next() {
-                Some(p) => telemetry = Some(p.clone()),
-                None => return usage(),
-            },
+    let mut flags = Flags(args[1..].iter());
+    while let Some(a) = flags.next() {
+        match a {
+            "--config" => config = flags.value_with(a, BuildConfig::from_cli_name)?,
+            "--telemetry" => telemetry = Some(flags.value(a)?),
             "--emit-ir" => emit_ir = true,
             "--remarks" => show_remarks = true,
             "--time-passes" => time_passes = true,
             "--json" => json = true,
-            "--kernel" => kernel = it.next().cloned(),
-            "--teams" => teams = it.next().and_then(|s| s.parse().ok()),
-            "--threads" => threads = it.next().and_then(|s| s.parse().ok()),
-            "--jobs" => jobs = it.next().and_then(|s| s.parse().ok()),
-            "--max-insts" => max_insts = it.next().and_then(|s| s.parse().ok()),
-            "--tier" => match it.next().and_then(|s| Tier::parse(s)) {
-                Some(t) => tier = Some(t),
-                None => return usage(),
-            },
-            "--dump" => dump = it.next().and_then(|s| s.parse().ok()).unwrap_or(8),
-            "--arg" => match it.next().and_then(|s| ArgSpec::parse_colon(s)) {
-                Some(s) => specs.push(s),
-                None => return usage(),
-            },
-            other => {
-                eprintln!("ompgpu: unknown flag {other}");
-                return usage();
-            }
+            "--kernel" => kernel = Some(flags.value(a)?),
+            "--teams" => dims.teams = Some(flags.value(a)?),
+            "--threads" => dims.threads = Some(flags.value(a)?),
+            "--jobs" => knobs.jobs = Some(flags.value(a)?),
+            "--max-insts" => knobs.max_insts = Some(flags.value(a)?),
+            "--tier" => knobs.tier = Some(flags.value_with(a, Tier::parse)?),
+            "--dump" => dump = flags.value(a)?,
+            "--arg" => specs.push(flags.value_with(a, ArgSpec::parse_colon)?),
+            other => return Err(unknown_flag("", other)),
         }
     }
 
     if telemetry.is_some() {
         telemetry_begin();
     }
-    let (module, report) = match pipeline::build(&source, config) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("ompgpu: {e}");
-            return ExitCode::from(EXIT_BUILD);
-        }
-    };
-    if let Some(r) = &report {
+    let mut store = Store::new(0);
+    let built = store.build(&source, config).map_err(|e| {
+        eprintln!("ompgpu: {e}");
+        ExitCode::from(e.exit_code())
+    })?;
+    let report = built.report.as_ref();
+    if let Some(r) = report {
         let c = r.counts;
         eprintln!(
             "[{}] h2s={} h2shared={} spmdized={} csm={} folds={} remarks={}",
@@ -1337,125 +1129,95 @@ fn main() -> ExitCode {
         }
     }
     if time_passes {
-        print_time_passes(report.as_ref());
+        print_time_passes(report);
     }
-    match mode.as_str() {
+    let mut metrics = omp_telemetry::MetricsRegistry::new();
+    if let Some(r) = report {
+        pipeline::record_pipeline_metrics(r, &mut metrics);
+    }
+    match mode {
         "build" => {
             if emit_ir {
-                print!("{}", omp_ir::printer::print_module(&module));
+                print!("{}", omp_ir::printer::print_module(&built.module));
             } else {
-                for k in &module.kernels {
+                for k in &built.module.kernels {
                     println!(
                         "kernel {} ({:?} mode, {} functions in module)",
                         k.source_name,
                         k.exec_mode,
-                        module.num_functions()
+                        built.module.num_functions()
                     );
                 }
             }
-            if let Some(tpath) = &telemetry {
-                let mut reg = omp_telemetry::MetricsRegistry::new();
-                if let Some(r) = &report {
-                    pipeline::record_pipeline_metrics(r, &mut reg);
-                }
-                if let Err(e) = telemetry_write(tpath, &reg) {
-                    eprintln!("ompgpu: {e}");
-                    return ExitCode::from(EXIT_BUILD);
-                }
-            }
-            ExitCode::SUCCESS
         }
         "run" => {
-            let Some(kernel) = kernel else {
+            let Some(kernel) = &kernel else {
                 eprintln!("ompgpu run: --kernel NAME is required");
-                return usage();
+                return Err(usage());
             };
-            let mut dev = match Device::new(&module, Default::default()) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("ompgpu: {e}");
-                    return ExitCode::from(EXIT_SIM);
-                }
+            let job = Job {
+                knobs,
+                readback: match dump {
+                    0 => Readback::None,
+                    n => Readback::Head(n),
+                },
+                ..Job::new(
+                    Subject::Source {
+                        source: &source,
+                        kernel,
+                        dims,
+                        args: &specs,
+                    },
+                    config,
+                )
             };
-            if let Some(j) = jobs {
-                dev.set_jobs(j);
-            }
-            if let Some(b) = max_insts {
-                dev.set_max_insts(b);
-            }
-            if let Some(t) = tier {
-                dev.set_tier(t);
-            }
-            let (rt_args, buffers) = match oracle::materialize_args(&mut dev, &specs) {
-                Ok(x) => x,
-                Err(e) => {
-                    eprintln!("ompgpu: {e}");
-                    return ExitCode::from(EXIT_SIM);
+            let done = job.launch(&mut store, &built).map_err(|e| {
+                match &e {
+                    JobError::Launch(sim) => {
+                        if json {
+                            println!("{}", sim.to_json());
+                        }
+                        eprintln!("ompgpu: launch failed: {sim}");
+                    }
+                    _ => eprintln!("ompgpu: {e}"),
                 }
-            };
-            match dev.launch_plan(&kernel, &rt_args, LaunchDims { teams, threads }) {
-                Ok(stats) => {
-                    if json {
-                        println!("{}", stats.snapshot().to_json());
-                    } else {
-                        println!(
-                            "kernel time: {} cycles   regs: {}   smem: {} B   heap: {} B",
-                            stats.cycles, stats.registers, stats.shared_mem_bytes, stats.heap_bytes
-                        );
-                        println!(
-                            "insts: {}   mem accesses: {} ({} coalesced / {} scattered)   barriers: {}",
-                            stats.instructions,
-                            stats.memory_accesses,
-                            stats.coalesced_accesses,
-                            stats.uncoalesced_accesses,
-                            stats.barriers
-                        );
-                        if let Some((min, median, max)) = team_spread(&stats.team_cycles) {
-                            println!(
-                                "team cycles: min {min} / median {median} / max {max} ({} teams)",
-                                stats.team_cycles.len()
-                            );
-                        }
-                    }
-                    if dump > 0 {
-                        for (i, (addr, len, is_f64)) in buffers.iter().enumerate() {
-                            let k = dump.min(*len);
-                            let rendered = if *is_f64 {
-                                dev.read_f64(*addr, k).map(|v| format!("{v:?}"))
-                            } else {
-                                dev.read_i64(*addr, k).map(|v| format!("{v:?}"))
-                            };
-                            match rendered {
-                                Ok(v) => println!("buf{i}[..{k}] = {v}"),
-                                Err(e) => {
-                                    eprintln!("ompgpu: cannot read back buf{i}: {e}");
-                                    return ExitCode::from(EXIT_SIM);
-                                }
-                            }
-                        }
-                    }
-                    if let Some(tpath) = &telemetry {
-                        let mut reg = omp_telemetry::MetricsRegistry::new();
-                        if let Some(r) = &report {
-                            pipeline::record_pipeline_metrics(r, &mut reg);
-                        }
-                        stats.snapshot().record_metrics(&mut reg);
-                        if let Err(e) = telemetry_write(tpath, &reg) {
-                            eprintln!("ompgpu: {e}");
-                            return ExitCode::from(EXIT_BUILD);
-                        }
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    if json {
-                        println!("{}", e.to_json());
-                    }
-                    eprintln!("ompgpu: launch failed: {e}");
-                    ExitCode::from(EXIT_SIM)
+                ExitCode::from(e.exit_code())
+            })?;
+            let stats = &done.stats;
+            if json {
+                println!("{}", done.stats_json());
+            } else {
+                println!(
+                    "kernel time: {} cycles   regs: {}   smem: {} B   heap: {} B",
+                    stats.cycles, stats.registers, stats.shared_mem_bytes, stats.heap_bytes
+                );
+                println!(
+                    "insts: {}   mem accesses: {} ({} coalesced / {} scattered)   barriers: {}",
+                    stats.instructions,
+                    stats.memory_accesses,
+                    stats.coalesced_accesses,
+                    stats.uncoalesced_accesses,
+                    stats.barriers
+                );
+                if let Some((min, median, max)) = team_spread(&stats.team_cycles) {
+                    println!(
+                        "team cycles: min {min} / median {median} / max {max} ({} teams)",
+                        stats.team_cycles.len()
+                    );
                 }
             }
+            for (i, b) in done.buffers.iter().enumerate() {
+                println!("buf{i}{b}");
+            }
+            stats.snapshot().record_metrics(&mut metrics);
         }
-        _ => usage(),
+        _ => return Err(usage()),
     }
+    if let Some(tpath) = &telemetry {
+        telemetry_write(tpath, &metrics).map_err(|e| {
+            eprintln!("ompgpu: {e}");
+            ExitCode::from(EXIT_BUILD)
+        })?;
+    }
+    Ok(ExitCode::SUCCESS)
 }

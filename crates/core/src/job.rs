@@ -1,0 +1,883 @@
+//! The one job path: subject → store → device → launch → reduce → render.
+//!
+//! Every way of running a source — `ompgpu run|profile|sanitize|verify`,
+//! the differential [`oracle`](crate::oracle), the figure binaries and
+//! each `ompgpu serve` op — describes what it wants as a [`Job`] and
+//! gets a [`JobResult`] or a staged [`JobError`] back:
+//!
+//! 1. **store** — [`Store::build`] turns (source, configuration) into an
+//!    optimized module through the content-addressed frontend and
+//!    optimized tiers, and the device tier hands out a warmed
+//!    [`OwnedDevice`] for it. A daemon keeps one store for its lifetime;
+//!    the CLI and the oracle run against a fresh one (every lookup
+//!    misses, six configurations of one subject still share at most two
+//!    frontend runs).
+//! 2. **launch** — [`Job::launch`] is the only function that arms a
+//!    device, prepares inputs, launches in the requested [`Mode`],
+//!    host-verifies a proxy and reads buffers back.
+//! 3. **reduce / render** — callers fold results (`oracle::finish_case`,
+//!    `pipeline::sanitize_report_json`, the CLI's ablation table) and
+//!    render text or JSON from the same [`JobResult`] accessors.
+//!
+//! [`JobError`] names the stage that failed and owns the one mapping
+//! from stage to exit code; classification reads the error *kind*
+//! ([`JobError::kind`]), never message text.
+
+use crate::config::BuildConfig;
+use crate::oracle::{ArgSpec, BufInit};
+use crate::pipeline;
+use omp_benchmarks::ProxyApp;
+use omp_gpusim::{
+    CapturedGraph, DeviceConfig, FaultPlan, Finding, KernelStats, LaunchDims, LaunchProfile,
+    MemError, OwnedDevice, ProfileMode, RtVal, SanitizeMode, SimError, SimErrorKind, Tier,
+};
+use omp_ir::Module;
+use omp_json::{content_address, fnv1a, JsonWriter};
+use omp_opt::OptReport;
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::Arc;
+use std::time::Duration;
+
+/// Exit-code semantics shared by the CLI and the serve protocol:
+/// success / clean.
+pub const EXIT_OK: u8 = 0;
+/// Compile, spec or I/O failure.
+pub const EXIT_BUILD: u8 = 1;
+/// Usage error (bad flag, malformed request, unknown op).
+pub const EXIT_USAGE: u8 = 2;
+/// Simulation or launch failure.
+pub const EXIT_SIM: u8 = 3;
+/// Oracle divergence.
+pub const EXIT_DIVERGED: u8 = 4;
+/// Error-severity sanitizer findings.
+pub const EXIT_FINDINGS: u8 = 5;
+// 6 is `ompgpu json-validate`'s unknown-schema exit.
+/// A request deadline expired before or during execution.
+pub const EXIT_TIMEOUT: u8 = 7;
+
+// ---------------------------------------------------------------------
+// Job description
+// ---------------------------------------------------------------------
+
+/// What a job launches.
+#[derive(Clone, Copy)]
+pub enum Subject<'a> {
+    /// A kernel of a mini-C source with explicit geometry and arguments.
+    Source {
+        source: &'a str,
+        kernel: &'a str,
+        dims: LaunchDims,
+        args: &'a [ArgSpec],
+    },
+    /// A proxy application: it brings its own sources, device shape,
+    /// workload and host reference.
+    Proxy(&'a dyn ProxyApp),
+}
+
+/// How the kernel is launched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Mode {
+    #[default]
+    Plain,
+    /// With the cycle-attribution profiler.
+    Profile,
+    /// With the device sanitizer (results are not host-verified — the
+    /// oracle owns correctness, the sanitizer owns synchronization).
+    Sanitize,
+}
+
+/// Per-launch device knobs; `None` keeps the device's own default
+/// (the `OMPGPU_*` environment, else its configuration).
+#[derive(Debug, Clone, Default)]
+pub struct Knobs {
+    pub jobs: Option<u32>,
+    pub tier: Option<Tier>,
+    pub max_insts: Option<u64>,
+    pub watchdog: Option<Duration>,
+    pub fault: FaultPlan,
+}
+
+/// How much of each buffer is read back after the launch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Readback {
+    #[default]
+    None,
+    /// The first `n` elements of every buffer (`--dump N`).
+    Head(usize),
+    /// Everything (the oracle's bit comparison).
+    All,
+}
+
+/// One unit of work: a subject under a configuration, launched in a
+/// mode with the given knobs.
+#[derive(Clone)]
+pub struct Job<'a> {
+    pub subject: Subject<'a>,
+    pub config: BuildConfig,
+    pub mode: Mode,
+    pub knobs: Knobs,
+    pub readback: Readback,
+}
+
+/// A buffer's contents after the launch.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Buffer {
+    F64(Vec<f64>),
+    I64(Vec<i64>),
+}
+
+impl Buffer {
+    /// Bit patterns (`f64::to_bits` / `i64 as u64`) for exact comparison.
+    pub fn bits(&self) -> Vec<u64> {
+        match self {
+            Buffer::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
+            Buffer::I64(v) => v.iter().map(|x| *x as u64).collect(),
+        }
+    }
+
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_array();
+        match self {
+            Buffer::F64(v) => v.iter().for_each(|x| {
+                w.f64(*x);
+            }),
+            Buffer::I64(v) => v.iter().for_each(|x| {
+                w.i64(*x);
+            }),
+        }
+        w.end_array();
+    }
+}
+
+/// The `--dump` rendering: `[..LEN] = [elements]`.
+impl fmt::Display for Buffer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Buffer::F64(v) => write!(f, "[..{}] = {v:?}", v.len()),
+            Buffer::I64(v) => write!(f, "[..{}] = {v:?}", v.len()),
+        }
+    }
+}
+
+/// Everything a successful job produced.
+#[derive(Debug)]
+pub struct JobResult {
+    /// The build that ran (module, content address, optimizer report).
+    pub built: Arc<Built>,
+    pub stats: KernelStats,
+    /// Present in [`Mode::Profile`].
+    pub profile: Option<LaunchProfile>,
+    /// Sanitizer findings in team-id order ([`Mode::Sanitize`]).
+    pub findings: Vec<Finding>,
+    /// One entry per buffer argument (a proxy: its output buffer), cut
+    /// to the job's [`Readback`]; empty for [`Readback::None`].
+    pub buffers: Vec<Buffer>,
+}
+
+impl JobResult {
+    /// The deterministic statistics object (`run --json`, and the
+    /// `stats` member of every serve payload).
+    pub fn stats_json(&self) -> String {
+        self.stats.snapshot().to_json()
+    }
+}
+
+// ---------------------------------------------------------------------
+// Errors
+// ---------------------------------------------------------------------
+
+/// A stage boundary of the job path (also the serve protocol's
+/// fault-injection targets).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Source parsing + lowering (the frontend tier).
+    Frontend,
+    /// The optimizer pipeline (the optimized tier).
+    Optimize,
+    /// Device construction / plan decode (the device tier).
+    Device,
+    /// Kernel launch on the armed device.
+    Launch,
+    /// Captured-graph replay (multi-kernel plain launches only).
+    Replay,
+}
+
+impl Stage {
+    pub const ALL: [Stage; 5] = [
+        Stage::Frontend,
+        Stage::Optimize,
+        Stage::Device,
+        Stage::Launch,
+        Stage::Replay,
+    ];
+
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::Frontend => "frontend",
+            Stage::Optimize => "optimize",
+            Stage::Device => "device",
+            Stage::Launch => "launch",
+            Stage::Replay => "replay",
+        }
+    }
+
+    pub fn parse(s: &str) -> Option<Stage> {
+        Stage::ALL.into_iter().find(|st| st.name() == s)
+    }
+}
+
+/// A seeded stage fault (chaos testing): fail at `stage` by returning
+/// [`JobError::Injected`] or, with `panic`, by unwinding.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StageFault {
+    pub stage: Stage,
+    pub panic: bool,
+}
+
+/// Why a job failed, by stage.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JobError {
+    /// The subject's launch spec is missing or malformed.
+    Spec(String),
+    /// Frontend diagnostics or post-optimization IR verification.
+    Build(String),
+    /// Device construction (plan decode, global placement).
+    Device(String),
+    /// Staging inputs on the device.
+    Prepare(SimError),
+    /// The launch itself.
+    Launch(SimError),
+    /// A proxy's outputs differ from its host reference.
+    HostVerify(String),
+    /// Reading buffers back.
+    Readback(SimError),
+    /// A seeded [`StageFault`] fired.
+    Injected(Stage),
+}
+
+impl JobError {
+    /// The process / envelope exit code of this failure.
+    pub fn exit_code(&self) -> u8 {
+        match self {
+            JobError::Spec(_)
+            | JobError::Build(_)
+            | JobError::Injected(Stage::Frontend | Stage::Optimize) => EXIT_BUILD,
+            JobError::Launch(e) if matches!(e.kind, SimErrorKind::DeadlineExceeded { .. }) => {
+                EXIT_TIMEOUT
+            }
+            _ => EXIT_SIM,
+        }
+    }
+
+    /// The simulator's error kind, when the failing stage ran on the
+    /// device.
+    pub fn kind(&self) -> Option<&SimErrorKind> {
+        match self {
+            JobError::Prepare(e) | JobError::Launch(e) | JobError::Readback(e) => Some(&e.kind),
+            _ => None,
+        }
+    }
+
+    /// Whether the device ran out of memory while staging or running:
+    /// the paper's documented outcome for builds that lack the
+    /// globalization optimizations.
+    pub fn is_out_of_memory(&self) -> bool {
+        matches!(
+            self,
+            JobError::Prepare(e) | JobError::Launch(e) if matches!(
+                e.kind,
+                SimErrorKind::Mem(MemError::HeapExhausted { .. } | MemError::GlobalExhausted)
+            )
+        )
+    }
+
+    /// The table-cell rendering used by the figure binaries and
+    /// `profile --proxy`: memory faults during the launch carry the
+    /// `OOM/memory: ` tag.
+    pub fn tagged(&self) -> String {
+        match self {
+            JobError::Launch(e) if matches!(e.kind, SimErrorKind::Mem(_)) => {
+                format!("OOM/memory: {e}")
+            }
+            _ => self.to_string(),
+        }
+    }
+}
+
+impl fmt::Display for JobError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JobError::Spec(e) => write!(f, "spec error: {e}"),
+            JobError::Build(e) | JobError::Device(e) => f.write_str(e),
+            JobError::Prepare(e) | JobError::Launch(e) => write!(f, "{e}"),
+            JobError::HostVerify(e) => write!(f, "verification failed: {e}"),
+            JobError::Readback(e) => write!(f, "readback failed: {e}"),
+            JobError::Injected(s) => write!(f, "injected fault: {} stage failure", s.name()),
+        }
+    }
+}
+
+impl std::error::Error for JobError {}
+
+// ---------------------------------------------------------------------
+// The artifact store
+// ---------------------------------------------------------------------
+
+/// Hit/miss counters of one cache tier.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TierStats {
+    /// Lookups answered from the cache.
+    pub hits: u64,
+    /// Lookups that had to compute the artifact.
+    pub misses: u64,
+}
+
+impl TierStats {
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("hits").u64(self.hits);
+        w.key("misses").u64(self.misses);
+        w.end_object();
+    }
+}
+
+/// Hit/miss accounting of the four tiers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TierCounts {
+    /// Source → frontend module.
+    pub frontend: TierStats,
+    /// (frontend module, configuration) → optimized module.
+    pub optimized: TierStats,
+    /// Optimized module → warmed device (with its decoded ExecPlan).
+    pub device: TierStats,
+    /// (optimized module, kernel, dims, args) → captured graph
+    /// (multi-kernel plain launches only).
+    pub graphs: TierStats,
+}
+
+impl TierCounts {
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        for (name, t) in [
+            ("frontend", self.frontend),
+            ("optimized", self.optimized),
+            ("device", self.device),
+            ("graphs", self.graphs),
+        ] {
+            w.key(name);
+            t.write_json(w);
+        }
+        w.end_object();
+    }
+}
+
+/// An optimized module: the optimized tier's entry.
+#[derive(Debug)]
+pub struct Built {
+    pub config: BuildConfig,
+    pub module: Arc<Module>,
+    /// FNV-1a of the printed optimized IR — the device tier's key and
+    /// the artifact's public content address.
+    pub ir_hash: u64,
+    /// The optimizer's report (when the mid-end ran).
+    pub report: Option<OptReport>,
+}
+
+impl Built {
+    /// The deterministic `compile` payload: counts, remarks and the
+    /// kernel table. Pass timings (wall clock) are deliberately
+    /// excluded; everything here is a pure function of (source,
+    /// configuration), so a warm answer is byte-identical to a cold one.
+    pub fn compile_json(&self) -> String {
+        let mut w = JsonWriter::with_capacity(1024);
+        w.begin_object();
+        w.key("config").string(self.config.cli_name());
+        w.key("module").string(&content_address(self.ir_hash));
+        w.key("functions").usize(self.module.num_functions());
+        w.key("kernels").begin_array();
+        for k in &self.module.kernels {
+            w.begin_object();
+            w.key("name").string(&k.source_name);
+            w.key("mode").string(&format!("{:?}", k.exec_mode));
+            w.end_object();
+        }
+        w.end_array();
+        match &self.report {
+            Some(r) => {
+                let c = r.counts;
+                w.key("counts").begin_object();
+                for (name, n) in [
+                    ("internalized", c.internalized),
+                    ("heap_to_stack", c.heap_to_stack),
+                    ("heap_to_shared", c.heap_to_shared),
+                    ("spmdized", c.spmdized),
+                    ("csm_possible", c.csm_possible),
+                    ("csm_rewritten", c.csm_rewritten),
+                    ("csm_with_fallback", c.csm_with_fallback),
+                    ("folds_exec_mode", c.folds_exec_mode),
+                    ("folds_parallel_level", c.folds_parallel_level),
+                    ("folds_launch_params", c.folds_launch_params),
+                    ("guard_regions", c.guard_regions),
+                    ("broadcasts", c.broadcasts),
+                ] {
+                    w.key(name).usize(n);
+                }
+                w.end_object();
+                w.key("remarks").begin_array();
+                for remark in r.remarks.all() {
+                    w.raw(&remark.to_json());
+                }
+                w.end_array();
+            }
+            None => {
+                w.key("counts").null();
+                w.key("remarks").begin_array().end_array();
+            }
+        }
+        w.end_object();
+        w.finish()
+    }
+}
+
+/// A device-tier entry: the warmed device, the configuration it was
+/// asked for, and the knob defaults it came up with (so a reused device
+/// carries nothing over from the previous job).
+struct WarmDevice {
+    key: u64,
+    cfg: DeviceConfig,
+    jobs: u32,
+    max_insts: u64,
+    tier: Tier,
+    dev: OwnedDevice,
+}
+
+/// The keys a [`Store::begin`]..[`Store::finish`] window inserted into
+/// each tier, plus every device it touched.
+#[derive(Default)]
+struct Journal {
+    frontend: Vec<u64>,
+    optimized: Vec<u64>,
+    devices: Vec<u64>,
+    graphs: Vec<u64>,
+    /// Device-tier keys armed or built (hit or miss).
+    touched_devices: Vec<u64>,
+}
+
+/// Content-addressed artifact caches at the pipeline's stage boundaries
+/// plus one launch-level tier (`docs/SERVE.md` has the key definitions):
+///
+/// 1. **frontend** — `fnv1a(globalization scheme, CUDA flag, source)` →
+///    lowered [`Module`]. The frontend depends on the configuration
+///    only through those two options, so the six OpenMP-source
+///    configurations share at most two entries per source.
+/// 2. **optimized** — `fnv1a(frontend IR hash,
+///    [`BuildConfig::fingerprint`])` → [`Built`].
+/// 3. **device** — an LRU of warmed [`OwnedDevice`]s keyed by the
+///    optimized IR hash (and device shape); a hit is
+///    [`reset`](omp_gpusim::Device::reset) to its freshly constructed
+///    memory image, which makes warm launches byte-identical to cold.
+/// 4. **graphs** — `fnv1a(optimized IR hash, kernel, dims, argument
+///    specs)` → [`CapturedGraph`] of a multi-kernel launch plan.
+///
+/// Not internally synchronized.
+pub struct Store {
+    frontend: HashMap<u64, (Arc<Module>, u64)>,
+    optimized: HashMap<u64, Arc<Built>>,
+    /// Oldest first.
+    devices: Vec<WarmDevice>,
+    device_capacity: usize,
+    graphs: HashMap<u64, CapturedGraph>,
+    trace: TierCounts,
+    journal: Journal,
+    fault: Option<StageFault>,
+}
+
+impl Store {
+    /// A store whose device LRU holds up to `device_capacity` entries.
+    /// With `0` no device is ever reused: each job gets a newly built
+    /// one, which is what a one-shot caller wants — building is lazy
+    /// about memory, resetting a warm device touches all of it.
+    pub fn new(device_capacity: usize) -> Store {
+        Store {
+            frontend: HashMap::new(),
+            optimized: HashMap::new(),
+            devices: Vec::new(),
+            device_capacity,
+            graphs: HashMap::new(),
+            trace: TierCounts::default(),
+            journal: Journal::default(),
+            fault: None,
+        }
+    }
+
+    /// Opens an accounting window: clears the hit/miss trace and the
+    /// insertion journal, and seeds `fault` for the jobs that follow.
+    pub(crate) fn begin(&mut self, fault: Option<StageFault>) {
+        self.trace = TierCounts::default();
+        self.journal = Journal::default();
+        self.fault = fault;
+    }
+
+    /// Hits and misses since [`Store::begin`].
+    pub fn trace(&self) -> TierCounts {
+        self.trace
+    }
+
+    /// Closes the window. When it `failed`, every insertion it made is
+    /// rolled back — a failure never populates a tier; with
+    /// `quarantine`, the devices it touched are dropped as well (rebuilt
+    /// cold on next use), so a device interrupted mid-launch can never
+    /// answer a later job.
+    pub(crate) fn finish(&mut self, failed: bool, quarantine: bool) {
+        let journal = std::mem::take(&mut self.journal);
+        self.fault = None;
+        if failed {
+            for k in &journal.frontend {
+                self.frontend.remove(k);
+            }
+            for k in &journal.optimized {
+                self.optimized.remove(k);
+            }
+            for k in &journal.graphs {
+                self.graphs.remove(k);
+            }
+            self.devices.retain(|d| !journal.devices.contains(&d.key));
+        }
+        if quarantine {
+            self.devices
+                .retain(|d| !journal.touched_devices.contains(&d.key));
+        }
+    }
+
+    pub fn device_entries(&self) -> usize {
+        self.devices.len()
+    }
+
+    pub(crate) fn device_capacity(&self) -> usize {
+        self.device_capacity
+    }
+
+    pub(crate) fn graph_entries(&self) -> usize {
+        self.graphs.len()
+    }
+
+    /// Fires the seeded fault if it targets `stage`.
+    fn check(&self, stage: Stage) -> Result<(), JobError> {
+        match self.fault {
+            Some(f) if f.stage == stage => {
+                if f.panic {
+                    panic!("injected panic at {} stage", stage.name());
+                }
+                Err(JobError::Injected(stage))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    fn frontend_module(
+        &mut self,
+        source: &str,
+        config: BuildConfig,
+    ) -> Result<(Arc<Module>, u64), JobError> {
+        self.check(Stage::Frontend)?;
+        let fe = config.frontend_options("bench");
+        let key = fnv1a(
+            format!(
+                "fe\x00{:?}\x00{}\x00{source}",
+                fe.globalization, fe.cuda_mode
+            )
+            .as_bytes(),
+        );
+        if let Some((module, ir_hash)) = self.frontend.get(&key) {
+            self.trace.frontend.hits += 1;
+            return Ok((Arc::clone(module), *ir_hash));
+        }
+        self.trace.frontend.misses += 1;
+        let module = pipeline::compile_frontend(source, config)
+            .map_err(|e| JobError::Build(e.to_string()))?;
+        let ir_hash = fnv1a(omp_ir::printer::print_module(&module).as_bytes());
+        let module = Arc::new(module);
+        self.frontend.insert(key, (Arc::clone(&module), ir_hash));
+        self.journal.frontend.push(key);
+        Ok((module, ir_hash))
+    }
+
+    /// The optimized build of `source` under `config` — the one place a
+    /// source becomes a module.
+    pub fn build(&mut self, source: &str, config: BuildConfig) -> Result<Arc<Built>, JobError> {
+        let (fe_module, fe_hash) = self.frontend_module(source, config)?;
+        self.check(Stage::Optimize)?;
+        let key =
+            fnv1a(format!("opt\x00{fe_hash:016x}\x00{:016x}", config.fingerprint()).as_bytes());
+        if let Some(built) = self.optimized.get(&key) {
+            self.trace.optimized.hits += 1;
+            return Ok(Arc::clone(built));
+        }
+        self.trace.optimized.misses += 1;
+        let (module, report) = pipeline::optimize((*fe_module).clone(), config)
+            .map_err(|e| JobError::Build(e.to_string()))?;
+        let built = Arc::new(Built {
+            config,
+            ir_hash: fnv1a(omp_ir::printer::print_module(&module).as_bytes()),
+            module: Arc::new(module),
+            report,
+        });
+        self.optimized.insert(key, Arc::clone(&built));
+        self.journal.optimized.push(key);
+        Ok(built)
+    }
+
+    /// Index of a pristine device for `built`: a warm one reset to its
+    /// construction-time image, else a new one — the one place a module
+    /// becomes a device.
+    fn device(&mut self, built: &Built, cfg: DeviceConfig) -> Result<usize, JobError> {
+        self.check(Stage::Device)?;
+        let key = built.ir_hash;
+        self.journal.touched_devices.push(key);
+        let warm = |d: &WarmDevice| d.key == key && d.cfg == cfg;
+        if self.device_capacity == 0 {
+            self.devices.clear();
+        } else if let Some(pos) = self.devices.iter().position(warm) {
+            self.trace.device.hits += 1;
+            let mut warm = self.devices.remove(pos);
+            warm.dev.with(|d| d.reset());
+            self.devices.push(warm);
+            return Ok(self.devices.len() - 1);
+        }
+        self.trace.device.misses += 1;
+        let mut dev = OwnedDevice::new(Arc::clone(&built.module), cfg.clone())
+            .map_err(|e| JobError::Device(e.to_string()))?;
+        let (jobs, max_insts, tier) =
+            dev.with(|d| (d.jobs(), d.config().max_insts_per_thread, d.config().tier));
+        if self.devices.len() >= self.device_capacity.max(1) {
+            self.devices.remove(0);
+        }
+        self.devices.push(WarmDevice {
+            key,
+            cfg,
+            jobs,
+            max_insts,
+            tier,
+            dev,
+        });
+        self.journal.devices.push(key);
+        Ok(self.devices.len() - 1)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Running a job
+// ---------------------------------------------------------------------
+
+/// `(device address, element count, is_f64)` of a staged buffer.
+type BufferHandle = (u64, usize, bool);
+
+/// Element `i` of a buffer initialized per `init`: zeros, `i`, or the
+/// deterministic pseudo-random sequence in `[0, 1)` shared with
+/// `omp_benchmarks` (kept in lock-step so specs stay reproducible).
+fn init_value(init: BufInit, i: i64) -> f64 {
+    match init {
+        BufInit::Zero => 0.0,
+        BufInit::Iota => i as f64,
+        BufInit::Pseudo => (i.wrapping_mul(9973) + 12345).rem_euclid(100_000) as f64 / 100_000.0,
+    }
+}
+
+/// Stages launch arguments: buffers are allocated and deterministically
+/// initialized (`i64` buffers scale the pseudo-random sequence to
+/// `0..1000`); scalars pass through.
+fn materialize(
+    dev: &mut omp_gpusim::Device,
+    specs: &[ArgSpec],
+) -> Result<(Vec<RtVal>, Vec<BufferHandle>), SimError> {
+    let mut args: Vec<RtVal> = Vec::new();
+    let mut buffers: Vec<BufferHandle> = Vec::new();
+    for a in specs {
+        match *a {
+            ArgSpec::BufF64(n, init) => {
+                let data: Vec<f64> = (0..n as i64).map(|i| init_value(init, i)).collect();
+                let addr = dev.alloc_f64(&data)?;
+                buffers.push((addr, n, true));
+                args.push(RtVal::Ptr(addr));
+            }
+            ArgSpec::BufI64(n, init) => {
+                let scale = if init == BufInit::Pseudo { 1000.0 } else { 1.0 };
+                let data: Vec<i64> = (0..n as i64)
+                    .map(|i| (init_value(init, i) * scale) as i64)
+                    .collect();
+                let addr = dev.alloc_i64(&data)?;
+                buffers.push((addr, n, false));
+                args.push(RtVal::Ptr(addr));
+            }
+            ArgSpec::I64(v) => args.push(RtVal::I64(v)),
+            ArgSpec::I32(v) => args.push(RtVal::I32(v)),
+            ArgSpec::F64(v) => args.push(RtVal::F64(v)),
+        }
+    }
+    Ok((args, buffers))
+}
+
+impl<'a> Job<'a> {
+    /// A plain, knob-free job reading nothing back.
+    pub fn new(subject: Subject<'a>, config: BuildConfig) -> Job<'a> {
+        Job {
+            subject,
+            config,
+            mode: Mode::Plain,
+            knobs: Knobs::default(),
+            readback: Readback::None,
+        }
+    }
+
+    /// Builds the subject's source under the job's configuration.
+    pub fn build(&self, store: &mut Store) -> Result<Arc<Built>, JobError> {
+        match self.subject {
+            Subject::Source { source, .. } => store.build(source, self.config),
+            Subject::Proxy(app) if self.config.uses_cuda_source() => {
+                store.build(&app.cuda_source(), self.config)
+            }
+            Subject::Proxy(app) => store.build(&app.openmp_source(), self.config),
+        }
+    }
+
+    /// Builds, then launches.
+    pub fn run(&self, store: &mut Store) -> Result<JobResult, JobError> {
+        let built = self.build(store)?;
+        self.launch(store, &built)
+    }
+
+    /// Launches `built` on a pristine device of the store: arm the
+    /// knobs, stage the inputs, launch in the job's mode, host-verify a
+    /// proxy, read back. A multi-kernel plain launch goes through the
+    /// graphs tier — captured on a miss, replayed either way, which is
+    /// bit-identical to launching the plan eagerly.
+    pub fn launch(&self, store: &mut Store, built: &Arc<Built>) -> Result<JobResult, JobError> {
+        let (kernel, dims, cfg) = match self.subject {
+            Subject::Source { kernel, dims, .. } => (kernel, dims, DeviceConfig::default()),
+            Subject::Proxy(app) => (app.kernel_name(), app.dims(), app.device_config()),
+        };
+        let idx = store.device(built, cfg)?;
+        store.check(Stage::Launch)?;
+        let multi_kernel = || {
+            let named = |k: &&omp_ir::KernelInfo| k.source_name == kernel;
+            built.module.kernels.iter().filter(named).count() > 1
+        };
+        let graph_key = if self.mode == Mode::Plain && multi_kernel() {
+            store.check(Stage::Replay)?;
+            let args = match self.subject {
+                Subject::Source { args, .. } => args,
+                Subject::Proxy(_) => &[],
+            };
+            Some(fnv1a(
+                format!(
+                    "graph\x00{:016x}\x00{kernel}\x00{:?}\x00{:?}\x00{args:?}",
+                    built.ir_hash, dims.teams, dims.threads
+                )
+                .as_bytes(),
+            ))
+        } else {
+            None
+        };
+        let Store {
+            devices, graphs, ..
+        } = store;
+        let warm = &mut devices[idx];
+        let (jobs, max_insts, tier) = (warm.jobs, warm.max_insts, warm.tier);
+        let mut captured = None;
+        let (stats, profile, findings, buffers) = warm.dev.with(|d| {
+            let on = |mode| self.mode == mode;
+            d.set_jobs(self.knobs.jobs.unwrap_or(jobs));
+            d.set_tier(self.knobs.tier.unwrap_or(tier));
+            d.set_max_insts(self.knobs.max_insts.unwrap_or(max_insts));
+            d.set_watchdog(self.knobs.watchdog);
+            d.set_fault_plan(self.knobs.fault.clone());
+            d.set_profile(if on(Mode::Profile) {
+                ProfileMode::On
+            } else {
+                ProfileMode::Off
+            });
+            d.set_sanitize(if on(Mode::Sanitize) {
+                SanitizeMode::On
+            } else {
+                SanitizeMode::Off
+            });
+
+            let (args, handles, workload) = match self.subject {
+                Subject::Source { args, .. } => {
+                    let (args, handles) = materialize(d, args).map_err(JobError::Prepare)?;
+                    (args, handles, None)
+                }
+                Subject::Proxy(app) => {
+                    let mut w = app.prepare(d).map_err(JobError::Prepare)?;
+                    let args = std::mem::take(&mut w.args);
+                    (args, vec![(w.out_buf, w.out_len, true)], Some(w))
+                }
+            };
+
+            let launched = match (self.mode, graph_key) {
+                // The device is pristine, so re-staged argument
+                // addresses match a captured graph's exactly.
+                (Mode::Plain, Some(key)) => match graphs.get(&key) {
+                    Some(g) if g.args() == args => d.replay_graph(g),
+                    _ => d.capture_graph(kernel, &args, dims).and_then(|g| {
+                        let stats = d.replay_graph(&g);
+                        captured = Some(g);
+                        stats
+                    }),
+                }
+                .map(|s| (s, None, Vec::new())),
+                (Mode::Plain, None) => d.launch(kernel, &args, dims).map(|s| (s, None, Vec::new())),
+                (Mode::Profile, _) => d
+                    .launch_plan_profiled(kernel, &args, dims)
+                    .map(|(s, p)| (s, p, Vec::new())),
+                (Mode::Sanitize, _) => d
+                    .launch_plan_checked(kernel, &args, dims)
+                    .map(|(s, f)| (s, None, f)),
+            };
+            let (stats, profile, findings) = launched.map_err(JobError::Launch)?;
+
+            // Host reference first: bit-equality between two wrong
+            // builds must not pass the oracle.
+            if let (Some(w), false) = (&workload, on(Mode::Sanitize)) {
+                omp_benchmarks::verify(d, w).map_err(JobError::HostVerify)?;
+            }
+            let read = |(addr, len, is_f64): BufferHandle| {
+                let n = match self.readback {
+                    Readback::None => return None,
+                    Readback::Head(n) => n.min(len),
+                    Readback::All => len,
+                };
+                Some(match is_f64 {
+                    true => d.read_f64(addr, n).map(Buffer::F64),
+                    false => d.read_i64(addr, n).map(Buffer::I64),
+                })
+            };
+            let buffers: Result<Vec<Buffer>, SimError> =
+                handles.into_iter().filter_map(read).collect();
+            Ok((
+                stats,
+                profile,
+                findings,
+                buffers.map_err(JobError::Readback)?,
+            ))
+        })?;
+        if let Some(key) = graph_key {
+            match captured {
+                Some(g) => {
+                    store.trace.graphs.misses += 1;
+                    store.graphs.insert(key, g);
+                    store.journal.graphs.push(key);
+                }
+                None => store.trace.graphs.hits += 1,
+            }
+        }
+        Ok(JobResult {
+            built: Arc::clone(built),
+            stats,
+            profile,
+            findings,
+            buffers,
+        })
+    }
+}

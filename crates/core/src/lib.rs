@@ -11,6 +11,8 @@
 //!   CUDA-style watermark);
 //! * [`pipeline::build`] — source → optimized module under a
 //!   configuration;
+//! * [`job`] — the one path a source takes from text to results:
+//!   [`Job`] → [`Store`] → device → launch → [`JobResult`];
 //! * [`pipeline::run_proxy`] / [`pipeline::run_all_configs`] — build,
 //!   launch, and verify one of the four proxy applications;
 //! * [`oracle`] — the differential-execution oracle: every subject runs
@@ -31,11 +33,13 @@
 //! ```
 
 pub mod config;
+pub mod job;
 pub mod oracle;
 pub mod pipeline;
 pub mod serve;
 
 pub use config::BuildConfig;
+pub use job::{Job, JobError, JobResult, Knobs, Mode, Readback, Store, Subject};
 pub use omp_benchmarks::{all_proxies, ProxyApp, Scale};
 pub use omp_frontend::{compile, FrontendOptions, GlobalizationScheme};
 pub use omp_gpusim::{
@@ -47,9 +51,8 @@ pub use omp_ir::Module;
 pub use omp_opt::{OpenMpOptConfig, OptReport, PassStat, PassTiming};
 pub use oracle::{OracleCase, OracleReport, VerifyOptions};
 pub use pipeline::{
-    build, profile_proxy, render_pass_timings, run_all_configs, run_proxy, sanitize_proxy,
-    sanitize_report_json, sanitize_source, ProfiledRun, RunOutcome, SanitizeOptions,
-    SanitizeOutcome,
+    build, profile_proxy, render_pass_timings, run_all_configs, run_proxy, sanitize,
+    sanitize_report_json, sanitize_source, ProfiledRun, RunOutcome, SanitizeOutcome,
 };
 pub use serve::{
     serve_unix, spawn_executor, ExecShared, ExecutorHandle, ServeJob, Session, SessionStats,

@@ -27,13 +27,12 @@
 //! drivers over this module.
 
 use crate::config::BuildConfig;
-use crate::pipeline;
+use crate::job::{Built, Job, JobError, JobResult, Knobs, Readback, Store, Subject};
 use omp_benchmarks::{all_proxies, ProxyApp, Scale};
-use omp_frontend::GlobalizationScheme;
-use omp_gpusim::{Device, LaunchDims, RtVal, StatsSnapshot, Tier};
-use omp_ir::Module;
+use omp_gpusim::{LaunchDims, StatsSnapshot};
+use omp_json::JsonWriter;
 use omp_opt::PassStat;
-use std::time::Duration;
+use std::sync::Arc;
 
 /// The configurations the oracle compares: every entry of the paper's
 /// ablation matrix that compiles the *OpenMP* source. (`CudaStyle`
@@ -70,22 +69,38 @@ pub struct CaseResult {
     pub bits: Option<Vec<u64>>,
     /// Deterministic launch statistics. `None` when the run failed.
     pub stats: Option<StatsSnapshot>,
-    /// Error description when the run failed.
-    pub error: Option<String>,
-    /// Per-pass optimizer statistics (empty when the OpenMP pass did
-    /// not run under this configuration).
-    pub pass_stats: Vec<PassStat>,
+    /// The staged error when the run failed.
+    pub error: Option<JobError>,
+    /// The build that ran (`None` when the run failed).
+    pub built: Option<Arc<Built>>,
 }
 
 impl CaseResult {
-    fn failed(config: BuildConfig, error: String) -> CaseResult {
+    /// Folds one [`Readback::All`] job into its matrix entry.
+    pub fn of(config: BuildConfig, result: Result<JobResult, JobError>) -> CaseResult {
+        let (bits, stats, built, error) = match result {
+            Ok(r) => (
+                Some(r.buffers.iter().flat_map(|b| b.bits()).collect()),
+                Some(r.stats.snapshot()),
+                Some(r.built),
+                None,
+            ),
+            Err(e) => (None, None, None, Some(e)),
+        };
         CaseResult {
             config,
-            bits: None,
-            stats: None,
-            error: Some(error),
-            pass_stats: Vec::new(),
+            bits,
+            stats,
+            error,
+            built,
         }
+    }
+
+    /// Per-pass optimizer statistics (empty when the OpenMP pass did
+    /// not run under this configuration).
+    pub fn pass_stats(&self) -> Vec<PassStat> {
+        let report = self.built.as_ref().and_then(|b| b.report.as_ref());
+        report.map(|r| r.pass_stats()).unwrap_or_default()
     }
 }
 
@@ -112,6 +127,38 @@ impl OracleCase {
     /// Number of configurations that executed to completion.
     pub fn successes(&self) -> usize {
         self.results.iter().filter(|r| r.bits.is_some()).count()
+    }
+
+    /// The serve protocol's `verify` payload.
+    pub fn to_json(&self) -> String {
+        let mut w = JsonWriter::with_capacity(512);
+        w.begin_object();
+        w.key("name").string(&self.name);
+        w.key("passed").bool(self.passed());
+        w.key("configs").begin_array();
+        for r in &self.results {
+            w.begin_object();
+            w.key("config").string(r.config.cli_name());
+            match (&r.stats, &r.error) {
+                (Some(s), _) => w.key("stats").raw(&s.to_json()),
+                (None, Some(e)) => w.key("error").string(&e.to_string()),
+                (None, None) => unreachable!("failed result without error"),
+            };
+            w.end_object();
+        }
+        w.end_array();
+        for (key, list) in [
+            ("failures", &self.failures),
+            ("expected_failures", &self.expected_failures),
+        ] {
+            w.key(key).begin_array();
+            for f in list {
+                w.string(f);
+            }
+            w.end_array();
+        }
+        w.end_object();
+        w.finish()
     }
 }
 
@@ -230,24 +277,37 @@ impl ArgSpec {
     /// `buf:f64:LEN[:init]`, `buf:i64:LEN[:init]`, `i64:V`, `i32:V`,
     /// `f64:V` (init: `zero` — the default — `iota`, or `pseudo`).
     pub fn parse_colon(s: &str) -> Option<ArgSpec> {
-        let init = |name: &str| -> Option<BufInit> {
-            Some(match name {
-                "zero" => BufInit::Zero,
-                "iota" => BufInit::Iota,
-                "pseudo" => BufInit::Pseudo,
-                _ => return None,
-            })
+        ArgSpec::parse_parts(&s.split(':').collect::<Vec<_>>()).ok()
+    }
+
+    /// Parses the fields of either spelling (`:`- or space-separated).
+    fn parse_parts(parts: &[&str]) -> Result<ArgSpec, String> {
+        let init = |name: Option<&&str>| -> Result<BufInit, String> {
+            match name.copied() {
+                None | Some("zero") => Ok(BufInit::Zero),
+                Some("iota") => Ok(BufInit::Iota),
+                Some("pseudo") => Ok(BufInit::Pseudo),
+                Some(other) => Err(format!("unknown buffer init: {other:?}")),
+            }
         };
-        let parts: Vec<&str> = s.split(':').collect();
-        match parts.as_slice() {
-            ["buf", "f64", n] => Some(ArgSpec::BufF64(n.parse().ok()?, BufInit::Zero)),
-            ["buf", "f64", n, i] => Some(ArgSpec::BufF64(n.parse().ok()?, init(i)?)),
-            ["buf", "i64", n] => Some(ArgSpec::BufI64(n.parse().ok()?, BufInit::Zero)),
-            ["buf", "i64", n, i] => Some(ArgSpec::BufI64(n.parse().ok()?, init(i)?)),
-            ["i64", v] => Some(ArgSpec::I64(v.parse().ok()?)),
-            ["i32", v] => Some(ArgSpec::I32(v.parse().ok()?)),
-            ["f64", v] => Some(ArgSpec::F64(v.parse().ok()?)),
-            _ => None,
+        let len = |n: &str| n.parse().map_err(|_| format!("bad length: {n:?}"));
+        match parts {
+            ["buf", "f64", n] | ["buf", "f64", n, _] => {
+                Ok(ArgSpec::BufF64(len(n)?, init(parts.get(3))?))
+            }
+            ["buf", "i64", n] | ["buf", "i64", n, _] => {
+                Ok(ArgSpec::BufI64(len(n)?, init(parts.get(3))?))
+            }
+            ["i64", v] => Ok(ArgSpec::I64(
+                v.parse().map_err(|_| format!("bad i64: {v:?}"))?,
+            )),
+            ["i32", v] => Ok(ArgSpec::I32(
+                v.parse().map_err(|_| format!("bad i32: {v:?}"))?,
+            )),
+            ["f64", v] => Ok(ArgSpec::F64(
+                v.parse().map_err(|_| format!("bad f64: {v:?}"))?,
+            )),
+            _ => Err(format!("malformed arg spec: {:?}", parts.join(" "))),
         }
     }
 }
@@ -279,7 +339,9 @@ impl ExampleSpec {
                             .map_err(|_| format!("bad threads: {value:?}"))?,
                     )
                 }
-                "arg" => args.push(parse_arg(value)?),
+                "arg" => args.push(ArgSpec::parse_parts(
+                    &value.split_whitespace().collect::<Vec<_>>(),
+                )?),
                 other => return Err(format!("unknown oracle directive: {other:?}")),
             }
         }
@@ -294,283 +356,35 @@ impl ExampleSpec {
             args,
         })
     }
-}
 
-fn parse_arg(s: &str) -> Result<ArgSpec, String> {
-    let parts: Vec<&str> = s.split_whitespace().collect();
-    let init = |name: Option<&&str>| -> Result<BufInit, String> {
-        match name.copied() {
-            None | Some("zero") => Ok(BufInit::Zero),
-            Some("iota") => Ok(BufInit::Iota),
-            Some("pseudo") => Ok(BufInit::Pseudo),
-            Some(other) => Err(format!("unknown buffer init: {other:?}")),
-        }
-    };
-    match parts.as_slice() {
-        ["buf", "f64", n, rest @ ..] => Ok(ArgSpec::BufF64(
-            n.parse().map_err(|_| format!("bad length: {n:?}"))?,
-            init(rest.first())?,
-        )),
-        ["buf", "i64", n, rest @ ..] => Ok(ArgSpec::BufI64(
-            n.parse().map_err(|_| format!("bad length: {n:?}"))?,
-            init(rest.first())?,
-        )),
-        ["i64", v] => Ok(ArgSpec::I64(
-            v.parse().map_err(|_| format!("bad i64: {v:?}"))?,
-        )),
-        ["i32", v] => Ok(ArgSpec::I32(
-            v.parse().map_err(|_| format!("bad i32: {v:?}"))?,
-        )),
-        ["f64", v] => Ok(ArgSpec::F64(
-            v.parse().map_err(|_| format!("bad f64: {v:?}"))?,
-        )),
-        _ => Err(format!("malformed oracle-arg: {s:?}")),
-    }
-}
-
-/// The deterministic pseudo-random sequence shared with
-/// `omp_benchmarks` (kept in lock-step so specs stay reproducible).
-fn lcg01(i: i64) -> f64 {
-    let h = (i.wrapping_mul(9973) + 12345).rem_euclid(100_000);
-    h as f64 / 100_000.0
-}
-
-/// `(device address, element count, is_f64)` of a materialized buffer.
-pub type BufferHandle = (u64, usize, bool);
-
-/// Materializes launch arguments on a device: buffers are allocated and
-/// deterministically initialized per their [`BufInit`]; scalars pass
-/// through. Returns the launch arguments plus a [`BufferHandle`] for
-/// every buffer, in argument order.
-pub fn materialize_args(
-    dev: &mut Device,
-    specs: &[ArgSpec],
-) -> Result<(Vec<RtVal>, Vec<BufferHandle>), String> {
-    let mut args: Vec<RtVal> = Vec::new();
-    let mut buffers: Vec<BufferHandle> = Vec::new();
-    for a in specs {
-        match *a {
-            ArgSpec::BufF64(n, init) => {
-                let data: Vec<f64> = (0..n as i64)
-                    .map(|i| match init {
-                        BufInit::Zero => 0.0,
-                        BufInit::Iota => i as f64,
-                        BufInit::Pseudo => lcg01(i),
-                    })
-                    .collect();
-                let addr = dev.alloc_f64(&data).map_err(|e| e.to_string())?;
-                buffers.push((addr, n, true));
-                args.push(RtVal::Ptr(addr));
-            }
-            ArgSpec::BufI64(n, init) => {
-                let data: Vec<i64> = (0..n as i64)
-                    .map(|i| match init {
-                        BufInit::Zero => 0,
-                        BufInit::Iota => i,
-                        BufInit::Pseudo => (lcg01(i) * 1000.0) as i64,
-                    })
-                    .collect();
-                let addr = dev.alloc_i64(&data).map_err(|e| e.to_string())?;
-                buffers.push((addr, n, false));
-                args.push(RtVal::Ptr(addr));
-            }
-            ArgSpec::I64(v) => args.push(RtVal::I64(v)),
-            ArgSpec::I32(v) => args.push(RtVal::I32(v)),
-            ArgSpec::F64(v) => args.push(RtVal::F64(v)),
+    /// The job subject this spec describes for `source`.
+    pub fn subject<'a>(&'a self, source: &'a str) -> Subject<'a> {
+        Subject::Source {
+            source,
+            kernel: &self.kernel,
+            dims: LaunchDims {
+                teams: self.teams,
+                threads: self.threads,
+            },
+            args: &self.args,
         }
     }
-    Ok((args, buffers))
 }
 
 // ---------------------------------------------------------------------
 // Execution
 // ---------------------------------------------------------------------
 
-fn pass_stats_of(report: &Option<omp_opt::OptReport>) -> Vec<PassStat> {
-    report.as_ref().map(|r| r.pass_stats()).unwrap_or_default()
-}
-
-/// Frontend compilation cache for one subject.
-///
-/// The frontend's output depends on the build configuration only
-/// through its globalization scheme (no [`ORACLE_CONFIGS`] entry
-/// compiles in CUDA mode), so the six-config ablation matrix needs at
-/// most two frontend runs per subject — one `Legacy`, one `Simplified`.
-/// Each lookup clones the cached module; the clone is what the
-/// per-configuration optimizer then mutates.
-struct FrontendCache<'s> {
-    source: &'s str,
-    entries: Vec<(GlobalizationScheme, Result<Module, String>)>,
-}
-
-impl<'s> FrontendCache<'s> {
-    fn new(source: &'s str) -> FrontendCache<'s> {
-        FrontendCache {
-            source,
-            entries: Vec::new(),
-        }
-    }
-
-    fn module(&mut self, config: BuildConfig) -> Result<Module, String> {
-        let fe = config.frontend_options("bench");
-        debug_assert!(!fe.cuda_mode, "oracle configs compile OpenMP source");
-        let scheme = fe.globalization;
-        if let Some((_, cached)) = self.entries.iter().find(|(s, _)| *s == scheme) {
-            return cached.clone();
-        }
-        let result = pipeline::compile_frontend(self.source, config).map_err(|e| e.to_string());
-        self.entries.push((scheme, result.clone()));
-        result
-    }
-}
-
-/// Per-run oracle knobs: simulator worker-thread count and the
-/// wall-clock watchdog applied to every launch. The watchdog turns a
-/// hung configuration into an ordinary per-configuration failure (with
-/// a structured timeout diagnostic) instead of stalling the matrix.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VerifyOptions {
-    /// Simulator worker-thread count (`None` leaves the device default;
-    /// `Some(0)` is auto-detect). Outputs are bit-identical for every
-    /// setting.
-    pub jobs: Option<u32>,
-    /// Wall-clock budget per launch; `None` disables the watchdog.
-    pub watchdog: Option<Duration>,
-    /// Simulator execution-tier override (`None` keeps the device
-    /// default). Outputs and statistics are bit-identical per tier.
-    pub tier: Option<Tier>,
-}
-
-impl VerifyOptions {
-    fn jobs_only(jobs: Option<u32>) -> VerifyOptions {
-        VerifyOptions {
-            jobs,
-            watchdog: None,
-            tier: None,
-        }
-    }
-}
-
-/// Runs one proxy under one configuration, capturing output bits.
-fn run_proxy_config(
-    app: &dyn ProxyApp,
-    frontend: Result<Module, String>,
-    config: BuildConfig,
-    opts: VerifyOptions,
-) -> CaseResult {
-    let module = match frontend {
-        Ok(m) => m,
-        Err(e) => return CaseResult::failed(config, e),
-    };
-    let (module, report) = match pipeline::optimize(module, config) {
-        Ok(x) => x,
-        Err(e) => return CaseResult::failed(config, e.to_string()),
-    };
-    let pass_stats = pass_stats_of(&report);
-    let mut dev = match Device::new(&module, app.device_config()) {
-        Ok(d) => d,
-        Err(e) => return CaseResult::failed(config, e.to_string()),
-    };
-    dev.set_watchdog(opts.watchdog);
-    if let Some(j) = opts.jobs {
-        dev.set_jobs(j);
-    }
-    if let Some(t) = opts.tier {
-        dev.set_tier(t);
-    }
-    let workload = match app.prepare(&mut dev) {
-        Ok(w) => w,
-        Err(e) => return CaseResult::failed(config, e.to_string()),
-    };
-    let stats = match dev.launch_plan(app.kernel_name(), &workload.args, app.dims()) {
-        Ok(s) => s,
-        Err(e) => return CaseResult::failed(config, e.to_string()),
-    };
-    // Host-reference check first: bit-equality between two wrong builds
-    // must not pass the oracle.
-    if let Err(e) = omp_benchmarks::verify(&mut dev, &workload) {
-        return CaseResult::failed(config, format!("host-reference mismatch: {e}"));
-    }
-    let out = match dev.read_f64(workload.out_buf, workload.out_len) {
-        Ok(v) => v,
-        Err(e) => return CaseResult::failed(config, format!("readback failed: {e}")),
-    };
-    CaseResult {
-        config,
-        bits: Some(out.iter().map(|v| v.to_bits()).collect()),
-        stats: Some(stats.snapshot()),
-        error: None,
-        pass_stats,
-    }
-}
-
-/// Runs one example spec under one configuration, capturing the bits of
-/// every buffer argument.
-fn run_example_config(
-    frontend: Result<Module, String>,
-    spec: &ExampleSpec,
-    config: BuildConfig,
-    opts: VerifyOptions,
-) -> CaseResult {
-    let module = match frontend {
-        Ok(m) => m,
-        Err(e) => return CaseResult::failed(config, e),
-    };
-    let (module, report) = match pipeline::optimize(module, config) {
-        Ok(x) => x,
-        Err(e) => return CaseResult::failed(config, e.to_string()),
-    };
-    let pass_stats = pass_stats_of(&report);
-    let mut dev = match Device::new(&module, Default::default()) {
-        Ok(d) => d,
-        Err(e) => return CaseResult::failed(config, e.to_string()),
-    };
-    dev.set_watchdog(opts.watchdog);
-    if let Some(j) = opts.jobs {
-        dev.set_jobs(j);
-    }
-    if let Some(t) = opts.tier {
-        dev.set_tier(t);
-    }
-    let (args, buffers) = match materialize_args(&mut dev, &spec.args) {
-        Ok(x) => x,
-        Err(e) => return CaseResult::failed(config, e),
-    };
-    let dims = LaunchDims {
-        teams: spec.teams,
-        threads: spec.threads,
-    };
-    let stats = match dev.launch_plan(&spec.kernel, &args, dims) {
-        Ok(s) => s,
-        Err(e) => return CaseResult::failed(config, e.to_string()),
-    };
-    let mut bits: Vec<u64> = Vec::new();
-    for (addr, len, is_f64) in buffers {
-        if is_f64 {
-            match dev.read_f64(addr, len) {
-                Ok(v) => bits.extend(v.iter().map(|x| x.to_bits())),
-                Err(e) => return CaseResult::failed(config, format!("readback failed: {e}")),
-            }
-        } else {
-            match dev.read_i64(addr, len) {
-                Ok(v) => bits.extend(v.iter().map(|x| *x as u64)),
-                Err(e) => return CaseResult::failed(config, format!("readback failed: {e}")),
-            }
-        }
-    }
-    CaseResult {
-        config,
-        bits: Some(bits),
-        stats: Some(stats.snapshot()),
-        error: None,
-        pass_stats,
-    }
-}
+/// Per-run oracle knobs. The watchdog turns a hung configuration into
+/// an ordinary per-configuration failure (with a structured timeout
+/// diagnostic) instead of stalling the matrix; `Default` leaves every
+/// device default in place.
+pub type VerifyOptions = Knobs;
 
 /// Derives the verdict from per-configuration results: bit-identical
 /// outputs across every successful configuration, tolerated documented
 /// failures, and monotone resource statistics along [`ABLATION_CHAIN`].
-pub(crate) fn finish_case(name: &str, results: Vec<CaseResult>) -> OracleCase {
+pub fn finish_case(name: &str, results: Vec<CaseResult>) -> OracleCase {
     let mut failures = Vec::new();
     let mut expected_failures = Vec::new();
 
@@ -582,12 +396,11 @@ pub(crate) fn finish_case(name: &str, results: Vec<CaseResult>) -> OracleCase {
     //    heap; at bench scale the unoptimized ablation exhausts it too).
     for r in &results {
         if let Some(e) = &r.error {
-            let oom = e.contains("memory") || e.contains("OOM") || e.contains("heap");
             let unoptimized = matches!(
                 r.config,
                 BuildConfig::Llvm12Baseline | BuildConfig::NoOpenmpOpt
             );
-            if unoptimized && oom {
+            if unoptimized && e.is_out_of_memory() {
                 expected_failures.push(format!(
                     "{}: {e} (the paper's out-of-memory baseline result)",
                     r.config.label()
@@ -683,99 +496,86 @@ pub(crate) fn finish_case(name: &str, results: Vec<CaseResult>) -> OracleCase {
     }
 }
 
-/// Verifies one proxy benchmark across the full matrix.
-pub fn verify_proxy(app: &dyn ProxyApp) -> OracleCase {
-    verify_proxy_jobs(app, None)
-}
-
-/// [`verify_proxy`] with an explicit simulator worker-thread count
-/// (`None` leaves the device default; `Some(0)` is auto-detect).
-pub fn verify_proxy_jobs(app: &dyn ProxyApp, jobs: Option<u32>) -> OracleCase {
-    verify_proxy_opts(app, VerifyOptions::jobs_only(jobs))
-}
-
-/// [`verify_proxy`] with full per-run options (worker-thread count and
-/// wall-clock watchdog).
-pub fn verify_proxy_opts(app: &dyn ProxyApp, opts: VerifyOptions) -> OracleCase {
-    let source = app.openmp_source();
-    let mut cache = FrontendCache::new(&source);
+/// Runs `subject` under every [`ORACLE_CONFIGS`] entry on `store` and
+/// derives the verdict. The configurations share the store's frontend
+/// tier, so the matrix needs at most two frontend runs.
+pub fn verify_subject(
+    store: &mut Store,
+    name: &str,
+    subject: Subject,
+    opts: &VerifyOptions,
+) -> OracleCase {
     let results = ORACLE_CONFIGS
         .iter()
-        .map(|&c| run_proxy_config(app, cache.module(c), c, opts))
+        .map(|&config| {
+            let job = Job {
+                knobs: opts.clone(),
+                readback: Readback::All,
+                ..Job::new(subject, config)
+            };
+            CaseResult::of(config, job.run(store))
+        })
         .collect();
-    finish_case(app.name(), results)
+    finish_case(name, results)
+}
+
+/// Verifies one proxy benchmark across the full matrix.
+pub fn verify_proxy(app: &dyn ProxyApp, opts: &VerifyOptions) -> OracleCase {
+    verify_subject(&mut Store::new(0), app.name(), Subject::Proxy(app), opts)
 }
 
 /// Verifies all four proxy benchmarks.
-pub fn verify_proxies(scale: Scale) -> OracleReport {
-    verify_proxies_jobs(scale, None)
-}
-
-/// [`verify_proxies`] with an explicit simulator worker-thread count.
-pub fn verify_proxies_jobs(scale: Scale, jobs: Option<u32>) -> OracleReport {
-    verify_proxies_opts(scale, VerifyOptions::jobs_only(jobs))
-}
-
-/// [`verify_proxies`] with full per-run options.
-pub fn verify_proxies_opts(scale: Scale, opts: VerifyOptions) -> OracleReport {
+pub fn verify_proxies(scale: Scale, opts: &VerifyOptions) -> OracleReport {
     OracleReport {
         cases: all_proxies(scale)
             .iter()
-            .map(|a| verify_proxy_opts(a.as_ref(), opts))
+            .map(|a| verify_proxy(a.as_ref(), opts))
             .collect(),
     }
 }
 
 /// Verifies one example source (with an `// oracle-*:` header) across
-/// the full matrix.
-pub fn verify_example(name: &str, source: &str) -> OracleCase {
-    verify_example_jobs(name, source, None)
+/// the full matrix on `store`.
+pub fn verify_source(
+    store: &mut Store,
+    name: &str,
+    source: &str,
+    opts: &VerifyOptions,
+) -> OracleCase {
+    match ExampleSpec::parse(source) {
+        Ok(spec) => verify_subject(store, name, spec.subject(source), opts),
+        Err(e) => OracleCase {
+            name: name.to_string(),
+            results: Vec::new(),
+            failures: vec![JobError::Spec(e).to_string()],
+            expected_failures: Vec::new(),
+        },
+    }
 }
 
-/// [`verify_example`] with an explicit simulator worker-thread count.
-pub fn verify_example_jobs(name: &str, source: &str, jobs: Option<u32>) -> OracleCase {
-    verify_example_opts(name, source, VerifyOptions::jobs_only(jobs))
+/// [`verify_source`] against a fresh store.
+pub fn verify_example(name: &str, source: &str, opts: &VerifyOptions) -> OracleCase {
+    verify_source(&mut Store::new(0), name, source, opts)
 }
 
-/// [`verify_example`] with full per-run options.
-pub fn verify_example_opts(name: &str, source: &str, opts: VerifyOptions) -> OracleCase {
-    let spec = match ExampleSpec::parse(source) {
-        Ok(s) => s,
-        Err(e) => {
-            return OracleCase {
-                name: name.to_string(),
-                results: Vec::new(),
-                failures: vec![format!("spec error: {e}")],
-                expected_failures: Vec::new(),
-            }
-        }
-    };
-    let mut cache = FrontendCache::new(source);
-    let results = ORACLE_CONFIGS
-        .iter()
-        .map(|&c| run_example_config(cache.module(c), &spec, c, opts))
-        .collect();
-    finish_case(name, results)
+/// The report name of a subject file: its stem.
+pub fn subject_name(path: &std::path::Path) -> String {
+    path.file_stem()
+        .map(|s| s.to_string_lossy().into_owned())
+        .unwrap_or_else(|| path.display().to_string())
+}
+
+/// [`verify_example`] of a source file, named by its stem.
+pub fn verify_file(path: &std::path::Path, opts: &VerifyOptions) -> Result<OracleCase, String> {
+    let source = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    Ok(verify_example(&subject_name(path), &source, opts))
 }
 
 /// Verifies every `.c` file in a directory of oracle examples.
-pub fn verify_examples_dir(dir: &std::path::Path) -> Result<OracleReport, String> {
-    verify_examples_dir_jobs(dir, None)
-}
-
-/// [`verify_examples_dir`] with an explicit simulator worker-thread
-/// count.
-pub fn verify_examples_dir_jobs(
+pub fn verify_examples_dir(
     dir: &std::path::Path,
-    jobs: Option<u32>,
-) -> Result<OracleReport, String> {
-    verify_examples_dir_opts(dir, VerifyOptions::jobs_only(jobs))
-}
-
-/// [`verify_examples_dir`] with full per-run options.
-pub fn verify_examples_dir_opts(
-    dir: &std::path::Path,
-    opts: VerifyOptions,
+    opts: &VerifyOptions,
 ) -> Result<OracleReport, String> {
     let mut entries: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
@@ -787,17 +587,9 @@ pub fn verify_examples_dir_opts(
     if entries.is_empty() {
         return Err(format!("no .c examples in {}", dir.display()));
     }
-    let mut report = OracleReport::default();
-    for path in entries {
-        let name = path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| path.display().to_string());
-        let source = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        report.cases.push(verify_example_opts(&name, &source, opts));
-    }
-    Ok(report)
+    let cases: Result<Vec<OracleCase>, String> =
+        entries.iter().map(|p| verify_file(p, opts)).collect();
+    Ok(OracleReport { cases: cases? })
 }
 
 #[cfg(test)]
@@ -849,7 +641,7 @@ void k(double* a) {
   for (long i = 0; i < 8; i++) { a[i] = 1.0; }
 }
 "#;
-        let case = verify_example("missing-kernel", src);
+        let case = verify_example("missing-kernel", src, &VerifyOptions::default());
         assert!(!case.passed());
         assert_eq!(case.successes(), 0);
     }
@@ -866,7 +658,7 @@ void scale(double* a, double f, long n) {
   for (long i = 0; i < n; i++) { a[i] = a[i] * f; }
 }
 "#;
-        let case = verify_example("scale", src);
+        let case = verify_example("scale", src, &VerifyOptions::default());
         assert!(case.passed(), "{:?}", case.failures);
         assert_eq!(case.successes(), ORACLE_CONFIGS.len());
     }

@@ -1,16 +1,18 @@
 //! The compile → optimize → simulate pipeline.
 
 use crate::config::BuildConfig;
-use omp_benchmarks::{verify, ProxyApp, Workload};
-use omp_frontend::CompileError;
-use omp_gpusim::{
-    Device, FaultPlan, Finding, KernelStats, LaunchProfile, ProfileMode, SanitizeMode, Severity,
-    SimError, SimErrorKind, StatsSnapshot, Tier,
+use crate::job::{
+    Job, JobError, JobResult, Knobs, Mode, Store, Subject, EXIT_BUILD, EXIT_FINDINGS, EXIT_OK,
+    EXIT_SIM,
 };
+use crate::oracle::ExampleSpec;
+use omp_benchmarks::ProxyApp;
+use omp_frontend::CompileError;
+use omp_gpusim::{Finding, KernelStats, LaunchProfile, Severity, SimError, StatsSnapshot};
 use omp_ir::Module;
 use omp_opt::{OptReport, PassStat, PassTiming};
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A compilation failure anywhere in the pipeline.
 #[derive(Debug)]
@@ -36,9 +38,9 @@ impl std::error::Error for BuildError {}
 ///
 /// The frontend output depends on `config` solely through its
 /// [`FrontendOptions`](omp_frontend::FrontendOptions) (in practice: the
-/// globalization scheme), so callers running many configurations over
-/// the same source can compile once per distinct option set, clone the
-/// module, and feed each clone to [`optimize`].
+/// globalization scheme), which is what lets the job
+/// [`Store`]'s frontend tier serve many configurations of one source
+/// from at most two frontend runs, each feeding a clone to [`optimize`].
 pub fn compile_frontend(source: &str, config: BuildConfig) -> Result<Module, BuildError> {
     let _span = omp_telemetry::span("frontend.compile", "pipeline");
     let fe = config.frontend_options("bench");
@@ -382,11 +384,12 @@ pub fn record_pipeline_metrics(report: &OptReport, reg: &mut omp_telemetry::Metr
 pub struct RunOutcome {
     /// The configuration label.
     pub config: BuildConfig,
-    /// Launch statistics on success; `None` when the launch failed
+    /// Launch statistics on success; `None` when the job failed
     /// (e.g. out of memory — RSBench's unoptimized build).
     pub stats: Option<KernelStats>,
-    /// Error string when the launch failed.
-    pub error: Option<String>,
+    /// The staged error when the job failed ([`JobError::tagged`] is
+    /// the rendering the figures print).
+    pub error: Option<JobError>,
     /// Optimizer report, when the OpenMP pass ran.
     pub report: Option<OptReport>,
 }
@@ -403,6 +406,14 @@ impl RunOutcome {
         self.stats.as_ref().map(|s| s.snapshot())
     }
 
+    /// The table cell the figures print for a failed run; memory faults
+    /// carry the `OOM/memory: ` tag (see [`JobError::tagged`]).
+    pub fn failure(&self) -> String {
+        self.error
+            .as_ref()
+            .map_or_else(|| "failed".to_string(), JobError::tagged)
+    }
+
     /// Per-pass optimizer statistics, derived from the structured
     /// remarks (empty when the OpenMP pass did not run).
     pub fn pass_stats(&self) -> Vec<PassStat> {
@@ -413,86 +424,42 @@ impl RunOutcome {
     }
 }
 
-/// Builds and runs `app` under `config`, verifying results on success.
-pub fn run_proxy(app: &dyn ProxyApp, config: BuildConfig) -> RunOutcome {
-    run_proxy_tiered(app, config, None)
+/// Result of one profiled proxy run: the ordinary [`RunOutcome`] plus
+/// the cycle-attribution profile (present whenever the launch ran).
+#[derive(Debug)]
+pub struct ProfiledRun {
+    /// The ordinary outcome (stats, error, optimizer report).
+    pub outcome: RunOutcome,
+    /// The launch profile; `None` when the build or launch failed.
+    pub profile: Option<LaunchProfile>,
 }
 
-/// [`run_proxy`] with an explicit simulator execution-tier override:
-/// `Some(Tier::Interp)` forces the reference interpreter,
-/// `Some(Tier::Compiled)` requests the compiled block engine, `None`
-/// keeps the device default (compiled, unless `OMPGPU_TIER` says
-/// otherwise). Results and statistics are bit-identical across tiers.
-pub fn run_proxy_tiered(app: &dyn ProxyApp, config: BuildConfig, tier: Option<Tier>) -> RunOutcome {
-    let source = if config.uses_cuda_source() {
-        app.cuda_source()
-    } else {
-        app.openmp_source()
-    };
-    let (module, report) = match build(&source, config) {
-        Ok(x) => x,
-        Err(e) => {
-            return RunOutcome {
-                config,
-                stats: None,
-                error: Some(e.to_string()),
-                report: None,
-            }
-        }
-    };
-    let mut dev = match Device::new(&module, app.device_config()) {
-        Ok(d) => d,
-        Err(e) => {
-            return RunOutcome {
-                config,
-                stats: None,
-                error: Some(e.to_string()),
-                report,
-            }
-        }
-    };
-    if let Some(t) = tier {
-        dev.set_tier(t);
-    }
-    let workload: Workload = match app.prepare(&mut dev) {
-        Ok(w) => w,
-        Err(e) => {
-            return RunOutcome {
-                config,
-                stats: None,
-                error: Some(e.to_string()),
-                report,
-            }
-        }
-    };
-    match dev.launch_plan(app.kernel_name(), &workload.args, app.dims()) {
-        Ok(stats) => match verify(&mut dev, &workload) {
-            Ok(()) => RunOutcome {
-                config,
-                stats: Some(stats),
-                error: None,
+impl ProfiledRun {
+    /// Runs `job` against a fresh store, keeping the optimizer report
+    /// even when the launch fails.
+    fn of(job: &Job) -> ProfiledRun {
+        let mut store = Store::new(0);
+        let built = job.build(&mut store);
+        let report = built.as_ref().ok().and_then(|b| b.report.clone());
+        let (stats, profile, error) = match built.and_then(|b| job.launch(&mut store, &b)) {
+            Ok(r) => (Some(r.stats), r.profile, None),
+            Err(e) => (None, None, Some(e)),
+        };
+        ProfiledRun {
+            outcome: RunOutcome {
+                config: job.config,
+                stats,
+                error,
                 report,
             },
-            Err(e) => RunOutcome {
-                config,
-                stats: None,
-                error: Some(format!("verification failed: {e}")),
-                report,
-            },
-        },
-        Err(e) if matches!(e.kind, SimErrorKind::Mem(_)) => RunOutcome {
-            config,
-            stats: None,
-            error: Some(format!("OOM/memory: {e}")),
-            report,
-        },
-        Err(e) => RunOutcome {
-            config,
-            stats: None,
-            error: Some(e.to_string()),
-            report,
-        },
+            profile,
+        }
     }
+}
+
+/// Builds and runs `app` under `config`, verifying results on success.
+pub fn run_proxy(app: &dyn ProxyApp, config: BuildConfig) -> RunOutcome {
+    ProfiledRun::of(&Job::new(Subject::Proxy(app), config)).outcome
 }
 
 /// Runs one proxy under every configuration.
@@ -501,6 +468,20 @@ pub fn run_all_configs(app: &dyn ProxyApp) -> Vec<RunOutcome> {
         .iter()
         .map(|&c| run_proxy(app, c))
         .collect()
+}
+
+/// Builds and runs `app` under `config` with profiling enabled,
+/// verifying results on success. `jobs` overrides the host worker-thread
+/// count when given (profiles are bit-identical for every setting).
+pub fn profile_proxy(app: &dyn ProxyApp, config: BuildConfig, jobs: Option<u32>) -> ProfiledRun {
+    ProfiledRun::of(&Job {
+        mode: Mode::Profile,
+        knobs: Knobs {
+            jobs,
+            ..Knobs::default()
+        },
+        ..Job::new(Subject::Proxy(app), config)
+    })
 }
 
 /// Renders the pass-timing table printed by `--time-passes`. Wall times
@@ -547,88 +528,6 @@ fn format_nanos(n: u64) -> String {
         format!("{:.1}us", n as f64 / 1e3)
     }
 }
-
-/// Result of one profiled proxy run: the ordinary [`RunOutcome`] plus
-/// the cycle-attribution profile (present whenever the launch ran).
-#[derive(Debug)]
-pub struct ProfiledRun {
-    /// The ordinary outcome (stats, error, optimizer report).
-    pub outcome: RunOutcome,
-    /// The launch profile; `None` when the build or launch failed.
-    pub profile: Option<LaunchProfile>,
-}
-
-/// Builds and runs `app` under `config` with profiling enabled,
-/// verifying results on success. `jobs` overrides the host worker-thread
-/// count when given (profiles are bit-identical for every setting).
-pub fn profile_proxy(app: &dyn ProxyApp, config: BuildConfig, jobs: Option<u32>) -> ProfiledRun {
-    let fail = |error: String, report: Option<OptReport>| ProfiledRun {
-        outcome: RunOutcome {
-            config,
-            stats: None,
-            error: Some(error),
-            report,
-        },
-        profile: None,
-    };
-    let source = if config.uses_cuda_source() {
-        app.cuda_source()
-    } else {
-        app.openmp_source()
-    };
-    let (module, report) = match build(&source, config) {
-        Ok(x) => x,
-        Err(e) => return fail(e.to_string(), None),
-    };
-    let mut dev = match Device::new(&module, app.device_config()) {
-        Ok(d) => d,
-        Err(e) => return fail(e.to_string(), report),
-    };
-    dev.set_profile(ProfileMode::On);
-    if let Some(j) = jobs {
-        dev.set_jobs(j);
-    }
-    let workload: Workload = match app.prepare(&mut dev) {
-        Ok(w) => w,
-        Err(e) => return fail(e.to_string(), report),
-    };
-    match dev.launch_plan_profiled(app.kernel_name(), &workload.args, app.dims()) {
-        Ok((stats, profile)) => match verify(&mut dev, &workload) {
-            Ok(()) => ProfiledRun {
-                outcome: RunOutcome {
-                    config,
-                    stats: Some(stats),
-                    error: None,
-                    report,
-                },
-                profile,
-            },
-            Err(e) => fail(format!("verification failed: {e}"), report),
-        },
-        Err(e) if matches!(e.kind, SimErrorKind::Mem(_)) => {
-            fail(format!("OOM/memory: {e}"), report)
-        }
-        Err(e) => fail(e.to_string(), report),
-    }
-}
-
-/// Options for a sanitized run: worker-thread count, the fault plan to
-/// inject, an optional wall-clock watchdog, and an optional
-/// per-thread instruction budget override.
-#[derive(Debug, Clone, Default)]
-pub struct SanitizeOptions {
-    /// Simulator worker-thread count (`None` leaves the device default;
-    /// findings are bit-identical for every setting).
-    pub jobs: Option<u32>,
-    /// Deterministic faults to inject (all-default plan injects none).
-    pub fault: FaultPlan,
-    /// Wall-clock budget for the launch; a hung kernel fails with a
-    /// structured timeout diagnostic instead of stalling the caller.
-    pub watchdog: Option<Duration>,
-    /// Per-thread dynamic-instruction budget override.
-    pub max_insts: Option<u64>,
-}
-
 /// Result of one sanitized run under one configuration.
 #[derive(Debug)]
 pub struct SanitizeOutcome {
@@ -648,13 +547,22 @@ pub struct SanitizeOutcome {
 }
 
 impl SanitizeOutcome {
-    fn setup_failed(config: BuildConfig, error: String) -> SanitizeOutcome {
+    /// Folds one [`Mode::Sanitize`] job into its report entry.
+    pub fn of(config: BuildConfig, result: Result<JobResult, JobError>) -> SanitizeOutcome {
+        let (stats, error, setup_error, findings) = match result {
+            Ok(r) => (Some(r.stats), None, None, r.findings),
+            Err(JobError::Launch(e)) => {
+                let findings = e.findings.clone();
+                (None, Some(e), None, findings)
+            }
+            Err(e) => (None, None, Some(e.to_string()), Vec::new()),
+        };
         SanitizeOutcome {
             config,
-            stats: None,
-            error: None,
-            setup_error: Some(error),
-            findings: Vec::new(),
+            stats,
+            error,
+            setup_error,
+            findings,
         }
     }
 
@@ -732,107 +640,41 @@ pub fn sanitize_report_json(subject: &str, outcomes: &[SanitizeOutcome]) -> Stri
     w.finish()
 }
 
-fn sanitized_device<'m>(
-    module: &'m Module,
-    cfg: omp_gpusim::DeviceConfig,
-    opts: &SanitizeOptions,
-) -> Result<Device<'m>, SimError> {
-    let mut dev = Device::new(module, cfg)?;
-    dev.set_sanitize(SanitizeMode::On);
-    dev.set_fault_plan(opts.fault.clone());
-    dev.set_watchdog(opts.watchdog);
-    if let Some(b) = opts.max_insts {
-        dev.set_max_insts(b);
-    }
-    if let Some(j) = opts.jobs {
-        dev.set_jobs(j);
-    }
-    Ok(dev)
-}
-
-/// Builds and runs `app` under `config` with the sanitizer on,
-/// collecting findings (results are not verified — the differential
-/// oracle owns correctness; the sanitizer owns synchronization).
-pub fn sanitize_proxy(
-    app: &dyn ProxyApp,
-    config: BuildConfig,
-    opts: &SanitizeOptions,
-) -> SanitizeOutcome {
-    let source = if config.uses_cuda_source() {
-        app.cuda_source()
+/// The exit code of a sanitize report: findings outrank launch
+/// failures, which outrank subjects that never launched.
+pub fn sanitize_exit_code(outcomes: &[SanitizeOutcome]) -> u8 {
+    if outcomes.iter().any(|o| o.error_findings() > 0) {
+        EXIT_FINDINGS
+    } else if outcomes.iter().any(|o| o.error.is_some()) {
+        EXIT_SIM
+    } else if outcomes.iter().any(|o| o.setup_error.is_some()) {
+        EXIT_BUILD
     } else {
-        app.openmp_source()
-    };
-    let (module, _report) = match build(&source, config) {
-        Ok(x) => x,
-        Err(e) => return SanitizeOutcome::setup_failed(config, e.to_string()),
-    };
-    let mut dev = match sanitized_device(&module, app.device_config(), opts) {
-        Ok(d) => d,
-        Err(e) => return SanitizeOutcome::setup_failed(config, e.to_string()),
-    };
-    let workload: Workload = match app.prepare(&mut dev) {
-        Ok(w) => w,
-        Err(e) => return SanitizeOutcome::setup_failed(config, e.to_string()),
-    };
-    finish_sanitized(
-        config,
-        dev.launch_plan_checked(app.kernel_name(), &workload.args, app.dims()),
-    )
+        EXIT_OK
+    }
 }
 
-/// Builds and runs an example source (with an `// oracle-*:` spec
-/// header, see [`crate::oracle::ExampleSpec`]) under `config` with the
-/// sanitizer on.
-pub fn sanitize_source(
-    source: &str,
+/// Runs `subject` under `config` on `store` with the sanitizer on,
+/// collecting findings.
+pub fn sanitize(
+    store: &mut Store,
+    subject: Subject,
     config: BuildConfig,
-    opts: &SanitizeOptions,
+    knobs: &Knobs,
 ) -> SanitizeOutcome {
-    let spec = match crate::oracle::ExampleSpec::parse(source) {
-        Ok(s) => s,
-        Err(e) => return SanitizeOutcome::setup_failed(config, format!("spec error: {e}")),
+    let job = Job {
+        mode: Mode::Sanitize,
+        knobs: knobs.clone(),
+        ..Job::new(subject, config)
     };
-    let (module, _report) = match build(source, config) {
-        Ok(x) => x,
-        Err(e) => return SanitizeOutcome::setup_failed(config, e.to_string()),
-    };
-    let mut dev = match sanitized_device(&module, Default::default(), opts) {
-        Ok(d) => d,
-        Err(e) => return SanitizeOutcome::setup_failed(config, e.to_string()),
-    };
-    let (args, _buffers) = match crate::oracle::materialize_args(&mut dev, &spec.args) {
-        Ok(x) => x,
-        Err(e) => return SanitizeOutcome::setup_failed(config, e),
-    };
-    let dims = omp_gpusim::LaunchDims {
-        teams: spec.teams,
-        threads: spec.threads,
-    };
-    finish_sanitized(config, dev.launch_plan_checked(&spec.kernel, &args, dims))
+    SanitizeOutcome::of(config, job.run(store))
 }
 
-fn finish_sanitized(
-    config: BuildConfig,
-    launched: Result<(KernelStats, Vec<Finding>), SimError>,
-) -> SanitizeOutcome {
-    match launched {
-        Ok((stats, findings)) => SanitizeOutcome {
-            config,
-            stats: Some(stats),
-            error: None,
-            setup_error: None,
-            findings,
-        },
-        Err(e) => {
-            let findings = e.findings.clone();
-            SanitizeOutcome {
-                config,
-                stats: None,
-                error: Some(e),
-                setup_error: None,
-                findings,
-            }
-        }
+/// [`sanitize`] of an example source (with an `// oracle-*:` spec
+/// header, see [`ExampleSpec`]) against a fresh store.
+pub fn sanitize_source(source: &str, config: BuildConfig, knobs: &Knobs) -> SanitizeOutcome {
+    match ExampleSpec::parse(source) {
+        Ok(spec) => sanitize(&mut Store::new(0), spec.subject(source), config, knobs),
+        Err(e) => SanitizeOutcome::of(config, Err(JobError::Spec(e))),
     }
 }

@@ -1,0 +1,604 @@
+//! The long-lived compile session: request accounting, deadlines,
+//! panic isolation and the per-op reducers around one [`Store`].
+
+use super::protocol::*;
+use crate::job::{
+    Job, JobError, Knobs, Mode, Readback, Stage, StageFault, Store, Subject, TierStats,
+};
+use crate::oracle::{self, ArgSpec, ExampleSpec, ORACLE_CONFIGS};
+use crate::pipeline::{self, SanitizeOutcome};
+use omp_gpusim::{FaultPlan, LaunchDims, SimError, SimErrorKind};
+use omp_json::JsonWriter;
+use std::io::Write;
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// Cumulative accounting of one [`Session`], surfaced by the `stats`
+/// request and rendered per request into each response envelope (the
+/// per-request slice is the store's [`Store::trace`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SessionStats {
+    /// Source → frontend-module tier.
+    pub frontend: TierStats,
+    /// (frontend module, configuration) → optimized-module tier.
+    pub optimized: TierStats,
+    /// Optimized module → warmed device (with decoded ExecPlan) tier.
+    pub device: TierStats,
+    /// (optimized module, kernel, dims, args) → captured-graph tier
+    /// (multi-kernel launch plans only; a hit replays without any
+    /// per-launch setup).
+    pub graphs: TierStats,
+    /// Requests handled (including malformed ones).
+    pub requests: u64,
+    /// Requests that produced a non-zero exit code.
+    pub errors: u64,
+    /// Per-op request counts, keyed by the op's stable [`ALL_OPS`]
+    /// name (not positionally — the protocol gaining an op must never
+    /// silently re-index existing counters).
+    pub ops: std::collections::BTreeMap<&'static str, u64>,
+    /// Executor batches drained (one batch per wake-up).
+    pub batches: u64,
+    /// Requests drained across all batches.
+    pub batched_requests: u64,
+    /// Requests that exceeded their deadline, whether while queued or
+    /// mid-execution (exit code [`EXIT_TIMEOUT`]).
+    pub timeouts: u64,
+    /// Requests whose execution panicked; the panic was isolated and
+    /// the session kept running (exit code [`EXIT_INTERNAL`]).
+    pub panics: u64,
+}
+
+impl SessionStats {
+    /// Total cache hits across all four tiers (the quantity the CI
+    /// smoke test asserts is positive on a warm second pass).
+    pub fn total_hits(&self) -> u64 {
+        self.tiers().iter().map(|(_, t)| t.hits).sum()
+    }
+
+    /// The four cache tiers by wire name, in pipeline order.
+    pub fn tiers(&self) -> [(&'static str, TierStats); 4] {
+        [
+            ("frontend", self.frontend),
+            ("optimized", self.optimized),
+            ("device", self.device),
+            ("graphs", self.graphs),
+        ]
+    }
+}
+
+/// Accounting shared between the executor thread, its handles, and the
+/// connection threads. Shedding and client retries happen *outside* the
+/// session (a shed request never reaches it), so they live in atomics
+/// here and are folded into the `stats`/`metrics` renderings at read
+/// time.
+#[derive(Debug, Default)]
+pub struct ExecShared {
+    /// Requests shed by admission control (executor queue full).
+    pub shed: AtomicU64,
+    /// Retries performed by [`ExecutorHandle::request_with_retry`]
+    /// after shed submissions.
+    pub retries: AtomicU64,
+    /// Set once the executor has processed a `shutdown` request (or
+    /// exited for any reason); connection threads poll this instead of
+    /// re-parsing every response JSON on the hot path.
+    pub shutdown: AtomicBool,
+}
+
+/// Strictly parses an `OMPGPU_MAX_INSTS` value: the per-thread
+/// instruction budget freshly constructed (and re-armed warm) devices
+/// get.
+pub(super) fn parse_max_insts(v: &str) -> Result<u64, String> {
+    v.parse().map_err(|_| {
+        format!("invalid OMPGPU_MAX_INSTS {v:?}: expected a non-negative integer budget")
+    })
+}
+
+/// Strictly parses an `OMPGPU_TIER` value.
+pub(super) fn parse_tier(v: &str) -> Result<omp_gpusim::Tier, String> {
+    omp_gpusim::Tier::parse(v)
+        .ok_or_else(|| format!("invalid OMPGPU_TIER {v:?}: expected \"interp\" or \"compiled\""))
+}
+
+/// Resolves one `OMPGPU_*` override at session construction: absent
+/// means the built-in default; present-but-invalid is a hard error (it
+/// must never be silently swallowed into the default).
+fn env_override<T>(
+    name: &str,
+    default: T,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Result<T, String> {
+    match std::env::var(name) {
+        Err(std::env::VarError::NotPresent) => Ok(default),
+        Err(std::env::VarError::NotUnicode(_)) => Err(format!("invalid {name}: not valid UTF-8")),
+        Ok(v) => parse(&v),
+    }
+}
+
+/// A long-lived compile-service session: the artifact [`Store`] plus
+/// request accounting. Not internally synchronized — wrap it in
+/// [`spawn_executor`](super::spawn_executor) to share it across clients.
+pub struct Session {
+    store: Store,
+    stats: SessionStats,
+    /// Live latency/batch-size histograms (wall clock — informational).
+    /// Deterministic counters are *not* stored here: the `metrics` op
+    /// derives them from [`SessionStats`] at render time so the two
+    /// expositions can never drift apart.
+    metrics: omp_telemetry::MetricsRegistry,
+    /// Opt-in JSON-lines access log, one record per request.
+    access_log: Option<std::io::BufWriter<std::fs::File>>,
+    /// Shed/retry/shutdown accounting shared with executor handles.
+    shared: Arc<ExecShared>,
+    /// Bound of the executor admission queue ([`spawn_executor`]).
+    pub(super) queue_capacity: usize,
+    /// Server-side default deadline in milliseconds (0 = none) for
+    /// requests without a `deadline_ms` field.
+    default_deadline_ms: u64,
+    /// Deadline of the in-flight request: (total budget ms, budget
+    /// remaining at dispatch). Set around `dispatch` only.
+    current_deadline: Option<(u64, u64)>,
+    /// Cache mutations of the in-flight request, for failure rollback.
+    /// `OMPGPU_TIER` override resolved (and validated) at construction,
+    /// else the config default.
+    env_tier: omp_gpusim::Tier,
+}
+
+impl Default for Session {
+    fn default() -> Session {
+        Session::new(DEFAULT_DEVICE_CAPACITY)
+    }
+}
+
+impl Session {
+    /// Creates a session whose warm-device LRU holds up to
+    /// `device_capacity` entries (minimum 1). Panics on an invalid
+    /// `OMPGPU_*` environment override; daemons should prefer
+    /// [`Session::try_new`] and report the structured error.
+    pub fn new(device_capacity: usize) -> Session {
+        Session::try_new(device_capacity).expect("invalid OMPGPU_* environment override")
+    }
+
+    /// Like [`Session::new`], but an invalid `OMPGPU_MAX_INSTS` or
+    /// `OMPGPU_TIER` override is a structured startup error instead of
+    /// being silently swallowed into the default.
+    pub fn try_new(device_capacity: usize) -> Result<Session, String> {
+        // Devices pick the budget up from the environment themselves;
+        // resolving it here rejects a malformed value at startup.
+        env_override(
+            "OMPGPU_MAX_INSTS",
+            omp_gpusim::DeviceConfig::default().max_insts_per_thread,
+            parse_max_insts,
+        )?;
+        let env_tier = env_override(
+            "OMPGPU_TIER",
+            omp_gpusim::DeviceConfig::default().tier,
+            parse_tier,
+        )?;
+        Ok(Session {
+            store: Store::new(device_capacity.max(1)),
+            stats: SessionStats::default(),
+            metrics: omp_telemetry::MetricsRegistry::new(),
+            access_log: None,
+            shared: Arc::new(ExecShared::default()),
+            queue_capacity: DEFAULT_QUEUE_CAPACITY,
+            default_deadline_ms: DEFAULT_DEADLINE_MS,
+            current_deadline: None,
+            env_tier,
+        })
+    }
+
+    /// Cumulative session statistics.
+    pub fn stats(&self) -> &SessionStats {
+        &self.stats
+    }
+
+    /// The shed/retry/shutdown accounting shared with executor handles.
+    pub fn shared(&self) -> Arc<ExecShared> {
+        Arc::clone(&self.shared)
+    }
+
+    /// Sets the executor admission-queue bound (minimum 1) used by
+    /// [`spawn_executor`].
+    pub fn set_queue_capacity(&mut self, n: usize) {
+        self.queue_capacity = n.max(1);
+    }
+
+    /// Sets the server-side default deadline in milliseconds applied to
+    /// requests without a `deadline_ms` field (0 disables it).
+    pub fn set_default_deadline_ms(&mut self, ms: u64) {
+        self.default_deadline_ms = ms;
+    }
+
+    /// Opens (appending) the JSON-lines access log at `path`; every
+    /// subsequent request writes one `ompgpu-access-log/v1` record.
+    pub fn set_access_log(&mut self, path: &Path) -> Result<(), String> {
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .map_err(|e| format!("cannot open access log {}: {e}", path.display()))?;
+        self.access_log = Some(std::io::BufWriter::new(file));
+        Ok(())
+    }
+
+    /// Records one executor batch of `n` requests.
+    pub fn note_batch(&mut self, n: usize) {
+        self.stats.batches += 1;
+        self.stats.batched_requests += n as u64;
+        self.metrics.observe("serve.batch_size", n as u64);
+    }
+
+    // -- request handling ---------------------------------------------
+
+    /// Handles one JSON-lines request, returning the serialized response
+    /// envelope and whether this request shuts the session down.
+    pub fn handle_line(&mut self, line: &str) -> (String, bool) {
+        self.handle_line_timed(line, 0)
+    }
+
+    /// Like [`Session::handle_line`], with the request's executor-queue
+    /// wait (microseconds) supplied by the caller so it can be folded
+    /// into the latency histograms and the access log.
+    pub fn handle_line_timed(&mut self, line: &str, queue_micros: u64) -> (String, bool) {
+        let t0 = std::time::Instant::now();
+        self.store.begin(None);
+        self.stats.requests += 1;
+        let mut panicked = false;
+        let (id, op, outcome) = match Request::decode(line) {
+            Err(early) => early,
+            Ok(req) => {
+                if let Some(name) = ALL_OPS.iter().find(|o| **o == req.op) {
+                    *self.stats.ops.entry(name).or_insert(0) += 1;
+                }
+                let _span = omp_telemetry::span_lazy("serve", || format!("serve.{}", req.op));
+                let outcome = self.execute(&req, queue_micros / 1000, &mut panicked);
+                (req.id, Some(req.op), outcome)
+            }
+        };
+        if outcome.exit_code == EXIT_TIMEOUT {
+            self.stats.timeouts += 1;
+        }
+        if panicked {
+            self.stats.panics += 1;
+        }
+        // The failure-consistency rule: a failed request must never
+        // populate a cache tier, and a panicking or timed-out request's
+        // devices are quarantined, so the warm==cold byte-identity
+        // invariant survives a fault that left a device mid-launch.
+        self.store.finish(
+            outcome.error.is_some(),
+            panicked || outcome.exit_code == EXIT_TIMEOUT,
+        );
+        let trace = self.store.trace();
+        for (total, t) in [
+            (&mut self.stats.frontend, trace.frontend),
+            (&mut self.stats.optimized, trace.optimized),
+            (&mut self.stats.device, trace.device),
+            (&mut self.stats.graphs, trace.graphs),
+        ] {
+            total.hits += t.hits;
+            total.misses += t.misses;
+        }
+        if outcome.exit_code != EXIT_OK && outcome.result.is_none() {
+            self.stats.errors += 1;
+        }
+        let service_micros = t0.elapsed().as_micros() as u64;
+        self.metrics.observe("serve.queue_micros", queue_micros);
+        let op = op.as_deref();
+        self.metrics.observe(
+            &format!("serve.service_micros.{}", op.unwrap_or("invalid")),
+            service_micros,
+        );
+        let shutdown = op == Some("shutdown") && outcome.exit_code == EXIT_OK;
+        let response = envelope(id, op, Some(&trace), &outcome, None);
+        self.log_access(
+            id,
+            op,
+            &outcome,
+            queue_micros,
+            service_micros,
+            response.len(),
+        );
+        (response, shutdown)
+    }
+
+    /// Dispatches `req` under its deadline, isolating a panic.
+    fn execute(&mut self, req: &Request, queued_ms: u64, panicked: &mut bool) -> Outcome {
+        // An error-mode `launch` fault goes through the simulator's own
+        // fault plan instead (see `knobs`).
+        self.store
+            .begin(req.fault.filter(|f| f.stage != Stage::Launch || f.panic));
+        let deadline_ms = req
+            .deadline_ms
+            .or((self.default_deadline_ms > 0).then_some(self.default_deadline_ms));
+        if let Some(ms) = deadline_ms.filter(|ms| queued_ms >= *ms) {
+            // Expired while queued: never dispatched, so the caches and
+            // devices are untouched.
+            return JobError::Launch(SimError::deadline_exceeded(ms)).into();
+        }
+        self.current_deadline = deadline_ms.map(|ms| (ms, ms - queued_ms));
+        // A panicking op must not take down the executor. `finish`
+        // restores consistency, so resuming on the &mut session is sound
+        // despite the unwind.
+        let dispatched =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.dispatch(req)));
+        self.current_deadline = None;
+        dispatched.unwrap_or_else(|payload| {
+            *panicked = true;
+            let message = payload
+                .downcast_ref::<&'static str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("<non-string panic payload>");
+            Outcome::fail(
+                EXIT_INTERNAL,
+                format!("internal: request panicked: {message}"),
+            )
+        })
+    }
+
+    /// Writes one access-log record, if the log is enabled.
+    fn log_access(
+        &mut self,
+        id: Option<u64>,
+        op: Option<&str>,
+        outcome: &Outcome,
+        queue_micros: u64,
+        service_micros: u64,
+        bytes: usize,
+    ) {
+        let Some(out) = self.access_log.as_mut() else {
+            return;
+        };
+        let ts_micros = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_micros() as u64)
+            .unwrap_or(0);
+        let mut w = JsonWriter::with_capacity(256);
+        w.begin_object();
+        w.key("schema").string(omp_telemetry::ACCESS_LOG_SCHEMA);
+        w.key("ts_micros").u64(ts_micros);
+        write_id_op(&mut w, id, op);
+        w.key("ok").bool(outcome.exit_code == EXIT_OK);
+        w.key("exit_code").u64(outcome.exit_code as u64);
+        w.key("cache");
+        self.store.trace().write_json(&mut w);
+        w.key("queue_micros").u64(queue_micros);
+        w.key("service_micros").u64(service_micros);
+        w.key("bytes").u64(bytes as u64);
+        w.end_object();
+        let _ = writeln!(out, "{}", w.finish());
+        let _ = out.flush();
+    }
+
+    fn dispatch(&mut self, req: &Request) -> Outcome {
+        let done = match req.op.as_str() {
+            "ping" => Ok(Outcome::ok("{\"pong\":true}".to_string())),
+            "metrics" => Ok(Outcome::ok(self.render_metrics())),
+            "stats" => Ok(Outcome::ok(self.render_stats())),
+            "shutdown" => Ok(Outcome::ok("{\"shutting_down\":true}".to_string())),
+            "compile" => self.op_compile(req),
+            "run" => self.op_launch(req, Mode::Plain),
+            "profile" => self.op_launch(req, Mode::Profile),
+            "verify" => self.op_verify(req),
+            "sanitize" => self.op_sanitize(req),
+            _ => unreachable!("op validated in Request::from_value"),
+        };
+        done.unwrap_or_else(|failure| failure)
+    }
+
+    /// The device knobs of `req`. The effective wall-clock watchdog is
+    /// the tighter of the request's `watchdog_secs` budget and the
+    /// remaining request deadline; the second value is the deadline's
+    /// total budget when the deadline is the binding constraint, so a
+    /// watchdog expiry can be reported as the deadline expiring.
+    fn knobs(&self, req: &Request) -> (Knobs, Option<u64>) {
+        let watchdog_ms = req.watchdog_secs.checked_mul(1000).filter(|ms| *ms > 0);
+        let (budget_ms, deadline_total) = match self.current_deadline {
+            Some((total, remaining)) if watchdog_ms.is_none_or(|w| remaining <= w) => {
+                (Some(remaining), Some(total))
+            }
+            _ => (watchdog_ms, None),
+        };
+        let trap_at_inst = matches!(
+            req.fault,
+            Some(StageFault {
+                stage: Stage::Launch,
+                panic: false,
+            })
+        )
+        .then_some(0);
+        let knobs = Knobs {
+            jobs: req.jobs,
+            tier: None,
+            max_insts: req.max_insts,
+            watchdog: budget_ms.map(Duration::from_millis),
+            fault: FaultPlan {
+                trap_at_inst,
+                ..FaultPlan::default()
+            },
+        };
+        (knobs, deadline_total)
+    }
+
+    fn op_compile(&mut self, req: &Request) -> Result<Outcome, Outcome> {
+        let built = self.store.build(req.source()?, req.config)?;
+        Ok(Outcome::ok(built.compile_json()))
+    }
+
+    /// `run` and `profile`: one job with kernel/dims/args from request
+    /// fields, the source's `// oracle-*:` header as fallback (same
+    /// precedence as the CLI).
+    fn op_launch(&mut self, req: &Request, mode: Mode) -> Result<Outcome, Outcome> {
+        let source = req.source()?;
+        let header = ExampleSpec::parse(source).ok();
+        let header = header.as_ref();
+        let kernel = req
+            .kernel
+            .as_deref()
+            .or(header.map(|s| s.kernel.as_str()))
+            .ok_or_else(|| usage("need a \"kernel\" field (or an `// oracle-kernel:` header)"))?;
+        let args: &[ArgSpec] = match (&req.args, header) {
+            (Some(args), _) => args,
+            (None, Some(s)) => &s.args,
+            (None, None) => &[],
+        };
+        let (knobs, deadline_ms) = self.knobs(req);
+        let job = Job {
+            subject: Subject::Source {
+                source,
+                kernel,
+                dims: LaunchDims {
+                    teams: req.teams.or(header.and_then(|s| s.teams)),
+                    threads: req.threads.or(header.and_then(|s| s.threads)),
+                },
+                args,
+            },
+            config: req.config,
+            mode,
+            knobs,
+            readback: match mode {
+                Mode::Plain if req.dump > 0 => Readback::Head(req.dump),
+                _ => Readback::None,
+            },
+        };
+        // A watchdog timeout that fired under a binding request deadline
+        // *is* the deadline expiring: report the dedicated error and
+        // exit code instead of a generic simulation failure.
+        let done = job
+            .run(&mut self.store)
+            .map_err(|e| match (e, deadline_ms) {
+                (JobError::Launch(e), Some(total))
+                    if matches!(e.kind, SimErrorKind::Timeout { .. }) =>
+                {
+                    JobError::Launch(SimError::deadline_exceeded(total).with_threads(e.threads))
+                }
+                (e, _) => e,
+            })?;
+        let mut w = JsonWriter::with_capacity(1024);
+        w.begin_object();
+        w.key("config").string(req.config.cli_name());
+        w.key("kernel").string(kernel);
+        w.key("stats").raw(&done.stats_json());
+        if let Some(profile) = &done.profile {
+            w.key("profile").raw(&profile.to_json());
+        }
+        if job.readback != Readback::None {
+            w.key("dump").begin_array();
+            for b in &done.buffers {
+                b.write_json(&mut w);
+            }
+            w.end_array();
+        }
+        w.end_object();
+        Ok(Outcome::ok(w.finish()))
+    }
+
+    fn op_verify(&mut self, req: &Request) -> Result<Outcome, Outcome> {
+        let knobs = self.knobs(req).0;
+        let case = oracle::verify_source(&mut self.store, &req.subject, req.source()?, &knobs);
+        let exit = if case.passed() {
+            EXIT_OK
+        } else {
+            EXIT_DIVERGED
+        };
+        Ok(Outcome::ok_with_exit(exit, case.to_json()))
+    }
+
+    fn op_sanitize(&mut self, req: &Request) -> Result<Outcome, Outcome> {
+        let source = req.source()?;
+        let spec = ExampleSpec::parse(source).map_err(JobError::Spec)?;
+        let configs = match req.all_configs {
+            true => &ORACLE_CONFIGS[..],
+            false => std::slice::from_ref(&req.config),
+        };
+        let knobs = self.knobs(req).0;
+        let outcomes: Vec<SanitizeOutcome> = configs
+            .iter()
+            .map(|&c| pipeline::sanitize(&mut self.store, spec.subject(source), c, &knobs))
+            .collect();
+        Ok(Outcome::ok_with_exit(
+            pipeline::sanitize_exit_code(&outcomes),
+            pipeline::sanitize_report_json(&req.subject, &outcomes),
+        ))
+    }
+
+    /// The current metrics registry: the live latency/batch-size
+    /// histograms plus every deterministic counter and gauge derived
+    /// from [`SessionStats`] at call time. Deriving (rather than
+    /// double-booking) keeps the `metrics` exposition consistent with
+    /// the `stats` op by construction.
+    pub fn metrics_registry(&self) -> omp_telemetry::MetricsRegistry {
+        let mut reg = self.metrics.clone();
+        reg.counter_add("serve.requests", self.stats.requests);
+        reg.counter_add("serve.errors", self.stats.errors);
+        for op in ALL_OPS {
+            reg.counter_add(
+                &format!("serve.ops.{op}"),
+                self.stats.ops.get(op).copied().unwrap_or(0),
+            );
+        }
+        for (tier, t) in self.stats.tiers() {
+            reg.counter_add(&format!("serve.cache.{tier}.hits"), t.hits);
+            reg.counter_add(&format!("serve.cache.{tier}.misses"), t.misses);
+        }
+        reg.counter_add("serve.batches", self.stats.batches);
+        reg.counter_add("serve.batched_requests", self.stats.batched_requests);
+        reg.counter_add("serve.timeout", self.stats.timeouts);
+        reg.counter_add("serve.panic", self.stats.panics);
+        reg.counter_add("serve.shed", self.shared.shed.load(Ordering::Relaxed));
+        reg.counter_add("serve.retries", self.shared.retries.load(Ordering::Relaxed));
+        reg.gauge_set("serve.device_entries", self.store.device_entries() as i64);
+        reg.gauge_set("serve.device_capacity", self.store.device_capacity() as i64);
+        reg.gauge_set("serve.graph_entries", self.store.graph_entries() as i64);
+        reg
+    }
+
+    /// The `metrics` result payload: the Prometheus text exposition and
+    /// the JSON rendering of one registry snapshot.
+    fn render_metrics(&self) -> String {
+        let reg = self.metrics_registry();
+        let mut w = JsonWriter::with_capacity(2048);
+        w.begin_object();
+        w.key("prometheus").string(&reg.render_prometheus());
+        w.key("metrics");
+        reg.write_json(&mut w);
+        w.end_object();
+        w.finish()
+    }
+
+    fn render_stats(&self) -> String {
+        let mut w = JsonWriter::with_capacity(512);
+        w.begin_object();
+        w.key("requests").u64(self.stats.requests);
+        w.key("errors").u64(self.stats.errors);
+        w.key("ops").begin_object();
+        for name in ALL_OPS {
+            w.key(name)
+                .u64(self.stats.ops.get(name).copied().unwrap_or(0));
+        }
+        w.end_object();
+        w.key("cache").begin_object();
+        for (tier, t) in self.stats.tiers() {
+            w.key(tier);
+            t.write_json(&mut w);
+        }
+        w.end_object();
+        w.key("total_hits").u64(self.stats.total_hits());
+        w.key("device_entries").usize(self.store.device_entries());
+        w.key("device_capacity").usize(self.store.device_capacity());
+        w.key("graph_entries").usize(self.store.graph_entries());
+        w.key("tier").string(self.env_tier.as_str());
+        w.key("batches").u64(self.stats.batches);
+        w.key("batched_requests").u64(self.stats.batched_requests);
+        w.key("timeouts").u64(self.stats.timeouts);
+        w.key("panics").u64(self.stats.panics);
+        w.key("shed").u64(self.shared.shed.load(Ordering::Relaxed));
+        w.key("retries")
+            .u64(self.shared.retries.load(Ordering::Relaxed));
+        w.end_object();
+        w.finish()
+    }
+}

@@ -1,0 +1,358 @@
+//! Pins the `ompgpu` binary: stdout, stderr and exit code of a fixed
+//! matrix of invocations, compared against checked-in transcripts
+//! (`tests/golden/cli_*.txt`, one per group). Every simulated quantity
+//! is deterministic, so the transcripts are byte-stable; the only
+//! host-dependent output — `--time-passes` wall times on stderr — is
+//! left out of the matrix.
+//!
+//! To regenerate after an intentional CLI change:
+//!
+//! ```text
+//! OMP_UPDATE_GOLDEN=1 cargo test -p omp-gpu --test cli_golden
+//! ```
+
+mod common;
+
+use common::{c_files, launch_flags, ompgpu};
+use std::path::PathBuf;
+
+/// Runs every invocation and renders one transcript.
+fn transcript(cases: &[Vec<String>]) -> String {
+    let mut out = String::new();
+    for args in cases {
+        let argv: Vec<&str> = args.iter().map(String::as_str).collect();
+        let (code, stdout, stderr) = ompgpu(&argv);
+        out.push_str(&format!("### ompgpu {}\nexit: {code}\n", args.join(" ")));
+        for (label, text) in [("stdout", stdout), ("stderr", stderr)] {
+            out.push_str(&format!("--- {label}\n{text}"));
+            if !text.is_empty() && !text.ends_with('\n') {
+                out.push('\n');
+            }
+        }
+    }
+    out
+}
+
+fn check_golden(group: &str, cases: &[Vec<String>]) {
+    let text = transcript(cases);
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("cli_{group}.txt"));
+    if std::env::var_os("OMP_UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, text).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); run with OMP_UPDATE_GOLDEN=1 to create it",
+            path.display()
+        )
+    });
+    if golden != text {
+        let line = golden
+            .lines()
+            .zip(text.lines())
+            .position(|(g, t)| g != t)
+            .unwrap_or_else(|| golden.lines().count().min(text.lines().count()));
+        panic!(
+            "cli_{group}: CLI output drifted from the golden transcript at line {}:\n\
+             golden: {:?}\nactual: {:?}\n\
+             if intentional, regenerate with OMP_UPDATE_GOLDEN=1",
+            line + 1,
+            golden.lines().nth(line),
+            text.lines().nth(line),
+        );
+    }
+}
+
+fn case(head: &[&str], tail: &[String], more: &[&str]) -> Vec<String> {
+    head.iter()
+        .map(|s| s.to_string())
+        .chain(tail.iter().cloned())
+        .chain(more.iter().map(|s| s.to_string()))
+        .collect()
+}
+
+const SAXPY: &str = "examples/omp/saxpy.c";
+const BROKEN: &str = "tests/fixtures/cli/broken.c";
+const NO_HEADER: &str = "tests/fixtures/cli/no_header.c";
+
+#[test]
+fn build() {
+    let mut cases = vec![
+        case(&["build", SAXPY], &[], &[]),
+        case(&["build", SAXPY, "--emit-ir"], &[], &[]),
+        case(
+            &["build", SAXPY, "--config", "llvm12", "--emit-ir"],
+            &[],
+            &[],
+        ),
+        case(
+            &["build", SAXPY, "--config", "noopt", "--remarks"],
+            &[],
+            &[],
+        ),
+    ];
+    for file in c_files("examples/omp") {
+        cases.push(case(&["build", &file, "--config", "cuda"], &[], &[]));
+    }
+    check_golden("build", &cases);
+}
+
+#[test]
+fn run() {
+    let mut cases = Vec::new();
+    for file in c_files("examples/omp") {
+        let flags = launch_flags(&file);
+        cases.push(case(&["run", &file], &flags, &[]));
+        cases.push(case(&["run", &file], &flags, &["--json"]));
+        cases.push(case(&["run", &file], &flags, &["--dump", "4"]));
+    }
+    let flags = launch_flags(SAXPY);
+    cases.push(case(
+        &["run", SAXPY],
+        &flags,
+        &["--config", "noopt", "--jobs", "3", "--tier", "interp"],
+    ));
+    cases.push(case(
+        &["run", SAXPY],
+        &flags,
+        &["--config", "cuda", "--json", "--dump", "2"],
+    ));
+    check_golden("run", &cases);
+}
+
+#[test]
+fn profile() {
+    let mut cases = Vec::new();
+    for file in c_files("examples/omp") {
+        cases.push(case(&["profile", &file], &[], &[]));
+        cases.push(case(&["profile", &file, "--json"], &[], &[]));
+    }
+    cases.push(case(&["profile", SAXPY, "--all-configs"], &[], &[]));
+    cases.push(case(
+        &["profile", "examples/omp/task_graph.c", "--all-configs"],
+        &[],
+        &["--jobs", "2"],
+    ));
+    cases.push(case(
+        &["profile", SAXPY],
+        &launch_flags(SAXPY),
+        &["--config", "h2s2"],
+    ));
+    for extra in [&["--json"][..], &["--all-configs"][..], &[][..]] {
+        cases.push(case(
+            &["profile", "--proxy", "xsbench", "--scale", "small"],
+            &[],
+            extra,
+        ));
+    }
+    check_golden("profile", &cases);
+}
+
+#[test]
+fn sanitize() {
+    let mut cases = Vec::new();
+    for file in c_files("examples/omp")
+        .into_iter()
+        .chain(c_files("tests/fixtures/sanitize"))
+    {
+        cases.push(case(&["sanitize", &file], &[], &[]));
+        cases.push(case(&["sanitize", &file, "--json"], &[], &[]));
+        cases.push(case(&["sanitize", &file, "--all-configs"], &[], &[]));
+    }
+    cases.push(case(
+        &["sanitize", SAXPY, "--all-configs", "--json"],
+        &[],
+        &["--jobs", "2"],
+    ));
+    cases.push(case(
+        &["sanitize", SAXPY, "--config", "llvm12", "--max-insts", "10"],
+        &[],
+        &[],
+    ));
+    for extra in [&["--json"][..], &["--all-configs"][..]] {
+        cases.push(case(
+            &["sanitize", "--proxy", "xsbench", "--scale", "small"],
+            &[],
+            extra,
+        ));
+    }
+    cases.push(case(&["sanitize", "--self-test"], &[], &[]));
+    cases.push(case(&["sanitize", "--self-test", "--jobs", "3"], &[], &[]));
+    check_golden("sanitize", &cases);
+}
+
+#[test]
+fn verify() {
+    let mut files = c_files("examples/omp");
+    files.extend(c_files("tests/fixtures/sanitize"));
+    let cases = vec![
+        case(&["verify"], &files, &[]),
+        case(
+            &["verify", "--examples", "examples/omp", "--jobs", "2"],
+            &[],
+            &["--tier", "interp", "--watchdog", "0"],
+        ),
+    ];
+    check_golden("verify", &cases);
+}
+
+/// One failing invocation per exit code, plus the usage screen.
+#[test]
+fn failures() {
+    let flags = launch_flags(SAXPY);
+    let cases = vec![
+        // 1: I/O and compile failures.
+        case(&["build", "examples/omp/no_such_file.c"], &[], &[]),
+        case(&["build", BROKEN], &[], &[]),
+        case(&["profile", "examples/omp/no_such_file.c"], &[], &[]),
+        case(&["sanitize", BROKEN], &[], &[]),
+        case(&["sanitize", BROKEN, "--json"], &[], &[]),
+        case(&["sanitize", NO_HEADER, "--all-configs"], &[], &[]),
+        case(&["profile", NO_HEADER], &[], &[]),
+        case(&["profile", SAXPY, "--kernel", "nope"], &[], &[]),
+        case(
+            &["profile", "--proxy", "rsbench", "--scale", "bench"],
+            &[],
+            &["--config", "noopt"],
+        ),
+        // 2: usage.
+        case(&[], &[], &[]),
+        case(&["run", SAXPY], &[], &[]),
+        case(&["run", SAXPY, "--bogus"], &[], &[]),
+        case(&["profile", SAXPY, "--all-configs", "--json"], &[], &[]),
+        case(&["sanitize", "--proxy", "nope"], &[], &[]),
+        // 3: launch failures.
+        case(&["run", SAXPY, "--kernel", "nope"], &[], &[]),
+        case(&["run", SAXPY], &flags, &["--max-insts", "10"]),
+        case(&["run", SAXPY], &flags, &["--max-insts", "10", "--json"]),
+        case(
+            &["run", SAXPY, "--kernel", "saxpy", "--arg", "i64:1"],
+            &[],
+            &[],
+        ),
+        case(
+            &[
+                "run",
+                SAXPY,
+                "--kernel",
+                "saxpy",
+                "--arg",
+                "buf:f64:100000000",
+            ],
+            &[],
+            &[],
+        ),
+        case(
+            &["sanitize", SAXPY, "--max-insts", "10", "--json"],
+            &[],
+            &[],
+        ),
+        // 4: oracle divergence (a subject without a spec header, and one
+        // whose header names source that does not compile).
+        case(&["verify", NO_HEADER, BROKEN], &[], &[]),
+        // 5: sanitizer findings.
+        case(&["sanitize", "tests/fixtures/sanitize/race.c"], &[], &[]),
+        case(
+            &["sanitize", "examples/omp/task_race.c", "--json"],
+            &[],
+            &[],
+        ),
+    ];
+    check_golden("failures", &cases);
+}
+
+/// Every value-taking flag is read strictly: a malformed or missing
+/// value is a usage error naming the flag — it never launches with a
+/// default in place of what the user typed.
+#[test]
+fn malformed_flag_values_are_usage_errors() {
+    let table: &[(&[&str], &str)] = &[
+        (
+            &["run", SAXPY, "--teams", "x"],
+            "invalid value \"x\" for --teams",
+        ),
+        (
+            &["run", SAXPY, "--threads", "-1"],
+            "invalid value \"-1\" for --threads",
+        ),
+        (
+            &["run", SAXPY, "--jobs", "many"],
+            "invalid value \"many\" for --jobs",
+        ),
+        (
+            &["run", SAXPY, "--max-insts", "1e9"],
+            "invalid value \"1e9\" for --max-insts",
+        ),
+        (
+            &["run", SAXPY, "--dump", "x"],
+            "invalid value \"x\" for --dump",
+        ),
+        (&["run", SAXPY, "--dump"], "missing value for --dump"),
+        (&["run", SAXPY, "--kernel"], "missing value for --kernel"),
+        (
+            &["run", SAXPY, "--tier", "turbo"],
+            "invalid value \"turbo\" for --tier",
+        ),
+        (
+            &["run", SAXPY, "--config", "o3"],
+            "invalid value \"o3\" for --config",
+        ),
+        (
+            &["run", SAXPY, "--arg", "buf:f32:8"],
+            "invalid value \"buf:f32:8\" for --arg",
+        ),
+        (
+            &["profile", SAXPY, "--teams", "x"],
+            "invalid value \"x\" for --teams",
+        ),
+        (
+            &["profile", SAXPY, "--threads", ""],
+            "invalid value \"\" for --threads",
+        ),
+        (
+            &["profile", SAXPY, "--jobs", "x"],
+            "invalid value \"x\" for --jobs",
+        ),
+        (
+            &["profile", SAXPY, "--kernel"],
+            "missing value for --kernel",
+        ),
+        (&["profile", SAXPY, "--trace"], "missing value for --trace"),
+        (&["profile", "--proxy"], "missing value for --proxy"),
+        (
+            &["profile", "--proxy", "xsbench", "--scale", "huge"],
+            "invalid value \"huge\" for --scale",
+        ),
+        (&["sanitize", "--proxy"], "missing value for --proxy"),
+        (
+            &["sanitize", SAXPY, "--jobs", "x"],
+            "invalid value \"x\" for --jobs",
+        ),
+        (
+            &["sanitize", SAXPY, "--max-insts", "x"],
+            "invalid value \"x\" for --max-insts",
+        ),
+        (&["verify", "--jobs", "x"], "invalid value \"x\" for --jobs"),
+        (
+            &["verify", "--watchdog", "soon"],
+            "invalid value \"soon\" for --watchdog",
+        ),
+        (&["verify", "--examples"], "missing value for --examples"),
+        (
+            &["serve", "--socket", "/tmp/s", "--queue", "x"],
+            "invalid value \"x\" for --queue",
+        ),
+        (
+            &["client", "--socket", "/tmp/s", "--retries", "x"],
+            "invalid value \"x\" for --retries",
+        ),
+    ];
+    for (args, message) in table {
+        let (code, stdout, stderr) = ompgpu(args);
+        assert_eq!(code, 2, "{args:?} must be a usage error\n{stderr}");
+        assert_eq!(stdout, "", "{args:?} must not run anything");
+        assert_eq!(stderr, format!("ompgpu: {message}\n"), "{args:?}");
+    }
+}

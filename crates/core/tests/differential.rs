@@ -6,7 +6,7 @@
 //! change that alters observable behavior, not just ones a hand-written
 //! assertion anticipates.
 
-use omp_gpu::oracle::{self, ORACLE_CONFIGS};
+use omp_gpu::oracle::{self, VerifyOptions, ORACLE_CONFIGS};
 use omp_gpu::{all_proxies, BuildConfig, Scale};
 use std::path::PathBuf;
 
@@ -23,7 +23,7 @@ fn oracle_matrix_has_six_configs() {
 #[test]
 fn xsbench_is_bit_identical_across_matrix() {
     let app = &all_proxies(Scale::Small)[0];
-    let case = oracle::verify_proxy(app.as_ref());
+    let case = oracle::verify_proxy(app.as_ref(), &VerifyOptions::default());
     assert_eq!(case.name, "XSBench");
     assert!(case.passed(), "{:?}", case.failures);
     assert_eq!(case.successes(), ORACLE_CONFIGS.len());
@@ -32,7 +32,7 @@ fn xsbench_is_bit_identical_across_matrix() {
 #[test]
 fn rsbench_is_bit_identical_across_matrix() {
     let app = &all_proxies(Scale::Small)[1];
-    let case = oracle::verify_proxy(app.as_ref());
+    let case = oracle::verify_proxy(app.as_ref(), &VerifyOptions::default());
     assert_eq!(case.name, "RSBench");
     assert!(case.passed(), "{:?}", case.failures);
     // At test scale the baseline fits in the heap; at bench scale its
@@ -45,7 +45,7 @@ fn rsbench_is_bit_identical_across_matrix() {
 #[test]
 fn su3bench_is_bit_identical_across_matrix() {
     let app = &all_proxies(Scale::Small)[2];
-    let case = oracle::verify_proxy(app.as_ref());
+    let case = oracle::verify_proxy(app.as_ref(), &VerifyOptions::default());
     assert_eq!(case.name, "SU3Bench");
     assert!(case.passed(), "{:?}", case.failures);
     assert_eq!(case.successes(), ORACLE_CONFIGS.len());
@@ -54,7 +54,7 @@ fn su3bench_is_bit_identical_across_matrix() {
 #[test]
 fn miniqmc_is_bit_identical_across_matrix() {
     let app = &all_proxies(Scale::Small)[3];
-    let case = oracle::verify_proxy(app.as_ref());
+    let case = oracle::verify_proxy(app.as_ref(), &VerifyOptions::default());
     assert_eq!(case.name, "miniQMC");
     assert!(case.passed(), "{:?}", case.failures);
     assert_eq!(case.successes(), ORACLE_CONFIGS.len());
@@ -62,7 +62,8 @@ fn miniqmc_is_bit_identical_across_matrix() {
 
 #[test]
 fn example_corpus_is_bit_identical_across_matrix() {
-    let report = oracle::verify_examples_dir(&examples_dir()).expect("examples dir");
+    let report = oracle::verify_examples_dir(&examples_dir(), &VerifyOptions::default())
+        .expect("examples dir");
     assert!(report.cases.len() >= 5, "example corpus shrank");
     for case in &report.cases {
         assert!(case.passed(), "{}: {:?}", case.name, case.failures);
@@ -81,7 +82,7 @@ fn optimizations_actually_fire_on_the_chain() {
     // to identical builds. Assert the optimized end of the chain really
     // removes globalization allocations on a proxy that globalizes.
     let app = &all_proxies(Scale::Small)[2]; // SU3Bench
-    let case = oracle::verify_proxy(app.as_ref());
+    let case = oracle::verify_proxy(app.as_ref(), &VerifyOptions::default());
     let get = |c: BuildConfig| {
         case.results
             .iter()
@@ -109,13 +110,14 @@ fn pass_stats_surface_reaches_the_oracle() {
     // visible on oracle results for configurations that ran the
     // optimizer, and absent for the baseline.
     let app = &all_proxies(Scale::Small)[0]; // XSBench
-    let case = oracle::verify_proxy(app.as_ref());
+    let case = oracle::verify_proxy(app.as_ref(), &VerifyOptions::default());
     for r in &case.results {
         match r.config {
-            BuildConfig::Llvm12Baseline => assert!(r.pass_stats.is_empty()),
+            BuildConfig::Llvm12Baseline => assert!(r.pass_stats().is_empty()),
             _ => {
-                assert!(!r.pass_stats.is_empty(), "{}", r.config.label());
-                let total: usize = r.pass_stats.iter().map(|s| s.transformed).sum();
+                let pass_stats = r.pass_stats();
+                assert!(!pass_stats.is_empty(), "{}", r.config.label());
+                let total: usize = pass_stats.iter().map(|s| s.transformed).sum();
                 if r.config == BuildConfig::LlvmDev {
                     assert!(total > 0, "LLVM Dev transformed nothing");
                 }

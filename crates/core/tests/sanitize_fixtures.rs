@@ -5,8 +5,8 @@
 //! optimized pipeline (the optimizer must neither mask a real bug nor
 //! fabricate one).
 
-use omp_gpu::pipeline::{sanitize_source, SanitizeOptions, SanitizeOutcome};
-use omp_gpu::{BuildConfig, FaultPlan, FindingKind, Severity};
+use omp_gpu::pipeline::{sanitize_source, SanitizeOutcome};
+use omp_gpu::{BuildConfig, FaultPlan, FindingKind, Knobs, Severity};
 
 fn fixture(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -16,7 +16,7 @@ fn fixture(name: &str) -> String {
 }
 
 fn sanitize(name: &str, config: BuildConfig) -> SanitizeOutcome {
-    let out = sanitize_source(&fixture(name), config, &SanitizeOptions::default());
+    let out = sanitize_source(&fixture(name), config, &Knobs::default());
     assert!(
         out.setup_error.is_none(),
         "{name} failed to build under {}: {:?}",
@@ -131,12 +131,12 @@ fn capped_shared_stack_degrades_to_heap_fallback_notes() {
     // The seeded degradation needs runtime globalization, so pin the
     // unoptimized baseline (the mid-end promotes the allocation away
     // under the full pipeline — which is the point of the paper).
-    let opts = SanitizeOptions {
+    let opts = Knobs {
         fault: FaultPlan {
             shared_stack_limit: Some(0),
             ..FaultPlan::default()
         },
-        ..SanitizeOptions::default()
+        ..Knobs::default()
     };
     let out = sanitize_source(
         &fixture("stack_overflow.c"),
@@ -216,16 +216,12 @@ fn seeded_cross_kernel_race_is_reported_and_depend_edges_fix_it() {
 #[test]
 fn findings_are_identical_across_worker_thread_counts() {
     for jobs in [1u32, 4] {
-        let opts = SanitizeOptions {
+        let opts = Knobs {
             jobs: Some(jobs),
-            ..SanitizeOptions::default()
+            ..Knobs::default()
         };
         let out = sanitize_source(&fixture("race.c"), BuildConfig::LlvmDev, &opts);
-        let baseline = sanitize_source(
-            &fixture("race.c"),
-            BuildConfig::LlvmDev,
-            &SanitizeOptions::default(),
-        );
+        let baseline = sanitize_source(&fixture("race.c"), BuildConfig::LlvmDev, &Knobs::default());
         assert_eq!(
             out.findings, baseline.findings,
             "findings differ at --jobs {jobs}"

@@ -44,7 +44,7 @@ impl Tier {
 /// Static description of the simulated GPU (defaults are loosely
 /// V100-shaped: 80 SMs, 32-wide warps, 48 KiB of shared memory per
 /// resident team).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceConfig {
     /// Number of streaming multiprocessors. Teams are distributed
     /// round-robin over SMs; kernel time is the maximum SM time.

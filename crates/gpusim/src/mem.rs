@@ -175,10 +175,10 @@ pub enum MemError {
     },
     /// Global-memory buffer allocation failed.
     GlobalExhausted,
-    /// A fault-injection plan failed this allocation on purpose. The
-    /// message deliberately avoids the OOM vocabulary ("memory",
-    /// "heap") so tolerance for genuine out-of-memory outcomes never
-    /// masks an injected fault.
+    /// A fault-injection plan failed this allocation on purpose. Not
+    /// an out-of-memory outcome: callers that tolerate genuine
+    /// exhaustion match on [`MemError::HeapExhausted`] /
+    /// [`MemError::GlobalExhausted`], never on message text.
     AllocFaultInjected,
 }
 

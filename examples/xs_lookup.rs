@@ -23,11 +23,7 @@ fn main() {
                 c,
                 base as f64 / c as f64
             ),
-            None => println!(
-                "  {:<44} {}",
-                o.config.label(),
-                o.error.as_deref().unwrap_or("failed")
-            ),
+            None => println!("  {:<44} {}", o.config.label(), o.failure()),
         }
     }
     println!("\nAll configurations verified against the host reference.");

@@ -6,7 +6,7 @@
 //! synchronization hazards (e.g. by promoting runtime globalization
 //! away) but must never *introduce* one.
 
-use omp_gpu::pipeline::{sanitize_source, SanitizeOptions};
+use omp_gpu::pipeline::sanitize_source;
 use omp_gpu::BuildConfig;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -118,7 +118,7 @@ void k(long* out, long x, long n) {{
 /// when the launch itself fails, so a config that errors out can never
 /// look "cleaner" than one that runs).
 fn finding_kinds(src: &str, config: BuildConfig) -> BTreeSet<String> {
-    let out = sanitize_source(src, config, &SanitizeOptions::default());
+    let out = sanitize_source(src, config, &omp_gpu::Knobs::default());
     assert!(
         out.setup_error.is_none(),
         "generated program failed to build under {}: {:?}",

@@ -4,12 +4,14 @@
 # criterion resolve to the in-tree shims).
 #
 #   tools/ci.sh          # run everything
-#   tools/ci.sh fmt      # one stage: fmt | clippy | test | bench | smoke
+#   tools/ci.sh fmt      # one stage: fmt | clippy | test | smoke | benchcheck
+#   tools/ci.sh bench [ARGS]   # = bash benchmark/run.sh ARGS
 #
-# Exits non-zero on the first failing stage. The `bench` stage is
-# informational: it regenerates BENCH_gpusim.json (simulator wall-clock
-# per proxy/config, plus the serve cold/warm section from bench_serve)
-# but is not part of the gating `all` run. The `smoke` stage runs
+# Exits non-zero on the first failing stage. The `bench` stage runs the
+# repository benchmark (benchmark/README.md) and is not part of the
+# gating `all` run; `benchcheck` (fmt, clippy and unit tests of the
+# standalone benchmark package, which compiles against this
+# workspace's public API) is. The `smoke` stage runs
 # `ompgpu profile` on one proxy and validates the emitted Chrome trace,
 # runs the device sanitizer over a proxy's full config matrix and the
 # fault-injection self-test, round-trips the `ompgpu serve` daemon
@@ -54,100 +56,17 @@ run_test() {
 }
 
 run_bench() {
-    echo "==> bench_gpusim (informational, writes BENCH_gpusim.json)"
-    # Capture the committed geomean Dev-vs-CUDA cycle ratio BEFORE the
-    # run overwrites the artifact in place.
-    committed_ratio=""
-    if [ -f BENCH_gpusim.json ]; then
-        committed_ratio=$(sed -n \
-            's/.*"geomean_dev_cycles_vs_cuda_ratio": \([0-9.]*\).*/\1/p' \
-            BENCH_gpusim.json | head -n 1)
-    fi
-    cargo run --release -q -p omp-bench --bin bench_gpusim --offline -- \
-        --scale small --out BENCH_gpusim.json
-    new_ratio=$(sed -n \
-        's/.*"geomean_dev_cycles_vs_cuda_ratio": \([0-9.]*\).*/\1/p' \
-        BENCH_gpusim.json | head -n 1)
-    # Non-gating: warn when the geomean ratio regressed vs the committed
-    # artifact (simulated cycles are deterministic, so any increase is a
-    # real pipeline regression, but the bench stage stays informational).
-    if [ -n "$committed_ratio" ] && [ -n "$new_ratio" ]; then
-        worse=$(awk "BEGIN { print ($new_ratio > $committed_ratio) ? 1 : 0 }")
-        if [ "$worse" = "1" ]; then
-            echo "WARNING: geomean Dev cycles-vs-CUDA ratio regressed:" \
-                "$committed_ratio (committed) -> $new_ratio (this build)" >&2
-        else
-            echo "geomean Dev cycles-vs-CUDA ratio: $new_ratio" \
-                "(committed: $committed_ratio)"
-        fi
-    fi
+    # The repository benchmark (see benchmark/README.md): every
+    # workload untraced and traced, or one run with --workload/--trace.
+    bash benchmark/run.sh "$@"
+}
 
-    # Non-gating: the compiled tier exists to be faster; a slowdown is
-    # a perf regression worth a warning but never a CI failure.
-    tier_speedup=$(sed -n 's/.*"verify_speedup": \([0-9.]*\).*/\1/p' \
-        BENCH_gpusim.json | head -n 1)
-    if [ -n "$tier_speedup" ]; then
-        slower=$(awk "BEGIN { print ($tier_speedup < 1.0) ? 1 : 0 }")
-        if [ "$slower" = "1" ]; then
-            echo "WARNING: compiled tier is slower than the interpreter" \
-                "(verify speedup ${tier_speedup}x)" >&2
-        else
-            echo "tier: compiled verify speedup ${tier_speedup}x"
-        fi
-    fi
-    # Non-gating here (the gating cross-tier check is the differential
-    # test suite): the bench-scale verify reports must be identical
-    # between tiers modulo the informational tier tag.
-    tier_identical=$(sed -n \
-        's/.*"verify_reports_identical": \(true\|false\).*/\1/p' \
-        BENCH_gpusim.json | head -n 1)
-    if [ "$tier_identical" = "false" ]; then
-        echo "WARNING: bench-scale verify reports differ between the" \
-            "interpreter and compiled tiers" >&2
-    fi
-
-    # Non-gating: captured-graph replay exists to amortize per-launch
-    # setup; a thin speedup or a broken bit-identity flag is worth a
-    # warning (wall clocks are host-dependent, so never a CI failure).
-    graph_speedup=$(sed -n 's/.*"replay_speedup": \([0-9.]*\).*/\1/p' \
-        BENCH_gpusim.json | head -n 1)
-    if [ -n "$graph_speedup" ]; then
-        thin=$(awk "BEGIN { print ($graph_speedup < 3.0) ? 1 : 0 }")
-        if [ "$thin" = "1" ]; then
-            echo "WARNING: graph replay speedup ${graph_speedup}x is below" \
-                "the 3x floor" >&2
-        else
-            echo "graphs: replay speedup ${graph_speedup}x"
-        fi
-    fi
-    if grep -q '"bit_identical_[a-z_]*": false' BENCH_gpusim.json; then
-        echo "WARNING: graph replay is not bit-identical to eager" \
-            "execution (see the graphs section of BENCH_gpusim.json)" >&2
-    fi
-
-    # Non-gating: the span tracer must stay near-free when enabled. A
-    # "ratio" key also lives under profile_overhead, so scope the
-    # extraction to the telemetry_overhead object.
-    telemetry_ratio=$(sed -n '/"telemetry_overhead"/,/}/ s/.*"ratio": \([0-9.]*\).*/\1/p' \
-        BENCH_gpusim.json | head -n 1)
-    if [ -n "$telemetry_ratio" ]; then
-        costly=$(awk "BEGIN { print ($telemetry_ratio > 1.03) ? 1 : 0 }")
-        if [ "$costly" = "1" ]; then
-            echo "WARNING: telemetry-on verify overhead ratio" \
-                "${telemetry_ratio} exceeds the 1.03 budget" >&2
-        else
-            echo "telemetry: verify overhead ratio ${telemetry_ratio}"
-        fi
-    fi
-
-    echo "==> bench_serve (informational, patches the serve section)"
-    cargo run --release -q -p omp-bench --bin bench_serve --offline -- \
-        --out BENCH_gpusim.json
-
-    # The final artifact (after in-place patching) must be well-formed
-    # JSON by the same in-tree parser every consumer uses.
-    cargo run -q -p omp-gpu --bin ompgpu --offline -- \
-        json-validate BENCH_gpusim.json
+run_benchmark_check() {
+    # The benchmark is a workspace of its own compiled against this
+    # one's public items: fmt + clippy -D warnings + its unit tests, so
+    # an API change that breaks it fails here, not in the bench run.
+    echo "==> benchmark/check.sh (standalone benchmark package)"
+    bash benchmark/check.sh
 }
 
 run_smoke() {
@@ -448,17 +367,22 @@ case "$stage" in
     fmt) run_fmt ;;
     clippy) run_clippy ;;
     test) run_test ;;
-    bench) run_bench ;;
+    bench)
+        shift
+        run_bench "$@"
+        ;;
     smoke) run_smoke ;;
+    benchcheck) run_benchmark_check ;;
     all)
         run_fmt
         run_clippy
         run_test
         run_smoke
+        run_benchmark_check
         echo "==> tier-1 gate passed"
         ;;
     *)
-        echo "usage: tools/ci.sh [fmt|clippy|test|bench|smoke]" >&2
+        echo "usage: tools/ci.sh [fmt|clippy|test|smoke|benchcheck|bench [ARGS]]" >&2
         exit 2
         ;;
 esac
