@@ -496,8 +496,8 @@ pub struct Store {
 impl Store {
     /// A store whose device LRU holds up to `device_capacity` entries.
     /// With `0` no device is ever reused: each job gets a newly built
-    /// one, which is what a one-shot caller wants — building is lazy
-    /// about memory, resetting a warm device touches all of it.
+    /// one, which is what a one-shot caller wants — it never sees the
+    /// same device twice, so a kept one would only hold memory.
     pub fn new(device_capacity: usize) -> Store {
         Store {
             frontend: HashMap::new(),

@@ -42,7 +42,7 @@ pub use transport::serve_unix;
 
 #[cfg(test)]
 mod tests {
-    use super::session::{parse_max_insts, parse_tier};
+    use super::session::{parse_jobs, parse_max_insts, parse_tier};
     use super::transport::{read_frame, Frame};
     use super::*;
     use omp_json::Value;
@@ -473,6 +473,11 @@ void scale(double* a, double f, long n) {
         assert!(parse_tier("interp").is_ok());
         assert!(parse_tier("compiled").is_ok());
         assert!(parse_tier("turbo").is_err());
+        assert_eq!(parse_jobs("0"), Ok(0));
+        assert_eq!(parse_jobs("4"), Ok(4));
+        assert!(parse_jobs("").is_err());
+        assert!(parse_jobs("two").is_err());
+        assert!(parse_jobs("-1").is_err());
     }
 
     /// Parse Prometheus text exposition into (plain samples, bucket samples).

@@ -145,6 +145,16 @@ pub struct Session {
     env_tier: omp_gpusim::Tier,
 }
 
+/// Strictly parses an `OMPGPU_JOBS` value: the simulator worker-thread
+/// count devices default to when a request has no `jobs` field.
+pub(super) fn parse_jobs(v: &str) -> Result<u32, String> {
+    v.parse().map_err(|_| {
+        format!(
+            "invalid OMPGPU_JOBS {v:?}: expected a non-negative integer worker count (0 = auto)"
+        )
+    })
+}
+
 impl Default for Session {
     fn default() -> Session {
         Session::new(DEFAULT_DEVICE_CAPACITY)
@@ -160,17 +170,19 @@ impl Session {
         Session::try_new(device_capacity).expect("invalid OMPGPU_* environment override")
     }
 
-    /// Like [`Session::new`], but an invalid `OMPGPU_MAX_INSTS` or
-    /// `OMPGPU_TIER` override is a structured startup error instead of
-    /// being silently swallowed into the default.
+    /// Like [`Session::new`], but an invalid `OMPGPU_MAX_INSTS`,
+    /// `OMPGPU_JOBS` or `OMPGPU_TIER` override is a structured startup
+    /// error instead of being silently swallowed into the default.
     pub fn try_new(device_capacity: usize) -> Result<Session, String> {
-        // Devices pick the budget up from the environment themselves;
-        // resolving it here rejects a malformed value at startup.
+        // Devices pick the budget and the worker count up from the
+        // environment themselves; resolving them here rejects a
+        // malformed value at startup.
         env_override(
             "OMPGPU_MAX_INSTS",
             omp_gpusim::DeviceConfig::default().max_insts_per_thread,
             parse_max_insts,
         )?;
+        env_override("OMPGPU_JOBS", 0, parse_jobs)?;
         let env_tier = env_override(
             "OMPGPU_TIER",
             omp_gpusim::DeviceConfig::default().tier,

@@ -13,7 +13,7 @@
 
 mod common;
 
-use common::{c_files, launch_flags, ompgpu};
+use common::{c_files, launch_flags, ompgpu, ompgpu_env};
 use std::path::PathBuf;
 
 /// Runs every invocation and renders one transcript.
@@ -354,5 +354,52 @@ fn malformed_flag_values_are_usage_errors() {
         assert_eq!(code, 2, "{args:?} must be a usage error\n{stderr}");
         assert_eq!(stdout, "", "{args:?} must not run anything");
         assert_eq!(stderr, format!("ompgpu: {message}\n"), "{args:?}");
+    }
+}
+
+/// `ompgpu serve` reads its `OMPGPU_*` overrides as strictly as its
+/// flags: a malformed one is a structured startup error, never the
+/// built-in default, and the socket is never bound.
+#[test]
+fn malformed_env_overrides_stop_serve_at_startup() {
+    let table = [
+        (
+            "OMPGPU_MAX_INSTS",
+            "1e9",
+            "invalid OMPGPU_MAX_INSTS \"1e9\": expected a non-negative integer budget",
+        ),
+        (
+            "OMPGPU_JOBS",
+            "two",
+            "invalid OMPGPU_JOBS \"two\": expected a non-negative integer worker count (0 = auto)",
+        ),
+        (
+            "OMPGPU_TIER",
+            "turbo",
+            "invalid OMPGPU_TIER \"turbo\": expected \"interp\" or \"compiled\"",
+        ),
+    ];
+    for (name, value, message) in table {
+        let socket =
+            std::env::temp_dir().join(format!("ompgpu-env-{}-{name}.sock", std::process::id()));
+        let (code, stdout, stderr) = ompgpu_env(
+            &["serve", "--socket", socket.to_str().unwrap()],
+            &[(name, value)],
+        );
+        assert_eq!(code, 2, "{name}={value}");
+        assert_eq!(
+            stderr,
+            format!("ompgpu serve: {message}\n"),
+            "{name}={value}"
+        );
+        assert!(
+            stdout.starts_with("{\"schema\":\"ompgpu-serve/v1\",\"ok\":false,\"exit_code\":2,"),
+            "{name}={value}: {stdout}"
+        );
+        assert!(
+            stdout.contains(&message.replace('"', "\\\"")),
+            "{name}={value}: {stdout}"
+        );
+        assert!(!socket.exists(), "{name}={value} bound the socket");
     }
 }

@@ -14,12 +14,19 @@ pub fn repo_root() -> PathBuf {
 /// Runs `ompgpu ARGS` from the repository root with every `OMPGPU_*`
 /// override cleared; returns `(exit code, stdout, stderr)`.
 pub fn ompgpu(args: &[&str]) -> (i32, String, String) {
+    ompgpu_env(args, &[])
+}
+
+/// Like [`ompgpu`], with `env` set after the `OMPGPU_*` overrides are
+/// cleared.
+pub fn ompgpu_env(args: &[&str], env: &[(&str, &str)]) -> (i32, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_ompgpu"))
         .args(args)
         .current_dir(repo_root())
         .env_remove("OMPGPU_JOBS")
         .env_remove("OMPGPU_TIER")
         .env_remove("OMPGPU_MAX_INSTS")
+        .envs(env.iter().copied())
         .output()
         .expect("ompgpu binary runs");
     (

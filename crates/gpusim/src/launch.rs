@@ -135,17 +135,25 @@ impl<'m> Device<'m> {
     }
 
     /// Restores the device to its freshly constructed memory state:
-    /// every user buffer is released, global memory is zeroed, module
-    /// global initializers are re-applied, and the launch high-water
-    /// marks are cleared. The decoded [`ExecPlan`] and global placement
-    /// survive untouched — that is the point: a long-lived service can
-    /// reuse a warmed device across requests and still produce launches
-    /// byte-identical to a cold `Device::new`.
+    /// every user buffer is released, the whole global arena (heap
+    /// region included) is indistinguishable from a fresh
+    /// `Device::new`'s, module global initializers are re-applied, and
+    /// the launch high-water marks are cleared. The decoded
+    /// [`ExecPlan`] and global placement survive untouched — that is
+    /// the point: a long-lived service can reuse a warmed device across
+    /// requests and still produce launches byte-identical to a cold
+    /// `Device::new`.
+    ///
+    /// The cost follows the bytes written since construction or the
+    /// previous reset (host writes and launch commits), not the
+    /// capacity of the device; see the "Reset" section of
+    /// [`crate::mem`].
     ///
     /// Mode switches (`set_profile`, `set_sanitize`, `set_fault_plan`,
     /// `set_watchdog`, `set_jobs`) are *not* reverted; callers that
     /// share a device across requests set them per request.
     pub fn reset(&mut self) {
+        let _span = omp_telemetry::span("device.reset", "gpusim");
         self.mem.reset_global(self.base_cursor);
         for (addr, data) in &self.global_inits {
             // Writing within [0, base_cursor) cannot fail: the region

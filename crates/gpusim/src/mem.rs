@@ -28,6 +28,17 @@
 //! merged back into global memory **in team-id order** — the same
 //! last-writer-wins outcome sequential execution produces — so results
 //! are bit-identical regardless of how many worker threads ran.
+//!
+//! # Reset
+//!
+//! The global arena has exactly three mutators: [`Memory::write_bytes`]
+//! (host writes), [`Memory::apply_delta`] (the journal merge every
+//! launch path commits through) and [`Memory::reset_global`]. The first
+//! two raise a dirty high-water mark, and the invariant is that every
+//! arena byte at or above the mark is zero. A reset therefore clears
+//! only `[0, mark)`: its cost follows the bytes a job touched, not the
+//! capacity of the device, and pages no job ever wrote are never
+//! committed.
 
 use crate::config::DeviceConfig;
 use crate::value::RtVal;
@@ -602,6 +613,10 @@ impl<'a> TeamMemView<'a> {
 pub struct Memory {
     cfg: DeviceConfig,
     global: Vec<u8>,
+    /// Dirty high-water mark: every byte of `global` at or above it is
+    /// zero. Raised by `write_bytes` and `apply_delta`, rewound by
+    /// `reset_global`.
+    dirty_end: usize,
     global_cursor: u64,
     heap_base: u64,
     shared_static_size: u64,
@@ -622,6 +637,7 @@ impl Memory {
         Memory {
             cfg: cfg.clone(),
             global: vec![0; (cfg.global_mem_bytes + cfg.global_heap_bytes) as usize],
+            dirty_end: 0,
             global_cursor: 0,
             heap_base,
             shared_static_size,
@@ -691,6 +707,8 @@ impl Memory {
     /// same outcome sequential execution produces. Heap-region pages are
     /// scratch and are not written back.
     pub fn apply_delta(&mut self, delta: TeamMemDelta) {
+        // Bytes at or above `limit` are never written back.
+        let limit = (self.heap_base as usize).min(self.global.len());
         for (page, p) in delta.pages {
             let start = (page as usize) * PAGE;
             for w in 0..PAGE_WORDS {
@@ -699,9 +717,16 @@ impl Memory {
                     let b = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     let off = start + w * 64 + b;
-                    if (off as u64) < self.heap_base && off < self.global.len() {
+                    if off < limit {
                         self.global[off] = p.data[w * 64 + b];
                     }
+                }
+            }
+            // Once per page: raise the mark past its last dirty byte.
+            if start < limit {
+                if let Some(w) = (0..PAGE_WORDS).rev().find(|&w| p.dirty[w] != 0) {
+                    let end = start + (w + 1) * 64 - p.dirty[w].leading_zeros() as usize;
+                    self.dirty_end = self.dirty_end.max(end.min(limit));
                 }
             }
         }
@@ -718,6 +743,7 @@ impl Memory {
                     return Err(MemError::OutOfBounds(addr));
                 }
                 self.global[offset as usize..end].copy_from_slice(data);
+                self.dirty_end = self.dirty_end.max(end);
                 Ok(())
             }
             _ => Err(MemError::InvalidPointer(addr)),
@@ -746,13 +772,17 @@ impl Memory {
         self.heap_high_water = 0;
     }
 
-    /// Restores global memory to a pristine state: every byte zeroed,
-    /// the bump cursor rewound to `cursor` (the caller's record of the
-    /// post-construction position, after module globals were placed),
-    /// and the launch high-water marks reset. The caller re-writes any
-    /// global initializers afterwards; see `Device::reset`.
+    /// Restores global memory to a pristine state: the arena is
+    /// indistinguishable from a fresh [`Memory::new`]'s (only the
+    /// extent below the dirty mark can differ from zero, so only it is
+    /// cleared), the bump cursor is rewound to `cursor` (the caller's
+    /// record of the post-construction position, after module globals
+    /// were placed), and the launch high-water marks are reset. The
+    /// caller re-writes any global initializers afterwards; see
+    /// `Device::reset`.
     pub fn reset_global(&mut self, cursor: u64) {
-        self.global.fill(0);
+        self.global[..self.dirty_end].fill(0);
+        self.dirty_end = 0;
         self.global_cursor = cursor;
         self.reset_launch_state();
     }
@@ -944,6 +974,108 @@ mod tests {
         let a = m.alloc_global(16).unwrap();
         m.write_bytes(a, &[1, 2, 3, 4]).unwrap();
         assert_eq!(m.read_bytes(a, 4).unwrap(), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn dirty_mark_tracks_host_writes_and_rewinds_on_reset() {
+        let mut m = mem();
+        assert_eq!(m.dirty_end, 0);
+        let a = m.alloc_global(64).unwrap();
+        m.write_bytes(a + 8, &[1, 2, 3, 4]).unwrap();
+        assert_eq!(m.dirty_end, 12);
+        // A lower write does not lower the mark.
+        m.write_bytes(a, &[5]).unwrap();
+        assert_eq!(m.dirty_end, 12);
+        // The last bytes of the arena (heap region) are host-writable;
+        // the mark never exceeds the arena.
+        let len = m.global.len();
+        m.write_bytes(global_addr(len as u64 - 2), &[6, 7]).unwrap();
+        assert_eq!(m.dirty_end, len);
+        m.reset_global(0);
+        assert_eq!(m.dirty_end, 0);
+        assert!(m.global.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn dirty_mark_ignores_failed_host_writes() {
+        let mut m = mem();
+        m.write_bytes(global_addr(16), &[1; 8]).unwrap();
+        let len = m.global.len() as u64;
+        assert!(matches!(
+            m.write_bytes(global_addr(len - 4), &[1; 8]),
+            Err(MemError::OutOfBounds(_))
+        ));
+        assert!(matches!(
+            m.write_bytes(shared_addr(0, 0), &[1; 8]),
+            Err(MemError::InvalidPointer(_))
+        ));
+        assert!(matches!(
+            m.write_bytes(0, &[1; 8]),
+            Err(MemError::InvalidPointer(_))
+        ));
+        assert_eq!(m.dirty_end, 24);
+    }
+
+    #[test]
+    fn dirty_mark_follows_merged_stores_below_the_heap_only() {
+        // Shared memory too small for the allocation below, so it
+        // falls back to the heap region of the arena.
+        let cfg = DeviceConfig {
+            shared_mem_per_team: 8,
+            ..DeviceConfig::default()
+        };
+        let mut m = Memory::new(&cfg, 0);
+        let mut v = m.team_view(0);
+        let h = v.alloc_shared(64).unwrap();
+        assert!(matches!(decode(h), Some(Space::Global { offset }) if offset >= m.heap_base));
+        v.store(h, RtVal::I64(-1), 0).unwrap();
+        let d = v.finish();
+        m.apply_delta(d);
+        assert_eq!(m.dirty_end, 0, "heap-region stores are dropped, not dirt");
+
+        // A store below the heap raises the mark to its last byte, even
+        // from the middle of a page and across a page boundary.
+        let off = 3 * PAGE as u64 - 4;
+        let mut v = m.team_view(0);
+        v.store(global_addr(off), RtVal::I64(-1), 0).unwrap();
+        v.store(global_addr(40), RtVal::I32(7), 0).unwrap();
+        let d = v.finish();
+        m.apply_delta(d);
+        assert_eq!(m.dirty_end, off as usize + 8);
+        assert!(m.global[m.dirty_end..].iter().all(|&b| b == 0));
+
+        // The last bytes below the heap: the mark stops at heap_base.
+        let mut v = m.team_view(1);
+        v.store(global_addr(m.heap_base - 8), RtVal::I64(-1), 0)
+            .unwrap();
+        let d = v.finish();
+        m.apply_delta(d);
+        assert_eq!(m.dirty_end as u64, m.heap_base);
+        assert!(m.dirty_end <= m.global.len());
+
+        m.reset_global(0);
+        assert_eq!(m.dirty_end, 0);
+        assert!(m.global.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn dirty_mark_is_clamped_when_a_page_straddles_the_heap_base() {
+        // heap_base in the middle of a journal page: bytes of the page
+        // at or above it are scratch and must not count.
+        let cfg = DeviceConfig {
+            global_mem_bytes: PAGE as u64 + 100,
+            global_heap_bytes: 64,
+            ..DeviceConfig::default()
+        };
+        let mut m = Memory::new(&cfg, 0);
+        let mut v = m.team_view(0);
+        v.store(global_addr(PAGE as u64 + 96), RtVal::I64(-1), 0)
+            .unwrap();
+        let d = v.finish();
+        m.apply_delta(d);
+        assert_eq!(m.dirty_end, PAGE + 100);
+        assert_eq!(m.global[PAGE + 96..PAGE + 100], [0xff; 4]);
+        assert!(m.global[PAGE + 100..].iter().all(|&b| b == 0));
     }
 
     #[test]

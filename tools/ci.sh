@@ -16,7 +16,8 @@
 # runs the device sanitizer over a proxy's full config matrix and the
 # fault-injection self-test, round-trips the `ompgpu serve` daemon
 # (two client passes over a Unix socket: the second must hit the warm
-# caches, shutdown must be clean), checks the telemetry surface
+# caches and leave the daemon's peak RSS below one device arena,
+# shutdown must be clean), checks the telemetry surface
 # (metrics op, access log, --telemetry artifact, unknown-schema exit
 # code), and runs a chaos leg (4 concurrent clients of mixed
 # good/malformed/fault-injected traffic against a tiny admission
@@ -195,6 +196,20 @@ EOF
         exit 1
     }
     echo "smoke: taskgraph round-trip OK (capture then replay)"
+    # Footprint gate: by now two warm devices have each been reset for a
+    # hit. A reset costs what the previous job wrote, so the daemon's
+    # peak RSS stays far below one 64.5 MiB device arena; a reset that
+    # touches a whole arena again commits all of it and trips this.
+    if [ -r "/proc/$serve_pid/status" ]; then
+        hwm_kb="$(awk '/^VmHWM:/ { print $2 }' "/proc/$serve_pid/status")"
+        [ "$hwm_kb" -le 49152 ] || {
+            echo "smoke: serve peak RSS ${hwm_kb} kB exceeds 48 MiB after two warm device hits" >&2
+            exit 1
+        }
+        echo "smoke: serve footprint OK (VmHWM ${hwm_kb} kB, limit 49152)"
+    else
+        echo "smoke: serve footprint not checked (no /proc/PID/status on this host)"
+    fi
     "$ompgpu_bin" client --socket "$serve_sock" --shutdown > /dev/null
     serve_rc=0
     wait "$serve_pid" || serve_rc=$?
