@@ -11,7 +11,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 /// treated as potential targets of every indirect call — this is also
 /// the source of the "spurious call edges" register-pressure problem the
 /// paper's custom state-machine rewrite eliminates (Section IV-B2).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CallGraph {
     /// Direct callees of each function (deduplicated).
     pub callees: HashMap<FuncId, Vec<FuncId>>,
@@ -141,6 +141,12 @@ impl CallGraph {
         out
     }
 
+    /// Whether `f` can reach itself through its own callees.
+    pub fn is_recursive(&self, f: FuncId) -> bool {
+        self.reachable_from(self.callees_of(f).iter().copied())
+            .contains(&f)
+    }
+
     /// For every function, which kernels (by index into `m.kernels`) may
     /// reach it. Used by runtime-call folding: a query can be folded only
     /// if every kernel reaching it agrees on the answer (Section IV-C).
@@ -203,6 +209,20 @@ mod tests {
         assert!(r.contains(&k) && r.contains(&a) && r.contains(&b));
         let r = cg.reachable_from([a]);
         assert!(!r.contains(&k));
+        assert!(!cg.is_recursive(a));
+    }
+
+    #[test]
+    fn recursion_through_a_callee() {
+        let (mut m, k, a, b) = module_with_chain();
+        // Close the cycle a -> b -> a; k only calls into it.
+        let entry = m.func(b).entry();
+        let mut bb = Builder::at(&mut m, b, entry);
+        bb.call(a, vec![]);
+        bb.ret(None);
+        let cg = CallGraph::build(&m);
+        assert!(cg.is_recursive(a) && cg.is_recursive(b));
+        assert!(!cg.is_recursive(k));
     }
 
     #[test]

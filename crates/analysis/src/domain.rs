@@ -33,7 +33,7 @@ pub enum ExecDomain {
 }
 
 /// Results of the execution-domain analysis.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionDomains {
     /// Context of every function: `MainOnly` if all call sites are
     /// main-only, otherwise `Multi`.

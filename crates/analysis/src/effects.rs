@@ -115,7 +115,7 @@ fn chase_base(m: &Module, f: &omp_ir::Function, mut v: Value) -> Base {
 }
 
 /// Per-module side-effect analysis results.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Effects {
     summaries: HashMap<FuncId, EffectSummary>,
 }

@@ -11,6 +11,7 @@ use omp_frontend::CompileError;
 use omp_gpusim::{Finding, KernelStats, LaunchProfile, Severity, SimError, StatsSnapshot};
 use omp_ir::Module;
 use omp_opt::{OptReport, PassStat, PassTiming};
+use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
 
@@ -66,10 +67,12 @@ pub fn compile_frontend(source: &str, config: BuildConfig) -> Result<Module, Bui
 ///    hoisting, then a second GVN round to merge hoisted duplicates;
 /// 6. **final cleanup** — removes code the scalar passes made dead.
 ///
-/// The call graph, dominator trees, and loop forest are cached between
-/// passes; each pass invalidates per function on mutation, and the
-/// opaque steps (`omp_opt::run`, the cleanup pipeline) invalidate
-/// everything.
+/// The call graph, effect summaries, execution domains, dominator trees
+/// and loop forests are cached between passes, `openmp-opt`'s sub-passes
+/// included; each pass invalidates what it mutated, and the cleanup
+/// pipeline, which does not track which bodies it rewrote, invalidates
+/// everything when it changed anything (`docs/ARCHITECTURE.md` has the
+/// table).
 ///
 /// `Llvm12Baseline` and `CudaStyle` deliberately bypass the mid-end and
 /// keep the legacy cleanup-only pipeline: the CUDA configuration is the
@@ -80,6 +83,24 @@ struct PassManager {
     remarks: Vec<omp_opt::Remark>,
     cleanup: omp_passes::PipelineStats,
     timings: Vec<PassTiming>,
+}
+
+/// Running totals keyed by function name, kept in first-seen (module
+/// layout) order; the index makes a lookup one hash, not a scan.
+#[derive(Default)]
+struct NamedTotals<T> {
+    rows: Vec<(String, T)>,
+    index: HashMap<String, usize>,
+}
+
+impl<T: Default> NamedTotals<T> {
+    fn row(&mut self, name: String) -> &mut T {
+        let at = *self.index.entry(name.clone()).or_insert_with(|| {
+            self.rows.push((name, T::default()));
+            self.rows.len() - 1
+        });
+        &mut self.rows[at].1
+    }
 }
 
 /// Live IR size: defined functions, their blocks, and instructions.
@@ -157,11 +178,9 @@ impl PassManager {
             "early",
         );
         self.record("early-inline", t0, before, module_shape(module));
-        self.cache.invalidate_all();
         let (before, t0) = (module_shape(module), Instant::now());
-        let mut report = omp_opt::run(module, cfg);
+        let mut report = omp_opt::run_with_cache(module, cfg, &mut self.cache);
         self.record("openmp-opt", t0, before, module_shape(module));
-        self.cache.invalidate_all();
         let (before, t0) = (module_shape(module), Instant::now());
         self.inline_step(
             module,
@@ -204,7 +223,7 @@ impl PassManager {
         for r in self.remarks {
             report.remarks.push(r);
         }
-        add_pipeline_stats(&mut report.cleanup, self.cleanup);
+        report.cleanup += self.cleanup;
         report
     }
 
@@ -241,9 +260,11 @@ impl PassManager {
 
     fn cleanup_step(&mut self, module: &mut Module) {
         let (before, t0) = (module_shape(module), Instant::now());
-        self.cache.invalidate_all();
-        add_pipeline_stats(&mut self.cleanup, omp_passes::run_pipeline(module));
-        self.cache.invalidate_all();
+        let round = omp_passes::run_pipeline(module);
+        if round.changed() {
+            self.cache.invalidate_all();
+        }
+        self.cleanup += round;
         self.record("cleanup", t0, before, module_shape(module));
     }
 
@@ -254,32 +275,25 @@ impl PassManager {
     /// one GVN remark and one LICM remark.
     fn gvn_licm_steps(&mut self, module: &mut Module) {
         use omp_opt::remarks::{actions, ids, passes};
-        // (function, eliminated, forwarded, dead stores), first-seen
-        // (module layout) order.
-        let mut gvn: Vec<(String, usize, usize, usize)> = Vec::new();
-        let mut licm: Vec<(String, usize)> = Vec::new();
+        // Per function over all rounds: [eliminated, forwarded, dead
+        // stores] and hoisted.
+        let mut gvn: NamedTotals<[usize; 3]> = NamedTotals::default();
+        let mut licm: NamedTotals<usize> = NamedTotals::default();
         for _ in 0..6 {
             let mut changed = 0usize;
             let (before, t0) = (module_shape(module), Instant::now());
             for s in omp_passes::gvn::run(module, &mut self.cache) {
-                changed += s.eliminated + s.loads_forwarded + s.dead_stores;
-                match gvn.iter_mut().find(|(f, _, _, _)| *f == s.function) {
-                    Some((_, elim, fwd, dse)) => {
-                        *elim += s.eliminated;
-                        *fwd += s.loads_forwarded;
-                        *dse += s.dead_stores;
-                    }
-                    None => gvn.push((s.function, s.eliminated, s.loads_forwarded, s.dead_stores)),
+                let round = [s.eliminated, s.loads_forwarded, s.dead_stores];
+                changed += round.iter().sum::<usize>();
+                for (total, n) in gvn.row(s.function).iter_mut().zip(round) {
+                    *total += n;
                 }
             }
             self.record("gvn", t0, before, module_shape(module));
             let (before, t0) = (module_shape(module), Instant::now());
             for s in omp_passes::licm::run(module, &mut self.cache) {
                 changed += s.hoisted;
-                match licm.iter_mut().find(|(f, _)| *f == s.function) {
-                    Some((_, h)) => *h += s.hoisted,
-                    None => licm.push((s.function, s.hoisted)),
-                }
+                *licm.row(s.function) += s.hoisted;
             }
             self.record("licm", t0, before, module_shape(module));
             self.cleanup_step(module);
@@ -287,7 +301,7 @@ impl PassManager {
                 break;
             }
         }
-        for (function, eliminated, forwarded, dead_stores) in gvn {
+        for (function, [eliminated, forwarded, dead_stores]) in gvn.rows {
             self.remarks.push(
                 omp_opt::Remark::new(
                     ids::CSE_ELIMINATED,
@@ -303,7 +317,7 @@ impl PassManager {
                 .with_action(actions::CSE),
             );
         }
-        for (function, hoisted) in licm {
+        for (function, hoisted) in licm.rows {
             self.remarks.push(
                 omp_opt::Remark::new(
                     ids::LOOP_INVARIANT_HOISTED,
@@ -316,14 +330,6 @@ impl PassManager {
             );
         }
     }
-}
-
-fn add_pipeline_stats(into: &mut omp_passes::PipelineStats, from: omp_passes::PipelineStats) {
-    into.promoted_allocas += from.promoted_allocas;
-    into.folded += from.folded;
-    into.dce_removed += from.dce_removed;
-    into.blocks_removed += from.blocks_removed;
-    into.iterations += from.iterations;
 }
 
 /// Optimizes and verifies a frontend module under `config`, returning

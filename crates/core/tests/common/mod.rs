@@ -82,3 +82,35 @@ pub fn launch_flags(path: &str) -> Vec<String> {
     }
     flags
 }
+
+/// The four single-kernel shapes of `examples/omp`, one per optimizer
+/// path (SPMD at the source, escaping local array, team-shared scalar,
+/// guarded stores), as `(file, kernel function)`.
+pub const KERNEL_SHAPES: [(&str, &str); 4] = [
+    ("saxpy.c", "saxpy"),
+    ("local_array.c", "local_array"),
+    ("team_shared.c", "team_shared"),
+    ("guarded_stores.c", "guarded"),
+];
+
+/// A translation unit with one kernel per entry of `shapes` (indices
+/// into [`KERNEL_SHAPES`]): the example file with its comment header
+/// dropped and its function renamed `k_<position>`.
+pub fn unit_of(shapes: &[usize]) -> String {
+    let mut unit = String::new();
+    for (n, &shape) in shapes.iter().enumerate() {
+        let (file, kernel) = KERNEL_SHAPES[shape];
+        for line in read(&format!("examples/omp/{file}")).lines() {
+            if !line.starts_with("//") {
+                unit += &line.replace(&format!("void {kernel}("), &format!("void k_{n}("));
+                unit.push('\n');
+            }
+        }
+    }
+    unit
+}
+
+/// `kernels` kernels cycling through the four shapes in order.
+pub fn cycling_unit(kernels: usize) -> String {
+    unit_of(&(0..kernels).map(|n| n % 4).collect::<Vec<_>>())
+}

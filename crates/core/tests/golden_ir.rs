@@ -13,6 +13,8 @@
 //! OMP_UPDATE_GOLDEN=1 cargo test -p omp-gpu --test golden_ir
 //! ```
 
+mod common;
+
 use omp_gpu::{all_proxies, pipeline, BuildConfig, Scale};
 use std::path::PathBuf;
 
@@ -20,8 +22,8 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-fn check_golden(name: &str, text: &str) {
-    let path = golden_dir().join(format!("{name}.ir"));
+fn check_golden(file: &str, text: &str) {
+    let path = golden_dir().join(file);
     if std::env::var_os("OMP_UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(golden_dir()).expect("create golden dir");
         std::fs::write(&path, text).expect("write golden");
@@ -43,7 +45,7 @@ fn check_golden(name: &str, text: &str) {
             }
         }
         panic!(
-            "{name}: IR drifted from golden file (first diff at line {line}:\n\
+            "{file} drifted from its golden file (first diff at line {line}:\n\
              golden: {a}\n\
              actual: {b}\n\
              ); if intentional, regenerate with OMP_UPDATE_GOLDEN=1"
@@ -53,7 +55,7 @@ fn check_golden(name: &str, text: &str) {
 
 fn roundtrip(name: &str, m: &omp_gpu::Module) {
     let printed = omp_ir::printer::print_module(m);
-    check_golden(name, &printed);
+    check_golden(&format!("{name}.ir"), &printed);
     let reparsed = omp_ir::parser::parse_module(&printed)
         .unwrap_or_else(|e| panic!("{name}: printer output does not parse: {e}"));
     omp_ir::verifier::assert_valid(&reparsed);
@@ -88,5 +90,27 @@ fn proxy_optimized_ir_roundtrips() {
         let (m, _) = pipeline::build(&app.openmp_source(), BuildConfig::LlvmDev)
             .unwrap_or_else(|e| panic!("{}: {e}", app.name()));
         roundtrip(&format!("{}_dev", app.name().to_lowercase()), &m);
+    }
+}
+
+/// A 16-kernel unit, the module size no other golden reaches: module-wide
+/// analyses are shared across its kernels, so its IR, its remark stream
+/// and its counters pin what that sharing must not change.
+#[test]
+fn many_kernel_unit_ir_and_report_are_stable() {
+    let source = common::cycling_unit(16);
+    for (config, tag) in [
+        (BuildConfig::LlvmDev, "dev"),
+        (BuildConfig::Llvm12Baseline, "llvm12"),
+        (BuildConfig::NoOpenmpOpt, "noopt"),
+    ] {
+        let (m, report) =
+            pipeline::build(&source, config).unwrap_or_else(|e| panic!("unit16 {tag}: {e}"));
+        roundtrip(&format!("unit16_{tag}"), &m);
+        // The LLVM 12 baseline bypasses the mid-end: no report.
+        if let Some(report) = report {
+            let text = format!("{}{:?}\n", report.remarks.to_json_lines(), report.counts);
+            check_golden(&format!("unit16_{tag}.report"), &text);
+        }
     }
 }

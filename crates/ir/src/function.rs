@@ -247,6 +247,18 @@ impl Function {
         self.insts[id.index()] = Some(kind);
     }
 
+    /// Size of the instruction arena: every `InstId::index()` this
+    /// function has handed out is below it, so passes can keep side
+    /// tables in a `Vec` instead of a hash map.
+    pub fn inst_slots(&self) -> usize {
+        self.insts.len()
+    }
+
+    /// Size of the block arena, the bound on `BlockId::index()`.
+    pub fn block_slots(&self) -> usize {
+        self.blocks.len()
+    }
+
     /// Total number of live instructions.
     pub fn num_insts(&self) -> usize {
         self.layout.iter().map(|&b| self.block(b).insts.len()).sum()
@@ -277,9 +289,9 @@ impl Function {
         }
     }
 
-    /// Replaces every use of `from` with `to`, in instructions and
-    /// terminators alike.
-    pub fn replace_all_uses(&mut self, from: Value, to: Value) {
+    /// Rewrites every operand of every placed instruction and
+    /// terminator through `f`, in one traversal.
+    pub fn map_operands(&mut self, mut f: impl FnMut(Value) -> Value) {
         // Split field borrows: walk the layout in place, no id-list
         // clones on this (very hot) path.
         for &b in &self.layout {
@@ -288,10 +300,16 @@ impl Function {
                 self.insts[i.index()]
                     .as_mut()
                     .expect("dead instruction")
-                    .map_operands(|v| if v == from { to } else { v });
+                    .map_operands(&mut f);
             }
-            block.term.map_operands(|v| if v == from { to } else { v });
+            block.term.map_operands(&mut f);
         }
+    }
+
+    /// Replaces every use of `from` with `to`, in instructions and
+    /// terminators alike.
+    pub fn replace_all_uses(&mut self, from: Value, to: Value) {
+        self.map_operands(|v| if v == from { to } else { v });
     }
 
     /// Applies a whole substitution map in a single pass: every operand
@@ -300,20 +318,8 @@ impl Function {
     /// inserted verbatim). One traversal regardless of map size — use
     /// this instead of repeated [`Function::replace_all_uses`] calls.
     pub fn replace_uses_bulk(&mut self, map: &HashMap<Value, Value>) {
-        if map.is_empty() {
-            return;
-        }
-        for &b in &self.layout {
-            let block = self.blocks[b.index()].as_mut().expect("dead block");
-            for &i in &block.insts {
-                self.insts[i.index()]
-                    .as_mut()
-                    .expect("dead instruction")
-                    .map_operands(|v| map.get(&v).copied().unwrap_or(v));
-            }
-            block
-                .term
-                .map_operands(|v| map.get(&v).copied().unwrap_or(v));
+        if !map.is_empty() {
+            self.map_operands(|v| map.get(&v).copied().unwrap_or(v));
         }
     }
 

@@ -20,6 +20,7 @@
 use crate::remarks::{actions, ids, passes, Remark, RemarkKind, Remarks};
 use omp_analysis::{CallGraph, ExecDomain, ExecutionDomains};
 use omp_ir::{ExecMode, FuncId, InstId, InstKind, Module, RtlFn, Type, Value};
+use omp_passes::AnalysisCache;
 use std::collections::{HashMap, HashSet};
 
 /// Per-category fold counters (the paper's Figure 9 "RTOpt" columns).
@@ -37,11 +38,10 @@ pub struct FoldCounts {
 pub const DEVICE_WARP_SIZE: i32 = 32;
 
 /// Runs one folding sweep. Returns the counts of performed folds.
-pub fn run(m: &mut Module, remarks: &mut Remarks) -> FoldCounts {
-    let cg = CallGraph::build(m);
-    let domains = ExecutionDomains::compute(m, &cg);
+pub fn run(m: &mut Module, cache: &mut AnalysisCache, remarks: &mut Remarks) -> FoldCounts {
+    let (cg, domains) = cache.domains(m);
     let kernels_reaching = cg.kernels_reaching(m);
-    let regions_have_nesting = regions_reach_parallel(m, &cg, &domains);
+    let regions_have_nesting = regions_reach_parallel(m, cg, domains);
 
     let mut counts = FoldCounts::default();
     let mut edits: Vec<(FuncId, InstId, Value, &'static str, &'static str)> = Vec::new();
@@ -60,7 +60,8 @@ pub fn run(m: &mut Module, remarks: &mut Remarks) -> FoldCounts {
                 None
             }
         };
-        let ctx = domains.func_context.get(&fid).copied();
+        let main_only = domains.func_context.get(&fid) == Some(&ExecDomain::MainOnly);
+        let in_spmd_kernel = m.kernel_for(fid).map(|ki| ki.exec_mode) == Some(ExecMode::Spmd);
         f.for_each_inst(|_, i, k| {
             let InstKind::Call {
                 callee: Value::Func(c),
@@ -72,108 +73,47 @@ pub fn run(m: &mut Module, remarks: &mut Remarks) -> FoldCounts {
             let Some(rtl) = RtlFn::from_name(&m.func(*c).name) else {
                 return;
             };
-            match rtl {
+            // The constant the call folds to, with its counter category.
+            let fold: Option<(Value, &'static str)> = match rtl {
                 RtlFn::IsSpmdExecMode => {
-                    if let Some(mode) = all_modes {
-                        edits.push((
-                            fid,
-                            i,
-                            Value::bool(mode == ExecMode::Spmd),
-                            "em",
-                            "__kmpc_is_spmd_exec_mode",
-                        ));
-                    }
+                    all_modes.map(|mode| (Value::bool(mode == ExecMode::Spmd), "em"))
                 }
-                RtlFn::TargetInit
-                    // In SPMD kernels the initializer returns -1 for all
-                    // threads; folding the *result* (the call stays for
-                    // its effects) lets the worker branch die. Skip when
-                    // the result is already unused (e.g. a second
-                    // folding round) so counts and remarks stay exact.
-                    if m.kernel_for(fid).map(|ki| ki.exec_mode) == Some(ExecMode::Spmd)
-                        && f.count_uses(Value::Inst(i)) > 0
-                    => {
-                        edits.push((fid, i, Value::i32(-1), "em-init", "__kmpc_target_init"));
-                    }
-                RtlFn::IsGenericMainThread => {
-                    if ctx == Some(ExecDomain::MainOnly) && all_modes == Some(ExecMode::Generic) {
-                        edits.push((
-                            fid,
-                            i,
-                            Value::bool(true),
-                            "em",
-                            "__kmpc_is_generic_main_thread",
-                        ));
-                    } else if all_modes == Some(ExecMode::Spmd) {
-                        edits.push((
-                            fid,
-                            i,
-                            Value::bool(false),
-                            "em",
-                            "__kmpc_is_generic_main_thread",
-                        ));
-                    }
+                // In SPMD kernels the initializer returns -1 for all
+                // threads; folding the *result* (the call stays for its
+                // effects) lets the worker branch die. Skip when the
+                // result is already unused (e.g. a second folding round)
+                // so counts and remarks stay exact.
+                RtlFn::TargetInit if in_spmd_kernel && f.count_uses(Value::Inst(i)) > 0 => {
+                    Some((Value::i32(-1), "em-init"))
                 }
-                RtlFn::ParallelLevel => {
-                    if ctx == Some(ExecDomain::MainOnly) {
-                        edits.push((fid, i, Value::i32(0), "pl", "__kmpc_parallel_level"));
-                    } else if domains.parallel_regions.contains(&fid) && !regions_have_nesting {
-                        edits.push((fid, i, Value::i32(1), "pl", "__kmpc_parallel_level"));
-                    } else if m.kernel_for(fid).map(|ki| ki.exec_mode) == Some(ExecMode::Spmd)
-                        && !regions_have_nesting
-                    {
-                        // In the base SPMD context the level is 0.
-                        edits.push((fid, i, Value::i32(0), "pl", "__kmpc_parallel_level"));
-                    }
+                RtlFn::IsGenericMainThread if main_only && all_modes == Some(ExecMode::Generic) => {
+                    Some((Value::bool(true), "em"))
                 }
-                RtlFn::NumTeams => {
-                    let teams: HashSet<Option<u32>> =
-                        reaching.iter().map(|&k| m.kernels[k].num_teams).collect();
-                    if teams.len() == 1 {
-                        if let Some(Some(t)) = teams.into_iter().next() {
-                            edits.push((
-                                fid,
-                                i,
-                                Value::i32(t as i32),
-                                "launch",
-                                "omp_get_num_teams",
-                            ));
-                        }
-                    }
+                RtlFn::IsGenericMainThread if all_modes == Some(ExecMode::Spmd) => {
+                    Some((Value::bool(false), "em"))
                 }
-                RtlFn::NumThreads
-                    // Foldable only when every reaching kernel is SPMD
-                    // with the same thread_limit and no dispatch narrows
-                    // the team (no explicit num_threads clauses).
-                    if all_modes == Some(ExecMode::Spmd) && !reaching.is_empty() => {
-                        let limits: HashSet<Option<u32>> = reaching
-                            .iter()
-                            .map(|&k| m.kernels[k].thread_limit)
-                            .collect();
-                        if limits.len() == 1 {
-                            if let Some(Some(t)) = limits.into_iter().next() {
-                                if !module_has_narrowing_dispatch(m) {
-                                    edits.push((
-                                        fid,
-                                        i,
-                                        Value::i32(t as i32),
-                                        "launch",
-                                        "omp_get_num_threads",
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                RtlFn::WarpSize => {
-                    edits.push((
-                        fid,
-                        i,
-                        Value::i32(DEVICE_WARP_SIZE),
-                        "launch",
-                        "__kmpc_get_warp_size",
-                    ));
+                RtlFn::ParallelLevel if main_only => Some((Value::i32(0), "pl")),
+                RtlFn::ParallelLevel if regions_have_nesting => None,
+                RtlFn::ParallelLevel if domains.parallel_regions.contains(&fid) => {
+                    Some((Value::i32(1), "pl"))
                 }
-                _ => {}
+                // In the base SPMD context the level is 0.
+                RtlFn::ParallelLevel if in_spmd_kernel => Some((Value::i32(0), "pl")),
+                RtlFn::NumTeams => agreed(reaching.iter().map(|&k| m.kernels[k].num_teams))
+                    .map(|t| (Value::i32(t as i32), "launch")),
+                // Foldable only when every reaching kernel is SPMD with
+                // the same thread_limit and no dispatch narrows the team
+                // (no explicit num_threads clauses).
+                RtlFn::NumThreads if all_modes == Some(ExecMode::Spmd) => {
+                    agreed(reaching.iter().map(|&k| m.kernels[k].thread_limit))
+                        .filter(|_| !module_has_narrowing_dispatch(m))
+                        .map(|t| (Value::i32(t as i32), "launch"))
+                }
+                RtlFn::WarpSize => Some((Value::i32(DEVICE_WARP_SIZE), "launch")),
+                _ => None,
+            };
+            if let Some((v, cat)) = fold {
+                edits.push((fid, i, v, cat, rtl.name()));
             }
         });
     }
@@ -215,38 +155,30 @@ pub fn run(m: &mut Module, remarks: &mut Remarks) -> FoldCounts {
             fm.remove_inst(i);
         }
     }
+    // Folded queries are calls that are gone (or, for the initializer,
+    // results that are now constants): edges changed, no CFG did.
+    if counts != FoldCounts::default() {
+        cache.invalidate_call_graph();
+    }
     counts
+}
+
+/// The one value every reaching kernel sets for a launch clause, if they
+/// all set it and agree.
+fn agreed(mut clauses: impl Iterator<Item = Option<u32>>) -> Option<u32> {
+    let first = clauses.next()??;
+    clauses.all(|c| c == Some(first)).then_some(first)
 }
 
 /// Whether any parallel-region function can (transitively) start another
 /// parallel region — i.e. real nesting exists in the module.
 fn regions_reach_parallel(m: &Module, cg: &CallGraph, domains: &ExecutionDomains) -> bool {
-    let reach = cg.reachable_from(domains.parallel_regions.iter().copied());
-    for f in reach {
-        let fun = m.func(f);
-        if fun.is_declaration() {
-            if RtlFn::from_name(&fun.name) == Some(RtlFn::Parallel51) {
-                continue; // the declaration itself is not a call site
-            }
-            continue;
-        }
-        let mut has = false;
-        fun.for_each_inst(|_, _, k| {
-            if let InstKind::Call {
-                callee: Value::Func(c),
-                ..
-            } = k
-            {
-                if m.func(*c).name == RtlFn::Parallel51.name() {
-                    has = true;
-                }
-            }
-        });
-        if has {
-            return true;
-        }
-    }
-    false
+    let Some(dispatch) = m.function_id(RtlFn::Parallel51.name()) else {
+        return false;
+    };
+    cg.reachable_from(domains.parallel_regions.iter().copied())
+        .iter()
+        .any(|f| cg.callees_of(*f).contains(&dispatch))
 }
 
 /// Whether any `__kmpc_parallel_51` dispatch uses an explicit
@@ -314,7 +246,7 @@ mod tests {
             b.ret(None);
         }
         let mut rem = Remarks::default();
-        let counts = run(&mut m, &mut rem);
+        let counts = run(&mut m, &mut AnalysisCache::new(), &mut rem);
         assert!(counts.exec_mode >= 1);
         match &m.func(helper).block(m.func(helper).entry()).term {
             Terminator::Ret(Some(v)) => assert_eq!(*v, Value::bool(true)),
@@ -340,7 +272,7 @@ mod tests {
             b.ret(None);
         }
         let mut rem = Remarks::default();
-        run(&mut m, &mut rem);
+        run(&mut m, &mut AnalysisCache::new(), &mut rem);
         // The call must still be there.
         let text = omp_ir::printer::print_module(&m);
         assert!(text.contains("__kmpc_is_spmd_exec_mode"));
@@ -358,7 +290,7 @@ mod tests {
         m.func_mut(helper).linkage = Linkage::Internal;
         // Internal function with no callers: optimistically MainOnly.
         let mut rem = Remarks::default();
-        let counts = run(&mut m, &mut rem);
+        let counts = run(&mut m, &mut AnalysisCache::new(), &mut rem);
         assert_eq!(counts.parallel_level, 1);
         match &m.func(helper).block(m.func(helper).entry()).term {
             Terminator::Ret(Some(v)) => assert_eq!(*v, Value::i32(0)),
@@ -378,7 +310,7 @@ mod tests {
             b.ret(None);
         }
         let mut rem = Remarks::default();
-        let counts = run(&mut m, &mut rem);
+        let counts = run(&mut m, &mut AnalysisCache::new(), &mut rem);
         assert_eq!(counts.launch_params, 3);
         let text = omp_ir::printer::print_module(&m);
         assert!(!text.contains("call @omp_get_num_teams"));
@@ -403,7 +335,7 @@ mod tests {
             b.ret(None);
         }
         let mut rem = Remarks::default();
-        let counts = run(&mut m, &mut rem);
+        let counts = run(&mut m, &mut AnalysisCache::new(), &mut rem);
         assert!(counts.exec_mode >= 1);
         // Init call still present; its result replaced by -1 so the
         // branch folds away after constprop.

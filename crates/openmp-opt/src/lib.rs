@@ -38,8 +38,8 @@ pub mod state_machine;
 pub use config::OpenMpOptConfig;
 pub use remarks::{actions, passes, Remark, RemarkKind, Remarks};
 
-use omp_analysis::{CallGraph, ExecutionDomains};
 use omp_ir::{FuncId, InstId, InstKind, Module, RtlFn, Value};
+use omp_passes::AnalysisCache;
 use std::collections::HashSet;
 
 /// Optimization statistics: the columns of the paper's Figure 9.
@@ -157,72 +157,126 @@ impl OptReport {
     }
 }
 
-/// Runs the OpenMP optimization pipeline on `m`.
+/// Runs the OpenMP optimization pipeline on `m` with analyses of its
+/// own; the pass manager calls [`run_with_cache`] to share its cache.
 pub fn run(m: &mut Module, cfg: &OpenMpOptConfig) -> OptReport {
+    run_with_cache(m, cfg, &mut AnalysisCache::new())
+}
+
+/// Runs one sub-pass under an `openmp-opt.<name>` span.
+fn timed<T>(name: &str, pass: impl FnOnce() -> T) -> T {
+    let _span = omp_telemetry::span(name, "pass");
+    pass()
+}
+
+/// One round of the cleanup pipeline, which rewrites bodies without
+/// saying which: everything cached is stale if it changed anything.
+fn cleanup(m: &mut Module, cache: &mut AnalysisCache, total: &mut omp_passes::PipelineStats) {
+    let round = timed("openmp-opt.cleanup", || omp_passes::run_pipeline(m));
+    if round.changed() {
+        cache.invalidate_all();
+    }
+    *total += round;
+}
+
+/// One folding sweep, added to the report's fold counters.
+fn fold(m: &mut Module, cache: &mut AnalysisCache, report: &mut OptReport) {
+    let f = timed("openmp-opt.folding", || {
+        folding::run(m, cache, &mut report.remarks)
+    });
+    report.counts.folds_exec_mode += f.exec_mode;
+    report.counts.folds_parallel_level += f.parallel_level;
+    report.counts.folds_launch_params += f.launch_params;
+}
+
+/// Runs the OpenMP optimization pipeline on `m`. Every module-wide
+/// analysis the sub-passes need comes from `cache`; each sub-pass that
+/// rewrites the module invalidates what it changed once it is done, so
+/// the cache is exact for the caller's next pass.
+pub fn run_with_cache(
+    m: &mut Module,
+    cfg: &OpenMpOptConfig,
+    cache: &mut AnalysisCache,
+) -> OptReport {
     let mut report = OptReport::default();
 
     // 0. Early cleanup: promote memory to SSA so the inter-procedural
     //    analyses see through parameter cells (LLVM runs SROA/mem2reg
     //    before OpenMPOpt for the same reason).
     if cfg.run_cleanup_pipeline {
-        accumulate(&mut report.cleanup, omp_passes::run_pipeline(m));
+        cleanup(m, cache, &mut report.cleanup);
     }
 
-    // 1. Internalization.
+    // 1. Internalization. The copies are new call-graph nodes; the
+    //    redirected call sites keep their CFG.
     if !cfg.disable_internalization {
-        report.counts.internalized = internalize::run_with_remarks(m, &mut report.remarks);
+        report.counts.internalized = timed("openmp-opt.internalize", || {
+            internalize::run_with_remarks(m, &mut report.remarks)
+        });
+        if report.counts.internalized > 0 {
+            cache.invalidate_call_graph();
+        }
     }
 
     // 2. Snapshot main-thread-only allocation facts and recursion before
     //    SPMDization rewrites control flow.
-    let (main_only_allocs, recursive) = collect_alloc_facts(m);
+    let (main_only_allocs, recursive) =
+        timed("openmp-opt.alloc-facts", || collect_alloc_facts(m, cache));
 
     // 3. Custom-state-machine feasibility (analysis only, for Figure 9's
     //    parenthesized counts).
-    report.counts.csm_possible = state_machine::possible(m);
+    report.counts.csm_possible = timed("openmp-opt.csm-possible", || {
+        state_machine::possible(m, cache)
+    });
 
     // 4. SPMDization.
     if !cfg.disable_spmdization {
-        let r = spmdization::run_with_grouping(m, !cfg.disable_guard_grouping, &mut report.remarks);
+        let r = timed("openmp-opt.spmdization", || {
+            spmdization::run(m, !cfg.disable_guard_grouping, cache, &mut report.remarks)
+        });
         report.counts.spmdized = r.spmdized;
         report.counts.guard_regions = r.guard_regions;
         report.counts.broadcasts = r.broadcasts;
     }
 
     // 5. Deglobalization: HeapToStack (with capture chasing after
-    //    devirtualization), then HeapToShared for the rest.
+    //    devirtualization), then HeapToShared for the rest. Both trade
+    //    runtime calls for plain memory in place: call edges go, the CFG
+    //    stays.
     if !cfg.disable_deglobalization {
-        let h2s = heap_to_stack::run(m, cfg.spmd_capture_heap_to_stack, &mut report.remarks);
+        let (h2s, h2sh) = timed("openmp-opt.deglobalize", || {
+            let h2s = heap_to_stack::run(m, cfg.spmd_capture_heap_to_stack, &mut report.remarks);
+            let h2sh = heap_to_shared::run(m, &main_only_allocs, &recursive, &mut report.remarks);
+            (h2s, h2sh)
+        });
         report.counts.heap_to_stack = h2s.moved;
-        let h2sh = heap_to_shared::run(m, &main_only_allocs, &recursive, &mut report.remarks);
         report.counts.heap_to_shared = h2sh.moved;
+        if h2s.moved + h2s.capture_structs + h2sh.moved > 0 {
+            cache.invalidate_call_graph();
+        }
     }
 
     // 6. Custom state machine for kernels that stayed generic.
     if !cfg.disable_state_machine_rewrite {
-        let r = state_machine::run(m, &mut report.remarks);
+        let r = timed("openmp-opt.csm", || {
+            state_machine::run(m, cache, &mut report.remarks)
+        });
         report.counts.csm_rewritten = r.rewritten;
         report.counts.csm_with_fallback = r.with_fallback;
     }
 
     // 7. Runtime-call folding.
     if !cfg.disable_folding {
-        let f = folding::run(m, &mut report.remarks);
-        report.counts.folds_exec_mode = f.exec_mode;
-        report.counts.folds_parallel_level = f.parallel_level;
-        report.counts.folds_launch_params = f.launch_params;
+        fold(m, cache, &mut report);
     }
 
     // 8. Cleanup + a second folding round (folding exposes constants the
     //    pipeline propagates, which can expose more foldable calls).
     if cfg.run_cleanup_pipeline {
-        accumulate(&mut report.cleanup, omp_passes::run_pipeline(m));
+        cleanup(m, cache, &mut report.cleanup);
         if !cfg.disable_folding {
-            let f = folding::run(m, &mut report.remarks);
-            report.counts.folds_exec_mode += f.exec_mode;
-            report.counts.folds_parallel_level += f.parallel_level;
-            report.counts.folds_launch_params += f.launch_params;
-            accumulate(&mut report.cleanup, omp_passes::run_pipeline(m));
+            fold(m, cache, &mut report);
+            cleanup(m, cache, &mut report.cleanup);
         }
     }
 
@@ -274,22 +328,17 @@ fn emit_launch_remarks(m: &Module, remarks: &mut Remarks) {
     }
 }
 
-fn accumulate(total: &mut omp_passes::PipelineStats, round: omp_passes::PipelineStats) {
-    total.promoted_allocas += round.promoted_allocas;
-    total.folded += round.folded;
-    total.dce_removed += round.dce_removed;
-    total.blocks_removed += round.blocks_removed;
-    total.iterations += round.iterations;
-}
-
 /// Collects `(function, alloc-instruction)` pairs proven to execute on
 /// the team main thread only, plus the set of (potentially) recursive
 /// functions — the preconditions HeapToShared needs, computed before
 /// SPMDization changes execution domains.
-fn collect_alloc_facts(m: &Module) -> (HashSet<(FuncId, InstId)>, HashSet<FuncId>) {
-    let cg = CallGraph::build(m);
-    let domains = ExecutionDomains::compute(m, &cg);
+fn collect_alloc_facts(
+    m: &Module,
+    cache: &mut AnalysisCache,
+) -> (HashSet<(FuncId, InstId)>, HashSet<FuncId>) {
+    let (cg, domains) = cache.domains(m);
     let mut main_only = HashSet::new();
+    let mut recursive = HashSet::new();
     for fid in m.func_ids() {
         let f = m.func(fid);
         if f.is_declaration() {
@@ -306,15 +355,7 @@ fn collect_alloc_facts(m: &Module) -> (HashSet<(FuncId, InstId)>, HashSet<FuncId
                 }
             }
         });
-    }
-    // Recursion: a function reachable from its own callees.
-    let mut recursive = HashSet::new();
-    for fid in m.func_ids() {
-        if m.func(fid).is_declaration() {
-            continue;
-        }
-        let from_callees = cg.reachable_from(cg.callees_of(fid).iter().copied());
-        if from_callees.contains(&fid) {
+        if cg.is_recursive(fid) {
             recursive.insert(fid);
         }
     }

@@ -24,13 +24,13 @@
 //!    becomes dead code that folding + CFG cleanup remove.
 
 use crate::remarks::{actions, ids, passes, Remark, RemarkKind, Remarks};
-use omp_analysis::{CallGraph, Effects, SideEffectKind};
+use omp_analysis::{Effects, SideEffectKind};
 use omp_ir::omprtl::{MODE_GENERIC, MODE_SPMD};
 use omp_ir::{
     AddrSpace, BlockId, CmpOp, ExecMode, FuncId, Global, InstId, InstKind, Module, RtlFn,
     Terminator, Type, Value,
 };
-use std::collections::HashSet;
+use omp_passes::AnalysisCache;
 
 /// Outcome counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,29 +43,35 @@ pub struct SpmdizationResult {
     pub broadcasts: usize,
 }
 
-/// Runs SPMDization over all generic kernels (with guard grouping).
-pub fn run(m: &mut Module, remarks: &mut Remarks) -> SpmdizationResult {
-    run_with_grouping(m, true, remarks)
-}
-
-/// Runs SPMDization with explicit control over guard grouping
-/// (`grouping = false` reproduces the naive one-guard-per-side-effect
-/// scheme of the paper's Figure 7b, as an ablation).
-pub fn run_with_grouping(
+/// Runs SPMDization over all generic kernels (`grouping = false`
+/// reproduces the naive one-guard-per-side-effect scheme of the paper's
+/// Figure 7b, as an ablation).
+///
+/// One set of effect summaries serves every kernel: a kernel is never a
+/// callee, and converting one rewrites only that kernel's own body, so
+/// no summary a later kernel consults can have moved.
+pub fn run(
     m: &mut Module,
     grouping: bool,
+    cache: &mut AnalysisCache,
     remarks: &mut Remarks,
 ) -> SpmdizationResult {
     let mut result = SpmdizationResult::default();
     let kernels: Vec<usize> = (0..m.kernels.len())
         .filter(|&k| m.kernels[k].exec_mode == ExecMode::Generic)
         .collect();
+    if kernels.is_empty() {
+        return result;
+    }
+    let effects = cache.effects(m);
+    let mut converted: Vec<FuncId> = Vec::new();
     for k in kernels {
         let kfunc = m.kernels[k].func;
         let kname = m.func(kfunc).name.clone();
-        match try_spmdize(m, kfunc, grouping) {
+        match try_spmdize(m, effects, kfunc, grouping) {
             Ok((guards, broadcasts)) => {
                 m.kernels[k].exec_mode = ExecMode::Spmd;
+                converted.push(kfunc);
                 result.spmdized += 1;
                 result.guard_regions += guards;
                 result.broadcasts += broadcasts;
@@ -110,23 +116,29 @@ pub fn run_with_grouping(
             }
         }
     }
+    // Guards split blocks and devirtualization turns dispatches into
+    // direct calls, in the converted kernels only.
+    if !converted.is_empty() {
+        cache.invalidate_call_graph();
+        for kfunc in converted {
+            cache.invalidate_function(kfunc);
+        }
+    }
     result
 }
 
 /// Attempts the transformation on one kernel function. Returns
-/// `(guard_regions, broadcasts)` on success.
-fn try_spmdize(m: &mut Module, kfunc: FuncId, grouping: bool) -> Result<(usize, usize), String> {
-    let cg = CallGraph::build(m);
-    let effects = Effects::compute(m, &cg);
+/// `(guard_regions, broadcasts)` on success; fails before touching `m`.
+fn try_spmdize(
+    m: &mut Module,
+    effects: &Effects,
+    kfunc: FuncId,
+    grouping: bool,
+) -> Result<(usize, usize), String> {
     let main_blocks = omp_analysis::domain::main_only_blocks(m, kfunc);
     if main_blocks.is_empty() {
         return Err("no sequential region found".to_string());
     }
-    // Exclude the worker-loop side: blocks that contain (or reach only
-    // through) the worker machinery are not part of the sequential code.
-    // main_only_blocks already excludes them (they are on the worker
-    // edge).
-
     // Legality scan + classification.
     let f = m.func(kfunc);
     let mut plan: Vec<(BlockId, Vec<Segment>)> = Vec::new();
@@ -134,7 +146,7 @@ fn try_spmdize(m: &mut Module, kfunc: FuncId, grouping: bool) -> Result<(usize, 
         if !main_blocks.contains(&b) {
             continue;
         }
-        let segments = plan_block(m, &effects, kfunc, b, grouping)?;
+        let segments = plan_block(m, effects, kfunc, b, grouping)?;
         if segments.iter().any(|s| matches!(s, Segment::Guard(_))) {
             plan.push((b, segments));
         }
@@ -253,14 +265,7 @@ fn plan_block(
             }
         }
     }
-    // The terminator may also use pending results.
-    let mut term_uses_pending = false;
-    f.block(b).term.for_each_operand(|v| {
-        if let Value::Inst(x) = v {
-            term_uses_pending |= pending.contains(&x);
-        }
-    });
-    let _ = term_uses_pending; // guarded values are broadcast either way
+    // A pending result the terminator uses is broadcast like any other.
     flush(&mut segments, &mut plain, &mut pending);
     Ok(segments)
 }
@@ -550,15 +555,6 @@ fn flip_mode(m: &mut Module, kfunc: FuncId) {
     }
 }
 
-/// Set of function ids usable by tests.
-pub fn spmdized_kernels(m: &Module) -> HashSet<FuncId> {
-    m.kernels
-        .iter()
-        .filter(|k| k.exec_mode == ExecMode::Spmd)
-        .map(|k| k.func)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,7 +578,7 @@ void kern(double* out, long nb, long nt) {
         let mut m = compile(SU3_LIKE, &FrontendOptions::default()).unwrap();
         assert_eq!(m.kernels[0].exec_mode, ExecMode::Generic);
         let mut rem = Remarks::default();
-        let r = run(&mut m, &mut rem);
+        let r = run(&mut m, true, &mut AnalysisCache::new(), &mut rem);
         assert_eq!(r.spmdized, 1);
         assert_eq!(m.kernels[0].exec_mode, ExecMode::Spmd);
         omp_ir::verifier::assert_valid(&m);
@@ -611,7 +607,7 @@ void kern(double* out, long nb) {
 "#;
         let mut m = compile(src, &FrontendOptions::default()).unwrap();
         let mut rem = Remarks::default();
-        let r = run(&mut m, &mut rem);
+        let r = run(&mut m, true, &mut AnalysisCache::new(), &mut rem);
         assert_eq!(r.spmdized, 0);
         assert_eq!(m.kernels[0].exec_mode, ExecMode::Generic);
         assert_eq!(rem.count(ids::SPMD_BLOCKED), 1);
@@ -636,7 +632,7 @@ void kern(double* out, long nb) {
 "#;
         let mut m = compile(src, &FrontendOptions::default()).unwrap();
         let mut rem = Remarks::default();
-        let r = run(&mut m, &mut rem);
+        let r = run(&mut m, true, &mut AnalysisCache::new(), &mut rem);
         assert_eq!(r.spmdized, 1);
     }
 
@@ -658,7 +654,7 @@ void kern(double* a, double* b, long n) {
 "#;
         let mut m = compile(src, &FrontendOptions::default()).unwrap();
         let mut rem = Remarks::default();
-        let r = run(&mut m, &mut rem);
+        let r = run(&mut m, true, &mut AnalysisCache::new(), &mut rem);
         assert_eq!(r.spmdized, 1);
         // The two stores share one guard: x is an alloca store
         // (replicated, no guard needed), a[0] and b[0] are global.

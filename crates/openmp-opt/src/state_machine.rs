@@ -15,6 +15,7 @@ use omp_ir::{
     BlockId, CastOp, CmpOp, ExecMode, FuncId, InstId, InstKind, Module, RtlFn, Terminator, Type,
     Value,
 };
+use omp_passes::AnalysisCache;
 use std::collections::HashMap;
 
 /// Outcome counters.
@@ -30,57 +31,80 @@ pub struct StateMachineResult {
 /// Analysis only: whether each generic kernel could get a custom state
 /// machine (used for the Figure 9 "(1)" reporting even when SPMDization
 /// obsoletes the rewrite).
-pub fn possible(m: &Module) -> usize {
-    let cg = CallGraph::build(m);
+pub fn possible(m: &Module, cache: &mut AnalysisCache) -> usize {
+    let (sites, _) = dispatch_sites(m);
+    let cg = cache.call_graph(m);
     m.kernels
         .iter()
         .filter(|k| k.exec_mode == ExecMode::Generic)
-        .filter(|k| !known_regions(m, &cg, k.func).is_empty())
+        .filter(|k| !known_regions(&sites, cg, k.func).is_empty())
         .count()
 }
 
-/// Collects the statically known parallel regions reachable from the
-/// kernel, or an empty vector when unknown dispatch is possible.
-fn known_regions(m: &Module, cg: &CallGraph, kernel: FuncId) -> Vec<FuncId> {
-    let reach = cg.reachable_from([kernel]);
-    let mut regions = Vec::new();
-    for f in &reach {
-        let fun = m.func(*f);
+/// A definition that dispatches parallel regions: the regions its
+/// `parallel_51` calls name (call-site order, deduplicated), and whether
+/// it may also dispatch out of sight (a computed token, or a call to an
+/// unknown external function).
+type DispatchSite = (FuncId, Vec<FuncId>, bool);
+
+/// One scan of the module for its [`DispatchSite`]s, in function order,
+/// and whether the world is closed: every `parallel_51` token a direct
+/// function reference. Per kernel the answer is then a walk over ids.
+fn dispatch_sites(m: &Module) -> (Vec<DispatchSite>, bool) {
+    let (mut sites, mut closed_world) = (Vec::new(), true);
+    for fid in m.func_ids() {
+        let fun = m.func(fid);
         if fun.is_declaration() {
             continue;
         }
-        let mut unknown = false;
+        let (mut regions, mut opaque) = (Vec::new(), false);
         fun.for_each_inst(|_, _, k| {
-            if let InstKind::Call {
+            let InstKind::Call {
                 callee: Value::Func(c),
                 args,
                 ..
             } = k
-            {
-                let callee = m.func(*c);
-                if callee.name == RtlFn::Parallel51.name() {
-                    match args.first() {
-                        Some(Value::Func(r)) => {
-                            if !regions.contains(r) {
-                                regions.push(*r);
-                            }
-                        }
-                        _ => unknown = true,
-                    }
-                } else if callee.is_declaration()
-                    && RtlFn::from_name(&callee.name).is_none()
-                    && omp_ir::omprtl::math_fn_signature(&callee.name).is_none()
-                    && !callee.attrs.no_openmp
-                    && !callee.attrs.pure_fn
-                {
-                    // An unknown external callee could contain parallel
-                    // regions we cannot enumerate.
-                    unknown = true;
+            else {
+                return;
+            };
+            let callee = m.func(*c);
+            if callee.name == RtlFn::Parallel51.name() {
+                match args.first() {
+                    Some(Value::Func(r)) if regions.contains(r) => {}
+                    Some(Value::Func(r)) => regions.push(*r),
+                    _ => (opaque, closed_world) = (true, false),
                 }
+            } else if callee.is_declaration()
+                && RtlFn::from_name(&callee.name).is_none()
+                && omp_ir::omprtl::math_fn_signature(&callee.name).is_none()
+                && !callee.attrs.no_openmp
+                && !callee.attrs.pure_fn
+            {
+                // An unknown external callee could contain parallel
+                // regions we cannot enumerate.
+                opaque = true;
             }
         });
-        if unknown {
+        if opaque || !regions.is_empty() {
+            sites.push((fid, regions, opaque));
+        }
+    }
+    (sites, closed_world)
+}
+
+/// The statically known parallel regions reachable from the kernel, or
+/// an empty vector when unknown dispatch is possible.
+fn known_regions(sites: &[DispatchSite], cg: &CallGraph, kernel: FuncId) -> Vec<FuncId> {
+    let reach = cg.reachable_from([kernel]);
+    let mut regions = Vec::new();
+    for (_, named, opaque) in sites.iter().filter(|(f, ..)| reach.contains(f)) {
+        if *opaque {
             return Vec::new();
+        }
+        for r in named {
+            if !regions.contains(r) {
+                regions.push(*r);
+            }
         }
     }
     regions
@@ -116,32 +140,15 @@ fn find_dispatch(m: &Module, kernel: FuncId) -> Option<(BlockId, InstId, Value, 
 
 /// Runs the rewrite on every still-generic kernel. Region ids are
 /// assigned module-wide so every rewritten kernel shares the mapping.
-pub fn run(m: &mut Module, remarks: &mut Remarks) -> StateMachineResult {
-    let cg = CallGraph::build(m);
+///
+/// The scan and the call graph are taken once, before any rewrite: a
+/// rewrite touches only its kernel's body, and no kernel is reachable
+/// from another.
+pub fn run(m: &mut Module, cache: &mut AnalysisCache, remarks: &mut Remarks) -> StateMachineResult {
     let mut result = StateMachineResult::default();
-    // Closed world across the whole module: every parallel_51 token is a
-    // direct function reference.
-    let mut module_closed = true;
-    for fid in m.func_ids() {
-        let f = m.func(fid);
-        if f.is_declaration() {
-            continue;
-        }
-        f.for_each_inst(|_, _, k| {
-            if let InstKind::Call {
-                callee: Value::Func(c),
-                args,
-                ..
-            } = k
-            {
-                if m.func(*c).name == RtlFn::Parallel51.name()
-                    && !matches!(args.first(), Some(Value::Func(_)))
-                {
-                    module_closed = false;
-                }
-            }
-        });
-    }
+    let (sites, closed) = dispatch_sites(m);
+    let cg = cache.call_graph(m);
+    let mut rewritten: Vec<FuncId> = Vec::new();
 
     let kernels: Vec<FuncId> = m
         .kernels
@@ -151,35 +158,30 @@ pub fn run(m: &mut Module, remarks: &mut Remarks) -> StateMachineResult {
         .collect();
     let mut region_ids: HashMap<FuncId, i64> = HashMap::new();
     for kernel in kernels {
-        let regions = known_regions(m, &cg, kernel);
-        let kname = m.func(kernel).name.clone();
-        if regions.is_empty() {
-            // Either no parallel regions at all (nothing to rewrite) or
-            // unknown dispatch.
-            let has_dispatch = find_dispatch(m, kernel).is_some();
-            if has_dispatch {
-                remarks.push(
-                    Remark::new(
-                        ids::PARALLEL_REGION_UNKNOWN,
-                        RemarkKind::Missed,
-                        kname,
-                        "Parallel region is used in unknown ways. Will not attempt to \
-                         rewrite the state machine.",
-                    )
-                    .in_pass(passes::STATE_MACHINE)
-                    .with_action(actions::KEEP_STATE_MACHINE),
-                );
-            }
-            continue;
-        }
         let Some((dispatch_block, dispatch_inst, token, args_val)) = find_dispatch(m, kernel)
         else {
-            continue;
+            continue; // no worker loop, nothing to rewrite
         };
+        let regions = known_regions(&sites, cg, kernel);
+        let kname = m.func(kernel).name.clone();
+        if regions.is_empty() {
+            remarks.push(
+                Remark::new(
+                    ids::PARALLEL_REGION_UNKNOWN,
+                    RemarkKind::Missed,
+                    kname,
+                    "Parallel region is used in unknown ways. Will not attempt to \
+                     rewrite the state machine.",
+                )
+                .in_pass(passes::STATE_MACHINE)
+                .with_action(actions::KEEP_STATE_MACHINE),
+            );
+            continue;
+        }
         for (n, r) in regions.iter().enumerate() {
             region_ids.entry(*r).or_insert(n as i64 + 1);
         }
-        let closed = module_closed;
+        rewritten.push(kernel);
         rewrite_dispatch(
             m,
             kernel,
@@ -220,12 +222,21 @@ pub fn run(m: &mut Module, remarks: &mut Remarks) -> StateMachineResult {
     }
     // With a closed world, replace every parallel_51 function-pointer
     // token with its small-integer id (eliminating address-taken uses).
-    if module_closed && !region_ids.is_empty() {
+    if closed && !region_ids.is_empty() {
         replace_tokens_with_ids(m, &region_ids);
         for (&f, &id) in &region_ids {
             if !m.parallel_region_ids.iter().any(|(i, _)| *i == id) {
                 m.parallel_region_ids.push((id, f));
             }
+        }
+    }
+    // The cascades are new blocks and new direct calls in the rewritten
+    // kernels; a closed world also drops every region's address-taken
+    // use, wherever its dispatch sat.
+    if !rewritten.is_empty() {
+        cache.invalidate_call_graph();
+        for kernel in rewritten {
+            cache.invalidate_function(kernel);
         }
     }
     result
@@ -399,14 +410,14 @@ void kern(double* out, long nb, long nt) {
     #[test]
     fn detects_possible_rewrites() {
         let m = compile(GENERIC_SRC, &FrontendOptions::default()).unwrap();
-        assert_eq!(possible(&m), 1);
+        assert_eq!(possible(&m, &mut AnalysisCache::new()), 1);
     }
 
     #[test]
     fn closed_world_rewrite_removes_function_pointers() {
         let mut m = compile(GENERIC_SRC, &FrontendOptions::default()).unwrap();
         let mut rem = Remarks::default();
-        let r = run(&mut m, &mut rem);
+        let r = run(&mut m, &mut AnalysisCache::new(), &mut rem);
         assert_eq!(r.rewritten, 1);
         assert_eq!(r.with_fallback, 0);
         omp_ir::verifier::assert_valid(&m);
@@ -438,10 +449,10 @@ void kern(double* out, long nb) {
 "#;
         let m = compile(src, &FrontendOptions::default()).unwrap();
         // `mystery` could start parallel regions we cannot see.
-        assert_eq!(possible(&m), 0);
+        assert_eq!(possible(&m, &mut AnalysisCache::new()), 0);
         let mut m = m;
         let mut rem = Remarks::default();
-        let r = run(&mut m, &mut rem);
+        let r = run(&mut m, &mut AnalysisCache::new(), &mut rem);
         assert_eq!(r.rewritten, 0);
         assert_eq!(rem.count(ids::PARALLEL_REGION_UNKNOWN), 1);
     }
@@ -461,9 +472,9 @@ void kern(double* out, long nb) {
 }
 "#;
         let mut m = compile(src, &FrontendOptions::default()).unwrap();
-        assert_eq!(possible(&m), 1);
+        assert_eq!(possible(&m, &mut AnalysisCache::new()), 1);
         let mut rem = Remarks::default();
-        let r = run(&mut m, &mut rem);
+        let r = run(&mut m, &mut AnalysisCache::new(), &mut rem);
         assert_eq!(r.rewritten, 1);
     }
 }

@@ -1,13 +1,20 @@
-//! Analysis caching across mid-end passes.
+//! Analysis caching across the mid-end and `openmp-opt`.
 //!
 //! The pass manager (`omp-gpu`'s `pipeline` module) owns one
-//! [`AnalysisCache`] per optimization run. Passes request the call
-//! graph, dominator trees, and loop forests through it; results are
-//! computed lazily, shared across passes, and invalidated precisely
-//! when a pass mutates the IR (per function for CFG-local analyses,
-//! globally for the call graph).
+//! [`AnalysisCache`] per optimization run and hands it to every pass,
+//! `openmp-opt` included. Passes request the module analyses (call
+//! graph, effect summaries, execution domains) and the per-function
+//! ones (dominator trees, loop forests) through it; results are computed
+//! lazily, shared across passes, and invalidated precisely when a pass
+//! mutates the IR (per function for CFG-local analyses, module-wide for
+//! everything derived from function bodies and call edges).
+//!
+//! Debug builds rebuild a module analysis every time a cached one is
+//! served and assert the two are equal, so a pass that forgets to
+//! invalidate fails the first test that reaches it; release builds pay
+//! nothing.
 
-use omp_analysis::{CallGraph, LoopForest};
+use omp_analysis::{CallGraph, Effects, ExecutionDomains, LoopForest};
 use omp_ir::{DomTree, FuncId, Module};
 use std::collections::HashMap;
 
@@ -15,6 +22,8 @@ use std::collections::HashMap;
 #[derive(Debug, Default)]
 pub struct AnalysisCache {
     call_graph: Option<CallGraph>,
+    effects: Option<Effects>,
+    domains: Option<ExecutionDomains>,
     doms: HashMap<FuncId, DomTree>,
     loops: HashMap<FuncId, LoopForest>,
     /// Analyses computed since construction (cache misses).
@@ -35,13 +44,37 @@ impl AnalysisCache {
     /// [`invalidate_call_graph`]: AnalysisCache::invalidate_call_graph
     /// [`invalidate_all`]: AnalysisCache::invalidate_all
     pub fn call_graph(&mut self, m: &Module) -> &CallGraph {
-        if self.call_graph.is_none() {
-            self.call_graph = Some(CallGraph::build(m));
-            self.computed += 1;
-        } else {
-            self.hits += 1;
-        }
-        self.call_graph.as_ref().unwrap()
+        let (computed, hits) = (&mut self.computed, &mut self.hits);
+        serve(&mut self.call_graph, computed, hits, "call graph", || {
+            CallGraph::build(m)
+        })
+    }
+
+    /// The inter-procedural effect summaries, same lifetime as the call
+    /// graph.
+    pub fn effects(&mut self, m: &Module) -> &Effects {
+        self.call_graph(m);
+        let cg = self.call_graph.as_ref().expect("built above");
+        let (computed, hits) = (&mut self.computed, &mut self.hits);
+        serve(&mut self.effects, computed, hits, "effects", || {
+            Effects::compute(m, cg)
+        })
+    }
+
+    /// The call graph together with the execution domains computed from
+    /// it, same lifetime as the call graph.
+    pub fn domains(&mut self, m: &Module) -> (&CallGraph, &ExecutionDomains) {
+        self.call_graph(m);
+        let cg = self.call_graph.as_ref().expect("built above");
+        let (computed, hits) = (&mut self.computed, &mut self.hits);
+        let domains = serve(
+            &mut self.domains,
+            computed,
+            hits,
+            "execution domains",
+            || ExecutionDomains::compute(m, cg),
+        );
+        (cg, domains)
     }
 
     /// The dominator tree of `f` (must be a definition).
@@ -61,34 +94,64 @@ impl AnalysisCache {
     /// The loop forest of `f` (must be a definition). Computes (and
     /// caches) the dominator tree as a prerequisite.
     pub fn loop_forest(&mut self, m: &Module, f: FuncId) -> &LoopForest {
-        if !self.loops.contains_key(&f) {
-            let dom = self.dom(m, f).clone();
-            self.loops.insert(f, LoopForest::compute(m.func(f), &dom));
-            self.computed += 1;
-        } else {
+        if self.loops.contains_key(&f) {
             self.hits += 1;
+        } else {
+            self.dom(m, f);
+            let forest = LoopForest::compute(m.func(f), &self.doms[&f]);
+            self.loops.insert(f, forest);
+            self.computed += 1;
         }
         &self.loops[&f]
     }
 
-    /// Drops CFG-derived analyses of `f` after its body was mutated.
+    /// Drops what depends on the body of `f` after a pass mutated it
+    /// without adding or removing a call or a function reference: its
+    /// CFG-derived analyses, and the module analyses that read
+    /// instructions (effects, execution domains). The call graph stays.
     pub fn invalidate_function(&mut self, f: FuncId) {
         self.doms.remove(&f);
         self.loops.remove(&f);
+        self.effects = None;
+        self.domains = None;
     }
 
-    /// Drops the call graph after call edges changed (inlining,
-    /// devirtualization, dead-call elimination).
+    /// Drops the call graph, and with it the effects and execution
+    /// domains, after call edges or function references changed
+    /// (inlining, devirtualization, dead-call elimination,
+    /// deglobalization, folding). Per-function analyses stay.
     pub fn invalidate_call_graph(&mut self) {
         self.call_graph = None;
+        self.effects = None;
+        self.domains = None;
     }
 
-    /// Drops everything (after a pass with unknown mutation footprint).
+    /// Drops everything (after a pass that rewrote function bodies
+    /// without tracking which).
     pub fn invalidate_all(&mut self) {
-        self.call_graph = None;
+        self.invalidate_call_graph();
         self.doms.clear();
         self.loops.clear();
     }
+}
+
+/// Serves one module analysis from its slot, building it on a miss. On
+/// a hit, debug builds build it again and require the two to be equal.
+fn serve<'a, T: PartialEq + std::fmt::Debug>(
+    slot: &'a mut Option<T>,
+    computed: &mut usize,
+    hits: &mut usize,
+    what: &str,
+    build: impl Fn() -> T,
+) -> &'a T {
+    match slot {
+        None => *computed += 1,
+        Some(cached) => {
+            debug_assert_eq!(*cached, build(), "stale {what} served");
+            *hits += 1;
+        }
+    }
+    slot.get_or_insert_with(build)
 }
 
 #[cfg(test)]
@@ -133,5 +196,34 @@ mod tests {
         cache.invalidate_call_graph();
         cache.call_graph(&m);
         assert_eq!(cache.computed, 2);
+    }
+
+    #[test]
+    fn module_analyses_share_the_call_graph_and_its_lifetime() {
+        let (m, _) = module();
+        let mut cache = AnalysisCache::new();
+        cache.effects(&m);
+        // Call graph and effects built; domains reuse the graph.
+        assert_eq!((cache.computed, cache.hits), (2, 0));
+        cache.domains(&m);
+        assert_eq!((cache.computed, cache.hits), (3, 1));
+        cache.effects(&m);
+        assert_eq!((cache.computed, cache.hits), (3, 3));
+        cache.invalidate_call_graph();
+        cache.domains(&m);
+        assert_eq!(cache.computed, 5, "both rebuilt after invalidation");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale call graph served")]
+    fn debug_builds_catch_a_missing_invalidation() {
+        let (mut m, f) = module();
+        let mut cache = AnalysisCache::new();
+        cache.call_graph(&m);
+        let g = m.add_function(Function::declaration("g", vec![], Type::Void));
+        let entry = m.func(f).entry();
+        Builder::at(&mut m, f, entry).call(g, vec![]);
+        cache.call_graph(&m);
     }
 }

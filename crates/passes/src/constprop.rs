@@ -23,7 +23,7 @@ pub fn run(m: &mut Module) -> usize {
     total
 }
 
-fn run_function(m: &mut Module, fid: FuncId) -> usize {
+pub(crate) fn run_function(m: &mut Module, fid: FuncId) -> usize {
     let mut folded = 0;
     loop {
         let mut changed = false;

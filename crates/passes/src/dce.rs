@@ -7,7 +7,6 @@
 //! paper's folding optimization shrink kernels.
 
 use omp_ir::{FuncId, InstKind, Module, RtlFn, Value};
-use std::collections::HashSet;
 
 /// Runs DCE on every function. Returns the number of removed
 /// instructions.
@@ -36,25 +35,26 @@ fn call_is_removable(m: &Module, callee: &Value) -> bool {
     }
 }
 
-fn run_function(m: &mut Module, fid: FuncId) -> usize {
+pub(crate) fn run_function(m: &mut Module, fid: FuncId) -> usize {
     let mut removed = 0;
+    // Which instruction results have a use, indexed by `InstId`. Removing
+    // instructions never grows the arena, so one table serves all rounds.
+    let mut used = vec![false; m.func(fid).inst_slots()];
     loop {
         let f = m.func(fid);
-        // Collect all used values.
-        let mut used: HashSet<Value> = HashSet::new();
-        f.for_each_inst(|_, _, k| {
-            k.for_each_operand(|v| {
-                used.insert(v);
-            })
-        });
+        used.fill(false);
+        let mut mark = |v: Value| {
+            if let Value::Inst(i) = v {
+                used[i.index()] = true;
+            }
+        };
+        f.for_each_inst(|_, _, k| k.for_each_operand(&mut mark));
         for b in f.block_ids() {
-            f.block(b).term.for_each_operand(|v| {
-                used.insert(v);
-            });
+            f.block(b).term.for_each_operand(&mut mark);
         }
         let mut dead = Vec::new();
         for (_, i) in f.inst_ids() {
-            if used.contains(&Value::Inst(i)) {
+            if used[i.index()] {
                 continue;
             }
             let k = f.inst(i);

@@ -257,7 +257,7 @@ pub(crate) fn may_alias(
 /// Functions whose calls leave memory untouched for the purposes of
 /// load forwarding: pure/readonly (math intrinsics carry `pure_fn`)
 /// and runtime context queries.
-pub(crate) fn memory_preserving_fns(m: &Module) -> HashSet<FuncId> {
+fn memory_preserving_fns(m: &Module) -> HashSet<FuncId> {
     m.func_ids()
         .filter(|&g| {
             let f = m.func(g);
@@ -272,11 +272,12 @@ pub(crate) fn memory_preserving_fns(m: &Module) -> HashSet<FuncId> {
 /// stats (functions with no eliminations are omitted).
 pub fn run(m: &mut Module, cache: &mut AnalysisCache) -> Vec<GvnStats> {
     let mut out = Vec::new();
+    let preserving = memory_preserving_fns(m);
     for fid in m.func_ids().collect::<Vec<_>>() {
         if m.func(fid).is_declaration() {
             continue;
         }
-        let stats = run_function(m, cache, fid);
+        let stats = run_function(m, cache, &preserving, fid);
         if stats.eliminated + stats.loads_forwarded + stats.dead_stores > 0 {
             cache.invalidate_function(fid);
             out.push(stats);
@@ -285,10 +286,15 @@ pub fn run(m: &mut Module, cache: &mut AnalysisCache) -> Vec<GvnStats> {
     out
 }
 
-fn run_function(m: &mut Module, cache: &mut AnalysisCache, fid: FuncId) -> GvnStats {
-    let rpo = cache.dom(m, fid).rpo.clone();
+fn run_function(
+    m: &mut Module,
+    cache: &mut AnalysisCache,
+    preserving: &HashSet<FuncId>,
+    fid: FuncId,
+) -> GvnStats {
+    // Owned, because the function is rewritten under it; the rewrites
+    // keep the CFG, so the tree stays exact throughout.
     let dom = cache.dom(m, fid).clone();
-    let preserving = memory_preserving_fns(m);
     let escaped = escaped_allocas(m.func(fid));
     let f = m.func_mut(fid);
 
@@ -297,7 +303,7 @@ fn run_function(m: &mut Module, cache: &mut AnalysisCache, fid: FuncId) -> GvnSt
     let mut loads_forwarded = 0usize;
     let mut dead: Vec<InstId> = Vec::new();
 
-    for &b in &rpo {
+    for &b in &dom.rpo {
         // Block-local memory state: last known value at each pointer.
         let mut mem: HashMap<Value, Value> = HashMap::new();
         let insts = f.block(b).insts.clone();

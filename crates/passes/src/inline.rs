@@ -178,10 +178,7 @@ fn plan_round(m: &Module, cache: &mut AnalysisCache, opts: &InlineOptions) -> Ve
                 continue;
             }
             let callee_insts = callee.num_insts();
-            let is_recursive = *recursive.entry(g).or_insert_with(|| {
-                cg.reachable_from(cg.callees_of(g).iter().copied())
-                    .contains(&g)
-            });
+            let is_recursive = *recursive.entry(g).or_insert_with(|| cg.is_recursive(g));
             let single_site = callsites.get(&g) == Some(&1)
                 && callee.linkage == omp_ir::Linkage::Internal
                 && !cg.address_taken.contains(&g);

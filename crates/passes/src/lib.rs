@@ -38,7 +38,8 @@ pub use gvn::GvnStats;
 pub use inline::{InlineDecision, InlineOptions};
 pub use licm::LicmStats;
 
-use omp_ir::Module;
+use omp_ir::{FuncId, Module};
+use std::time::{Duration, Instant};
 
 /// Statistics from one pipeline run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,29 +52,90 @@ pub struct PipelineStats {
     pub dce_removed: usize,
     /// Blocks removed or merged.
     pub blocks_removed: usize,
-    /// Number of fixpoint iterations executed.
+    /// Number of fixpoint iterations executed (of the function that
+    /// needed the most).
     pub iterations: usize,
 }
 
+impl PipelineStats {
+    /// Whether the run rewrote anything, i.e. whether analyses computed
+    /// before it are stale.
+    pub fn changed(&self) -> bool {
+        self.promoted_allocas + self.folded + self.dce_removed + self.blocks_removed > 0
+    }
+}
+
+impl std::ops::AddAssign for PipelineStats {
+    fn add_assign(&mut self, round: PipelineStats) {
+        self.promoted_allocas += round.promoted_allocas;
+        self.folded += round.folded;
+        self.dce_removed += round.dce_removed;
+        self.blocks_removed += round.blocks_removed;
+        self.iterations += round.iterations;
+    }
+}
+
+/// One function-local cleanup pass: returns how much it changed.
+type FunctionPass = fn(&mut Module, FuncId) -> usize;
+
+/// The cleanup passes in round order, each with the span that carries
+/// its share of a [`run_pipeline`] call.
+const CLEANUP: [(&str, FunctionPass); 4] = [
+    ("cleanup.mem2reg", mem2reg::run_function),
+    ("cleanup.constprop", constprop::run_function),
+    ("cleanup.dce", dce::run_function),
+    ("cleanup.simplify-cfg", simplify_cfg::run_function),
+];
+
 /// Runs the cleanup pipeline (mem2reg, constprop, DCE, simplify-cfg)
-/// until nothing changes (bounded by a generous iteration cap).
+/// until nothing changes (bounded by a generous iteration cap). The
+/// four passes are function-local, so each function is iterated to its
+/// own fixpoint: a function that is done is not visited again because
+/// another one still changes.
 pub fn run_pipeline(m: &mut Module) -> PipelineStats {
-    let mut stats = PipelineStats::default();
-    for _ in 0..16 {
-        stats.iterations += 1;
-        let promoted = mem2reg::run(m);
-        let folded = constprop::run(m);
-        let removed = dce::run(m);
-        let blocks = simplify_cfg::run(m);
-        stats.promoted_allocas += promoted;
-        stats.folded += folded;
-        stats.dce_removed += removed;
-        stats.blocks_removed += blocks;
-        if promoted + folded + removed + blocks == 0 {
-            break;
+    let traced = omp_telemetry::enabled();
+    let started = Instant::now();
+    let mut spent = [Duration::ZERO; 4];
+    // A module without definitions still counts its one (empty) round.
+    let mut totals = [0usize; 4];
+    let mut iterations = 1;
+    for fid in m.func_ids().collect::<Vec<_>>() {
+        if m.func(fid).is_declaration() {
+            continue;
+        }
+        for round in 1..=16 {
+            iterations = iterations.max(round);
+            let mut changed = 0;
+            for (k, (_, pass)) in CLEANUP.iter().enumerate() {
+                let t0 = traced.then(Instant::now);
+                let n = pass(m, fid);
+                if let Some(t0) = t0 {
+                    spent[k] += t0.elapsed();
+                }
+                totals[k] += n;
+                changed += n;
+            }
+            if changed == 0 {
+                break;
+            }
         }
     }
-    stats
+    if traced {
+        // One span per pass, laid end to end from the start of the call:
+        // their lengths are exact, their positions are not.
+        let mut at = started;
+        for ((name, _), d) in CLEANUP.iter().zip(spent) {
+            omp_telemetry::record_interval(name, "pass", at, d);
+            at += d;
+        }
+    }
+    PipelineStats {
+        promoted_allocas: totals[0],
+        folded: totals[1],
+        dce_removed: totals[2],
+        blocks_removed: totals[3],
+        iterations,
+    }
 }
 
 #[cfg(test)]

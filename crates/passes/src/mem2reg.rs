@@ -5,8 +5,7 @@
 //! dominance frontiers. In the pipeline this runs after HeapToStack so
 //! the paper's "use local memory (aka. registers)" effect materializes.
 
-use omp_ir::{BlockId, DomTree, FuncId, Function, InstId, InstKind, Module, Type, Value};
-use std::collections::{HashMap, HashSet};
+use omp_ir::{BlockId, DomTree, FuncId, InstId, InstKind, Module, Type, Value};
 
 /// Runs mem2reg on every function definition. Returns the number of
 /// promoted allocas.
@@ -14,233 +13,234 @@ pub fn run(m: &mut Module) -> usize {
     let mut count = 0;
     for fid in m.func_ids().collect::<Vec<_>>() {
         if !m.func(fid).is_declaration() {
-            count += promote_function(m, fid);
+            count += run_function(m, fid);
         }
     }
     count
 }
 
-/// Whether the alloca can be promoted: every use is a load of the full
-/// value or a store *to* it (not of it), and all loads/stores use one
-/// consistent type.
-fn promotable(f: &Function, alloca: InstId) -> Option<Type> {
-    let ptr = Value::Inst(alloca);
-    let mut ty: Option<Type> = None;
-    let mut ok = true;
-    f.for_each_inst(|_, _, kind| match kind {
-        InstKind::Load { ptr: p, ty: t } if *p == ptr => match ty {
-            None => ty = Some(*t),
-            Some(prev) if prev == *t => {}
-            _ => ok = false,
-        },
-        InstKind::Store { ptr: p, val } if *p == ptr => {
-            if *val == ptr {
-                ok = false;
-            } else {
-                let vt = f.value_type(*val);
-                match ty {
-                    None => ty = Some(vt),
-                    Some(prev) if prev == vt => {}
-                    _ => ok = false,
+/// `cell_of` entry of an instruction that is not a promoted alloca.
+const NO_CELL: u32 = u32::MAX;
+
+/// One alloca and what the classification scan learned about it.
+struct Cell {
+    alloca: InstId,
+    /// The one type every load and store of it agrees on, if any.
+    ty: Option<Type>,
+    /// Every use is a whole-value load from it or a store *to* it (not
+    /// of it), all of type `ty`.
+    promotable: bool,
+    /// Blocks that store to it, in layout order.
+    def_blocks: Vec<BlockId>,
+}
+
+impl Cell {
+    fn access(&mut self, ty: Type) {
+        match self.ty {
+            None => self.ty = Some(ty),
+            Some(prev) if prev == ty => {}
+            _ => self.promotable = false,
+        }
+    }
+}
+
+/// Promotes every promotable alloca of one function together: one scan
+/// classifies all of them, phis are placed per alloca, and one CFG walk
+/// carries the reaching value of each.
+pub(crate) fn run_function(m: &mut Module, fid: FuncId) -> usize {
+    let f = m.func(fid);
+    // Dense side table, instruction -> index of its cell.
+    let mut cell_of = vec![NO_CELL; f.inst_slots()];
+    let mut cells: Vec<Cell> = Vec::new();
+    f.for_each_inst(|_, i, kind| {
+        if matches!(kind, InstKind::Alloca { .. }) {
+            cell_of[i.index()] = cells.len() as u32;
+            cells.push(Cell {
+                alloca: i,
+                ty: None,
+                promotable: true,
+                def_blocks: Vec::new(),
+            });
+        }
+    });
+    if cells.is_empty() {
+        return 0;
+    }
+    let cell = |cell_of: &[u32], v: Value| match v {
+        Value::Inst(i) if cell_of[i.index()] != NO_CELL => Some(cell_of[i.index()] as usize),
+        _ => None,
+    };
+    f.for_each_inst(|b, _, kind| match kind {
+        InstKind::Load { ptr, ty } => {
+            if let Some(c) = cell(&cell_of, *ptr) {
+                cells[c].access(*ty);
+            }
+        }
+        InstKind::Store { ptr, val } => {
+            if let Some(c) = cell(&cell_of, *val) {
+                cells[c].promotable = false; // the address itself is stored
+            }
+            if let Some(c) = cell(&cell_of, *ptr) {
+                cells[c].access(f.value_type(*val));
+                if cells[c].def_blocks.last() != Some(&b) {
+                    cells[c].def_blocks.push(b);
                 }
             }
         }
-        other => {
-            let mut used = false;
-            other.for_each_operand(|v| used |= v == ptr);
-            if used {
-                ok = false;
+        other => other.for_each_operand(|v| {
+            if let Some(c) = cell(&cell_of, v) {
+                cells[c].promotable = false;
             }
-        }
+        }),
     });
-    // Also check terminators (e.g. returning the pointer).
+    // Terminators too (e.g. returning the pointer).
     for b in f.block_ids() {
         f.block(b).term.for_each_operand(|v| {
-            if v == ptr {
-                ok = false;
+            if let Some(c) = cell(&cell_of, v) {
+                cells[c].promotable = false;
             }
         });
     }
-    if ok {
-        ty
-    } else {
-        None
-    }
-}
-
-fn promote_function(m: &mut Module, fid: FuncId) -> usize {
-    let f = m.func(fid);
-    let allocas: Vec<(InstId, Type)> = f
-        .inst_ids()
-        .filter_map(|(_, i)| match f.inst(i) {
-            InstKind::Alloca { .. } => promotable(f, i).map(|t| (i, t)),
-            _ => None,
-        })
-        .collect();
-    if allocas.is_empty() {
+    cells.retain(|c| c.promotable && c.ty.is_some());
+    if cells.is_empty() {
         return 0;
     }
+    cell_of.fill(NO_CELL);
+    for (n, c) in cells.iter().enumerate() {
+        cell_of[c.alloca.index()] = n as u32;
+    }
+    let types: Vec<Type> = cells.iter().map(|c| c.ty.expect("retained")).collect();
+
+    // Phi placement at iterated dominance frontiers. Instruction ids
+    // reach the printed IR, so the allocation order is fixed: alloca
+    // order, then block order, never a hash set's iteration order.
     let dt = DomTree::compute(f);
     let df = dt.dominance_frontiers(f);
-
-    for &(alloca, ty) in &allocas {
-        promote_one(m, fid, alloca, ty, &dt, &df);
-    }
-    allocas.len()
-}
-
-fn promote_one(
-    m: &mut Module,
-    fid: FuncId,
-    alloca: InstId,
-    ty: Type,
-    dt: &DomTree,
-    df: &HashMap<BlockId, Vec<BlockId>>,
-) {
-    let ptr = Value::Inst(alloca);
-    // 1. Blocks containing stores (defs).
-    let f = m.func(fid);
-    let mut def_blocks: Vec<BlockId> = Vec::new();
-    for b in f.block_ids() {
-        if f.block(b)
-            .insts
-            .iter()
-            .any(|&i| matches!(f.inst(i), InstKind::Store { ptr: p, .. } if *p == ptr))
-        {
-            def_blocks.push(b);
-        }
-    }
-    // 2. Phi placement at iterated dominance frontiers.
-    let mut phi_blocks: HashSet<BlockId> = HashSet::new();
-    let mut work = def_blocks.clone();
-    while let Some(b) = work.pop() {
-        for &fr in df.get(&b).map(Vec::as_slice).unwrap_or(&[]) {
-            if phi_blocks.insert(fr) {
-                work.push(fr);
+    let f = m.func_mut(fid);
+    // Per block, the phis placed in it as (cell, phi).
+    let mut phis_at: Vec<Vec<(usize, InstId)>> = vec![Vec::new(); f.block_slots()];
+    let mut placed_for = vec![NO_CELL; f.block_slots()];
+    for (n, c) in cells.iter().enumerate() {
+        let mut phi_blocks: Vec<BlockId> = Vec::new();
+        let mut work = c.def_blocks.clone();
+        while let Some(b) = work.pop() {
+            for &fr in df.get(&b).map(Vec::as_slice).unwrap_or(&[]) {
+                if placed_for[fr.index()] != n as u32 {
+                    placed_for[fr.index()] = n as u32;
+                    phi_blocks.push(fr);
+                    work.push(fr);
+                }
             }
         }
-    }
-    // Insert empty phis, in block order: HashSet iteration order is
-    // seeded per process, and instruction ids must not depend on it or
-    // the printed IR differs from run to run.
-    let mut phis: HashMap<BlockId, InstId> = HashMap::new();
-    let mut ordered_phi_blocks: Vec<BlockId> = phi_blocks.iter().copied().collect();
-    ordered_phi_blocks.sort();
-    for b in ordered_phi_blocks {
-        if !dt.is_reachable(b) {
-            continue;
-        }
-        let id = m.func_mut(fid).insert_inst(
-            b,
-            0,
-            InstKind::Phi {
-                ty,
+        phi_blocks.sort();
+        for b in phi_blocks {
+            let empty = InstKind::Phi {
+                ty: types[n],
                 incoming: vec![],
-            },
-        );
-        phis.insert(b, id);
-    }
-    // 3. Renaming walk over the dominator tree.
-    let f = m.func(fid);
-    let mut children: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-    for &b in &dt.rpo {
-        if let Some(p) = dt.idom(b) {
-            children.entry(p).or_default().push(b);
+            };
+            let phi = f.insert_inst(b, 0, empty);
+            phis_at[b.index()].push((n, phi));
         }
     }
-    let entry = f.entry();
-    // (block, incoming value)
-    let mut replacements: HashMap<InstId, Value> = HashMap::new(); // load -> value
-    let mut removals: Vec<InstId> = Vec::new();
+    cell_of.resize(f.inst_slots(), NO_CELL);
+
+    // Renaming: one depth-first walk over the CFG. Every reachable block
+    // starts from the values its first-visited predecessor left, which
+    // is exact because a block where two different values meet has a phi.
+    let f = m.func(fid);
+    let mut reaching: Vec<Option<Value>> = vec![None; f.inst_slots()]; // load -> value
+    let mut removals: Vec<InstId> = cells.iter().map(|c| c.alloca).collect();
     let mut phi_incomings: Vec<(InstId, BlockId, Value)> = Vec::new();
-    let mut stack: Vec<(BlockId, Value)> = vec![(entry, Value::Undef(ty))];
-    let mut visited: HashSet<BlockId> = HashSet::new();
-    while let Some((b, mut cur)) = stack.pop() {
-        if !visited.insert(b) {
+    let mut visited = vec![false; f.block_slots()];
+    // Values at the end of each visited block; slot 0 is "before entry".
+    let mut exits: Vec<Vec<Value>> = vec![types.iter().map(|&t| Value::Undef(t)).collect()];
+    let mut stack: Vec<(BlockId, usize)> = vec![(f.entry(), 0)];
+    while let Some((b, pred_exit)) = stack.pop() {
+        if std::mem::replace(&mut visited[b.index()], true) {
             continue;
         }
-        if let Some(&phi) = phis.get(&b) {
-            cur = Value::Inst(phi);
+        let mut cur = exits[pred_exit].clone();
+        for &(n, phi) in &phis_at[b.index()] {
+            cur[n] = Value::Inst(phi);
         }
         for &i in &f.block(b).insts {
             match f.inst(i) {
-                InstKind::Load { ptr: p, .. } if *p == ptr => {
-                    replacements.insert(i, cur);
-                    removals.push(i);
+                InstKind::Load { ptr, .. } => {
+                    if let Some(n) = cell(&cell_of, *ptr) {
+                        reaching[i.index()] = Some(cur[n]);
+                        removals.push(i);
+                    }
                 }
-                InstKind::Store { ptr: p, val } if *p == ptr => {
-                    cur = *val;
-                    removals.push(i);
+                InstKind::Store { ptr, val } => {
+                    if let Some(n) = cell(&cell_of, *ptr) {
+                        cur[n] = *val;
+                        removals.push(i);
+                    }
                 }
                 _ => {}
             }
         }
-        for s in f.block(b).term.successors() {
-            if let Some(&phi) = phis.get(&s) {
-                phi_incomings.push((phi, b, cur));
+        let succs = f.block(b).term.successors();
+        for (k, &s) in succs.iter().enumerate() {
+            // One incoming per (phi, predecessor), even when both arms
+            // of a branch lead to `s`.
+            if !succs[..k].contains(&s) {
+                for &(n, phi) in &phis_at[s.index()] {
+                    phi_incomings.push((phi, b, cur[n]));
+                }
             }
-            if !visited.contains(&s) && dt.is_reachable(s) {
-                // Continue with the value along this edge; dominator-tree
-                // children inherit from their idom, which this walk
-                // approximates because we only push successors (every
-                // dominated block is reached through dominated paths).
-                stack.push((s, cur));
+            if !visited[s.index()] {
+                stack.push((s, exits.len()));
             }
         }
-        let _ = &children;
+        exits.push(cur);
     }
     // Loads and stores in unreachable blocks were never visited; patch
-    // them so removing the alloca leaves no dangling uses.
-    for (_, i) in f.inst_ids() {
-        match f.inst(i) {
-            InstKind::Load { ptr: p, .. } if *p == ptr && !replacements.contains_key(&i) => {
-                replacements.insert(i, Value::Undef(ty));
-                removals.push(i);
-            }
-            InstKind::Store { ptr: p, .. } if *p == ptr && !removals.contains(&i) => {
-                removals.push(i);
-            }
-            _ => {}
-        }
-    }
-    // Apply phi incomings (dedup per (phi, pred)).
-    {
-        let fmut = m.func_mut(fid);
-        let mut seen: HashSet<(InstId, BlockId)> = HashSet::new();
-        for (phi, pred, v) in phi_incomings {
-            if !seen.insert((phi, pred)) {
-                continue;
-            }
-            let v = resolve(&replacements, v);
-            if let InstKind::Phi { incoming, .. } = fmut.inst_mut(phi) {
-                incoming.push((pred, v));
+    // them so removing the allocas leaves no dangling uses.
+    for b in f.block_ids().filter(|b| !visited[b.index()]) {
+        for &i in &f.block(b).insts {
+            match f.inst(i) {
+                InstKind::Load { ptr, .. } => {
+                    if let Some(n) = cell(&cell_of, *ptr) {
+                        reaching[i.index()] = Some(Value::Undef(types[n]));
+                        removals.push(i);
+                    }
+                }
+                InstKind::Store { ptr, .. } if cell(&cell_of, *ptr).is_some() => removals.push(i),
+                _ => {}
             }
         }
     }
-    // Replace loads with the reaching values, transitively resolving
-    // loads that were themselves replaced. One bulk pass over the
-    // function instead of one full traversal per promoted load.
-    let final_replacements: HashMap<Value, Value> = replacements
-        .keys()
-        .map(|&l| (Value::Inst(l), resolve(&replacements, Value::Inst(l))))
+    // A reaching value may itself be a promoted load (of this or of
+    // another alloca): follow the chain to a value that survives.
+    let resolve = |mut v: Value| {
+        for _ in 0..removals.len() {
+            match v {
+                Value::Inst(i) => match reaching[i.index()] {
+                    Some(next) if next != v => v = next,
+                    _ => break,
+                },
+                _ => break,
+            }
+        }
+        v
+    };
+    let resolved: Vec<Option<Value>> = (0..reaching.len())
+        .map(|i| reaching[i].map(|_| resolve(Value::Inst(InstId::from_index(i)))))
         .collect();
-    let fmut = m.func_mut(fid);
-    fmut.replace_uses_bulk(&final_replacements);
-    removals.push(alloca);
-    fmut.remove_insts(&removals);
-}
-
-fn resolve(replacements: &HashMap<InstId, Value>, mut v: Value) -> Value {
-    for _ in 0..64 {
-        match v {
-            Value::Inst(i) => match replacements.get(&i) {
-                Some(&next) if next != v => v = next,
-                _ => return v,
-            },
-            _ => return v,
+    let substitute = |v: Value| match v {
+        Value::Inst(i) => resolved[i.index()].unwrap_or(v),
+        _ => v,
+    };
+    let f = m.func_mut(fid);
+    for (phi, pred, v) in phi_incomings {
+        if let InstKind::Phi { incoming, .. } = f.inst_mut(phi) {
+            incoming.push((pred, substitute(v)));
         }
     }
-    v
+    f.map_operands(substitute);
+    f.remove_insts(&removals);
+    cells.len()
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ fn reachable(m: &Module, fid: FuncId) -> HashSet<BlockId> {
     seen
 }
 
-fn run_function(m: &mut Module, fid: FuncId) -> usize {
+pub(crate) fn run_function(m: &mut Module, fid: FuncId) -> usize {
     let mut removed = 0;
     loop {
         let mut changed = false;

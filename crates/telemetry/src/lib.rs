@@ -29,7 +29,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Schema identifier of the telemetry artifact.
 pub const TELEMETRY_SCHEMA: &str = "ompgpu-telemetry/v1";
@@ -224,10 +224,20 @@ fn span_owned(name: String, cat: &str) -> Span {
 /// manager) and only learn the span's name after the fact. The
 /// innermost open span on this thread becomes the parent.
 pub fn record_completed(name: &str, cat: &str, started: Instant) {
+    if enabled() {
+        record_interval(name, cat, started, started.elapsed());
+    }
+}
+
+/// Records a span that began at `started` and lasted `dur` — for work
+/// that ran in slices interleaved with other work (the cleanup passes,
+/// which alternate per function) and is reported as one span of the
+/// summed length. The innermost open span on this thread becomes the
+/// parent.
+pub fn record_interval(name: &str, cat: &str, started: Instant, dur: Duration) {
     if !enabled() {
         return;
     }
-    let dur_micros = started.elapsed().as_micros() as u64;
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
     let parent = SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0));
     let track = TRACK.with(|t| {
@@ -235,14 +245,14 @@ pub fn record_completed(name: &str, cat: &str, started: Instant) {
             .get_or_insert_with(|| NEXT_TRACK.fetch_add(1, Ordering::Relaxed))
     });
     if let Ok(mut store) = store().lock() {
-        let end = store.epoch.elapsed().as_micros() as u64;
+        let start = started.saturating_duration_since(store.epoch);
         store.spans.push(SpanRecord {
             id,
             parent,
             name: name.to_string(),
             cat: cat.to_string(),
-            start_micros: end.saturating_sub(dur_micros),
-            dur_micros,
+            start_micros: start.as_micros() as u64,
+            dur_micros: dur.as_micros() as u64,
             track,
         });
     }

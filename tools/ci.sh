@@ -22,7 +22,8 @@
 # code), and runs a chaos leg (4 concurrent clients of mixed
 # good/malformed/fault-injected traffic against a tiny admission
 # queue; every reply structured, warm==cold afterwards, no panics,
-# clean shutdown); it IS part of `all`.
+# clean shutdown), and builds a generated 64-kernel unit twice in two
+# processes, failing if the printed IR differs; it IS part of `all`.
 
 set -eu
 
@@ -376,6 +377,40 @@ EOF
     rm -rf "$chaos_dir"
     trap 'rm -f "$trace"' EXIT
     echo "smoke: chaos OK (72 structured replies, warm==cold, no panics, clean shutdown)"
+
+    echo "==> ompgpu build determinism smoke (64-kernel unit, two processes)"
+    # The four single-kernel shapes of examples/omp, renamed k_0..k_63:
+    # the same unit crates/core/tests/common builds. Hash-set iteration
+    # order is seeded per process, so anything that lets it reach an
+    # instruction id (mem2reg's phi placement is the known hazard)
+    # prints different IR in two runs.
+    unit_dir="$(mktemp -d -t ompgpu-unit.XXXXXX)"
+    trap 'rm -f "$trace"; rm -rf "$unit_dir"' EXIT
+    n=0
+    while [ "$n" -lt 64 ]; do
+        case $((n % 4)) in
+            0) shape=saxpy.c ;;
+            1) shape=local_array.c ;;
+            2) shape=team_shared.c ;;
+            3) shape=guarded_stores.c ;;
+        esac
+        grep -v '^//' "examples/omp/$shape" | \
+            sed "s/^void [a-z_]*(/void k_$n(/" >> "$unit_dir/unit64.c"
+        n=$((n + 1))
+    done
+    "$ompgpu_bin" build "$unit_dir/unit64.c" --config dev --emit-ir > "$unit_dir/first.ir"
+    "$ompgpu_bin" build "$unit_dir/unit64.c" --config dev --emit-ir > "$unit_dir/second.ir"
+    grep -q 'source "k_63"' "$unit_dir/first.ir" || {
+        echo "smoke: 64-kernel unit did not build all its kernels" >&2
+        exit 1
+    }
+    cmp -s "$unit_dir/first.ir" "$unit_dir/second.ir" || {
+        echo "smoke: printed IR of the 64-kernel unit differs between two runs" >&2
+        exit 1
+    }
+    echo "smoke: 64-kernel unit prints identical IR in two runs ($(wc -l < "$unit_dir/first.ir") lines)"
+    rm -rf "$unit_dir"
+    trap 'rm -f "$trace"' EXIT
 }
 
 case "$stage" in
