@@ -154,8 +154,9 @@ fn usage() -> ExitCode {
          --max-insts N: per-thread dynamic instruction budget (runaway guard;\n      \
          the OMPGPU_MAX_INSTS environment variable is the default)\n\
          --watchdog SECS: wall-clock budget per launch (0 = off)\n\
-         --tier interp|compiled: simulator execution tier (results are\n      \
-         bit-identical; the OMPGPU_TIER environment variable is the default)\n\
+         --tier interp|compiled: simulator execution tier (results, profiles\n      \
+         and findings are bit-identical; the OMPGPU_TIER environment variable\n      \
+         is the default, also for profile and sanitize)\n\
          --telemetry FILE: write spans + metrics as ompgpu-telemetry/v1\n      \
          (or a Chrome trace when FILE ends in .trace.json)\n\n\
          exit codes: 0 ok/clean, 1 compile/IO, 2 usage, 3 simulation,\n      \

@@ -99,3 +99,66 @@ fn analysis_builds_inside_openmp_opt_do_not_scale_with_kernel_count() {
     assert_eq!(small, large, "analysis builds at 8 vs 64 kernels");
     assert!(small > 0, "openmp-opt built its analyses through the cache");
 }
+
+/// Two generic kernels whose parallel regions meet in one module
+/// (`tests/fixtures/multi_kernel/shared_region.c`): the custom state
+/// machine numbers regions module-wide, so each kernel dispatches its
+/// own regions under every configuration and on both tiers.
+#[test]
+fn kernels_sharing_a_region_dispatch_their_own() {
+    use omp_gpu::job::Buffer;
+    use omp_gpu::oracle::{ArgSpec, BufInit, ORACLE_CONFIGS};
+    use omp_gpu::{Job, Knobs, LaunchDims, Readback, Store, Subject, Tier};
+
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/multi_kernel/shared_region.c"
+    );
+    let source = std::fs::read_to_string(path).unwrap();
+    let args = [
+        ArgSpec::BufF64(16, BufInit::Zero),
+        ArgSpec::I64(2),
+        ArgSpec::I64(8),
+    ];
+    let mut store = Store::new(0);
+    for config in ORACLE_CONFIGS {
+        for tier in [Tier::Interp, Tier::Compiled] {
+            for (kernel, expect) in [("ka", 101.0), ("kb", 108.0)] {
+                let job = Job {
+                    readback: Readback::All,
+                    knobs: Knobs {
+                        tier: Some(tier),
+                        ..Knobs::default()
+                    },
+                    ..Job::new(
+                        Subject::Source {
+                            source: &source,
+                            kernel,
+                            dims: LaunchDims {
+                                teams: Some(2),
+                                threads: Some(8),
+                            },
+                            args: &args,
+                        },
+                        config,
+                    )
+                };
+                let at = format!("{kernel} under {} on {tier:?}", config.cli_name());
+                let r = job
+                    .run(&mut store)
+                    .unwrap_or_else(|e| panic!("{at}: {e:?}"));
+                assert_eq!(r.buffers, [Buffer::F64(vec![expect; 16])], "{at}");
+                let mut ids: Vec<i64> = r
+                    .built
+                    .module
+                    .parallel_region_ids
+                    .iter()
+                    .map(|&(id, _)| id)
+                    .collect();
+                let n = ids.len();
+                ids.dedup();
+                assert_eq!(ids, (1..=n as i64).collect::<Vec<_>>(), "{at}");
+            }
+        }
+    }
+}

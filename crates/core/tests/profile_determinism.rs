@@ -35,21 +35,10 @@ fn profiling_does_not_perturb_stats() {
     let profiled = pipeline::profile_proxy(app.as_ref(), BuildConfig::LlvmDev, None);
     let plain_snap = plain.snapshot();
     let prof_snap = profiled.outcome.stats.as_ref().map(|s| s.snapshot());
-    assert_eq!(plain_snap.as_ref().map(|s| s.tier), Some(Tier::Compiled));
-    assert_eq!(
-        prof_snap.as_ref().map(|s| s.tier),
-        Some(Tier::Interp),
-        "profiling must force the interpreter tier"
-    );
-    // The tier tag and the superinstruction hit counters are informational
-    // tier-selection artifacts (the interpreter tier executes no compiled
-    // steps, so its counters are zero by construction); every simulated
-    // counter must be identical.
-    let plain_snap = plain_snap.map(|mut s| {
-        s.tier = Tier::Interp;
-        s.superinstructions = [0; 4];
-        s
-    });
+    // The profiled launch runs on the tier the plain one does, so the
+    // snapshots compare with nothing normalised: same tier tag, same
+    // superinstruction counters.
+    assert_eq!(prof_snap.as_ref().map(|s| s.tier), Some(Tier::Compiled));
     assert_eq!(
         plain_snap, prof_snap,
         "profiling on vs off must produce identical statistics"

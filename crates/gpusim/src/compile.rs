@@ -1,9 +1,11 @@
-//! Tier-1 block compilation: lowers straight-line [`BlockPlan`] bodies
-//! into pre-decoded step arrays the interpreter executes without
-//! per-instruction dispatch, budget checks, or frame re-borrows.
+//! Block lowering: every straight-line [`BlockPlan`] instruction
+//! becomes one pre-decoded [`Step`] ([`Lowered`], the table tier 0
+//! executes entry by entry), and blocks made only of such steps are
+//! additionally fused into [`CompiledBlock`]s the executor runs without
+//! per-instruction budget checks or charges.
 //!
-//! Compilation happens once, at plan-build time (`ExecPlan::build`),
-//! per basic block:
+//! Both happen once, at plan-build time (`ExecPlan::build`), per basic
+//! block:
 //!
 //! * every operand [`Value`] is pre-decoded into a [`Slot`] — constants
 //!   (including function addresses and `undef`) become materialized
@@ -15,11 +17,12 @@
 //!   conditional branch ([`CTerm::CmpBr`]). Fusion elides the
 //!   intermediate register write when whole-function SSA use counts
 //!   prove the fused consumer is the only reader;
-//! * the block's instruction count, static cycle cost, and memory
-//!   access count are pre-summed from the same [`CostModel`] tables the
-//!   interpreter charges, so one compiled block run performs a single
-//!   budget check and a single bulk charge — bit-identical to the
-//!   interpreter's per-instruction accounting;
+//! * the block's instruction count, static cycle cost (in total and per
+//!   [`CycleClass`], for the profiler) and step counts are pre-summed
+//!   from the per-entry [`Lowered`] costs tier 0 charges one at a time,
+//!   so one compiled block run performs a single budget check and a
+//!   single bulk charge — bit-identical to tier 0's per-instruction
+//!   accounting;
 //! * branch targets become [`Edge`]s with the successor's phi moves
 //!   pre-resolved for this predecessor.
 //!
@@ -28,12 +31,14 @@
 //! without an incoming for some predecessor — either does not compile
 //! at all (`compile_block` returns `None`) or compiles with a
 //! [`CTerm::Bridge`] terminator that hands the frame back to the
-//! interpreter positioned exactly at the terminator. The interpreter
-//! remains the complete tier-0 semantics; compiled blocks are a strict
-//! fast path over it.
+//! interpreter positioned exactly at the terminator. Tier 0 runs the
+//! same [`Step`]s unfused, so an op has one definition
+//! (`TeamExec::exec_step`); compiled blocks are a strict fast path over
+//! it.
 
 use crate::cost::CostModel;
 use crate::plan::{for_each_operand, BlockPlan, CallTarget, MathKind};
+use crate::profile::CycleClass;
 use crate::value::RtVal;
 use omp_ir::{BinOp, BlockId, CastOp, CmpOp, InstId, InstKind, Terminator, Type, Value};
 
@@ -180,15 +185,35 @@ pub(crate) enum CTerm {
     },
 }
 
-/// One block, lowered: the step array plus pre-summed accounting.
+/// One code entry, lowered for tier 0: the unfused step and the static
+/// cycles it charges under `class`. Memory steps have `cycles == 0`;
+/// their cost is dynamic and charged per access by `exec_step`.
+#[derive(Debug, Clone)]
+pub(crate) struct Lowered {
+    pub step: Step,
+    pub cycles: u64,
+    pub class: CycleClass,
+}
+
+/// The classes a block's static cycles fall into, in the order of
+/// [`CompiledBlock::class_cycles`]. Loads and stores charge
+/// dynamically; calls and runtime entry points never run in a compiled
+/// body.
+pub(crate) const STATIC_CLASSES: [CycleClass; 4] = [
+    CycleClass::Alloca,
+    CycleClass::Alu,
+    CycleClass::Branch,
+    CycleClass::Math,
+];
+
+/// One block, fused: the step array plus pre-summed accounting.
 ///
 /// Executing the block once costs `n_insts` instructions and
 /// `static_cycles` cycles plus the dynamic memory-access costs the
-/// steps accumulate; `mem_accesses` is the number of loads/stores a
-/// full run performs. A run is entered only when the remaining
-/// instruction budget covers `n_insts` (the caller deopts to the
-/// interpreter otherwise), which keeps budget-stop errors at the exact
-/// instruction the interpreter would report.
+/// steps accumulate. A run is entered only when the remaining
+/// instruction budget covers `n_insts` (the caller deopts to tier 0
+/// otherwise), which keeps budget-stop errors at the exact instruction
+/// tier 0 would report.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledBlock {
     /// `(code index of the first fused component, step)`.
@@ -199,17 +224,23 @@ pub(crate) struct CompiledBlock {
     pub n_insts: u64,
     /// Cycles per full run, excluding dynamic memory-access costs.
     pub static_cycles: u64,
-    /// `memory_accesses` statistic delta per full run.
-    pub mem_accesses: u64,
+    /// Superinstruction statistics deltas per full run: `GepLoad`
+    /// steps, `LoadBinStore` steps, and every other step.
+    pub gep_loads: u32,
+    pub load_bin_stores: u32,
+    pub plain_steps: u32,
     /// `frame.idx` to restore when bridging or trapping at the
     /// terminator (= `code.len()`).
     pub code_len: u32,
     pub term: CTerm,
+    /// `static_cycles` split by [`STATIC_CLASSES`]; read only when a
+    /// profiler observes the run.
+    pub class_cycles: [u64; 4],
 }
 
-/// Compiles every block of one function in place. `counts` are the SSA
-/// use counts over the whole function; fusion uses them to prove an
-/// intermediate register write unobservable.
+/// Lowers and compiles every block of one function in place. `counts`
+/// are the SSA use counts over the whole function; fusion uses them to
+/// prove an intermediate register write unobservable.
 pub(crate) fn compile_func(
     blocks: &mut [Option<BlockPlan<'_>>],
     call_targets: &[CallTarget],
@@ -217,22 +248,20 @@ pub(crate) fn compile_func(
     site_base: u32,
     cost: &CostModel,
 ) {
+    for bp in blocks.iter_mut().flatten() {
+        bp.lowered = bp
+            .code
+            .iter()
+            .map(|&(id, kind)| lower_one(id, kind, call_targets, site_base, cost))
+            .collect();
+    }
     let counts = use_counts(blocks, num_regs);
     let compiled: Vec<Option<CompiledBlock>> = blocks
         .iter()
         .enumerate()
         .map(|(b, bp)| {
-            bp.as_ref().and_then(|bp| {
-                compile_block(
-                    BlockId::from_index(b),
-                    bp,
-                    blocks,
-                    call_targets,
-                    &counts,
-                    site_base,
-                    cost,
-                )
-            })
+            bp.as_ref()
+                .and_then(|bp| compile_block(BlockId::from_index(b), bp, blocks, &counts, cost))
         })
         .collect();
     for (bp, c) in blocks.iter_mut().zip(compiled) {
@@ -306,19 +335,23 @@ fn edge(from: BlockId, target: BlockId, blocks: &[Option<BlockPlan<'_>>]) -> Opt
     Some(Edge { target, moves })
 }
 
-/// Lowers one decoded instruction that is not part of a wider fusion.
-/// Returns the step and its static cycle / memory-access contribution,
-/// or `None` when the instruction cannot execute inside a compiled
-/// body (calls other than pure math intrinsics).
+/// Lowers one decoded instruction to its unfused step and static
+/// charge, or `None` when it is not a step: a call other than a pure
+/// math intrinsic (the executor's call path owns it) or a mid-block
+/// phi (skipped without a charge).
 fn lower_one(
     id: InstId,
     kind: &InstKind,
     call_targets: &[CallTarget],
     site_base: u32,
     cost: &CostModel,
-) -> Option<(Step, u64, u64)> {
-    Some(match *kind {
-        InstKind::Alloca { size, .. } => (Step::Alloca { size, dst: id }, cost.simple_op, 0),
+) -> Option<Lowered> {
+    let (step, cycles, class) = match *kind {
+        InstKind::Alloca { size, .. } => (
+            Step::Alloca { size, dst: id },
+            cost.simple_op,
+            CycleClass::Alloca,
+        ),
         InstKind::Load { ptr, ty } => (
             Step::Load {
                 ptr: slot(ptr),
@@ -327,7 +360,7 @@ fn lower_one(
                 dst: id,
             },
             0,
-            1,
+            CycleClass::Load,
         ),
         InstKind::Store { ptr, val } => (
             Step::Store {
@@ -336,7 +369,7 @@ fn lower_one(
                 site: site_base + id.0,
             },
             0,
-            1,
+            CycleClass::Store,
         ),
         InstKind::Bin { op, ty, lhs, rhs } => (
             Step::Bin {
@@ -347,7 +380,7 @@ fn lower_one(
                 dst: id,
             },
             cost.bin_cost(op),
-            0,
+            CycleClass::Alu,
         ),
         InstKind::Cmp { op, ty, lhs, rhs } => (
             Step::Cmp {
@@ -358,24 +391,21 @@ fn lower_one(
                 dst: id,
             },
             cost.simple_op,
-            0,
+            CycleClass::Alu,
         ),
-        InstKind::Cast { op, val, to } => {
-            let c = match op {
+        InstKind::Cast { op, val, to } => (
+            Step::Cast {
+                op,
+                val: slot(val),
+                to,
+                dst: id,
+            },
+            match op {
                 CastOp::IntToPtr | CastOp::PtrToInt => cost.ptr_reinterpret,
                 _ => cost.simple_op,
-            };
-            (
-                Step::Cast {
-                    op,
-                    val: slot(val),
-                    to,
-                    dst: id,
-                },
-                c,
-                0,
-            )
-        }
+            },
+            CycleClass::Alu,
+        ),
         InstKind::Gep {
             base,
             index,
@@ -390,7 +420,7 @@ fn lower_one(
                 dst: id,
             },
             cost.int_op,
-            0,
+            CycleClass::Alu,
         ),
         InstKind::Select {
             cond,
@@ -405,7 +435,7 @@ fn lower_one(
                 dst: id,
             },
             cost.simple_op,
-            0,
+            CycleClass::Alu,
         ),
         InstKind::Call { ref args, .. } => match call_targets[id.index()] {
             CallTarget::Math(kind, f32_out) if args.len() <= 2 => {
@@ -422,38 +452,51 @@ fn lower_one(
                         dst: id,
                     },
                     cost.math_fn,
-                    0,
+                    CycleClass::Math,
                 )
             }
             _ => return None,
         },
-        // Mid-block phis are skipped by the interpreter (no charge);
-        // the caller counts them in `n_insts` without emitting a step.
         InstKind::Phi { .. } => return None,
+    };
+    Some(Lowered {
+        step,
+        cycles,
+        class,
     })
 }
 
-/// Compiles one block, or `None` when any instruction cannot run
-/// inside a compiled body.
+/// Whether slot `s` reads the register of instruction `id`.
+fn reads(s: Slot, id: InstId) -> bool {
+    matches!(s, Slot::Reg(r) if r == id)
+}
+
+/// Fuses one block's [`Lowered`] entries into a compiled body, or
+/// `None` when an entry cannot run inside one.
 fn compile_block(
     from: BlockId,
     bp: &BlockPlan<'_>,
     blocks: &[Option<BlockPlan<'_>>],
-    call_targets: &[CallTarget],
     counts: &[u32],
-    site_base: u32,
     cost: &CostModel,
 ) -> Option<CompiledBlock> {
     let code = bp.code.as_slice();
+    let lowered = bp.lowered.as_slice();
+    let mut class_cycles = [0u64; 4];
+    // Loads and stores have no slot: their cost is dynamic.
+    let mut charge = |class: CycleClass, cycles: u64| {
+        if let Some(c) = STATIC_CLASSES.iter().position(|&s| s == class) {
+            class_cycles[c] += cycles;
+        }
+    };
 
     // Terminator first: a fused compare-and-branch trims the step
     // range, and an unresolvable edge degrades to a bridge.
     let mut upper = code.len();
-    let mut static_cycles: u64 = 0;
     let cterm = match bp.term {
         Terminator::Br(t) => match edge(from, *t, blocks) {
             Some(e) => {
-                static_cycles += cost.simple_op;
+                charge(CycleClass::Branch, cost.simple_op);
                 CTerm::Br(e)
             }
             None => CTerm::Bridge,
@@ -464,38 +507,41 @@ fn compile_block(
             else_bb,
         } => match (edge(from, *then_bb, blocks), edge(from, *else_bb, blocks)) {
             (Some(then_e), Some(else_e)) => {
-                let fused = match (cond, code.last()) {
-                    (&Value::Inst(c), Some(&(id, kind))) => match *kind {
-                        InstKind::Cmp { op, ty, lhs, rhs } if id == c && counts[c.index()] == 1 => {
-                            Some((op, ty, lhs, rhs))
-                        }
-                        _ => None,
-                    },
-                    _ => None,
-                };
-                match fused {
-                    Some((op, ty, lhs, rhs)) => {
+                charge(CycleClass::Branch, cost.simple_op);
+                match (cond, lowered.last()) {
+                    (
+                        &Value::Inst(c),
+                        Some(Some(Lowered {
+                            step:
+                                Step::Cmp {
+                                    op,
+                                    ty,
+                                    lhs,
+                                    rhs,
+                                    dst,
+                                },
+                            cycles,
+                            ..
+                        })),
+                    ) if *dst == c && counts[c.index()] == 1 => {
                         upper = code.len() - 1;
-                        // Compare (Alu) + branch, same as unfused.
-                        static_cycles += cost.simple_op + cost.simple_op;
+                        // The compare charges as Alu, same as unfused.
+                        charge(CycleClass::Alu, *cycles);
                         CTerm::CmpBr {
-                            op,
-                            ty,
-                            lhs: slot(lhs),
-                            rhs: slot(rhs),
+                            op: *op,
+                            ty: *ty,
+                            lhs: *lhs,
+                            rhs: *rhs,
                             at: upper as u32,
                             then_e,
                             else_e,
                         }
                     }
-                    None => {
-                        static_cycles += cost.simple_op;
-                        CTerm::CondBr {
-                            cond: slot(*cond),
-                            then_e,
-                            else_e,
-                        }
-                    }
+                    _ => CTerm::CondBr {
+                        cond: slot(*cond),
+                        then_e,
+                        else_e,
+                    },
                 }
             }
             _ => CTerm::Bridge,
@@ -510,111 +556,136 @@ fn compile_block(
     }
 
     let mut steps: Vec<(u32, Step)> = Vec::new();
-    let mut mem_accesses: u64 = 0;
+    let (mut gep_loads, mut load_bin_stores) = (0u32, 0u32);
     let mut i = 0usize;
     while i < upper {
-        let (id, kind) = code[i];
         let at = i as u32;
+        let Some(l) = &lowered[i] else {
+            // Counted in `n_insts`, never executed (tier 0 skips
+            // mid-block phis without charging); anything else that did
+            // not lower needs the call path.
+            if matches!(code[i].1, InstKind::Phi { .. }) {
+                i += 1;
+                continue;
+            }
+            return None;
+        };
+        let next = |k: usize| lowered[i + 1..upper].get(k).and_then(|l| l.as_ref());
 
         // Superinstruction: load + bin + store (the canonical
         // read-modify-write idiom).
-        if i + 2 < upper {
-            if let (
-                &InstKind::Load { ptr, ty: lty },
-                (
-                    bid,
-                    &InstKind::Bin {
+        if let (
+            &Step::Load {
+                ptr,
+                ty: lty,
+                site: lsite,
+                dst: id,
+            },
+            Some(Lowered {
+                step:
+                    Step::Bin {
                         op,
                         ty: bty,
                         lhs,
                         rhs,
+                        dst: bid,
                     },
-                ),
-                (_, &InstKind::Store { ptr: sptr, val }),
-            ) = (kind, code[i + 1], code[i + 2])
-            {
-                let loaded_lhs = lhs == Value::Inst(id);
-                let loaded_rhs = rhs == Value::Inst(id);
-                if (loaded_lhs ^ loaded_rhs) && val == Value::Inst(bid) {
-                    let other = if loaded_lhs { rhs } else { lhs };
-                    steps.push((
-                        at,
-                        Step::LoadBinStore {
-                            ptr: slot(ptr),
-                            lty,
-                            lsite: site_base + id.0,
-                            ldst: (counts[id.index()] > 1).then_some(id),
-                            op,
-                            bty,
-                            other: slot(other),
-                            loaded_is_lhs: loaded_lhs,
-                            bdst: (counts[bid.index()] > 1).then_some(bid),
-                            sptr: slot(sptr),
-                            ssite: site_base + code[i + 2].0 .0,
-                        },
-                    ));
-                    static_cycles += cost.bin_cost(op);
-                    mem_accesses += 2;
-                    i += 3;
-                    continue;
-                }
+                cycles,
+                ..
+            }),
+            Some(Lowered {
+                step:
+                    Step::Store {
+                        ptr: sptr,
+                        val,
+                        site: ssite,
+                    },
+                ..
+            }),
+        ) = (&l.step, next(0), next(1))
+        {
+            let loaded_is_lhs = reads(*lhs, id);
+            if (loaded_is_lhs ^ reads(*rhs, id)) && reads(*val, *bid) {
+                steps.push((
+                    at,
+                    Step::LoadBinStore {
+                        ptr,
+                        lty,
+                        lsite,
+                        ldst: (counts[id.index()] > 1).then_some(id),
+                        op: *op,
+                        bty: *bty,
+                        other: if loaded_is_lhs { *rhs } else { *lhs },
+                        loaded_is_lhs,
+                        bdst: (counts[bid.index()] > 1).then_some(*bid),
+                        sptr: *sptr,
+                        ssite: *ssite,
+                    },
+                ));
+                charge(CycleClass::Alu, *cycles);
+                load_bin_stores += 1;
+                i += 3;
+                continue;
             }
         }
 
         // Superinstruction: address calculation + load.
-        if i + 1 < upper {
-            if let (
-                &InstKind::Gep {
-                    base,
-                    index,
-                    scale,
-                    offset,
-                },
-                (lid, &InstKind::Load { ptr, ty }),
-            ) = (kind, code[i + 1])
-            {
-                if ptr == Value::Inst(id) {
-                    steps.push((
-                        at,
-                        Step::GepLoad {
-                            base: slot(base),
-                            index: slot(index),
-                            scale,
-                            offset,
-                            addr_dst: (counts[id.index()] > 1).then_some(id),
-                            ty,
-                            site: site_base + lid.0,
-                            dst: lid,
-                        },
-                    ));
-                    static_cycles += cost.int_op;
-                    mem_accesses += 1;
-                    i += 2;
-                    continue;
-                }
+        if let (
+            &Step::Gep {
+                base,
+                index,
+                scale,
+                offset,
+                dst: id,
+            },
+            Some(Lowered {
+                step:
+                    Step::Load {
+                        ptr,
+                        ty,
+                        site,
+                        dst: lid,
+                    },
+                ..
+            }),
+        ) = (&l.step, next(0))
+        {
+            if reads(*ptr, id) {
+                steps.push((
+                    at,
+                    Step::GepLoad {
+                        base,
+                        index,
+                        scale,
+                        offset,
+                        addr_dst: (counts[id.index()] > 1).then_some(id),
+                        ty: *ty,
+                        site: *site,
+                        dst: *lid,
+                    },
+                ));
+                charge(CycleClass::Alu, l.cycles);
+                gep_loads += 1;
+                i += 2;
+                continue;
             }
         }
 
-        if matches!(kind, InstKind::Phi { .. }) {
-            // Counted in `n_insts`, never executed (the interpreter
-            // skips mid-block phis without charging).
-            i += 1;
-            continue;
-        }
-        let (step, st, mem) = lower_one(id, kind, call_targets, site_base, cost)?;
-        steps.push((at, step));
-        static_cycles += st;
-        mem_accesses += mem;
+        steps.push((at, l.step.clone()));
+        charge(l.class, l.cycles);
         i += 1;
     }
 
     let n_insts = code.len() as u64 + if bridge { 0 } else { 1 };
     Some(CompiledBlock {
+        plain_steps: steps.len() as u32 - gep_loads - load_bin_stores,
         steps,
         n_insts,
-        static_cycles,
-        mem_accesses,
+        static_cycles: class_cycles.iter().sum(),
+        gep_loads,
+        load_bin_stores,
         code_len: code.len() as u32,
         term: cterm,
+        class_cycles,
     })
 }

@@ -7,16 +7,21 @@ use std::time::Duration;
 /// Execution tier for kernel launches.
 ///
 /// `Compiled` (the default) runs straight-line blocks through the
-/// pre-compiled superinstruction bodies built at plan time and falls
-/// back to the interpreter per block for runtime calls, barriers, and
-/// other effectful constructs. `Interp` forces every instruction
-/// through the tier-0 interpreter. Outputs, statistics, and simulated
-/// cycles are bit-identical between tiers; only wall-clock differs.
+/// fused superinstruction bodies built at plan time and falls back to
+/// tier 0 per block for runtime calls, barriers, and other effectful
+/// constructs. `Interp` runs every block unfused, one pre-decoded step
+/// per instruction with a budget check before each. Both tiers execute
+/// the same steps and feed the same observers, so outputs, statistics,
+/// simulated cycles, profiles and sanitizer findings are bit-identical
+/// between them; only wall-clock differs. The tier that runs is the
+/// tier that was asked for: profiling, sanitizing and fault injection
+/// do not change it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tier {
-    /// Tier 0: the per-instruction interpreter (also the deopt path).
+    /// Tier 0: one step per instruction (also the deopt path and the
+    /// differential reference).
     Interp,
-    /// Tier 1: pre-compiled block bodies with interpreter bridging.
+    /// Tier 1: fused block bodies, bridging to tier 0.
     #[default]
     Compiled,
 }
@@ -91,31 +96,8 @@ pub struct DeviceConfig {
     /// fails its launch with a structured timeout diagnostic instead of
     /// hanging the caller. `None` (the default) disables the watchdog.
     pub watchdog: Option<Duration>,
-    /// Requested execution tier ([`Tier`]). The tier that actually runs
-    /// is [`DeviceConfig::effective_tier`]: profiling, sanitizing, and
-    /// fault injection all force the interpreter tier regardless of
-    /// this setting.
+    /// The execution tier launches run on ([`Tier`]).
     pub tier: Tier,
-}
-
-impl DeviceConfig {
-    /// The tier a launch under this configuration actually executes.
-    ///
-    /// The compiled tier runs only when profiling, sanitizing, and
-    /// fault injection are all off — those modes need the interpreter's
-    /// per-instruction hooks, exactly like a production VM deopting for
-    /// its debugger/profiler tier.
-    pub fn effective_tier(&self) -> Tier {
-        if self.tier == Tier::Compiled
-            && self.profile == ProfileMode::Off
-            && self.sanitize == SanitizeMode::Off
-            && !self.fault.is_active()
-        {
-            Tier::Compiled
-        } else {
-            Tier::Interp
-        }
-    }
 }
 
 impl Default for DeviceConfig {
@@ -152,32 +134,66 @@ mod tests {
         assert!(c.shared_mem_per_team >= 16 * 1024);
         assert!(c.trap_on_cross_thread_local);
         assert_eq!(c.tier, Tier::Compiled);
-        assert_eq!(c.effective_tier(), Tier::Compiled);
     }
 
+    /// Profiling, sanitizing and an armed fault plan observe the tier
+    /// that was asked for: on either tier the launch reports that tier
+    /// and exactly the statistics of the plain launch.
     #[test]
-    fn observability_modes_force_the_interpreter_tier() {
-        let c = DeviceConfig {
-            profile: ProfileMode::On,
-            ..DeviceConfig::default()
+    fn observability_modes_keep_the_requested_tier() {
+        use crate::{Device, LaunchDims, RtVal};
+        let src = r#"
+void k(double* a, long n) {
+  #pragma omp target teams distribute parallel for
+  for (long i = 0; i < n; i++) { a[i] = a[i] * 2.0 + 1.0; }
+}
+"#;
+        let m = omp_frontend::compile(src, &Default::default()).unwrap();
+        let run = |cfg: DeviceConfig| {
+            let mut dev = Device::new(&m, cfg).unwrap();
+            let a = dev.alloc_f64(&[1.0; 64]).unwrap();
+            let dims = LaunchDims {
+                teams: Some(2),
+                threads: Some(8),
+            };
+            let (stats, ..) = dev
+                .launch_full("k", &[RtVal::Ptr(a), RtVal::I64(64)], dims)
+                .unwrap();
+            (stats.snapshot(), dev.read_f64(a, 64).unwrap())
         };
-        assert_eq!(c.effective_tier(), Tier::Interp);
-
-        let c = DeviceConfig {
-            sanitize: SanitizeMode::On,
-            ..DeviceConfig::default()
-        };
-        assert_eq!(c.effective_tier(), Tier::Interp);
-
-        let mut c = DeviceConfig::default();
-        c.fault.trap_at_inst = Some(10);
-        assert_eq!(c.effective_tier(), Tier::Interp);
-
-        let c = DeviceConfig {
-            tier: Tier::Interp,
-            ..DeviceConfig::default()
-        };
-        assert_eq!(c.effective_tier(), Tier::Interp);
+        for tier in [Tier::Interp, Tier::Compiled] {
+            let base = DeviceConfig {
+                tier,
+                ..DeviceConfig::default()
+            };
+            let plain = run(base.clone());
+            assert_eq!(plain.0.tier, tier);
+            assert_eq!(
+                plain.0.superinstructions.iter().any(|&n| n > 0),
+                tier == Tier::Compiled
+            );
+            let mut armed = base.clone();
+            armed.fault.trap_at_inst = Some(u64::MAX - 1);
+            armed.fault.fail_alloc_after = Some(u64::MAX);
+            for cfg in [
+                DeviceConfig {
+                    profile: ProfileMode::On,
+                    ..base.clone()
+                },
+                DeviceConfig {
+                    sanitize: SanitizeMode::On,
+                    ..base.clone()
+                },
+                DeviceConfig {
+                    profile: ProfileMode::On,
+                    sanitize: SanitizeMode::On,
+                    ..base.clone()
+                },
+                armed,
+            ] {
+                assert_eq!(run(cfg), plain);
+            }
+        }
     }
 
     #[test]

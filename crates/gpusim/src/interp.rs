@@ -10,25 +10,33 @@
 //! time.
 //!
 //! Execution is driven by the precompiled [`crate::plan::ExecPlan`]:
-//! instruction kinds and terminators are *borrowed* from the module
-//! (never cloned per step), call targets are pre-resolved enums instead
-//! of name strings, frames are allocated at their final register-file
-//! size, and the coalescing-model state lives in dense `Vec`s indexed
-//! by a plan-wide access-site number.
+//! straight-line instructions are pre-decoded [`Step`]s with one
+//! definition ([`TeamExec::exec_step`]) that tier 0 runs one at a time
+//! and tier 1 runs fused per block ([`crate::compile`]); terminators
+//! and calls are *borrowed* from the module (never cloned per step),
+//! call targets are pre-resolved enums instead of name strings, frames
+//! are allocated at their final register-file size, and the
+//! coalescing-model state lives in dense `Vec`s indexed by a plan-wide
+//! access-site number.
+//!
+//! The profiler and the sanitizer are [`Observers`] of that one
+//! executor: they are told what happened on whichever tier it happened
+//! and never choose the tier.
 //!
 //! One [`TeamExec`] runs one team to completion over a private
 //! [`TeamMemView`]; teams are independent, so the launch layer
 //! (`launch.rs`) may run several on parallel host threads and merge the
 //! resulting [`TeamOutcome`]s in team-id order.
 
-use crate::compile::{CTerm, CompiledBlock, Edge, Slot, Step};
+use crate::compile::{CTerm, CompiledBlock, Edge, Slot, Step, STATIC_CLASSES};
 use crate::config::{DeviceConfig, Tier};
 use crate::cost::CostModel;
 use crate::error::{Provenance, ThreadPos};
 use crate::mem::{self, AccessClass, FastMap, TeamMemDelta, TeamMemView};
-use crate::plan::{CallTarget, ExecPlan, MathKind, NUM_RTL_FNS};
-use crate::profile::{CycleClass, ProfileMode, TeamProfile, TeamProfileState};
-use crate::sanitize::{Finding, SanitizeMode, SiteRef, TeamSanState};
+use crate::observe::Observers;
+use crate::plan::{BlockPlan, CallTarget, ExecPlan, MathKind, NUM_RTL_FNS};
+use crate::profile::{CycleClass, TeamProfile};
+use crate::sanitize::{Finding, SiteRef};
 use crate::stats::KernelStats;
 use crate::value::RtVal;
 use omp_ir::omprtl::{ALL_RTL_FNS, MODE_SPMD};
@@ -203,9 +211,9 @@ pub(crate) struct TeamStats {
     pub memory_accesses: u64,
     pub coalesced_accesses: u64,
     pub uncoalesced_accesses: u64,
-    /// Tier-1 superinstruction hit counters: steps executed per fused
-    /// kind versus plain decoded steps. Tier-dependent by construction
-    /// (the interpreter executes no compiled steps at all), so they are
+    /// Tier-1 superinstruction hit counters: steps of compiled blocks
+    /// per fused kind versus plain steps. Tier-dependent by
+    /// construction (tier 0 runs no compiled block), so they are
     /// excluded from cross-tier differential comparisons.
     pub fused_gep_load: u64,
     pub fused_load_bin_store: u64,
@@ -278,18 +286,13 @@ pub(crate) struct TeamExec<'a, 'm> {
     scratch_args: Vec<RtVal>,
     /// Reusable scratch for simultaneous phi evaluation.
     scratch_phis: Vec<(InstId, RtVal)>,
-    /// Cycle-attribution collector; `None` when profiling is off, so
-    /// the hot path pays one branch per charge.
-    prof: Option<Box<TeamProfileState>>,
-    /// Sanitizer shadow state; `None` when sanitizing is off, so the
-    /// hot path pays one branch per access.
-    san: Option<Box<TeamSanState>>,
+    /// The profiler and sanitizer, when the launch enabled them.
+    obs: Observers,
     /// Injected trap threshold (`u64::MAX` = disabled), folded into the
     /// per-instruction budget compare.
     fault_trap_at: u64,
-    /// Whether this launch executes tier-1 compiled block bodies
-    /// ([`DeviceConfig::effective_tier`]): profiling, sanitizing, and
-    /// fault injection all force the interpreter.
+    /// Whether this launch runs fused block bodies where it can
+    /// (`cfg.tier`); otherwise every block runs unfused on tier 0.
     tier1: bool,
     /// Wall-clock deadline for this team (checked every 16 K
     /// instructions; `None` = no watchdog).
@@ -346,19 +349,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 hook: None,
             });
         }
-        let prof = (cfg.profile == ProfileMode::On).then(|| {
-            let mut p = Box::new(TeamProfileState::new(
-                module.num_functions(),
-                team_size as usize,
-            ));
-            // Every thread starts with the kernel frame on its stack.
-            for hw in 0..team_size {
-                p.on_push(hw, kernel, 0);
-            }
-            p
-        });
-        let san = (cfg.sanitize == SanitizeMode::On)
-            .then(|| Box::new(TeamSanState::new(team_id, team_size as usize)));
+        let obs = Observers::new(cfg, module.num_functions(), team_id, team_size, kernel);
         let watchdog_millis = cfg.watchdog.map(|d| d.as_millis() as u64).unwrap_or(0);
         TeamExec {
             module,
@@ -378,18 +369,26 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             debug_coalesce: std::env::var_os("OMP_GPUSIM_DEBUG_COALESCE").is_some(),
             scratch_args: Vec::new(),
             scratch_phis: Vec::new(),
-            prof,
-            san,
+            obs,
             fault_trap_at: cfg.fault.trap_at_inst.unwrap_or(u64::MAX),
-            tier1: cfg.effective_tier() == Tier::Compiled,
+            tier1: cfg.tier == Tier::Compiled,
             deadline: cfg.watchdog.map(|d| Instant::now() + d),
             watchdog_millis,
         }
     }
 
     /// Runs the team to completion; returns its cycle count, statistics
-    /// and memory effects.
-    pub fn run(mut self) -> Result<TeamOutcome, SimError> {
+    /// and memory effects. Picks the executor instantiation once: a
+    /// launch nobody observes runs code with no observer calls in it.
+    pub fn run(self) -> Result<TeamOutcome, SimError> {
+        if self.obs.active() {
+            self.run_team::<true>()
+        } else {
+            self.run_team::<false>()
+        }
+    }
+
+    fn run_team<const OBS: bool>(mut self) -> Result<TeamOutcome, SimError> {
         // Round-robin scheduling until every thread is done.
         loop {
             let mut progressed = false;
@@ -398,7 +397,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                     continue;
                 }
                 progressed = true;
-                if let Err(e) = self.run_thread(hw) {
+                if let Err(e) = self.run_thread::<OBS>(hw) {
                     return Err(self.annotate(e, hw));
                 }
             }
@@ -415,12 +414,10 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                     .iter()
                     .any(|t| matches!(t.status, Status::AtBarrier(_)))
                 {
-                    if let Some(s) = self.san.as_deref_mut() {
-                        s.on_barrier_deadlock();
-                    }
+                    self.obs.on_barrier_deadlock();
                 }
                 let threads = self.thread_positions();
-                let findings = self.take_findings();
+                let findings = self.obs.take_findings(self.module);
                 return Err(SimError::deadlock()
                     .with_threads(threads)
                     .with_findings(findings));
@@ -435,8 +432,8 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             .unwrap_or(0);
         self.stats.instructions += self.team.threads.iter().map(|t| t.insts).sum::<u64>();
         let total_thread_cycles = self.team.threads.iter().map(|t| t.cycles).sum::<u64>();
-        let profile = self.prof.take().map(|p| p.finish(total_thread_cycles));
-        let findings = self.take_findings();
+        let profile = self.obs.take_profile(total_thread_cycles);
+        let findings = self.obs.take_findings(self.module);
         Ok(TeamOutcome {
             cycles,
             stats: self.stats,
@@ -444,14 +441,6 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             profile,
             findings,
         })
-    }
-
-    /// Drains the sanitizer state into reportable findings.
-    fn take_findings(&mut self) -> Vec<Finding> {
-        self.san
-            .take()
-            .map(|s| s.finish(self.module))
-            .unwrap_or_default()
     }
 
     /// The position of every thread of the team, for deadlock/timeout
@@ -483,7 +472,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
     /// Attaches provenance (failing thread's top frame) and any
     /// sanitizer findings to an error bubbling out of `run_thread`.
     fn annotate(&mut self, e: SimError, hw: u32) -> SimError {
-        let epoch = self.san.as_deref().map(|s| s.epoch_of(hw)).unwrap_or(0);
+        let epoch = self.obs.epoch_of(hw);
         let th = &self.team.threads[hw as usize];
         let p = th.frames.last().map(|f| Provenance {
             function: self.module.func(f.func).name.clone(),
@@ -493,7 +482,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             thread: hw,
             epoch,
         });
-        let findings = self.take_findings();
+        let findings = self.obs.take_findings(self.module);
         let mut e = e.with_findings(findings);
         if let Some(p) = p {
             e = e.with_provenance(p);
@@ -506,8 +495,8 @@ impl<'a, 'm> TeamExec<'a, 'm> {
 
     /// Picks the error for a tripped instruction-count stop: either the
     /// injected trap of the fault plan or the runaway budget.
-    fn budget_stop(&self, hw: u32) -> SimError {
-        if self.team.threads[hw as usize].insts >= self.fault_trap_at {
+    fn budget_stop(&self, insts: u64) -> SimError {
+        if insts >= self.fault_trap_at {
             SimError::fault_injected(format!(
                 "trap at dynamic instruction {}",
                 self.fault_trap_at
@@ -519,265 +508,115 @@ impl<'a, 'm> TeamExec<'a, 'm> {
 
     /// Runs thread `hw` until it blocks, yields, or finishes.
     ///
-    /// The hot loop is organized as *block runs*: the outer loop
-    /// resolves the running frame's function and block plan once, and
-    /// the inner loop dispatches straight-line instructions off the
-    /// resolved code slice without re-resolving anything. Calls,
-    /// terminators and status changes break back out to re-resolve.
-    fn run_thread(&mut self, hw: u32) -> Result<(), SimError> {
+    /// The loop is organized as *block runs*: each iteration resolves
+    /// the running frame's function and block plan once and hands the
+    /// block's straight-line steps to [`TeamExec::run_compiled`] (fused,
+    /// chaining across blocks) or [`TeamExec::run_unfused`] (tier 0, one
+    /// step at a time). What neither executes — calls and terminators —
+    /// is handled here, then the frame is resolved again.
+    fn run_thread<const OBS: bool>(&mut self, hw: u32) -> Result<(), SimError> {
         let plan = self.plan;
-        let team_id = self.team.id;
         let max_insts = self.cfg.max_insts_per_thread;
         // Fold the injected-trap threshold into the budget compare so
         // the hot loop pays a single bound check for both.
         let stop_at = max_insts.saturating_add(1).min(self.fault_trap_at);
-        'resolve: while self.team.threads[hw as usize].status == Status::Ready {
+        while self.team.threads[hw as usize].status == Status::Ready {
             let th = &mut self.team.threads[hw as usize];
             let Some(frame) = th.frames.last() else {
                 th.insts += 1;
                 if th.insts >= stop_at {
-                    return Err(self.budget_stop(hw));
+                    let insts = th.insts;
+                    return Err(self.budget_stop(insts));
                 }
                 th.status = Status::Done;
-                continue 'resolve;
+                continue;
             };
             let fid = frame.func;
-            let at_entry = frame.idx == 0;
-            let insts_now = th.insts;
             let fp = plan.func(fid).expect("frame in undefined function");
             let bp = fp.block(frame.block);
             // Tier 1: a block entered at its head runs through its
             // compiled body when the remaining instruction budget
             // covers the whole run. The budget pre-check lives *here*
             // so a budget deopt falls through to the per-instruction
-            // interpreter below instead of re-entering the compiled
-            // body forever; mid-block resumption (returning calls)
-            // always interprets.
-            if self.tier1 && at_entry {
+            // loop below instead of re-entering the compiled body
+            // forever; mid-block resumption (returning calls) always
+            // runs unfused.
+            if self.tier1 && frame.idx == 0 {
                 if let Some(cb) = bp.compiled.as_ref() {
-                    if insts_now.saturating_add(cb.n_insts) < stop_at {
-                        self.run_compiled(hw, fid, fp, cb, stop_at)?;
-                        continue 'resolve;
+                    if th.insts.saturating_add(cb.n_insts) < stop_at {
+                        self.run_compiled::<OBS>(hw, fid, fp, cb, stop_at)?;
+                        continue;
                     }
                 }
             }
-            let code = bp.code.as_slice();
-            loop {
-                // One mutable borrow of the thread per instruction; the
-                // memory arms re-borrow only around `access_cost`
-                // (which needs the whole executor).
-                let th = &mut self.team.threads[hw as usize];
-                th.insts += 1;
-                if th.insts >= stop_at {
-                    return Err(self.budget_stop(hw));
-                }
-                if th.insts & 0x3FFF == 0 {
-                    if let Some(deadline) = self.deadline {
-                        if Instant::now() >= deadline {
-                            return Err(SimError::timeout(self.watchdog_millis));
-                        }
+            match self.run_unfused::<OBS>(hw, fid, bp, stop_at)? {
+                None => self.step_terminator(hw)?,
+                Some((inst_id, InstKind::Call { callee, args, .. })) => {
+                    let target = fp.call_targets[inst_id.index()];
+                    self.exec_call(hw, inst_id, target, *callee, args)?;
+                    // The call may have pushed a frame, blocked the
+                    // thread, or requested a scheduler yield.
+                    if self.yield_flag {
+                        self.yield_flag = false;
+                        return Ok(());
                     }
                 }
-                let frame = th.frames.last().unwrap();
-                if frame.idx >= code.len() {
-                    self.step_terminator(hw)?;
-                    continue 'resolve;
-                }
-                let (inst_id, kind) = code[frame.idx];
-                match kind {
-                    InstKind::Alloca { size, .. } => {
-                        let size = *size;
-                        let addr = mem::local_addr(team_id, hw, th.local_sp);
-                        th.local_sp += size.max(1).div_ceil(8) * 8;
-                        if th.local_sp > self.cfg.local_mem_per_thread {
-                            return Err(SimError::trap("thread-local stack overflow"));
-                        }
-                        let f = th.frames.last_mut().unwrap();
-                        Self::set_reg(f, inst_id, RtVal::Ptr(addr));
-                        f.idx += 1;
-                        let c = self.cost.simple_op;
-                        th.cycles += c;
-                        if let Some(p) = self.prof.as_deref_mut() {
-                            p.on_charge(Some(fid), CycleClass::Alloca, c);
-                        }
-                    }
-                    InstKind::Load { ptr, ty } => {
-                        let (ptr, ty) = (*ptr, *ty);
-                        let f = th.frames.last().unwrap();
-                        let blk = f.block.index() as u32;
-                        let p = Self::eval(self.globals, team_id, f, ptr)?
-                            .as_ptr()
-                            .ok_or_else(|| SimError::trap("load through non-pointer"))?;
-                        let (v, class) = self.mem.load(p, ty, hw)?;
-                        if let Some(s) = self.san.as_deref_mut() {
-                            let site = SiteRef {
-                                func: fid,
-                                block: blk,
-                                inst: inst_id.0,
-                            };
-                            s.on_access(hw, p, ty.size(), false, class, site);
-                        }
-                        let site = fp.site_base + inst_id.0;
-                        let cost = self.access_cost(hw, fid, site, p, ty, class);
-                        let th = &mut self.team.threads[hw as usize];
-                        let f = th.frames.last_mut().unwrap();
-                        Self::set_reg(f, inst_id, v);
-                        f.idx += 1;
-                        th.cycles += cost;
-                        if let Some(p) = self.prof.as_deref_mut() {
-                            p.on_charge(Some(fid), CycleClass::Load, cost);
-                        }
-                        self.stats.memory_accesses += 1;
-                    }
-                    InstKind::Store { ptr, val } => {
-                        let (ptr, val) = (*ptr, *val);
-                        let f = th.frames.last().unwrap();
-                        let blk = f.block.index() as u32;
-                        let p = Self::eval(self.globals, team_id, f, ptr)?
-                            .as_ptr()
-                            .ok_or_else(|| SimError::trap("store through non-pointer"))?;
-                        let v = Self::eval(self.globals, team_id, f, val)?;
-                        let class = self.mem.store(p, v, hw)?;
-                        if let Some(s) = self.san.as_deref_mut() {
-                            let site = SiteRef {
-                                func: fid,
-                                block: blk,
-                                inst: inst_id.0,
-                            };
-                            s.on_access(hw, p, v.ty().size(), true, class, site);
-                        }
-                        let site = fp.site_base + inst_id.0;
-                        let cost = self.access_cost(hw, fid, site, p, v.ty(), class);
-                        let th = &mut self.team.threads[hw as usize];
-                        let f = th.frames.last_mut().unwrap();
-                        f.idx += 1;
-                        th.cycles += cost;
-                        if let Some(p) = self.prof.as_deref_mut() {
-                            p.on_charge(Some(fid), CycleClass::Store, cost);
-                        }
-                        self.stats.memory_accesses += 1;
-                    }
-                    InstKind::Bin { op, ty, lhs, rhs } => {
-                        let (op, ty, lhs, rhs) = (*op, *ty, *lhs, *rhs);
-                        let f = th.frames.last().unwrap();
-                        let a = Self::eval(self.globals, team_id, f, lhs)?;
-                        let b = Self::eval(self.globals, team_id, f, rhs)?;
-                        let v = exec_bin(op, ty, a, b)?;
-                        let f = th.frames.last_mut().unwrap();
-                        Self::set_reg(f, inst_id, v);
-                        f.idx += 1;
-                        let c = self.cost.bin_cost(op);
-                        th.cycles += c;
-                        if let Some(p) = self.prof.as_deref_mut() {
-                            p.on_charge(Some(fid), CycleClass::Alu, c);
-                        }
-                    }
-                    InstKind::Cmp { op, ty, lhs, rhs } => {
-                        let (op, ty, lhs, rhs) = (*op, *ty, *lhs, *rhs);
-                        let f = th.frames.last().unwrap();
-                        let a = Self::eval(self.globals, team_id, f, lhs)?;
-                        let b = Self::eval(self.globals, team_id, f, rhs)?;
-                        let v = exec_cmp(op, ty, a, b)?;
-                        let f = th.frames.last_mut().unwrap();
-                        Self::set_reg(f, inst_id, v);
-                        f.idx += 1;
-                        let c = self.cost.simple_op;
-                        th.cycles += c;
-                        if let Some(p) = self.prof.as_deref_mut() {
-                            p.on_charge(Some(fid), CycleClass::Alu, c);
-                        }
-                    }
-                    InstKind::Cast { op, val, to } => {
-                        let (op, val, to) = (*op, *val, *to);
-                        let f = th.frames.last().unwrap();
-                        let a = Self::eval(self.globals, team_id, f, val)?;
-                        let v = exec_cast(op, a, to)?;
-                        let f = th.frames.last_mut().unwrap();
-                        Self::set_reg(f, inst_id, v);
-                        f.idx += 1;
-                        let c = match op {
-                            omp_ir::CastOp::IntToPtr | omp_ir::CastOp::PtrToInt => {
-                                self.cost.ptr_reinterpret
-                            }
-                            _ => self.cost.simple_op,
-                        };
-                        th.cycles += c;
-                        if let Some(p) = self.prof.as_deref_mut() {
-                            p.on_charge(Some(fid), CycleClass::Alu, c);
-                        }
-                    }
-                    InstKind::Gep {
-                        base,
-                        index,
-                        scale,
-                        offset,
-                    } => {
-                        let (base, index, scale, offset) = (*base, *index, *scale, *offset);
-                        let f = th.frames.last().unwrap();
-                        let b = Self::eval(self.globals, team_id, f, base)?
-                            .as_ptr()
-                            .ok_or_else(|| SimError::trap("gep on non-pointer"))?;
-                        let i = Self::eval(self.globals, team_id, f, index)?
-                            .as_i64()
-                            .ok_or_else(|| SimError::trap("gep with non-integer index"))?;
-                        let addr = (b as i64 + i * scale as i64 + offset) as u64;
-                        let f = th.frames.last_mut().unwrap();
-                        Self::set_reg(f, inst_id, RtVal::Ptr(addr));
-                        f.idx += 1;
-                        let c = self.cost.int_op;
-                        th.cycles += c;
-                        if let Some(p) = self.prof.as_deref_mut() {
-                            p.on_charge(Some(fid), CycleClass::Alu, c);
-                        }
-                    }
-                    InstKind::Select {
-                        cond,
-                        on_true,
-                        on_false,
-                        ..
-                    } => {
-                        let (cond, on_true, on_false) = (*cond, *on_true, *on_false);
-                        let f = th.frames.last().unwrap();
-                        let c = Self::eval(self.globals, team_id, f, cond)?
-                            .as_bool()
-                            .ok_or_else(|| SimError::trap("select on non-boolean"))?;
-                        let v = if c {
-                            Self::eval(self.globals, team_id, f, on_true)?
-                        } else {
-                            Self::eval(self.globals, team_id, f, on_false)?
-                        };
-                        let f = th.frames.last_mut().unwrap();
-                        Self::set_reg(f, inst_id, v);
-                        f.idx += 1;
-                        let c = self.cost.simple_op;
-                        th.cycles += c;
-                        if let Some(p) = self.prof.as_deref_mut() {
-                            p.on_charge(Some(fid), CycleClass::Alu, c);
-                        }
-                    }
-                    InstKind::Phi { .. } => {
-                        // Phis are executed as part of block transition;
-                        // a phi in the middle of a block (not the leading
-                        // header the plan splits off) is skipped
-                        // defensively.
-                        let f = th.frames.last_mut().unwrap();
-                        f.idx += 1;
-                    }
-                    InstKind::Call { callee, args, .. } => {
-                        let target = fp.call_targets[inst_id.index()];
-                        self.exec_call(hw, inst_id, target, *callee, args)?;
-                        // The call may have pushed a frame, blocked the
-                        // thread, or requested a scheduler yield.
-                        if self.yield_flag {
-                            self.yield_flag = false;
-                            return Ok(());
-                        }
-                        continue 'resolve;
-                    }
+                // Phis execute as part of the block transition; one in
+                // the middle of a block (not the leading header the
+                // plan splits off) is skipped.
+                Some(_) => {
+                    self.team.threads[hw as usize]
+                        .frames
+                        .last_mut()
+                        .unwrap()
+                        .idx += 1
                 }
             }
         }
         Ok(())
+    }
+
+    /// Tier 0: executes the top frame's block one [`Step`] at a time
+    /// from `frame.idx`, with the budget compare, the watchdog and the
+    /// static charge per instruction. Stops *at* (having counted, not
+    /// executed) the first entry that is not a step and returns it, or
+    /// `None` at the terminator. Like a compiled run, the frame is
+    /// popped for the duration and pushed back on every path.
+    fn run_unfused<const OBS: bool>(
+        &mut self,
+        hw: u32,
+        fid: FuncId,
+        bp: &BlockPlan<'m>,
+        stop_at: u64,
+    ) -> Result<Option<(InstId, &'m InstKind)>, SimError> {
+        let th = &mut self.team.threads[hw as usize];
+        let mut insts = th.insts;
+        let mut cycles: u64 = 0;
+        let mut frame = th.frames.pop().expect("block run without a frame");
+        let r = loop {
+            insts += 1;
+            if insts >= stop_at {
+                break Err(self.budget_stop(insts));
+            }
+            if insts & 0x3FFF == 0 && self.deadline.is_some_and(|d| Instant::now() >= d) {
+                break Err(SimError::timeout(self.watchdog_millis));
+            }
+            let Some(entry) = bp.lowered.get(frame.idx) else {
+                break Ok(None);
+            };
+            let Some(l) = entry else {
+                break Ok(Some(bp.code[frame.idx]));
+            };
+            if let Err((_, e)) = self.exec_step::<OBS>(hw, fid, &l.step, &mut frame, &mut cycles) {
+                break Err(e);
+            }
+            cycles += l.cycles;
+            if OBS {
+                self.obs.on_charge(Some(fid), l.class, l.cycles);
+            }
+            frame.idx += 1;
+        };
+        self.end_run(hw, frame, cycles, insts, r)
     }
 
     fn eval(
@@ -830,9 +669,8 @@ impl<'a, 'm> TeamExec<'a, 'm> {
     fn charge(&mut self, hw: u32, cycles: u64, class: CycleClass) {
         let th = &mut self.team.threads[hw as usize];
         th.cycles += cycles;
-        if let Some(p) = self.prof.as_deref_mut() {
-            p.on_charge(th.frames.last().map(|f| f.func), class, cycles);
-        }
+        self.obs
+            .on_charge(th.frames.last().map(|f| f.func), class, cycles);
     }
 
     /// Evaluates a pre-decoded tier-1 operand slot. Mirrors
@@ -873,16 +711,20 @@ impl<'a, 'm> TeamExec<'a, 'm> {
     /// Runs compiled blocks for thread `hw` starting at the top frame's
     /// current block, chaining across compiled successors. The frame is
     /// popped into a local for the duration (pushed back by
-    /// [`TeamExec::exit_compiled`] on every path), and cycle/instruction
+    /// [`TeamExec::end_run`] on every path), and cycle/instruction
     /// deltas accumulate in locals, flushed once per exit.
     ///
     /// Callers guarantee `frame.idx == 0` and that the instruction
     /// budget covers the first block's `n_insts`; the loop re-checks the
-    /// budget per chained block and exits back to the interpreter (same
+    /// budget per chained block and exits back to `run_thread` (same
     /// position, nothing charged for the unexecuted block) when the
-    /// budget might trip inside it — the interpreter then stops at the
-    /// exact instruction tier 0 would.
-    fn run_compiled<'p>(
+    /// budget might trip inside it — tier 0 then stops at the exact
+    /// instruction.
+    ///
+    /// A finished block reports its static cycles to the profiler by
+    /// class; a block that fails part-way reports none (the error drops
+    /// the profile along with the statistics).
+    fn run_compiled<'p, const OBS: bool>(
         &mut self,
         hw: u32,
         fid: FuncId,
@@ -899,22 +741,30 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             let before = insts;
             if before.saturating_add(cb.n_insts) >= stop_at {
                 // Budget deopt: let the interpreter run this block.
-                return self.exit_compiled(hw, frame, cycles, insts, Ok(()));
+                return self.end_run(hw, frame, cycles, insts, Ok(()));
             }
             let mut failed: Option<SimError> = None;
             for &(at, ref step) in &cb.steps {
-                if let Err((rel, e)) = self.exec_step(hw, fid, step, &mut frame, &mut cycles) {
+                if let Err((rel, e)) = self.exec_step::<OBS>(hw, fid, step, &mut frame, &mut cycles)
+                {
                     frame.idx = (at + rel) as usize;
                     failed = Some(e);
                     break;
                 }
             }
             if let Some(e) = failed {
-                return self.exit_compiled(hw, frame, cycles, insts, Err(e));
+                return self.end_run(hw, frame, cycles, insts, Err(e));
             }
             insts += cb.n_insts;
             cycles += cb.static_cycles;
-            self.stats.memory_accesses += cb.mem_accesses;
+            if OBS {
+                for (class, &c) in STATIC_CLASSES.into_iter().zip(&cb.class_cycles) {
+                    self.obs.on_charge(Some(fid), class, c);
+                }
+            }
+            self.stats.fused_gep_load += cb.gep_loads as u64;
+            self.stats.fused_load_bin_store += cb.load_bin_stores as u64;
+            self.stats.plain_steps += cb.plain_steps as u64;
             frame.idx = cb.code_len as usize;
             // Amortized watchdog: fire on the same 16 K-instruction
             // cadence as the interpreter's per-instruction check.
@@ -922,7 +772,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 if let Some(deadline) = self.deadline {
                     if Instant::now() >= deadline {
                         let e = SimError::timeout(self.watchdog_millis);
-                        return self.exit_compiled(hw, frame, cycles, insts, Err(e));
+                        return self.end_run(hw, frame, cycles, insts, Err(e));
                     }
                 }
             }
@@ -930,7 +780,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 CTerm::Bridge => {
                     // Terminator (or unresolved edge) belongs to the
                     // interpreter; the frame sits at `idx == code_len`.
-                    return self.exit_compiled(hw, frame, cycles, insts, Ok(()));
+                    return self.end_run(hw, frame, cycles, insts, Ok(()));
                 }
                 CTerm::Br(e) => e,
                 CTerm::CondBr {
@@ -940,14 +790,14 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 } => {
                     let v = match Self::slot_val(self.globals, self.team.id, &frame, *cond) {
                         Ok(v) => v,
-                        Err(e) => return self.exit_compiled(hw, frame, cycles, insts, Err(e)),
+                        Err(e) => return self.end_run(hw, frame, cycles, insts, Err(e)),
                     };
                     match v.as_bool() {
                         Some(true) => then_e,
                         Some(false) => else_e,
                         None => {
                             let e = SimError::trap("branch on non-boolean");
-                            return self.exit_compiled(hw, frame, cycles, insts, Err(e));
+                            return self.end_run(hw, frame, cycles, insts, Err(e));
                         }
                     }
                 }
@@ -973,33 +823,33 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                         Err(e) => {
                             // The fused compare's own code position.
                             frame.idx = *at as usize;
-                            return self.exit_compiled(hw, frame, cycles, insts, Err(e));
+                            return self.end_run(hw, frame, cycles, insts, Err(e));
                         }
                     }
                 }
             };
             if let Err(e) = self.take_edge(&mut frame, taken) {
-                return self.exit_compiled(hw, frame, cycles, insts, Err(e));
+                return self.end_run(hw, frame, cycles, insts, Err(e));
             }
             cb = match fp.block(frame.block).compiled.as_ref() {
                 Some(c) => c,
                 // Successor needs the interpreter (runtime calls,
                 // returns, ...): bridge with the frame at its head.
-                None => return self.exit_compiled(hw, frame, cycles, insts, Ok(())),
+                None => return self.end_run(hw, frame, cycles, insts, Ok(())),
             };
         }
     }
 
     /// Pushes the popped frame back and flushes the accumulated
-    /// instruction/cycle deltas of a compiled run.
-    fn exit_compiled(
+    /// instruction/cycle deltas of a block run.
+    fn end_run<T>(
         &mut self,
         hw: u32,
         frame: Frame,
         cycles: u64,
         insts: u64,
-        r: Result<(), SimError>,
-    ) -> Result<(), SimError> {
+        r: Result<T, SimError>,
+    ) -> Result<T, SimError> {
         let th = &mut self.team.threads[hw as usize];
         th.frames.push(frame);
         th.cycles += cycles;
@@ -1041,12 +891,18 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         Ok(())
     }
 
-    /// Executes one tier-1 step against the popped frame, accumulating
-    /// dynamic (memory-access) cycle costs into `cycles`. Static costs
-    /// are pre-summed per block. On error, returns the offset of the
-    /// failing fused component so the caller can restore the exact
-    /// interpreter code position.
-    fn exec_step(
+    /// Executes one step — the single definition of every straight-line
+    /// op, for both tiers — against the popped frame, accumulating
+    /// dynamic (memory-access) cycle costs into `cycles`; static costs
+    /// are the caller's (per step on tier 0, pre-summed per block on
+    /// tier 1). On error, returns the offset of the failing fused
+    /// component so the caller can restore the exact code position.
+    ///
+    /// `inline(always)`: with two callers per instantiation the
+    /// optimizer otherwise leaves this an outlined call returning a
+    /// large `Result` through memory, once per step.
+    #[inline(always)]
+    fn exec_step<const OBS: bool>(
         &mut self,
         hw: u32,
         fid: FuncId,
@@ -1056,12 +912,6 @@ impl<'a, 'm> TeamExec<'a, 'm> {
     ) -> Result<(), (u32, SimError)> {
         let globals = self.globals;
         let team_id = self.team.id;
-        // Superinstruction hit accounting: fused kinds vs plain steps.
-        match step {
-            Step::GepLoad { .. } => self.stats.fused_gep_load += 1,
-            Step::LoadBinStore { .. } => self.stats.fused_load_bin_store += 1,
-            _ => self.stats.plain_steps += 1,
-        }
         match *step {
             Step::Alloca { size, dst } => {
                 let th = &mut self.team.threads[hw as usize];
@@ -1078,7 +928,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                     .as_ptr()
                     .ok_or_else(|| (0, SimError::trap("load through non-pointer")))?;
                 let (v, class) = self.mem.load(p, ty, hw).map_err(|e| (0, e.into()))?;
-                *cycles += self.access_cost(hw, fid, site, p, ty, class);
+                *cycles += self.access::<OBS>(hw, fid, frame, site, p, ty, class, false);
                 Self::set_reg(frame, dst, v);
             }
             Step::Store { ptr, val, site } => {
@@ -1088,7 +938,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                     .ok_or_else(|| (0, SimError::trap("store through non-pointer")))?;
                 let v = Self::slot_val(globals, team_id, frame, val).map_err(|e| (0, e))?;
                 let class = self.mem.store(p, v, hw).map_err(|e| (0, e.into()))?;
-                *cycles += self.access_cost(hw, fid, site, p, v.ty(), class);
+                *cycles += self.access::<OBS>(hw, fid, frame, site, p, v.ty(), class, true);
             }
             Step::Bin {
                 op,
@@ -1191,7 +1041,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                     Self::set_reg(frame, d, RtVal::Ptr(addr));
                 }
                 let (v, class) = self.mem.load(addr, ty, hw).map_err(|e| (1, e.into()))?;
-                *cycles += self.access_cost(hw, fid, site, addr, ty, class);
+                *cycles += self.access::<OBS>(hw, fid, frame, site, addr, ty, class, false);
                 Self::set_reg(frame, dst, v);
             }
             Step::LoadBinStore {
@@ -1212,7 +1062,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                     .as_ptr()
                     .ok_or_else(|| (0, SimError::trap("load through non-pointer")))?;
                 let (lv, class) = self.mem.load(p, lty, hw).map_err(|e| (0, e.into()))?;
-                *cycles += self.access_cost(hw, fid, lsite, p, lty, class);
+                *cycles += self.access::<OBS>(hw, fid, frame, lsite, p, lty, class, false);
                 if let Some(d) = ldst {
                     Self::set_reg(frame, d, lv);
                 }
@@ -1231,7 +1081,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                     .as_ptr()
                     .ok_or_else(|| (2, SimError::trap("store through non-pointer")))?;
                 let class = self.mem.store(sp, bv, hw).map_err(|e| (2, e.into()))?;
-                *cycles += self.access_cost(hw, fid, ssite, sp, bv.ty(), class);
+                *cycles += self.access::<OBS>(hw, fid, frame, ssite, sp, bv.ty(), class, true);
             }
         }
         Ok(())
@@ -1247,9 +1097,8 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         th.cycles = th.cycles.max(target);
         let new = th.cycles;
         if new > old {
-            if let Some(p) = self.prof.as_deref_mut() {
-                p.on_stall(th.frames.last().map(|f| f.func), new - old);
-            }
+            self.obs
+                .on_stall(th.frames.last().map(|f| f.func), new - old);
         }
         new
     }
@@ -1350,14 +1199,12 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         let popped = frame.func;
         let now = th.cycles;
         th.pool.push(frame);
-        if let Some(p) = self.prof.as_deref_mut() {
-            p.on_pop(hw, popped, now);
-            // The SPMD region span is tracked on thread 0; it ends when
-            // thread 0 leaves the region body (the implicit barrier that
-            // follows is accounted as stall, not region time).
-            if hook == Some(RetHook::Spmd) && hw == 0 {
-                p.close_region(now);
-            }
+        self.obs.on_pop(hw, popped, now);
+        // The SPMD region span is tracked on thread 0; it ends when
+        // thread 0 leaves the region body (the implicit barrier that
+        // follows is accounted as stall, not region time).
+        if hook == Some(RetHook::Spmd) && hw == 0 {
+            self.obs.on_region_close(now);
         }
         match hook {
             None => {}
@@ -1385,9 +1232,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
     fn finish_join(&mut self) {
         // The end-of-region join is a synchronization edge: later
         // accesses cannot race with accesses before it.
-        if let Some(s) = self.san.as_deref_mut() {
-            s.bump_all();
-        }
+        self.obs.on_team_sync();
         // Align the main thread with the slowest participant.
         let max = self
             .team
@@ -1402,9 +1247,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             main.status = Status::Ready;
         }
         self.team.dispatch_n = 0;
-        if let Some(p) = self.prof.as_deref_mut() {
-            p.close_region(new);
-        }
+        self.obs.on_region_close(new);
     }
 
     fn enter_barrier(&mut self, hw: u32, simple: bool) -> Result<(), SimError> {
@@ -1414,15 +1257,11 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             self.charge(hw, self.cost.barrier, CycleClass::Sync);
             return Ok(());
         }
-        if self.san.is_some() {
-            let site = self.team.threads[hw as usize]
-                .frames
-                .last()
-                .map(|f| (Self::frame_site(f), simple));
-            if let Some(s) = self.san.as_deref_mut() {
-                s.on_barrier_park(hw, site);
-            }
-        }
+        let site = self.team.threads[hw as usize]
+            .frames
+            .last()
+            .map(|f| (Self::frame_site(f), simple));
+        self.obs.on_barrier_park(hw, site);
         self.team.threads[hw as usize].status = Status::AtBarrier(simple);
         // Release when every member has arrived.
         let all_arrived = group
@@ -1439,15 +1278,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 self.align_cycles(t, release);
                 self.team.threads[t as usize].status = Status::Ready;
             }
-            // The release is the happens-before edge the race detector
-            // keys on: check park-site agreement, then advance the
-            // group's epochs.
-            if let Some(s) = self.san.as_deref_mut() {
-                s.on_barrier_release(group);
-            }
-            if let Some(p) = self.prof.as_deref_mut() {
-                p.record_barrier(release);
-            }
+            self.obs.on_barrier_release(group, release);
             self.stats.barriers += 1;
         }
         Ok(())
@@ -1494,10 +1325,47 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         }
     }
 
+    /// Accounts one executed load or store: reports it to the
+    /// observers (the sanitizer's site is rebuilt from the plan-wide
+    /// site index and the frame's block) and returns its cycle cost.
     // One parameter per coalescing-model input; bundling them into a
     // struct would just rename the tuple.
     #[allow(clippy::too_many_arguments)]
-    fn access_cost(
+    #[inline(always)]
+    fn access<const OBS: bool>(
+        &mut self,
+        hw: u32,
+        func: FuncId,
+        frame: &Frame,
+        site: u32,
+        addr: u64,
+        ty: Type,
+        class: AccessClass,
+        is_write: bool,
+    ) -> u64 {
+        if OBS {
+            let site_base = self.plan.func(func).map_or(0, |fp| fp.site_base);
+            let at = SiteRef {
+                func,
+                block: frame.block.index() as u32,
+                inst: site - site_base,
+            };
+            self.obs.on_access(hw, addr, ty.size(), is_write, class, at);
+        }
+        self.stats.memory_accesses += 1;
+        let cost = self.access_cost::<OBS>(hw, func, site, addr, ty, class);
+        if OBS {
+            let class = if is_write {
+                CycleClass::Store
+            } else {
+                CycleClass::Load
+            };
+            self.obs.on_charge(Some(func), class, cost);
+        }
+        cost
+    }
+
+    fn access_cost<const OBS: bool>(
         &mut self,
         hw: u32,
         func: FuncId,
@@ -1510,21 +1378,18 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             AccessClass::Local => self.cost.local_access,
             AccessClass::Shared | AccessClass::Global => {
                 let coalesced = self.classify(hw, func, site, addr, ty);
+                if OBS && class == AccessClass::Global {
+                    self.obs.on_global_access(func, coalesced);
+                }
                 match (class, coalesced) {
                     (AccessClass::Shared, true) => self.cost.shared_access,
                     (AccessClass::Shared, false) => self.cost.shared_access * 8,
                     (_, true) => {
                         self.stats.coalesced_accesses += 1;
-                        if let Some(p) = self.prof.as_deref_mut() {
-                            p.on_global_access(func, true);
-                        }
                         self.cost.global_coalesced
                     }
                     (_, false) => {
                         self.stats.uncoalesced_accesses += 1;
-                        if let Some(p) = self.prof.as_deref_mut() {
-                            p.on_global_access(func, false);
-                        }
                         self.cost.global_uncoalesced
                     }
                 }
@@ -1661,9 +1526,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 th.frames.last_mut().unwrap().idx += 1;
                 let now = th.cycles;
                 th.frames.push(fr);
-                if let Some(p) = self.prof.as_deref_mut() {
-                    p.on_push(hw, target, now);
-                }
+                self.obs.on_push(hw, target, now);
                 let mut cost = self.cost.call;
                 if indirect {
                     cost += self.cost.indirect_call_penalty;
@@ -1770,9 +1633,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                         }
                     }
                     // Kernel teardown orders everything before it.
-                    if let Some(s) = self.san.as_deref_mut() {
-                        s.bump_all();
-                    }
+                    self.obs.on_team_sync();
                 }
                 done!(None::<RtVal>)
             }
@@ -1823,19 +1684,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             RtlFn::Parallel51 => self.exec_parallel51(hw, inst_id, vals),
             RtlFn::AllocShared => {
                 let size = rtl_arg(vals, 0, rtl)?.as_i64().unwrap_or(0).max(0) as u64;
-                let addr = self.mem.alloc_shared(size)?;
-                if self.san.is_some() {
-                    let site = self.current_site(hw);
-                    if let Some(s) = self.san.as_deref_mut() {
-                        s.on_alloc(addr, size, hw, site);
-                    }
-                }
-                self.stats.globalization_allocs += 1;
-                if let Some(p) = self.prof.as_deref_mut() {
-                    let cycle = self.team.threads[hw as usize].cycles;
-                    p.record_alloc(cycle, size);
-                }
-                self.yield_flag = true;
+                let addr = self.globalize(hw, size)?;
                 done!(Some(RtVal::Ptr(addr)))
             }
             RtlFn::FreeShared => {
@@ -1843,37 +1692,21 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 let size = rtl_arg(vals, 1, rtl)?.as_i64().unwrap_or(0).max(0) as u64;
                 if addr != 0 {
                     self.mem.free_shared(addr, size)?;
-                    if let Some(s) = self.san.as_deref_mut() {
-                        s.on_free(addr, size);
-                    }
+                    self.obs.on_free(addr, size);
                 }
                 done!(None::<RtVal>)
             }
             RtlFn::DataSharingPushStack => {
                 let size = rtl_arg(vals, 0, rtl)?.as_i64().unwrap_or(0).max(0) as u64;
-                let addr = self.mem.alloc_shared(size)?;
-                if self.san.is_some() {
-                    let site = self.current_site(hw);
-                    if let Some(s) = self.san.as_deref_mut() {
-                        s.on_alloc(addr, size, hw, site);
-                    }
-                }
+                let addr = self.globalize(hw, size)?;
                 self.team.push_sizes.insert(addr, size);
-                self.stats.globalization_allocs += 1;
-                if let Some(p) = self.prof.as_deref_mut() {
-                    let cycle = self.team.threads[hw as usize].cycles;
-                    p.record_alloc(cycle, size);
-                }
-                self.yield_flag = true;
                 done!(Some(RtVal::Ptr(addr)))
             }
             RtlFn::DataSharingPopStack => {
                 let addr = rtl_arg(vals, 0, rtl)?.as_ptr().unwrap_or(0);
                 if let Some(size) = self.team.push_sizes.remove(&addr) {
                     self.mem.free_shared(addr, size)?;
-                    if let Some(s) = self.san.as_deref_mut() {
-                        s.on_free(addr, size);
-                    }
+                    self.obs.on_free(addr, size);
                 }
                 done!(None::<RtVal>)
             }
@@ -1947,6 +1780,18 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         }
     }
 
+    /// A globalization allocation (`__kmpc_alloc_shared` or the legacy
+    /// push-stack) by thread `hw`, which then yields to the scheduler.
+    fn globalize(&mut self, hw: u32, size: u64) -> Result<u64, SimError> {
+        let addr = self.mem.alloc_shared(size)?;
+        let now = self.team.threads[hw as usize].cycles;
+        self.obs
+            .on_alloc(addr, size, hw, self.current_site(hw), now);
+        self.stats.globalization_allocs += 1;
+        self.yield_flag = true;
+        Ok(addr)
+    }
+
     fn exec_parallel51(
         &mut self,
         hw: u32,
@@ -1998,9 +1843,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             th.ctx.push((0, 1));
             let now = th.cycles;
             push_region_frame(th, RetHook::Serialized, RtVal::Ptr(args_ptr));
-            if let Some(p) = self.prof.as_deref_mut() {
-                p.on_push(hw, region, now);
-            }
+            self.obs.on_push(hw, region, now);
             self.charge(hw, self.cost.call, CycleClass::Call);
             return Ok(());
         }
@@ -2012,9 +1855,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 th.ctx.push((tid, n));
                 let now = th.cycles;
                 push_region_frame(th, RetHook::Spmd, RtVal::Ptr(args_ptr));
-                if let Some(p) = self.prof.as_deref_mut() {
-                    p.on_push(hw, region, now);
-                }
+                self.obs.on_push(hw, region, now);
                 self.charge(
                     hw,
                     self.cost.parallel_dispatch_spmd,
@@ -2024,9 +1865,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 // threads enter the region together.
                 if hw == 0 {
                     let start = self.team.threads[0].cycles;
-                    if let Some(p) = self.prof.as_deref_mut() {
-                        p.open_region(region, start);
-                    }
+                    self.obs.on_region_open(region, start);
                 }
                 Ok(())
             }
@@ -2048,9 +1887,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 self.team.assigned.clear();
                 // Dispatch is a synchronization edge between the main
                 // thread's setup and the workers' region bodies.
-                if let Some(s) = self.san.as_deref_mut() {
-                    s.bump_all();
-                }
+                self.obs.on_team_sync();
                 let main_cycles = self.team.threads[0].cycles + self.cost.parallel_dispatch_generic;
                 for w in 1..n as u32 {
                     let th = &mut self.team.threads[w as usize];
@@ -2066,9 +1903,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 th.ctx.push((0, n));
                 let now = th.cycles;
                 push_region_frame(th, RetHook::Generic, RtVal::Ptr(args_ptr));
-                if let Some(p) = self.prof.as_deref_mut() {
-                    p.on_push(hw, region, now);
-                }
+                self.obs.on_push(hw, region, now);
                 self.charge(
                     hw,
                     self.cost.parallel_dispatch_generic,
@@ -2078,9 +1913,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 // The span runs from dispatch to the end-of-region join
                 // (closed in `finish_join`).
                 let start = self.team.threads[hw as usize].cycles;
-                if let Some(p) = self.prof.as_deref_mut() {
-                    p.open_region(region, start);
-                }
+                self.obs.on_region_open(region, start);
                 Ok(())
             }
         }

@@ -213,11 +213,10 @@ impl<'m> Device<'m> {
         self.cfg.max_insts_per_thread = budget;
     }
 
-    /// Requests an execution tier for subsequent launches. The tier
-    /// that actually runs is [`DeviceConfig::effective_tier`]:
-    /// profiling, sanitizing, and fault injection force the
-    /// interpreter. Outputs, statistics, and simulated cycles are
-    /// bit-identical across tiers; only host wall-clock differs.
+    /// Sets the execution tier of subsequent launches, instrumented or
+    /// not. Outputs, statistics, simulated cycles, profiles and
+    /// findings are bit-identical across tiers; only host wall-clock
+    /// differs.
     pub fn set_tier(&mut self, tier: Tier) {
         self.cfg.tier = tier;
     }
@@ -385,7 +384,7 @@ impl<'m> Device<'m> {
             self.mem.apply_delta(outcome.delta);
         }
         stats.team_cycles = team_cycles;
-        stats.tier = self.cfg.effective_tier();
+        stats.tier = self.cfg.tier;
         stats.finish(self.cfg.num_sms);
         stats.shared_mem_bytes = self.mem.shared_high_water;
         stats.heap_bytes = self.mem.heap_high_water;

@@ -51,6 +51,7 @@ pub mod error;
 pub mod interp;
 pub mod launch;
 pub mod mem;
+pub(crate) mod observe;
 pub mod owned;
 pub mod plan;
 pub mod profile;

@@ -6,7 +6,8 @@
 //! A [`FuncPlan`] holds, per defined function:
 //!
 //! * block bodies split into leading phis and straight-line code, each
-//!   entry borrowing the instruction from the module arena;
+//!   entry borrowing the instruction from the module arena and lowered
+//!   to the pre-decoded step both tiers execute ([`crate::compile`]);
 //! * the pre-resolved [`CallTarget`] of every direct call site
 //!   (runtime entry point, math intrinsic, or ordinary function);
 //! * `num_regs`, the register-file size a frame needs (the instruction
@@ -18,7 +19,7 @@
 //! undefined function id is a clean [`SimError`] at `Device::new` time
 //! instead of an index panic mid-run.
 
-use crate::compile::{self, CompiledBlock};
+use crate::compile::{self, CompiledBlock, Lowered};
 use crate::cost::CostModel;
 use crate::error::SimError;
 use omp_ir::omprtl::{math_fn_signature, RtlFn, ALL_RTL_FNS};
@@ -83,8 +84,11 @@ pub(crate) struct BlockPlan<'m> {
     pub phis: Vec<(InstId, &'m [(BlockId, Value)])>,
     pub code: Vec<(InstId, &'m InstKind)>,
     pub term: &'m Terminator,
-    /// Tier-1 lowering of this block ([`crate::compile`]); `None` when
-    /// the block contains a construct only the interpreter handles.
+    /// One entry per `code` entry: the pre-decoded step tier 0 executes
+    /// there, or `None` for a call or a mid-block phi.
+    pub lowered: Vec<Option<Lowered>>,
+    /// The same steps fused for tier 1 ([`crate::compile`]); `None`
+    /// when the block contains a call the step executor cannot run.
     pub compiled: Option<CompiledBlock>,
 }
 
@@ -223,6 +227,7 @@ impl<'m> ExecPlan<'m> {
                     phis,
                     code,
                     term: &data.term,
+                    lowered: Vec::new(),
                     compiled: None,
                 });
             }

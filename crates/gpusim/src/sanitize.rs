@@ -66,16 +66,6 @@ pub struct FaultPlan {
     pub abort_team: Option<u32>,
 }
 
-impl FaultPlan {
-    /// True when any fault is armed.
-    pub fn is_active(&self) -> bool {
-        self.shared_stack_limit.is_some()
-            || self.fail_alloc_after.is_some()
-            || self.trap_at_inst.is_some()
-            || self.abort_team.is_some()
-    }
-}
-
 /// How bad a finding is. `Error` findings make a run "unclean" (and
 /// `ompgpu sanitize` exit nonzero); `Note` findings are expected
 /// degradations worth surfacing, like the globalization stack falling

@@ -51,7 +51,7 @@ pub struct KernelStats {
     /// tiers).
     pub plain_steps: u64,
     /// Execution tier this launch ran under
-    /// ([`crate::DeviceConfig::effective_tier`]). Every counter above is
+    /// ([`crate::DeviceConfig::tier`]). Every counter above is
     /// bit-identical across tiers; the tier is recorded so regressions
     /// are diagnosable from artifacts alone.
     pub tier: Tier,

@@ -25,7 +25,6 @@
 //! (barrier-coordinated) instead of spawning a fresh thread set per
 //! node — the per-launch setup cost the paper's Figure 10 amortizes.
 
-use crate::config::Tier;
 use crate::error::SimError;
 use crate::interp::{TeamExec, TeamOutcome};
 use crate::launch::{Device, LaunchDims};
@@ -616,8 +615,7 @@ impl<'m> Device<'m> {
         let (spans, makespan) = schedule_nodes(&plan.nodes, &durations, num_sms);
         stats.cycles = makespan;
         stats.registers = registers;
-        stats.tier = self.cfg.effective_tier();
-        debug_assert!(stats.tier == Tier::Interp || !track_writes);
+        stats.tier = self.cfg.tier;
         let mut written: Vec<BTreeSet<u64>> = Vec::with_capacity(runs.len());
         for run in runs {
             written.push(run.written);

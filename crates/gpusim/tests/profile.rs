@@ -87,19 +87,12 @@ fn profile_off_leaves_stats_and_results_identical() {
     assert!(off_profile.is_none(), "Off must not produce a profile");
     assert!(on_profile.is_some(), "On must produce a profile");
     assert_eq!(off_out, on_out, "profiling must not change results");
-    assert_eq!(off_stats.tier, Tier::Compiled);
+    // The profiler observes the tier that was asked for: same tier tag,
+    // same superinstruction counters, nothing normalised.
+    assert_eq!(on_stats.tier, Tier::Compiled);
+    assert!(on_stats.snapshot().superinstructions.iter().any(|&n| n > 0));
     assert_eq!(
-        on_stats.tier,
-        Tier::Interp,
-        "profiling must force the interpreter tier"
-    );
-    // The tier tag and the (tier-dependent) superinstruction hit
-    // counters aside, every counter must be identical.
-    let mut off_snap = off_stats.snapshot();
-    off_snap.tier = on_stats.tier;
-    off_snap.superinstructions = on_stats.snapshot().superinstructions;
-    assert_eq!(
-        off_snap,
+        off_stats.snapshot(),
         on_stats.snapshot(),
         "profiling must not change statistics"
     );

@@ -212,16 +212,9 @@ fn off_mode_is_byte_identical_and_returns_no_findings() {
     let (stats_on, _) = on
         .launch_checked("racy", &[RtVal::Ptr(out3), RtVal::I64(4)], dims(1, 4))
         .unwrap();
-    assert_eq!(base.tier, Tier::Compiled);
-    assert_eq!(
-        stats_on.tier,
-        Tier::Interp,
-        "sanitizing must force the interpreter tier"
-    );
-    // The tier tag is informational; every counter must be identical.
-    let mut base_snap = base.snapshot();
-    base_snap.tier = stats_on.tier;
-    assert_eq!(base_snap, stats_on.snapshot());
+    // ... on the tier that was asked for, nothing normalised.
+    assert_eq!(stats_on.tier, Tier::Compiled);
+    assert_eq!(base.snapshot(), stats_on.snapshot());
 }
 
 #[test]

@@ -3,10 +3,16 @@
 //! from the reference interpreter (tier 0) — bit-identical outputs,
 //! statistics, per-team cycle counts, and failure diagnostics — for
 //! every program, launch geometry, worker-thread count, and
-//! instruction budget.
+//! instruction budget; and so must what the observers report of it:
+//! profiles, sanitizer findings, and injected faults. (The legs over
+//! the proxies and the sanitizer fixtures need the optimizer pipeline
+//! and live in `crates/core/tests/tier_observers.rs`.)
 
 use omp_frontend::{compile, FrontendOptions};
-use omp_gpusim::{Device, DeviceConfig, KernelStats, LaunchDims, RtVal, StatsSnapshot, Tier};
+use omp_gpusim::{
+    findings_to_json, Device, DeviceConfig, FaultPlan, KernelStats, LaunchDims, ProfileMode, RtVal,
+    SanitizeMode, SimError, StatsSnapshot, Tier,
+};
 use omp_ir::{BinOp, Builder, CmpOp, ExecMode, Function, KernelInfo, Module, Type, Value};
 use proptest::prelude::*;
 
@@ -493,6 +499,186 @@ proptest! {
             let (bits, stats) = run_pipeline(&m, tier, jobs, replay);
             prop_assert_eq!(&bits, &ref_bits);
             prop_assert_eq!(&stats, &ref_stats);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Observers: the profiler, the sanitizer and the fault plan see the
+// same events on both tiers.
+// ---------------------------------------------------------------------
+
+/// Everything a launch of `kernel` over `bufs` zeroed `f64` buffers of
+/// `len` elements (its leading arguments) can report, tier tag aside: buffer bits, counters, team cycles, profile
+/// JSON and findings JSON — or the structured error (kind, provenance,
+/// thread positions, findings gathered before it).
+type Observed = Result<(Vec<u64>, StatsSnapshot, Vec<u64>, Option<String>, String), SimError>;
+
+fn observe(m: &Module, kernel: &str, bufs: usize, len: usize, cfg: &DeviceConfig) -> Observed {
+    let dims = LaunchDims {
+        teams: Some(2),
+        threads: Some(8),
+    };
+    let device = || {
+        let mut dev = Device::new(m, cfg.clone()).unwrap();
+        let mut args: Vec<RtVal> = (0..bufs)
+            .map(|_| RtVal::Ptr(dev.alloc_f64(&vec![0.0; len]).unwrap()))
+            .collect();
+        let buf = args[0].as_ptr().unwrap();
+        args.push(RtVal::I64(4));
+        (dev, buf, args)
+    };
+    // One launch hands back the profile, its twin the findings; both
+    // run with every observer `cfg` enables.
+    let (mut dev, buf, args) = device();
+    let (stats, profile) = dev.launch_profiled(kernel, &args, dims)?;
+    let bits = dev.read_f64(buf, len).unwrap();
+    let (mut dev, _, args) = device();
+    let (_, findings) = dev.launch_checked(kernel, &args, dims)?;
+    Ok((
+        bits.into_iter().map(f64::to_bits).collect(),
+        norm(&stats),
+        stats.team_cycles,
+        profile.map(|p| p.to_json()),
+        findings_to_json(&findings),
+    ))
+}
+
+fn assert_observed_alike(m: &Module, kernel: &str, bufs: usize, len: usize, cfg: DeviceConfig) {
+    let [interp, compiled] = [Tier::Interp, Tier::Compiled].map(|tier| {
+        let cfg = DeviceConfig {
+            tier,
+            ..cfg.clone()
+        };
+        observe(m, kernel, bufs, len, &cfg)
+    });
+    assert_eq!(interp, compiled, "{kernel} under {cfg:?}");
+}
+
+/// The profiler and the sanitizer, alone and together, on a racy
+/// generic-mode kernel (globalization, barriers, a worker state
+/// machine) and on the fusion-heavy SPMD one.
+#[test]
+fn profile_and_sanitize_together_are_tier_identical() {
+    const RACY_SRC: &str = r#"
+void racy(double* a, long n) {
+  #pragma omp target teams distribute
+  for (long blk = 0; blk < n; blk++) {
+    double base = (double)blk;
+    #pragma omp parallel for
+    for (long t = 0; t < 8; t++) { a[blk] = a[blk] + base + (double)t; }
+  }
+}
+"#;
+    let on = (ProfileMode::On, SanitizeMode::On);
+    let off = (ProfileMode::Off, SanitizeMode::Off);
+    for (profile, sanitize) in [(on.0, off.1), (off.0, on.1), on] {
+        let cfg = DeviceConfig {
+            profile,
+            sanitize,
+            ..DeviceConfig::default()
+        };
+        let racy = build(RACY_SRC);
+        assert_observed_alike(&racy, "racy", 1, 4, cfg.clone());
+        if sanitize == SanitizeMode::On {
+            let seen = observe(&racy, "racy", 1, 4, &cfg).unwrap();
+            assert!(seen.4.contains("data-race"), "{}", seen.4);
+            assert_eq!(seen.3.is_some(), profile == ProfileMode::On);
+        }
+        assert_observed_alike(&build(GENERIC_SRC), "nested", 1, 32, cfg.clone());
+        assert_observed_alike(&build(MIXED_SRC), "mixed", 2, 4, cfg.clone());
+        observe(&build(MIXED_SRC), "mixed", 2, 4, &cfg).expect("mixed runs");
+    }
+}
+
+/// Each `FaultPlan` knob alone fails (or degrades) the launch the same
+/// way on both tiers, with and without observers listening.
+#[test]
+fn fault_knobs_are_tier_identical() {
+    let m = build(GENERIC_SRC);
+    let knobs = [
+        FaultPlan {
+            shared_stack_limit: Some(0),
+            ..FaultPlan::default()
+        },
+        FaultPlan {
+            fail_alloc_after: Some(1),
+            ..FaultPlan::default()
+        },
+        FaultPlan {
+            abort_team: Some(1),
+            ..FaultPlan::default()
+        },
+        FaultPlan {
+            trap_at_inst: Some(57),
+            ..FaultPlan::default()
+        },
+    ];
+    for fault in knobs {
+        for sanitize in [SanitizeMode::Off, SanitizeMode::On] {
+            let cfg = DeviceConfig {
+                fault: fault.clone(),
+                sanitize,
+                profile: ProfileMode::On,
+                ..DeviceConfig::default()
+            };
+            assert_observed_alike(&m, "nested", 1, 32, cfg.clone());
+            let failed = observe(&m, "nested", 1, 32, &cfg).is_err();
+            assert_eq!(failed, fault.shared_stack_limit.is_none(), "{fault:?}");
+        }
+    }
+}
+
+/// An injected trap lands on the exact instruction on both tiers, also
+/// when that instruction is the second or third component of a fused
+/// `LoadBinStore` or the compare of a fused `CmpBr`: the compiled tier
+/// deopts the block the budget might trip in.
+#[test]
+fn injected_traps_land_inside_fused_steps() {
+    // entry: v = load a; v2 = v + 100; store v2, a; c = v2 < 0; br c, ..
+    let mut m = Module::new("t");
+    let f = m.add_function(Function::definition("k", vec![Type::Ptr], Type::Void));
+    {
+        let mut b = Builder::at_entry(&mut m, f);
+        let (then_bb, exit) = (b.new_block(), b.new_block());
+        let v = b.load(Type::I64, Value::Arg(0));
+        let v2 = b.bin(BinOp::Add, Type::I64, v, Value::i64(100));
+        b.store(v2, Value::Arg(0));
+        let c = b.cmp(CmpOp::Slt, Type::I64, v2, Value::i64(0));
+        b.cond_br(c, then_bb, exit);
+        b.switch_to(then_bb);
+        b.br(exit);
+        b.switch_to(exit);
+        b.ret(None);
+    }
+    kernelize(&mut m, f, "k");
+    omp_ir::verifier::assert_valid(&m);
+    let run = |tier: Tier, trap: u64| {
+        let mut cfg = DeviceConfig {
+            tier,
+            ..DeviceConfig::default()
+        };
+        cfg.fault.trap_at_inst = Some(trap);
+        let mut dev = Device::new(&m, cfg).unwrap();
+        let buf = dev.alloc_i64(&[7]).unwrap();
+        dev.launch("k", &[RtVal::Ptr(buf)], one_thread())
+            .map(|s| (norm(&s), dev.read_i64(buf, 1).unwrap()))
+    };
+    // The fusion this test is about really happens.
+    let fused = run(Tier::Compiled, 1_000).unwrap();
+    assert_eq!(fused.1, [107]);
+    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let buf = dev.alloc_i64(&[7]).unwrap();
+    let stats = dev.launch("k", &[RtVal::Ptr(buf)], one_thread()).unwrap();
+    assert_eq!((stats.fused_load_bin_store, stats.fused_cmp_br), (1, 1));
+    // Instruction n of the thread is code entry n - 1 of the entry
+    // block: 1 = load, 2 = add, 3 = store, 4 = compare, 5 = branch.
+    for trap in 1..=7 {
+        let (interp, compiled) = (run(Tier::Interp, trap), run(Tier::Compiled, trap));
+        assert_eq!(interp, compiled, "trap at {trap}");
+        if trap <= 5 {
+            let at = interp.unwrap_err().provenance.expect("provenance");
+            assert_eq!((at.block, at.inst), (0, trap as u32 - 1), "trap at {trap}");
         }
     }
 }

@@ -178,8 +178,12 @@ pub fn run(m: &mut Module, cache: &mut AnalysisCache, remarks: &mut Remarks) -> 
             );
             continue;
         }
-        for (n, r) in regions.iter().enumerate() {
-            region_ids.entry(*r).or_insert(n as i64 + 1);
+        // Module-wide numbering: a region keeps the id it got on first
+        // sight, so two kernels never give different regions the same
+        // token.
+        for r in &regions {
+            let next = (m.parallel_region_ids.len() + region_ids.len()) as i64 + 1;
+            region_ids.entry(*r).or_insert(next);
         }
         rewritten.push(kernel);
         rewrite_dispatch(
@@ -224,11 +228,9 @@ pub fn run(m: &mut Module, cache: &mut AnalysisCache, remarks: &mut Remarks) -> 
     // token with its small-integer id (eliminating address-taken uses).
     if closed && !region_ids.is_empty() {
         replace_tokens_with_ids(m, &region_ids);
-        for (&f, &id) in &region_ids {
-            if !m.parallel_region_ids.iter().any(|(i, _)| *i == id) {
-                m.parallel_region_ids.push((id, f));
-            }
-        }
+        let mut by_id: Vec<(i64, FuncId)> = region_ids.iter().map(|(&f, &id)| (id, f)).collect();
+        by_id.sort_unstable();
+        m.parallel_region_ids.extend(by_id);
     }
     // The cascades are new blocks and new direct calls in the rewritten
     // kernels; a closed world also drops every region's address-taken
@@ -476,5 +478,21 @@ void kern(double* out, long nb) {
         let mut rem = Remarks::default();
         let r = run(&mut m, &mut AnalysisCache::new(), &mut rem);
         assert_eq!(r.rewritten, 1);
+    }
+
+    /// Region ids are tokens resolved module-wide at run time, so two
+    /// kernels must never hand the same id to different regions.
+    #[test]
+    fn region_ids_are_unique_across_kernels() {
+        let src = include_str!("../../../tests/fixtures/multi_kernel/shared_region.c");
+        let mut m = compile(src, &FrontendOptions::default()).unwrap();
+        let r = run(&mut m, &mut AnalysisCache::new(), &mut Remarks::default());
+        assert_eq!(r.rewritten, 2);
+        omp_ir::verifier::assert_valid(&m);
+        // `helper`'s region (seen from both kernels) and `kb`'s own.
+        let ids: Vec<i64> = m.parallel_region_ids.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, [1, 2]);
+        let (a, b) = (m.region_for_id(1).unwrap(), m.region_for_id(2).unwrap());
+        assert_ne!(a, b);
     }
 }

@@ -105,6 +105,46 @@ run_smoke() {
         sanitize --self-test > /dev/null
     echo "smoke: fault-injection self-test passed"
 
+    echo "==> ompgpu observer smoke (profile + sanitize on both tiers)"
+    # The profiler and the sanitizer observe whichever tier runs, so a
+    # profile and a findings report are byte-identical between them, and
+    # so is the exit code (5: race.c has findings).
+    cargo build -q -p omp-gpu --bin ompgpu --offline
+    obs_dir="$(mktemp -d -t ompgpu-observers.XXXXXX)"
+    trap 'rm -f "$trace"; rm -rf "$obs_dir"' EXIT
+    for tier in interp compiled; do
+        rc=0
+        OMPGPU_TIER="$tier" target/debug/ompgpu profile --proxy RSBench \
+            --scale small --json > "$obs_dir/profile.$tier" || rc=$?
+        echo "$rc" >> "$obs_dir/profile.$tier"
+        rc=0
+        OMPGPU_TIER="$tier" target/debug/ompgpu sanitize \
+            tests/fixtures/sanitize/race.c --json > "$obs_dir/sanitize.$tier" || rc=$?
+        echo "$rc" >> "$obs_dir/sanitize.$tier"
+    done
+    for what in profile sanitize; do
+        cmp "$obs_dir/$what.interp" "$obs_dir/$what.compiled" || {
+            echo "smoke: $what output or exit code differs between tiers" >&2
+            exit 1
+        }
+    done
+    [ "$(tail -n 1 "$obs_dir/profile.compiled")" = 0 ] &&
+        [ "$(tail -n 1 "$obs_dir/sanitize.compiled")" = 5 ] || {
+        echo "smoke: profile must exit 0 and sanitize race.c must exit 5" >&2
+        exit 1
+    }
+    echo "smoke: profile and findings byte-identical on interp and compiled"
+    # Two generic kernels meeting in one module: region ids are
+    # module-wide, so `kb` dispatches its own regions (108.0, not 101.0).
+    target/debug/ompgpu run tests/fixtures/multi_kernel/shared_region.c \
+        --kernel kb --config dev --teams 2 --threads 8 \
+        --arg buf:f64:32 --arg i64:2 --arg i64:8 --dump 4 |
+        grep -q '108\.0, 108\.0, 108\.0, 108\.0' || {
+        echo "smoke: shared_region.c kernel kb did not compute 108.0" >&2
+        exit 1
+    }
+    echo "smoke: kernels sharing a region dispatch their own"
+
     echo "==> ompgpu serve smoke (daemon round-trip, warm second pass)"
     # Two client passes over a live daemon: the second must answer from
     # the warm caches, the shutdown must be acknowledged, and the
