@@ -1,8 +1,10 @@
-//! Block lowering: every straight-line [`BlockPlan`] instruction
-//! becomes one pre-decoded [`Step`] ([`Lowered`], the table tier 0
-//! executes entry by entry), and blocks made only of such steps are
-//! additionally fused into [`CompiledBlock`]s the executor runs without
-//! per-instruction budget checks or charges.
+//! Block lowering: every [`BlockPlan`] gets one lowered form, read by
+//! both tiers. Each code entry becomes an [`Entry`] — a pre-decoded
+//! [`Step`], a [`Call`] with its operands and pre-resolved target, or a
+//! skipped mid-block phi — and the terminator becomes an [`Exit`] whose
+//! branches are [`Edge`]s. Blocks without calls are additionally fused
+//! into [`CompiledBlock`]s the executor runs without per-instruction
+//! budget checks or charges.
 //!
 //! Both happen once, at plan-build time (`ExecPlan::build`), per basic
 //! block:
@@ -11,36 +13,43 @@
 //!   (including function addresses and `undef`) become materialized
 //!   [`RtVal`]s, so constant-operand arithmetic never re-decodes its
 //!   immediate at run time;
+//! * branch targets become [`Edge`]s with the successor's phi moves
+//!   pre-resolved for this predecessor; a phi with no incoming for it
+//!   is recorded on the edge and traps only when the edge is taken;
 //! * common idioms fuse into superinstructions: address-calc + load
 //!   ([`Step::GepLoad`]), load + arithmetic + store
 //!   ([`Step::LoadBinStore`]), and a compare feeding the block's
-//!   conditional branch ([`CTerm::CmpBr`]). Fusion elides the
-//!   intermediate register write when whole-function SSA use counts
-//!   prove the fused consumer is the only reader;
+//!   conditional branch ([`CmpBr`]). Fusion elides the intermediate
+//!   register write when whole-function SSA use counts prove the fused
+//!   consumer is the only reader;
 //! * the block's instruction count, static cycle cost (in total and per
 //!   [`CycleClass`], for the profiler) and step counts are pre-summed
 //!   from the per-entry [`Lowered`] costs tier 0 charges one at a time,
 //!   so one compiled block run performs a single budget check and a
 //!   single bulk charge — bit-identical to tier 0's per-instruction
-//!   accounting;
-//! * branch targets become [`Edge`]s with the successor's phi moves
-//!   pre-resolved for this predecessor.
+//!   accounting.
 //!
-//! A block containing anything effectful or unfusable — `__kmpc_*`
-//! runtime calls, direct/indirect calls, `ret`, `unreachable`, or a phi
-//! without an incoming for some predecessor — either does not compile
-//! at all (`compile_block` returns `None`) or compiles with a
-//! [`CTerm::Bridge`] terminator that hands the frame back to the
-//! interpreter positioned exactly at the terminator. Tier 0 runs the
-//! same [`Step`]s unfused, so an op has one definition
-//! (`TeamExec::exec_step`); compiled blocks are a strict fast path over
-//! it.
+//! A block with a call in it does not compile; one that ends in `ret`
+//! or `unreachable` compiles but bridges, handing the frame back to
+//! tier 0 positioned exactly at the terminator. Tier 0 runs the same
+//! [`Step`]s unfused and takes the same [`Exit`], so an op has one
+//! definition (`TeamExec::exec_step`); compiled blocks are a strict fast
+//! path over it.
 
 use crate::cost::CostModel;
 use crate::plan::{for_each_operand, BlockPlan, CallTarget, MathKind};
 use crate::profile::CycleClass;
 use crate::value::RtVal;
 use omp_ir::{BinOp, BlockId, CastOp, CmpOp, InstId, InstKind, Terminator, Type, Value};
+
+/// One basic block as the plan builder decodes it: leading phis
+/// (evaluated on block entry), the remaining instructions, and the
+/// terminator, borrowed from the module only while the plan is built.
+pub(crate) struct BlockSrc<'m> {
+    pub phis: Vec<(InstId, &'m [(BlockId, Value)])>,
+    pub code: Vec<(InstId, &'m InstKind)>,
+    pub term: &'m Terminator,
+}
 
 /// A pre-decoded operand: what [`Value`] decodes to once the constant
 /// forms are materialized at compile time. `Global` stays an index
@@ -152,41 +161,73 @@ pub(crate) enum Step {
 
 /// A pre-resolved branch edge: the target block plus the target's phi
 /// assignments for this predecessor, evaluated simultaneously (reads
-/// before writes) exactly like the interpreter's `transition`.
+/// before writes).
 #[derive(Debug, Clone)]
 pub(crate) struct Edge {
     pub target: BlockId,
     pub moves: Vec<(InstId, Slot)>,
+    /// The first phi of `target` with no incoming for this predecessor:
+    /// taking the edge evaluates the moves of the phis before it, then
+    /// traps.
+    pub missing: Option<InstId>,
 }
 
-/// Compiled terminator.
+/// A block's lowered terminator.
 #[derive(Debug, Clone)]
-pub(crate) enum CTerm {
-    /// Hand the frame back to the interpreter, positioned at the
-    /// terminator (`frame.idx = code_len`): `ret`, `unreachable`, or an
-    /// edge that could not be pre-resolved.
-    Bridge,
+pub(crate) enum Exit {
     Br(Edge),
     CondBr {
         cond: Slot,
         then_e: Edge,
         else_e: Edge,
     },
-    /// Superinstruction: the block's trailing compare feeds the branch
-    /// directly; `at` is the compare's code index for error provenance.
-    CmpBr {
-        op: CmpOp,
-        ty: Type,
-        lhs: Slot,
-        rhs: Slot,
-        at: u32,
-        then_e: Edge,
-        else_e: Edge,
-    },
+    Ret(Option<Slot>),
+    Unreachable,
 }
 
-/// One code entry, lowered for tier 0: the unfused step and the static
-/// cycles it charges under `class`. Memory steps have `cycles == 0`;
+/// Superinstruction: the block's trailing compare feeds its `CondBr`
+/// exit directly; `at` is the compare's code index for error
+/// provenance.
+#[derive(Debug, Clone)]
+pub(crate) struct CmpBr {
+    pub op: CmpOp,
+    pub ty: Type,
+    pub lhs: Slot,
+    pub rhs: Slot,
+    pub at: u32,
+}
+
+/// A call site: the pre-resolved target (an indirect one carries its
+/// callee operand) and the argument operands.
+#[derive(Debug, Clone)]
+pub(crate) struct Call {
+    pub dst: InstId,
+    pub target: CallTarget,
+    pub args: Vec<Slot>,
+}
+
+/// One code entry of a block, lowered.
+#[derive(Debug, Clone)]
+pub(crate) enum Entry {
+    Step(Lowered),
+    /// Runs through the executor's call path.
+    Call(Call),
+    /// A mid-block phi: counted as an instruction, never executed or
+    /// charged.
+    Skip,
+}
+
+impl Entry {
+    fn step(&self) -> Option<&Lowered> {
+        match self {
+            Entry::Step(l) => Some(l),
+            _ => None,
+        }
+    }
+}
+
+/// A straight-line entry, lowered for tier 0: the unfused step and the
+/// static cycles it charges under `class`. Memory steps have `cycles == 0`;
 /// their cost is dynamic and charged per access by `exec_step`.
 #[derive(Debug, Clone)]
 pub(crate) struct Lowered {
@@ -220,7 +261,7 @@ pub(crate) struct CompiledBlock {
     pub steps: Vec<(u32, Step)>,
     /// Dynamic instructions per full run: every code entry (fused
     /// components and skipped mid-block phis included) plus the
-    /// terminator iteration for non-bridge terminators.
+    /// terminator iteration for a branch exit.
     pub n_insts: u64,
     /// Cycles per full run, excluding dynamic memory-access costs.
     pub static_cycles: u64,
@@ -229,50 +270,47 @@ pub(crate) struct CompiledBlock {
     pub gep_loads: u32,
     pub load_bin_stores: u32,
     pub plain_steps: u32,
-    /// `frame.idx` to restore when bridging or trapping at the
-    /// terminator (= `code.len()`).
-    pub code_len: u32,
-    pub term: CTerm,
+    /// The compare fused into the block's `CondBr` exit, if any.
+    pub cmp_br: Option<CmpBr>,
     /// `static_cycles` split by [`STATIC_CLASSES`]; read only when a
     /// profiler observes the run.
     pub class_cycles: [u64; 4],
 }
 
-/// Lowers and compiles every block of one function in place. `counts`
-/// are the SSA use counts over the whole function; fusion uses them to
+/// Lowers and compiles every block of one function. `nature` resolves
+/// direct callees; SSA use counts over the whole function let fusion
 /// prove an intermediate register write unobservable.
 pub(crate) fn compile_func(
-    blocks: &mut [Option<BlockPlan<'_>>],
-    call_targets: &[CallTarget],
+    blocks: &[Option<BlockSrc<'_>>],
+    nature: &[CallTarget],
     num_regs: usize,
     site_base: u32,
     cost: &CostModel,
-) {
-    for bp in blocks.iter_mut().flatten() {
-        bp.lowered = bp
-            .code
-            .iter()
-            .map(|&(id, kind)| lower_one(id, kind, call_targets, site_base, cost))
-            .collect();
-    }
+) -> Vec<Option<BlockPlan>> {
     let counts = use_counts(blocks, num_regs);
-    let compiled: Vec<Option<CompiledBlock>> = blocks
+    blocks
         .iter()
         .enumerate()
-        .map(|(b, bp)| {
-            bp.as_ref()
-                .and_then(|bp| compile_block(BlockId::from_index(b), bp, blocks, &counts, cost))
+        .map(|(b, src)| {
+            let src = src.as_ref()?;
+            let lowered: Vec<Entry> = src
+                .code
+                .iter()
+                .map(|&(id, kind)| lower_one(id, kind, nature, site_base, cost))
+                .collect();
+            let exit = lower_exit(BlockId::from_index(b), src.term, blocks);
+            let compiled = compile_block(&lowered, &exit, &counts, cost);
+            Some(BlockPlan {
+                lowered,
+                exit,
+                compiled,
+            })
         })
-        .collect();
-    for (bp, c) in blocks.iter_mut().zip(compiled) {
-        if let Some(bp) = bp.as_mut() {
-            bp.compiled = c;
-        }
-    }
+        .collect()
 }
 
 /// Whole-function SSA use counts, indexed by `InstId`.
-fn use_counts(blocks: &[Option<BlockPlan<'_>>], num_regs: usize) -> Vec<u32> {
+fn use_counts(blocks: &[Option<BlockSrc<'_>>], num_regs: usize) -> Vec<u32> {
     let mut counts = vec![0u32; num_regs];
     let mut bump = |v: Value| {
         if let Value::Inst(i) = v {
@@ -322,30 +360,58 @@ fn slot(v: Value) -> Slot {
     }
 }
 
-/// Pre-resolves the phi moves of `target` for predecessor `from`.
-/// `None` when a phi lacks an incoming for `from` (the interpreter's
-/// trap path owns that case) or the target block is dead.
-fn edge(from: BlockId, target: BlockId, blocks: &[Option<BlockPlan<'_>>]) -> Option<Edge> {
-    let tp = blocks.get(target.index())?.as_ref()?;
-    let mut moves = Vec::with_capacity(tp.phis.len());
+/// Pre-resolves the phi moves of `target` for predecessor `from`, up to
+/// the first phi with no incoming for it.
+fn edge(from: BlockId, target: BlockId, blocks: &[Option<BlockSrc<'_>>]) -> Edge {
+    let mut e = Edge {
+        target,
+        moves: Vec::new(),
+        missing: None,
+    };
+    // A dead target has no phis; executing it panics like any dead
+    // block.
+    let Some(Some(tp)) = blocks.get(target.index()) else {
+        return e;
+    };
     for &(i, incoming) in &tp.phis {
-        let &(_, v) = incoming.iter().find(|(p, _)| *p == from)?;
-        moves.push((i, slot(v)));
+        match incoming.iter().find(|(p, _)| *p == from) {
+            Some(&(_, v)) => e.moves.push((i, slot(v))),
+            None => {
+                e.missing = Some(i);
+                break;
+            }
+        }
     }
-    Some(Edge { target, moves })
+    e
 }
 
-/// Lowers one decoded instruction to its unfused step and static
-/// charge, or `None` when it is not a step: a call other than a pure
-/// math intrinsic (the executor's call path owns it) or a mid-block
-/// phi (skipped without a charge).
+fn lower_exit(from: BlockId, term: &Terminator, blocks: &[Option<BlockSrc<'_>>]) -> Exit {
+    match *term {
+        Terminator::Br(t) => Exit::Br(edge(from, t, blocks)),
+        Terminator::CondBr {
+            cond,
+            then_bb,
+            else_bb,
+        } => Exit::CondBr {
+            cond: slot(cond),
+            then_e: edge(from, then_bb, blocks),
+            else_e: edge(from, else_bb, blocks),
+        },
+        Terminator::Ret(v) => Exit::Ret(v.map(slot)),
+        Terminator::Unreachable => Exit::Unreachable,
+    }
+}
+
+/// Lowers one decoded instruction: to its unfused step and static
+/// charge, to a call (any but a pure math intrinsic, which is a step),
+/// or to a skip (a mid-block phi).
 fn lower_one(
     id: InstId,
     kind: &InstKind,
-    call_targets: &[CallTarget],
+    nature: &[CallTarget],
     site_base: u32,
     cost: &CostModel,
-) -> Option<Lowered> {
+) -> Entry {
     let (step, cycles, class) = match *kind {
         InstKind::Alloca { size, .. } => (
             Step::Alloca { size, dst: id },
@@ -437,29 +503,44 @@ fn lower_one(
             cost.simple_op,
             CycleClass::Alu,
         ),
-        InstKind::Call { ref args, .. } => match call_targets[id.index()] {
-            CallTarget::Math(kind, f32_out) if args.len() <= 2 => {
-                let mut slots = [Slot::Const(RtVal::I64(0)); 2];
-                for (k, &a) in args.iter().enumerate() {
-                    slots[k] = slot(a);
+        InstKind::Call {
+            callee, ref args, ..
+        } => {
+            let target = match callee {
+                // The plan validated every function reference.
+                Value::Func(f) => nature[f.index()],
+                v => CallTarget::Indirect(slot(v)),
+            };
+            match target {
+                CallTarget::Math(kind, f32_out) if args.len() <= 2 => {
+                    let mut slots = [Slot::Const(RtVal::I64(0)); 2];
+                    for (k, &a) in args.iter().enumerate() {
+                        slots[k] = slot(a);
+                    }
+                    (
+                        Step::Math {
+                            kind,
+                            f32_out,
+                            args: slots,
+                            n_args: args.len() as u8,
+                            dst: id,
+                        },
+                        cost.math_fn,
+                        CycleClass::Math,
+                    )
                 }
-                (
-                    Step::Math {
-                        kind,
-                        f32_out,
-                        args: slots,
-                        n_args: args.len() as u8,
+                _ => {
+                    return Entry::Call(Call {
                         dst: id,
-                    },
-                    cost.math_fn,
-                    CycleClass::Math,
-                )
+                        target,
+                        args: args.iter().map(|&a| slot(a)).collect(),
+                    })
+                }
             }
-            _ => return None,
-        },
-        InstKind::Phi { .. } => return None,
+        }
+        InstKind::Phi { .. } => return Entry::Skip,
     };
-    Some(Lowered {
+    Entry::Step(Lowered {
         step,
         cycles,
         class,
@@ -471,17 +552,14 @@ fn reads(s: Slot, id: InstId) -> bool {
     matches!(s, Slot::Reg(r) if r == id)
 }
 
-/// Fuses one block's [`Lowered`] entries into a compiled body, or
-/// `None` when an entry cannot run inside one.
+/// Fuses one block's step entries into a compiled body, or `None` when
+/// the block has a call.
 fn compile_block(
-    from: BlockId,
-    bp: &BlockPlan<'_>,
-    blocks: &[Option<BlockPlan<'_>>],
+    lowered: &[Entry],
+    exit: &Exit,
     counts: &[u32],
     cost: &CostModel,
 ) -> Option<CompiledBlock> {
-    let code = bp.code.as_slice();
-    let lowered = bp.lowered.as_slice();
     let mut class_cycles = [0u64; 4];
     // Loads and stores have no slot: their cost is dynamic.
     let mut charge = |class: CycleClass, cycles: u64| {
@@ -490,69 +568,48 @@ fn compile_block(
         }
     };
 
-    // Terminator first: a fused compare-and-branch trims the step
-    // range, and an unresolvable edge degrades to a bridge.
-    let mut upper = code.len();
-    let cterm = match bp.term {
-        Terminator::Br(t) => match edge(from, *t, blocks) {
-            Some(e) => {
-                charge(CycleClass::Branch, cost.simple_op);
-                CTerm::Br(e)
-            }
-            None => CTerm::Bridge,
-        },
-        Terminator::CondBr {
-            cond,
-            then_bb,
-            else_bb,
-        } => match (edge(from, *then_bb, blocks), edge(from, *else_bb, blocks)) {
-            (Some(then_e), Some(else_e)) => {
-                charge(CycleClass::Branch, cost.simple_op);
-                match (cond, lowered.last()) {
-                    (
-                        &Value::Inst(c),
-                        Some(Some(Lowered {
-                            step:
-                                Step::Cmp {
-                                    op,
-                                    ty,
-                                    lhs,
-                                    rhs,
-                                    dst,
-                                },
-                            cycles,
-                            ..
-                        })),
-                    ) if *dst == c && counts[c.index()] == 1 => {
-                        upper = code.len() - 1;
-                        // The compare charges as Alu, same as unfused.
-                        charge(CycleClass::Alu, *cycles);
-                        CTerm::CmpBr {
-                            op: *op,
-                            ty: *ty,
-                            lhs: *lhs,
-                            rhs: *rhs,
-                            at: upper as u32,
-                            then_e,
-                            else_e,
-                        }
-                    }
-                    _ => CTerm::CondBr {
-                        cond: slot(*cond),
-                        then_e,
-                        else_e,
-                    },
-                }
-            }
-            _ => CTerm::Bridge,
-        },
-        Terminator::Ret(_) | Terminator::Unreachable => CTerm::Bridge,
-    };
-    let bridge = matches!(cterm, CTerm::Bridge);
-    if bridge && code.is_empty() {
+    // The exit first: a fused compare-and-branch trims the step range.
+    let mut upper = lowered.len();
+    let mut cmp_br = None;
+    let bridge = matches!(exit, Exit::Ret(_) | Exit::Unreachable);
+    if bridge && lowered.is_empty() {
         // Nothing to speed up, and an empty bridge body would re-enter
         // itself from the resolve loop.
         return None;
+    }
+    if !bridge {
+        charge(CycleClass::Branch, cost.simple_op);
+    }
+    if let (
+        &Exit::CondBr {
+            cond: Slot::Reg(c), ..
+        },
+        Some(Entry::Step(Lowered {
+            step:
+                Step::Cmp {
+                    op,
+                    ty,
+                    lhs,
+                    rhs,
+                    dst,
+                },
+            cycles,
+            ..
+        })),
+    ) = (exit, lowered.last())
+    {
+        if *dst == c && counts[c.index()] == 1 {
+            upper -= 1;
+            // The compare charges as Alu, same as unfused.
+            charge(CycleClass::Alu, *cycles);
+            cmp_br = Some(CmpBr {
+                op: *op,
+                ty: *ty,
+                lhs: *lhs,
+                rhs: *rhs,
+                at: upper as u32,
+            });
+        }
     }
 
     let mut steps: Vec<(u32, Step)> = Vec::new();
@@ -560,17 +617,17 @@ fn compile_block(
     let mut i = 0usize;
     while i < upper {
         let at = i as u32;
-        let Some(l) = &lowered[i] else {
-            // Counted in `n_insts`, never executed (tier 0 skips
-            // mid-block phis without charging); anything else that did
-            // not lower needs the call path.
-            if matches!(code[i].1, InstKind::Phi { .. }) {
+        let l = match &lowered[i] {
+            Entry::Step(l) => l,
+            // Counted in `n_insts`, never executed: tier 0 skips
+            // mid-block phis without charging.
+            Entry::Skip => {
                 i += 1;
                 continue;
             }
-            return None;
+            Entry::Call(_) => return None,
         };
-        let next = |k: usize| lowered[i + 1..upper].get(k).and_then(|l| l.as_ref());
+        let next = |k: usize| lowered[i + 1..upper].get(k).and_then(Entry::step);
 
         // Superinstruction: load + bin + store (the canonical
         // read-modify-write idiom).
@@ -676,7 +733,7 @@ fn compile_block(
         i += 1;
     }
 
-    let n_insts = code.len() as u64 + if bridge { 0 } else { 1 };
+    let n_insts = lowered.len() as u64 + if bridge { 0 } else { 1 };
     Some(CompiledBlock {
         plain_steps: steps.len() as u32 - gep_loads - load_bin_stores,
         steps,
@@ -684,8 +741,7 @@ fn compile_block(
         static_cycles: class_cycles.iter().sum(),
         gep_loads,
         load_bin_stores,
-        code_len: code.len() as u32,
-        term: cterm,
+        cmp_br,
         class_cycles,
     })
 }

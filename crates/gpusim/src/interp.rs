@@ -9,15 +9,15 @@
 //! cycle counters, which is how synchronization shows up in kernel
 //! time.
 //!
-//! Execution is driven by the precompiled [`crate::plan::ExecPlan`]:
-//! straight-line instructions are pre-decoded [`Step`]s with one
-//! definition ([`TeamExec::exec_step`]) that tier 0 runs one at a time
-//! and tier 1 runs fused per block ([`crate::compile`]); terminators
-//! and calls are *borrowed* from the module (never cloned per step),
-//! call targets are pre-resolved enums instead of name strings, frames
-//! are allocated at their final register-file size, and the
-//! coalescing-model state lives in dense `Vec`s indexed by a plan-wide
-//! access-site number.
+//! Execution is driven by the precompiled [`crate::plan::ExecPlan`],
+//! which holds one lowered form per block for both tiers: straight-line
+//! instructions are pre-decoded [`Step`]s with one definition
+//! ([`TeamExec::exec_step`]) that tier 0 runs one at a time and tier 1
+//! runs fused per block ([`crate::compile`]); calls carry pre-resolved
+//! targets and operand [`Slot`]s, and terminators are [`Exit`]s whose
+//! [`Edge`]s carry their phi moves. Frames are allocated at their final
+//! register-file size, and the coalescing-model state lives in dense
+//! `Vec`s indexed by a plan-wide access-site number.
 //!
 //! The profiler and the sanitizer are [`Observers`] of that one
 //! executor: they are told what happened on whichever tier it happened
@@ -28,21 +28,20 @@
 //! (`launch.rs`) may run several on parallel host threads and merge the
 //! resulting [`TeamOutcome`]s in team-id order.
 
-use crate::compile::{CTerm, CompiledBlock, Edge, Slot, Step, STATIC_CLASSES};
+use crate::compile::{Call, CompiledBlock, Edge, Entry, Exit, Slot, Step, STATIC_CLASSES};
 use crate::config::{DeviceConfig, Tier};
 use crate::cost::CostModel;
 use crate::error::{Provenance, ThreadPos};
 use crate::mem::{self, AccessClass, FastMap, TeamMemDelta, TeamMemView};
 use crate::observe::Observers;
-use crate::plan::{BlockPlan, CallTarget, ExecPlan, MathKind, NUM_RTL_FNS};
+use crate::plan::{BlockPlan, CallTarget, ExecPlan, FuncPlan, MathKind, NUM_RTL_FNS};
 use crate::profile::{CycleClass, TeamProfile};
 use crate::sanitize::{Finding, SiteRef};
 use crate::stats::KernelStats;
 use crate::value::RtVal;
 use omp_ir::omprtl::{ALL_RTL_FNS, MODE_SPMD};
 use omp_ir::{
-    AddrSpace, BinOp, BlockId, CastOp, CmpOp, ExecMode, FuncId, InstId, InstKind, Module, RtlFn,
-    Terminator, Type, Value,
+    AddrSpace, BinOp, BlockId, CastOp, CmpOp, ExecMode, FuncId, InstId, Module, RtlFn, Type, Value,
 };
 use std::time::Instant;
 
@@ -77,7 +76,6 @@ impl Status {
 struct Frame {
     func: FuncId,
     block: BlockId,
-    prev_block: Option<BlockId>,
     idx: usize,
     /// Pre-sized to the function's register count at frame push.
     regs: Vec<Option<RtVal>>,
@@ -159,7 +157,6 @@ fn make_frame(
     let mut frame = Frame {
         func,
         block,
-        prev_block: None,
         idx: 0,
         regs,
         args,
@@ -261,7 +258,7 @@ pub(crate) struct TeamOutcome {
 /// `TeamExec`s on parallel host threads sound.
 pub(crate) struct TeamExec<'a, 'm> {
     module: &'m Module,
-    plan: &'a ExecPlan<'m>,
+    plan: &'a ExecPlan,
     cfg: &'a DeviceConfig,
     cost: &'a CostModel,
     /// Dense global placement table indexed by `GlobalId`.
@@ -280,7 +277,6 @@ pub(crate) struct TeamExec<'a, 'm> {
     /// that per-thread allocations overlap in time, modelling the
     /// concurrent footprint of a real launch.
     yield_flag: bool,
-    debug_coalesce: bool,
     /// Reusable scratch for evaluated call arguments (taken with
     /// `mem::take` around uses, so steady-state calls don't allocate).
     scratch_args: Vec<RtVal>,
@@ -306,7 +302,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         module: &'m Module,
-        plan: &'a ExecPlan<'m>,
+        plan: &'a ExecPlan,
         cfg: &'a DeviceConfig,
         cost: &'a CostModel,
         globals: &'a [(AddrSpace, u64)],
@@ -340,7 +336,6 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             t.frames.push(Frame {
                 func: kernel,
                 block: kplan.entry,
-                prev_block: None,
                 idx: 0,
                 regs: vec![None; kplan.num_regs],
                 args: args.to_vec(),
@@ -366,7 +361,6 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             site_samples: vec![(NO_SAMPLE, 0); warps * total_sites],
             total_sites,
             yield_flag: false,
-            debug_coalesce: std::env::var_os("OMP_GPUSIM_DEBUG_COALESCE").is_some(),
             scratch_args: Vec::new(),
             scratch_phis: Vec::new(),
             obs,
@@ -512,8 +506,9 @@ impl<'a, 'm> TeamExec<'a, 'm> {
     /// the running frame's function and block plan once and hands the
     /// block's straight-line steps to [`TeamExec::run_compiled`] (fused,
     /// chaining across blocks) or [`TeamExec::run_unfused`] (tier 0, one
-    /// step at a time). What neither executes — calls and terminators —
-    /// is handled here, then the frame is resolved again.
+    /// step at a time). What neither executes — calls, and the exits
+    /// tier 1 bridges — is handled here, then the frame is resolved
+    /// again.
     fn run_thread<const OBS: bool>(&mut self, hw: u32) -> Result<(), SimError> {
         let plan = self.plan;
         let max_insts = self.cfg.max_insts_per_thread;
@@ -544,32 +539,21 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             if self.tier1 && frame.idx == 0 {
                 if let Some(cb) = bp.compiled.as_ref() {
                     if th.insts.saturating_add(cb.n_insts) < stop_at {
-                        self.run_compiled::<OBS>(hw, fid, fp, cb, stop_at)?;
+                        self.run_compiled::<OBS>(hw, fid, fp, bp, cb, stop_at)?;
                         continue;
                     }
                 }
             }
             match self.run_unfused::<OBS>(hw, fid, bp, stop_at)? {
-                None => self.step_terminator(hw)?,
-                Some((inst_id, InstKind::Call { callee, args, .. })) => {
-                    let target = fp.call_targets[inst_id.index()];
-                    self.exec_call(hw, inst_id, target, *callee, args)?;
+                None => self.exit_block(hw, &bp.exit)?,
+                Some(call) => {
+                    self.exec_call(hw, call)?;
                     // The call may have pushed a frame, blocked the
                     // thread, or requested a scheduler yield.
                     if self.yield_flag {
                         self.yield_flag = false;
                         return Ok(());
                     }
-                }
-                // Phis execute as part of the block transition; one in
-                // the middle of a block (not the leading header the
-                // plan splits off) is skipped.
-                Some(_) => {
-                    self.team.threads[hw as usize]
-                        .frames
-                        .last_mut()
-                        .unwrap()
-                        .idx += 1
                 }
             }
         }
@@ -579,16 +563,16 @@ impl<'a, 'm> TeamExec<'a, 'm> {
     /// Tier 0: executes the top frame's block one [`Step`] at a time
     /// from `frame.idx`, with the budget compare, the watchdog and the
     /// static charge per instruction. Stops *at* (having counted, not
-    /// executed) the first entry that is not a step and returns it, or
-    /// `None` at the terminator. Like a compiled run, the frame is
-    /// popped for the duration and pushed back on every path.
-    fn run_unfused<const OBS: bool>(
+    /// executed) the first call and returns it, or `None` at the
+    /// terminator. Like a compiled run, the frame is popped for the
+    /// duration and pushed back on every path.
+    fn run_unfused<'p, const OBS: bool>(
         &mut self,
         hw: u32,
         fid: FuncId,
-        bp: &BlockPlan<'m>,
+        bp: &'p BlockPlan,
         stop_at: u64,
-    ) -> Result<Option<(InstId, &'m InstKind)>, SimError> {
+    ) -> Result<Option<&'p Call>, SimError> {
         let th = &mut self.team.threads[hw as usize];
         let mut insts = th.insts;
         let mut cycles: u64 = 0;
@@ -601,11 +585,14 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             if insts & 0x3FFF == 0 && self.deadline.is_some_and(|d| Instant::now() >= d) {
                 break Err(SimError::timeout(self.watchdog_millis));
             }
-            let Some(entry) = bp.lowered.get(frame.idx) else {
-                break Ok(None);
-            };
-            let Some(l) = entry else {
-                break Ok(Some(bp.code[frame.idx]));
+            let l = match bp.lowered.get(frame.idx) {
+                None => break Ok(None),
+                Some(Entry::Call(call)) => break Ok(Some(call)),
+                Some(Entry::Skip) => {
+                    frame.idx += 1;
+                    continue;
+                }
+                Some(Entry::Step(l)) => l,
             };
             if let Err((_, e)) = self.exec_step::<OBS>(hw, fid, &l.step, &mut frame, &mut cycles) {
                 break Err(e);
@@ -617,47 +604,6 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             frame.idx += 1;
         };
         self.end_run(hw, frame, cycles, insts, r)
-    }
-
-    fn eval(
-        globals: &[(AddrSpace, u64)],
-        team_id: u32,
-        frame: &Frame,
-        v: Value,
-    ) -> Result<RtVal, SimError> {
-        Ok(match v {
-            Value::Inst(i) => frame
-                .regs
-                .get(i.index())
-                .copied()
-                .flatten()
-                .ok_or_else(|| SimError::trap(format!("use of undefined value {i}")))?,
-            Value::Arg(n) => *frame
-                .args
-                .get(n as usize)
-                .ok_or_else(|| SimError::trap(format!("missing argument {n}")))?,
-            Value::ConstInt(c, ty) => match ty {
-                Type::I1 => RtVal::Bool(c != 0),
-                Type::I32 => RtVal::I32(c as i32),
-                _ => RtVal::I64(c),
-            },
-            Value::ConstFloat(bits, ty) => match ty {
-                Type::F32 => RtVal::F32(f64::from_bits(bits) as f32),
-                _ => RtVal::F64(f64::from_bits(bits)),
-            },
-            Value::Global(g) => {
-                // The plan validated every global reference, so the
-                // dense table lookup cannot miss.
-                let (space, offset) = globals[g.index()];
-                match space {
-                    AddrSpace::Global => RtVal::Ptr(mem::global_addr(offset)),
-                    AddrSpace::Shared => RtVal::Ptr(mem::shared_addr(team_id, offset)),
-                }
-            }
-            Value::Func(f) => RtVal::Ptr(mem::func_addr(f.0)),
-            Value::Null => RtVal::Ptr(0),
-            Value::Undef(ty) => RtVal::zero(ty),
-        })
     }
 
     #[inline]
@@ -673,12 +619,11 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             .on_charge(th.frames.last().map(|f| f.func), class, cycles);
     }
 
-    /// Evaluates a pre-decoded tier-1 operand slot. Mirrors
-    /// [`TeamExec::eval`] exactly (including trap messages); constants
-    /// were materialized at compile time.
+    /// Evaluates a pre-decoded operand slot; constants were
+    /// materialized at plan-build time.
     ///
     /// `inline(always)` matters: this runs for every operand of every
-    /// compiled step, and as an outlined call (large `Result` return,
+    /// step, and as an outlined call (large `Result` return,
     /// cold `format!` paths) it costs as much as a whole interpreted
     /// instruction. The trap constructors are outlined instead.
     #[inline(always)]
@@ -708,9 +653,9 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         })
     }
 
-    /// Runs compiled blocks for thread `hw` starting at the top frame's
-    /// current block, chaining across compiled successors. The frame is
-    /// popped into a local for the duration (pushed back by
+    /// Runs compiled blocks for thread `hw` from the top frame's block
+    /// `bp` (compiled: `cb`), chaining across compiled successors. The
+    /// frame is popped into a local for the duration (pushed back by
     /// [`TeamExec::end_run`] on every path), and cycle/instruction
     /// deltas accumulate in locals, flushed once per exit.
     ///
@@ -728,11 +673,12 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         &mut self,
         hw: u32,
         fid: FuncId,
-        fp: &'p crate::plan::FuncPlan<'m>,
+        fp: &'p FuncPlan,
+        bp: &'p BlockPlan,
         cb: &'p CompiledBlock,
         stop_at: u64,
     ) -> Result<(), SimError> {
-        let mut cb = cb;
+        let (mut bp, mut cb) = (bp, cb);
         let th = &mut self.team.threads[hw as usize];
         let mut insts = th.insts;
         let mut cycles: u64 = 0;
@@ -765,7 +711,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             self.stats.fused_gep_load += cb.gep_loads as u64;
             self.stats.fused_load_bin_store += cb.load_bin_stores as u64;
             self.stats.plain_steps += cb.plain_steps as u64;
-            frame.idx = cb.code_len as usize;
+            frame.idx = bp.lowered.len();
             // Amortized watchdog: fire on the same 16 K-instruction
             // cadence as the interpreter's per-instruction check.
             if (before >> 14) != (insts >> 14) {
@@ -776,65 +722,58 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                     }
                 }
             }
-            let taken: &Edge = match &cb.term {
-                CTerm::Bridge => {
-                    // Terminator (or unresolved edge) belongs to the
-                    // interpreter; the frame sits at `idx == code_len`.
+            let taken = match &bp.exit {
+                // `ret` and `unreachable` belong to the interpreter; the
+                // frame sits at the terminator.
+                Exit::Ret(_) | Exit::Unreachable => {
                     return self.end_run(hw, frame, cycles, insts, Ok(()));
                 }
-                CTerm::Br(e) => e,
-                CTerm::CondBr {
+                Exit::Br(e) => e,
+                Exit::CondBr {
                     cond,
                     then_e,
                     else_e,
                 } => {
-                    let v = match Self::slot_val(self.globals, self.team.id, &frame, *cond) {
-                        Ok(v) => v,
-                        Err(e) => return self.end_run(hw, frame, cycles, insts, Err(e)),
+                    let (g, t) = (self.globals, self.team.id);
+                    // Early returns, not a `Result<bool, _>` value: the
+                    // optimizer copies a materialized one once per block.
+                    let c = if let Some(f) = &cb.cmp_br {
+                        self.stats.fused_cmp_br += 1;
+                        let r = (|| {
+                            let a = Self::slot_val(g, t, &frame, f.lhs)?;
+                            let b = Self::slot_val(g, t, &frame, f.rhs)?;
+                            exec_cmp(f.op, f.ty, a, b)
+                        })();
+                        match r {
+                            Ok(v) => v == RtVal::Bool(true),
+                            Err(e) => {
+                                // The fused compare's own code position.
+                                frame.idx = f.at as usize;
+                                return self.end_run(hw, frame, cycles, insts, Err(e));
+                            }
+                        }
+                    } else {
+                        match Self::branch(g, t, &frame, *cond) {
+                            Ok(c) => c,
+                            Err(e) => return self.end_run(hw, frame, cycles, insts, Err(e)),
+                        }
                     };
-                    match v.as_bool() {
-                        Some(true) => then_e,
-                        Some(false) => else_e,
-                        None => {
-                            let e = SimError::trap("branch on non-boolean");
-                            return self.end_run(hw, frame, cycles, insts, Err(e));
-                        }
-                    }
-                }
-                CTerm::CmpBr {
-                    op,
-                    ty,
-                    lhs,
-                    rhs,
-                    at,
-                    then_e,
-                    else_e,
-                } => {
-                    self.stats.fused_cmp_br += 1;
-                    let r = (|| {
-                        let a = Self::slot_val(self.globals, self.team.id, &frame, *lhs)?;
-                        let b = Self::slot_val(self.globals, self.team.id, &frame, *rhs)?;
-                        exec_cmp(*op, *ty, a, b)
-                    })();
-                    match r.map(|v| v.as_bool()) {
-                        Ok(Some(true)) => then_e,
-                        Ok(Some(false)) => else_e,
-                        Ok(None) => unreachable!("cmp produced a non-boolean"),
-                        Err(e) => {
-                            // The fused compare's own code position.
-                            frame.idx = *at as usize;
-                            return self.end_run(hw, frame, cycles, insts, Err(e));
-                        }
+                    if c {
+                        then_e
+                    } else {
+                        else_e
                     }
                 }
             };
-            if let Err(e) = self.take_edge(&mut frame, taken) {
+            let (g, t) = (self.globals, self.team.id);
+            if let Err(e) = Self::take_edge(g, t, &mut self.scratch_phis, &mut frame, taken) {
                 return self.end_run(hw, frame, cycles, insts, Err(e));
             }
-            cb = match fp.block(frame.block).compiled.as_ref() {
+            bp = fp.block(frame.block);
+            cb = match bp.compiled.as_ref() {
                 Some(c) => c,
-                // Successor needs the interpreter (runtime calls,
-                // returns, ...): bridge with the frame at its head.
+                // Successor needs the interpreter (a call, or a lone
+                // `ret`): bridge with the frame at its head.
                 None => return self.end_run(hw, frame, cycles, insts, Ok(())),
             };
         }
@@ -857,38 +796,56 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         r
     }
 
-    /// Follows a pre-resolved tier-1 edge: applies the target's phi
-    /// moves for this predecessor (simultaneously, like
-    /// [`TeamExec::transition`]) and repositions the frame.
-    fn take_edge(&mut self, frame: &mut Frame, edge: &Edge) -> Result<(), SimError> {
+    /// Follows a pre-resolved edge: applies the target's phi moves for
+    /// this predecessor (every read before any write) and repositions
+    /// the frame, or traps at a phi with no incoming. Takes the
+    /// executor's parts so that either tier can pass the frame it holds.
+    fn take_edge(
+        globals: &[(AddrSpace, u64)],
+        team_id: u32,
+        scratch: &mut Vec<(InstId, RtVal)>,
+        frame: &mut Frame,
+        edge: &Edge,
+    ) -> Result<(), SimError> {
         match edge.moves.as_slice() {
             [] => {}
             &[(i, s)] => {
-                let v = Self::slot_val(self.globals, self.team.id, frame, s)?;
+                let v = Self::slot_val(globals, team_id, frame, s)?;
                 Self::set_reg(frame, i, v);
             }
             moves => {
-                let mut vals = std::mem::take(&mut self.scratch_phis);
-                vals.clear();
+                scratch.clear();
                 for &(i, s) in moves {
-                    match Self::slot_val(self.globals, self.team.id, frame, s) {
-                        Ok(v) => vals.push((i, v)),
-                        Err(e) => {
-                            self.scratch_phis = vals;
-                            return Err(e);
-                        }
-                    }
+                    scratch.push((i, Self::slot_val(globals, team_id, frame, s)?));
                 }
-                for &(i, v) in &vals {
+                for &(i, v) in scratch.iter() {
                     Self::set_reg(frame, i, v);
                 }
-                self.scratch_phis = vals;
             }
         }
-        frame.prev_block = Some(frame.block);
+        if let Some(i) = edge.missing {
+            return Err(SimError::trap(format!(
+                "phi {i} has no incoming for predecessor {}",
+                frame.block
+            )));
+        }
         frame.block = edge.target;
         frame.idx = 0;
         Ok(())
+    }
+
+    /// A conditional branch's decision on `cond`; inlined like
+    /// [`TeamExec::slot_val`], as tier 1 decides one per block.
+    #[inline(always)]
+    fn branch(
+        globals: &[(AddrSpace, u64)],
+        team_id: u32,
+        frame: &Frame,
+        cond: Slot,
+    ) -> Result<bool, SimError> {
+        Self::slot_val(globals, team_id, frame, cond)?
+            .as_bool()
+            .ok_or_else(|| SimError::trap("branch on non-boolean"))
     }
 
     /// Executes one step — the single definition of every straight-line
@@ -1103,83 +1060,41 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         new
     }
 
-    fn step_terminator(&mut self, hw: u32) -> Result<(), SimError> {
-        let plan = self.plan;
-        let frame = self.team.threads[hw as usize].frames.last().unwrap();
-        let fid = frame.func;
-        let fp = plan.func(fid).expect("frame in undefined function");
-        let term = fp.block(frame.block).term;
-        match term {
-            Terminator::Br(target) => {
-                let target = *target;
-                self.transition(hw, target)?;
-                self.charge(hw, self.cost.simple_op, CycleClass::Branch);
-            }
-            Terminator::CondBr {
+    /// Tier 0: leaves the top frame's block through its exit, in the
+    /// terminator iteration `run_unfused` counted: the condition, then
+    /// the phi moves, then the branch charge.
+    fn exit_block(&mut self, hw: u32, exit: &Exit) -> Result<(), SimError> {
+        let (g, t) = (self.globals, self.team.id);
+        let frame = self.team.threads[hw as usize]
+            .frames
+            .last_mut()
+            .expect("block exit without a frame");
+        let edge = match exit {
+            Exit::Br(e) => e,
+            Exit::CondBr {
                 cond,
-                then_bb,
-                else_bb,
+                then_e,
+                else_e,
             } => {
-                let (cond, then_bb, else_bb) = (*cond, *then_bb, *else_bb);
-                let f = self.team.threads[hw as usize].frames.last().unwrap();
-                let c = Self::eval(self.globals, self.team.id, f, cond)?
-                    .as_bool()
-                    .ok_or_else(|| SimError::trap("branch on non-boolean"))?;
-                self.transition(hw, if c { then_bb } else { else_bb })?;
-                self.charge(hw, self.cost.simple_op, CycleClass::Branch);
+                if Self::branch(g, t, frame, *cond)? {
+                    then_e
+                } else {
+                    else_e
+                }
             }
-            Terminator::Ret(v) => {
-                let v = *v;
-                let f = self.team.threads[hw as usize].frames.last().unwrap();
-                let val = match v {
-                    Some(v) => Some(Self::eval(self.globals, self.team.id, f, v)?),
-                    None => None,
-                };
-                self.do_return(hw, val)?;
+            Exit::Ret(v) => {
+                let val = v.map(|s| Self::slot_val(g, t, frame, s)).transpose()?;
+                return self.do_return(hw, val);
             }
-            Terminator::Unreachable => {
+            Exit::Unreachable => {
                 return Err(SimError::trap(format!(
                     "reached `unreachable` in @{}",
-                    self.module.func(fid).name
+                    self.module.func(frame.func).name
                 )));
             }
-        }
-        Ok(())
-    }
-
-    /// Moves to `target`, evaluating its phi nodes against the current
-    /// block.
-    fn transition(&mut self, hw: u32, target: BlockId) -> Result<(), SimError> {
-        let plan = self.plan;
-        let frame = self.team.threads[hw as usize].frames.last().unwrap();
-        let from = frame.block;
-        let fp = plan.func(frame.func).expect("frame in undefined function");
-        let tp = fp.block(target);
-        if !tp.phis.is_empty() {
-            // Evaluate all phis simultaneously, into the reusable
-            // scratch (a Trap mid-evaluation abandons the buffer,
-            // which only matters on already-fatal paths).
-            let mut phi_vals = std::mem::take(&mut self.scratch_phis);
-            phi_vals.clear();
-            for &(i, incoming) in &tp.phis {
-                let Some(&(_, v)) = incoming.iter().find(|(p, _)| *p == from) else {
-                    return Err(SimError::trap(format!(
-                        "phi {i} has no incoming for predecessor {from}"
-                    )));
-                };
-                let frame = self.team.threads[hw as usize].frames.last().unwrap();
-                phi_vals.push((i, Self::eval(self.globals, self.team.id, frame, v)?));
-            }
-            let f = self.team.threads[hw as usize].frames.last_mut().unwrap();
-            for &(i, v) in &phi_vals {
-                Self::set_reg(f, i, v);
-            }
-            self.scratch_phis = phi_vals;
-        }
-        let f = self.team.threads[hw as usize].frames.last_mut().unwrap();
-        f.prev_block = Some(from);
-        f.block = target;
-        f.idx = 0;
+        };
+        Self::take_edge(g, t, &mut self.scratch_phis, frame, edge)?;
+        self.charge(hw, self.cost.simple_op, CycleClass::Branch);
         Ok(())
     }
 
@@ -1377,7 +1292,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         match class {
             AccessClass::Local => self.cost.local_access,
             AccessClass::Shared | AccessClass::Global => {
-                let coalesced = self.classify(hw, func, site, addr, ty);
+                let coalesced = self.classify(hw, site, addr, ty);
                 if OBS && class == AccessClass::Global {
                     self.obs.on_global_access(func, coalesced);
                 }
@@ -1403,7 +1318,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
     /// stride mismatch is observed. All state is per-team and densely
     /// indexed by the plan-wide site number, so teams classify
     /// independently of scheduling order.
-    fn classify(&mut self, hw: u32, func: FuncId, site: u32, addr: u64, ty: Type) -> bool {
+    fn classify(&mut self, hw: u32, site: u32, addr: u64, ty: Type) -> bool {
         if self.site_class[site as usize] == SITE_UNCOALESCED {
             return false;
         }
@@ -1435,12 +1350,6 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             // full penalty.
             const WINDOW: i64 = 128;
             if addr_delta != 0 && (addr_delta - expected).abs() > WINDOW {
-                if self.debug_coalesce {
-                    eprintln!(
-                        "uncoalesced: @{} site {site}: lane {plane}@{paddr:#x} vs lane {lane}@{addr:#x}",
-                        self.module.func(func).name
-                    );
-                }
                 self.site_class[site as usize] = SITE_UNCOALESCED;
                 return false;
             }
@@ -1451,20 +1360,14 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         true
     }
 
-    fn exec_call(
-        &mut self,
-        hw: u32,
-        inst_id: InstId,
-        target: CallTarget,
-        callee: Value,
-        args: &[Value],
-    ) -> Result<(), SimError> {
+    fn exec_call(&mut self, hw: u32, call: &Call) -> Result<(), SimError> {
+        let (dst, args) = (call.dst, call.args.as_slice());
         // Direct call sites were resolved at plan build; indirect ones
         // decode the runtime pointer and look up the callee's nature.
-        let (target, indirect) = match target {
-            CallTarget::Indirect => {
+        let (target, indirect) = match call.target {
+            CallTarget::Indirect(callee) => {
                 let f = self.team.threads[hw as usize].frames.last().unwrap();
-                let p = Self::eval(self.globals, self.team.id, f, callee)?
+                let p = Self::slot_val(self.globals, self.team.id, f, callee)?
                     .as_ptr()
                     .ok_or_else(|| SimError::trap("indirect call on non-pointer"))?;
                 let fid = match mem::decode(p) {
@@ -1483,18 +1386,19 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             t => (t, false),
         };
         match target {
-            CallTarget::Rtl(rtl) => self.exec_rtl(hw, inst_id, rtl, args),
+            CallTarget::Rtl(rtl) => {
+                self.stats.rtl_calls[rtl as usize] += 1;
+                let vals = self.call_args(hw, args)?;
+                let result = self.exec_rtl(hw, dst, rtl, &vals);
+                self.scratch_args = vals;
+                result
+            }
             CallTarget::Math(kind, f32out) => {
-                let mut vals = std::mem::take(&mut self.scratch_args);
-                vals.clear();
-                let f = self.team.threads[hw as usize].frames.last().unwrap();
-                for a in args {
-                    vals.push(Self::eval(self.globals, self.team.id, f, *a)?);
-                }
+                let vals = self.call_args(hw, args)?;
                 let v = exec_math(kind, f32out, &vals)?;
                 self.scratch_args = vals;
                 let f = self.team.threads[hw as usize].frames.last_mut().unwrap();
-                Self::set_reg(f, inst_id, v);
+                Self::set_reg(f, dst, v);
                 f.idx += 1;
                 self.charge(hw, self.cost.math_fn, CycleClass::Math);
                 Ok(())
@@ -1510,18 +1414,10 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 let team_id = self.team.id;
                 let th = &mut self.team.threads[hw as usize];
                 let sp = th.local_sp;
-                let mut fr = make_frame(
-                    &mut th.pool,
-                    target,
-                    entry,
-                    num_regs,
-                    sp,
-                    Some(inst_id),
-                    None,
-                );
+                let mut fr = make_frame(&mut th.pool, target, entry, num_regs, sp, Some(dst), None);
                 let f = th.frames.last().unwrap();
-                for a in args {
-                    fr.args.push(Self::eval(self.globals, team_id, f, *a)?);
+                for &a in args {
+                    fr.args.push(Self::slot_val(self.globals, team_id, f, a)?);
                 }
                 th.frames.last_mut().unwrap().idx += 1;
                 let now = th.cycles;
@@ -1535,36 +1431,24 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 self.charge(hw, cost, CycleClass::Call);
                 Ok(())
             }
-            CallTarget::Indirect => unreachable!("indirect targets resolve to a nature"),
+            CallTarget::Indirect(_) => unreachable!("indirect targets resolve to a nature"),
         }
     }
 
-    fn exec_rtl(
-        &mut self,
-        hw: u32,
-        inst_id: InstId,
-        rtl: RtlFn,
-        args: &[Value],
-    ) -> Result<(), SimError> {
-        self.stats.rtl_calls[rtl as usize] += 1;
+    /// Evaluates a call's arguments into the reusable scratch vector,
+    /// which the caller hands back to `scratch_args` (a trap abandons
+    /// it, which only matters on already-fatal paths).
+    fn call_args(&mut self, hw: u32, args: &[Slot]) -> Result<Vec<RtVal>, SimError> {
         let mut vals = std::mem::take(&mut self.scratch_args);
         vals.clear();
         let f = self.team.threads[hw as usize].frames.last().unwrap();
-        for a in args {
-            match Self::eval(self.globals, self.team.id, f, *a) {
-                Ok(v) => vals.push(v),
-                Err(e) => {
-                    self.scratch_args = vals;
-                    return Err(e);
-                }
-            }
+        for &a in args {
+            vals.push(Self::slot_val(self.globals, self.team.id, f, a)?);
         }
-        let result = self.exec_rtl_inner(hw, inst_id, rtl, &vals);
-        self.scratch_args = vals;
-        result
+        Ok(vals)
     }
 
-    fn exec_rtl_inner(
+    fn exec_rtl(
         &mut self,
         hw: u32,
         inst_id: InstId,
@@ -1931,8 +1815,7 @@ fn rtl_arg(vals: &[RtVal], i: usize, rtl: RtlFn) -> Result<RtVal, SimError> {
 
 /// Outlined trap constructors for [`TeamExec::slot_val`]: keeping the
 /// `format!` machinery out of line is what lets the hot accessor
-/// inline into the compiled-step loop. Messages match
-/// [`TeamExec::eval`] byte for byte.
+/// inline into the step loops.
 #[cold]
 #[inline(never)]
 fn undef_value_trap(i: InstId) -> SimError {

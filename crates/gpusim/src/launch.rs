@@ -36,7 +36,7 @@ pub struct LaunchDims {
 /// heap are per-launch.
 pub struct Device<'m> {
     pub(crate) module: &'m Module,
-    pub(crate) plan: ExecPlan<'m>,
+    pub(crate) plan: ExecPlan,
     pub(crate) cfg: DeviceConfig,
     pub(crate) cost: CostModel,
     pub(crate) mem: Memory,

@@ -6,9 +6,8 @@
 //! cache: a compile service that keeps an LRU of warmed devices needs a
 //! single owned value per entry. [`OwnedDevice`] provides that by
 //! pinning the module behind an [`Arc`] — the module's heap allocation
-//! never moves, so the device's internal borrows (the decoded
-//! [`crate::ExecPlan`] holds references into the module's instruction
-//! streams) stay valid for as long as the pair lives.
+//! never moves, so the device's borrow of the module stays valid for as
+//! long as the pair lives.
 
 use crate::config::DeviceConfig;
 use crate::error::SimError;

@@ -1,29 +1,30 @@
 //! Precompiled execution plans: the module is decoded **once** at
 //! device construction into flat per-function tables, so the hot
-//! interpreter loop never clones instruction kinds or terminators and
-//! never resolves a callee by string comparison.
+//! interpreter loop never reads an IR instruction, operand or
+//! terminator and never resolves a callee by string comparison.
 //!
 //! A [`FuncPlan`] holds, per defined function:
 //!
-//! * block bodies split into leading phis and straight-line code, each
-//!   entry borrowing the instruction from the module arena and lowered
-//!   to the pre-decoded step both tiers execute ([`crate::compile`]);
-//! * the pre-resolved [`CallTarget`] of every direct call site
-//!   (runtime entry point, math intrinsic, or ordinary function);
+//! * one [`BlockPlan`] per block: its code entries and its terminator,
+//!   each in the one lowered form both tiers execute
+//!   ([`crate::compile`]) — steps, calls with pre-resolved
+//!   [`CallTarget`]s and operand slots, and branch edges with their phi
+//!   moves — plus the fused body tier 1 runs where it can;
 //! * `num_regs`, the register-file size a frame needs (the instruction
 //!   arena bound), so frames are allocated at full size exactly once;
 //! * `site_base`, this function's offset into the plan-wide dense
 //!   access-site index used by the coalescing tables.
 //!
+//! The plan owns everything it holds: nothing in it borrows the module.
 //! Plan construction validates every call and operand: a call to an
 //! undefined function id is a clean [`SimError`] at `Device::new` time
 //! instead of an index panic mid-run.
 
-use crate::compile::{self, CompiledBlock, Lowered};
+use crate::compile::{self, BlockSrc, CompiledBlock, Entry, Exit, Slot};
 use crate::cost::CostModel;
 use crate::error::SimError;
 use omp_ir::omprtl::{math_fn_signature, RtlFn, ALL_RTL_FNS};
-use omp_ir::{BlockId, FuncId, InstId, InstKind, Module, Terminator, Value};
+use omp_ir::{BlockId, FuncId, InstKind, Module, Terminator, Value};
 
 /// Number of runtime entry points — the size of the dense per-team
 /// runtime-call counter table.
@@ -73,41 +74,36 @@ pub(crate) enum CallTarget {
     Math(MathKind, bool),
     /// Declaration with no runtime semantics — traps if executed.
     Extern(FuncId),
-    /// Callee is a runtime value; resolved per execution.
-    Indirect,
+    /// Callee is a runtime value, read from this operand and resolved
+    /// per execution.
+    Indirect(Slot),
 }
 
-/// One basic block, decoded: leading phis (evaluated on block entry),
-/// the remaining instructions, and the terminator — all borrowed from
-/// the module, never cloned.
-pub(crate) struct BlockPlan<'m> {
-    pub phis: Vec<(InstId, &'m [(BlockId, Value)])>,
-    pub code: Vec<(InstId, &'m InstKind)>,
-    pub term: &'m Terminator,
-    /// One entry per `code` entry: the pre-decoded step tier 0 executes
-    /// there, or `None` for a call or a mid-block phi.
-    pub lowered: Vec<Option<Lowered>>,
+/// One basic block, lowered.
+pub(crate) struct BlockPlan {
+    /// One entry per code position (leading phis excluded).
+    pub lowered: Vec<Entry>,
+    /// The terminator, taken by both tiers.
+    pub exit: Exit,
     /// The same steps fused for tier 1 ([`crate::compile`]); `None`
-    /// when the block contains a call the step executor cannot run.
+    /// when the block contains a call.
     pub compiled: Option<CompiledBlock>,
 }
 
 /// The decoded form of one defined function.
-pub(crate) struct FuncPlan<'m> {
+pub(crate) struct FuncPlan {
     pub entry: BlockId,
     /// Frame register-file size: one slot per instruction-arena entry.
     pub num_regs: usize,
     /// Offset of this function's sites in the dense plan-wide index.
     pub site_base: u32,
     /// Indexed by `BlockId`; `None` for dead arena slots.
-    pub blocks: Vec<Option<BlockPlan<'m>>>,
-    /// Indexed by `InstId`; meaningful only at `Call` instructions.
-    pub call_targets: Vec<CallTarget>,
+    pub blocks: Vec<Option<BlockPlan>>,
 }
 
-impl<'m> FuncPlan<'m> {
+impl FuncPlan {
     #[inline]
-    pub fn block(&self, id: BlockId) -> &BlockPlan<'m> {
+    pub fn block(&self, id: BlockId) -> &BlockPlan {
         self.blocks[id.index()]
             .as_ref()
             .expect("dead block executed")
@@ -116,8 +112,8 @@ impl<'m> FuncPlan<'m> {
 
 /// The precompiled execution plan for a module: per-function tables
 /// plus the function-nature table used to dispatch indirect calls.
-pub struct ExecPlan<'m> {
-    funcs: Vec<Option<FuncPlan<'m>>>,
+pub struct ExecPlan {
+    funcs: Vec<Option<FuncPlan>>,
     /// Indexed by `FuncId`: how a call to that function dispatches
     /// (never `Indirect`).
     nature: Vec<CallTarget>,
@@ -127,19 +123,19 @@ pub struct ExecPlan<'m> {
     num_globals: usize,
 }
 
-impl<'m> ExecPlan<'m> {
+impl ExecPlan {
     /// Decodes `module` into an execution plan, validating every call
     /// target and operand reference. Tier-1 blocks are compiled against
     /// the default cost model; use [`ExecPlan::build_with_cost`] when
     /// the device charges a non-default one.
-    pub fn build(module: &'m Module) -> Result<ExecPlan<'m>, SimError> {
+    pub fn build(module: &Module) -> Result<ExecPlan, SimError> {
         Self::build_with_cost(module, &CostModel::default())
     }
 
     /// Like [`ExecPlan::build`], pre-summing tier-1 block cycle costs
     /// from `cost` so compiled-tier charges are bit-identical to the
     /// interpreter's under any cost model.
-    pub fn build_with_cost(module: &'m Module, cost: &CostModel) -> Result<ExecPlan<'m>, SimError> {
+    pub fn build_with_cost(module: &Module, cost: &CostModel) -> Result<ExecPlan, SimError> {
         let num_functions = module.num_functions();
         let num_globals = module.global_ids().count();
         let mut nature = Vec::with_capacity(num_functions);
@@ -157,7 +153,7 @@ impl<'m> ExecPlan<'m> {
                 CallTarget::Direct(fid)
             });
         }
-        let mut funcs: Vec<Option<FuncPlan<'m>>> = Vec::with_capacity(num_functions);
+        let mut funcs: Vec<Option<FuncPlan>> = Vec::with_capacity(num_functions);
         let mut total_sites: u32 = 0;
         for fid in module.func_ids() {
             let f = module.func(fid);
@@ -185,8 +181,7 @@ impl<'m> ExecPlan<'m> {
                     num_regs = num_regs.max(i.index() + 1);
                 }
             }
-            let mut blocks: Vec<Option<BlockPlan<'m>>> = (0..max_block).map(|_| None).collect();
-            let mut call_targets = vec![CallTarget::Indirect; num_regs];
+            let mut blocks: Vec<Option<BlockSrc>> = (0..max_block).map(|_| None).collect();
             for b in f.block_ids() {
                 let data = f.block(b);
                 let mut phis = Vec::new();
@@ -207,15 +202,6 @@ impl<'m> ExecPlan<'m> {
                     for_each_operand(kind, &mut |v| check(v).is_ok())
                         .then_some(())
                         .ok_or_else(|| bad_operand(&f.name, kind, num_functions, num_globals))?;
-                    if let InstKind::Call {
-                        callee: Value::Func(g),
-                        ..
-                    } = *kind
-                    {
-                        // `check` above already rejected out-of-range
-                        // ids; resolve in-range ones to their nature.
-                        call_targets[i.index()] = nature[g.index()];
-                    }
                     code.push((i, kind));
                 }
                 match &data.term {
@@ -223,21 +209,17 @@ impl<'m> ExecPlan<'m> {
                     Terminator::Ret(Some(v)) => check(*v)?,
                     _ => {}
                 }
-                blocks[b.index()] = Some(BlockPlan {
+                blocks[b.index()] = Some(BlockSrc {
                     phis,
                     code,
                     term: &data.term,
-                    lowered: Vec::new(),
-                    compiled: None,
                 });
             }
-            compile::compile_func(&mut blocks, &call_targets, num_regs, total_sites, cost);
             funcs.push(Some(FuncPlan {
                 entry: f.entry(),
                 num_regs,
                 site_base: total_sites,
-                blocks,
-                call_targets,
+                blocks: compile::compile_func(&blocks, &nature, num_regs, total_sites, cost),
             }));
             total_sites += num_regs as u32;
         }
@@ -252,7 +234,7 @@ impl<'m> ExecPlan<'m> {
     /// The decoded plan for a defined function, or `None` for
     /// declarations.
     #[inline]
-    pub(crate) fn func(&self, id: FuncId) -> Option<&FuncPlan<'m>> {
+    pub(crate) fn func(&self, id: FuncId) -> Option<&FuncPlan> {
         self.funcs.get(id.index()).and_then(|f| f.as_ref())
     }
 
@@ -415,8 +397,12 @@ mod tests {
         let plan = ExecPlan::build(&m).unwrap();
         let fp = plan.func(k).unwrap();
         assert!(matches!(
-            fp.call_targets[call.index()],
-            CallTarget::Rtl(RtlFn::Barrier)
+            fp.block(e).lowered[0],
+            Entry::Call(compile::Call {
+                dst,
+                target: CallTarget::Rtl(RtlFn::Barrier),
+                ..
+            }) if dst == call
         ));
         assert!(matches!(plan.nature(k), Some(CallTarget::Direct(_))));
         assert!(plan.func(rtl).is_none());

@@ -352,31 +352,140 @@ fn cmp_branch_fusion_loop() {
     assert_eq!(out[0], 55);
 }
 
-/// Runtime traps must carry identical diagnostics from both tiers,
-/// including the faulting position restored by a fused step.
-#[test]
-fn trap_diagnostics_are_tier_identical() {
+/// A one-thread kernel `k(ptr)` whose body `body` builds; the kernel is
+/// not verified, so it may be as malformed as a trap needs.
+fn handwritten_kernel(body: impl FnOnce(&mut Builder)) -> Module {
     let mut m = Module::new("t");
     let f = m.add_function(Function::definition("k", vec![Type::Ptr], Type::Void));
-    {
-        let mut b = Builder::at_entry(&mut m, f);
-        // Load through a wild pointer from inside a fused gep+load.
-        let p = b.gep_const(Value::i64(0x7777_7777), 8);
-        let v = b.load(Type::I64, p);
-        b.store(v, Value::Arg(0));
-        b.ret(None);
-    }
+    body(&mut Builder::at_entry(&mut m, f));
     kernelize(&mut m, f, "k");
-    let run = |tier: Tier| {
-        let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
-        dev.set_tier(tier);
-        let buf = dev.alloc_i64(&[0]).unwrap();
-        dev.launch("k", &[RtVal::Ptr(buf)], one_thread())
-            .map(|_| ())
-            .unwrap_err()
-            .to_string()
-    };
-    assert_eq!(run(Tier::Interp), run(Tier::Compiled));
+    m
+}
+
+/// Runtime traps carry the same message and provenance on both tiers,
+/// pinned literally: the faulting position restored by a fused step,
+/// and every trap a terminator, a phi edge or a call operand raises.
+#[test]
+fn trap_diagnostics_are_tier_identical() {
+    // `v` is defined in a block no edge reaches, so reading it traps.
+    fn undefined(b: &mut Builder) -> Value {
+        let (here, dead) = (b.current_block(), b.new_block());
+        b.switch_to(dead);
+        let v = b.add_i64(Value::i64(1), Value::i64(2));
+        b.ret(None);
+        b.switch_to(here);
+        v
+    }
+    let rows: Vec<(&str, Module, &str)> = vec![
+        (
+            "gep on a non-pointer inside a fused gep+load",
+            handwritten_kernel(|b| {
+                let p = b.gep_const(Value::i64(0x7777_7777), 8);
+                let v = b.load(Type::I64, p);
+                b.store(v, Value::Arg(0));
+                b.ret(None);
+            }),
+            "trap: gep on non-pointer (in @k, block 0, inst 0, team 0, thread 0)",
+        ),
+        (
+            "phi with no incoming for the taken predecessor",
+            handwritten_kernel(|b| {
+                let (entry, join, other) = (b.current_block(), b.new_block(), b.new_block());
+                b.store(Value::i64(1), Value::Arg(0));
+                b.br(join);
+                b.switch_to(other);
+                b.br(join);
+                b.switch_to(join);
+                let x = b.phi(Type::I64);
+                let y = b.phi(Type::I64);
+                b.add_phi_incoming(x, entry, Value::i64(3));
+                b.add_phi_incoming(x, other, Value::i64(4));
+                b.add_phi_incoming(y, other, Value::i64(5));
+                b.store(y, Value::Arg(0));
+                b.ret(None);
+            }),
+            "trap: phi %v2 has no incoming for predecessor bb0 (in @k, block 0, inst 1, team 0, thread 0)",
+        ),
+        (
+            "condbr on a pointer",
+            handwritten_kernel(|b| {
+                let (t, e) = (b.new_block(), b.new_block());
+                b.store(Value::i64(1), Value::Arg(0));
+                b.cond_br(Value::Arg(0), t, e);
+                b.switch_to(t);
+                b.ret(None);
+                b.switch_to(e);
+                b.ret(None);
+            }),
+            "trap: branch on non-boolean (in @k, block 0, inst 1, team 0, thread 0)",
+        ),
+        (
+            "ret of an undefined value",
+            handwritten_kernel(|b| {
+                let v = undefined(b);
+                b.store(Value::i64(1), Value::Arg(0));
+                b.ret(Some(v));
+            }),
+            "trap: use of undefined value %v0 (in @k, block 0, inst 1, team 0, thread 0)",
+        ),
+        (
+            "undefined argument to a direct call",
+            handwritten_kernel(|b| {
+                let g = b
+                    .module()
+                    .add_function(Function::definition("g", vec![Type::I64], Type::Void));
+                {
+                    let mut gb = Builder::at_entry(b.module(), g);
+                    gb.ret(None);
+                }
+                let v = undefined(b);
+                b.store(Value::i64(1), Value::Arg(0));
+                b.call(g, vec![v]);
+                b.ret(None);
+            }),
+            "trap: use of undefined value %v0 (in @k, block 0, inst 1, team 0, thread 0)",
+        ),
+        (
+            "undefined argument to a runtime call",
+            handwritten_kernel(|b| {
+                let v = undefined(b);
+                b.store(Value::i64(1), Value::Arg(0));
+                b.call_rtl(omp_ir::RtlFn::AllocShared, vec![v]);
+                b.ret(None);
+            }),
+            "trap: use of undefined value %v0 (in @k, block 0, inst 1, team 0, thread 0)",
+        ),
+        (
+            "indirect call through a non-function pointer",
+            handwritten_kernel(|b| {
+                b.store(Value::i64(1), Value::Arg(0));
+                b.call_indirect(Value::Null, vec![], Type::Void);
+                b.ret(None);
+            }),
+            "trap: indirect call through invalid target 0x0 (in @k, block 0, inst 1, team 0, thread 0)",
+        ),
+        (
+            "unreachable",
+            handwritten_kernel(|b| {
+                b.store(Value::i64(1), Value::Arg(0));
+                b.unreachable();
+            }),
+            "trap: reached `unreachable` in @k (in @k, block 0, inst 1, team 0, thread 0)",
+        ),
+    ];
+    for (what, m, expect) in &rows {
+        for tier in [Tier::Interp, Tier::Compiled] {
+            let mut dev = Device::new(m, DeviceConfig::default()).unwrap();
+            dev.set_tier(tier);
+            let buf = dev.alloc_i64(&[0]).unwrap();
+            let err = dev
+                .launch("k", &[RtVal::Ptr(buf)], one_thread())
+                .map(|_| ())
+                .unwrap_err()
+                .to_string();
+            assert_eq!(&err, expect, "{what} under {tier:?}");
+        }
+    }
 }
 
 /// A producer/consumer pipeline of dependent `nowait` targets: the
@@ -631,8 +740,9 @@ fn fault_knobs_are_tier_identical() {
 
 /// An injected trap lands on the exact instruction on both tiers, also
 /// when that instruction is the second or third component of a fused
-/// `LoadBinStore` or the compare of a fused `CmpBr`: the compiled tier
-/// deopts the block the budget might trip in.
+/// `LoadBinStore` or the compare of a fused `CmpBr` (the compiled tier
+/// deopts the block the budget might trip in), a call, a `ret`, a phi
+/// edge, or the first instruction after a call returns mid-block.
 #[test]
 fn injected_traps_land_inside_fused_steps() {
     // entry: v = load a; v2 = v + 100; store v2, a; c = v2 < 0; br c, ..
@@ -653,19 +763,19 @@ fn injected_traps_land_inside_fused_steps() {
     }
     kernelize(&mut m, f, "k");
     omp_ir::verifier::assert_valid(&m);
-    let run = |tier: Tier, trap: u64| {
+    let run = |m: &Module, tier: Tier, trap: u64| {
         let mut cfg = DeviceConfig {
             tier,
             ..DeviceConfig::default()
         };
         cfg.fault.trap_at_inst = Some(trap);
-        let mut dev = Device::new(&m, cfg).unwrap();
+        let mut dev = Device::new(m, cfg).unwrap();
         let buf = dev.alloc_i64(&[7]).unwrap();
         dev.launch("k", &[RtVal::Ptr(buf)], one_thread())
             .map(|s| (norm(&s), dev.read_i64(buf, 1).unwrap()))
     };
     // The fusion this test is about really happens.
-    let fused = run(Tier::Compiled, 1_000).unwrap();
+    let fused = run(&m, Tier::Compiled, 1_000).unwrap();
     assert_eq!(fused.1, [107]);
     let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
     let buf = dev.alloc_i64(&[7]).unwrap();
@@ -674,11 +784,74 @@ fn injected_traps_land_inside_fused_steps() {
     // Instruction n of the thread is code entry n - 1 of the entry
     // block: 1 = load, 2 = add, 3 = store, 4 = compare, 5 = branch.
     for trap in 1..=7 {
-        let (interp, compiled) = (run(Tier::Interp, trap), run(Tier::Compiled, trap));
+        let (interp, compiled) = (run(&m, Tier::Interp, trap), run(&m, Tier::Compiled, trap));
         assert_eq!(interp, compiled, "trap at {trap}");
         if trap <= 5 {
             let at = interp.unwrap_err().provenance.expect("provenance");
             assert_eq!((at.block, at.inst), (0, trap as u32 - 1), "trap at {trap}");
         }
     }
+
+    // k: r = g(a, 5); c = r > 0; br c, then, join
+    // then: r2 = r + 1; br join
+    // join: p = phi [entry: r], [then: r2]; store p, a; ret
+    // g(a, x): v = load a; s = v + x; ret s
+    let mut m = Module::new("t");
+    let g = m.add_function(Function::definition(
+        "g",
+        vec![Type::Ptr, Type::I64],
+        Type::I64,
+    ));
+    {
+        let mut b = Builder::at_entry(&mut m, g);
+        let v = b.load(Type::I64, Value::Arg(0));
+        let s = b.add_i64(v, Value::Arg(1));
+        b.ret(Some(s));
+    }
+    let f = m.add_function(Function::definition("k", vec![Type::Ptr], Type::Void));
+    {
+        let mut b = Builder::at_entry(&mut m, f);
+        let entry = b.current_block();
+        let (then_bb, join) = (b.new_block(), b.new_block());
+        let r = b.call(g, vec![Value::Arg(0), Value::i64(5)]);
+        let c = b.cmp(CmpOp::Sgt, Type::I64, r, Value::i64(0));
+        b.cond_br(c, then_bb, join);
+        b.switch_to(then_bb);
+        let r2 = b.add_i64(r, Value::i64(1));
+        b.br(join);
+        b.switch_to(join);
+        let p = b.phi(Type::I64);
+        b.add_phi_incoming(p, entry, r);
+        b.add_phi_incoming(p, then_bb, r2);
+        b.store(p, Value::Arg(0));
+        b.ret(None);
+    }
+    kernelize(&mut m, f, "k");
+    omp_ir::verifier::assert_valid(&m);
+    assert_eq!(run(&m, Tier::Compiled, 1_000).unwrap().1, [13]);
+    // Where dynamic instruction n traps: (function, block, code index).
+    let positions = [
+        ("k", 0, 0),
+        ("g", 0, 0),
+        ("g", 0, 1),
+        ("g", 0, 2),
+        ("k", 0, 1),
+        ("k", 0, 2),
+        ("k", 1, 0),
+        ("k", 1, 1),
+        ("k", 2, 0),
+        ("k", 2, 1),
+    ];
+    for (n, want) in positions.into_iter().enumerate() {
+        let trap = n as u64 + 1;
+        let (interp, compiled) = (run(&m, Tier::Interp, trap), run(&m, Tier::Compiled, trap));
+        assert_eq!(interp, compiled, "trap at {trap}");
+        let at = interp.unwrap_err().provenance.expect("provenance");
+        assert_eq!(
+            (at.function.as_str(), at.block, at.inst),
+            want,
+            "trap at {trap}"
+        );
+    }
+    assert!(run(&m, Tier::Interp, 11).is_ok());
 }

@@ -49,12 +49,24 @@ run_test() {
     echo "==> cargo test -q"
     cargo test -q --workspace --offline
     # The compiled tier is the default everywhere above; run the verify
-    # suite once more pinned to the reference interpreter so the deopt
-    # path cannot rot unnoticed.
-    echo "==> ompgpu verify (OMPGPU_TIER=interp)"
-    OMPGPU_TIER=interp cargo run -q -p omp-gpu --bin ompgpu --offline -- \
-        verify --scale small > /dev/null
-    echo "verify: interpreter tier passed"
+    # suite pinned to each tier and compare the reports. Verify's text
+    # has no tier field, so a tier-0 change that moves a cycle count
+    # fails here even when both tiers pass their own oracle.
+    echo "==> ompgpu verify (OMPGPU_TIER=interp vs compiled)"
+    cargo build -q -p omp-gpu --bin ompgpu --offline
+    verify_dir="$(mktemp -d -t ompgpu-verify.XXXXXX)"
+    trap 'rm -rf "$verify_dir"' EXIT
+    for tier in interp compiled; do
+        OMPGPU_TIER="$tier" target/debug/ompgpu verify --scale small \
+            > "$verify_dir/verify.$tier"
+    done
+    cmp "$verify_dir/verify.interp" "$verify_dir/verify.compiled" || {
+        echo "verify: report differs between the interp and compiled tiers" >&2
+        exit 1
+    }
+    rm -rf "$verify_dir"
+    trap - EXIT
+    echo "verify: interp and compiled tiers pass with identical reports"
 }
 
 run_bench() {
