@@ -86,7 +86,10 @@
 //! Every value-taking flag is read strictly: a missing or malformed
 //! value is a usage error (exit `2`) naming the flag — `ompgpu: invalid
 //! value "x" for --teams`, `ompgpu: missing value for --kernel` — never
-//! a silent fallback to the default.
+//! a silent fallback to the default. The same holds for the
+//! `OMPGPU_JOBS`, `OMPGPU_MAX_INSTS` and `OMPGPU_TIER` overrides on
+//! `run`, `profile`, `verify` and `sanitize` (`ompgpu: invalid
+//! OMPGPU_JOBS "two": ...`), as it does for `serve`.
 //!
 //! Exit codes are stable and machine-checkable: `0` success/clean,
 //! `1` compile or I/O failure, `2` usage error, `3` simulation or
@@ -97,8 +100,8 @@
 //! `ompgpu-sanitize/v1` report either way.
 
 use omp_gpu::job::{
-    Job, JobError, JobResult, Knobs, Mode, Readback, Store, Subject, EXIT_BUILD, EXIT_DIVERGED,
-    EXIT_SIM, EXIT_USAGE,
+    self, Job, JobError, JobResult, Knobs, Mode, Readback, Store, Subject, EXIT_BUILD,
+    EXIT_DIVERGED, EXIT_SIM, EXIT_USAGE,
 };
 use omp_gpu::oracle::{self, ArgSpec, BufInit, ExampleSpec, VerifyOptions, ORACLE_CONFIGS};
 use omp_gpu::pipeline::{self, SanitizeOutcome};
@@ -262,7 +265,7 @@ fn verify_main(args: &[String]) -> Result<ExitCode, ExitCode> {
             "--tier" => opts.tier = Some(flags.value_with(a, Tier::parse)?),
             "--examples" => dirs.push(flags.value(a)?),
             f if !f.starts_with('-') => files.push(f.to_string()),
-            _ => return Err(usage()),
+            other => return Err(unknown_flag(" verify", other)),
         }
     }
     if telemetry.is_some() {
@@ -1051,6 +1054,14 @@ fn main() -> ExitCode {
     let Some(mode) = args.first() else {
         return usage();
     };
+    // Launching subcommands read the `OMPGPU_*` overrides as strictly
+    // as `serve` does: a malformed one stops them before anything runs.
+    if matches!(mode.as_str(), "run" | "profile" | "verify" | "sanitize") {
+        if let Err(e) = job::env_overrides() {
+            eprintln!("ompgpu: {e}");
+            return ExitCode::from(EXIT_USAGE);
+        }
+    }
     // `Err` is a command that could not start (bad flag, unreadable
     // input); `Ok` carries the verdict of one that ran.
     let done = match mode.as_str() {

@@ -57,6 +57,72 @@ pub const EXIT_FINDINGS: u8 = 5;
 pub const EXIT_TIMEOUT: u8 = 7;
 
 // ---------------------------------------------------------------------
+// Environment overrides
+// ---------------------------------------------------------------------
+
+/// The `OMPGPU_*` environment overrides devices pick up at construction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EnvOverrides {
+    /// `OMPGPU_MAX_INSTS`: the per-thread dynamic instruction budget.
+    pub max_insts: u64,
+    /// `OMPGPU_JOBS`: simulator worker threads (0 = auto).
+    pub jobs: u32,
+    /// `OMPGPU_TIER`: the execution tier.
+    pub tier: Tier,
+}
+
+/// Reads the `OMPGPU_*` overrides strictly: an absent one is the
+/// built-in default, a present but malformed one is an error naming the
+/// variable, never silently the default. `ompgpu serve` calls this at
+/// session construction and every launching CLI subcommand at startup.
+pub fn env_overrides() -> Result<EnvOverrides, String> {
+    let defaults = DeviceConfig::default();
+    Ok(EnvOverrides {
+        max_insts: env_override(
+            "OMPGPU_MAX_INSTS",
+            defaults.max_insts_per_thread,
+            parse_max_insts,
+        )?,
+        jobs: env_override("OMPGPU_JOBS", 0, parse_jobs)?,
+        tier: env_override("OMPGPU_TIER", defaults.tier, parse_tier)?,
+    })
+}
+
+fn env_override<T>(
+    name: &str,
+    default: T,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Result<T, String> {
+    match std::env::var(name) {
+        Err(std::env::VarError::NotPresent) => Ok(default),
+        Err(std::env::VarError::NotUnicode(_)) => Err(format!("invalid {name}: not valid UTF-8")),
+        Ok(v) => parse(&v),
+    }
+}
+
+/// Strictly parses an `OMPGPU_MAX_INSTS` value.
+pub(crate) fn parse_max_insts(v: &str) -> Result<u64, String> {
+    v.parse().map_err(|_| {
+        format!("invalid OMPGPU_MAX_INSTS {v:?}: expected a non-negative integer budget")
+    })
+}
+
+/// Strictly parses an `OMPGPU_JOBS` value.
+pub(crate) fn parse_jobs(v: &str) -> Result<u32, String> {
+    v.parse().map_err(|_| {
+        format!(
+            "invalid OMPGPU_JOBS {v:?}: expected a non-negative integer worker count (0 = auto)"
+        )
+    })
+}
+
+/// Strictly parses an `OMPGPU_TIER` value.
+pub(crate) fn parse_tier(v: &str) -> Result<Tier, String> {
+    Tier::parse(v)
+        .ok_or_else(|| format!("invalid OMPGPU_TIER {v:?}: expected \"interp\" or \"compiled\""))
+}
+
+// ---------------------------------------------------------------------
 // Job description
 // ---------------------------------------------------------------------
 

@@ -42,9 +42,9 @@ pub use transport::serve_unix;
 
 #[cfg(test)]
 mod tests {
-    use super::session::{parse_jobs, parse_max_insts, parse_tier};
     use super::transport::{read_frame, Frame};
     use super::*;
+    use crate::job::{parse_jobs, parse_max_insts, parse_tier};
     use omp_json::Value;
     use std::sync::atomic::Ordering;
     use std::sync::{mpsc, Arc};

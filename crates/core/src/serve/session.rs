@@ -3,7 +3,8 @@
 
 use super::protocol::*;
 use crate::job::{
-    Job, JobError, Knobs, Mode, Readback, Stage, StageFault, Store, Subject, TierStats,
+    env_overrides, Job, JobError, Knobs, Mode, Readback, Stage, StageFault, Store, Subject,
+    TierStats,
 };
 use crate::oracle::{self, ArgSpec, ExampleSpec, ORACLE_CONFIGS};
 use crate::pipeline::{self, SanitizeOutcome};
@@ -27,8 +28,8 @@ pub struct SessionStats {
     /// Optimized module → warmed device (with decoded ExecPlan) tier.
     pub device: TierStats,
     /// (optimized module, kernel, dims, args) → captured-graph tier
-    /// (multi-kernel launch plans only; a hit replays without any
-    /// per-launch setup).
+    /// (multi-kernel launch plans only; a hit replays without resolving
+    /// the plan again).
     pub graphs: TierStats,
     /// Requests handled (including malformed ones).
     pub requests: u64,
@@ -86,36 +87,6 @@ pub struct ExecShared {
     pub shutdown: AtomicBool,
 }
 
-/// Strictly parses an `OMPGPU_MAX_INSTS` value: the per-thread
-/// instruction budget freshly constructed (and re-armed warm) devices
-/// get.
-pub(super) fn parse_max_insts(v: &str) -> Result<u64, String> {
-    v.parse().map_err(|_| {
-        format!("invalid OMPGPU_MAX_INSTS {v:?}: expected a non-negative integer budget")
-    })
-}
-
-/// Strictly parses an `OMPGPU_TIER` value.
-pub(super) fn parse_tier(v: &str) -> Result<omp_gpusim::Tier, String> {
-    omp_gpusim::Tier::parse(v)
-        .ok_or_else(|| format!("invalid OMPGPU_TIER {v:?}: expected \"interp\" or \"compiled\""))
-}
-
-/// Resolves one `OMPGPU_*` override at session construction: absent
-/// means the built-in default; present-but-invalid is a hard error (it
-/// must never be silently swallowed into the default).
-fn env_override<T>(
-    name: &str,
-    default: T,
-    parse: impl Fn(&str) -> Result<T, String>,
-) -> Result<T, String> {
-    match std::env::var(name) {
-        Err(std::env::VarError::NotPresent) => Ok(default),
-        Err(std::env::VarError::NotUnicode(_)) => Err(format!("invalid {name}: not valid UTF-8")),
-        Ok(v) => parse(&v),
-    }
-}
-
 /// A long-lived compile-service session: the artifact [`Store`] plus
 /// request accounting. Not internally synchronized — wrap it in
 /// [`spawn_executor`](super::spawn_executor) to share it across clients.
@@ -139,20 +110,9 @@ pub struct Session {
     /// Deadline of the in-flight request: (total budget ms, budget
     /// remaining at dispatch). Set around `dispatch` only.
     current_deadline: Option<(u64, u64)>,
-    /// Cache mutations of the in-flight request, for failure rollback.
     /// `OMPGPU_TIER` override resolved (and validated) at construction,
     /// else the config default.
     env_tier: omp_gpusim::Tier,
-}
-
-/// Strictly parses an `OMPGPU_JOBS` value: the simulator worker-thread
-/// count devices default to when a request has no `jobs` field.
-pub(super) fn parse_jobs(v: &str) -> Result<u32, String> {
-    v.parse().map_err(|_| {
-        format!(
-            "invalid OMPGPU_JOBS {v:?}: expected a non-negative integer worker count (0 = auto)"
-        )
-    })
 }
 
 impl Default for Session {
@@ -177,17 +137,7 @@ impl Session {
         // Devices pick the budget and the worker count up from the
         // environment themselves; resolving them here rejects a
         // malformed value at startup.
-        env_override(
-            "OMPGPU_MAX_INSTS",
-            omp_gpusim::DeviceConfig::default().max_insts_per_thread,
-            parse_max_insts,
-        )?;
-        env_override("OMPGPU_JOBS", 0, parse_jobs)?;
-        let env_tier = env_override(
-            "OMPGPU_TIER",
-            omp_gpusim::DeviceConfig::default().tier,
-            parse_tier,
-        )?;
+        let env_tier = env_overrides()?.tier;
         Ok(Session {
             store: Store::new(device_capacity.max(1)),
             stats: SessionStats::default(),

@@ -357,29 +357,65 @@ fn malformed_flag_values_are_usage_errors() {
     }
 }
 
+/// Every subcommand names an unknown flag on its first stderr line.
+/// `run` shares its parser with `build`, whose line carries no
+/// subcommand (pinned by `cli_failures.txt`).
+#[test]
+fn unknown_flags_are_named() {
+    let table: &[(&[&str], &str)] = &[
+        (&["run", SAXPY, "--bogus"], "ompgpu: unknown flag --bogus"),
+        (
+            &["profile", SAXPY, "--bogus"],
+            "ompgpu profile: unknown flag --bogus",
+        ),
+        (
+            &["sanitize", SAXPY, "--bogus"],
+            "ompgpu sanitize: unknown flag --bogus",
+        ),
+        (
+            &["verify", "--bogus"],
+            "ompgpu verify: unknown flag --bogus",
+        ),
+        (&["serve", "--bogus"], "ompgpu serve: unknown flag --bogus"),
+        (
+            &["client", "--bogus"],
+            "ompgpu client: unknown flag --bogus",
+        ),
+    ];
+    for (args, first_line) in table {
+        let (code, stdout, stderr) = ompgpu(args);
+        assert_eq!(code, 2, "{args:?} must be a usage error\n{stderr}");
+        assert_eq!(stdout, "", "{args:?} must not run anything");
+        assert_eq!(stderr.lines().next(), Some(*first_line), "{args:?}");
+    }
+}
+
+/// One malformed value per `OMPGPU_*` override, with the error it must
+/// produce.
+const MALFORMED_ENV: [(&str, &str, &str); 3] = [
+    (
+        "OMPGPU_MAX_INSTS",
+        "1e9",
+        "invalid OMPGPU_MAX_INSTS \"1e9\": expected a non-negative integer budget",
+    ),
+    (
+        "OMPGPU_JOBS",
+        "two",
+        "invalid OMPGPU_JOBS \"two\": expected a non-negative integer worker count (0 = auto)",
+    ),
+    (
+        "OMPGPU_TIER",
+        "turbo",
+        "invalid OMPGPU_TIER \"turbo\": expected \"interp\" or \"compiled\"",
+    ),
+];
+
 /// `ompgpu serve` reads its `OMPGPU_*` overrides as strictly as its
 /// flags: a malformed one is a structured startup error, never the
 /// built-in default, and the socket is never bound.
 #[test]
 fn malformed_env_overrides_stop_serve_at_startup() {
-    let table = [
-        (
-            "OMPGPU_MAX_INSTS",
-            "1e9",
-            "invalid OMPGPU_MAX_INSTS \"1e9\": expected a non-negative integer budget",
-        ),
-        (
-            "OMPGPU_JOBS",
-            "two",
-            "invalid OMPGPU_JOBS \"two\": expected a non-negative integer worker count (0 = auto)",
-        ),
-        (
-            "OMPGPU_TIER",
-            "turbo",
-            "invalid OMPGPU_TIER \"turbo\": expected \"interp\" or \"compiled\"",
-        ),
-    ];
-    for (name, value, message) in table {
+    for (name, value, message) in MALFORMED_ENV {
         let socket =
             std::env::temp_dir().join(format!("ompgpu-env-{}-{name}.sock", std::process::id()));
         let (code, stdout, stderr) = ompgpu_env(
@@ -401,5 +437,31 @@ fn malformed_env_overrides_stop_serve_at_startup() {
             "{name}={value}: {stdout}"
         );
         assert!(!socket.exists(), "{name}={value} bound the socket");
+    }
+}
+
+/// The launching subcommands read the `OMPGPU_*` overrides as strictly
+/// as `serve` does: a malformed one is a usage error naming the
+/// variable, and nothing runs.
+#[test]
+fn malformed_env_overrides_stop_launching_subcommands() {
+    let commands = [
+        case(&["run", SAXPY], &launch_flags(SAXPY), &[]),
+        case(&["profile", SAXPY], &[], &[]),
+        case(&["sanitize", SAXPY], &[], &[]),
+        case(&["verify"], &[], &[]),
+    ];
+    for (name, value, message) in MALFORMED_ENV {
+        for args in &commands {
+            let argv: Vec<&str> = args.iter().map(String::as_str).collect();
+            let (code, stdout, stderr) = ompgpu_env(&argv, &[(name, value)]);
+            assert_eq!(code, 2, "{name}={value} {argv:?}\n{stderr}");
+            assert_eq!(stdout, "", "{name}={value} {argv:?} must not run anything");
+            assert_eq!(
+                stderr,
+                format!("ompgpu: {message}\n"),
+                "{name}={value} {argv:?}"
+            );
+        }
     }
 }

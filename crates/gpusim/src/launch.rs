@@ -4,13 +4,14 @@
 //! [`ExecPlan`] — resolving every call target and pre-sizing every
 //! frame — so launches pay no per-step decode cost. Launches run each
 //! team on its own [`crate::mem::TeamMemView`]; teams are independent,
-//! so the scheduler can fan them out over host threads (`jobs`) and
-//! still merge results deterministically in team-id order.
+//! so the one team executor (`Device::run_nodes` in [`crate::stream`])
+//! fans them out over the calling thread plus up to `jobs - 1` scoped
+//! host threads and still merges results deterministically in team-id
+//! order. A single launch is a one-node plan to that executor.
 
 use crate::config::{DeviceConfig, Tier};
 use crate::cost::CostModel;
 use crate::error::SimError;
-use crate::interp::{TeamExec, TeamOutcome};
 use crate::mem::Memory;
 use crate::plan::ExecPlan;
 use crate::profile::{LaunchProfile, ProfileMode};
@@ -18,7 +19,8 @@ use crate::sanitize::{FaultPlan, Finding, SanitizeMode};
 use crate::stats::KernelStats;
 use crate::value::RtVal;
 use omp_analysis::{kernel_register_estimate, CallGraph};
-use omp_ir::{AddrSpace, ExecMode, Module, Type};
+use omp_ir::{AddrSpace, Module, Type};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Launch geometry overrides.
@@ -48,8 +50,9 @@ pub struct Device<'m> {
     /// (module globals placed, no user buffers) — the state
     /// [`Device::reset`] rewinds to.
     base_cursor: u64,
-    /// Host worker threads for team execution: 0 = auto (one per
-    /// available core, capped by the team count), 1 = run inline.
+    /// Host worker threads for team execution, the caller included:
+    /// 0 = auto (one per available core), 1 = run inline. At most this
+    /// many, capped by host parallelism and the team count.
     jobs: u32,
     /// Per-kernel static register estimates, cached across launches
     /// (pure function of the immutable module).
@@ -168,8 +171,10 @@ impl<'m> Device<'m> {
         &self.cfg
     }
 
-    /// Sets the number of host worker threads used to execute teams
-    /// (0 = auto). Results are bit-identical for every setting; this
+    /// Sets the number of host worker threads used to execute teams:
+    /// at most `jobs` (0 = auto, one per core), capped by host
+    /// parallelism and the launch's team count; the calling thread is
+    /// one of them. Results are bit-identical for every setting; this
     /// only trades host wall-clock time.
     pub fn set_jobs(&mut self, jobs: u32) {
         self.jobs = jobs;
@@ -352,46 +357,18 @@ impl<'m> Device<'m> {
             .iter()
             .find(|k| k.source_name == name || self.module.func(k.func).name == name)
             .ok_or_else(|| SimError::unknown_kernel(name))?;
-        let kfunc = kernel.func;
-        self.validate_args(name, kfunc, args)?;
-        let teams = dims
-            .teams
-            .or(kernel.num_teams)
-            .unwrap_or(self.cfg.default_teams)
-            .max(1);
-        let threads = dims
-            .threads
-            .or(kernel.thread_limit)
-            .unwrap_or(self.cfg.default_threads)
-            .max(1);
-        let mode = kernel.exec_mode;
-        // Fresh per-launch memory regions (buffers persist).
-        self.mem.reset_launch_state();
-        let outcomes = self.run_teams(kfunc, args, teams, threads, mode)?;
-        let mut stats = KernelStats::default();
-        let mut team_cycles = Vec::with_capacity(outcomes.len());
-        let mut team_profiles = Vec::new();
-        let mut findings = Vec::new();
-        for outcome in outcomes {
-            // Team-id order: the merge below makes parallel execution
-            // bit-identical to sequential.
-            team_cycles.push(outcome.cycles);
-            outcome.stats.merge_into(&mut stats);
-            if let Some(p) = outcome.profile {
-                team_profiles.push(p);
-            }
-            findings.extend(outcome.findings);
-            self.mem.apply_delta(outcome.delta);
-        }
-        stats.team_cycles = team_cycles;
-        stats.tier = self.cfg.tier;
-        stats.finish(self.cfg.num_sms);
-        stats.shared_mem_bytes = self.mem.shared_high_water;
-        stats.heap_bytes = self.mem.heap_high_water;
-        stats.registers = self.register_estimate(kfunc);
-        let profile = (self.cfg.profile == ProfileMode::On)
-            .then(|| LaunchProfile::assemble(self.module, self.cfg.num_sms, &stats, team_profiles));
-        Ok((stats, profile, findings))
+        self.validate_args(name, kernel.func, args)?;
+        let node = self.plan_node(kernel, dims);
+        let mut run = self
+            .run_nodes(std::slice::from_ref(&node), args, false)?
+            .pop()
+            .expect("a launched node yields its run");
+        run.stats.tier = self.cfg.tier;
+        run.stats.registers = self.register_estimate(node.kfunc);
+        let profile = (self.cfg.profile == ProfileMode::On).then(|| {
+            LaunchProfile::assemble(self.module, self.cfg.num_sms, &run.stats, run.profiles)
+        });
+        Ok((run.stats, profile, run.findings))
     }
 
     /// Checks the argument vector against the kernel function's
@@ -453,121 +430,25 @@ impl<'m> Device<'m> {
         }
     }
 
-    /// Resolves the configured `jobs` setting (0 = auto) against a team
-    /// count: the number of host worker threads a launch of `teams`
-    /// teams fans out over.
+    /// Host worker threads, the caller included, for a launch whose
+    /// widest node has `teams` teams: at most the configured `jobs`
+    /// (0 = auto, one per core), capped by host parallelism and by the
+    /// team count. Workers beyond the host's cores could only
+    /// time-slice and add a context switch per rendezvous; which worker
+    /// runs a team never affects results.
     pub(crate) fn worker_count(&self, teams: u32) -> u32 {
-        match self.jobs {
-            0 => std::thread::available_parallelism()
+        static HOST: OnceLock<u32> = OnceLock::new();
+        // Read once per process: the query costs syscalls and cgroup
+        // file reads, and every launch needs it.
+        let host = *HOST.get_or_init(|| {
+            std::thread::available_parallelism()
                 .map(|n| n.get() as u32)
-                .unwrap_or(1),
-            n => n,
-        }
-        .min(teams)
-        .max(1)
-    }
-
-    /// Runs all teams of a launch — inline, or fanned out over `jobs`
-    /// host threads — and returns their outcomes in team-id order. On
-    /// error, the lowest team id's error is returned (the one sequential
-    /// execution would hit first) and no memory effects are applied.
-    pub(crate) fn run_teams(
-        &self,
-        kfunc: omp_ir::FuncId,
-        args: &[RtVal],
-        teams: u32,
-        threads: u32,
-        mode: ExecMode,
-    ) -> Result<Vec<TeamOutcome>, SimError> {
-        let jobs = self.worker_count(teams);
-        let run_one = |team_id: u32| -> Result<TeamOutcome, SimError> {
-            if self.cfg.fault.abort_team == Some(team_id) {
-                return Err(SimError::fault_injected(format!("team {team_id} aborted")));
-            }
-            let te = TeamExec::new(
-                self.module,
-                &self.plan,
-                &self.cfg,
-                &self.cost,
-                &self.globals,
-                self.mem.team_view(team_id),
-                teams,
-                threads,
-                team_id,
-                mode,
-                kfunc,
-                args,
-            );
-            te.run()
+                .unwrap_or(1)
+        });
+        let cap = match self.jobs {
+            0 => host,
+            n => n.min(host),
         };
-        let mut slots: Vec<Option<Result<TeamOutcome, SimError>>> =
-            (0..teams).map(|_| None).collect();
-        if jobs <= 1 {
-            for team_id in 0..teams {
-                let r = run_one(team_id);
-                let failed = r.is_err();
-                slots[team_id as usize] = Some(r);
-                if failed {
-                    break;
-                }
-            }
-        } else {
-            // Round-robin team assignment: worker w runs teams w, w+jobs,
-            // w+2*jobs, ... and stops its own chain at the first error.
-            let mut worker_panicked = false;
-            std::thread::scope(|s| {
-                let run_one = &run_one;
-                let handles: Vec<_> = (0..jobs)
-                    .map(|w| {
-                        s.spawn(move || {
-                            let mut out = Vec::new();
-                            let mut team_id = w;
-                            while team_id < teams {
-                                let r = run_one(team_id);
-                                let failed = r.is_err();
-                                out.push((team_id, r));
-                                if failed {
-                                    break;
-                                }
-                                team_id += jobs;
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    match h.join() {
-                        Ok(results) => {
-                            for (team_id, r) in results {
-                                slots[team_id as usize] = Some(r);
-                            }
-                        }
-                        // A panicking worker is an internal bug; turn it
-                        // into a structured error so the launch never
-                        // propagates the panic or wedges siblings.
-                        Err(_) => worker_panicked = true,
-                    }
-                }
-            });
-            if worker_panicked {
-                return Err(SimError::trap("internal: team worker thread panicked"));
-            }
-        }
-        // Scan in team-id order: the first error found is the one with
-        // the lowest team id, because a missing slot can only trail an
-        // error in the same worker's chain.
-        let mut outcomes = Vec::with_capacity(teams as usize);
-        for slot in slots {
-            match slot {
-                Some(Ok(o)) => outcomes.push(o),
-                Some(Err(e)) => return Err(e),
-                None => {
-                    return Err(SimError::trap(
-                        "internal: team skipped without a prior error",
-                    ))
-                }
-            }
-        }
-        Ok(outcomes)
+        cap.min(teams).max(1)
     }
 }

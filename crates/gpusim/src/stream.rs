@@ -18,12 +18,17 @@
 //! findings are therefore bit-identical across `--jobs`, execution
 //! tiers, and eager-vs-replay execution.
 //!
-//! **What a replay skips.** Capture resolves the plan once: kernel
-//! lookup, argument validation and marshalling, geometry resolution,
-//! edge derivation, stream assignment, and register estimation. Replays
-//! additionally run all nodes on one persistent worker pool
-//! (barrier-coordinated) instead of spawning a fresh thread set per
-//! node — the per-launch setup cost the paper's Figure 10 amortizes.
+//! **One executor.** Single launches, eager plans and replays all run
+//! through one executor (`Device::run_nodes`): the calling thread is
+//! worker 0, up to `jobs - 1` scoped workers join it for the whole
+//! plan, and one rendezvous per node commits that node in team-id
+//! order.
+//!
+//! **What a replay skips.** Resolution only. Capture resolves the plan
+//! once — kernel lookup, argument validation and marshalling, geometry
+//! resolution, edge derivation, stream assignment, and register
+//! estimation — and a replay goes straight to the executor an eager
+//! launch also uses.
 
 use crate::error::SimError;
 use crate::interp::{TeamExec, TeamOutcome};
@@ -35,8 +40,8 @@ use crate::stats::KernelStats;
 use crate::value::RtVal;
 use omp_ir::{ExecMode, FuncId, LaunchAttrs};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, RwLock};
 
 /// One resolved launch node of a host plan: kernel, geometry, and
 /// dependency edges, pre-resolved so eager launches and graph replays
@@ -105,9 +110,9 @@ impl LaunchPlan {
 }
 
 /// A captured task graph: the resolved plan plus pre-marshalled launch
-/// arguments. Replaying one skips every per-launch setup step — kernel
-/// lookup, validation, geometry/edge/stream resolution, register
-/// estimation — and runs all nodes on a single persistent worker pool.
+/// arguments. Replaying one skips resolution — kernel lookup,
+/// validation, geometry/edge/stream resolution, register estimation —
+/// and runs the same executor as an eager [`Device::launch_plan`].
 #[derive(Debug, Clone)]
 pub struct CapturedGraph {
     pub(crate) plan: LaunchPlan,
@@ -239,35 +244,34 @@ fn reachability(nodes: &[PlanNode]) -> Vec<Vec<bool>> {
 }
 
 /// Everything one executed node contributes to the plan totals.
-struct NodeRun {
-    team_cycles: Vec<u64>,
-    /// Counters merged across the node's teams; `cycles` holds the
-    /// node's own duration (SM-packed, same rule as a single launch).
-    stats: KernelStats,
-    shared: u64,
-    heap: u64,
+pub(crate) struct NodeRun {
+    /// Counters merged across the node's teams, with the node's team
+    /// cycles, its own duration in `cycles` (SM-packed, the single-launch
+    /// rule) and its shared/heap high-water marks.
+    pub(crate) stats: KernelStats,
     /// Global pages the node stored to (sanitizer runs only).
     written: BTreeSet<u64>,
-    profiles: Vec<TeamProfile>,
-    findings: Vec<Finding>,
+    pub(crate) profiles: Vec<TeamProfile>,
+    pub(crate) findings: Vec<Finding>,
 }
 
-/// Merges one node's team outcomes — in team-id order, the rule that
-/// makes every `jobs` setting bit-identical — into device memory and a
-/// [`NodeRun`].
+/// Commits one node's team outcomes to device memory in team-id order —
+/// the rule that makes every `jobs` setting bit-identical — and gathers
+/// them into a [`NodeRun`]. The node's launch state (shared and heap
+/// high-water marks) starts fresh here.
 fn merge_node(
     mem: &mut Memory,
     num_sms: u32,
     track_writes: bool,
     outcomes: Vec<TeamOutcome>,
 ) -> NodeRun {
+    mem.reset_launch_state();
     let mut stats = KernelStats::default();
-    let mut team_cycles = Vec::with_capacity(outcomes.len());
     let mut profiles = Vec::new();
     let mut findings = Vec::new();
     let mut written = BTreeSet::new();
     for outcome in outcomes {
-        team_cycles.push(outcome.cycles);
+        stats.team_cycles.push(outcome.cycles);
         outcome.stats.merge_into(&mut stats);
         if let Some(p) = outcome.profile {
             profiles.push(p);
@@ -278,26 +282,33 @@ fn merge_node(
         }
         mem.apply_delta(outcome.delta);
     }
-    stats.team_cycles = team_cycles.clone();
     stats.finish(num_sms);
+    stats.shared_mem_bytes = mem.shared_high_water;
+    stats.heap_bytes = mem.heap_high_water;
     NodeRun {
-        team_cycles,
         stats,
-        shared: mem.shared_high_water,
-        heap: mem.heap_high_water,
         written,
         profiles,
         findings,
     }
 }
 
-/// A reusable rendezvous for the persistent replay pool. All `parties`
+/// Runs `f`, turning a panic into the structured internal error: a bug
+/// in one team run or in a node's merge fails the launch instead of
+/// unwinding out of a worker and stranding the others at the
+/// [`Phaser`].
+fn contain<T>(f: impl FnOnce() -> Result<T, SimError>) -> Result<T, SimError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .unwrap_or_else(|_| Err(SimError::trap("internal: team worker thread panicked")))
+}
+
+/// A reusable rendezvous for the team executor's workers. All `parties`
 /// workers arrive at the end of each node phase; the *last* arrival
-/// runs the inter-node work (delta merge, launch-state reset) while the
-/// gate is still closed, then releases everyone into the next phase.
-/// Each worker therefore sleeps at most once per node — half the
-/// wakeups of a two-`Barrier` start/end protocol, which is the
-/// dominant replay cost for plans of tiny nodes.
+/// runs the inter-node work (the node's merge) while the gate is still
+/// closed, then releases everyone into the next phase. Each worker
+/// therefore sleeps at most once per node — half the wakeups of a
+/// two-`Barrier` start/end protocol. With one party the rendezvous is
+/// a single atomic add and the seal.
 struct Phaser {
     parties: usize,
     /// Arrivals in the current phase; the `parties`-th arrival seals.
@@ -361,8 +372,12 @@ impl Phaser {
     }
 }
 
-/// Sums one node's counters into the plan-wide totals.
-fn add_counters(dst: &mut KernelStats, src: &KernelStats) {
+/// Folds one node into the plan-wide totals: counters summed, team
+/// cycles concatenated, shared/heap high-water marks maximised.
+fn add_node(dst: &mut KernelStats, src: &KernelStats) {
+    dst.team_cycles.extend_from_slice(&src.team_cycles);
+    dst.shared_mem_bytes = dst.shared_mem_bytes.max(src.shared_mem_bytes);
+    dst.heap_bytes = dst.heap_bytes.max(src.heap_bytes);
     dst.instructions += src.instructions;
     dst.globalization_allocs += src.globalization_allocs;
     dst.barriers += src.barriers;
@@ -442,21 +457,8 @@ impl<'m> Device<'m> {
             .iter()
             .zip(edges)
             .map(|(k, deps)| PlanNode {
-                kfunc: k.func,
-                label: self.module.func(k.func).name.clone(),
-                teams: dims
-                    .teams
-                    .or(k.num_teams)
-                    .unwrap_or(self.cfg.default_teams)
-                    .max(1),
-                threads: dims
-                    .threads
-                    .or(k.thread_limit)
-                    .unwrap_or(self.cfg.default_threads)
-                    .max(1),
-                mode: k.exec_mode,
                 deps,
-                stream: 0,
+                ..self.plan_node(k, dims)
             })
             .collect();
         assign_streams(&mut nodes);
@@ -466,9 +468,32 @@ impl<'m> Device<'m> {
         })
     }
 
-    /// Launches the full plan for `name` eagerly — node by node, each
-    /// with fresh per-launch setup — and returns the combined
-    /// statistics. A one-node plan is exactly [`Device::launch`].
+    /// The launch node of kernel `k` with its geometry resolved: `dims`,
+    /// else the kernel's clauses, else the device defaults. No edges, on
+    /// stream 0.
+    pub(crate) fn plan_node(&self, k: &omp_ir::KernelInfo, dims: LaunchDims) -> PlanNode {
+        PlanNode {
+            kfunc: k.func,
+            label: self.module.func(k.func).name.clone(),
+            teams: dims
+                .teams
+                .or(k.num_teams)
+                .unwrap_or(self.cfg.default_teams)
+                .max(1),
+            threads: dims
+                .threads
+                .or(k.thread_limit)
+                .unwrap_or(self.cfg.default_threads)
+                .max(1),
+            mode: k.exec_mode,
+            deps: Vec::new(),
+            stream: 0,
+        }
+    }
+
+    /// Resolves and launches the full plan for `name` and returns the
+    /// combined statistics. A one-node plan is exactly
+    /// [`Device::launch`].
     pub fn launch_plan(
         &mut self,
         name: &str,
@@ -539,8 +564,8 @@ impl<'m> Device<'m> {
     }
 
     /// Replays a captured graph: no lookup, validation, marshalling, or
-    /// resolution — and one persistent worker pool for all nodes.
-    /// Outputs and statistics are bit-identical to the eager
+    /// resolution; the nodes run on the same executor as an eager
+    /// launch. Outputs and statistics are bit-identical to the eager
     /// [`Device::launch_plan`] of the same name and arguments.
     pub fn replay_graph(&mut self, graph: &CapturedGraph) -> Result<KernelStats, SimError> {
         self.execute_plan(&graph.plan, &graph.args, true)
@@ -571,17 +596,17 @@ impl<'m> Device<'m> {
     /// then assembles combined statistics: counters summed, team cycles
     /// concatenated, shared/heap high-water maxima, registers the
     /// per-node maximum, and `cycles` the list-schedule makespan.
-    /// `pooled` selects the replay executor (one persistent worker pool
-    /// for all nodes) over the eager one (fresh per-node setup); both
-    /// produce bit-identical results.
+    /// `replay` only names the span: eager launches and replays run the
+    /// same executor and differ only in whether the plan was resolved
+    /// again.
     fn execute_plan(
         &mut self,
         plan: &LaunchPlan,
         args: &[RtVal],
-        pooled: bool,
+        replay: bool,
     ) -> Result<(KernelStats, Option<LaunchProfile>, Vec<Finding>), SimError> {
         let _span = omp_telemetry::span(
-            if pooled {
+            if replay {
                 "graph.replay"
             } else {
                 "plan.execute"
@@ -594,22 +619,10 @@ impl<'m> Device<'m> {
         for node in &plan.nodes {
             registers = registers.max(self.register_estimate(node.kfunc));
         }
-        let max_teams = plan.nodes.iter().map(|n| n.teams).max().unwrap_or(1);
-        let pool_workers = self.worker_count(max_teams);
-        let runs: Vec<NodeRun> = if pooled && pool_workers > 1 {
-            self.run_nodes_pooled(&plan.nodes, args, pool_workers, track_writes)?
-        } else {
-            self.run_nodes_eager(&plan.nodes, args, track_writes)?
-        };
-        // Combined statistics.
+        let runs = self.run_nodes(&plan.nodes, args, track_writes)?;
         let mut stats = KernelStats::default();
-        let mut findings = Vec::new();
-        let mut team_profiles = Vec::new();
         for run in &runs {
-            stats.team_cycles.extend_from_slice(&run.team_cycles);
-            add_counters(&mut stats, &run.stats);
-            stats.shared_mem_bytes = stats.shared_mem_bytes.max(run.shared);
-            stats.heap_bytes = stats.heap_bytes.max(run.heap);
+            add_node(&mut stats, &run.stats);
         }
         let durations: Vec<u64> = runs.iter().map(|r| r.stats.cycles).collect();
         let (spans, makespan) = schedule_nodes(&plan.nodes, &durations, num_sms);
@@ -617,6 +630,7 @@ impl<'m> Device<'m> {
         stats.registers = registers;
         stats.tier = self.cfg.tier;
         let mut written: Vec<BTreeSet<u64>> = Vec::with_capacity(runs.len());
+        let (mut team_profiles, mut findings) = (Vec::new(), Vec::new());
         for run in runs {
             written.push(run.written);
             team_profiles.extend(run.profiles);
@@ -678,64 +692,36 @@ impl<'m> Device<'m> {
         Ok((stats, profile, findings))
     }
 
-    /// Eager executor: each node pays full per-launch setup, including
-    /// a fresh worker-thread spawn (inside [`Device::run_teams`]).
-    fn run_nodes_eager(
-        &mut self,
-        nodes: &[PlanNode],
-        args: &[RtVal],
-        track_writes: bool,
-    ) -> Result<Vec<NodeRun>, SimError> {
-        let num_sms = self.cfg.num_sms;
-        let mut runs = Vec::with_capacity(nodes.len());
-        for node in nodes {
-            self.mem.reset_launch_state();
-            let outcomes = self.run_teams(node.kfunc, args, node.teams, node.threads, node.mode)?;
-            runs.push(merge_node(&mut self.mem, num_sms, track_writes, outcomes));
-        }
-        Ok(runs)
-    }
-
-    /// Replay executor: one persistent pool of workers runs every
-    /// node. Workers take teams round-robin (worker `w` runs teams
-    /// `w`, `w + pool`, ...), and between nodes the last worker to
-    /// finish merges outcomes in team-id order inside the [`Phaser`]
-    /// rendezvous — so results are bit-identical to eager execution at
-    /// every `jobs` setting, while each worker pays a single sleep per
-    /// node instead of the spawn-per-node setup of the eager path.
+    /// The one team executor, behind single launches, eager plans and
+    /// graph replays alike. The calling thread is worker 0; `pool - 1`
+    /// scoped workers join it, where `pool` is [`Device::worker_count`]
+    /// of the widest node, and none are spawned when `pool == 1`. Worker
+    /// `w` runs teams `w`, `w + pool`, ... of each node and stops its
+    /// chain at the first error. At the end of each node the last worker
+    /// to arrive at the [`Phaser`] merges the node's outcomes in team-id
+    /// order, so results are bit-identical at every `jobs` setting.
     ///
-    /// Unlike the eager path (which models the runtime's per-launch
-    /// team spawns), the persistent pool is sized to the *host*:
-    /// `min(jobs, available_parallelism)`. Workers beyond the
-    /// hardware's parallelism can only time-slice, so extras would add
-    /// pure context-switch overhead per rendezvous; the team→worker
-    /// assignment does not affect results (the merge is in team-id
-    /// order either way).
-    fn run_nodes_pooled(
+    /// On error, the lowest team id of the first failing node wins (the
+    /// error sequential execution hits first): its memory effects and
+    /// those of later nodes are never applied, and earlier nodes stay
+    /// committed. A panic in a team run or a merge, on any thread,
+    /// becomes the structured `internal: team worker thread panicked`
+    /// error, and every worker still leaves the rendezvous.
+    pub(crate) fn run_nodes(
         &mut self,
         nodes: &[PlanNode],
         args: &[RtVal],
-        jobs: u32,
         track_writes: bool,
     ) -> Result<Vec<NodeRun>, SimError> {
-        let module = self.module;
-        let eplan = &self.plan;
-        let cfg = &self.cfg;
-        let cost = &self.cost;
+        let widest = nodes.iter().map(|n| n.teams).max().unwrap_or(1);
+        let pool = self.worker_count(widest);
+        let (module, eplan, cfg, cost) = (self.module, &self.plan, &self.cfg, &self.cost);
         let globals = &self.globals[..];
-        let num_sms = cfg.num_sms;
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get() as u32)
-            .unwrap_or(1);
-        let pool = jobs.min(hw).max(1);
         // Workers read device memory while running a node's teams; the
         // sealing worker takes the write lock inside the rendezvous
-        // (everyone else is parked there) to merge deltas — the same
-        // sequential-commit order as eager execution.
-        self.mem.reset_launch_state();
+        // (everyone else is parked there) to commit the node.
         let mem = RwLock::new(&mut self.mem);
         let phaser = Phaser::new(pool as usize);
-        let abort = AtomicBool::new(false);
         // One outcome slot per (node, team), filled by whichever worker
         // ran the team and drained in team-id order by the sealer.
         type TeamSlot = Mutex<Option<Result<TeamOutcome, SimError>>>;
@@ -743,112 +729,103 @@ impl<'m> Device<'m> {
             .iter()
             .map(|n| (0..n.teams).map(|_| Mutex::new(None)).collect())
             .collect();
-        // Merged node runs plus the first error, committed by whichever
-        // worker seals each phase.
-        let merged: Mutex<(Vec<NodeRun>, Option<SimError>)> =
-            Mutex::new((Vec::with_capacity(nodes.len()), None));
-        std::thread::scope(|s| {
-            for w in 0..pool {
-                let mem = &mem;
-                let phaser = &phaser;
-                let abort = &abort;
-                let slots = &slots;
-                let merged = &merged;
-                s.spawn(move || {
-                    for (ni, node) in nodes.iter().enumerate() {
-                        if !abort.load(Ordering::Acquire) {
-                            let guard = mem.read().unwrap();
-                            let mut team_id = w;
-                            while team_id < node.teams {
-                                let r =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        if cfg.fault.abort_team == Some(team_id) {
-                                            return Err(SimError::fault_injected(format!(
-                                                "team {team_id} aborted"
-                                            )));
-                                        }
-                                        TeamExec::new(
-                                            module,
-                                            eplan,
-                                            cfg,
-                                            cost,
-                                            globals,
-                                            guard.team_view(team_id),
-                                            node.teams,
-                                            node.threads,
-                                            team_id,
-                                            node.mode,
-                                            node.kfunc,
-                                            args,
-                                        )
-                                        .run()
-                                    }))
-                                    .unwrap_or_else(|_| {
-                                        Err(SimError::trap("internal: team worker thread panicked"))
-                                    });
-                                let failed = r.is_err();
-                                *slots[ni][team_id as usize].lock().unwrap() = Some(r);
-                                if failed {
-                                    break;
-                                }
-                                team_id += pool;
+        let runs = Mutex::new(Vec::with_capacity(nodes.len()));
+        // Set only by a sealer, so every worker sees it after the same
+        // rendezvous and all of them stop before the same node.
+        let failed: OnceLock<SimError> = OnceLock::new();
+        let work = |w: u32| {
+            for (node, slots) in nodes.iter().zip(&slots) {
+                if failed.get().is_some() {
+                    break;
+                }
+                {
+                    // Poisoned only by a panicking seal, which also set
+                    // `failed`, so no worker gets here afterwards.
+                    let view = mem.read().expect("device memory lock poisoned");
+                    let mut team_id = w;
+                    while team_id < node.teams {
+                        let r = contain(|| {
+                            if cfg.fault.abort_team == Some(team_id) {
+                                return Err(SimError::fault_injected(format!(
+                                    "team {team_id} aborted"
+                                )));
                             }
-                        }
-                        // Node end: the last worker to arrive commits
-                        // the node (outcomes merged in team-id order)
-                        // and resets launch state for the next node,
-                        // before anyone reads device memory again.
-                        phaser.rendezvous(|| {
-                            let mut st = merged.lock().unwrap();
-                            if st.1.is_some() {
-                                return;
-                            }
-                            let mut outcomes = Vec::with_capacity(node.teams as usize);
-                            for slot in &slots[ni] {
-                                match slot.lock().unwrap().take() {
-                                    Some(Ok(o)) => outcomes.push(o),
-                                    Some(Err(e)) => {
-                                        st.1 = Some(e);
-                                        break;
-                                    }
-                                    None => {
-                                        st.1 = Some(SimError::trap(
-                                            "internal: team skipped without a prior error",
-                                        ));
-                                        break;
-                                    }
-                                }
-                            }
-                            match &st.1 {
-                                None => {
-                                    let mut guard = mem.write().unwrap();
-                                    st.0.push(merge_node(
-                                        &mut guard,
-                                        num_sms,
-                                        track_writes,
-                                        outcomes,
-                                    ));
-                                    guard.reset_launch_state();
-                                }
-                                Some(_) => abort.store(true, Ordering::Release),
-                            }
+                            TeamExec::new(
+                                module,
+                                eplan,
+                                cfg,
+                                cost,
+                                globals,
+                                view.team_view(team_id),
+                                node.teams,
+                                node.threads,
+                                team_id,
+                                node.mode,
+                                node.kfunc,
+                                args,
+                            )
+                            .run()
                         });
+                        let stop = r.is_err();
+                        *slots[team_id as usize].lock().expect("team slot poisoned") = Some(r);
+                        if stop {
+                            break;
+                        }
+                        team_id += pool;
+                    }
+                }
+                phaser.rendezvous(|| {
+                    let merged = contain(|| {
+                        // A missing slot can only trail an error in the
+                        // same worker's chain, so the first error in
+                        // team-id order is the lowest team id's.
+                        let outcomes = slots
+                            .iter()
+                            .map(|slot| {
+                                let taken = slot.lock().expect("team slot poisoned").take();
+                                taken.unwrap_or_else(|| {
+                                    Err(SimError::trap(
+                                        "internal: team skipped without a prior error",
+                                    ))
+                                })
+                            })
+                            .collect::<Result<Vec<_>, _>>()?;
+                        let mut mem = mem.write().expect("device memory lock poisoned");
+                        Ok(merge_node(&mut mem, cfg.num_sms, track_writes, outcomes))
+                    });
+                    match merged {
+                        Ok(run) => runs.lock().expect("node runs poisoned").push(run),
+                        Err(e) => {
+                            let _ = failed.set(e);
+                        }
                     }
                 });
             }
-        });
-        let (runs, first_error) = merged.into_inner().unwrap();
-        match first_error {
+        };
+        if pool == 1 {
+            work(0);
+        } else {
+            std::thread::scope(|s| {
+                let work = &work;
+                for w in 1..pool {
+                    s.spawn(move || work(w));
+                }
+                work(0);
+            });
+        }
+        match failed.into_inner() {
             Some(e) => Err(e),
-            None => Ok(runs),
+            None => Ok(runs.into_inner().expect("node runs poisoned")),
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::Phaser;
+    use super::{contain, Phaser};
+    use crate::error::SimError;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
 
     /// Hammers the rendezvous with more parties than this host may
     /// have cores: every phase must seal exactly once, and no worker
@@ -876,5 +853,35 @@ mod tests {
             }
         });
         assert_eq!(seals.load(Ordering::Acquire), PHASES);
+    }
+
+    /// A panic in a team run or in a node's merge surfaces as the
+    /// structured internal error, and a panicking seal still releases
+    /// every party: no worker stays parked, so the scope joins.
+    #[test]
+    fn contained_panics_become_errors_and_release_every_party() {
+        const PARTIES: usize = 3;
+        const PHASES: usize = 20;
+        let phaser = Phaser::new(PARTIES);
+        let errors = Mutex::new(Vec::new());
+        std::thread::scope(|s| {
+            for _ in 0..PARTIES {
+                s.spawn(|| {
+                    for _ in 0..PHASES {
+                        let team: Result<(), SimError> = contain(|| panic!("team run"));
+                        errors.lock().unwrap().push(team.unwrap_err().to_string());
+                        phaser.rendezvous(|| {
+                            let seal: Result<(), SimError> = contain(|| panic!("node merge"));
+                            errors.lock().unwrap().push(seal.unwrap_err().to_string());
+                        });
+                    }
+                });
+            }
+        });
+        let errors = errors.into_inner().unwrap();
+        assert_eq!(errors.len(), PHASES * (PARTIES + 1));
+        assert!(errors
+            .iter()
+            .all(|e| e.ends_with("internal: team worker thread panicked")));
     }
 }

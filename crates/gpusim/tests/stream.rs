@@ -5,8 +5,8 @@
 
 use omp_frontend::{compile, FrontendOptions};
 use omp_gpusim::{
-    Device, DeviceConfig, FindingKind, LaunchDims, ProfileMode, RtVal, SanitizeMode, StatsSnapshot,
-    Tier,
+    Device, DeviceConfig, FaultPlan, FindingKind, LaunchDims, ProfileMode, RtVal, SanitizeMode,
+    StatsSnapshot, Tier,
 };
 
 /// Producer/producer/consumer: the first two targets are independent
@@ -55,6 +55,35 @@ void ordered(double* a, long n) {
   for (long i = 0; i < n; i++) { a[i] = 1.0; }
   #pragma omp target teams distribute parallel for nowait num_teams(1) thread_limit(4) depend(out: a)
   for (long i = 0; i < n; i++) { a[i] = 2.0; }
+}
+"#;
+
+/// A four-node `nowait depend(inout)` chain, four teams per node. Node 0
+/// allocates nothing; nodes 1 and 3 globalize one capture per
+/// distribute iteration (no mid-end runs), so an allocation fault fails
+/// the plan after node 0 committed. Node 2 runs the longest threads.
+const FAULTY_CHAIN_SRC: &str = r#"
+void chain(double* a, long n) {
+  #pragma omp target teams distribute parallel for nowait depend(inout: a) num_teams(4) thread_limit(4)
+  for (long i = 0; i < n; i++) { a[i] = a[i] + 1.0; }
+  #pragma omp target teams distribute nowait depend(inout: a) num_teams(4) thread_limit(4)
+  for (long b = 0; b < n / 4; b++) {
+    double tv = (double)b;
+    #pragma omp parallel for
+    for (long t = 0; t < 4; t++) { a[b * 4 + t] = a[b * 4 + t] + tv; }
+  }
+  #pragma omp target teams distribute parallel for nowait depend(inout: a) num_teams(4) thread_limit(4)
+  for (long i = 0; i < n; i++) {
+    double s = a[i];
+    for (long k = 0; k < 16; k++) { s = s * 0.5 + 1.0; }
+    a[i] = s;
+  }
+  #pragma omp target teams distribute nowait depend(inout: a) num_teams(4) thread_limit(4)
+  for (long b = 0; b < n / 4; b++) {
+    double tv = (double)b;
+    #pragma omp parallel for
+    for (long t = 0; t < 4; t++) { a[b * 4 + t] = a[b * 4 + t] - tv; }
+  }
 }
 "#;
 
@@ -421,14 +450,15 @@ void fill(double* a, long n) {
     assert_eq!(s0.snapshot().superinstructions, [0; 4]);
 }
 
-/// Regression stress for the replay pool's phaser: with short nodes
-/// and several workers, a fast worker can register for the *next*
-/// phase while the current sealer is still waking waiters. An early
-/// version consumed that registration and left the worker parked
-/// forever; hammering replays makes such a missed wake a hang here
+/// Regression stress for the executor's phaser, through each of its
+/// three callers: a replay, an eager plan and a single launch. With
+/// short nodes and several workers, a fast worker can register for the
+/// *next* phase while the current sealer is still waking waiters. An
+/// early version consumed that registration and left the worker parked
+/// forever; hammering launches makes such a missed wake a hang here
 /// instead of a flake in the field.
 #[test]
-fn pooled_replay_survives_repeated_phaser_rendezvous() {
+fn every_caller_survives_repeated_phaser_rendezvous() {
     let src = r#"
 void chain(double* a, long n) {
   #pragma omp taskgraph
@@ -450,12 +480,101 @@ void chain(double* a, long n) {
     dev.set_tier(Tier::Compiled);
     let a = dev.alloc_f64(&[0.0; 4]).unwrap();
     let args = [RtVal::Ptr(a), RtVal::I64(4)];
+    let dims = LaunchDims::default();
+    let graph = dev.capture_graph("chain", &args, dims).unwrap();
+    type Caller = fn(&mut Device, &omp_gpusim::CapturedGraph, &[RtVal]) -> StatsSnapshot;
+    let callers: [(&str, Caller); 3] = [
+        ("replay", |d, g, _| d.replay_graph(g).unwrap().snapshot()),
+        ("eager plan", |d, _, args| {
+            d.launch_plan("chain", args, LaunchDims::default())
+                .unwrap()
+                .snapshot()
+        }),
+        ("single launch", |d, _, args| {
+            d.launch("__omp_offloading_chain", args, LaunchDims::default())
+                .unwrap()
+                .snapshot()
+        }),
+    ];
+    for (what, call) in callers {
+        let reference = call(&mut dev, &graph, &args);
+        for _ in 0..400 {
+            let stats = call(&mut dev, &graph, &args);
+            assert_eq!(stats, reference, "{what} drifted between iterations");
+        }
+    }
+}
+
+/// Runs [`FAULTY_CHAIN_SRC`] under `fault`, eagerly or as a replay, and
+/// returns the plan's error, the buffer it left behind, and the buffer
+/// after the same device ran the plan again with the fault disarmed.
+fn run_faulty_chain(fault: &FaultPlan, jobs: u32, replay: bool) -> (String, Vec<u64>, Vec<u64>) {
+    let module = compile_src(FAULTY_CHAIN_SRC);
+    let mut dev = Device::new(&module, DeviceConfig::default()).unwrap();
+    dev.set_jobs(jobs);
+    dev.set_fault_plan(fault.clone());
+    let init: Vec<f64> = (0..N).map(|i| i as f64).collect();
+    let a = dev.alloc_f64(&init).unwrap();
+    let args = [RtVal::Ptr(a), RtVal::I64(N as i64)];
     let graph = dev
         .capture_graph("chain", &args, LaunchDims::default())
         .unwrap();
-    let reference = dev.replay_graph(&graph).unwrap().snapshot();
-    for _ in 0..400 {
-        let stats = dev.replay_graph(&graph).unwrap().snapshot();
-        assert_eq!(stats, reference, "replay drifted between iterations");
+    let launch = |dev: &mut Device| match replay {
+        true => dev.replay_graph(&graph),
+        false => dev.launch_plan("chain", &args, LaunchDims::default()),
+    };
+    let bits = |dev: &mut Device| -> Vec<u64> {
+        let out = dev.read_f64(a, N).unwrap();
+        out.iter().map(|v| v.to_bits()).collect()
+    };
+    let err = launch(&mut dev).expect_err("the fault must fail the plan");
+    let failed = bits(&mut dev);
+    // Disarmed, the same device runs the whole plan: no parked worker,
+    // no leaked launch state.
+    dev.set_fault_plan(FaultPlan::default());
+    launch(&mut dev).expect("a disarmed device launches cleanly");
+    (err.to_string(), failed, bits(&mut dev))
+}
+
+/// A fault inside a plan fails it the same way for every executor: the
+/// same error (the lowest failing team of the first failing node) and
+/// the same committed bytes, eager or replayed, at every worker count.
+/// `abort_team: Some(0)` fails the team the calling thread runs itself.
+#[test]
+fn faults_inside_plans_fail_alike_across_jobs_and_replay() {
+    let init: Vec<u64> = (0..N).map(|i| (i as f64).to_bits()).collect();
+    let faults = [
+        FaultPlan {
+            abort_team: Some(0),
+            ..FaultPlan::default()
+        },
+        FaultPlan {
+            abort_team: Some(1),
+            ..FaultPlan::default()
+        },
+        FaultPlan {
+            trap_at_inst: Some(600),
+            ..FaultPlan::default()
+        },
+        FaultPlan {
+            fail_alloc_after: Some(0),
+            ..FaultPlan::default()
+        },
+    ];
+    for fault in &faults {
+        let reference = run_faulty_chain(fault, 1, false);
+        for jobs in [1, 2, 3] {
+            for replay in [false, true] {
+                assert_eq!(
+                    run_faulty_chain(fault, jobs, replay),
+                    reference,
+                    "{fault:?} @ jobs={jobs} replay={replay}"
+                );
+            }
+        }
+        // Aborts fail node 0, so nothing commits; the later faults land
+        // after node 0 committed its writes.
+        let committed = fault.abort_team.is_none();
+        assert_eq!(reference.1 != init, committed, "{fault:?}: {}", reference.0);
     }
 }

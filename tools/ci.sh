@@ -45,9 +45,28 @@ run_clippy() {
     cargo clippy --workspace --all-targets --offline -- -D warnings
 }
 
+# Runs a test leg under `timeout` where the host has one, so a hung
+# worker rendezvous fails the stage with a name instead of stalling it.
+#   with_timeout SECS WHAT CMD [ARGS]...
+with_timeout() {
+    secs="$1"
+    what="$2"
+    shift 2
+    command -v timeout > /dev/null 2>&1 || {
+        "$@"
+        return
+    }
+    rc=0
+    timeout "$secs" "$@" || rc=$?
+    [ "$rc" -ne 124 ] || echo "$what: timed out after ${secs}s (a hung worker rendezvous?)" >&2
+    return "$rc"
+}
+
 run_test() {
     echo "==> cargo test -q"
-    cargo test -q --workspace --offline
+    # Build first, so the bound below covers running the tests only.
+    cargo test -q --workspace --offline --no-run
+    with_timeout 1800 "cargo test" cargo test -q --workspace --offline
     # The compiled tier is the default everywhere above; run the verify
     # suite pinned to each tier and compare the reports. Verify's text
     # has no tier field, so a tier-0 change that moves a cycle count
@@ -57,8 +76,8 @@ run_test() {
     verify_dir="$(mktemp -d -t ompgpu-verify.XXXXXX)"
     trap 'rm -rf "$verify_dir"' EXIT
     for tier in interp compiled; do
-        OMPGPU_TIER="$tier" target/debug/ompgpu verify --scale small \
-            > "$verify_dir/verify.$tier"
+        with_timeout 900 "ompgpu verify ($tier)" env OMPGPU_TIER="$tier" \
+            target/debug/ompgpu verify --scale small > "$verify_dir/verify.$tier"
     done
     cmp "$verify_dir/verify.interp" "$verify_dir/verify.compiled" || {
         echo "verify: report differs between the interp and compiled tiers" >&2
