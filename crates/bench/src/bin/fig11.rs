@@ -90,13 +90,15 @@ fn main() {
                     );
                 }
                 _ => {
+                    let out_of_memory = o.error.as_ref().is_some_and(|e| e.is_out_of_memory());
                     println!(
                         "  {:<44} {:>14} {:>9} {:>9}",
                         o.config.label(),
-                        o.failure(),
-                        "OOM",
+                        if out_of_memory { "OOM" } else { "failed" },
+                        "-",
                         paper_str
                     );
+                    println!("      {}", o.failure());
                 }
             }
         }

@@ -28,8 +28,8 @@ use crate::oracle::{ArgSpec, BufInit};
 use crate::pipeline;
 use omp_benchmarks::ProxyApp;
 use omp_gpusim::{
-    CapturedGraph, DeviceConfig, FaultPlan, Finding, KernelStats, LaunchDims, LaunchProfile,
-    MemError, OwnedDevice, ProfileMode, RtVal, SanitizeMode, SimError, SimErrorKind, Tier,
+    DeviceConfig, FaultPlan, Finding, KernelStats, LaunchDims, LaunchProfile, MemError,
+    OwnedDevice, ProfileMode, RtVal, SanitizeMode, SimError, SimErrorKind, Tier,
 };
 use omp_ir::Module;
 use omp_json::{content_address, fnv1a, JsonWriter};
@@ -265,17 +265,14 @@ pub enum Stage {
     Device,
     /// Kernel launch on the armed device.
     Launch,
-    /// Captured-graph replay (multi-kernel plain launches only).
-    Replay,
 }
 
 impl Stage {
-    pub const ALL: [Stage; 5] = [
+    pub const ALL: [Stage; 4] = [
         Stage::Frontend,
         Stage::Optimize,
         Stage::Device,
         Stage::Launch,
-        Stage::Replay,
     ];
 
     pub fn name(self) -> &'static str {
@@ -284,7 +281,6 @@ impl Stage {
             Stage::Optimize => "optimize",
             Stage::Device => "device",
             Stage::Launch => "launch",
-            Stage::Replay => "replay",
         }
     }
 
@@ -408,7 +404,7 @@ impl TierStats {
     }
 }
 
-/// Hit/miss accounting of the four tiers.
+/// Hit/miss accounting of the three tiers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierCounts {
     /// Source → frontend module.
@@ -417,20 +413,33 @@ pub struct TierCounts {
     pub optimized: TierStats,
     /// Optimized module → warmed device (with its decoded ExecPlan).
     pub device: TierStats,
-    /// (optimized module, kernel, dims, args) → captured graph
-    /// (multi-kernel plain launches only).
-    pub graphs: TierStats,
 }
 
 impl TierCounts {
-    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        for (name, t) in [
+    /// The tiers by wire name, in pipeline order.
+    pub(crate) fn tiers(&self) -> [(&'static str, TierStats); 3] {
+        [
             ("frontend", self.frontend),
             ("optimized", self.optimized),
             ("device", self.device),
-            ("graphs", self.graphs),
+        ]
+    }
+
+    /// Adds `other`'s hits and misses tier by tier.
+    pub(crate) fn add(&mut self, other: TierCounts) {
+        for (total, t) in [
+            (&mut self.frontend, other.frontend),
+            (&mut self.optimized, other.optimized),
+            (&mut self.device, other.device),
         ] {
+            total.hits += t.hits;
+            total.misses += t.misses;
+        }
+    }
+
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        for (name, t) in self.tiers() {
             w.key(name);
             t.write_json(w);
         }
@@ -523,37 +532,36 @@ struct WarmDevice {
 #[derive(Default)]
 struct Journal {
     frontend: Vec<u64>,
-    optimized: Vec<u64>,
+    optimized: Vec<(u64, u64)>,
     devices: Vec<u64>,
-    graphs: Vec<u64>,
     /// Device-tier keys armed or built (hit or miss).
     touched_devices: Vec<u64>,
 }
 
-/// Content-addressed artifact caches at the pipeline's stage boundaries
-/// plus one launch-level tier (`docs/SERVE.md` has the key definitions):
+/// Content-addressed artifact caches at the pipeline's three stage
+/// boundaries (`docs/SERVE.md` has the key definitions):
 ///
 /// 1. **frontend** — `fnv1a(globalization scheme, CUDA flag, source)` →
 ///    lowered [`Module`]. The frontend depends on the configuration
 ///    only through those two options, so the six OpenMP-source
 ///    configurations share at most two entries per source.
-/// 2. **optimized** — `fnv1a(frontend IR hash,
-///    [`BuildConfig::fingerprint`])` → [`Built`].
+/// 2. **optimized** — (frontend IR hash, [`BuildConfig::fingerprint`])
+///    → [`Built`].
 /// 3. **device** — an LRU of warmed [`OwnedDevice`]s keyed by the
 ///    optimized IR hash (and device shape); a hit is
 ///    [`reset`](omp_gpusim::Device::reset) to its freshly constructed
 ///    memory image, which makes warm launches byte-identical to cold.
-/// 4. **graphs** — `fnv1a(optimized IR hash, kernel, dims, argument
-///    specs)` → [`CapturedGraph`] of a multi-kernel launch plan.
+///
+/// Launches are not cached: every job resolves its kernel's launch plan
+/// on the armed device.
 ///
 /// Not internally synchronized.
 pub struct Store {
     frontend: HashMap<u64, (Arc<Module>, u64)>,
-    optimized: HashMap<u64, Arc<Built>>,
+    optimized: HashMap<(u64, u64), Arc<Built>>,
     /// Oldest first.
     devices: Vec<WarmDevice>,
     device_capacity: usize,
-    graphs: HashMap<u64, CapturedGraph>,
     trace: TierCounts,
     journal: Journal,
     fault: Option<StageFault>,
@@ -570,7 +578,6 @@ impl Store {
             optimized: HashMap::new(),
             devices: Vec::new(),
             device_capacity,
-            graphs: HashMap::new(),
             trace: TierCounts::default(),
             journal: Journal::default(),
             fault: None,
@@ -605,9 +612,6 @@ impl Store {
             for k in &journal.optimized {
                 self.optimized.remove(k);
             }
-            for k in &journal.graphs {
-                self.graphs.remove(k);
-            }
             self.devices.retain(|d| !journal.devices.contains(&d.key));
         }
         if quarantine {
@@ -622,10 +626,6 @@ impl Store {
 
     pub(crate) fn device_capacity(&self) -> usize {
         self.device_capacity
-    }
-
-    pub(crate) fn graph_entries(&self) -> usize {
-        self.graphs.len()
     }
 
     /// Fires the seeded fault if it targets `stage`.
@@ -674,8 +674,7 @@ impl Store {
     pub fn build(&mut self, source: &str, config: BuildConfig) -> Result<Arc<Built>, JobError> {
         let (fe_module, fe_hash) = self.frontend_module(source, config)?;
         self.check(Stage::Optimize)?;
-        let key =
-            fnv1a(format!("opt\x00{fe_hash:016x}\x00{:016x}", config.fingerprint()).as_bytes());
+        let key = (fe_hash, config.fingerprint());
         if let Some(built) = self.optimized.get(&key) {
             self.trace.optimized.hits += 1;
             return Ok(Arc::clone(built));
@@ -815,9 +814,8 @@ impl<'a> Job<'a> {
 
     /// Launches `built` on a pristine device of the store: arm the
     /// knobs, stage the inputs, launch in the job's mode, host-verify a
-    /// proxy, read back. A multi-kernel plain launch goes through the
-    /// graphs tier — captured on a miss, replayed either way, which is
-    /// bit-identical to launching the plan eagerly.
+    /// proxy, read back. Every mode launches the kernel's whole plan; a
+    /// one-node plan is exactly a single launch.
     pub fn launch(&self, store: &mut Store, built: &Arc<Built>) -> Result<JobResult, JobError> {
         let (kernel, dims, cfg) = match self.subject {
             Subject::Source { kernel, dims, .. } => (kernel, dims, DeviceConfig::default()),
@@ -825,32 +823,8 @@ impl<'a> Job<'a> {
         };
         let idx = store.device(built, cfg)?;
         store.check(Stage::Launch)?;
-        let multi_kernel = || {
-            let named = |k: &&omp_ir::KernelInfo| k.source_name == kernel;
-            built.module.kernels.iter().filter(named).count() > 1
-        };
-        let graph_key = if self.mode == Mode::Plain && multi_kernel() {
-            store.check(Stage::Replay)?;
-            let args = match self.subject {
-                Subject::Source { args, .. } => args,
-                Subject::Proxy(_) => &[],
-            };
-            Some(fnv1a(
-                format!(
-                    "graph\x00{:016x}\x00{kernel}\x00{:?}\x00{:?}\x00{args:?}",
-                    built.ir_hash, dims.teams, dims.threads
-                )
-                .as_bytes(),
-            ))
-        } else {
-            None
-        };
-        let Store {
-            devices, graphs, ..
-        } = store;
-        let warm = &mut devices[idx];
+        let warm = &mut store.devices[idx];
         let (jobs, max_insts, tier) = (warm.jobs, warm.max_insts, warm.tier);
-        let mut captured = None;
         let (stats, profile, findings, buffers) = warm.dev.with(|d| {
             let on = |mode| self.mode == mode;
             d.set_jobs(self.knobs.jobs.unwrap_or(jobs));
@@ -881,23 +855,14 @@ impl<'a> Job<'a> {
                 }
             };
 
-            let launched = match (self.mode, graph_key) {
-                // The device is pristine, so re-staged argument
-                // addresses match a captured graph's exactly.
-                (Mode::Plain, Some(key)) => match graphs.get(&key) {
-                    Some(g) if g.args() == args => d.replay_graph(g),
-                    _ => d.capture_graph(kernel, &args, dims).and_then(|g| {
-                        let stats = d.replay_graph(&g);
-                        captured = Some(g);
-                        stats
-                    }),
-                }
-                .map(|s| (s, None, Vec::new())),
-                (Mode::Plain, None) => d.launch(kernel, &args, dims).map(|s| (s, None, Vec::new())),
-                (Mode::Profile, _) => d
+            let launched = match self.mode {
+                Mode::Plain => d
+                    .launch_plan(kernel, &args, dims)
+                    .map(|s| (s, None, Vec::new())),
+                Mode::Profile => d
                     .launch_plan_profiled(kernel, &args, dims)
                     .map(|(s, p)| (s, p, Vec::new())),
-                (Mode::Sanitize, _) => d
+                Mode::Sanitize => d
                     .launch_plan_checked(kernel, &args, dims)
                     .map(|(s, f)| (s, None, f)),
             };
@@ -928,16 +893,6 @@ impl<'a> Job<'a> {
                 buffers.map_err(JobError::Readback)?,
             ))
         })?;
-        if let Some(key) = graph_key {
-            match captured {
-                Some(g) => {
-                    store.trace.graphs.misses += 1;
-                    store.graphs.insert(key, g);
-                    store.journal.graphs.push(key);
-                }
-                None => store.trace.graphs.hits += 1,
-            }
-        }
         Ok(JobResult {
             built: Arc::clone(built),
             stats,

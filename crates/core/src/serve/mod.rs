@@ -1,8 +1,8 @@
 //! The compile service: `ompgpu serve`.
 //!
 //! A [`Session`] is a long-lived compilation context around one
-//! [`Store`](crate::job::Store): the frontend, optimized, device and
-//! graphs cache tiers every request's jobs run against (`docs/SERVE.md`
+//! [`Store`](crate::job::Store): the frontend, optimized and device
+//! cache tiers every request's jobs run against (`docs/SERVE.md`
 //! has the full protocol specification). Each op is a reducer over the
 //! job path the CLI uses — build [`Job`](crate::job::Job)s, run them on
 //! the store, render the payload — split here along its seams:
@@ -266,7 +266,7 @@ void scale(double* a, double f, long n) {
         assert_eq!(s.stats().timeouts, 1);
         // Nothing was dispatched: every tier is untouched and the
         // session is still usable.
-        assert_eq!(s.stats().frontend, TierStats::default());
+        assert_eq!(s.stats().cache.frontend, TierStats::default());
         let v = request(&mut s, &format!("{{\"op\":\"run\",\"source\":{:?}}}", SRC));
         assert_eq!(v.get("exit_code").and_then(Value::as_u64), Some(0));
     }
@@ -356,7 +356,11 @@ void scale(double* a, double f, long n) {
             Some("fault-injected")
         );
         // No failed request may populate a cache tier.
-        assert_eq!(s.stats().frontend.hits, 0, "no tier served a warm entry");
+        assert_eq!(
+            s.stats().cache.frontend.hits,
+            0,
+            "no tier served a warm entry"
+        );
         let clean = request(&mut s, &format!("{{\"op\":\"run\",\"source\":{:?}}}", SRC));
         assert_eq!(
             clean
@@ -376,6 +380,31 @@ void scale(double* a, double f, long n) {
             ),
         );
         assert_eq!(v.get("exit_code").and_then(Value::as_u64), Some(2));
+    }
+
+    #[test]
+    fn replay_is_not_a_fault_stage() {
+        let mut s = Session::default();
+        let v = request(
+            &mut s,
+            &format!(
+                "{{\"op\":\"run\",\"source\":{:?},\"fault\":{{\"stage\":\"replay\"}}}}",
+                SRC
+            ),
+        );
+        assert_eq!(
+            v.get("exit_code").and_then(Value::as_u64),
+            Some(EXIT_USAGE as u64)
+        );
+        let msg = v
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Value::as_str)
+            .unwrap();
+        assert_eq!(
+            msg,
+            "unknown fault stage \"replay\" (known: frontend, optimize, device, launch)"
+        );
     }
 
     #[test]
@@ -682,6 +711,6 @@ void scale(double* a, double f, long n) {
             Some(1),
             "capacity-1 LRU must have evicted the first device"
         );
-        assert_eq!(s.stats().device.hits, 0);
+        assert_eq!(s.stats().cache.device.hits, 0);
     }
 }

@@ -4,7 +4,7 @@
 use super::protocol::*;
 use crate::job::{
     env_overrides, Job, JobError, Knobs, Mode, Readback, Stage, StageFault, Store, Subject,
-    TierStats,
+    TierCounts,
 };
 use crate::oracle::{self, ArgSpec, ExampleSpec, ORACLE_CONFIGS};
 use crate::pipeline::{self, SanitizeOutcome};
@@ -21,16 +21,8 @@ use std::time::Duration;
 /// per-request slice is the store's [`Store::trace`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Source → frontend-module tier.
-    pub frontend: TierStats,
-    /// (frontend module, configuration) → optimized-module tier.
-    pub optimized: TierStats,
-    /// Optimized module → warmed device (with decoded ExecPlan) tier.
-    pub device: TierStats,
-    /// (optimized module, kernel, dims, args) → captured-graph tier
-    /// (multi-kernel launch plans only; a hit replays without resolving
-    /// the plan again).
-    pub graphs: TierStats,
+    /// Hits and misses of the store's cache tiers, summed over requests.
+    pub cache: TierCounts,
     /// Requests handled (including malformed ones).
     pub requests: u64,
     /// Requests that produced a non-zero exit code.
@@ -52,20 +44,10 @@ pub struct SessionStats {
 }
 
 impl SessionStats {
-    /// Total cache hits across all four tiers (the quantity the CI
-    /// smoke test asserts is positive on a warm second pass).
+    /// Total cache hits across all tiers (the quantity the CI smoke
+    /// test asserts is positive on a warm second pass).
     pub fn total_hits(&self) -> u64 {
-        self.tiers().iter().map(|(_, t)| t.hits).sum()
-    }
-
-    /// The four cache tiers by wire name, in pipeline order.
-    pub fn tiers(&self) -> [(&'static str, TierStats); 4] {
-        [
-            ("frontend", self.frontend),
-            ("optimized", self.optimized),
-            ("device", self.device),
-            ("graphs", self.graphs),
-        ]
+        self.cache.tiers().iter().map(|(_, t)| t.hits).sum()
     }
 }
 
@@ -234,15 +216,7 @@ impl Session {
             panicked || outcome.exit_code == EXIT_TIMEOUT,
         );
         let trace = self.store.trace();
-        for (total, t) in [
-            (&mut self.stats.frontend, trace.frontend),
-            (&mut self.stats.optimized, trace.optimized),
-            (&mut self.stats.device, trace.device),
-            (&mut self.stats.graphs, trace.graphs),
-        ] {
-            total.hits += t.hits;
-            total.misses += t.misses;
-        }
+        self.stats.cache.add(trace);
         if outcome.exit_code != EXIT_OK && outcome.result.is_none() {
             self.stats.errors += 1;
         }
@@ -502,7 +476,7 @@ impl Session {
                 self.stats.ops.get(op).copied().unwrap_or(0),
             );
         }
-        for (tier, t) in self.stats.tiers() {
+        for (tier, t) in self.stats.cache.tiers() {
             reg.counter_add(&format!("serve.cache.{tier}.hits"), t.hits);
             reg.counter_add(&format!("serve.cache.{tier}.misses"), t.misses);
         }
@@ -514,7 +488,6 @@ impl Session {
         reg.counter_add("serve.retries", self.shared.retries.load(Ordering::Relaxed));
         reg.gauge_set("serve.device_entries", self.store.device_entries() as i64);
         reg.gauge_set("serve.device_capacity", self.store.device_capacity() as i64);
-        reg.gauge_set("serve.graph_entries", self.store.graph_entries() as i64);
         reg
     }
 
@@ -542,16 +515,11 @@ impl Session {
                 .u64(self.stats.ops.get(name).copied().unwrap_or(0));
         }
         w.end_object();
-        w.key("cache").begin_object();
-        for (tier, t) in self.stats.tiers() {
-            w.key(tier);
-            t.write_json(&mut w);
-        }
-        w.end_object();
+        w.key("cache");
+        self.stats.cache.write_json(&mut w);
         w.key("total_hits").u64(self.stats.total_hits());
         w.key("device_entries").usize(self.store.device_entries());
         w.key("device_capacity").usize(self.store.device_capacity());
-        w.key("graph_entries").usize(self.store.graph_entries());
         w.key("tier").string(self.env_tier.as_str());
         w.key("batches").u64(self.stats.batches);
         w.key("batched_requests").u64(self.stats.batched_requests);

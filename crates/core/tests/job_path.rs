@@ -113,7 +113,6 @@ fn errors_name_their_stage_and_exit_code() {
     let deadline = JobError::Launch(SimError::deadline_exceeded(5));
     assert_eq!(deadline.exit_code(), EXIT_TIMEOUT);
     assert_eq!(JobError::Injected(Stage::Optimize).exit_code(), EXIT_BUILD);
-    assert_eq!(JobError::Injected(Stage::Replay).exit_code(), EXIT_SIM);
     assert_eq!(
         JobError::Injected(Stage::Device).to_string(),
         "injected fault: device stage failure"

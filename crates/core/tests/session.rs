@@ -102,13 +102,13 @@ fn warm_session_is_byte_identical_to_cold_across_the_matrix() {
         );
     }
     assert!(
-        session.stats().device.hits > 0,
+        session.stats().cache.device.hits > 0,
         "the warm pass never reused a warmed device"
     );
 }
 
-/// A multi-kernel async pipeline: `run` requests for it go through the
-/// captured-graph cache.
+/// A multi-kernel async pipeline: `run` requests for it launch the
+/// whole two-node plan.
 const PIPE_SRC: &str = r#"
 // oracle-kernel: pipe
 // oracle-arg: buf f64 32 pseudo
@@ -122,15 +122,8 @@ void pipe(double* a, double* b, long n) {
 }
 "#;
 
-fn tier_misses(response: &str, tier: &str) -> u64 {
-    omp_json::parse(response)
-        .ok()
-        .and_then(|v| v.get("cache")?.get(tier)?.get("misses")?.as_u64())
-        .unwrap_or(0)
-}
-
 #[test]
-fn captured_graphs_are_cached_and_replay_byte_identically() {
+fn multi_kernel_runs_are_byte_identical_warm_and_cold() {
     let mut session = Session::default();
     let escaped = omp_json::escape(PIPE_SRC);
     let run = format!(
@@ -138,40 +131,27 @@ fn captured_graphs_are_cached_and_replay_byte_identically() {
          \"config\":\"dev\",\"dump\":8}}"
     );
 
-    // Cold: the plan is captured (graph-cache miss), then replayed.
     let cold = session.handle_line(&run).0;
-    assert_eq!(tier_misses(&cold, "graphs"), 1, "cold run must capture");
-    assert_eq!(tier_hits(&cold, "graphs"), 0);
-
-    // Warm: the captured graph answers (hit), with byte-identical
-    // results — stats, dumped output bits, everything.
     let warm = session.handle_line(&run).0;
-    assert_eq!(tier_hits(&warm, "graphs"), 1, "warm run must replay");
-    assert_eq!(tier_misses(&warm, "graphs"), 0);
     assert_eq!(
         result_payload(&cold),
         result_payload(&warm),
-        "graph replay must be byte-identical to the eager capture run"
+        "a warm multi-kernel run must be byte-identical to the cold one"
     );
+    for tier in ["frontend", "optimized", "device"] {
+        assert!(
+            tier_hits(&warm, tier) > 0,
+            "warm run missed the {tier} tier"
+        );
+    }
 
-    // The stats op surfaces both the per-tier device cache and the
-    // captured-graph cache accounting.
-    let stats = session.handle_line("{\"op\":\"stats\"}").0;
-    let v = omp_json::parse(&result_payload(&stats)).unwrap();
-    let graphs = v.get("cache").and_then(|c| c.get("graphs")).unwrap();
-    assert_eq!(graphs.get("hits").and_then(Value::as_u64), Some(1));
-    assert_eq!(graphs.get("misses").and_then(Value::as_u64), Some(1));
-    assert_eq!(v.get("graph_entries").and_then(Value::as_u64), Some(1));
-    assert!(v.get("cache").and_then(|c| c.get("device")).is_some());
-
-    // Single-kernel sources never touch the graph cache.
-    let escaped = omp_json::escape(SRC);
-    let single = format!(
-        "{{\"op\":\"run\",\"source\":\"{escaped}\",\"name\":\"blend\",\
-         \"config\":\"dev\"}}"
-    );
-    let resp = session.handle_line(&single).0;
-    assert_eq!(tier_hits(&resp, "graphs") + tier_misses(&resp, "graphs"), 0);
+    // The envelope accounts for exactly the three store tiers.
+    let v = omp_json::parse(&warm).unwrap();
+    let Some(Value::Object(cache)) = v.get("cache") else {
+        panic!("envelope carries no cache object: {warm}");
+    };
+    let keys: Vec<&str> = cache.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["frontend", "optimized", "device"]);
 }
 
 #[test]

@@ -124,11 +124,6 @@ impl CapturedGraph {
     pub fn plan(&self) -> &LaunchPlan {
         &self.plan
     }
-
-    /// The pre-marshalled launch arguments.
-    pub fn args(&self) -> &[RtVal] {
-        &self.args
-    }
 }
 
 /// Derives dependency edges for nodes with the given launch attributes.
@@ -570,26 +565,6 @@ impl<'m> Device<'m> {
     pub fn replay_graph(&mut self, graph: &CapturedGraph) -> Result<KernelStats, SimError> {
         self.execute_plan(&graph.plan, &graph.args, true)
             .map(|(s, _, _)| s)
-    }
-
-    /// Like [`Device::replay_graph`], but also returns sanitizer
-    /// findings (identical to the eager launch's).
-    pub fn replay_graph_checked(
-        &mut self,
-        graph: &CapturedGraph,
-    ) -> Result<(KernelStats, Vec<Finding>), SimError> {
-        self.execute_plan(&graph.plan, &graph.args, true)
-            .map(|(s, _, f)| (s, f))
-    }
-
-    /// Like [`Device::replay_graph`], but also returns the profile
-    /// (with per-stream spans) when profiling is enabled.
-    pub fn replay_graph_profiled(
-        &mut self,
-        graph: &CapturedGraph,
-    ) -> Result<(KernelStats, Option<LaunchProfile>), SimError> {
-        self.execute_plan(&graph.plan, &graph.args, true)
-            .map(|(s, p, _)| (s, p))
     }
 
     /// Runs a resolved plan's nodes sequentially in submission order,

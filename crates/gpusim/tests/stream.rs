@@ -353,16 +353,6 @@ fn cross_kernel_race_is_detected_on_missing_depend_edge() {
     // Execution stays sequential and deterministic despite the race:
     // the later node's writes win.
     assert!(dev.read_f64(a, N).unwrap().iter().all(|&v| v == 2.0));
-    // Replay reports the identical findings.
-    let mut dev2 = Device::new(&module, DeviceConfig::default()).unwrap();
-    dev2.set_sanitize(SanitizeMode::On);
-    let a2 = dev2.alloc_f64(&[0.0; N]).unwrap();
-    let args2 = [RtVal::Ptr(a2), RtVal::I64(N as i64)];
-    let graph = dev2
-        .capture_graph("racy", &args2, LaunchDims::default())
-        .unwrap();
-    let (_, replay_findings) = dev2.replay_graph_checked(&graph).unwrap();
-    assert_eq!(findings, replay_findings);
     // The depend-ordered variant is clean.
     let module2 = compile_src(ORDERED_SRC);
     let mut dev3 = Device::new(&module2, DeviceConfig::default()).unwrap();

@@ -288,8 +288,7 @@ pub fn run_with_cache(
 }
 
 /// Emits OMP240/OMP241 analysis remarks for kernels whose launch
-/// attributes make them part of a `taskgraph` capture-and-replay region
-/// or candidates for asynchronous (`nowait`) stream overlap.
+/// attributes make them part of a `taskgraph` region or candidates for asynchronous (`nowait`) stream overlap.
 fn emit_launch_remarks(m: &Module, remarks: &mut Remarks) {
     use remarks::{actions, ids, passes, Remark, RemarkKind};
     for k in &m.kernels {
@@ -301,10 +300,9 @@ fn emit_launch_remarks(m: &Module, remarks: &mut Remarks) {
                     RemarkKind::Analysis,
                     name.clone(),
                     format!(
-                        "Kernel is part of `taskgraph` region {g}: the host launch \
-                         plan is captured once (lookup, validation, argument \
-                         marshalling, plan resolution) and replayed without \
-                         per-launch setup."
+                        "Kernel is part of `taskgraph` region {g}: the region's \
+                         launches are fenced from the rest of the host launch \
+                         plan and run as one unit."
                     ),
                 )
                 .in_pass(passes::TASKGRAPH)

@@ -492,8 +492,8 @@ pub mod ids {
     /// The message carries IR deltas only — never wall time — so remark
     /// streams stay deterministic across runs.
     pub const PASS_TIMING: u32 = 230;
-    /// Kernel belongs to a `taskgraph` region: the host plan is
-    /// captured once and replayed without per-launch setup (analysis).
+    /// Kernel belongs to a `taskgraph` region: its launches are fenced
+    /// from the rest of the host plan and run as one unit (analysis).
     pub const TASKGRAPH_CAPTURED: u32 = 240;
     /// Kernel launched with `nowait`: eligible for asynchronous stream
     /// overlap with its sibling launches (analysis).
