@@ -31,9 +31,10 @@ pub mod xsbench;
 use omp_gpusim::{Device, DeviceConfig, LaunchDims, RtVal, SimError};
 
 /// Workload size preset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
     /// Small inputs for tests (sub-second in debug builds).
+    #[default]
     Small,
     /// Larger inputs for the benchmark harness.
     Bench,

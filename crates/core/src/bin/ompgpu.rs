@@ -1,116 +1,48 @@
-//! `ompgpu` — a small driver CLI over the pipeline, for exploring the
-//! compiler interactively:
+//! `ompgpu` — the command-line front end of the pipeline. `ompgpu` with
+//! no arguments prints the usage screen (flags, configurations, argument
+//! specs, exit codes).
 //!
-//! ```text
-//! ompgpu build   kernel.c [--config dev] [--emit-ir] [--remarks] [--time-passes]
-//!                [--telemetry out.json]
-//! ompgpu run     kernel.c --kernel name [--config dev]
-//!                [--teams N] [--threads N] [--jobs N] [--json]
-//!                [--arg buf:f64:LEN[:init] | --arg buf:i64:LEN[:init]
-//!                 | --arg i64:VALUE | --arg f64:VALUE | --arg i32:VALUE]
-//!                [--dump N] [--time-passes] [--telemetry out.json]
-//! ompgpu profile kernel.c --kernel name [--config dev | --all-configs]
-//!                [--teams N] [--threads N] [--jobs N] [--arg SPEC]...
-//!                [--json] [--trace out.json] [--time-passes]
-//! ompgpu profile --proxy NAME [--scale small|bench] [--config dev | --all-configs]
-//!                [--jobs N] [--json] [--trace out.json] [--time-passes]
-//! ompgpu verify  [--scale small|bench] [--examples DIR] [--jobs N]
-//!                [--watchdog SECS] [--telemetry out.json] [FILE.c ...]
-//! ompgpu sanitize kernel.c | --proxy NAME | --self-test
-//!                [--config CFG | --all-configs] [--scale small|bench]
-//!                [--jobs N] [--max-insts N] [--json]
-//! ompgpu serve   --socket PATH [--device-cache N] [--access-log PATH]
-//!                [--queue N] [--deadline-ms N]
-//! ompgpu client  --socket PATH [--retries N] [--ping] [--stats] [--metrics]
-//!                [--shutdown]
-//! ```
+//! `build`, `run`, `profile`, `sanitize` and `verify` are requests: their
+//! argv decodes into the same [`Request`] an `ompgpu serve` JSON line
+//! does (one field table, [`request::FIELDS`], declares every flag and
+//! wire key), and they run through the same reducers the daemon does, on
+//! a store that keeps no device. This file only renders the typed
+//! results as text: `run --json`, `profile --json` and `sanitize --json`
+//! print exactly the daemon's payloads. `run` takes its kernel from
+//! `--kernel`; everything else falls back to the source's `// oracle-*:`
+//! header (see [`oracle::ExampleSpec`](omp_gpu::oracle::ExampleSpec)).
 //!
-//! Buffer arguments are device allocations initialized per the optional
-//! `init` suffix (`zero` — the default — `iota`, or `pseudo`); `--dump N`
-//! prints the first N elements of every buffer after the launch. When a
-//! source file carries an `// oracle-*:` header (see
-//! [`oracle::ExampleSpec`]), `profile` uses it for the kernel name,
-//! launch geometry, and arguments unless flags override them.
+//! * `profile` prints the cycle-attribution profile (`--json`, a Chrome
+//!   trace with `--trace FILE`, a Figure-10-style ablation table with
+//!   `--all-configs`); `docs/PROFILING.md`.
+//! * `sanitize` prints the device sanitizer's findings
+//!   (`docs/SANITIZER.md`); `--self-test` runs a built-in fault-injection
+//!   battery instead.
+//! * `verify` runs the differential oracle over the four proxies, every
+//!   example under `--examples DIR` and every file given, under the six
+//!   OpenMP-source configurations, each launch under a watchdog
+//!   (`--watchdog SECS`, default 60, `0` disables).
+//! * `serve` and `client` run and talk to the compile service
+//!   (`docs/SERVE.md`); `json-validate` checks an artifact.
 //!
-//! `--jobs N` sets the number of host worker threads the simulator may
-//! use to execute independent teams (`0` = auto-detect; the
-//! `OMPGPU_JOBS` environment variable is the default). Results — stats
-//! and profiles alike — are bit-identical for every setting.
-//!
-//! `profile` runs the kernel with cycle-attribution profiling enabled
-//! and prints a ranked hot-function table, a per-instruction-class
-//! breakdown, and a runtime-entry-point cycle table. `--json` emits the
-//! profile as JSON on stdout; `--trace FILE` writes a Chrome
-//! trace-event timeline (load it in Perfetto or `chrome://tracing`):
-//! one track per SM, spans per team and per parallel region in
-//! model-cycle time. `--all-configs` profiles the kernel under every
-//! configuration of the ablation matrix and prints a side-by-side
-//! per-function cycle table (Figure 10 style).
-//!
-//! `--time-passes` prints per-stage mid-end wall times and IR deltas
-//! (on stderr; wall times are host measurements and non-deterministic).
-//!
-//! `verify` runs the differential-execution oracle: the four proxy
-//! benchmarks — plus every `.c` example with an `// oracle-*:` header
-//! in `--examples DIR` or listed explicitly — are executed under all
-//! six OpenMP-source configurations of the paper's ablation matrix and
-//! must produce bit-identical outputs with monotone resource
-//! statistics. Every launch runs under a wall-clock watchdog
-//! (`--watchdog SECS`, default 60, `0` disables): a hung configuration
-//! becomes an ordinary per-configuration failure with a timeout
-//! diagnostic instead of stalling the whole matrix.
-//!
-//! `sanitize` runs the device sanitizer (see `docs/SANITIZER.md`) over
-//! a source file with an `// oracle-*:` header, a proxy benchmark, or
-//! — with `--self-test` — a built-in fault-injection battery that
-//! proves the device degrades gracefully (structured errors, no
-//! panics, no wedged workers) under injected allocation failures,
-//! traps, and team aborts. Findings are merged in team-id order, so
-//! they are bit-identical for every `--jobs` setting.
-//!
-//! `serve` runs the compile service daemon (see `docs/SERVE.md`): a
-//! long-lived session with content-addressed artifact caches, speaking
-//! `ompgpu-serve/v1` JSON-lines over a Unix socket. `client` connects
-//! to a running daemon, sends the requests named by its flags — or,
-//! with no request flags, forwards JSON-lines requests from stdin —
-//! prints each response line on stdout, and exits with the highest
-//! exit code any response carried.
-//!
-//! `--telemetry FILE` (on `build`, `run`, and `verify`) enables the
-//! span tracer for the invocation and writes an `ompgpu-telemetry/v1`
-//! artifact — spans with parent links plus a metrics snapshot — or a
-//! Chrome trace-event timeline when FILE ends in `.trace.json` (see
-//! `docs/TELEMETRY.md`). Telemetry is off by default and costs one
-//! atomic load per instrumentation point when disabled.
-//!
-//! Every value-taking flag is read strictly: a missing or malformed
-//! value is a usage error (exit `2`) naming the flag — `ompgpu: invalid
-//! value "x" for --teams`, `ompgpu: missing value for --kernel` — never
-//! a silent fallback to the default. The same holds for the
-//! `OMPGPU_JOBS`, `OMPGPU_MAX_INSTS` and `OMPGPU_TIER` overrides on
-//! `run`, `profile`, `verify` and `sanitize` (`ompgpu: invalid
-//! OMPGPU_JOBS "two": ...`), as it does for `serve`.
-//!
-//! Exit codes are stable and machine-checkable: `0` success/clean,
-//! `1` compile or I/O failure, `2` usage error, `3` simulation or
-//! launch failure, `4` oracle divergence, `5` error-severity sanitizer
-//! findings, `6` unknown `schema` id under `json-validate`. `ompgpu
-//! run --json` prints an `ompgpu-error/v1` JSON object on stdout when
-//! the launch fails; `ompgpu sanitize --json` prints an
-//! `ompgpu-sanitize/v1` report either way.
+//! Every value is read strictly: a missing or malformed flag value, or a
+//! malformed `OMPGPU_JOBS`/`OMPGPU_MAX_INSTS`/`OMPGPU_TIER`, is a usage
+//! error (exit `2`) naming it, never a silent fallback to the default.
+//! `--telemetry FILE` writes an `ompgpu-telemetry/v1` artifact, or a
+//! Chrome trace when FILE ends in `.trace.json` (`docs/TELEMETRY.md`).
 
 use omp_gpu::job::{
-    self, Job, JobError, JobResult, Knobs, Mode, Readback, Store, Subject, EXIT_BUILD,
-    EXIT_DIVERGED, EXIT_SIM, EXIT_USAGE,
+    self, JobError, JobResult, Store, EXIT_BUILD, EXIT_DIVERGED, EXIT_SIM, EXIT_USAGE,
 };
-use omp_gpu::oracle::{self, ArgSpec, BufInit, ExampleSpec, VerifyOptions, ORACLE_CONFIGS};
-use omp_gpu::pipeline::{self, SanitizeOutcome};
-use omp_gpu::{
-    all_proxies, serve, BuildConfig, FaultPlan, LaunchDims, LaunchProfile, OptReport, ProxyApp,
-    Scale, SimErrorKind, Tier,
-};
+use omp_gpu::oracle::{ArgSpec, BufInit, ORACLE_CONFIGS};
+use omp_gpu::request::{self, Request, RequestError, Target};
+use omp_gpu::{pipeline, serve, BuildConfig, FaultPlan, LaunchDims, LaunchProfile, OptReport};
+use omp_gpu::{Job, Knobs, Mode, SimErrorKind, Subject};
+use omp_json::Value;
+use omp_telemetry::MetricsRegistry;
 use std::process::ExitCode;
-use std::time::Duration;
+use std::slice::Iter;
+use std::str::FromStr;
 
 /// Exit code for artifacts that carry an unknown `schema` id.
 const EXIT_SCHEMA: u8 = 6;
@@ -169,57 +101,26 @@ fn usage() -> ExitCode {
     ExitCode::from(EXIT_USAGE)
 }
 
-/// The one typed flag reader: every subcommand walks its arguments
-/// through this, so a value-taking flag can fail only one way.
-struct Flags<'a>(std::slice::Iter<'a, String>);
-
-impl<'a> Flags<'a> {
-    fn next(&mut self) -> Option<&'a str> {
-        self.0.next().map(String::as_str)
-    }
-
-    /// The value of `flag`, parsed by `parse`; a missing or rejected
-    /// value is a usage error naming the flag.
-    fn value_with<T>(
-        &mut self,
-        flag: &str,
-        parse: impl Fn(&'a str) -> Option<T>,
-    ) -> Result<T, ExitCode> {
-        let Some(v) = self.next() else {
-            eprintln!("ompgpu: missing value for {flag}");
-            return Err(ExitCode::from(EXIT_USAGE));
-        };
-        parse(v).ok_or_else(|| {
-            eprintln!("ompgpu: invalid value {v:?} for {flag}");
-            ExitCode::from(EXIT_USAGE)
-        })
-    }
-
-    fn value<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, ExitCode> {
-        self.value_with(flag, |s| s.parse().ok())
-    }
+/// The value after a flag of `serve` or `client` (daemon settings, not
+/// request fields), read as strictly as a request flag.
+fn value<'a, T: FromStr>(flag: &'a str, rest: &mut Iter<'a, String>) -> Result<T, ExitCode> {
+    request::flag_value(flag, rest).map_err(|e| request_error("", e))
 }
 
-fn parse_scale(s: &str) -> Option<Scale> {
-    match s {
-        "small" => Some(Scale::Small),
-        "bench" => Some(Scale::Bench),
-        _ => None,
+/// Reports a request that could not be decoded or run: value and job
+/// errors name no subcommand, an unknown flag also prints the usage
+/// screen.
+fn request_error(op: &str, e: RequestError) -> ExitCode {
+    match &e {
+        RequestError::Value(..) | RequestError::Job(_) => eprintln!("ompgpu: {e}"),
+        RequestError::Usage(m) => eprintln!("ompgpu {op}: {m}"),
+        // `build` and `run` keep their historical unscoped line.
+        RequestError::UnknownFlag(f) if matches!(op, "build" | "run") => {
+            return unknown_flag("", f)
+        }
+        RequestError::UnknownFlag(f) => return unknown_flag(&format!(" {op}"), f),
     }
-}
-
-/// Reads a subject file; `who` prefixes the diagnostic.
-fn read_source(who: &str, path: &str) -> Result<String, ExitCode> {
-    std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("{who}: cannot read {path}: {e}");
-        ExitCode::from(EXIT_BUILD)
-    })
-}
-
-/// A usage error of `command` that needs no usage screen.
-fn usage_error(command: &str, message: &str) -> ExitCode {
-    eprintln!("ompgpu {command}: {message}");
-    ExitCode::from(EXIT_USAGE)
+    ExitCode::from(e.exit_code())
 }
 
 /// An unknown flag: names it, prints the usage screen, exits 2.
@@ -228,157 +129,60 @@ fn unknown_flag(command: &str, flag: &str) -> ExitCode {
     usage()
 }
 
-/// The proxy called `name` (case-insensitive).
-fn find_proxy<'p>(
-    proxies: &'p [Box<dyn ProxyApp>],
-    name: &str,
-) -> Result<&'p dyn ProxyApp, String> {
-    proxies
-        .iter()
-        .find(|p| p.name().eq_ignore_ascii_case(name))
-        .map(|p| p.as_ref())
-        .ok_or_else(|| {
-            let known: Vec<&str> = proxies.iter().map(|p| p.name()).collect();
-            format!("unknown proxy {name:?} (known: {})", known.join(", "))
-        })
+/// `ompgpu build|run|profile|sanitize|verify`: one [`Request`] from
+/// argv, run through the reducers `ompgpu serve` uses on a store that
+/// keeps no device, rendered as text.
+fn request_main(op: &str, args: &[String]) -> Result<ExitCode, ExitCode> {
+    // Launching subcommands read the `OMPGPU_*` overrides as strictly
+    // as `serve` does: a malformed one stops them before anything runs.
+    if op != "build" {
+        job::env_overrides().map_err(|e| request_error(op, RequestError::Value(EXIT_USAGE, e)))?;
+    }
+    let req = Request::from_argv(op, args).map_err(|e| request_error(op, e))?;
+    if req.targets.is_empty() && !req.self_test {
+        let need = match op {
+            "profile" => "a source file or --proxy NAME",
+            "sanitize" => "a source file, --proxy NAME, or --self-test",
+            _ => return Err(usage()),
+        };
+        eprintln!("ompgpu {op}: need {need}");
+        return Err(usage());
+    }
+    if req.telemetry.is_some() {
+        omp_telemetry::clear_spans();
+        omp_telemetry::set_enabled(true);
+    }
+    let (mut store, knobs) = (Store::new(0), req.knobs());
+    match op {
+        "verify" => verify_main(&mut store, &req, &knobs),
+        "profile" => profile_main(&mut store, &req, &knobs),
+        "sanitize" if req.self_test => Ok(sanitize_self_test(req.jobs)),
+        "sanitize" => sanitize_main(&mut store, &req, &knobs),
+        _ => build_main(&mut store, &req, &knobs),
+    }
 }
 
-fn verify_main(args: &[String]) -> Result<ExitCode, ExitCode> {
-    let mut scale = Scale::Small;
-    let mut opts = VerifyOptions {
-        watchdog: Some(Duration::from_secs(60)),
-        ..VerifyOptions::default()
-    };
-    let mut telemetry: Option<String> = None;
-    let mut dirs: Vec<String> = Vec::new();
-    let mut files: Vec<String> = Vec::new();
-    let mut flags = Flags(args.iter());
-    while let Some(a) = flags.next() {
-        match a {
-            "--scale" => scale = flags.value_with(a, parse_scale)?,
-            "--telemetry" => telemetry = Some(flags.value(a)?),
-            "--jobs" => opts.jobs = Some(flags.value(a)?),
-            "--watchdog" => {
-                let secs: u64 = flags.value(a)?;
-                opts.watchdog = (secs > 0).then(|| Duration::from_secs(secs));
-            }
-            "--tier" => opts.tier = Some(flags.value_with(a, Tier::parse)?),
-            "--examples" => dirs.push(flags.value(a)?),
-            f if !f.starts_with('-') => files.push(f.to_string()),
-            other => return Err(unknown_flag(" verify", other)),
-        }
-    }
-    if telemetry.is_some() {
-        telemetry_begin();
-    }
-    let fail = |e: String| {
-        eprintln!("ompgpu verify: {e}");
-        ExitCode::from(EXIT_BUILD)
-    };
-    let mut report = oracle::verify_proxies(scale, &opts);
-    for dir in &dirs {
-        let found = oracle::verify_examples_dir(std::path::Path::new(dir), &opts);
-        report.cases.extend(found.map_err(fail)?.cases);
-    }
-    for file in &files {
-        let case = oracle::verify_file(std::path::Path::new(file), &opts);
-        report.cases.push(case.map_err(fail)?);
-    }
-    print!("{}", report.render());
-    let (pass, total) = (
-        report.cases.iter().filter(|c| c.passed()).count(),
-        report.cases.len(),
-    );
+fn verify_main(store: &mut Store, req: &Request, knobs: &Knobs) -> Result<ExitCode, ExitCode> {
+    let cases = request::verify(store, req, knobs).map_err(|e| request_error("verify", e))?;
+    cases.iter().for_each(|c| print!("{}", c.render()));
+    let total = cases.len();
+    let pass = cases.iter().filter(|c| c.passed()).count();
     println!("{pass}/{total} cases passed");
-    if let Some(tpath) = &telemetry {
-        let mut reg = omp_telemetry::MetricsRegistry::new();
+    if let Some(tpath) = &req.telemetry {
+        let mut reg = MetricsRegistry::new();
         reg.counter_add("verify.cases", total as u64);
         reg.counter_add("verify.passed", pass as u64);
         reg.counter_add("verify.failed", (total - pass) as u64);
-        telemetry_write(tpath, &reg).map_err(fail)?;
+        telemetry_write("ompgpu verify", tpath, &reg)?;
     }
-    Ok(if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(EXIT_DIVERGED)
-    })
+    let exit = if pass == total { 0 } else { EXIT_DIVERGED };
+    Ok(ExitCode::from(exit))
 }
 
-// ---------------------------------------------------------------------
-// ompgpu sanitize
-// ---------------------------------------------------------------------
-
-fn sanitize_main(args: &[String]) -> Result<ExitCode, ExitCode> {
-    let mut path: Option<String> = None;
-    let mut proxy: Option<String> = None;
-    let mut self_test = false;
-    let mut scale = Scale::Small;
-    let mut config = BuildConfig::LlvmDev;
-    let mut all_configs = false;
-    let mut knobs = Knobs {
-        watchdog: Some(Duration::from_secs(60)),
-        ..Knobs::default()
-    };
-    let mut json = false;
-    let mut flags = Flags(args.iter());
-    while let Some(a) = flags.next() {
-        match a {
-            "--proxy" => proxy = Some(flags.value(a)?),
-            "--self-test" => self_test = true,
-            "--scale" => scale = flags.value_with(a, parse_scale)?,
-            "--config" => config = flags.value_with(a, BuildConfig::from_cli_name)?,
-            "--all-configs" => all_configs = true,
-            "--jobs" => knobs.jobs = Some(flags.value(a)?),
-            "--max-insts" => knobs.max_insts = Some(flags.value(a)?),
-            "--json" => json = true,
-            f if !f.starts_with('-') && path.is_none() => path = Some(f.to_string()),
-            other => return Err(unknown_flag(" sanitize", other)),
-        }
-    }
-    let usage_error = |message: &str| usage_error("sanitize", message);
-    if self_test {
-        if path.is_some() || proxy.is_some() {
-            return Err(usage_error("--self-test takes no subject"));
-        }
-        return Ok(sanitize_self_test(knobs.jobs));
-    }
-    let configs = match all_configs {
-        true => &ORACLE_CONFIGS[..],
-        false => std::slice::from_ref(&config),
-    };
-    let mut store = Store::new(0);
-    let mut sanitize = |subject: Result<Subject, JobError>| -> Vec<SanitizeOutcome> {
-        let of = |&c: &BuildConfig| match &subject {
-            Ok(s) => pipeline::sanitize(&mut store, *s, c, &knobs),
-            Err(e) => SanitizeOutcome::of(c, Err(e.clone())),
-        };
-        configs.iter().map(of).collect()
-    };
-    let (subject, outcomes) = if let Some(name) = proxy {
-        if path.is_some() {
-            return Err(usage_error(
-                "give either a source file or --proxy, not both",
-            ));
-        }
-        let proxies = all_proxies(scale);
-        let app = find_proxy(&proxies, &name).map_err(|e| usage_error(&e))?;
-        (app.name().to_string(), sanitize(Ok(Subject::Proxy(app))))
-    } else {
-        let Some(path) = path else {
-            eprintln!("ompgpu sanitize: need a source file, --proxy NAME, or --self-test");
-            return Err(usage());
-        };
-        let source = read_source("ompgpu sanitize", &path)?;
-        let spec = ExampleSpec::parse(&source).map_err(JobError::Spec);
-        let outcomes = sanitize(
-            spec.as_ref()
-                .map(|s| s.subject(&source))
-                .map_err(Clone::clone),
-        );
-        (path, outcomes)
-    };
-
-    if json {
+fn sanitize_main(store: &mut Store, req: &Request, knobs: &Knobs) -> Result<ExitCode, ExitCode> {
+    let (subject, outcomes) =
+        request::sanitize(store, req, knobs).map_err(|e| request_error("sanitize", e))?;
+    if req.json {
         println!("{}", pipeline::sanitize_report_json(&subject, &outcomes));
     } else {
         println!("sanitize {subject}:");
@@ -386,14 +190,9 @@ fn sanitize_main(args: &[String]) -> Result<ExitCode, ExitCode> {
             print!("{}", o.render());
         }
         let errors: usize = outcomes.iter().map(|o| o.error_findings()).sum();
-        let notes: usize = outcomes
-            .iter()
-            .map(|o| o.findings.len() - o.error_findings())
-            .sum();
-        println!(
-            "{} configuration(s), {errors} error finding(s), {notes} note(s)",
-            outcomes.len()
-        );
+        let notes = outcomes.iter().map(|o| o.findings.len()).sum::<usize>() - errors;
+        let n = outcomes.len();
+        println!("{n} configuration(s), {errors} error finding(s), {notes} note(s)");
     }
     Ok(ExitCode::from(pipeline::sanitize_exit_code(&outcomes)))
 }
@@ -441,32 +240,26 @@ fn sanitize_self_test(jobs: Option<u32>) -> ExitCode {
         };
         job.run(&mut store)
     };
+    let plan = |arm: fn(&mut FaultPlan)| {
+        let mut plan = FaultPlan::default();
+        arm(&mut plan);
+        plan
+    };
     type Scenario = (&'static str, FaultPlan, fn(&SimErrorKind) -> bool);
     let scenarios: [Scenario; 3] = [
         (
             "malloc failure falls out as a structured memory error",
-            FaultPlan {
-                fail_alloc_after: Some(0),
-                ..FaultPlan::default()
-            },
+            plan(|p| p.fail_alloc_after = Some(0)),
             |k| matches!(k, SimErrorKind::Mem(_)),
         ),
         (
             "trap at the Nth dynamic instruction",
-            FaultPlan {
-                trap_at_inst: Some(20),
-                ..FaultPlan::default()
-            },
+            plan(|p| p.trap_at_inst = Some(20)),
             |k| matches!(k, SimErrorKind::FaultInjected(_)),
         ),
-        (
-            "single-team abort",
-            FaultPlan {
-                abort_team: Some(2),
-                ..FaultPlan::default()
-            },
-            |k| matches!(k, SimErrorKind::FaultInjected(_)),
-        ),
+        ("single-team abort", plan(|p| p.abort_team = Some(2)), |k| {
+            matches!(k, SimErrorKind::FaultInjected(_))
+        }),
     ];
     let mut failed = 0usize;
     for (what, plan, expect) in &scenarios {
@@ -500,11 +293,11 @@ fn sanitize_self_test(jobs: Option<u32>) -> ExitCode {
     // a sanitizer note — not an error.
     {
         let what = "shared-stack exhaustion falls back to the device heap";
-        let plan = FaultPlan {
-            shared_stack_limit: Some(0),
-            ..FaultPlan::default()
-        };
-        match launch(Mode::Sanitize, jobs, &plan) {
+        match launch(
+            Mode::Sanitize,
+            jobs,
+            &plan(|p| p.shared_stack_limit = Some(0)),
+        ) {
             Ok(done) => {
                 let fallbacks = done
                     .findings
@@ -561,14 +354,14 @@ fn serve_main(args: &[String]) -> Result<ExitCode, ExitCode> {
     let mut access_log: Option<String> = None;
     let mut queue: Option<usize> = None;
     let mut deadline_ms: Option<u64> = None;
-    let mut flags = Flags(args.iter());
-    while let Some(a) = flags.next() {
-        match a {
-            "--socket" => socket = Some(flags.value(a)?),
-            "--device-cache" => device_cache = flags.value(a)?,
-            "--access-log" => access_log = Some(flags.value(a)?),
-            "--queue" => queue = Some(flags.value(a)?),
-            "--deadline-ms" => deadline_ms = Some(flags.value(a)?),
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        match a.as_str() {
+            "--socket" => socket = Some(value(a, &mut rest)?),
+            "--device-cache" => device_cache = value(a, &mut rest)?,
+            "--access-log" => access_log = Some(value(a, &mut rest)?),
+            "--queue" => queue = Some(value(a, &mut rest)?),
+            "--deadline-ms" => deadline_ms = Some(value(a, &mut rest)?),
             other => return Err(unknown_flag(" serve", other)),
         }
     }
@@ -602,11 +395,11 @@ fn client_main(args: &[String]) -> Result<ExitCode, ExitCode> {
     let mut socket: Option<String> = None;
     let mut requests: Vec<String> = Vec::new();
     let mut retries: u32 = 0;
-    let mut flags = Flags(args.iter());
-    while let Some(a) = flags.next() {
-        match a {
-            "--socket" => socket = Some(flags.value(a)?),
-            "--retries" => retries = flags.value(a)?,
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        match a.as_str() {
+            "--socket" => socket = Some(value(a, &mut rest)?),
+            "--retries" => retries = value(a, &mut rest)?,
             "--ping" | "--stats" | "--metrics" | "--shutdown" => {
                 requests.push(format!("{{\"op\":\"{}\"}}", &a[2..]))
             }
@@ -655,7 +448,7 @@ fn client_main(args: &[String]) -> Result<ExitCode, ExitCode> {
             let code = parsed
                 .as_ref()
                 .and_then(|v| v.get("exit_code"))
-                .and_then(omp_json::Value::as_u64);
+                .and_then(Value::as_u64);
             if code != Some(serve::EXIT_OVERLOAD as u64) || attempt >= retries {
                 print!("{resp}");
                 break code;
@@ -664,7 +457,7 @@ fn client_main(args: &[String]) -> Result<ExitCode, ExitCode> {
                 .as_ref()
                 .and_then(|v| v.get("error"))
                 .and_then(|e| e.get("retry_after_ms"))
-                .and_then(omp_json::Value::as_u64)
+                .and_then(Value::as_u64)
                 .unwrap_or(serve::RETRY_AFTER_MS);
             let backoff = (base << attempt.min(5)).min(1_000);
             std::thread::sleep(std::time::Duration::from_millis(backoff));
@@ -679,17 +472,12 @@ fn client_main(args: &[String]) -> Result<ExitCode, ExitCode> {
 // --telemetry support
 // ---------------------------------------------------------------------
 
-/// Turns the span tracer on for a `--telemetry PATH` invocation.
-fn telemetry_begin() {
-    omp_telemetry::clear_spans();
-    omp_telemetry::set_enabled(true);
-}
-
-/// Drains the tracer and writes the telemetry artifact: a Chrome
-/// trace-event envelope when `path` ends in `.trace.json` (load it in
-/// Perfetto or `chrome://tracing`), otherwise the `ompgpu-telemetry/v1`
-/// artifact bundling the spans with a metrics-registry snapshot.
-fn telemetry_write(path: &str, metrics: &omp_telemetry::MetricsRegistry) -> Result<(), String> {
+/// Drains the tracer and writes the telemetry artifact (`who` names the
+/// writer in an error): a Chrome trace-event envelope when `path` ends in
+/// `.trace.json` (load it in Perfetto or `chrome://tracing`), otherwise
+/// the `ompgpu-telemetry/v1` artifact bundling the spans with a metrics
+/// snapshot.
+fn telemetry_write(who: &str, path: &str, metrics: &MetricsRegistry) -> Result<(), ExitCode> {
     omp_telemetry::set_enabled(false);
     let spans = omp_telemetry::take_spans();
     let text = if path.ends_with(".trace.json") {
@@ -698,7 +486,10 @@ fn telemetry_write(path: &str, metrics: &omp_telemetry::MetricsRegistry) -> Resu
         omp_telemetry::telemetry_json(&spans, metrics)
     };
     debug_assert!(omp_json::validate(&text).is_ok());
-    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
+    std::fs::write(path, text).map_err(|e| {
+        eprintln!("{who}: cannot write {path}: {e}");
+        ExitCode::from(EXIT_BUILD)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -706,25 +497,17 @@ fn telemetry_write(path: &str, metrics: &omp_telemetry::MetricsRegistry) -> Resu
 // ---------------------------------------------------------------------
 
 /// Shape check for schema-bearing artifacts beyond plain JSON syntax.
-fn check_artifact_shape(value: &omp_json::Value, schema: &str) -> Result<(), String> {
+fn check_artifact_shape(value: &Value, schema: &str) -> Result<(), String> {
     match schema {
         "ompgpu-telemetry/v1" => {
-            if value
-                .get("spans")
-                .and_then(omp_json::Value::as_array)
-                .is_none()
-            {
+            if value.get("spans").and_then(Value::as_array).is_none() {
                 return Err("telemetry artifact lacks a spans array".to_string());
             }
             let metrics = value
                 .get("metrics")
                 .ok_or_else(|| "telemetry artifact lacks a metrics object".to_string())?;
             for section in ["counters", "gauges", "histograms"] {
-                if metrics
-                    .get(section)
-                    .and_then(omp_json::Value::as_object)
-                    .is_none()
-                {
+                if metrics.get(section).and_then(Value::as_object).is_none() {
                     return Err(format!("telemetry metrics lack the {section} object"));
                 }
             }
@@ -759,40 +542,35 @@ fn json_validate_main(args: &[String]) -> Result<ExitCode, ExitCode> {
     let Some(path) = args.first() else {
         return Err(usage());
     };
-    let text = read_source("ompgpu", path)?;
-    let values: Vec<(usize, omp_json::Value)> = match omp_json::parse(&text) {
+    let text = std::fs::read_to_string(path).map_err(|e| {
+        eprintln!("ompgpu: cannot read {path}: {e}");
+        ExitCode::from(EXIT_BUILD)
+    })?;
+    let values: Vec<(usize, Value)> = match omp_json::parse(&text) {
         Ok(v) => vec![(0, v)],
         Err(whole_file_err) => {
             // Not a single document: accept JSON-lines (every non-empty
             // line its own object), else report the whole-file error.
-            let mut records = Vec::new();
-            for (i, line) in text.lines().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match omp_json::parse(line) {
-                    Ok(v) => records.push((i + 1, v)),
-                    Err(_) => {
-                        eprintln!("ompgpu: {path}: invalid JSON: {whole_file_err}");
-                        return Err(ExitCode::from(EXIT_BUILD));
-                    }
+            let records: Result<Vec<_>, _> = text
+                .lines()
+                .enumerate()
+                .filter(|(_, line)| !line.trim().is_empty())
+                .map(|(i, line)| omp_json::parse(line).map(|v| (i + 1, v)))
+                .collect();
+            match records {
+                Ok(records) if records.len() >= 2 => records,
+                _ => {
+                    eprintln!("ompgpu: {path}: invalid JSON: {whole_file_err}");
+                    return Err(ExitCode::from(EXIT_BUILD));
                 }
             }
-            if records.len() < 2 {
-                eprintln!("ompgpu: {path}: invalid JSON: {whole_file_err}");
-                return Err(ExitCode::from(EXIT_BUILD));
-            }
-            records
         }
     };
     let mut schemas: Vec<&str> = Vec::new();
     for (line_no, value) in &values {
-        let at = if *line_no == 0 {
-            String::new()
-        } else {
-            format!(" (line {line_no})")
-        };
-        if let Some(schema) = value.get("schema").and_then(omp_json::Value::as_str) {
+        let at = (*line_no > 0).then(|| format!(" (line {line_no})"));
+        let at = at.unwrap_or_default();
+        if let Some(schema) = value.get("schema").and_then(Value::as_str) {
             if !KNOWN_SCHEMAS.contains(&schema) {
                 eprintln!("ompgpu: {path}{at}: unknown schema id {schema:?}");
                 return Err(ExitCode::from(EXIT_SCHEMA));
@@ -818,17 +596,6 @@ fn print_time_passes(report: Option<&OptReport>) {
     eprint!("{}", pipeline::render_pass_timings(timings));
 }
 
-/// Per-team cycle spread of a launch: `(min, median, max)`. The median
-/// is the lower-middle element for even team counts.
-fn team_spread(team_cycles: &[u64]) -> Option<(u64, u64, u64)> {
-    if team_cycles.is_empty() {
-        return None;
-    }
-    let mut v = team_cycles.to_vec();
-    v.sort_unstable();
-    Some((v[0], v[(v.len() - 1) / 2], v[v.len() - 1]))
-}
-
 fn profile_of(done: &JobResult) -> &LaunchProfile {
     done.profile.as_ref().expect("profiling was enabled")
 }
@@ -838,68 +605,55 @@ fn profile_of(done: &JobResult) -> &LaunchProfile {
 /// function.
 fn render_ablation(results: &[(BuildConfig, Result<JobResult, String>)]) -> String {
     use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("ablation summary:\n");
+    let mut out = String::from("ablation summary:\n");
     let _ = writeln!(
         out,
         "  {:<12} {:>12} {:>10} {:>6} {:>12}",
         "CONFIG", "CYCLES", "SMEM B", "REGS", "INSTS"
     );
     for (config, r) in results {
-        match r {
+        let name = config.cli_name();
+        let _ = match r {
             Ok(p) => {
-                let _ = writeln!(
-                    out,
-                    "  {:<12} {:>12} {:>10} {:>6} {:>12}",
-                    config.cli_name(),
-                    p.stats.cycles,
-                    p.stats.shared_mem_bytes,
-                    p.stats.registers,
-                    p.stats.instructions
-                );
+                let s = &p.stats;
+                let (c, m, g, i) = (s.cycles, s.shared_mem_bytes, s.registers, s.instructions);
+                writeln!(out, "  {name:<12} {c:>12} {m:>10} {g:>6} {i:>12}")
             }
-            Err(e) => {
-                let _ = writeln!(out, "  {:<12} failed: {}", config.cli_name(), e);
-            }
-        }
+            Err(e) => writeln!(out, "  {name:<12} failed: {e}"),
+        };
     }
+    let profiles: Vec<Option<&LaunchProfile>> = results
+        .iter()
+        .map(|(_, r)| r.as_ref().ok().map(profile_of))
+        .collect();
     // Union of profiled functions, in first-seen hot order across the
     // configurations (so the fully optimized column drives the ranking
     // of functions it still contains).
-    let mut names: Vec<String> = Vec::new();
-    for (_, r) in results.iter().rev() {
-        if let Ok(p) = r {
-            for f in profile_of(p).hot_functions() {
-                if !names.contains(&f.name) {
-                    names.push(f.name.clone());
-                }
-            }
+    let mut names: Vec<&str> = Vec::new();
+    for f in profiles
+        .iter()
+        .rev()
+        .flatten()
+        .flat_map(|p| p.hot_functions())
+    {
+        if !names.contains(&f.name.as_str()) {
+            names.push(&f.name);
         }
     }
     out.push_str("\nexclusive cycles per function (- = not present):\n");
-    let mut header = format!("  {:<28}", "FUNCTION");
+    let _ = write!(out, "  {:<28}", "FUNCTION");
     for (config, _) in results {
-        let _ = write!(header, " {:>12}", config.cli_name());
+        let _ = write!(out, " {:>12}", config.cli_name());
     }
-    out.push_str(&header);
-    out.push('\n');
-    for name in &names {
-        let mut row = format!("  {:<28}", name);
-        for (_, r) in results {
-            let cell = match r {
-                Ok(p) => profile_of(p)
-                    .functions
-                    .iter()
-                    .find(|f| &f.name == name)
-                    .map(|f| f.exclusive_cycles.to_string())
-                    .unwrap_or_else(|| "-".into()),
-                Err(_) => "-".into(),
-            };
-            let _ = write!(row, " {:>12}", cell);
+    for name in names {
+        let _ = write!(out, "\n  {name:<28}");
+        for p in &profiles {
+            let f = p.and_then(|p| p.functions.iter().find(|f| f.name == name));
+            let cell = f.map_or("-".to_string(), |f| f.exclusive_cycles.to_string());
+            let _ = write!(out, " {cell:>12}");
         }
-        out.push_str(&row);
-        out.push('\n');
     }
+    out.push('\n');
     out
 }
 
@@ -911,108 +665,27 @@ fn write_trace(path: &str, profile: &LaunchProfile) -> Result<(), String> {
     Ok(())
 }
 
-fn profile_main(args: &[String]) -> Result<ExitCode, ExitCode> {
-    let mut path: Option<String> = None;
-    let mut proxy: Option<String> = None;
-    let mut scale = Scale::Small;
-    let mut config = BuildConfig::LlvmDev;
-    let mut all_configs = false;
-    let mut kernel: Option<String> = None;
-    let mut dims = LaunchDims::default();
-    let mut jobs: Option<u32> = None;
-    let mut specs: Vec<ArgSpec> = Vec::new();
-    let mut trace: Option<String> = None;
-    let mut json = false;
-    let mut time_passes = false;
-    let mut flags = Flags(args.iter());
-    while let Some(a) = flags.next() {
-        match a {
-            "--proxy" => proxy = Some(flags.value(a)?),
-            "--scale" => scale = flags.value_with(a, parse_scale)?,
-            "--config" => config = flags.value_with(a, BuildConfig::from_cli_name)?,
-            "--all-configs" => all_configs = true,
-            "--kernel" => kernel = Some(flags.value(a)?),
-            "--teams" => dims.teams = Some(flags.value(a)?),
-            "--threads" => dims.threads = Some(flags.value(a)?),
-            "--jobs" => jobs = Some(flags.value(a)?),
-            "--trace" => trace = Some(flags.value(a)?),
-            "--json" => json = true,
-            "--time-passes" => time_passes = true,
-            "--arg" => specs.push(flags.value_with(a, ArgSpec::parse_colon)?),
-            f if !f.starts_with('-') && path.is_none() => path = Some(f.to_string()),
-            other => return Err(unknown_flag(" profile", other)),
+fn profile_main(store: &mut Store, req: &Request, knobs: &Knobs) -> Result<ExitCode, ExitCode> {
+    // A source's launch failure reads `launch failed: ...`; a proxy's
+    // carries the figures' `OOM/memory: ` tag.
+    let from_source = matches!(req.targets[0], Target::Source { .. });
+    let mut profile = |config: BuildConfig| match request::launch(store, req, config, knobs) {
+        Ok(done) => Ok(Ok(done.result)),
+        Err(RequestError::Job(JobError::Launch(sim))) if from_source => {
+            Ok(Err(format!("launch failed: {sim}")))
         }
-    }
-    let usage_error = |message: &str| usage_error("profile", message);
-    if all_configs && (json || trace.is_some()) {
-        return Err(usage_error(
-            "--json/--trace need a single configuration (drop --all-configs)",
-        ));
-    }
-
-    // Resolve the subject; `profile` runs it under one configuration.
-    let proxies = all_proxies(scale);
-    let source;
-    let subject = if let Some(name) = &proxy {
-        if path.is_some() {
-            return Err(usage_error(
-                "give either a source file or --proxy, not both",
-            ));
-        }
-        Subject::Proxy(find_proxy(&proxies, name).map_err(|e| {
-            eprintln!("ompgpu profile: [{}] {e}", config.label());
-            ExitCode::FAILURE
-        })?)
-    } else {
-        let Some(path) = path else {
-            eprintln!("ompgpu profile: need a source file or --proxy NAME");
-            return Err(usage());
-        };
-        source = read_source("ompgpu", &path)?;
-        // Fall back to the file's `// oracle-*:` header for anything the
-        // flags left unspecified.
-        if let Ok(spec) = ExampleSpec::parse(&source) {
-            kernel = kernel.or(Some(spec.kernel));
-            dims.teams = dims.teams.or(spec.teams);
-            dims.threads = dims.threads.or(spec.threads);
-            if specs.is_empty() {
-                specs = spec.args;
-            }
-        }
-        let Some(kernel) = &kernel else {
-            return Err(usage_error(&format!(
-                "--kernel NAME is required (no `// oracle-kernel:` header in {path})"
-            )));
-        };
-        Subject::Source {
-            source: &source,
-            kernel,
-            dims,
-            args: &specs,
-        }
-    };
-    let mut store = Store::new(0);
-    let mut profile = |config: BuildConfig| -> Result<JobResult, String> {
-        let job = Job {
-            mode: Mode::Profile,
-            knobs: Knobs {
-                jobs,
-                ..Knobs::default()
-            },
-            ..Job::new(subject, config)
-        };
-        job.run(&mut store).map_err(|e| match (&e, subject) {
-            (JobError::Launch(sim), Subject::Source { .. }) => format!("launch failed: {sim}"),
-            _ => e.tagged(),
-        })
+        Err(RequestError::Job(e)) => Ok(Err(e.tagged())),
+        Err(e) => Err(request_error("profile", e)),
     };
 
-    if all_configs {
+    if req.all_configs {
         // CUDA-style builds compile a different source; the ablation view
         // covers the OpenMP-source configurations the paper ablates.
-        let results: Vec<(BuildConfig, Result<JobResult, String>)> =
-            ORACLE_CONFIGS.iter().map(|&c| (c, profile(c))).collect();
-        if time_passes {
+        let results = ORACLE_CONFIGS
+            .iter()
+            .map(|&c| Ok((c, profile(c)?)))
+            .collect::<Result<Vec<_>, ExitCode>>()?;
+        if req.time_passes {
             for (config, r) in &results {
                 if let Ok(p) = r {
                     eprintln!("[{}]", config.label());
@@ -1027,24 +700,24 @@ fn profile_main(args: &[String]) -> Result<ExitCode, ExitCode> {
         });
     }
 
-    let profiled = profile(config).map_err(|e| {
-        eprintln!("ompgpu profile: [{}] {e}", config.label());
+    let profiled = profile(req.config)?.map_err(|e| {
+        eprintln!("ompgpu profile: [{}] {e}", req.config.label());
         ExitCode::FAILURE
     })?;
-    if time_passes {
+    if req.time_passes {
         print_time_passes(profiled.built.report.as_ref());
     }
-    if let Some(path) = &trace {
+    if let Some(path) = &req.trace {
         if let Err(e) = write_trace(path, profile_of(&profiled)) {
             eprintln!("ompgpu profile: {e}");
             return Err(ExitCode::FAILURE);
         }
         eprintln!("trace written to {path} (load in Perfetto or chrome://tracing)");
     }
-    if json {
-        println!("{}", profile_of(&profiled).to_json());
-    } else {
-        print!("{}", profile_of(&profiled).render());
+    let p = profile_of(&profiled);
+    match req.json {
+        true => println!("{}", p.to_json()),
+        false => print!("{}", p.render()),
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1054,73 +727,22 @@ fn main() -> ExitCode {
     let Some(mode) = args.first() else {
         return usage();
     };
-    // Launching subcommands read the `OMPGPU_*` overrides as strictly
-    // as `serve` does: a malformed one stops them before anything runs.
-    if matches!(mode.as_str(), "run" | "profile" | "verify" | "sanitize") {
-        if let Err(e) = job::env_overrides() {
-            eprintln!("ompgpu: {e}");
-            return ExitCode::from(EXIT_USAGE);
-        }
-    }
     // `Err` is a command that could not start (bad flag, unreadable
     // input); `Ok` carries the verdict of one that ran.
     let done = match mode.as_str() {
-        "verify" => verify_main(&args[1..]),
-        "profile" => profile_main(&args[1..]),
-        "sanitize" => sanitize_main(&args[1..]),
         "serve" => serve_main(&args[1..]),
         "client" => client_main(&args[1..]),
         "json-validate" => json_validate_main(&args[1..]),
-        _ => build_or_run_main(mode, &args[1..]),
+        "build" | "run" | "profile" | "sanitize" | "verify" => request_main(mode, &args[1..]),
+        _ => Err(usage()),
     };
     done.unwrap_or_else(|code| code)
 }
 
-fn build_or_run_main(mode: &str, args: &[String]) -> Result<ExitCode, ExitCode> {
-    let Some(path) = args.first() else {
-        return Err(usage());
-    };
-    let source = read_source("ompgpu", path)?;
-    let mut config = BuildConfig::LlvmDev;
-    let mut emit_ir = false;
-    let mut show_remarks = false;
-    let mut time_passes = false;
-    let mut json = false;
-    let mut kernel: Option<String> = None;
-    let mut dims = LaunchDims::default();
-    let mut knobs = Knobs::default();
-    let mut specs: Vec<ArgSpec> = Vec::new();
-    let mut dump = 0usize;
-    let mut telemetry: Option<String> = None;
-    let mut flags = Flags(args[1..].iter());
-    while let Some(a) = flags.next() {
-        match a {
-            "--config" => config = flags.value_with(a, BuildConfig::from_cli_name)?,
-            "--telemetry" => telemetry = Some(flags.value(a)?),
-            "--emit-ir" => emit_ir = true,
-            "--remarks" => show_remarks = true,
-            "--time-passes" => time_passes = true,
-            "--json" => json = true,
-            "--kernel" => kernel = Some(flags.value(a)?),
-            "--teams" => dims.teams = Some(flags.value(a)?),
-            "--threads" => dims.threads = Some(flags.value(a)?),
-            "--jobs" => knobs.jobs = Some(flags.value(a)?),
-            "--max-insts" => knobs.max_insts = Some(flags.value(a)?),
-            "--tier" => knobs.tier = Some(flags.value_with(a, Tier::parse)?),
-            "--dump" => dump = flags.value(a)?,
-            "--arg" => specs.push(flags.value_with(a, ArgSpec::parse_colon)?),
-            other => return Err(unknown_flag("", other)),
-        }
-    }
-
-    if telemetry.is_some() {
-        telemetry_begin();
-    }
-    let mut store = Store::new(0);
-    let built = store.build(&source, config).map_err(|e| {
-        eprintln!("ompgpu: {e}");
-        ExitCode::from(e.exit_code())
-    })?;
+/// `build`, and `run`, which then launches what it built.
+fn build_main(store: &mut Store, req: &Request, knobs: &Knobs) -> Result<ExitCode, ExitCode> {
+    let config = req.config;
+    let built = request::compile(store, req).map_err(|e| request_error(&req.op, e))?;
     let report = built.report.as_ref();
     if let Some(r) = report {
         let c = r.counts;
@@ -1134,102 +756,80 @@ fn build_or_run_main(mode: &str, args: &[String]) -> Result<ExitCode, ExitCode> 
             c.folds_exec_mode + c.folds_parallel_level + c.folds_launch_params,
             r.remarks.len()
         );
-        if show_remarks {
+        if req.remarks {
             for remark in r.remarks.all() {
                 eprintln!("{remark}");
             }
         }
     }
-    if time_passes {
+    if req.time_passes {
         print_time_passes(report);
     }
-    let mut metrics = omp_telemetry::MetricsRegistry::new();
+    let mut metrics = MetricsRegistry::new();
     if let Some(r) = report {
         pipeline::record_pipeline_metrics(r, &mut metrics);
     }
-    match mode {
-        "build" => {
-            if emit_ir {
-                print!("{}", omp_ir::printer::print_module(&built.module));
-            } else {
-                for k in &built.module.kernels {
-                    println!(
-                        "kernel {} ({:?} mode, {} functions in module)",
-                        k.source_name,
-                        k.exec_mode,
-                        built.module.num_functions()
-                    );
-                }
+    if req.op == "build" {
+        if req.emit_ir {
+            print!("{}", omp_ir::printer::print_module(&built.module));
+        } else {
+            for k in &built.module.kernels {
+                println!(
+                    "kernel {} ({:?} mode, {} functions in module)",
+                    k.source_name,
+                    k.exec_mode,
+                    built.module.num_functions()
+                );
             }
         }
-        "run" => {
-            let Some(kernel) = &kernel else {
-                eprintln!("ompgpu run: --kernel NAME is required");
-                return Err(usage());
-            };
-            let job = Job {
-                knobs,
-                readback: match dump {
-                    0 => Readback::None,
-                    n => Readback::Head(n),
-                },
-                ..Job::new(
-                    Subject::Source {
-                        source: &source,
-                        kernel,
-                        dims,
-                        args: &specs,
-                    },
-                    config,
-                )
-            };
-            let done = job.launch(&mut store, &built).map_err(|e| {
-                match &e {
-                    JobError::Launch(sim) => {
-                        if json {
-                            println!("{}", sim.to_json());
-                        }
-                        eprintln!("ompgpu: launch failed: {sim}");
-                    }
-                    _ => eprintln!("ompgpu: {e}"),
-                }
-                ExitCode::from(e.exit_code())
-            })?;
-            let stats = &done.stats;
-            if json {
-                println!("{}", done.stats_json());
-            } else {
-                println!(
-                    "kernel time: {} cycles   regs: {}   smem: {} B   heap: {} B",
-                    stats.cycles, stats.registers, stats.shared_mem_bytes, stats.heap_bytes
-                );
-                println!(
-                    "insts: {}   mem accesses: {} ({} coalesced / {} scattered)   barriers: {}",
-                    stats.instructions,
-                    stats.memory_accesses,
-                    stats.coalesced_accesses,
-                    stats.uncoalesced_accesses,
-                    stats.barriers
-                );
-                if let Some((min, median, max)) = team_spread(&stats.team_cycles) {
-                    println!(
-                        "team cycles: min {min} / median {median} / max {max} ({} teams)",
-                        stats.team_cycles.len()
-                    );
-                }
-            }
-            for (i, b) in done.buffers.iter().enumerate() {
-                println!("buf{i}{b}");
-            }
-            stats.snapshot().record_metrics(&mut metrics);
+    } else {
+        // `run` names its kernel; the rest of the launch may come from
+        // the source's `// oracle-*:` header.
+        if req.kernel.is_none() {
+            eprintln!("ompgpu run: --kernel NAME is required");
+            return Err(usage());
         }
-        _ => return Err(usage()),
-    }
-    if let Some(tpath) = &telemetry {
-        telemetry_write(tpath, &metrics).map_err(|e| {
-            eprintln!("ompgpu: {e}");
-            ExitCode::from(EXIT_BUILD)
+        let done = request::launch(store, req, config, knobs).map_err(|e| match e {
+            RequestError::Job(JobError::Launch(sim)) => {
+                if req.json {
+                    println!("{}", sim.to_json());
+                }
+                eprintln!("ompgpu: launch failed: {sim}");
+                ExitCode::from(JobError::Launch(sim).exit_code())
+            }
+            e => request_error("run", e),
         })?;
+        let (done, stats) = (&done.result, &done.result.stats);
+        if req.json {
+            println!("{}", done.stats_json());
+        } else {
+            println!(
+                "kernel time: {} cycles   regs: {}   smem: {} B   heap: {} B",
+                stats.cycles, stats.registers, stats.shared_mem_bytes, stats.heap_bytes
+            );
+            println!(
+                "insts: {}   mem accesses: {} ({} coalesced / {} scattered)   barriers: {}",
+                stats.instructions,
+                stats.memory_accesses,
+                stats.coalesced_accesses,
+                stats.uncoalesced_accesses,
+                stats.barriers
+            );
+            let mut teams = stats.team_cycles.clone();
+            teams.sort_unstable();
+            if let (Some(min), Some(max)) = (teams.first(), teams.last()) {
+                // The lower-middle element for even team counts.
+                let (median, n) = (teams[(teams.len() - 1) / 2], teams.len());
+                println!("team cycles: min {min} / median {median} / max {max} ({n} teams)");
+            }
+        }
+        for (i, b) in done.buffers.iter().enumerate() {
+            println!("buf{i}{b}");
+        }
+        stats.snapshot().record_metrics(&mut metrics);
+    }
+    if let Some(tpath) = &req.telemetry {
+        telemetry_write("ompgpu", tpath, &metrics)?;
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -4,7 +4,7 @@ use omp_frontend::{FrontendOptions, GlobalizationScheme};
 use omp_opt::OpenMpOptConfig;
 
 /// One build configuration from the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BuildConfig {
     /// LLVM 12: legacy aggregated/coalesced globalization with runtime
     /// checks, no OpenMP middle-end optimizations. The baseline (1.0×)
@@ -21,6 +21,7 @@ pub enum BuildConfig {
     H2S2RtcCsm,
     /// The full LLVM Dev pipeline: `h2s²` + folding + SPMDization
     /// (the paper's "LLVM Dev 0").
+    #[default]
     LlvmDev,
     /// CUDA-style source compiled without globalization — the watermark.
     CudaStyle,

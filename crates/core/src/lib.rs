@@ -36,6 +36,7 @@ pub mod config;
 pub mod job;
 pub mod oracle;
 pub mod pipeline;
+pub mod request;
 pub mod serve;
 
 pub use config::BuildConfig;
@@ -49,11 +50,12 @@ pub use omp_gpusim::{
 };
 pub use omp_ir::Module;
 pub use omp_opt::{OpenMpOptConfig, OptReport, PassStat, PassTiming};
-pub use oracle::{OracleCase, OracleReport, VerifyOptions};
+pub use oracle::OracleCase;
 pub use pipeline::{
-    build, profile_proxy, render_pass_timings, run_all_configs, run_proxy, sanitize,
-    sanitize_report_json, sanitize_source, ProfiledRun, RunOutcome, SanitizeOutcome,
+    build, render_pass_timings, run_all_configs, run_proxy, sanitize, sanitize_report_json,
+    sanitize_source, RunOutcome, SanitizeOutcome,
 };
+pub use request::Request;
 pub use serve::{
     serve_unix, spawn_executor, ExecShared, ExecutorHandle, ServeJob, Session, SessionStats,
     TierStats,

@@ -14,21 +14,21 @@
 //!
 //! Two kinds of subject are supported:
 //!
-//! * the four proxy benchmarks ([`verify_proxy`], [`verify_proxies`]) —
+//! * the four proxy benchmarks ([`verify_subject`]) —
 //!   outputs are the proxy's `f64` result buffer, additionally checked
 //!   against the host reference implementation;
-//! * small frontend examples ([`verify_example`],
-//!   [`verify_examples_dir`]) — `.c` files with an `// oracle-*:` spec
-//!   header (see [`ExampleSpec`]) describing the kernel, launch
-//!   geometry, and deterministic argument initialization; outputs are
-//!   every buffer argument, read back bit-for-bit.
+//! * small frontend examples ([`verify_source`], [`example_files`]) —
+//!   `.c` files with an `// oracle-*:` spec header (see [`ExampleSpec`])
+//!   describing the kernel, launch geometry, and deterministic argument
+//!   initialization; outputs are every buffer argument, read back
+//!   bit-for-bit.
 //!
-//! `ompgpu verify` and `crates/core/tests/differential.rs` are thin
-//! drivers over this module.
+//! `ompgpu verify`, the serve `verify` op (both through
+//! [`request::verify`](crate::request::verify)) and
+//! `crates/core/tests/differential.rs` are thin drivers over this module.
 
 use crate::config::BuildConfig;
 use crate::job::{Built, Job, JobError, JobResult, Knobs, Readback, Store, Subject};
-use omp_benchmarks::{all_proxies, ProxyApp, Scale};
 use omp_gpusim::{LaunchDims, StatsSnapshot};
 use omp_json::JsonWriter;
 use omp_opt::PassStat;
@@ -160,54 +160,37 @@ impl OracleCase {
         w.end_object();
         w.finish()
     }
-}
 
-/// Report over a set of subjects.
-#[derive(Debug, Clone, Default)]
-pub struct OracleReport {
-    /// One entry per verified subject.
-    pub cases: Vec<OracleCase>,
-}
-
-impl OracleReport {
-    /// Whether every case passed.
-    pub fn passed(&self) -> bool {
-        self.cases.iter().all(|c| c.passed())
-    }
-
-    /// Human-readable summary, one block per case.
+    /// The `ompgpu verify` text block of the case.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        for case in &self.cases {
-            out.push_str(&format!(
-                "{} {} ({}/{} configs executed)\n",
-                if case.passed() { "PASS" } else { "FAIL" },
-                case.name,
-                case.successes(),
-                case.results.len()
-            ));
-            for r in &case.results {
-                match (&r.stats, &r.error) {
-                    (Some(s), _) => out.push_str(&format!(
-                        "  {:<40} cycles={:<10} heap={:<8} smem={:<6} galloc={}\n",
-                        r.config.label(),
-                        s.cycles,
-                        s.heap_bytes,
-                        s.shared_mem_bytes,
-                        s.globalization_allocs
-                    )),
-                    (None, Some(e)) => {
-                        out.push_str(&format!("  {:<40} error: {e}\n", r.config.label()))
-                    }
-                    (None, None) => unreachable!("failed result without error"),
+        let mut out = format!(
+            "{} {} ({}/{} configs executed)\n",
+            if self.passed() { "PASS" } else { "FAIL" },
+            self.name,
+            self.successes(),
+            self.results.len()
+        );
+        for r in &self.results {
+            match (&r.stats, &r.error) {
+                (Some(s), _) => out.push_str(&format!(
+                    "  {:<40} cycles={:<10} heap={:<8} smem={:<6} galloc={}\n",
+                    r.config.label(),
+                    s.cycles,
+                    s.heap_bytes,
+                    s.shared_mem_bytes,
+                    s.globalization_allocs
+                )),
+                (None, Some(e)) => {
+                    out.push_str(&format!("  {:<40} error: {e}\n", r.config.label()))
                 }
+                (None, None) => unreachable!("failed result without error"),
             }
-            for e in &case.expected_failures {
-                out.push_str(&format!("  (expected) {e}\n"));
-            }
-            for f in &case.failures {
-                out.push_str(&format!("  DIVERGENCE: {f}\n"));
-            }
+        }
+        for e in &self.expected_failures {
+            out.push_str(&format!("  (expected) {e}\n"));
+        }
+        for f in &self.failures {
+            out.push_str(&format!("  DIVERGENCE: {f}\n"));
         }
         out
     }
@@ -375,12 +358,6 @@ impl ExampleSpec {
 // Execution
 // ---------------------------------------------------------------------
 
-/// Per-run oracle knobs. The watchdog turns a hung configuration into
-/// an ordinary per-configuration failure (with a structured timeout
-/// diagnostic) instead of stalling the matrix; `Default` leaves every
-/// device default in place.
-pub type VerifyOptions = Knobs;
-
 /// Derives the verdict from per-configuration results: bit-identical
 /// outputs across every successful configuration, tolerated documented
 /// failures, and monotone resource statistics along [`ABLATION_CHAIN`].
@@ -498,18 +475,20 @@ pub fn finish_case(name: &str, results: Vec<CaseResult>) -> OracleCase {
 
 /// Runs `subject` under every [`ORACLE_CONFIGS`] entry on `store` and
 /// derives the verdict. The configurations share the store's frontend
-/// tier, so the matrix needs at most two frontend runs.
+/// tier, so the matrix needs at most two frontend runs. A `knobs`
+/// watchdog turns a hung configuration into an ordinary
+/// per-configuration failure instead of stalling the matrix.
 pub fn verify_subject(
     store: &mut Store,
     name: &str,
     subject: Subject,
-    opts: &VerifyOptions,
+    knobs: &Knobs,
 ) -> OracleCase {
     let results = ORACLE_CONFIGS
         .iter()
         .map(|&config| {
             let job = Job {
-                knobs: opts.clone(),
+                knobs: knobs.clone(),
                 readback: Readback::All,
                 ..Job::new(subject, config)
             };
@@ -519,31 +498,11 @@ pub fn verify_subject(
     finish_case(name, results)
 }
 
-/// Verifies one proxy benchmark across the full matrix.
-pub fn verify_proxy(app: &dyn ProxyApp, opts: &VerifyOptions) -> OracleCase {
-    verify_subject(&mut Store::new(0), app.name(), Subject::Proxy(app), opts)
-}
-
-/// Verifies all four proxy benchmarks.
-pub fn verify_proxies(scale: Scale, opts: &VerifyOptions) -> OracleReport {
-    OracleReport {
-        cases: all_proxies(scale)
-            .iter()
-            .map(|a| verify_proxy(a.as_ref(), opts))
-            .collect(),
-    }
-}
-
 /// Verifies one example source (with an `// oracle-*:` header) across
 /// the full matrix on `store`.
-pub fn verify_source(
-    store: &mut Store,
-    name: &str,
-    source: &str,
-    opts: &VerifyOptions,
-) -> OracleCase {
+pub fn verify_source(store: &mut Store, name: &str, source: &str, knobs: &Knobs) -> OracleCase {
     match ExampleSpec::parse(source) {
-        Ok(spec) => verify_subject(store, name, spec.subject(source), opts),
+        Ok(spec) => verify_subject(store, name, spec.subject(source), knobs),
         Err(e) => OracleCase {
             name: name.to_string(),
             results: Vec::new(),
@@ -553,11 +512,6 @@ pub fn verify_source(
     }
 }
 
-/// [`verify_source`] against a fresh store.
-pub fn verify_example(name: &str, source: &str, opts: &VerifyOptions) -> OracleCase {
-    verify_source(&mut Store::new(0), name, source, opts)
-}
-
 /// The report name of a subject file: its stem.
 pub fn subject_name(path: &std::path::Path) -> String {
     path.file_stem()
@@ -565,18 +519,8 @@ pub fn subject_name(path: &std::path::Path) -> String {
         .unwrap_or_else(|| path.display().to_string())
 }
 
-/// [`verify_example`] of a source file, named by its stem.
-pub fn verify_file(path: &std::path::Path, opts: &VerifyOptions) -> Result<OracleCase, String> {
-    let source = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    Ok(verify_example(&subject_name(path), &source, opts))
-}
-
-/// Verifies every `.c` file in a directory of oracle examples.
-pub fn verify_examples_dir(
-    dir: &std::path::Path,
-    opts: &VerifyOptions,
-) -> Result<OracleReport, String> {
+/// The `.c` files of a directory of oracle examples, sorted.
+pub fn example_files(dir: &std::path::Path) -> Result<Vec<std::path::PathBuf>, String> {
     let mut entries: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
         .filter_map(|e| e.ok())
@@ -587,9 +531,7 @@ pub fn verify_examples_dir(
     if entries.is_empty() {
         return Err(format!("no .c examples in {}", dir.display()));
     }
-    let cases: Result<Vec<OracleCase>, String> =
-        entries.iter().map(|p| verify_file(p, opts)).collect();
-    Ok(OracleReport { cases: cases? })
+    Ok(entries)
 }
 
 #[cfg(test)]
@@ -641,7 +583,7 @@ void k(double* a) {
   for (long i = 0; i < 8; i++) { a[i] = 1.0; }
 }
 "#;
-        let case = verify_example("missing-kernel", src, &VerifyOptions::default());
+        let case = verify_source(&mut Store::new(0), "missing-kernel", src, &Knobs::default());
         assert!(!case.passed());
         assert_eq!(case.successes(), 0);
     }
@@ -658,7 +600,7 @@ void scale(double* a, double f, long n) {
   for (long i = 0; i < n; i++) { a[i] = a[i] * f; }
 }
 "#;
-        let case = verify_example("scale", src, &VerifyOptions::default());
+        let case = verify_source(&mut Store::new(0), "scale", src, &Knobs::default());
         assert!(case.passed(), "{:?}", case.failures);
         assert_eq!(case.successes(), ORACLE_CONFIGS.len());
     }

@@ -8,7 +8,7 @@ use crate::job::{
 use crate::oracle::ExampleSpec;
 use omp_benchmarks::ProxyApp;
 use omp_frontend::CompileError;
-use omp_gpusim::{Finding, KernelStats, LaunchProfile, Severity, SimError, StatsSnapshot};
+use omp_gpusim::{Finding, KernelStats, Severity, SimError, StatsSnapshot};
 use omp_ir::Module;
 use omp_opt::{OptReport, PassStat, PassTiming};
 use std::collections::HashMap;
@@ -430,42 +430,23 @@ impl RunOutcome {
     }
 }
 
-/// Result of one profiled proxy run: the ordinary [`RunOutcome`] plus
-/// the cycle-attribution profile (present whenever the launch ran).
-#[derive(Debug)]
-pub struct ProfiledRun {
-    /// The ordinary outcome (stats, error, optimizer report).
-    pub outcome: RunOutcome,
-    /// The launch profile; `None` when the build or launch failed.
-    pub profile: Option<LaunchProfile>,
-}
-
-impl ProfiledRun {
-    /// Runs `job` against a fresh store, keeping the optimizer report
-    /// even when the launch fails.
-    fn of(job: &Job) -> ProfiledRun {
-        let mut store = Store::new(0);
-        let built = job.build(&mut store);
-        let report = built.as_ref().ok().and_then(|b| b.report.clone());
-        let (stats, profile, error) = match built.and_then(|b| job.launch(&mut store, &b)) {
-            Ok(r) => (Some(r.stats), r.profile, None),
-            Err(e) => (None, None, Some(e)),
-        };
-        ProfiledRun {
-            outcome: RunOutcome {
-                config: job.config,
-                stats,
-                error,
-                report,
-            },
-            profile,
-        }
-    }
-}
-
-/// Builds and runs `app` under `config`, verifying results on success.
+/// Builds and runs `app` under `config` against a fresh store, verifying
+/// results on success and keeping the optimizer report even when the
+/// launch fails.
 pub fn run_proxy(app: &dyn ProxyApp, config: BuildConfig) -> RunOutcome {
-    ProfiledRun::of(&Job::new(Subject::Proxy(app), config)).outcome
+    let (job, mut store) = (Job::new(Subject::Proxy(app), config), Store::new(0));
+    let built = job.build(&mut store);
+    let report = built.as_ref().ok().and_then(|b| b.report.clone());
+    let (stats, error) = match built.and_then(|b| job.launch(&mut store, &b)) {
+        Ok(r) => (Some(r.stats), None),
+        Err(e) => (None, Some(e)),
+    };
+    RunOutcome {
+        config,
+        stats,
+        error,
+        report,
+    }
 }
 
 /// Runs one proxy under every configuration.
@@ -474,20 +455,6 @@ pub fn run_all_configs(app: &dyn ProxyApp) -> Vec<RunOutcome> {
         .iter()
         .map(|&c| run_proxy(app, c))
         .collect()
-}
-
-/// Builds and runs `app` under `config` with profiling enabled,
-/// verifying results on success. `jobs` overrides the host worker-thread
-/// count when given (profiles are bit-identical for every setting).
-pub fn profile_proxy(app: &dyn ProxyApp, config: BuildConfig, jobs: Option<u32>) -> ProfiledRun {
-    ProfiledRun::of(&Job {
-        mode: Mode::Profile,
-        knobs: Knobs {
-            jobs,
-            ..Knobs::default()
-        },
-        ..Job::new(Subject::Proxy(app), config)
-    })
 }
 
 /// Renders the pass-timing table printed by `--time-passes`. Wall times

@@ -2,13 +2,12 @@
 //!
 //! A [`Session`] is a long-lived compilation context around one
 //! [`Store`](crate::job::Store): the frontend, optimized and device
-//! cache tiers every request's jobs run against (`docs/SERVE.md`
-//! has the full protocol specification). Each op is a reducer over the
-//! job path the CLI uses — build [`Job`](crate::job::Job)s, run them on
-//! the store, render the payload — split here along its seams:
-//! `protocol` (wire vocabulary), `session` (accounting, deadlines,
-//! panic isolation, ops), `executor` (FIFO thread) and `transport`
-//! (Unix socket).
+//! cache tiers every request's jobs run against (`docs/SERVE.md` has
+//! the full protocol specification). A line decodes into the
+//! [`Request`](crate::request::Request) an `ompgpu` argv does, and each
+//! op runs the reducer the CLI runs: `protocol` (envelopes), `session`
+//! (accounting, deadlines, panic isolation, payloads), `executor` (FIFO
+//! thread) and `transport` (Unix socket).
 //!
 //! Requests arrive as JSON-lines (`ompgpu-serve/v1`); each response
 //! carries per-request cache hit/miss accounting in its envelope and a
@@ -405,6 +404,36 @@ void scale(double* a, double f, long n) {
             msg,
             "unknown fault stage \"replay\" (known: frontend, optimize, device, launch)"
         );
+    }
+
+    #[test]
+    fn out_of_range_and_mistyped_wire_values_are_usage_errors() {
+        let mut s = Session::default();
+        // Each integer fits a u64 but not its field: 4294967298 teams
+        // used to launch 2 teams, and a watchdog whose milliseconds
+        // overflow used to launch with no watchdog at all.
+        for (op, field, value) in [
+            ("run", "teams", "4294967298"),
+            ("run", "threads", "4294967296"),
+            ("profile", "jobs", "4294967297"),
+            ("run", "watchdog_secs", "18446744073709552"),
+            ("sanitize", "all_configs", "\"yes\""),
+        ] {
+            let line = format!("{{\"op\":\"{op}\",\"source\":{SRC:?},\"{field}\":{value}}}");
+            let v = request(&mut s, &line);
+            let message = v.get("error").and_then(|e| e.get("message"));
+            let expected = match field {
+                "all_configs" => "field \"all_configs\" must be a boolean".to_string(),
+                _ => format!("invalid value \"{value}\" for field \"{field}\""),
+            };
+            assert_eq!(message.and_then(Value::as_str), Some(expected.as_str()));
+            assert_eq!(v.get("exit_code").and_then(Value::as_u64), Some(2));
+        }
+        // The largest watchdog whose milliseconds still fit is accepted.
+        let line =
+            format!("{{\"op\":\"run\",\"source\":{SRC:?},\"watchdog_secs\":18446744073709551}}");
+        let v = request(&mut s, &line);
+        assert_eq!(v.get("exit_code").and_then(Value::as_u64), Some(0));
     }
 
     #[test]

@@ -1,14 +1,11 @@
-//! The long-lived compile session: request accounting, deadlines,
-//! panic isolation and the per-op reducers around one [`Store`].
+//! The long-lived compile session: request accounting, deadlines and
+//! panic isolation around the [`request`] reducers on one [`Store`].
 
 use super::protocol::*;
-use crate::job::{
-    env_overrides, Job, JobError, Knobs, Mode, Readback, Stage, StageFault, Store, Subject,
-    TierCounts,
-};
-use crate::oracle::{self, ArgSpec, ExampleSpec, ORACLE_CONFIGS};
-use crate::pipeline::{self, SanitizeOutcome};
-use omp_gpusim::{FaultPlan, LaunchDims, SimError, SimErrorKind};
+use crate::job::{env_overrides, JobError, Knobs, Stage, Store, TierCounts};
+use crate::pipeline;
+use crate::request::{self, Launched, Request, RequestError};
+use omp_gpusim::{SimError, SimErrorKind};
 use omp_json::JsonWriter;
 use std::io::Write;
 use std::path::Path;
@@ -191,8 +188,8 @@ impl Session {
         self.stats.requests += 1;
         let mut panicked = false;
         let (id, op, outcome) = match Request::decode(line) {
-            Err(early) => early,
-            Ok(req) => {
+            (id, op, Err(e)) => (id, op, e.into()),
+            (_, _, Ok(req)) => {
                 if let Some(name) = ALL_OPS.iter().find(|o| **o == req.op) {
                     *self.stats.ops.entry(name).or_insert(0) += 1;
                 }
@@ -252,7 +249,7 @@ impl Session {
         if let Some(ms) = deadline_ms.filter(|ms| queued_ms >= *ms) {
             // Expired while queued: never dispatched, so the caches and
             // devices are untouched.
-            return JobError::Launch(SimError::deadline_exceeded(ms)).into();
+            return RequestError::Job(JobError::Launch(SimError::deadline_exceeded(ms))).into();
         }
         self.current_deadline = deadline_ms.map(|ms| (ms, ms - queued_ms));
         // A panicking op must not take down the executor. `finish`
@@ -310,19 +307,34 @@ impl Session {
     }
 
     fn dispatch(&mut self, req: &Request) -> Outcome {
-        let done = match req.op.as_str() {
+        let (knobs, deadline_ms) = self.knobs(req);
+        let store = &mut self.store;
+        let done: Result<Outcome, RequestError> = match req.op.as_str() {
             "ping" => Ok(Outcome::ok("{\"pong\":true}".to_string())),
             "metrics" => Ok(Outcome::ok(self.render_metrics())),
             "stats" => Ok(Outcome::ok(self.render_stats())),
             "shutdown" => Ok(Outcome::ok("{\"shutting_down\":true}".to_string())),
-            "compile" => self.op_compile(req),
-            "run" => self.op_launch(req, Mode::Plain),
-            "profile" => self.op_launch(req, Mode::Profile),
-            "verify" => self.op_verify(req),
-            "sanitize" => self.op_sanitize(req),
-            _ => unreachable!("op validated in Request::from_value"),
+            "compile" => request::compile(store, req).map(|b| Outcome::ok(b.compile_json())),
+            "run" | "profile" => request::launch(store, req, req.config, &knobs)
+                .map_err(|e| deadline_expiry(e, deadline_ms))
+                .map(|done| Outcome::ok(launch_json(req, &done))),
+            "verify" => request::verify(store, req, &knobs).map(|cases| {
+                let exit = if cases[0].passed() {
+                    EXIT_OK
+                } else {
+                    EXIT_DIVERGED
+                };
+                Outcome::ok_with_exit(exit, cases[0].to_json())
+            }),
+            "sanitize" => request::sanitize(store, req, &knobs).map(|(subject, outcomes)| {
+                Outcome::ok_with_exit(
+                    pipeline::sanitize_exit_code(&outcomes),
+                    pipeline::sanitize_report_json(&subject, &outcomes),
+                )
+            }),
+            _ => unreachable!("op validated by the field table"),
         };
-        done.unwrap_or_else(|failure| failure)
+        done.unwrap_or_else(Outcome::from)
     }
 
     /// The device knobs of `req`. The effective wall-clock watchdog is
@@ -331,134 +343,15 @@ impl Session {
     /// total budget when the deadline is the binding constraint, so a
     /// watchdog expiry can be reported as the deadline expiring.
     fn knobs(&self, req: &Request) -> (Knobs, Option<u64>) {
-        let watchdog_ms = req.watchdog_secs.checked_mul(1000).filter(|ms| *ms > 0);
-        let (budget_ms, deadline_total) = match self.current_deadline {
+        let mut knobs = req.knobs();
+        let watchdog_ms = knobs.watchdog.map(|w| w.as_millis() as u64);
+        match self.current_deadline {
             Some((total, remaining)) if watchdog_ms.is_none_or(|w| remaining <= w) => {
-                (Some(remaining), Some(total))
+                knobs.watchdog = Some(Duration::from_millis(remaining));
+                (knobs, Some(total))
             }
-            _ => (watchdog_ms, None),
-        };
-        let trap_at_inst = matches!(
-            req.fault,
-            Some(StageFault {
-                stage: Stage::Launch,
-                panic: false,
-            })
-        )
-        .then_some(0);
-        let knobs = Knobs {
-            jobs: req.jobs,
-            tier: None,
-            max_insts: req.max_insts,
-            watchdog: budget_ms.map(Duration::from_millis),
-            fault: FaultPlan {
-                trap_at_inst,
-                ..FaultPlan::default()
-            },
-        };
-        (knobs, deadline_total)
-    }
-
-    fn op_compile(&mut self, req: &Request) -> Result<Outcome, Outcome> {
-        let built = self.store.build(req.source()?, req.config)?;
-        Ok(Outcome::ok(built.compile_json()))
-    }
-
-    /// `run` and `profile`: one job with kernel/dims/args from request
-    /// fields, the source's `// oracle-*:` header as fallback (same
-    /// precedence as the CLI).
-    fn op_launch(&mut self, req: &Request, mode: Mode) -> Result<Outcome, Outcome> {
-        let source = req.source()?;
-        let header = ExampleSpec::parse(source).ok();
-        let header = header.as_ref();
-        let kernel = req
-            .kernel
-            .as_deref()
-            .or(header.map(|s| s.kernel.as_str()))
-            .ok_or_else(|| usage("need a \"kernel\" field (or an `// oracle-kernel:` header)"))?;
-        let args: &[ArgSpec] = match (&req.args, header) {
-            (Some(args), _) => args,
-            (None, Some(s)) => &s.args,
-            (None, None) => &[],
-        };
-        let (knobs, deadline_ms) = self.knobs(req);
-        let job = Job {
-            subject: Subject::Source {
-                source,
-                kernel,
-                dims: LaunchDims {
-                    teams: req.teams.or(header.and_then(|s| s.teams)),
-                    threads: req.threads.or(header.and_then(|s| s.threads)),
-                },
-                args,
-            },
-            config: req.config,
-            mode,
-            knobs,
-            readback: match mode {
-                Mode::Plain if req.dump > 0 => Readback::Head(req.dump),
-                _ => Readback::None,
-            },
-        };
-        // A watchdog timeout that fired under a binding request deadline
-        // *is* the deadline expiring: report the dedicated error and
-        // exit code instead of a generic simulation failure.
-        let done = job
-            .run(&mut self.store)
-            .map_err(|e| match (e, deadline_ms) {
-                (JobError::Launch(e), Some(total))
-                    if matches!(e.kind, SimErrorKind::Timeout { .. }) =>
-                {
-                    JobError::Launch(SimError::deadline_exceeded(total).with_threads(e.threads))
-                }
-                (e, _) => e,
-            })?;
-        let mut w = JsonWriter::with_capacity(1024);
-        w.begin_object();
-        w.key("config").string(req.config.cli_name());
-        w.key("kernel").string(kernel);
-        w.key("stats").raw(&done.stats_json());
-        if let Some(profile) = &done.profile {
-            w.key("profile").raw(&profile.to_json());
+            _ => (knobs, None),
         }
-        if job.readback != Readback::None {
-            w.key("dump").begin_array();
-            for b in &done.buffers {
-                b.write_json(&mut w);
-            }
-            w.end_array();
-        }
-        w.end_object();
-        Ok(Outcome::ok(w.finish()))
-    }
-
-    fn op_verify(&mut self, req: &Request) -> Result<Outcome, Outcome> {
-        let knobs = self.knobs(req).0;
-        let case = oracle::verify_source(&mut self.store, &req.subject, req.source()?, &knobs);
-        let exit = if case.passed() {
-            EXIT_OK
-        } else {
-            EXIT_DIVERGED
-        };
-        Ok(Outcome::ok_with_exit(exit, case.to_json()))
-    }
-
-    fn op_sanitize(&mut self, req: &Request) -> Result<Outcome, Outcome> {
-        let source = req.source()?;
-        let spec = ExampleSpec::parse(source).map_err(JobError::Spec)?;
-        let configs = match req.all_configs {
-            true => &ORACLE_CONFIGS[..],
-            false => std::slice::from_ref(&req.config),
-        };
-        let knobs = self.knobs(req).0;
-        let outcomes: Vec<SanitizeOutcome> = configs
-            .iter()
-            .map(|&c| pipeline::sanitize(&mut self.store, spec.subject(source), c, &knobs))
-            .collect();
-        Ok(Outcome::ok_with_exit(
-            pipeline::sanitize_exit_code(&outcomes),
-            pipeline::sanitize_report_json(&req.subject, &outcomes),
-        ))
     }
 
     /// The current metrics registry: the live latency/batch-size
@@ -531,4 +424,39 @@ impl Session {
         w.end_object();
         w.finish()
     }
+}
+
+/// A watchdog timeout that fired under a binding request deadline *is*
+/// the deadline expiring: report the dedicated error and exit code
+/// instead of a generic simulation failure.
+fn deadline_expiry(e: RequestError, deadline_ms: Option<u64>) -> RequestError {
+    match (e, deadline_ms) {
+        (RequestError::Job(JobError::Launch(e)), Some(total))
+            if matches!(e.kind, SimErrorKind::Timeout { .. }) =>
+        {
+            JobError::Launch(SimError::deadline_exceeded(total).with_threads(e.threads)).into()
+        }
+        (e, _) => e,
+    }
+}
+
+/// The `run`/`profile` payload.
+fn launch_json(req: &Request, done: &Launched) -> String {
+    let mut w = JsonWriter::with_capacity(1024);
+    w.begin_object();
+    w.key("config").string(req.config.cli_name());
+    w.key("kernel").string(&done.kernel);
+    w.key("stats").raw(&done.result.stats_json());
+    if let Some(profile) = &done.result.profile {
+        w.key("profile").raw(&profile.to_json());
+    }
+    if req.op == "run" && req.dump > 0 {
+        w.key("dump").begin_array();
+        for b in &done.result.buffers {
+            b.write_json(&mut w);
+        }
+        w.end_array();
+    }
+    w.end_object();
+    w.finish()
 }

@@ -339,6 +339,16 @@ fn malformed_flag_values_are_usage_errors() {
             &["verify", "--watchdog", "soon"],
             "invalid value \"soon\" for --watchdog",
         ),
+        // Integers that parse but do not fit their field: a 32-bit
+        // geometry, and a watchdog whose milliseconds overflow.
+        (
+            &["run", SAXPY, "--teams", "4294967298"],
+            "invalid value \"4294967298\" for --teams",
+        ),
+        (
+            &["verify", "--watchdog", "18446744073709552"],
+            "invalid value \"18446744073709552\" for --watchdog",
+        ),
         (&["verify", "--examples"], "missing value for --examples"),
         (
             &["serve", "--socket", "/tmp/s", "--queue", "x"],
@@ -368,6 +378,16 @@ fn unknown_flags_are_named() {
             &["profile", SAXPY, "--bogus"],
             "ompgpu profile: unknown flag --bogus",
         ),
+        // Request fields `profile` does not take as flags (the wire's
+        // `max_insts` and `watchdog_secs`).
+        (
+            &["profile", SAXPY, "--max-insts", "10"],
+            "ompgpu profile: unknown flag --max-insts",
+        ),
+        (
+            &["profile", SAXPY, "--watchdog", "5"],
+            "ompgpu profile: unknown flag --watchdog",
+        ),
         (
             &["sanitize", SAXPY, "--bogus"],
             "ompgpu sanitize: unknown flag --bogus",
@@ -387,6 +407,46 @@ fn unknown_flags_are_named() {
         assert_eq!(code, 2, "{args:?} must be a usage error\n{stderr}");
         assert_eq!(stdout, "", "{args:?} must not run anything");
         assert_eq!(stderr.lines().next(), Some(*first_line), "{args:?}");
+    }
+}
+
+/// Behaviour that differed between subcommands (or between the CLI and
+/// `ompgpu serve`) before both decoded into one request, and now agrees
+/// (`docs/ARCHITECTURE.md`, "Job path", lists every such row).
+#[test]
+fn subcommands_share_one_request_decoder() {
+    // Flags may precede the file on `build` and `run` too.
+    let after = ompgpu(&["build", SAXPY, "--config", "llvm12", "--emit-ir"]);
+    let before = ompgpu(&["build", "--config", "llvm12", "--emit-ir", SAXPY]);
+    assert_eq!(after.0, 0, "{}", after.2);
+    assert_eq!(before, after);
+
+    // `run --kernel` takes geometry and arguments from the header, like
+    // `profile` and a serve `run`.
+    let mut spelled = vec!["run".to_string(), SAXPY.to_string(), "--json".to_string()];
+    spelled.extend(launch_flags(SAXPY));
+    let spelled = ompgpu(&spelled.iter().map(String::as_str).collect::<Vec<_>>());
+    let header = ompgpu(&["run", SAXPY, "--json", "--kernel", "saxpy"]);
+    assert_eq!(spelled.0, 0, "{}", spelled.2);
+    assert_eq!(header, spelled);
+
+    // An unreadable file is one line naming no subcommand, everywhere.
+    for op in ["build", "run", "profile", "sanitize", "verify"] {
+        let (code, stdout, stderr) = ompgpu(&[op, "examples/omp/no_such_file.c"]);
+        assert_eq!((code, stdout.as_str()), (1, ""), "{op}");
+        let line = "ompgpu: cannot read examples/omp/no_such_file.c: No such file";
+        assert!(stderr.starts_with(line), "{op}: {stderr}");
+    }
+
+    // An unknown proxy is a usage error of `profile` as of `sanitize`.
+    for op in ["profile", "sanitize"] {
+        let (code, stdout, stderr) = ompgpu(&[op, "--proxy", "nope"]);
+        let known = "(known: XSBench, RSBench, SU3Bench, miniQMC)";
+        assert_eq!((code, stdout.as_str()), (2, ""), "{op}");
+        assert_eq!(
+            stderr,
+            format!("ompgpu {op}: unknown proxy \"nope\" {known}\n")
+        );
     }
 }
 

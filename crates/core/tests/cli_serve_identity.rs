@@ -98,7 +98,7 @@ fn sanitize_json_is_the_serve_result() {
     }
 }
 
-/// Renders a serve `verify` payload the way `OracleReport::render`
+/// Renders a serve `verify` payload the way `OracleCase::render`
 /// prints the same case.
 fn render_case(result: &Value) -> String {
     let strings = |key: &str| -> Vec<String> {

@@ -55,7 +55,7 @@ pub fn read(path: &str) -> String {
 }
 
 /// The `run`/`profile` flags that spell out a file's `// oracle-*:`
-/// header (`run` takes its launch from flags only).
+/// header (`run` needs `--kernel`; the rest falls back to the header).
 pub fn launch_flags(path: &str) -> Vec<String> {
     let spec = ExampleSpec::parse(&read(path)).unwrap_or_else(|e| panic!("{path}: {e}"));
     let mut flags = vec!["--kernel".to_string(), spec.kernel];

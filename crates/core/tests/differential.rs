@@ -6,12 +6,18 @@
 //! change that alters observable behavior, not just ones a hand-written
 //! assertion anticipates.
 
-use omp_gpu::oracle::{self, VerifyOptions, ORACLE_CONFIGS};
-use omp_gpu::{all_proxies, BuildConfig, Scale};
+use omp_gpu::oracle::{self, OracleCase, ORACLE_CONFIGS};
+use omp_gpu::{all_proxies, BuildConfig, Knobs, ProxyApp, Scale, Store, Subject};
 use std::path::PathBuf;
 
 fn examples_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/omp")
+}
+
+/// The oracle's verdict on one proxy, against a fresh store.
+fn verify_proxy(app: &dyn ProxyApp) -> OracleCase {
+    let subject = Subject::Proxy(app);
+    oracle::verify_subject(&mut Store::new(0), app.name(), subject, &Knobs::default())
 }
 
 #[test]
@@ -23,7 +29,7 @@ fn oracle_matrix_has_six_configs() {
 #[test]
 fn xsbench_is_bit_identical_across_matrix() {
     let app = &all_proxies(Scale::Small)[0];
-    let case = oracle::verify_proxy(app.as_ref(), &VerifyOptions::default());
+    let case = verify_proxy(app.as_ref());
     assert_eq!(case.name, "XSBench");
     assert!(case.passed(), "{:?}", case.failures);
     assert_eq!(case.successes(), ORACLE_CONFIGS.len());
@@ -32,7 +38,7 @@ fn xsbench_is_bit_identical_across_matrix() {
 #[test]
 fn rsbench_is_bit_identical_across_matrix() {
     let app = &all_proxies(Scale::Small)[1];
-    let case = oracle::verify_proxy(app.as_ref(), &VerifyOptions::default());
+    let case = verify_proxy(app.as_ref());
     assert_eq!(case.name, "RSBench");
     assert!(case.passed(), "{:?}", case.failures);
     // At test scale the baseline fits in the heap; at bench scale its
@@ -45,7 +51,7 @@ fn rsbench_is_bit_identical_across_matrix() {
 #[test]
 fn su3bench_is_bit_identical_across_matrix() {
     let app = &all_proxies(Scale::Small)[2];
-    let case = oracle::verify_proxy(app.as_ref(), &VerifyOptions::default());
+    let case = verify_proxy(app.as_ref());
     assert_eq!(case.name, "SU3Bench");
     assert!(case.passed(), "{:?}", case.failures);
     assert_eq!(case.successes(), ORACLE_CONFIGS.len());
@@ -54,7 +60,7 @@ fn su3bench_is_bit_identical_across_matrix() {
 #[test]
 fn miniqmc_is_bit_identical_across_matrix() {
     let app = &all_proxies(Scale::Small)[3];
-    let case = oracle::verify_proxy(app.as_ref(), &VerifyOptions::default());
+    let case = verify_proxy(app.as_ref());
     assert_eq!(case.name, "miniQMC");
     assert!(case.passed(), "{:?}", case.failures);
     assert_eq!(case.successes(), ORACLE_CONFIGS.len());
@@ -62,10 +68,12 @@ fn miniqmc_is_bit_identical_across_matrix() {
 
 #[test]
 fn example_corpus_is_bit_identical_across_matrix() {
-    let report = oracle::verify_examples_dir(&examples_dir(), &VerifyOptions::default())
-        .expect("examples dir");
-    assert!(report.cases.len() >= 5, "example corpus shrank");
-    for case in &report.cases {
+    let files = oracle::example_files(&examples_dir()).expect("examples dir");
+    assert!(files.len() >= 5, "example corpus shrank");
+    for file in &files {
+        let source = std::fs::read_to_string(file).expect("readable example");
+        let name = oracle::subject_name(file);
+        let case = oracle::verify_source(&mut Store::new(0), &name, &source, &Knobs::default());
         assert!(case.passed(), "{}: {:?}", case.name, case.failures);
         assert_eq!(
             case.successes(),
@@ -82,7 +90,7 @@ fn optimizations_actually_fire_on_the_chain() {
     // to identical builds. Assert the optimized end of the chain really
     // removes globalization allocations on a proxy that globalizes.
     let app = &all_proxies(Scale::Small)[2]; // SU3Bench
-    let case = oracle::verify_proxy(app.as_ref(), &VerifyOptions::default());
+    let case = verify_proxy(app.as_ref());
     let get = |c: BuildConfig| {
         case.results
             .iter()
@@ -110,7 +118,7 @@ fn pass_stats_surface_reaches_the_oracle() {
     // visible on oracle results for configurations that ran the
     // optimizer, and absent for the baseline.
     let app = &all_proxies(Scale::Small)[0]; // XSBench
-    let case = oracle::verify_proxy(app.as_ref(), &VerifyOptions::default());
+    let case = verify_proxy(app.as_ref());
     for r in &case.results {
         match r.config {
             BuildConfig::Llvm12Baseline => assert!(r.pass_stats().is_empty()),

@@ -1,7 +1,21 @@
 //! Profiles must be bit-identical regardless of host parallelism, and
 //! profiling must not perturb the unprofiled pipeline.
 
-use omp_gpu::{all_proxies, pipeline, BuildConfig, Scale, Tier};
+use omp_gpu::{all_proxies, pipeline, BuildConfig, ProxyApp, Scale, Tier};
+use omp_gpu::{Job, JobResult, Knobs, Mode, Store, Subject};
+
+/// A profiled launch of `app` on a fresh store.
+fn profile(app: &dyn ProxyApp, jobs: Option<u32>) -> JobResult {
+    let job = Job {
+        mode: Mode::Profile,
+        knobs: Knobs {
+            jobs,
+            ..Knobs::default()
+        },
+        ..Job::new(Subject::Proxy(app), BuildConfig::LlvmDev)
+    };
+    job.run(&mut Store::new(0)).expect("profiled launch")
+}
 
 #[test]
 fn proxy_profile_is_bit_identical_across_jobs() {
@@ -10,18 +24,13 @@ fn proxy_profile_is_bit_identical_across_jobs() {
         .iter()
         .find(|p| p.name() == "SU3Bench")
         .expect("SU3Bench proxy");
-    let one = pipeline::profile_proxy(app.as_ref(), BuildConfig::LlvmDev, Some(1));
-    let four = pipeline::profile_proxy(app.as_ref(), BuildConfig::LlvmDev, Some(4));
-    assert_eq!(one.outcome.error, None);
-    assert_eq!(four.outcome.error, None);
+    let one = profile(app.as_ref(), Some(1));
+    let four = profile(app.as_ref(), Some(4));
     let (p1, p4) = (one.profile.unwrap(), four.profile.unwrap());
     assert_eq!(p1, p4, "profile must not depend on --jobs");
     assert_eq!(p1.to_json(), p4.to_json());
     assert_eq!(p1.chrome_trace(), p4.chrome_trace());
-    assert_eq!(
-        one.outcome.stats.as_ref().map(|s| s.snapshot()),
-        four.outcome.stats.as_ref().map(|s| s.snapshot())
-    );
+    assert_eq!(one.stats.snapshot(), four.stats.snapshot());
 }
 
 #[test]
@@ -32,9 +41,8 @@ fn profiling_does_not_perturb_stats() {
         .find(|p| p.name() == "SU3Bench")
         .expect("SU3Bench proxy");
     let plain = pipeline::run_proxy(app.as_ref(), BuildConfig::LlvmDev);
-    let profiled = pipeline::profile_proxy(app.as_ref(), BuildConfig::LlvmDev, None);
     let plain_snap = plain.snapshot();
-    let prof_snap = profiled.outcome.stats.as_ref().map(|s| s.snapshot());
+    let prof_snap = Some(profile(app.as_ref(), None).stats.snapshot());
     // The profiled launch runs on the tier the plain one does, so the
     // snapshots compare with nothing normalised: same tier tag, same
     // superinstruction counters.

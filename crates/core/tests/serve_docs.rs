@@ -17,6 +17,7 @@
 //! shows one coherent session transcript — which is exactly what keeps
 //! the examples honest.
 
+use omp_gpu::request::FIELDS;
 use omp_gpu::serve::{spawn_executor, Session, ALL_OPS, SCHEMA};
 use omp_json::Value;
 use std::collections::HashMap;
@@ -150,4 +151,33 @@ fn serve_md_documents_every_exit_code_and_config() {
             config.cli_name()
         );
     }
+}
+
+/// The "Requests" table documents exactly the wire keys of the request
+/// field table: a row without a field, or a field without a row, fails.
+#[test]
+fn serve_md_requests_table_is_the_field_table() {
+    let text = spec_text();
+    let section = text
+        .split("\n## Requests\n")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("SERVE.md has a Requests section");
+    // First cells name one or more keys: "| `teams`, `threads` | ...".
+    let mut documented: Vec<&str> = section
+        .lines()
+        .filter(|l| l.starts_with("| `"))
+        .flat_map(|l| l.split('|').nth(1).unwrap().split('`').skip(1).step_by(2))
+        .collect();
+    documented.sort_unstable();
+    let mut keys: Vec<&str> = FIELDS
+        .iter()
+        .map(|f| f.key)
+        .filter(|k| !k.is_empty())
+        .collect();
+    keys.sort_unstable();
+    assert_eq!(
+        documented, keys,
+        "SERVE.md's Requests table and request::FIELDS disagree"
+    );
 }

@@ -10,9 +10,11 @@
 //! entry.
 
 use omp_gpu::oracle::ORACLE_CONFIGS;
+use omp_gpu::request::{self, Request};
 use omp_gpu::serve::Session;
-use omp_gpu::BuildConfig;
+use omp_gpu::{BuildConfig, Store};
 use omp_json::Value;
+use std::time::Duration;
 
 const SRC: &str = r#"
 // oracle-kernel: blend
@@ -152,6 +154,111 @@ fn multi_kernel_runs_are_byte_identical_warm_and_cold() {
     };
     let keys: Vec<&str> = cache.iter().map(|(k, _)| k.as_str()).collect();
     assert_eq!(keys, ["frontend", "optimized", "device"]);
+}
+
+/// A source whose header does not parse fails every configuration of a
+/// `sanitize` alike, in a report — on the wire as in `ompgpu sanitize`.
+#[test]
+fn a_malformed_header_fails_every_sanitize_config_alike() {
+    let mut session = Session::default();
+    let line = "{\"op\":\"sanitize\",\"source\":\"void k() {}\",\"all_configs\":true}";
+    let v = omp_json::parse(&session.handle_line(line).0).unwrap();
+    assert_eq!(v.get("exit_code").and_then(Value::as_u64), Some(1));
+    let configs = v.get("result").and_then(|r| r.get("configs"));
+    let configs = configs.and_then(Value::as_array).expect("a report");
+    assert_eq!(configs.len(), ORACLE_CONFIGS.len());
+    for c in configs {
+        assert_eq!(
+            c.get("setup_error").and_then(Value::as_str),
+            Some("spec error: missing `// oracle-kernel:` directive")
+        );
+    }
+}
+
+/// `ompgpu run` argv and a serve `run` line decode into one request:
+/// the same launch, under the same 60 s default watchdog, falling back
+/// to the source's header for whatever neither names.
+#[test]
+fn argv_and_wire_decode_to_the_same_request() {
+    let path = std::env::temp_dir().join(format!("ompgpu-request-{}.c", std::process::id()));
+    std::fs::write(&path, SRC).unwrap();
+    let path = path.display().to_string();
+    let argv: Vec<String> = [
+        &path,
+        "--kernel",
+        "blend",
+        "--jobs",
+        "2",
+        "--max-insts",
+        "900",
+    ]
+    .map(String::from)
+    .to_vec();
+    let cli = Request::from_argv("run", &argv).expect("argv decodes");
+    let line = format!(
+        "{{\"op\":\"run\",\"path\":{path:?},\"kernel\":\"blend\",\"jobs\":2,\"max_insts\":900}}"
+    );
+    let wire = Request::decode(&line).2.expect("the line decodes");
+    let (a, b) = (cli.knobs(), wire.knobs());
+    assert_eq!(a.watchdog, Some(Duration::from_secs(60)));
+    assert_eq!(
+        (a.jobs, a.tier, a.max_insts, a.watchdog),
+        (b.jobs, b.tier, b.max_insts, b.watchdog)
+    );
+    assert_eq!(
+        (cli.config, &cli.kernel, cli.dump),
+        (wire.config, &wire.kernel, wire.dump)
+    );
+    let mut store = Store::new(0);
+    let [cli, wire] = [cli, wire].map(|r| {
+        let done = request::launch(&mut store, &r, r.config, &r.knobs()).expect("launch");
+        (done.kernel, done.result.stats_json())
+    });
+    assert_eq!(cli, wire);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A wire value is read by the parser its flag uses, so a rejected one
+/// reads like the CLI's `invalid value "o3" for --config` (exit 2).
+#[test]
+fn wire_values_are_rejected_in_the_flags_words() {
+    let mut session = Session::default();
+    let known = "ping, compile, run, verify, profile, sanitize, metrics, stats, shutdown";
+    let unknown_op = format!("unknown op \"frob\" (known: {known})");
+    for (fields, message) in [
+        ("\"op\":\"frob\"", unknown_op.as_str()),
+        ("\"op\":7", "field \"op\" must be a string"),
+        (
+            "\"op\":\"run\",\"source\":\"x\",\"config\":\"o3\"",
+            "invalid value \"o3\" for field \"config\"",
+        ),
+        (
+            "\"op\":\"run\",\"source\":\"x\",\"args\":[\"buf:f32:8\"]",
+            "invalid value \"buf:f32:8\" for field \"args\"",
+        ),
+        (
+            "\"op\":\"run\",\"source\":\"x\",\"args\":\"i64:1\"",
+            "field \"args\" must be an array of strings",
+        ),
+        (
+            "\"op\":\"run\",\"source\":\"x\",\"teams\":-1",
+            "field \"teams\" must be an integer",
+        ),
+    ] {
+        let v = omp_json::parse(&session.handle_line(&format!("{{{fields}}}")).0).unwrap();
+        let error = v.get("error").and_then(|e| e.get("message"));
+        assert_eq!(error.and_then(Value::as_str), Some(message), "{fields}");
+        assert_eq!(v.get("exit_code").and_then(Value::as_u64), Some(2));
+    }
+    // A launch with no kernel names the wire's field, where `ompgpu
+    // profile` names its flag (`cli_failures.txt`).
+    let line = "{\"op\":\"run\",\"source\":\"void k() {}\"}";
+    let v = omp_json::parse(&session.handle_line(line).0).unwrap();
+    let error = v.get("error").and_then(|e| e.get("message"));
+    assert_eq!(
+        error.and_then(Value::as_str),
+        Some("need a \"kernel\" field (or an `// oracle-kernel:` header)")
+    );
 }
 
 #[test]

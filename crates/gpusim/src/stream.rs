@@ -391,27 +391,6 @@ fn add_node(dst: &mut KernelStats, src: &KernelStats) {
 }
 
 impl<'m> Device<'m> {
-    /// Number of kernels launched by the plan named `name` (0 when the
-    /// name resolves to nothing). Callers use this to pick between
-    /// [`Device::launch`] and [`Device::launch_plan`].
-    pub fn plan_width(&self, name: &str) -> usize {
-        let by_source = self
-            .module
-            .kernels
-            .iter()
-            .filter(|k| k.source_name == name)
-            .count();
-        if by_source > 0 {
-            return by_source;
-        }
-        self.module
-            .kernels
-            .iter()
-            .filter(|k| self.module.func(k.func).name == name)
-            .count()
-            .min(1)
-    }
-
     /// Resolves the host launch plan for `name`: every kernel whose
     /// `source_name` is `name`, in module order (falling back to the
     /// single kernel whose device function is named `name`). Validates

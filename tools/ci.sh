@@ -17,7 +17,8 @@
 # fault-injection self-test, round-trips the `ompgpu serve` daemon
 # (two client passes over a Unix socket: the second must hit the warm
 # caches and leave the daemon's peak RSS below one device arena,
-# shutdown must be clean), checks the telemetry surface
+# `ompgpu run --json` must print the daemon's `result.stats` for the
+# same launch byte for byte, shutdown must be clean), checks the telemetry surface
 # (metrics op, access log, --telemetry artifact, unknown-schema exit
 # code), and runs a chaos leg (4 concurrent clients of mixed
 # good/malformed/fault-injected traffic against a tiny admission
@@ -288,6 +289,26 @@ EOF
     else
         echo "smoke: serve footprint not checked (no /proc/PID/status on this host)"
     fi
+    # CLI == daemon over the real binary and socket: argv and a JSON line
+    # decode into one request and run one reducer, so `ompgpu run --json`
+    # prints exactly the daemon's `result.stats` for the same launch
+    # (`cli_serve_identity.rs` checks the same in-process).
+    saxpy="$PWD/examples/omp/saxpy.c"
+    cli_stats="$("$ompgpu_bin" run "$saxpy" --kernel saxpy \
+        --arg buf:f64:64:pseudo --arg buf:f64:64:iota --arg f64:2.5 --arg i64:64 \
+        --json 2> /dev/null)"
+    saxpy_resp="$(printf '{"op":"run","path":"%s","kernel":"saxpy","args":%s}\n' "$saxpy" \
+        '["buf:f64:64:pseudo","buf:f64:64:iota","f64:2.5","i64:64"]' |
+        "$ompgpu_bin" client --socket "$serve_sock")"
+    # `stats` is the last member of a `run` result without `dump`.
+    daemon_stats="${saxpy_resp#*\"stats\":}"
+    daemon_stats="${daemon_stats%\}\}}"
+    [ -n "$cli_stats" ] && [ "$cli_stats" = "$daemon_stats" ] || {
+        echo "smoke: ompgpu run --json differs from the daemon's result.stats:" >&2
+        printf '%s\n%s\n' "$cli_stats" "$saxpy_resp" >&2
+        exit 1
+    }
+    echo "smoke: CLI run --json == daemon result.stats (saxpy)"
     "$ompgpu_bin" client --socket "$serve_sock" --shutdown > /dev/null
     serve_rc=0
     wait "$serve_pid" || serve_rc=$?
