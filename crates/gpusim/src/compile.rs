@@ -9,13 +9,21 @@
 //! Both happen once, at plan-build time (`ExecPlan::build`), per basic
 //! block:
 //!
-//! * every operand [`Value`] is pre-decoded into a [`Slot`] — constants
-//!   (including function addresses and `undef`) become materialized
-//!   [`RtVal`]s, so constant-operand arithmetic never re-decodes its
-//!   immediate at run time;
+//! * every operand [`Value`] becomes a [`Slot`], a plain index into the
+//!   function's value file `[registers | arguments | constants]`.
+//!   Constants (function addresses, `null` and `undef` included) are
+//!   materialized once as [`RtVal`]s and interned into the tail, keyed
+//!   by type and bit pattern, and so is every referenced global; the
+//!   argument range is sized by the highest argument any operand reads.
+//!   Empty registers and arguments followed by that tail are the frame
+//!   image a call starts its frame from, so reading any operand at run
+//!   time is one indexed load;
 //! * branch targets become [`Edge`]s with the successor's phi moves
 //!   pre-resolved for this predecessor; a phi with no incoming for it
-//!   is recorded on the edge and traps only when the edge is taken;
+//!   is recorded on the edge and traps only when the edge is taken. An
+//!   edge whose moves can be applied in order (no move reads a register
+//!   an earlier move writes) is copied in place; only the others, such
+//!   as a phi swap, need a parallel copy;
 //! * common idioms fuse into superinstructions: address-calc + load
 //!   ([`Step::GepLoad`]), load + arithmetic + store
 //!   ([`Step::LoadBinStore`]), and a compare feeding the block's
@@ -37,10 +45,12 @@
 //! path over it.
 
 use crate::cost::CostModel;
-use crate::plan::{for_each_operand, BlockPlan, CallTarget, MathKind};
+use crate::mem::PageHash;
+use crate::plan::{for_each_operand, BlockPlan, CallTarget, FuncPlan, MathKind};
 use crate::profile::CycleClass;
 use crate::value::RtVal;
-use omp_ir::{BinOp, BlockId, CastOp, CmpOp, InstId, InstKind, Terminator, Type, Value};
+use omp_ir::{BinOp, BlockId, CastOp, CmpOp, GlobalId, InstId, InstKind, Terminator, Type, Value};
+use std::collections::HashMap;
 
 /// One basic block as the plan builder decodes it: leading phis
 /// (evaluated on block entry), the remaining instructions, and the
@@ -51,20 +61,18 @@ pub(crate) struct BlockSrc<'m> {
     pub term: &'m Terminator,
 }
 
-/// A pre-decoded operand: what [`Value`] decodes to once the constant
-/// forms are materialized at compile time. `Global` stays an index
-/// because a global's address depends on the executing team.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Slot {
-    /// Read the frame register of this instruction (trap message keeps
-    /// the original id, matching the interpreter exactly).
-    Reg(InstId),
-    /// Read a kernel/function argument.
-    Arg(u32),
-    /// A value fully known at compile time.
-    Const(RtVal),
-    /// Dense global-table index, resolved against the team at run time.
-    Global(u32),
+/// A lowered operand: an index into the executing frame's value file,
+/// laid out `[registers | arguments | constants]`. Register `i` is the
+/// result of instruction `i`; argument `n` sits at `num_regs + n`; the
+/// tail holds the function's interned constants and globals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Slot(pub u32);
+
+impl Slot {
+    /// The register that holds instruction `i`'s result.
+    pub fn reg(i: InstId) -> Slot {
+        Slot(i.0)
+    }
 }
 
 /// One compiled step. `site` fields are plan-wide coalescing-site
@@ -160,12 +168,15 @@ pub(crate) enum Step {
 }
 
 /// A pre-resolved branch edge: the target block plus the target's phi
-/// assignments for this predecessor, evaluated simultaneously (reads
-/// before writes).
+/// assignments for this predecessor, which take effect simultaneously.
 #[derive(Debug, Clone)]
 pub(crate) struct Edge {
     pub target: BlockId,
     pub moves: Vec<(InstId, Slot)>,
+    /// Some move reads a register an earlier move writes, so the moves
+    /// must read every source before writing any destination. When
+    /// `false`, applying them in order is equivalent.
+    pub parallel: bool,
     /// The first phi of `target` with no incoming for this predecessor:
     /// taking the edge evaluates the moves of the phis before it, then
     /// traps.
@@ -277,44 +288,61 @@ pub(crate) struct CompiledBlock {
     pub class_cycles: [u64; 4],
 }
 
-/// Lowers and compiles every block of one function. `nature` resolves
-/// direct callees; SSA use counts over the whole function let fusion
-/// prove an intermediate register write unobservable.
+/// Lowers and compiles every block of one function into its plan.
+/// `nature` resolves direct callees; SSA use counts over the whole
+/// function let fusion prove an intermediate register write
+/// unobservable.
 pub(crate) fn compile_func(
     blocks: &[Option<BlockSrc<'_>>],
+    entry: BlockId,
     nature: &[CallTarget],
     num_regs: usize,
     site_base: u32,
     cost: &CostModel,
-) -> Vec<Option<BlockPlan>> {
-    let counts = use_counts(blocks, num_regs);
-    blocks
-        .iter()
-        .enumerate()
-        .map(|(b, src)| {
-            let src = src.as_ref()?;
-            let lowered: Vec<Entry> = src
-                .code
-                .iter()
-                .map(|&(id, kind)| lower_one(id, kind, nature, site_base, cost))
-                .collect();
-            let exit = lower_exit(BlockId::from_index(b), src.term, blocks);
-            let compiled = compile_block(&lowered, &exit, &counts, cost);
-            Some(BlockPlan {
-                lowered,
-                exit,
-                compiled,
-            })
-        })
-        .collect()
+) -> FuncPlan {
+    let (counts, num_args) = use_counts(blocks, num_regs);
+    let mut file = ValueFile::new(num_regs as u32, num_args);
+    let mut plans = Vec::with_capacity(blocks.len());
+    for (b, src) in blocks.iter().enumerate() {
+        let Some(src) = src else {
+            plans.push(None);
+            continue;
+        };
+        let lowered: Vec<Entry> = src
+            .code
+            .iter()
+            .map(|&(id, kind)| lower_one(&mut file, id, kind, nature, site_base, cost))
+            .collect();
+        let exit = lower_exit(&mut file, BlockId::from_index(b), src.term, blocks);
+        let compiled = compile_block(&lowered, &exit, &counts, cost);
+        plans.push(Some(BlockPlan {
+            lowered,
+            exit,
+            compiled,
+        }));
+    }
+    FuncPlan {
+        entry,
+        num_regs,
+        num_args: num_args as usize,
+        site_base,
+        blocks: plans,
+        consts: file.tail,
+        globals: file.globals,
+        shared: Vec::new(),
+    }
 }
 
-/// Whole-function SSA use counts, indexed by `InstId`.
-fn use_counts(blocks: &[Option<BlockSrc<'_>>], num_regs: usize) -> Vec<u32> {
+/// Whole-function SSA use counts, indexed by `InstId`, and the size of
+/// the argument range: one past the highest argument any operand reads.
+fn use_counts(blocks: &[Option<BlockSrc<'_>>], num_regs: usize) -> (Vec<u32>, u32) {
     let mut counts = vec![0u32; num_regs];
+    let mut num_args = 0u32;
     let mut bump = |v: Value| {
-        if let Value::Inst(i) = v {
-            counts[i.index()] += 1;
+        match v {
+            Value::Inst(i) => counts[i.index()] += 1,
+            Value::Arg(n) => num_args = num_args.max(n + 1),
+            _ => {}
         }
         true
     };
@@ -337,35 +365,105 @@ fn use_counts(blocks: &[Option<BlockSrc<'_>>], num_regs: usize) -> Vec<u32> {
             _ => {}
         }
     }
-    counts
+    (counts, num_args)
 }
 
-fn slot(v: Value) -> Slot {
+/// The key a constant is interned under: its variant and bit pattern,
+/// so `0.0` and `-0.0`, distinct NaN payloads, and equal numbers of
+/// different types each get a slot of their own.
+fn const_key(v: RtVal) -> (u8, u64) {
     match v {
-        Value::Inst(i) => Slot::Reg(i),
-        Value::Arg(n) => Slot::Arg(n),
-        Value::ConstInt(c, ty) => Slot::Const(match ty {
-            Type::I1 => RtVal::Bool(c != 0),
-            Type::I32 => RtVal::I32(c as i32),
-            _ => RtVal::I64(c),
-        }),
-        Value::ConstFloat(bits, ty) => Slot::Const(match ty {
-            Type::F32 => RtVal::F32(f64::from_bits(bits) as f32),
-            _ => RtVal::F64(f64::from_bits(bits)),
-        }),
-        Value::Global(g) => Slot::Global(g.index() as u32),
-        Value::Func(f) => Slot::Const(RtVal::Ptr(crate::mem::func_addr(f.0))),
-        Value::Null => Slot::Const(RtVal::Ptr(0)),
-        Value::Undef(ty) => Slot::Const(RtVal::zero(ty)),
+        RtVal::Bool(b) => (0, b as u64),
+        RtVal::I32(x) => (1, x as u32 as u64),
+        RtVal::I64(x) => (2, x as u64),
+        RtVal::F32(x) => (3, x.to_bits() as u64),
+        RtVal::F64(x) => (4, x.to_bits()),
+        RtVal::Ptr(p) => (5, p),
+    }
+}
+
+/// Interning key of a global's slot, disjoint from every constant's.
+const GLOBAL_KEY: u8 = 6;
+
+/// One function's value file while it is lowered: the register and
+/// argument ranges are sized up front, and the tail grows as operands
+/// intern constants and globals.
+struct ValueFile {
+    num_regs: u32,
+    num_args: u32,
+    /// Slot `num_regs + num_args + k` holds `tail[k]`; a global's entry
+    /// stays `None` until the device binds it.
+    tail: Vec<Option<RtVal>>,
+    interned: HashMap<(u8, u64), u32, PageHash>,
+    /// The slot of every referenced global.
+    globals: Vec<(u32, GlobalId)>,
+}
+
+impl ValueFile {
+    fn new(num_regs: u32, num_args: u32) -> ValueFile {
+        ValueFile {
+            num_regs,
+            num_args,
+            tail: Vec::new(),
+            // Sized so a typical function interns without rehashing,
+            // the dominant cost of growing the map from empty.
+            interned: HashMap::with_capacity_and_hasher(64, PageHash),
+            globals: Vec::new(),
+        }
+    }
+
+    /// The slot of `key`, appending `v` to the tail on first use.
+    fn intern(&mut self, key: (u8, u64), v: Option<RtVal>) -> (Slot, bool) {
+        let next = self.num_regs + self.num_args + self.tail.len() as u32;
+        let slot = *self.interned.entry(key).or_insert(next);
+        let fresh = slot == next;
+        if fresh {
+            self.tail.push(v);
+        }
+        (Slot(slot), fresh)
+    }
+
+    /// Lowers one operand to its slot.
+    fn slot(&mut self, v: Value) -> Slot {
+        let c = match v {
+            Value::Inst(i) => return Slot::reg(i),
+            Value::Arg(n) => return Slot(self.num_regs + n),
+            Value::Global(g) => {
+                let (s, fresh) = self.intern((GLOBAL_KEY, g.index() as u64), None);
+                if fresh {
+                    self.globals.push((s.0, g));
+                }
+                return s;
+            }
+            Value::ConstInt(c, ty) => match ty {
+                Type::I1 => RtVal::Bool(c != 0),
+                Type::I32 => RtVal::I32(c as i32),
+                _ => RtVal::I64(c),
+            },
+            Value::ConstFloat(bits, ty) => match ty {
+                Type::F32 => RtVal::F32(f64::from_bits(bits) as f32),
+                _ => RtVal::F64(f64::from_bits(bits)),
+            },
+            Value::Func(f) => RtVal::Ptr(crate::mem::func_addr(f.0)),
+            Value::Null => RtVal::Ptr(0),
+            Value::Undef(ty) => RtVal::zero(ty),
+        };
+        self.intern(const_key(c), Some(c)).0
     }
 }
 
 /// Pre-resolves the phi moves of `target` for predecessor `from`, up to
 /// the first phi with no incoming for it.
-fn edge(from: BlockId, target: BlockId, blocks: &[Option<BlockSrc<'_>>]) -> Edge {
+fn edge(
+    file: &mut ValueFile,
+    from: BlockId,
+    target: BlockId,
+    blocks: &[Option<BlockSrc<'_>>],
+) -> Edge {
     let mut e = Edge {
         target,
         moves: Vec::new(),
+        parallel: false,
         missing: None,
     };
     // A dead target has no phis; executing it panics like any dead
@@ -375,7 +473,11 @@ fn edge(from: BlockId, target: BlockId, blocks: &[Option<BlockSrc<'_>>]) -> Edge
     };
     for &(i, incoming) in &tp.phis {
         match incoming.iter().find(|(p, _)| *p == from) {
-            Some(&(_, v)) => e.moves.push((i, slot(v))),
+            Some(&(_, v)) => {
+                let s = file.slot(v);
+                e.parallel |= e.moves.iter().any(|&(d, _)| s == Slot::reg(d));
+                e.moves.push((i, s));
+            }
             None => {
                 e.missing = Some(i);
                 break;
@@ -385,19 +487,24 @@ fn edge(from: BlockId, target: BlockId, blocks: &[Option<BlockSrc<'_>>]) -> Edge
     e
 }
 
-fn lower_exit(from: BlockId, term: &Terminator, blocks: &[Option<BlockSrc<'_>>]) -> Exit {
+fn lower_exit(
+    file: &mut ValueFile,
+    from: BlockId,
+    term: &Terminator,
+    blocks: &[Option<BlockSrc<'_>>],
+) -> Exit {
     match *term {
-        Terminator::Br(t) => Exit::Br(edge(from, t, blocks)),
+        Terminator::Br(t) => Exit::Br(edge(file, from, t, blocks)),
         Terminator::CondBr {
             cond,
             then_bb,
             else_bb,
         } => Exit::CondBr {
-            cond: slot(cond),
-            then_e: edge(from, then_bb, blocks),
-            else_e: edge(from, else_bb, blocks),
+            cond: file.slot(cond),
+            then_e: edge(file, from, then_bb, blocks),
+            else_e: edge(file, from, else_bb, blocks),
         },
-        Terminator::Ret(v) => Exit::Ret(v.map(slot)),
+        Terminator::Ret(v) => Exit::Ret(v.map(|v| file.slot(v))),
         Terminator::Unreachable => Exit::Unreachable,
     }
 }
@@ -406,12 +513,14 @@ fn lower_exit(from: BlockId, term: &Terminator, blocks: &[Option<BlockSrc<'_>>])
 /// charge, to a call (any but a pure math intrinsic, which is a step),
 /// or to a skip (a mid-block phi).
 fn lower_one(
+    file: &mut ValueFile,
     id: InstId,
     kind: &InstKind,
     nature: &[CallTarget],
     site_base: u32,
     cost: &CostModel,
 ) -> Entry {
+    let mut slot = |v: Value| file.slot(v);
     let (step, cycles, class) = match *kind {
         InstKind::Alloca { size, .. } => (
             Step::Alloca { size, dst: id },
@@ -513,7 +622,8 @@ fn lower_one(
             };
             match target {
                 CallTarget::Math(kind, f32_out) if args.len() <= 2 => {
-                    let mut slots = [Slot::Const(RtVal::I64(0)); 2];
+                    // Entries past `n_args` are never read.
+                    let mut slots = [Slot(0); 2];
                     for (k, &a) in args.iter().enumerate() {
                         slots[k] = slot(a);
                     }
@@ -549,7 +659,7 @@ fn lower_one(
 
 /// Whether slot `s` reads the register of instruction `id`.
 fn reads(s: Slot, id: InstId) -> bool {
-    matches!(s, Slot::Reg(r) if r == id)
+    s == Slot::reg(id)
 }
 
 /// Fuses one block's step entries into a compiled body, or `None` when
@@ -581,9 +691,7 @@ fn compile_block(
         charge(CycleClass::Branch, cost.simple_op);
     }
     if let (
-        &Exit::CondBr {
-            cond: Slot::Reg(c), ..
-        },
+        &Exit::CondBr { cond, .. },
         Some(Entry::Step(Lowered {
             step:
                 Step::Cmp {
@@ -598,7 +706,7 @@ fn compile_block(
         })),
     ) = (exit, lowered.last())
     {
-        if *dst == c && counts[c.index()] == 1 {
+        if reads(cond, *dst) && counts[dst.index()] == 1 {
             upper -= 1;
             // The compare charges as Alu, same as unfused.
             charge(CycleClass::Alu, *cycles);
@@ -744,4 +852,170 @@ fn compile_block(
         cmp_br,
         class_cycles,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::ExecPlan;
+    use omp_ir::{Builder, Function, GlobalId, Module};
+
+    /// Interns `vals` in order into a file of 3 registers and 2
+    /// arguments, whose tail therefore starts at slot 5.
+    fn intern(vals: &[Value]) -> (ValueFile, Vec<Slot>) {
+        let mut file = ValueFile::new(3, 2);
+        let slots = vals.iter().map(|&v| file.slot(v)).collect();
+        (file, slots)
+    }
+
+    fn all_distinct(slots: &[Slot]) -> bool {
+        slots
+            .iter()
+            .enumerate()
+            .all(|(i, s)| !slots[i + 1..].contains(s))
+    }
+
+    /// The tail entry a slot reads, as `(variant, bits)`.
+    fn tail_key(file: &ValueFile, s: Slot) -> (u8, u64) {
+        const_key(file.tail[s.0 as usize - 5].expect("a constant slot"))
+    }
+
+    #[test]
+    fn registers_and_arguments_index_the_head_of_the_file() {
+        let (file, slots) = intern(&[
+            Value::Inst(InstId(0)),
+            Value::Inst(InstId(2)),
+            Value::Arg(0),
+            Value::Arg(1),
+        ]);
+        assert_eq!(slots, [Slot(0), Slot(2), Slot(3), Slot(4)]);
+        assert!(file.tail.is_empty());
+    }
+
+    #[test]
+    fn constants_differing_in_type_or_bits_get_their_own_slot() {
+        let nan = |payload: u64| Value::ConstFloat(0x7ff8_0000_0000_0000 | payload, Type::F64);
+        let vals = [
+            Value::f64(0.0),
+            Value::f64(-0.0),
+            nan(1),
+            nan(2),
+            Value::bool(true),
+            Value::i32(1),
+            Value::i64(1),
+        ];
+        let (file, slots) = intern(&vals);
+        assert!(all_distinct(&slots), "{slots:?}");
+        // The tail fills in first-use order, each slot holding exactly
+        // its constant.
+        assert_eq!(slots, (5..12).map(Slot).collect::<Vec<_>>());
+        assert_eq!(tail_key(&file, slots[1]), (4, (-0.0f64).to_bits()));
+        assert_eq!(tail_key(&file, slots[3]), (4, 0x7ff8_0000_0000_0002));
+        assert_eq!(tail_key(&file, slots[4]), (0, 1));
+
+        let types = [
+            Type::I1,
+            Type::I32,
+            Type::I64,
+            Type::F32,
+            Type::F64,
+            Type::Ptr,
+        ];
+        let undefs: Vec<Value> = types.iter().map(|&t| Value::Undef(t)).collect();
+        let (_, slots) = intern(&undefs);
+        assert!(all_distinct(&slots), "{slots:?}");
+    }
+
+    #[test]
+    fn equal_constants_and_globals_share_one_slot() {
+        let (g0, g1) = (Value::Global(GlobalId(0)), Value::Global(GlobalId(1)));
+        let (file, slots) = intern(&[
+            Value::i64(7),
+            g0,
+            Value::i64(7),
+            g1,
+            g0,
+            // `undef` materializes as zero: the same value as these.
+            Value::f64(0.0),
+            Value::Undef(Type::F64),
+            Value::Null,
+            Value::Undef(Type::Ptr),
+        ]);
+        assert_eq!(slots[0], slots[2]);
+        assert_eq!(slots[1], slots[4]);
+        assert_ne!(slots[1], slots[3]);
+        assert_eq!(slots[5], slots[6]);
+        assert_eq!(slots[7], slots[8]);
+        assert_eq!(file.tail.len(), 5);
+        assert_eq!(file.globals, [(6, GlobalId(0)), (7, GlobalId(1))]);
+        // A global's address is bound by the device, not here.
+        assert_eq!(file.tail[1], None);
+    }
+
+    /// `k(ptr, i64, i64, i64)` reads only `%arg2` and `%arg0`; its
+    /// callee `g(i64)` reads no argument at all.
+    #[test]
+    fn argument_range_is_sized_by_the_highest_argument_read() {
+        let mut m = Module::new("t");
+        let g = m.add_function(Function::definition("g", vec![Type::I64], Type::Void));
+        Builder::at_entry(&mut m, g).ret(None);
+        let k = m.add_function(Function::definition(
+            "k",
+            vec![Type::Ptr, Type::I64, Type::I64, Type::I64],
+            Type::Void,
+        ));
+        {
+            let mut b = Builder::at_entry(&mut m, k);
+            let v = b.add_i64(Value::Arg(2), Value::i64(1));
+            b.store(v, Value::Arg(0));
+            b.call(g, vec![v]);
+            b.ret(None);
+        }
+        let plan = ExecPlan::build(&m).unwrap();
+        let (kp, gp) = (plan.func(k).unwrap(), plan.func(g).unwrap());
+        assert_eq!((kp.num_args, gp.num_args), (3, 0));
+        // The constant `1` is the one slot after the arguments.
+        assert_eq!(kp.consts, [Some(RtVal::I64(1))]);
+    }
+
+    /// Phi moves are applied in place unless a move reads a register an
+    /// earlier move of the same edge writes.
+    #[test]
+    fn only_edges_with_a_read_after_write_need_a_parallel_copy() {
+        let mut m = Module::new("t");
+        let k = m.add_function(Function::definition("k", vec![Type::I64], Type::Void));
+        let (forward, backward) = {
+            let mut b = Builder::at_entry(&mut m, k);
+            let entry = b.current_block();
+            let (head, body, exit) = (b.new_block(), b.new_block(), b.new_block());
+            b.br(head);
+            b.switch_to(head);
+            let i = b.phi(Type::I64);
+            let x = b.phi(Type::I64);
+            let y = b.phi(Type::I64);
+            for p in [i, x, y] {
+                b.add_phi_incoming(p, entry, Value::i64(0));
+            }
+            let c = b.cmp(CmpOp::Slt, Type::I64, i, Value::Arg(0));
+            b.cond_br(c, body, exit);
+            b.switch_to(body);
+            let i2 = b.add_i64(i, Value::i64(1));
+            // `y` reads `x`, which an earlier move of this edge writes.
+            b.add_phi_incoming(i, body, i2);
+            b.add_phi_incoming(x, body, i);
+            b.add_phi_incoming(y, body, x);
+            b.br(head);
+            b.switch_to(exit);
+            b.ret(None);
+            (entry, body)
+        };
+        let plan = ExecPlan::build(&m).unwrap();
+        let fp = plan.func(k).unwrap();
+        let parallel = |from: BlockId| match &fp.block(from).exit {
+            Exit::Br(e) => e.parallel,
+            other => panic!("{other:?}"),
+        };
+        assert!(!parallel(forward));
+        assert!(parallel(backward));
+    }
 }

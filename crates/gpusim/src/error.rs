@@ -24,6 +24,9 @@ pub enum SimErrorKind {
     UnknownKernel(String),
     /// Launch arguments do not match the kernel signature.
     BadArgs(String),
+    /// A [`crate::DeviceConfig`] field holds a value no device can run
+    /// with; the message names the field.
+    BadConfig(String),
     /// A thread exceeded the instruction budget.
     Runaway {
         /// The per-thread budget that was exceeded.
@@ -55,6 +58,7 @@ impl SimErrorKind {
             SimErrorKind::Deadlock => "deadlock",
             SimErrorKind::UnknownKernel(_) => "unknown-kernel",
             SimErrorKind::BadArgs(_) => "bad-args",
+            SimErrorKind::BadConfig(_) => "bad-config",
             SimErrorKind::Runaway { .. } => "runaway",
             SimErrorKind::FaultInjected(_) => "fault-injected",
             SimErrorKind::Timeout { .. } => "timeout",
@@ -131,6 +135,11 @@ impl SimError {
     /// Launch arguments do not match the kernel signature.
     pub fn bad_args(msg: impl Into<String>) -> SimError {
         SimError::of(SimErrorKind::BadArgs(msg.into()))
+    }
+
+    /// A device configuration field is out of range.
+    pub fn bad_config(msg: impl Into<String>) -> SimError {
+        SimError::of(SimErrorKind::BadConfig(msg.into()))
     }
 
     /// A thread exceeded the per-thread instruction budget.
@@ -236,6 +245,7 @@ impl std::fmt::Display for SimError {
             }
             SimErrorKind::UnknownKernel(k) => write!(f, "unknown kernel `{k}`")?,
             SimErrorKind::BadArgs(m) => write!(f, "bad launch arguments: {m}")?,
+            SimErrorKind::BadConfig(m) => write!(f, "invalid device configuration: {m}")?,
             SimErrorKind::Runaway { budget } => {
                 write!(f, "instruction budget exceeded ({budget} per thread)")?
             }
@@ -281,6 +291,9 @@ mod tests {
         assert!(SimError::bad_args("n")
             .to_string()
             .starts_with("bad launch arguments:"));
+        assert!(SimError::bad_config("warp_size")
+            .to_string()
+            .starts_with("invalid device configuration:"));
         assert!(SimError::runaway(10)
             .to_string()
             .starts_with("instruction budget exceeded"));

@@ -15,8 +15,11 @@
 //! ([`TeamExec::exec_step`]) that tier 0 runs one at a time and tier 1
 //! runs fused per block ([`crate::compile`]); calls carry pre-resolved
 //! targets and operand [`Slot`]s, and terminators are [`Exit`]s whose
-//! [`Edge`]s carry their phi moves. Frames are allocated at their final
-//! register-file size, and the coalescing-model state lives in dense
+//! [`Edge`]s carry their phi moves. A frame is one value file,
+//! `[registers | arguments | constants]`, built from its function's
+//! frame image at push, so every operand [`Slot`] is a plain index into
+//! it; edges copy their phi moves in place unless the plan flagged them
+//! as needing a parallel copy. The coalescing-model state lives in dense
 //! `Vec`s indexed by a plan-wide access-site number.
 //!
 //! The profiler and the sanitizer are [`Observers`] of that one
@@ -40,9 +43,7 @@ use crate::sanitize::{Finding, SiteRef};
 use crate::stats::KernelStats;
 use crate::value::RtVal;
 use omp_ir::omprtl::{ALL_RTL_FNS, MODE_SPMD};
-use omp_ir::{
-    AddrSpace, BinOp, BlockId, CastOp, CmpOp, ExecMode, FuncId, InstId, Module, RtlFn, Type, Value,
-};
+use omp_ir::{BinOp, BlockId, CastOp, CmpOp, ExecMode, FuncId, InstId, Module, RtlFn, Type, Value};
 use std::time::Instant;
 
 pub use crate::error::SimError;
@@ -77,9 +78,13 @@ struct Frame {
     func: FuncId,
     block: BlockId,
     idx: usize,
-    /// Pre-sized to the function's register count at frame push.
+    /// The value file every operand [`Slot`] indexes: registers, then
+    /// arguments, then constants and globals, built from the
+    /// function's frame image at push.
     regs: Vec<Option<RtVal>>,
-    args: Vec<RtVal>,
+    /// Where the argument range starts: a `None` read below it is an
+    /// undefined register, at or above it a missing argument.
+    num_regs: u32,
     local_sp_save: u64,
     /// The call instruction in the parent frame to receive the result.
     ret_to: Option<InstId>,
@@ -101,8 +106,8 @@ struct Thread {
     status: Status,
     frames: Vec<Frame>,
     /// Retired frames recycled by later calls, so a call in steady
-    /// state allocates nothing: the register and argument vectors of
-    /// popped frames are reused at the next push.
+    /// state allocates nothing: the value files of popped frames are
+    /// reused at the next push.
     pool: Vec<Frame>,
     cycles: u64,
     insts: u64,
@@ -134,38 +139,39 @@ impl Thread {
     }
 }
 
-/// Builds a call frame, recycling vectors from `pool` when possible.
-/// `args` is left empty for the caller to fill.
-#[allow(clippy::too_many_arguments)]
+/// Builds a frame for `func` (planned as `fp`) on team `team_id`,
+/// recycling a value file from `pool` when possible: the function's
+/// frame image with its shared-space globals resolved for the team. The
+/// argument range is left empty for the caller to fill.
 fn make_frame(
     pool: &mut Vec<Frame>,
+    fp: &FuncPlan,
     func: FuncId,
-    block: BlockId,
-    num_regs: usize,
+    team_id: u32,
     local_sp_save: u64,
     ret_to: Option<InstId>,
     hook: Option<RetHook>,
 ) -> Frame {
-    let (regs, args) = match pool.pop() {
-        Some(mut f) => {
-            f.regs.clear();
-            f.args.clear();
-            (f.regs, f.args)
-        }
-        None => (Vec::new(), Vec::new()),
-    };
-    let mut frame = Frame {
+    let mut regs = pool.pop().map(|f| f.regs).unwrap_or_default();
+    regs.clear();
+    // One exact allocation for a fresh file: growing it in two steps
+    // would leave every frame up to twice its size.
+    regs.reserve(fp.consts_at() + fp.consts.len());
+    regs.resize(fp.consts_at(), None);
+    regs.extend_from_slice(&fp.consts);
+    for &(slot, offset) in &fp.shared {
+        regs[slot as usize] = Some(RtVal::Ptr(mem::shared_addr(team_id, offset)));
+    }
+    Frame {
         func,
-        block,
+        block: fp.entry,
         idx: 0,
         regs,
-        args,
+        num_regs: fp.num_regs as u32,
         local_sp_save,
         ret_to,
         hook,
-    };
-    frame.regs.resize(num_regs, None);
-    frame
+    }
 }
 
 const SITE_UNKNOWN: u8 = 0;
@@ -261,8 +267,6 @@ pub(crate) struct TeamExec<'a, 'm> {
     plan: &'a ExecPlan,
     cfg: &'a DeviceConfig,
     cost: &'a CostModel,
-    /// Dense global placement table indexed by `GlobalId`.
-    globals: &'a [(AddrSpace, u64)],
     mem: TeamMemView<'a>,
     num_teams: u32,
     team_size: u32,
@@ -280,8 +284,9 @@ pub(crate) struct TeamExec<'a, 'm> {
     /// Reusable scratch for evaluated call arguments (taken with
     /// `mem::take` around uses, so steady-state calls don't allocate).
     scratch_args: Vec<RtVal>,
-    /// Reusable scratch for simultaneous phi evaluation.
-    scratch_phis: Vec<(InstId, RtVal)>,
+    /// Reusable scratch for the phi moves of an edge that needs a
+    /// parallel copy.
+    scratch_phis: Vec<RtVal>,
     /// The profiler and sanitizer, when the launch enabled them.
     obs: Observers,
     /// Injected trap threshold (`u64::MAX` = disabled), folded into the
@@ -305,7 +310,6 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         plan: &'a ExecPlan,
         cfg: &'a DeviceConfig,
         cost: &'a CostModel,
-        globals: &'a [(AddrSpace, u64)],
         mem: TeamMemView<'a>,
         num_teams: u32,
         team_size: u32,
@@ -317,7 +321,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         let kplan = plan.func(kernel).expect("launch checked kernel is defined");
         let total_sites = plan.total_sites() as usize;
         let sample_words = total_sites.div_ceil(64);
-        let warps = (team_size.div_ceil(cfg.warp_size.max(1))).max(1) as usize;
+        let warps = (team_size.div_ceil(cfg.warp_size)).max(1) as usize;
         let mut team = Team {
             id: team_id,
             mode,
@@ -333,16 +337,11 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             push_sizes: FastMap::default(),
         };
         for t in &mut team.threads {
-            t.frames.push(Frame {
-                func: kernel,
-                block: kplan.entry,
-                idx: 0,
-                regs: vec![None; kplan.num_regs],
-                args: args.to_vec(),
-                local_sp_save: 0,
-                ret_to: None,
-                hook: None,
-            });
+            let mut fr = make_frame(&mut t.pool, kplan, kernel, team_id, 0, None, None);
+            for (r, &v) in fr.regs[kplan.args()].iter_mut().zip(args) {
+                *r = Some(v);
+            }
+            t.frames.push(fr);
         }
         let obs = Observers::new(cfg, module.num_functions(), team_id, team_size, kernel);
         let watchdog_millis = cfg.watchdog.map(|d| d.as_millis() as u64).unwrap_or(0);
@@ -351,7 +350,6 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             plan,
             cfg,
             cost,
-            globals,
             mem,
             num_teams,
             team_size,
@@ -619,38 +617,21 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             .on_charge(th.frames.last().map(|f| f.func), class, cycles);
     }
 
-    /// Evaluates a pre-decoded operand slot; constants were
-    /// materialized at plan-build time.
+    /// Reads an operand: one index into the frame's value file, where
+    /// constants and globals were placed when the frame was made. Only
+    /// a register never written or an argument never passed reads
+    /// `None`.
     ///
     /// `inline(always)` matters: this runs for every operand of every
     /// step, and as an outlined call (large `Result` return,
     /// cold `format!` paths) it costs as much as a whole interpreted
-    /// instruction. The trap constructors are outlined instead.
+    /// instruction. The trap constructor is outlined instead.
     #[inline(always)]
-    fn slot_val(
-        globals: &[(AddrSpace, u64)],
-        team_id: u32,
-        frame: &Frame,
-        s: Slot,
-    ) -> Result<RtVal, SimError> {
-        Ok(match s {
-            Slot::Const(v) => v,
-            Slot::Reg(i) => match frame.regs.get(i.index()) {
-                Some(&Some(v)) => v,
-                _ => return Err(undef_value_trap(i)),
-            },
-            Slot::Arg(n) => match frame.args.get(n as usize) {
-                Some(&v) => v,
-                None => return Err(missing_arg_trap(n)),
-            },
-            Slot::Global(g) => {
-                let (space, offset) = globals[g as usize];
-                match space {
-                    AddrSpace::Global => RtVal::Ptr(mem::global_addr(offset)),
-                    AddrSpace::Shared => RtVal::Ptr(mem::shared_addr(team_id, offset)),
-                }
-            }
-        })
+    fn slot_val(frame: &Frame, s: Slot) -> Result<RtVal, SimError> {
+        match frame.regs.get(s.0 as usize) {
+            Some(&Some(v)) => Ok(v),
+            _ => Err(empty_slot_trap(frame.num_regs, s)),
+        }
     }
 
     /// Runs compiled blocks for thread `hw` from the top frame's block
@@ -734,14 +715,13 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                     then_e,
                     else_e,
                 } => {
-                    let (g, t) = (self.globals, self.team.id);
                     // Early returns, not a `Result<bool, _>` value: the
                     // optimizer copies a materialized one once per block.
                     let c = if let Some(f) = &cb.cmp_br {
                         self.stats.fused_cmp_br += 1;
                         let r = (|| {
-                            let a = Self::slot_val(g, t, &frame, f.lhs)?;
-                            let b = Self::slot_val(g, t, &frame, f.rhs)?;
+                            let a = Self::slot_val(&frame, f.lhs)?;
+                            let b = Self::slot_val(&frame, f.rhs)?;
                             exec_cmp(f.op, f.ty, a, b)
                         })();
                         match r {
@@ -753,7 +733,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                             }
                         }
                     } else {
-                        match Self::branch(g, t, &frame, *cond) {
+                        match Self::branch(&frame, *cond) {
                             Ok(c) => c,
                             Err(e) => return self.end_run(hw, frame, cycles, insts, Err(e)),
                         }
@@ -765,8 +745,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                     }
                 }
             };
-            let (g, t) = (self.globals, self.team.id);
-            if let Err(e) = Self::take_edge(g, t, &mut self.scratch_phis, &mut frame, taken) {
+            if let Err(e) = Self::take_edge(&mut self.scratch_phis, &mut frame, taken) {
                 return self.end_run(hw, frame, cycles, insts, Err(e));
             }
             bp = fp.block(frame.block);
@@ -797,30 +776,24 @@ impl<'a, 'm> TeamExec<'a, 'm> {
     }
 
     /// Follows a pre-resolved edge: applies the target's phi moves for
-    /// this predecessor (every read before any write) and repositions
-    /// the frame, or traps at a phi with no incoming. Takes the
-    /// executor's parts so that either tier can pass the frame it holds.
-    fn take_edge(
-        globals: &[(AddrSpace, u64)],
-        team_id: u32,
-        scratch: &mut Vec<(InstId, RtVal)>,
-        frame: &mut Frame,
-        edge: &Edge,
-    ) -> Result<(), SimError> {
-        match edge.moves.as_slice() {
-            [] => {}
-            &[(i, s)] => {
-                let v = Self::slot_val(globals, team_id, frame, s)?;
+    /// this predecessor and repositions the frame, or traps at a phi
+    /// with no incoming. The moves take effect simultaneously: in place
+    /// when the plan proved that equivalent, otherwise every read goes
+    /// through `scratch` before any write. Takes the executor's parts so
+    /// that either tier can pass the frame it holds.
+    fn take_edge(scratch: &mut Vec<RtVal>, frame: &mut Frame, edge: &Edge) -> Result<(), SimError> {
+        if edge.parallel {
+            scratch.clear();
+            for &(_, s) in &edge.moves {
+                scratch.push(Self::slot_val(frame, s)?);
+            }
+            for (&(i, _), &v) in edge.moves.iter().zip(scratch.iter()) {
                 Self::set_reg(frame, i, v);
             }
-            moves => {
-                scratch.clear();
-                for &(i, s) in moves {
-                    scratch.push((i, Self::slot_val(globals, team_id, frame, s)?));
-                }
-                for &(i, v) in scratch.iter() {
-                    Self::set_reg(frame, i, v);
-                }
+        } else {
+            for &(i, s) in &edge.moves {
+                let v = Self::slot_val(frame, s)?;
+                Self::set_reg(frame, i, v);
             }
         }
         if let Some(i) = edge.missing {
@@ -837,15 +810,10 @@ impl<'a, 'm> TeamExec<'a, 'm> {
     /// A conditional branch's decision on `cond`; inlined like
     /// [`TeamExec::slot_val`], as tier 1 decides one per block.
     #[inline(always)]
-    fn branch(
-        globals: &[(AddrSpace, u64)],
-        team_id: u32,
-        frame: &Frame,
-        cond: Slot,
-    ) -> Result<bool, SimError> {
-        Self::slot_val(globals, team_id, frame, cond)?
+    fn branch(frame: &Frame, cond: Slot) -> Result<bool, SimError> {
+        Self::slot_val(frame, cond)?
             .as_bool()
-            .ok_or_else(|| SimError::trap("branch on non-boolean"))
+            .ok_or_else(|| op_trap("branch on non-boolean"))
     }
 
     /// Executes one step — the single definition of every straight-line
@@ -867,7 +835,6 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         frame: &mut Frame,
         cycles: &mut u64,
     ) -> Result<(), (u32, SimError)> {
-        let globals = self.globals;
         let team_id = self.team.id;
         match *step {
             Step::Alloca { size, dst } => {
@@ -875,25 +842,25 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 let addr = mem::local_addr(team_id, hw, th.local_sp);
                 th.local_sp += size.max(1).div_ceil(8) * 8;
                 if th.local_sp > self.cfg.local_mem_per_thread {
-                    return Err((0, SimError::trap("thread-local stack overflow")));
+                    return Err((0, op_trap("thread-local stack overflow")));
                 }
                 Self::set_reg(frame, dst, RtVal::Ptr(addr));
             }
             Step::Load { ptr, ty, site, dst } => {
-                let p = Self::slot_val(globals, team_id, frame, ptr)
+                let p = Self::slot_val(frame, ptr)
                     .map_err(|e| (0, e))?
                     .as_ptr()
-                    .ok_or_else(|| (0, SimError::trap("load through non-pointer")))?;
+                    .ok_or_else(|| (0, op_trap("load through non-pointer")))?;
                 let (v, class) = self.mem.load(p, ty, hw).map_err(|e| (0, e.into()))?;
                 *cycles += self.access::<OBS>(hw, fid, frame, site, p, ty, class, false);
                 Self::set_reg(frame, dst, v);
             }
             Step::Store { ptr, val, site } => {
-                let p = Self::slot_val(globals, team_id, frame, ptr)
+                let p = Self::slot_val(frame, ptr)
                     .map_err(|e| (0, e))?
                     .as_ptr()
-                    .ok_or_else(|| (0, SimError::trap("store through non-pointer")))?;
-                let v = Self::slot_val(globals, team_id, frame, val).map_err(|e| (0, e))?;
+                    .ok_or_else(|| (0, op_trap("store through non-pointer")))?;
+                let v = Self::slot_val(frame, val).map_err(|e| (0, e))?;
                 let class = self.mem.store(p, v, hw).map_err(|e| (0, e.into()))?;
                 *cycles += self.access::<OBS>(hw, fid, frame, site, p, v.ty(), class, true);
             }
@@ -904,8 +871,8 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 rhs,
                 dst,
             } => {
-                let a = Self::slot_val(globals, team_id, frame, lhs).map_err(|e| (0, e))?;
-                let b = Self::slot_val(globals, team_id, frame, rhs).map_err(|e| (0, e))?;
+                let a = Self::slot_val(frame, lhs).map_err(|e| (0, e))?;
+                let b = Self::slot_val(frame, rhs).map_err(|e| (0, e))?;
                 let v = exec_bin(op, ty, a, b).map_err(|e| (0, e))?;
                 Self::set_reg(frame, dst, v);
             }
@@ -916,13 +883,13 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 rhs,
                 dst,
             } => {
-                let a = Self::slot_val(globals, team_id, frame, lhs).map_err(|e| (0, e))?;
-                let b = Self::slot_val(globals, team_id, frame, rhs).map_err(|e| (0, e))?;
+                let a = Self::slot_val(frame, lhs).map_err(|e| (0, e))?;
+                let b = Self::slot_val(frame, rhs).map_err(|e| (0, e))?;
                 let v = exec_cmp(op, ty, a, b).map_err(|e| (0, e))?;
                 Self::set_reg(frame, dst, v);
             }
             Step::Cast { op, val, to, dst } => {
-                let a = Self::slot_val(globals, team_id, frame, val).map_err(|e| (0, e))?;
+                let a = Self::slot_val(frame, val).map_err(|e| (0, e))?;
                 let v = exec_cast(op, a, to).map_err(|e| (0, e))?;
                 Self::set_reg(frame, dst, v);
             }
@@ -933,14 +900,14 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 offset,
                 dst,
             } => {
-                let b = Self::slot_val(globals, team_id, frame, base)
+                let b = Self::slot_val(frame, base)
                     .map_err(|e| (0, e))?
                     .as_ptr()
-                    .ok_or_else(|| (0, SimError::trap("gep on non-pointer")))?;
-                let i = Self::slot_val(globals, team_id, frame, index)
+                    .ok_or_else(|| (0, op_trap("gep on non-pointer")))?;
+                let i = Self::slot_val(frame, index)
                     .map_err(|e| (0, e))?
                     .as_i64()
-                    .ok_or_else(|| (0, SimError::trap("gep with non-integer index")))?;
+                    .ok_or_else(|| (0, op_trap("gep with non-integer index")))?;
                 let addr = (b as i64 + i * scale as i64 + offset) as u64;
                 Self::set_reg(frame, dst, RtVal::Ptr(addr));
             }
@@ -950,14 +917,14 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 on_false,
                 dst,
             } => {
-                let c = Self::slot_val(globals, team_id, frame, cond)
+                let c = Self::slot_val(frame, cond)
                     .map_err(|e| (0, e))?
                     .as_bool()
-                    .ok_or_else(|| (0, SimError::trap("select on non-boolean")))?;
+                    .ok_or_else(|| (0, op_trap("select on non-boolean")))?;
                 let v = if c {
-                    Self::slot_val(globals, team_id, frame, on_true).map_err(|e| (0, e))?
+                    Self::slot_val(frame, on_true).map_err(|e| (0, e))?
                 } else {
-                    Self::slot_val(globals, team_id, frame, on_false).map_err(|e| (0, e))?
+                    Self::slot_val(frame, on_false).map_err(|e| (0, e))?
                 };
                 Self::set_reg(frame, dst, v);
             }
@@ -970,7 +937,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             } => {
                 let mut buf = [RtVal::I64(0); 2];
                 for (k, slot) in args.iter().take(n_args as usize).enumerate() {
-                    buf[k] = Self::slot_val(globals, team_id, frame, *slot).map_err(|e| (0, e))?;
+                    buf[k] = Self::slot_val(frame, *slot).map_err(|e| (0, e))?;
                 }
                 let v = exec_math(kind, f32_out, &buf[..n_args as usize]).map_err(|e| (0, e))?;
                 Self::set_reg(frame, dst, v);
@@ -985,14 +952,14 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 site,
                 dst,
             } => {
-                let b = Self::slot_val(globals, team_id, frame, base)
+                let b = Self::slot_val(frame, base)
                     .map_err(|e| (0, e))?
                     .as_ptr()
-                    .ok_or_else(|| (0, SimError::trap("gep on non-pointer")))?;
-                let i = Self::slot_val(globals, team_id, frame, index)
+                    .ok_or_else(|| (0, op_trap("gep on non-pointer")))?;
+                let i = Self::slot_val(frame, index)
                     .map_err(|e| (0, e))?
                     .as_i64()
-                    .ok_or_else(|| (0, SimError::trap("gep with non-integer index")))?;
+                    .ok_or_else(|| (0, op_trap("gep with non-integer index")))?;
                 let addr = (b as i64 + i * scale as i64 + offset) as u64;
                 if let Some(d) = addr_dst {
                     Self::set_reg(frame, d, RtVal::Ptr(addr));
@@ -1014,29 +981,29 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 sptr,
                 ssite,
             } => {
-                let p = Self::slot_val(globals, team_id, frame, ptr)
+                let p = Self::slot_val(frame, ptr)
                     .map_err(|e| (0, e))?
                     .as_ptr()
-                    .ok_or_else(|| (0, SimError::trap("load through non-pointer")))?;
+                    .ok_or_else(|| (0, op_trap("load through non-pointer")))?;
                 let (lv, class) = self.mem.load(p, lty, hw).map_err(|e| (0, e.into()))?;
                 *cycles += self.access::<OBS>(hw, fid, frame, lsite, p, lty, class, false);
                 if let Some(d) = ldst {
                     Self::set_reg(frame, d, lv);
                 }
                 let bv = if loaded_is_lhs {
-                    let b = Self::slot_val(globals, team_id, frame, other).map_err(|e| (1, e))?;
+                    let b = Self::slot_val(frame, other).map_err(|e| (1, e))?;
                     exec_bin(op, bty, lv, b).map_err(|e| (1, e))?
                 } else {
-                    let a = Self::slot_val(globals, team_id, frame, other).map_err(|e| (1, e))?;
+                    let a = Self::slot_val(frame, other).map_err(|e| (1, e))?;
                     exec_bin(op, bty, a, lv).map_err(|e| (1, e))?
                 };
                 if let Some(d) = bdst {
                     Self::set_reg(frame, d, bv);
                 }
-                let sp = Self::slot_val(globals, team_id, frame, sptr)
+                let sp = Self::slot_val(frame, sptr)
                     .map_err(|e| (2, e))?
                     .as_ptr()
-                    .ok_or_else(|| (2, SimError::trap("store through non-pointer")))?;
+                    .ok_or_else(|| (2, op_trap("store through non-pointer")))?;
                 let class = self.mem.store(sp, bv, hw).map_err(|e| (2, e.into()))?;
                 *cycles += self.access::<OBS>(hw, fid, frame, ssite, sp, bv.ty(), class, true);
             }
@@ -1064,7 +1031,6 @@ impl<'a, 'm> TeamExec<'a, 'm> {
     /// terminator iteration `run_unfused` counted: the condition, then
     /// the phi moves, then the branch charge.
     fn exit_block(&mut self, hw: u32, exit: &Exit) -> Result<(), SimError> {
-        let (g, t) = (self.globals, self.team.id);
         let frame = self.team.threads[hw as usize]
             .frames
             .last_mut()
@@ -1076,14 +1042,14 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 then_e,
                 else_e,
             } => {
-                if Self::branch(g, t, frame, *cond)? {
+                if Self::branch(frame, *cond)? {
                     then_e
                 } else {
                     else_e
                 }
             }
             Exit::Ret(v) => {
-                let val = v.map(|s| Self::slot_val(g, t, frame, s)).transpose()?;
+                let val = v.map(|s| Self::slot_val(frame, s)).transpose()?;
                 return self.do_return(hw, val);
             }
             Exit::Unreachable => {
@@ -1093,7 +1059,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 )));
             }
         };
-        Self::take_edge(g, t, &mut self.scratch_phis, frame, edge)?;
+        Self::take_edge(&mut self.scratch_phis, frame, edge)?;
         self.charge(hw, self.cost.simple_op, CycleClass::Branch);
         Ok(())
     }
@@ -1367,7 +1333,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         let (target, indirect) = match call.target {
             CallTarget::Indirect(callee) => {
                 let f = self.team.threads[hw as usize].frames.last().unwrap();
-                let p = Self::slot_val(self.globals, self.team.id, f, callee)?
+                let p = Self::slot_val(f, callee)?
                     .as_ptr()
                     .ok_or_else(|| SimError::trap("indirect call on non-pointer"))?;
                 let fid = match mem::decode(p) {
@@ -1408,16 +1374,22 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 self.module.func(fid).name
             ))),
             CallTarget::Direct(target) => {
-                let tplan = self.plan.func(target).expect("direct target is defined");
-                let (entry, num_regs) = (tplan.entry, tplan.num_regs);
+                let plan = self.plan;
+                let tplan = plan.func(target).expect("direct target is defined");
                 // Ordinary call: push a (recycled) frame.
                 let team_id = self.team.id;
                 let th = &mut self.team.threads[hw as usize];
                 let sp = th.local_sp;
-                let mut fr = make_frame(&mut th.pool, target, entry, num_regs, sp, Some(dst), None);
+                let mut fr = make_frame(&mut th.pool, tplan, target, team_id, sp, Some(dst), None);
                 let f = th.frames.last().unwrap();
-                for &a in args {
-                    fr.args.push(Self::slot_val(self.globals, team_id, f, a)?);
+                // Every argument is evaluated; one the callee never
+                // reads has no slot to land in.
+                let slots = &mut fr.regs[tplan.args()];
+                for (k, &a) in args.iter().enumerate() {
+                    let v = Self::slot_val(f, a)?;
+                    if let Some(r) = slots.get_mut(k) {
+                        *r = Some(v);
+                    }
                 }
                 th.frames.last_mut().unwrap().idx += 1;
                 let now = th.cycles;
@@ -1443,7 +1415,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         vals.clear();
         let f = self.team.threads[hw as usize].frames.last().unwrap();
         for &a in args {
-            vals.push(Self::slot_val(self.globals, self.team.id, f, a)?);
+            vals.push(Self::slot_val(f, a)?);
         }
         Ok(vals)
     }
@@ -1701,24 +1673,28 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         if region.index() >= self.module.num_functions() {
             return Err(SimError::trap("parallel_51 with unresolvable region token"));
         }
-        let Some(rplan) = self.plan.func(region) else {
+        let plan = self.plan;
+        let Some(rplan) = plan.func(region) else {
             return Err(SimError::trap("parallel region is a declaration"));
         };
-        let (entry, num_regs) = (rplan.entry, rplan.num_regs);
+        let team_id = self.team.id;
         let depth = self.team.threads[hw as usize].ctx.len();
+        // A region body gets one argument, the shared-arguments pointer.
         let push_region_frame = |th: &mut Thread, hook: RetHook, arg: RtVal| {
             th.frames.last_mut().unwrap().idx += 1;
             let sp = th.local_sp;
             let mut fr = make_frame(
                 &mut th.pool,
+                rplan,
                 region,
-                entry,
-                num_regs,
+                team_id,
                 sp,
                 Some(inst_id),
                 Some(hook),
             );
-            fr.args.push(arg);
+            if let Some(r) = fr.regs[rplan.args()].first_mut() {
+                *r = Some(arg);
+            }
             th.frames.push(fr);
         };
         if depth >= 2 {
@@ -1813,31 +1789,44 @@ fn rtl_arg(vals: &[RtVal], i: usize, rtl: RtlFn) -> Result<RtVal, SimError> {
         .ok_or_else(|| SimError::trap(format!("{} called with too few arguments", rtl.name())))
 }
 
-/// Outlined trap constructors for [`TeamExec::slot_val`]: keeping the
+/// Outlined trap constructor for [`TeamExec::slot_val`]: keeping the
 /// `format!` machinery out of line is what lets the hot accessor
-/// inline into the step loops.
+/// inline into the step loops. Constants and globals are never empty,
+/// so an empty slot is a register never written or, past `num_regs`,
+/// an argument the frame was not given.
 #[cold]
 #[inline(never)]
-fn undef_value_trap(i: InstId) -> SimError {
-    SimError::trap(format!("use of undefined value {i}"))
+fn empty_slot_trap(num_regs: u32, s: Slot) -> SimError {
+    if s.0 < num_regs {
+        SimError::trap(format!("use of undefined value {}", InstId(s.0)))
+    } else {
+        SimError::trap(format!("missing argument {}", s.0 - num_regs))
+    }
+}
+
+/// Outlined constructor of the scalar ops' fixed-text traps, so the
+/// ops inline into [`TeamExec::exec_step`] without their error paths.
+#[cold]
+#[inline(never)]
+fn op_trap(msg: &'static str) -> SimError {
+    SimError::trap(msg)
 }
 
 #[cold]
 #[inline(never)]
-fn missing_arg_trap(n: u32) -> SimError {
-    SimError::trap(format!("missing argument {n}"))
+fn undefined_int_op_trap(op: BinOp, x: i64, y: i64) -> SimError {
+    SimError::trap(format!("undefined integer operation {op:?} ({x}, {y})"))
 }
 
 // ---- scalar operation semantics ----
 
+#[inline(always)]
 fn exec_bin(op: BinOp, ty: Type, a: RtVal, b: RtVal) -> Result<RtVal, SimError> {
     use omp_ir::fold;
     if op.is_float() {
         let (x, y) = (
-            a.as_f64()
-                .ok_or_else(|| SimError::trap("float op on non-float"))?,
-            b.as_f64()
-                .ok_or_else(|| SimError::trap("float op on non-float"))?,
+            a.as_f64().ok_or_else(|| op_trap("float op on non-float"))?,
+            b.as_f64().ok_or_else(|| op_trap("float op on non-float"))?,
         );
         let r = match op {
             BinOp::FAdd => x + y,
@@ -1853,12 +1842,8 @@ fn exec_bin(op: BinOp, ty: Type, a: RtVal, b: RtVal) -> Result<RtVal, SimError> 
         });
     }
     // Pointer arithmetic via integer ops on raw addresses is allowed.
-    let x = a
-        .as_i64()
-        .ok_or_else(|| SimError::trap("int op on non-int"))?;
-    let y = b
-        .as_i64()
-        .ok_or_else(|| SimError::trap("int op on non-int"))?;
+    let x = a.as_i64().ok_or_else(|| op_trap("int op on non-int"))?;
+    let y = b.as_i64().ok_or_else(|| op_trap("int op on non-int"))?;
     // Total integer ops take a direct path: same wrapping semantics as
     // `fold::fold_bin` (`wrap_int` + the `ConstInt` conversion below),
     // minus the per-instruction `Value` round trip. Partial ops
@@ -1898,19 +1883,18 @@ fn exec_bin(op: BinOp, ty: Type, a: RtVal, b: RtVal) -> Result<RtVal, SimError> 
                 }
             }
         }),
-        _ => Err(SimError::trap(format!(
-            "undefined integer operation {op:?} ({x}, {y})"
-        ))),
+        _ => Err(undefined_int_op_trap(op, x, y)),
     }
 }
 
+#[inline(always)]
 fn exec_cmp(op: CmpOp, ty: Type, a: RtVal, b: RtVal) -> Result<RtVal, SimError> {
     if op.is_float() {
         let (x, y) = (
             a.as_f64()
-                .ok_or_else(|| SimError::trap("float cmp on non-float"))?,
+                .ok_or_else(|| op_trap("float cmp on non-float"))?,
             b.as_f64()
-                .ok_or_else(|| SimError::trap("float cmp on non-float"))?,
+                .ok_or_else(|| op_trap("float cmp on non-float"))?,
         );
         let r = match op {
             CmpOp::FOeq => x == y,
@@ -1923,12 +1907,8 @@ fn exec_cmp(op: CmpOp, ty: Type, a: RtVal, b: RtVal) -> Result<RtVal, SimError> 
         };
         return Ok(RtVal::Bool(r));
     }
-    let x = a
-        .as_i64()
-        .ok_or_else(|| SimError::trap("int cmp on non-int"))?;
-    let y = b
-        .as_i64()
-        .ok_or_else(|| SimError::trap("int cmp on non-int"))?;
+    let x = a.as_i64().ok_or_else(|| op_trap("int cmp on non-int"))?;
+    let y = b.as_i64().ok_or_else(|| op_trap("int cmp on non-int"))?;
     // Every integer comparison is total, so the generic constant
     // folder is skipped; semantics mirror `fold::fold_cmp` exactly
     // (pointers compare as raw i64 addresses, unsigned views truncate
@@ -1950,11 +1930,12 @@ fn exec_cmp(op: CmpOp, ty: Type, a: RtVal, b: RtVal) -> Result<RtVal, SimError> 
         CmpOp::Ule => ux <= uy,
         CmpOp::Ugt => ux > uy,
         CmpOp::Uge => ux >= uy,
-        _ => return Err(SimError::trap("undefined comparison")),
+        _ => return Err(op_trap("undefined comparison")),
     };
     Ok(RtVal::Bool(r))
 }
 
+#[inline(always)]
 fn exec_cast(op: CastOp, a: RtVal, to: Type) -> Result<RtVal, SimError> {
     let out = match op {
         CastOp::ZExt => {
@@ -1962,52 +1943,35 @@ fn exec_cast(op: CastOp, a: RtVal, to: Type) -> Result<RtVal, SimError> {
                 RtVal::Bool(b) => b as u64,
                 RtVal::I32(v) => v as u32 as u64,
                 RtVal::I64(v) => v as u64,
-                _ => return Err(SimError::trap("zext on non-int")),
+                _ => return Err(op_trap("zext on non-int")),
             };
             int_to(to, v as i64)
         }
-        CastOp::SExt => int_to(
-            to,
-            a.as_i64()
-                .ok_or_else(|| SimError::trap("sext on non-int"))?,
-        ),
-        CastOp::Trunc => int_to(
-            to,
-            a.as_i64()
-                .ok_or_else(|| SimError::trap("trunc on non-int"))?,
-        ),
+        CastOp::SExt => int_to(to, a.as_i64().ok_or_else(|| op_trap("sext on non-int"))?),
+        CastOp::Trunc => int_to(to, a.as_i64().ok_or_else(|| op_trap("trunc on non-int"))?),
         CastOp::SiToFp => {
-            let v = a
-                .as_i64()
-                .ok_or_else(|| SimError::trap("sitofp on non-int"))?;
+            let v = a.as_i64().ok_or_else(|| op_trap("sitofp on non-int"))?;
             match to {
                 Type::F32 => RtVal::F32(v as f32),
                 _ => RtVal::F64(v as f64),
             }
         }
         CastOp::FpToSi => {
-            let v = a
-                .as_f64()
-                .ok_or_else(|| SimError::trap("fptosi on non-float"))?;
+            let v = a.as_f64().ok_or_else(|| op_trap("fptosi on non-float"))?;
             int_to(to, v as i64)
         }
-        CastOp::FpExt => RtVal::F64(
-            a.as_f64()
-                .ok_or_else(|| SimError::trap("fpext on non-float"))?,
-        ),
-        CastOp::FpTrunc => RtVal::F32(
-            a.as_f64()
-                .ok_or_else(|| SimError::trap("fptrunc on non-float"))? as f32,
-        ),
+        CastOp::FpExt => RtVal::F64(a.as_f64().ok_or_else(|| op_trap("fpext on non-float"))?),
+        CastOp::FpTrunc => {
+            RtVal::F32(a.as_f64().ok_or_else(|| op_trap("fptrunc on non-float"))? as f32)
+        }
         CastOp::PtrToInt => int_to(
             to,
             a.as_ptr()
-                .ok_or_else(|| SimError::trap("ptrtoint on non-pointer"))? as i64,
+                .ok_or_else(|| op_trap("ptrtoint on non-pointer"))? as i64,
         ),
-        CastOp::IntToPtr => RtVal::Ptr(
-            a.as_i64()
-                .ok_or_else(|| SimError::trap("inttoptr on non-int"))? as u64,
-        ),
+        CastOp::IntToPtr => {
+            RtVal::Ptr(a.as_i64().ok_or_else(|| op_trap("inttoptr on non-int"))? as u64)
+        }
     };
     Ok(out)
 }

@@ -1,8 +1,9 @@
 //! Host-side device API: buffer management and kernel launches.
 //!
 //! At construction the device decodes the module into an
-//! [`ExecPlan`] — resolving every call target and pre-sizing every
-//! frame — so launches pay no per-step decode cost. Launches run each
+//! [`ExecPlan`] — resolving every call target and laying out every
+//! function's frame image — and binds the placed globals into it, so
+//! launches pay no per-step decode cost. Launches run each
 //! team on its own [`crate::mem::TeamMemView`]; teams are independent,
 //! so the one team executor (`Device::run_nodes` in [`crate::stream`])
 //! fans them out over the calling thread plus up to `jobs - 1` scoped
@@ -42,8 +43,6 @@ pub struct Device<'m> {
     pub(crate) cfg: DeviceConfig,
     pub(crate) cost: CostModel,
     pub(crate) mem: Memory,
-    /// Placement of every module global, indexed densely by `GlobalId`.
-    pub(crate) globals: Vec<(AddrSpace, u64)>,
     /// Global-space initializer payloads, re-applied by [`Device::reset`].
     global_inits: Vec<(u64, Vec<u8>)>,
     /// Global-memory bump-cursor position right after construction
@@ -83,9 +82,14 @@ impl<'m> Device<'m> {
         {
             cfg.tier = t;
         }
+        // The coalescing model and the warp/lane runtime calls divide
+        // by the warp size.
+        if cfg.warp_size == 0 {
+            return Err(SimError::bad_config("warp_size must be at least 1, got 0"));
+        }
         // Tier-1 blocks pre-sum cycle charges from the device's cost
         // model, so plan construction takes it as an input.
-        let plan = {
+        let mut plan = {
             let _span = omp_telemetry::span("execplan.build", "gpusim");
             ExecPlan::build_with_cost(module, &cost)?
         };
@@ -118,6 +122,7 @@ impl<'m> Device<'m> {
         for (addr, data) in &global_inits {
             mem.write_bytes(*addr, data)?;
         }
+        plan.bind_globals(&globals);
         let base_cursor = mem.global_cursor();
         let jobs = std::env::var("OMPGPU_JOBS")
             .ok()
@@ -129,7 +134,6 @@ impl<'m> Device<'m> {
             cfg,
             cost,
             mem,
-            globals,
             global_inits,
             base_cursor,
             jobs,

@@ -60,6 +60,7 @@ const PAGE_WORDS: usize = PAGE / 64;
 /// on every global load/store, where the default SipHash is the
 /// dominant cost; page numbers are small dense integers, so one
 /// Fibonacci multiply spreads them across buckets with good high bits.
+/// The plan builder's constant-interning keys use it too.
 #[derive(Default)]
 pub struct PageHasher(u64);
 

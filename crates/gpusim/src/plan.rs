@@ -10,12 +10,19 @@
 //!   ([`crate::compile`]) — steps, calls with pre-resolved
 //!   [`CallTarget`]s and operand slots, and branch edges with their phi
 //!   moves — plus the fused body tier 1 runs where it can;
-//! * `num_regs`, the register-file size a frame needs (the instruction
-//!   arena bound), so frames are allocated at full size exactly once;
+//! * the frame image: the function's value file `[registers |
+//!   arguments | constants]` as a new frame starts it, with registers
+//!   and arguments empty and the interned constants and globals
+//!   (`consts`) filled in. A call builds its frame from the image,
+//!   writes its arguments and patches the few shared-space globals with
+//!   the executing team's address, so every operand read at run time is
+//!   one index into the frame;
 //! * `site_base`, this function's offset into the plan-wide dense
 //!   access-site index used by the coalescing tables.
 //!
 //! The plan owns everything it holds: nothing in it borrows the module.
+//! Global addresses are not known until the device places the module's
+//! globals; [`ExecPlan::bind_globals`] then writes them into `consts`.
 //! Plan construction validates every call and operand: a call to an
 //! undefined function id is a clean [`SimError`] at `Device::new` time
 //! instead of an index panic mid-run.
@@ -23,8 +30,11 @@
 use crate::compile::{self, BlockSrc, CompiledBlock, Entry, Exit, Slot};
 use crate::cost::CostModel;
 use crate::error::SimError;
+use crate::mem;
+use crate::value::RtVal;
 use omp_ir::omprtl::{math_fn_signature, RtlFn, ALL_RTL_FNS};
-use omp_ir::{BlockId, FuncId, InstKind, Module, Terminator, Value};
+use omp_ir::{AddrSpace, BlockId, FuncId, GlobalId, InstKind, Module, Terminator, Value};
+use std::ops::Range;
 
 /// Number of runtime entry points — the size of the dense per-team
 /// runtime-call counter table.
@@ -93,12 +103,26 @@ pub(crate) struct BlockPlan {
 /// The decoded form of one defined function.
 pub(crate) struct FuncPlan {
     pub entry: BlockId,
-    /// Frame register-file size: one slot per instruction-arena entry.
+    /// Register count: one slot per instruction-arena entry, at the
+    /// head of the value file.
     pub num_regs: usize,
+    /// Argument slots, right after the registers: one past the highest
+    /// argument any operand reads.
+    pub num_args: usize,
     /// Offset of this function's sites in the dense plan-wide index.
     pub site_base: u32,
     /// Indexed by `BlockId`; `None` for dead arena slots.
     pub blocks: Vec<Option<BlockPlan>>,
+    /// The tail of the frame image, from slot `num_regs + num_args`:
+    /// the interned constants and globals. Registers and arguments
+    /// start empty, so the image stores only this part.
+    pub consts: Vec<Option<RtVal>>,
+    /// The slot of every global an operand references.
+    pub globals: Vec<(u32, GlobalId)>,
+    /// `(slot, offset)` of each shared-space global: a team-dependent
+    /// address, patched into every frame at push. Filled by
+    /// [`ExecPlan::bind_globals`].
+    pub shared: Vec<(u32, u64)>,
 }
 
 impl FuncPlan {
@@ -107,6 +131,18 @@ impl FuncPlan {
         self.blocks[id.index()]
             .as_ref()
             .expect("dead block executed")
+    }
+
+    /// The argument range of the value file.
+    #[inline]
+    pub fn args(&self) -> Range<usize> {
+        self.num_regs..self.consts_at()
+    }
+
+    /// The first slot of `consts`.
+    #[inline]
+    pub fn consts_at(&self) -> usize {
+        self.num_regs + self.num_args
     }
 }
 
@@ -215,12 +251,14 @@ impl ExecPlan {
                     term: &data.term,
                 });
             }
-            funcs.push(Some(FuncPlan {
-                entry: f.entry(),
+            funcs.push(Some(compile::compile_func(
+                &blocks,
+                f.entry(),
+                &nature,
                 num_regs,
-                site_base: total_sites,
-                blocks: compile::compile_func(&blocks, &nature, num_regs, total_sites, cost),
-            }));
+                total_sites,
+                cost,
+            )));
             total_sites += num_regs as u32;
         }
         Ok(ExecPlan {
@@ -229,6 +267,25 @@ impl ExecPlan {
             total_sites,
             num_globals,
         })
+    }
+
+    /// Writes the device's global placement (indexed by `GlobalId`)
+    /// into the frame images: a global-space address is the same for
+    /// every team and goes into `consts` itself; a shared-space one is
+    /// recorded for [`FuncPlan::shared`] patching at frame push.
+    pub(crate) fn bind_globals(&mut self, placement: &[(AddrSpace, u64)]) {
+        for fp in self.funcs.iter_mut().flatten() {
+            fp.shared.clear();
+            let at = fp.consts_at();
+            for &(slot, g) in &fp.globals {
+                match placement[g.index()] {
+                    (AddrSpace::Global, off) => {
+                        fp.consts[slot as usize - at] = Some(RtVal::Ptr(mem::global_addr(off)));
+                    }
+                    (AddrSpace::Shared, off) => fp.shared.push((slot, off)),
+                }
+            }
+        }
     }
 
     /// The decoded plan for a defined function, or `None` for

@@ -670,7 +670,6 @@ impl<'m> Device<'m> {
         let widest = nodes.iter().map(|n| n.teams).max().unwrap_or(1);
         let pool = self.worker_count(widest);
         let (module, eplan, cfg, cost) = (self.module, &self.plan, &self.cfg, &self.cost);
-        let globals = &self.globals[..];
         // Workers read device memory while running a node's teams; the
         // sealing worker takes the write lock inside the rendezvous
         // (everyone else is parked there) to commit the node.
@@ -709,7 +708,6 @@ impl<'m> Device<'m> {
                                 eplan,
                                 cfg,
                                 cost,
-                                globals,
                                 view.team_view(team_id),
                                 node.teams,
                                 node.threads,

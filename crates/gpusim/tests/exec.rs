@@ -525,6 +525,30 @@ void k(double* a) {
     ));
 }
 
+/// A zero warp size is rejected when the device is built, with an
+/// error that names the field, instead of panicking mid-launch in the
+/// coalescing model's lane arithmetic.
+#[test]
+fn zero_warp_size_is_rejected_at_device_construction() {
+    let m = build(
+        r#"
+void k(double* a) {
+  #pragma omp target teams distribute parallel for
+  for (long i = 0; i < 4; i++) { a[i] = 0.0; }
+}
+"#,
+    );
+    let cfg = DeviceConfig {
+        warp_size: 0,
+        ..DeviceConfig::default()
+    };
+    let err = Device::new(&m, cfg)
+        .err()
+        .expect("a zero warp size must not build a device");
+    assert_eq!(err.kind.name(), "bad-config", "{err}");
+    assert!(err.to_string().contains("warp_size"), "{err}");
+}
+
 #[test]
 fn legacy_scheme_runs_fig1_correctly() {
     let m = build_legacy(

@@ -2,7 +2,7 @@
 //! semantics that the dialect cannot express directly — phi swap
 //! simultaneity, unsigned operations, casts, and selects.
 
-use omp_gpusim::{Device, DeviceConfig, LaunchDims, RtVal};
+use omp_gpusim::{Device, DeviceConfig, LaunchDims, RtVal, Tier};
 use omp_ir::{BinOp, Builder, CastOp, CmpOp, ExecMode, Function, KernelInfo, Module, Type, Value};
 
 fn kernelize(m: &mut Module, f: omp_ir::FuncId, name: &str) {
@@ -75,6 +75,60 @@ fn phi_swap_is_simultaneous() {
     dev.launch("swap", &[RtVal::Ptr(out), RtVal::I64(4)], one_thread())
         .unwrap();
     assert_eq!(dev.read_i64(out, 2).unwrap(), vec![1, 2]);
+}
+
+/// A one-directional hazard on a back edge: `b` is reassigned by a phi
+/// placed before `a = phi [.., %b]`, so the edge's moves are not safe to
+/// apply in order — `a` must still see the `b` of the previous
+/// iteration, on both tiers.
+#[test]
+fn phi_reading_an_earlier_phi_sees_its_old_value() {
+    let mut m = Module::new("t");
+    let f = m.add_function(Function::definition(
+        "lag",
+        vec![Type::Ptr, Type::I64],
+        Type::Void,
+    ));
+    {
+        let mut b = Builder::at_entry(&mut m, f);
+        let entry = b.current_block();
+        let header = b.new_block();
+        let body = b.new_block();
+        let exit = b.new_block();
+        b.br(header);
+        b.switch_to(header);
+        let i = b.phi(Type::I64);
+        let bb = b.phi(Type::I64);
+        let a = b.phi(Type::I64);
+        b.add_phi_incoming(i, entry, Value::i64(0));
+        b.add_phi_incoming(bb, entry, Value::i64(7));
+        b.add_phi_incoming(a, entry, Value::i64(0));
+        let c = b.cmp(CmpOp::Slt, Type::I64, i, Value::Arg(1));
+        b.cond_br(c, body, exit);
+        b.switch_to(body);
+        let i2 = b.add_i64(i, Value::i64(1));
+        b.add_phi_incoming(i, body, i2);
+        b.add_phi_incoming(bb, body, Value::i64(1));
+        b.add_phi_incoming(a, body, bb);
+        b.br(header);
+        b.switch_to(exit);
+        b.store(a, Value::Arg(0));
+        let slot1 = b.gep_const(Value::Arg(0), 8);
+        b.store(bb, slot1);
+        b.ret(None);
+    }
+    kernelize(&mut m, f, "lag");
+    omp_ir::verifier::assert_valid(&m);
+    for tier in [Tier::Interp, Tier::Compiled] {
+        let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+        dev.set_tier(tier);
+        let out = dev.alloc_i64(&[0, 0]).unwrap();
+        for (n, want) in [(0, [0, 7]), (1, [7, 1]), (3, [1, 1])] {
+            dev.launch("lag", &[RtVal::Ptr(out), RtVal::I64(n)], one_thread())
+                .unwrap();
+            assert_eq!(dev.read_i64(out, 2).unwrap(), want, "n={n} under {tier:?}");
+        }
+    }
 }
 
 /// Unsigned division/comparison and zero-extension semantics.

@@ -429,6 +429,45 @@ fn trap_diagnostics_are_tier_identical() {
             "trap: use of undefined value %v0 (in @k, block 0, inst 1, team 0, thread 0)",
         ),
         (
+            "in-order phi moves whose second move reads an undefined value",
+            handwritten_kernel(|b| {
+                let v = undefined(b);
+                let (entry, join) = (b.current_block(), b.new_block());
+                b.store(Value::i64(1), Value::Arg(0));
+                b.br(join);
+                b.switch_to(join);
+                let x = b.phi(Type::I64);
+                let y = b.phi(Type::I64);
+                b.add_phi_incoming(x, entry, Value::i64(3));
+                b.add_phi_incoming(y, entry, v);
+                b.store(y, Value::Arg(0));
+                b.ret(None);
+            }),
+            "trap: use of undefined value %v0 (in @k, block 0, inst 1, team 0, thread 0)",
+        ),
+        (
+            "parallel region reading an argument region frames do not get",
+            handwritten_kernel(|b| {
+                let r = b.module().add_function(Function::definition(
+                    "r",
+                    vec![Type::Ptr, Type::I64],
+                    Type::Void,
+                ));
+                {
+                    let mut rb = Builder::at_entry(b.module(), r);
+                    let v = rb.add_i64(Value::Arg(1), Value::i64(1));
+                    rb.store(v, Value::Arg(0));
+                    rb.ret(None);
+                }
+                b.call_rtl(
+                    omp_ir::RtlFn::Parallel51,
+                    vec![Value::Func(r), Value::i32(-1), Value::Arg(0)],
+                );
+                b.ret(None);
+            }),
+            "trap: missing argument 1 (in @r, block 0, inst 0, team 0, thread 0)",
+        ),
+        (
             "undefined argument to a direct call",
             handwritten_kernel(|b| {
                 let g = b

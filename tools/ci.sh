@@ -68,6 +68,11 @@ run_test() {
     # Build first, so the bound below covers running the tests only.
     cargo test -q --workspace --offline --no-run
     with_timeout 1800 "cargo test" cargo test -q --workspace --offline
+    # The run above checked the exact proxy counts on the default
+    # (compiled) tier; tier 0 must reproduce the same golden.
+    echo "==> sim_counts golden (OMPGPU_TIER=interp)"
+    with_timeout 900 "sim_counts (interp)" env OMPGPU_TIER=interp \
+        cargo test -q -p omp-gpu --test sim_counts --offline
     # The compiled tier is the default everywhere above; run the verify
     # suite pinned to each tier and compare the reports. Verify's text
     # has no tier field, so a tier-0 change that moves a cycle count
