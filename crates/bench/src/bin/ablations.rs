@@ -10,7 +10,7 @@
 //!
 //! Usage: `cargo run --release -p omp-bench --bin ablations [--scale small]`
 
-use omp_bench::{fmt_cycles, scale_from_args};
+use omp_bench::{args, fmt_cycles};
 use omp_benchmarks::{all_proxies, verify, ProxyApp};
 use omp_gpusim::Device;
 use omp_opt::OpenMpOptConfig;
@@ -97,7 +97,7 @@ fn run_fig7(cfg: &OpenMpOptConfig) -> (u64, usize) {
 }
 
 fn main() {
-    let scale = scale_from_args();
+    let scale = args().scale;
     println!("Ablation studies (LLVM Dev pipeline variants)\n");
 
     println!("0. Synthetic Figure 7 kernel (four guarded stores per iteration):");

@@ -3,11 +3,11 @@
 //!
 //! Usage: `cargo run --release -p omp-bench --bin fig10 [--scale small]`
 
-use omp_bench::{collect, fmt_cycles, scale_from_args};
+use omp_bench::{args, collect, fmt_cycles};
 use omp_gpu::BuildConfig;
 
 fn main() {
-    let scale = scale_from_args();
+    let scale = args().scale;
     println!("Figure 10: kernel time, shared memory and register usage");
     println!();
     for pr in collect(scale) {

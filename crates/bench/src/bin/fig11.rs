@@ -3,9 +3,11 @@
 //!
 //! Usage:
 //!   cargo run --release -p omp-bench --bin fig11 [--scale small] [benchmark-name]
-//! where `name` filters to one of xsbench/rsbench/su3bench/miniqmc.
+//! where `name` filters to one of xsbench/rsbench/su3bench/miniqmc
+//! (case-insensitive substring); a name matching none is exit 2.
 
-use omp_bench::{collect, fmt_cycles, scale_from_args};
+use omp_bench::{args, collect, fmt_cycles};
+use omp_gpu::all_proxies;
 
 /// Paper-reported relative values (Figure 11), for side-by-side shape
 /// comparison. `None` = not reported / OOM.
@@ -51,13 +53,21 @@ fn paper_values(bench: &str) -> [(&'static str, Option<f64>); 7] {
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let filter: Option<String> = std::env::args()
-        .skip(1)
-        .find(|a| !a.starts_with("--") && a != "small" && a != "bench")
-        .map(|s| s.to_lowercase());
+    let args = args();
+    let filter = args.words.first().map(|s| s.to_lowercase());
+    if let Some(f) = &filter {
+        let proxies = all_proxies(args.scale);
+        let names: Vec<&str> = proxies.iter().map(|p| p.name()).collect();
+        if !names.iter().any(|n| n.to_lowercase().contains(f)) {
+            eprintln!(
+                "fig11: no proxy matches {f:?} (known: {})",
+                names.join(", ")
+            );
+            std::process::exit(2);
+        }
+    }
     println!("Figure 11: kernel performance relative to LLVM 12 (higher is better)");
-    for pr in collect(scale) {
+    for pr in collect(args.scale) {
         if let Some(f) = &filter {
             if !pr.name.to_lowercase().contains(f) {
                 continue;

@@ -3,11 +3,11 @@
 //!
 //! Usage: `cargo run --release -p omp-bench --bin fig9 [--scale small]`
 
-use omp_bench::{collect, scale_from_args};
+use omp_bench::{args, collect};
 use omp_gpu::BuildConfig;
 
 fn main() {
-    let scale = scale_from_args();
+    let scale = args().scale;
     println!("Figure 9: optimization opportunities and remarks (LLVM Dev pipeline)");
     println!();
     println!(

@@ -11,13 +11,13 @@
 //! per-pass statistics table on stderr-free stdout lines starting with
 //! `#`.
 
-use omp_bench::scale_from_args;
+use omp_bench::args;
 use omp_benchmarks::all_proxies;
 use omp_gpu::{pipeline, BuildConfig};
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
-    let scale = scale_from_args();
+    let scale = args().scale;
     if !json {
         println!("Optimization remarks (LLVM Dev pipeline; see docs/remarks.md)");
     }

@@ -26,13 +26,15 @@
 //!   (`docs/SERVE.md`); `json-validate` checks an artifact.
 //!
 //! Every value is read strictly: a missing or malformed flag value, or a
-//! malformed `OMPGPU_JOBS`/`OMPGPU_MAX_INSTS`/`OMPGPU_TIER`, is a usage
-//! error (exit `2`) naming it, never a silent fallback to the default.
+//! malformed `OMPGPU_JOBS`/`OMPGPU_MAX_INSTS`, is a usage error (exit
+//! `2`) naming it, never a silent fallback to the default. The two
+//! variables are read here and in `serve`'s session, once each, as the
+//! defaults of `--jobs` and `--max-insts`; the simulator reads none.
 //! `--telemetry FILE` writes an `ompgpu-telemetry/v1` artifact, or a
 //! Chrome trace when FILE ends in `.trace.json` (`docs/TELEMETRY.md`).
 
 use omp_gpu::job::{
-    self, JobError, JobResult, Store, EXIT_BUILD, EXIT_DIVERGED, EXIT_SIM, EXIT_USAGE,
+    self, EnvOverrides, JobError, JobResult, Store, EXIT_BUILD, EXIT_DIVERGED, EXIT_SIM, EXIT_USAGE,
 };
 use omp_gpu::oracle::{ArgSpec, BufInit, ORACLE_CONFIGS};
 use omp_gpu::request::{self, Request, RequestError, Target};
@@ -64,7 +66,7 @@ fn usage() -> ExitCode {
         "usage:\n  ompgpu build <file.c> [--config CFG] [--emit-ir] [--remarks] [--time-passes]\n             \
          [--telemetry FILE]\n  \
          ompgpu run <file.c> --kernel NAME [--config CFG] [--teams N] [--threads N]\n             \
-         [--jobs N] [--tier interp|compiled] [--json] [--arg SPEC]...\n             \
+         [--jobs N] [--max-insts N] [--json] [--arg SPEC]...\n             \
          [--dump N] [--time-passes] [--telemetry FILE]\n  \
          ompgpu profile <file.c> [--kernel NAME] [--config CFG | --all-configs]\n             \
          [--teams N] [--threads N] [--jobs N] [--arg SPEC]...\n             \
@@ -72,7 +74,7 @@ fn usage() -> ExitCode {
          ompgpu profile --proxy NAME [--scale small|bench] [--config CFG | --all-configs]\n             \
          [--jobs N] [--json] [--trace FILE] [--time-passes]\n  \
          ompgpu verify [--scale small|bench] [--examples DIR] [--jobs N]\n             \
-         [--watchdog SECS] [--tier interp|compiled] [--telemetry FILE]\n             \
+         [--watchdog SECS] [--telemetry FILE]\n             \
          [FILE.c ...]\n  \
          ompgpu sanitize <file.c> | --proxy NAME | --self-test\n             \
          [--config CFG | --all-configs] [--scale small|bench]\n             \
@@ -85,13 +87,11 @@ fn usage() -> ExitCode {
          CFG:  llvm12 | noopt | h2s2 | h2s2rtc | h2s2rtccsm | dev (default) | cuda\n\
          SPEC: buf:f64:LEN[:init] | buf:i64:LEN[:init] | i64:V | i32:V | f64:V\n      \
          (init: zero | iota | pseudo; default zero)\n\
-         --jobs N: simulator worker threads for independent teams (0 = auto)\n\
+         --jobs N: simulator worker threads for independent teams (0 = auto;\n      \
+         the OMPGPU_JOBS environment variable is the default)\n\
          --max-insts N: per-thread dynamic instruction budget (runaway guard;\n      \
          the OMPGPU_MAX_INSTS environment variable is the default)\n\
          --watchdog SECS: wall-clock budget per launch (0 = off)\n\
-         --tier interp|compiled: simulator execution tier (results, profiles\n      \
-         and findings are bit-identical; the OMPGPU_TIER environment variable\n      \
-         is the default, also for profile and sanitize)\n\
          --telemetry FILE: write spans + metrics as ompgpu-telemetry/v1\n      \
          (or a Chrome trace when FILE ends in .trace.json)\n\n\
          exit codes: 0 ok/clean, 1 compile/IO, 2 usage, 3 simulation,\n      \
@@ -133,11 +133,14 @@ fn unknown_flag(command: &str, flag: &str) -> ExitCode {
 /// argv, run through the reducers `ompgpu serve` uses on a store that
 /// keeps no device, rendered as text.
 fn request_main(op: &str, args: &[String]) -> Result<ExitCode, ExitCode> {
-    // Launching subcommands read the `OMPGPU_*` overrides as strictly
-    // as `serve` does: a malformed one stops them before anything runs.
-    if op != "build" {
-        job::env_overrides().map_err(|e| request_error(op, RequestError::Value(EXIT_USAGE, e)))?;
-    }
+    // Launching subcommands read the `OMPGPU_*` overrides once, as
+    // strictly as `serve` does: a malformed one stops them before
+    // anything runs, a valid one is the default of every launch.
+    let env = match op {
+        "build" => EnvOverrides::default(),
+        _ => job::env_overrides()
+            .map_err(|e| request_error(op, RequestError::Value(EXIT_USAGE, e)))?,
+    };
     let req = Request::from_argv(op, args).map_err(|e| request_error(op, e))?;
     if req.targets.is_empty() && !req.self_test {
         let need = match op {
@@ -152,11 +155,11 @@ fn request_main(op: &str, args: &[String]) -> Result<ExitCode, ExitCode> {
         omp_telemetry::clear_spans();
         omp_telemetry::set_enabled(true);
     }
-    let (mut store, knobs) = (Store::new(0), req.knobs());
+    let (mut store, knobs) = (Store::new(0), req.knobs(env));
     match op {
         "verify" => verify_main(&mut store, &req, &knobs),
         "profile" => profile_main(&mut store, &req, &knobs),
-        "sanitize" if req.self_test => Ok(sanitize_self_test(req.jobs)),
+        "sanitize" if req.self_test => Ok(sanitize_self_test(&knobs)),
         "sanitize" => sanitize_main(&mut store, &req, &knobs),
         _ => build_main(&mut store, &req, &knobs),
     }
@@ -215,8 +218,10 @@ void counted(double* a, long n) {
 
 /// Built-in fault-injection battery: every scenario must degrade into a
 /// structured error (or a sanitizer note) — no panic, no hang, and the
-/// same outcome for every worker-thread count.
-fn sanitize_self_test(jobs: Option<u32>) -> ExitCode {
+/// same outcome for every worker-thread count. `knobs` brings the
+/// worker count and the instruction budget.
+fn sanitize_self_test(knobs: &Knobs) -> ExitCode {
+    let (jobs, max_insts) = (knobs.jobs, knobs.max_insts);
     let args = [ArgSpec::BufF64(16, BufInit::Zero), ArgSpec::I64(4)];
     let mut store = Store::new(0);
     let mut launch = |mode: Mode, jobs: Option<u32>, fault: &FaultPlan| {
@@ -233,6 +238,7 @@ fn sanitize_self_test(jobs: Option<u32>) -> ExitCode {
             mode,
             knobs: Knobs {
                 jobs,
+                max_insts,
                 fault: fault.clone(),
                 ..Knobs::default()
             },

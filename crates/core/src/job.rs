@@ -60,43 +60,37 @@ pub const EXIT_TIMEOUT: u8 = 7;
 // Environment overrides
 // ---------------------------------------------------------------------
 
-/// The `OMPGPU_*` environment overrides devices pick up at construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The `OMPGPU_*` environment defaults of a front end's requests; `None`
+/// where the variable is unset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EnvOverrides {
     /// `OMPGPU_MAX_INSTS`: the per-thread dynamic instruction budget.
-    pub max_insts: u64,
+    pub max_insts: Option<u64>,
     /// `OMPGPU_JOBS`: simulator worker threads (0 = auto).
-    pub jobs: u32,
-    /// `OMPGPU_TIER`: the execution tier.
-    pub tier: Tier,
+    pub jobs: Option<u32>,
 }
 
-/// Reads the `OMPGPU_*` overrides strictly: an absent one is the
-/// built-in default, a present but malformed one is an error naming the
-/// variable, never silently the default. `ompgpu serve` calls this at
-/// session construction and every launching CLI subcommand at startup.
+/// Reads the `OMPGPU_*` overrides strictly: an absent one is `None`, a
+/// present but malformed one is an error naming the variable, never
+/// silently the default. The front ends are the only readers:
+/// `ompgpu serve` calls this at session construction and every
+/// launching CLI subcommand at startup; the simulator and library
+/// callers never see the environment.
 pub fn env_overrides() -> Result<EnvOverrides, String> {
-    let defaults = DeviceConfig::default();
     Ok(EnvOverrides {
-        max_insts: env_override(
-            "OMPGPU_MAX_INSTS",
-            defaults.max_insts_per_thread,
-            parse_max_insts,
-        )?,
-        jobs: env_override("OMPGPU_JOBS", 0, parse_jobs)?,
-        tier: env_override("OMPGPU_TIER", defaults.tier, parse_tier)?,
+        max_insts: env_override("OMPGPU_MAX_INSTS", parse_max_insts)?,
+        jobs: env_override("OMPGPU_JOBS", parse_jobs)?,
     })
 }
 
 fn env_override<T>(
     name: &str,
-    default: T,
     parse: impl Fn(&str) -> Result<T, String>,
-) -> Result<T, String> {
+) -> Result<Option<T>, String> {
     match std::env::var(name) {
-        Err(std::env::VarError::NotPresent) => Ok(default),
+        Err(std::env::VarError::NotPresent) => Ok(None),
         Err(std::env::VarError::NotUnicode(_)) => Err(format!("invalid {name}: not valid UTF-8")),
-        Ok(v) => parse(&v),
+        Ok(v) => parse(&v).map(Some),
     }
 }
 
@@ -114,12 +108,6 @@ pub(crate) fn parse_jobs(v: &str) -> Result<u32, String> {
             "invalid OMPGPU_JOBS {v:?}: expected a non-negative integer worker count (0 = auto)"
         )
     })
-}
-
-/// Strictly parses an `OMPGPU_TIER` value.
-pub(crate) fn parse_tier(v: &str) -> Result<Tier, String> {
-    Tier::parse(v)
-        .ok_or_else(|| format!("invalid OMPGPU_TIER {v:?}: expected \"interp\" or \"compiled\""))
 }
 
 // ---------------------------------------------------------------------
@@ -153,11 +141,12 @@ pub enum Mode {
     Sanitize,
 }
 
-/// Per-launch device knobs; `None` keeps the device's own default
-/// (the `OMPGPU_*` environment, else its configuration).
+/// Per-launch device knobs; `None` keeps the default of the device's
+/// configuration (`jobs`: 0 = auto).
 #[derive(Debug, Clone, Default)]
 pub struct Knobs {
     pub jobs: Option<u32>,
+    /// The fused-vs-unfused test switch ([`Tier`]); no front end sets it.
     pub tier: Option<Tier>,
     pub max_insts: Option<u64>,
     pub watchdog: Option<Duration>,
@@ -515,15 +504,12 @@ impl Built {
     }
 }
 
-/// A device-tier entry: the warmed device, the configuration it was
-/// asked for, and the knob defaults it came up with (so a reused device
+/// A device-tier entry: the warmed device and the configuration it was
+/// asked for, whose knob defaults every job re-arms (so a reused device
 /// carries nothing over from the previous job).
 struct WarmDevice {
     key: u64,
     cfg: DeviceConfig,
-    jobs: u32,
-    max_insts: u64,
-    tier: Tier,
     dev: OwnedDevice,
 }
 
@@ -711,21 +697,12 @@ impl Store {
             return Ok(self.devices.len() - 1);
         }
         self.trace.device.misses += 1;
-        let mut dev = OwnedDevice::new(Arc::clone(&built.module), cfg.clone())
+        let dev = OwnedDevice::new(Arc::clone(&built.module), cfg.clone())
             .map_err(|e| JobError::Device(e.to_string()))?;
-        let (jobs, max_insts, tier) =
-            dev.with(|d| (d.jobs(), d.config().max_insts_per_thread, d.config().tier));
         if self.devices.len() >= self.device_capacity.max(1) {
             self.devices.remove(0);
         }
-        self.devices.push(WarmDevice {
-            key,
-            cfg,
-            jobs,
-            max_insts,
-            tier,
-            dev,
-        });
+        self.devices.push(WarmDevice { key, cfg, dev });
         self.journal.devices.push(key);
         Ok(self.devices.len() - 1)
     }
@@ -823,13 +800,12 @@ impl<'a> Job<'a> {
         };
         let idx = store.device(built, cfg)?;
         store.check(Stage::Launch)?;
-        let warm = &mut store.devices[idx];
-        let (jobs, max_insts, tier) = (warm.jobs, warm.max_insts, warm.tier);
-        let (stats, profile, findings, buffers) = warm.dev.with(|d| {
+        let WarmDevice { cfg, dev, .. } = &mut store.devices[idx];
+        let (stats, profile, findings, buffers) = dev.with(|d| {
             let on = |mode| self.mode == mode;
-            d.set_jobs(self.knobs.jobs.unwrap_or(jobs));
-            d.set_tier(self.knobs.tier.unwrap_or(tier));
-            d.set_max_insts(self.knobs.max_insts.unwrap_or(max_insts));
+            d.set_jobs(self.knobs.jobs.unwrap_or(0));
+            d.set_tier(self.knobs.tier.unwrap_or(cfg.tier));
+            d.set_max_insts(self.knobs.max_insts.unwrap_or(cfg.max_insts_per_thread));
             d.set_watchdog(self.knobs.watchdog);
             d.set_fault_plan(self.knobs.fault.clone());
             d.set_profile(if on(Mode::Profile) {

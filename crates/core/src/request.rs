@@ -10,13 +10,13 @@
 //! wraps them with its deadline, panic isolation and accounting).
 
 use crate::config::BuildConfig;
-use crate::job::{Built, Job, JobError, JobResult, Knobs, Mode, Readback, Stage, StageFault};
-use crate::job::{Store, Subject, EXIT_BUILD, EXIT_USAGE};
+use crate::job::{Built, EnvOverrides, Job, JobError, JobResult, Knobs, Mode, Readback, Stage};
+use crate::job::{StageFault, Store, Subject, EXIT_BUILD, EXIT_USAGE};
 use crate::oracle::{self, ArgSpec, ExampleSpec, OracleCase, ORACLE_CONFIGS};
 use crate::pipeline::{self, SanitizeOutcome};
 use crate::serve::{ALL_OPS, MAX_FRAME_BYTES};
 use omp_benchmarks::{all_proxies, ProxyApp, Scale};
-use omp_gpusim::{FaultPlan, Tier};
+use omp_gpusim::FaultPlan;
 use omp_json::Value;
 use std::fmt;
 use std::path::Path;
@@ -55,7 +55,6 @@ pub struct Request {
     pub threads: Option<u32>,
     pub args: Option<Vec<ArgSpec>>,
     pub jobs: Option<u32>,
-    pub tier: Option<Tier>,
     pub watchdog_secs: u64,
     pub max_insts: Option<u64>,
     pub dump: usize,
@@ -219,7 +218,7 @@ pub struct Field {
     set: Setter,
 }
 
-const LAUNCHING: &[&str] = &["build", "run", "profile"];
+const LAUNCHING: &[&str] = &["run", "profile"];
 const BUILD_RUN: &[&str] = &["build", "run"];
 const SWEEPING: &[&str] = &["profile", "sanitize"];
 
@@ -247,7 +246,7 @@ pub const FIELDS: &[Field] = &[
     Field { key: "args", flag: "--arg", cli: LAUNCHING, set: |r, v| {
         v.arg_specs().map(|a| r.args.get_or_insert_with(Vec::new).extend(a))
     }},
-    Field { key: "jobs", flag: "--jobs", cli: &["build", "run", "profile", "verify", "sanitize"], set: |r, v| {
+    Field { key: "jobs", flag: "--jobs", cli: &["run", "profile", "verify", "sanitize"], set: |r, v| {
         v.int().map(|n| r.jobs = Some(n))
     }},
     // The budget must still fit the device's watchdog in milliseconds.
@@ -255,17 +254,14 @@ pub const FIELDS: &[Field] = &[
         let secs: u64 = v.int()?;
         secs.checked_mul(1000).map(|_| r.watchdog_secs = secs).ok_or_else(|| v.reject(&secs.to_string()))
     }},
-    Field { key: "max_insts", flag: "--max-insts", cli: &["build", "run", "sanitize"], set: |r, v| {
+    Field { key: "max_insts", flag: "--max-insts", cli: &["run", "sanitize"], set: |r, v| {
         v.int().map(|n| r.max_insts = Some(n))
     }},
-    Field { key: "dump", flag: "--dump", cli: BUILD_RUN, set: |r, v| v.int().map(|n| r.dump = n) },
+    Field { key: "dump", flag: "--dump", cli: &["run"], set: |r, v| v.int().map(|n| r.dump = n) },
     Field { key: "deadline_ms", flag: "", cli: &[], set: |r, v| v.int().map(|n| r.deadline_ms = Some(n)) },
     Field { key: "fault", flag: "", cli: &[], set: |r, v| match v {
         Input::Wire(_, f) => parse_fault(f).map(|f| r.fault = Some(f)),
         Input::Argv(..) => unreachable!("wire-only field"),
-    }},
-    Field { key: "", flag: "--tier", cli: &["build", "run", "verify"], set: |r, v| {
-        v.parsed(Tier::parse).map(|t| r.tier = Some(t))
     }},
     Field { key: "", flag: "--proxy", cli: SWEEPING, set: |r, v| v.text().map(|s| r.proxy = Some(s)) },
     Field { key: "", flag: "--scale", cli: &["profile", "verify", "sanitize"], set: |r, v| {
@@ -281,7 +277,7 @@ pub const FIELDS: &[Field] = &[
     Field { key: "", flag: "--telemetry", cli: &["build", "run", "verify"], set: |r, v| {
         v.text().map(|p| r.telemetry = Some(p))
     }},
-    Field { key: "", flag: "--time-passes", cli: LAUNCHING, set: |r, v| v.switch().map(|b| r.time_passes = b) },
+    Field { key: "", flag: "--time-passes", cli: &["build", "run", "profile"], set: |r, v| v.switch().map(|b| r.time_passes = b) },
     Field { key: "", flag: "--emit-ir", cli: BUILD_RUN, set: |r, v| v.switch().map(|b| r.emit_ir = b) },
     Field { key: "", flag: "--remarks", cli: BUILD_RUN, set: |r, v| v.switch().map(|b| r.remarks = b) },
 ];
@@ -431,16 +427,17 @@ impl Request {
         self.targets.first().ok_or_else(missing)
     }
 
-    /// The device knobs the request asks for (a daemon narrows the
+    /// The device knobs the request asks for, a knob it leaves unset
+    /// taken from the front end's `env` (a daemon also narrows the
     /// watchdog to its deadline). An error-mode `launch` fault is
     /// injected through the simulator's own [`FaultPlan`], so it crosses
     /// the serve/device boundary the way a real device fault would.
-    pub fn knobs(&self) -> Knobs {
+    pub fn knobs(&self, env: EnvOverrides) -> Knobs {
         let launch_fault = self.fault.filter(|f| f.stage == Stage::Launch && !f.panic);
         Knobs {
-            jobs: self.jobs,
-            tier: self.tier,
-            max_insts: self.max_insts,
+            jobs: self.jobs.or(env.jobs),
+            tier: None,
+            max_insts: self.max_insts.or(env.max_insts),
             watchdog: (self.watchdog_secs > 0).then(|| Duration::from_secs(self.watchdog_secs)),
             fault: FaultPlan {
                 trap_at_inst: launch_fault.map(|_| 0),

@@ -43,7 +43,7 @@ pub use transport::serve_unix;
 mod tests {
     use super::transport::{read_frame, Frame};
     use super::*;
-    use crate::job::{parse_jobs, parse_max_insts, parse_tier};
+    use crate::job::{parse_jobs, parse_max_insts};
     use omp_json::Value;
     use std::sync::atomic::Ordering;
     use std::sync::{mpsc, Arc};
@@ -528,9 +528,6 @@ void scale(double* a, double f, long n) {
         assert!(parse_max_insts("").is_err());
         assert!(parse_max_insts("12k").is_err());
         assert!(parse_max_insts("-5").is_err());
-        assert!(parse_tier("interp").is_ok());
-        assert!(parse_tier("compiled").is_ok());
-        assert!(parse_tier("turbo").is_err());
         assert_eq!(parse_jobs("0"), Ok(0));
         assert_eq!(parse_jobs("4"), Ok(4));
         assert!(parse_jobs("").is_err());

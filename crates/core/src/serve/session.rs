@@ -2,7 +2,7 @@
 //! panic isolation around the [`request`] reducers on one [`Store`].
 
 use super::protocol::*;
-use crate::job::{env_overrides, JobError, Knobs, Stage, Store, TierCounts};
+use crate::job::{env_overrides, EnvOverrides, JobError, Knobs, Stage, Store, TierCounts};
 use crate::pipeline;
 use crate::request::{self, Launched, Request, RequestError};
 use omp_gpusim::{SimError, SimErrorKind};
@@ -89,9 +89,9 @@ pub struct Session {
     /// Deadline of the in-flight request: (total budget ms, budget
     /// remaining at dispatch). Set around `dispatch` only.
     current_deadline: Option<(u64, u64)>,
-    /// `OMPGPU_TIER` override resolved (and validated) at construction,
-    /// else the config default.
-    env_tier: omp_gpusim::Tier,
+    /// The `OMPGPU_*` defaults, resolved (and validated) once at
+    /// construction.
+    env: EnvOverrides,
 }
 
 impl Default for Session {
@@ -109,14 +109,13 @@ impl Session {
         Session::try_new(device_capacity).expect("invalid OMPGPU_* environment override")
     }
 
-    /// Like [`Session::new`], but an invalid `OMPGPU_MAX_INSTS`,
-    /// `OMPGPU_JOBS` or `OMPGPU_TIER` override is a structured startup
-    /// error instead of being silently swallowed into the default.
+    /// Like [`Session::new`], but an invalid `OMPGPU_MAX_INSTS` or
+    /// `OMPGPU_JOBS` override is a structured startup error instead of
+    /// being silently swallowed into the default. The session reads
+    /// both once, here: they are the defaults of every request that
+    /// carries no `max_insts` or `jobs`.
     pub fn try_new(device_capacity: usize) -> Result<Session, String> {
-        // Devices pick the budget and the worker count up from the
-        // environment themselves; resolving them here rejects a
-        // malformed value at startup.
-        let env_tier = env_overrides()?.tier;
+        let env = env_overrides()?;
         Ok(Session {
             store: Store::new(device_capacity.max(1)),
             stats: SessionStats::default(),
@@ -126,7 +125,7 @@ impl Session {
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             default_deadline_ms: DEFAULT_DEADLINE_MS,
             current_deadline: None,
-            env_tier,
+            env,
         })
     }
 
@@ -343,7 +342,7 @@ impl Session {
     /// total budget when the deadline is the binding constraint, so a
     /// watchdog expiry can be reported as the deadline expiring.
     fn knobs(&self, req: &Request) -> (Knobs, Option<u64>) {
-        let mut knobs = req.knobs();
+        let mut knobs = req.knobs(self.env);
         let watchdog_ms = knobs.watchdog.map(|w| w.as_millis() as u64);
         match self.current_deadline {
             Some((total, remaining)) if watchdog_ms.is_none_or(|w| remaining <= w) => {
@@ -413,7 +412,6 @@ impl Session {
         w.key("total_hits").u64(self.stats.total_hits());
         w.key("device_entries").usize(self.store.device_entries());
         w.key("device_capacity").usize(self.store.device_capacity());
-        w.key("tier").string(self.env_tier.as_str());
         w.key("batches").u64(self.stats.batches);
         w.key("batched_requests").u64(self.stats.batched_requests);
         w.key("timeouts").u64(self.stats.timeouts);

@@ -13,8 +13,11 @@
 
 mod common;
 
-use common::{c_files, launch_flags, ompgpu, ompgpu_env};
+use common::{c_files, launch_flags, ompgpu, ompgpu_env, repo_root};
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
 
 /// Runs every invocation and renders one transcript.
 fn transcript(cases: &[Vec<String>]) -> String {
@@ -112,7 +115,7 @@ fn run() {
     cases.push(case(
         &["run", SAXPY],
         &flags,
-        &["--config", "noopt", "--jobs", "3", "--tier", "interp"],
+        &["--config", "noopt", "--jobs", "3"],
     ));
     cases.push(case(
         &["run", SAXPY],
@@ -192,7 +195,7 @@ fn verify() {
         case(
             &["verify", "--examples", "examples/omp", "--jobs", "2"],
             &[],
-            &["--tier", "interp", "--watchdog", "0"],
+            &["--watchdog", "0"],
         ),
     ];
     check_golden("verify", &cases);
@@ -292,10 +295,6 @@ fn malformed_flag_values_are_usage_errors() {
         (&["run", SAXPY, "--dump"], "missing value for --dump"),
         (&["run", SAXPY, "--kernel"], "missing value for --kernel"),
         (
-            &["run", SAXPY, "--tier", "turbo"],
-            "invalid value \"turbo\" for --tier",
-        ),
-        (
             &["run", SAXPY, "--config", "o3"],
             "invalid value \"o3\" for --config",
         ),
@@ -374,6 +373,16 @@ fn malformed_flag_values_are_usage_errors() {
 fn unknown_flags_are_named() {
     let table: &[(&[&str], &str)] = &[
         (&["run", SAXPY, "--bogus"], "ompgpu: unknown flag --bogus"),
+        // The execution tier is a test switch, not a flag.
+        (
+            &["run", SAXPY, "--tier", "interp"],
+            "ompgpu: unknown flag --tier",
+        ),
+        // `build` launches nothing, so it takes no launch flag.
+        (
+            &["build", SAXPY, "--jobs", "3"],
+            "ompgpu: unknown flag --jobs",
+        ),
         (
             &["profile", SAXPY, "--bogus"],
             "ompgpu profile: unknown flag --bogus",
@@ -395,6 +404,10 @@ fn unknown_flags_are_named() {
         (
             &["verify", "--bogus"],
             "ompgpu verify: unknown flag --bogus",
+        ),
+        (
+            &["verify", "--tier", "compiled"],
+            "ompgpu verify: unknown flag --tier",
         ),
         (&["serve", "--bogus"], "ompgpu serve: unknown flag --bogus"),
         (
@@ -452,7 +465,7 @@ fn subcommands_share_one_request_decoder() {
 
 /// One malformed value per `OMPGPU_*` override, with the error it must
 /// produce.
-const MALFORMED_ENV: [(&str, &str, &str); 3] = [
+const MALFORMED_ENV: [(&str, &str, &str); 2] = [
     (
         "OMPGPU_MAX_INSTS",
         "1e9",
@@ -462,11 +475,6 @@ const MALFORMED_ENV: [(&str, &str, &str); 3] = [
         "OMPGPU_JOBS",
         "two",
         "invalid OMPGPU_JOBS \"two\": expected a non-negative integer worker count (0 = auto)",
-    ),
-    (
-        "OMPGPU_TIER",
-        "turbo",
-        "invalid OMPGPU_TIER \"turbo\": expected \"interp\" or \"compiled\"",
     ),
 ];
 
@@ -524,4 +532,68 @@ fn malformed_env_overrides_stop_launching_subcommands() {
             );
         }
     }
+}
+
+/// A valid `OMPGPU_MAX_INSTS` is the default budget of every launch the
+/// front ends run (the simulator itself reads no environment): `ompgpu
+/// run` and a serve `run` without `max_insts` stop at it, and a
+/// request's own budget still wins. Subprocesses, because the
+/// environment is process-global.
+#[test]
+fn valid_env_max_insts_is_the_default_budget() {
+    let env = [("OMPGPU_MAX_INSTS", "1")];
+    let runaway = "instruction budget exceeded (1 per thread)";
+    let mut argv = case(&["run", SAXPY], &launch_flags(SAXPY), &[]);
+    let run = |argv: &[String]| {
+        let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
+        ompgpu_env(&argv, &env)
+    };
+    let (code, _, stderr) = run(&argv);
+    assert_eq!(code, 3, "{stderr}");
+    assert!(stderr.contains(runaway), "{stderr}");
+    argv.extend(["--max-insts".to_string(), "100000".to_string()]);
+    let (code, _, stderr) = run(&argv);
+    assert_eq!(code, 0, "{stderr}");
+
+    let socket = std::env::temp_dir().join(format!("ompgpu-budget-{}.sock", std::process::id()));
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_ompgpu"))
+        .args(["serve", "--socket", socket.to_str().unwrap()])
+        .current_dir(repo_root())
+        .env_remove("OMPGPU_JOBS")
+        .envs(env)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("ompgpu serve starts");
+    let replies = (|| {
+        for _ in 0..200 {
+            if let Ok(stream) = UnixStream::connect(&socket) {
+                let mut writer = stream.try_clone().ok()?;
+                let run = format!("{{\"op\":\"run\",\"path\":\"{SAXPY}\"}}");
+                let own = format!("{{\"op\":\"run\",\"path\":\"{SAXPY}\",\"max_insts\":100000}}");
+                for line in [run, own, "{\"op\":\"shutdown\"}".to_string()] {
+                    writeln!(writer, "{line}").ok()?;
+                }
+                return BufReader::new(stream)
+                    .lines()
+                    .take(3)
+                    .collect::<Result<Vec<_>, _>>()
+                    .ok();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        None
+    })();
+    let replies = replies.unwrap_or_else(|| {
+        let _ = daemon.kill();
+        panic!("no replies from ompgpu serve on {}", socket.display())
+    });
+    assert!(daemon.wait().expect("daemon exits").success());
+    assert!(
+        replies[0].contains("\"ok\":false,\"exit_code\":3,"),
+        "{}",
+        replies[0]
+    );
+    assert!(replies[0].contains(runaway), "{}", replies[0]);
+    assert!(replies[1].contains("\"ok\":true"), "{}", replies[1]);
 }

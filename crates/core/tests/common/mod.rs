@@ -24,7 +24,6 @@ pub fn ompgpu_env(args: &[&str], env: &[(&str, &str)]) -> (i32, String, String) 
         .args(args)
         .current_dir(repo_root())
         .env_remove("OMPGPU_JOBS")
-        .env_remove("OMPGPU_TIER")
         .env_remove("OMPGPU_MAX_INSTS")
         .envs(env.iter().copied())
         .output()

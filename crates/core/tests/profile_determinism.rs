@@ -1,7 +1,7 @@
 //! Profiles must be bit-identical regardless of host parallelism, and
 //! profiling must not perturb the unprofiled pipeline.
 
-use omp_gpu::{all_proxies, pipeline, BuildConfig, ProxyApp, Scale, Tier};
+use omp_gpu::{all_proxies, pipeline, BuildConfig, ProxyApp, Scale};
 use omp_gpu::{Job, JobResult, Knobs, Mode, Store, Subject};
 
 /// A profiled launch of `app` on a fresh store.
@@ -44,9 +44,10 @@ fn profiling_does_not_perturb_stats() {
     let plain_snap = plain.snapshot();
     let prof_snap = Some(profile(app.as_ref(), None).stats.snapshot());
     // The profiled launch runs on the tier the plain one does, so the
-    // snapshots compare with nothing normalised: same tier tag, same
-    // superinstruction counters.
-    assert_eq!(prof_snap.as_ref().map(|s| s.tier), Some(Tier::Compiled));
+    // snapshots compare with nothing normalised: the same
+    // superinstruction counters, which a compiled launch fills.
+    let fused = prof_snap.as_ref().map(|s| s.superinstructions);
+    assert!(fused.is_some_and(|f| f.iter().any(|&n| n > 0)));
     assert_eq!(
         plain_snap, prof_snap,
         "profiling on vs off must produce identical statistics"

@@ -9,6 +9,7 @@
 //! distinct, so no two build configurations can ever alias one cache
 //! entry.
 
+use omp_gpu::job::EnvOverrides;
 use omp_gpu::oracle::ORACLE_CONFIGS;
 use omp_gpu::request::{self, Request};
 use omp_gpu::serve::Session;
@@ -199,11 +200,12 @@ fn argv_and_wire_decode_to_the_same_request() {
         "{{\"op\":\"run\",\"path\":{path:?},\"kernel\":\"blend\",\"jobs\":2,\"max_insts\":900}}"
     );
     let wire = Request::decode(&line).2.expect("the line decodes");
-    let (a, b) = (cli.knobs(), wire.knobs());
+    let env = EnvOverrides::default();
+    let (a, b) = (cli.knobs(env), wire.knobs(env));
     assert_eq!(a.watchdog, Some(Duration::from_secs(60)));
     assert_eq!(
-        (a.jobs, a.tier, a.max_insts, a.watchdog),
-        (b.jobs, b.tier, b.max_insts, b.watchdog)
+        (a.jobs, a.max_insts, a.watchdog),
+        (b.jobs, b.max_insts, b.watchdog)
     );
     assert_eq!(
         (cli.config, &cli.kernel, cli.dump),
@@ -211,7 +213,7 @@ fn argv_and_wire_decode_to_the_same_request() {
     );
     let mut store = Store::new(0);
     let [cli, wire] = [cli, wire].map(|r| {
-        let done = request::launch(&mut store, &r, r.config, &r.knobs()).expect("launch");
+        let done = request::launch(&mut store, &r, r.config, &r.knobs(env)).expect("launch");
         (done.kernel, done.result.stats_json())
     });
     assert_eq!(cli, wire);

@@ -4,9 +4,9 @@
 //! `sim_proxies` benchmark workload runs, so its cycle, instruction,
 //! runtime-call and shared-memory fingerprint is gated here.
 //!
-//! Every counter in the golden is tier-independent; the fusion counters
-//! and the tier itself are left out, so the same golden must hold under
-//! `OMPGPU_TIER=interp` (`tools/ci.sh test` runs it both ways).
+//! Every counter in the golden is tier-independent (the fusion counters
+//! are left out), so the same golden must hold on both execution tiers:
+//! the test checks it under `Tier::Compiled`, then under `Tier::Interp`.
 //!
 //! To regenerate after an intentional change to simulated counts:
 //!
@@ -14,9 +14,9 @@
 //! OMP_UPDATE_GOLDEN=1 cargo test -p omp-gpu --test sim_counts
 //! ```
 
-use omp_gpu::{all_proxies, pipeline, BuildConfig, Device, KernelStats, Scale};
+use omp_gpu::{all_proxies, pipeline, BuildConfig, Device, DeviceConfig, KernelStats, Scale, Tier};
 use std::fmt::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const CONFIGS: [BuildConfig; 3] = [
     BuildConfig::LlvmDev,
@@ -46,7 +46,7 @@ fn row(out: &mut String, unit: &str, s: &KernelStats) {
     }
 }
 
-fn table() -> String {
+fn table(tier: Tier) -> String {
     let mut out = String::new();
     let (mut cycles, mut insts, mut calls, mut smem) = (0u64, 0u64, 0u64, 0u64);
     for app in all_proxies(Scale::Bench) {
@@ -60,8 +60,12 @@ fn table() -> String {
             let module = pipeline::build(&source, config)
                 .unwrap_or_else(|e| panic!("{unit}: build: {e}"))
                 .0;
-            let mut dev = Device::new(&module, app.device_config())
-                .unwrap_or_else(|e| panic!("{unit}: device: {e}"));
+            let cfg = DeviceConfig {
+                tier,
+                ..app.device_config()
+            };
+            let mut dev =
+                Device::new(&module, cfg).unwrap_or_else(|e| panic!("{unit}: device: {e}"));
             let w = app
                 .prepare(&mut dev)
                 .unwrap_or_else(|e| panic!("{unit}: prepare: {e}"));
@@ -86,13 +90,18 @@ fn table() -> String {
 
 #[test]
 fn sim_proxies_counts_match_golden() {
-    let text = table();
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sim_counts.txt");
-    if std::env::var_os("OMP_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, text).expect("write golden");
-        return;
+    for tier in [Tier::Compiled, Tier::Interp] {
+        let text = table(tier);
+        if tier == Tier::Compiled && std::env::var_os("OMP_UPDATE_GOLDEN").is_some() {
+            std::fs::write(&path, &text).expect("write golden");
+        }
+        check(&path, tier, &text);
     }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+}
+
+fn check(path: &Path, tier: Tier, text: &str) {
+    let golden = std::fs::read_to_string(path).unwrap_or_else(|e| {
         panic!(
             "missing golden file {} ({e}); run with OMP_UPDATE_GOLDEN=1 to create it",
             path.display()
@@ -105,7 +114,7 @@ fn sim_proxies_counts_match_golden() {
             .position(|(g, t)| g != t)
             .unwrap_or_else(|| golden.lines().count().min(text.lines().count()));
         panic!(
-            "sim_counts: simulated counts drifted from the golden at line {}:\n\
+            "sim_counts: simulated counts under {tier:?} drifted from the golden at line {}:\n\
              golden: {:?}\nactual: {:?}\n\
              a cycle or count change is a bug unless intended; \
              if intentional, regenerate with OMP_UPDATE_GOLDEN=1",

@@ -1,11 +1,15 @@
-//! The profiler and the sanitizer observe whichever tier runs: a
-//! profile, a list of findings and a failure diagnostic are properties
-//! of the program, so `Tier::Interp` (one step per instruction) and
-//! `Tier::Compiled` (fused blocks) must produce them byte for byte.
-//! The gpusim-level legs (fault knobs, fused-step trap positions, both
-//! observers at once) live in `crates/gpusim/tests/tier_differential.rs`;
-//! these need the optimizer pipeline.
+//! The profiler, the sanitizer and the differential oracle observe
+//! whichever tier runs: a profile, a list of findings, a failure
+//! diagnostic and a verify report are properties of the program, so
+//! `Tier::Interp` (one step per instruction) and `Tier::Compiled` (fused
+//! blocks) must produce them byte for byte. The tier is a test switch
+//! flipped through [`Knobs::tier`]; the superinstruction counters prove
+//! which one ran. The gpusim-level legs (fault knobs, fused-step trap
+//! positions, both observers at once) live in
+//! `crates/gpusim/tests/tier_differential.rs`; these need the optimizer
+//! pipeline.
 
+use omp_gpu::oracle::verify_subject;
 use omp_gpu::pipeline::sanitize_source;
 use omp_gpu::{
     all_proxies, findings_to_json, BuildConfig, FaultPlan, Job, Knobs, Mode, Scale, StatsSnapshot,
@@ -15,12 +19,45 @@ use omp_gpu::{
 const TIERS: [Tier; 2] = [Tier::Interp, Tier::Compiled];
 const BOTH_ENDS: [BuildConfig; 2] = [BuildConfig::LlvmDev, BuildConfig::Llvm12Baseline];
 
-/// The counters every tier must agree on (the tier tag and the
-/// superinstruction counters say which tier ran).
+/// The counters every tier must agree on (the superinstruction
+/// counters say which tier ran).
 fn tier_free(mut s: StatsSnapshot) -> StatsSnapshot {
-    s.tier = Tier::Interp;
     s.superinstructions = [0; 4];
     s
+}
+
+/// Whether `s` ran compiled blocks: never under `Interp`, always for a
+/// proxy under `Compiled`.
+fn fused(s: &StatsSnapshot) -> bool {
+    s.superinstructions.iter().any(|&n| n > 0)
+}
+
+/// The `ompgpu verify --scale small` report of the four proxies is the
+/// same text on both tiers, and every case passes. The report has no
+/// tier field, so a tier-0 change that moves a cycle count fails here
+/// even when both tiers pass their own oracle.
+#[test]
+fn proxy_verify_reports_are_tier_identical() {
+    let [interp, compiled] = TIERS.map(|tier| {
+        let knobs = Knobs {
+            tier: Some(tier),
+            ..Knobs::default()
+        };
+        let mut store = Store::new(0);
+        let mut report = String::new();
+        for app in all_proxies(Scale::Small) {
+            let case = verify_subject(&mut store, app.name(), Subject::Proxy(app.as_ref()), &knobs);
+            assert!(case.passed(), "on {tier:?}:\n{}", case.render());
+            for r in &case.results {
+                let at = format!("{} {} on {tier:?}", app.name(), r.config.cli_name());
+                let ran = r.stats.as_ref().map(fused);
+                assert!(ran.is_none_or(|f| f == (tier == Tier::Compiled)), "{at}");
+            }
+            report.push_str(&case.render());
+        }
+        report
+    });
+    assert_eq!(interp, compiled);
 }
 
 #[test]
@@ -43,12 +80,13 @@ fn proxy_profiles_and_findings_do_not_depend_on_the_tier() {
                         let r = job
                             .run(&mut Store::new(0))
                             .unwrap_or_else(|e| panic!("{at} on {tier:?}: {e:?}"));
-                        assert_eq!(r.stats.tier, tier, "{at}");
+                        let snap = r.stats.snapshot();
+                        assert_eq!(fused(&snap), tier == Tier::Compiled, "{at}");
                         assert_eq!(r.profile.is_some(), mode == Mode::Profile, "{at}");
                         (
                             r.profile.map(|p| (p.to_json(), p.chrome_trace())),
                             findings_to_json(&r.findings),
-                            tier_free(r.stats.snapshot()),
+                            tier_free(snap),
                         )
                     });
                     assert_eq!(interp, compiled, "{at}");

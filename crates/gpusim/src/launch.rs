@@ -67,21 +67,9 @@ impl<'m> Device<'m> {
     /// Creates a device with a custom cost model.
     pub fn with_cost(
         module: &'m Module,
-        mut cfg: DeviceConfig,
+        cfg: DeviceConfig,
         cost: CostModel,
     ) -> Result<Device<'m>, SimError> {
-        if let Some(n) = std::env::var("OMPGPU_MAX_INSTS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            cfg.max_insts_per_thread = n;
-        }
-        if let Some(t) = std::env::var("OMPGPU_TIER")
-            .ok()
-            .and_then(|v| Tier::parse(&v))
-        {
-            cfg.tier = t;
-        }
         // The coalescing model and the warp/lane runtime calls divide
         // by the warp size.
         if cfg.warp_size == 0 {
@@ -124,10 +112,6 @@ impl<'m> Device<'m> {
         }
         plan.bind_globals(&globals);
         let base_cursor = mem.global_cursor();
-        let jobs = std::env::var("OMPGPU_JOBS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
         Ok(Device {
             module,
             plan,
@@ -136,7 +120,7 @@ impl<'m> Device<'m> {
             mem,
             global_inits,
             base_cursor,
-            jobs,
+            jobs: 0,
             reg_estimates: std::collections::HashMap::new(),
         })
     }
@@ -184,11 +168,6 @@ impl<'m> Device<'m> {
         self.jobs = jobs;
     }
 
-    /// The configured host worker-thread count (0 = auto).
-    pub fn jobs(&self) -> u32 {
-        self.jobs
-    }
-
     /// Enables or disables cycle-attribution profiling for subsequent
     /// launches. With [`ProfileMode::Off`] (the default) launches are
     /// byte-identical to a device that never profiled.
@@ -223,7 +202,8 @@ impl<'m> Device<'m> {
     }
 
     /// Sets the execution tier of subsequent launches, instrumented or
-    /// not. Outputs, statistics, simulated cycles, profiles and
+    /// not: the fused-vs-unfused switch the differential tests flip
+    /// ([`Tier`]). Outputs, statistics, simulated cycles, profiles and
     /// findings are bit-identical across tiers; only host wall-clock
     /// differs.
     pub fn set_tier(&mut self, tier: Tier) {
@@ -367,7 +347,6 @@ impl<'m> Device<'m> {
             .run_nodes(std::slice::from_ref(&node), args, false)?
             .pop()
             .expect("a launched node yields its run");
-        run.stats.tier = self.cfg.tier;
         run.stats.registers = self.register_estimate(node.kfunc);
         let profile = (self.cfg.profile == ProfileMode::On).then(|| {
             LaunchProfile::assemble(self.module, self.cfg.num_sms, &run.stats, run.profiles)

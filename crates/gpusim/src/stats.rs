@@ -1,7 +1,11 @@
 //! Launch statistics — the quantities the paper's Figure 10 reports
 //! (kernel time, shared memory, registers) plus diagnostic counters.
+//!
+//! Every count is a property of the program, bit-identical on both
+//! execution tiers, except the superinstruction counters: they are
+//! zero under `Tier::Interp`, which is how a test tells which tier ran.
+//! The tier itself is not recorded.
 
-use crate::config::Tier;
 use std::collections::HashMap;
 
 /// Statistics of one kernel launch.
@@ -50,11 +54,6 @@ pub struct KernelStats {
     /// (unlike every counter above, which is bit-identical across
     /// tiers).
     pub plain_steps: u64,
-    /// Execution tier this launch ran under
-    /// ([`crate::DeviceConfig::tier`]). Every counter above is
-    /// bit-identical across tiers; the tier is recorded so regressions
-    /// are diagnosable from artifacts alone.
-    pub tier: Tier,
 }
 
 /// A deterministic, order-stable projection of [`KernelStats`]: the
@@ -83,14 +82,10 @@ pub struct StatsSnapshot {
     pub parallel_regions: u64,
     /// Memory accesses executed.
     pub memory_accesses: u64,
-    /// Execution tier the launch ran under (`interp` or `compiled`).
-    /// Informational: all other fields are bit-identical across tiers,
-    /// except the superinstruction counters below.
-    pub tier: Tier,
     /// Superinstruction hit counters, in the fixed order `gep_load`,
-    /// `load_bin_store`, `cmp_br`, `plain`. Tier-dependent (all zero
-    /// under the interpreter) — cross-tier comparisons must zero them
-    /// alongside normalizing `tier`.
+    /// `load_bin_store`, `cmp_br`, `plain`. The only tier-dependent
+    /// fields (all zero under the interpreter, so they also show which
+    /// tier ran) — cross-tier comparisons must zero them.
     pub superinstructions: [u64; 4],
     /// Dynamic calls per runtime entry point, sorted by name.
     pub rtl_calls: Vec<(String, u64)>,
@@ -98,16 +93,14 @@ pub struct StatsSnapshot {
 
 impl StatsSnapshot {
     /// Folds this launch into a [`omp_telemetry::MetricsRegistry`]:
-    /// per-tier launch counts, instruction/memory/barrier counters, the
-    /// deopt (unfused-step) counter, and a histogram of kernel model
-    /// cycles. Every input is deterministic, so identical launches
-    /// produce bit-identical registries; the `sim.launches.<tier>` and
-    /// `sim.deopt_steps` entries are tier-*dependent* (like the
-    /// superinstruction counters they derive from) and must be
+    /// the launch count, instruction/memory/barrier counters, the deopt
+    /// (unfused-step) counter, and a histogram of kernel model cycles.
+    /// Every input is deterministic, so identical launches produce
+    /// bit-identical registries; `sim.deopt_steps` is tier-*dependent*
+    /// (like the superinstruction counter it derives from) and must be
     /// normalized before cross-tier comparison.
     pub fn record_metrics(&self, reg: &mut omp_telemetry::MetricsRegistry) {
         reg.counter_add("sim.launches", 1);
-        reg.counter_add(&format!("sim.launches.{}", self.tier.as_str()), 1);
         reg.counter_add("sim.instructions", self.instructions);
         reg.counter_add("sim.memory_accesses", self.memory_accesses);
         reg.counter_add("sim.barriers", self.barriers);
@@ -135,7 +128,6 @@ impl StatsSnapshot {
         ] {
             w.key(k).u64(v);
         }
-        w.key("tier").string(self.tier.as_str());
         w.key("superinstructions").begin_object();
         for (k, v) in [
             ("gep_load", self.superinstructions[0]),
@@ -182,7 +174,6 @@ impl KernelStats {
             indirect_calls: self.indirect_calls,
             parallel_regions: self.parallel_regions,
             memory_accesses: self.memory_accesses,
-            tier: self.tier,
             superinstructions: [
                 self.fused_gep_load,
                 self.fused_load_bin_store,
@@ -258,7 +249,7 @@ mod tests {
         s.rtl_calls.insert("__kmpc_barrier".into(), 3);
         let j = s.snapshot().to_json();
         assert!(j.starts_with("{\"cycles\":7,"));
-        assert!(j.contains("\"tier\":\"compiled\""));
+        assert!(j.contains("\"memory_accesses\":0,\"superinstructions\":"));
         assert!(j.contains(
             "\"superinstructions\":{\"gep_load\":0,\"load_bin_store\":0,\"cmp_br\":0,\"plain\":0}"
         ));

@@ -582,7 +582,6 @@ impl<'m> Device<'m> {
         let (spans, makespan) = schedule_nodes(&plan.nodes, &durations, num_sms);
         stats.cycles = makespan;
         stats.registers = registers;
-        stats.tier = self.cfg.tier;
         let mut written: Vec<BTreeSet<u64>> = Vec::with_capacity(runs.len());
         let (mut team_profiles, mut findings) = (Vec::new(), Vec::new());
         for run in runs {

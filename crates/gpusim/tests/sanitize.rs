@@ -5,9 +5,7 @@
 //! leave launches byte-identical to a device that never sanitized.
 
 use omp_frontend::{compile, FrontendOptions};
-use omp_gpusim::{
-    Device, DeviceConfig, FindingKind, LaunchDims, RtVal, SanitizeMode, Severity, Tier,
-};
+use omp_gpusim::{Device, DeviceConfig, FindingKind, LaunchDims, RtVal, SanitizeMode, Severity};
 use omp_ir::{Builder, ExecMode, Function, KernelInfo, Module, RtlFn, Type, Value};
 
 fn build(src: &str) -> Module {
@@ -212,8 +210,8 @@ fn off_mode_is_byte_identical_and_returns_no_findings() {
     let (stats_on, _) = on
         .launch_checked("racy", &[RtVal::Ptr(out3), RtVal::I64(4)], dims(1, 4))
         .unwrap();
-    // ... on the tier that was asked for, nothing normalised.
-    assert_eq!(stats_on.tier, Tier::Compiled);
+    // ... on the tier the plain launch ran, nothing normalised (the
+    // superinstruction counters included).
     assert_eq!(base.snapshot(), stats_on.snapshot());
 }
 

@@ -219,7 +219,6 @@ fn plan_is_bit_identical_across_jobs_tiers_and_replay() {
         // Tier-dependent fields are normalized for cross-tier
         // comparison; within one tier the snapshots are fully equal.
         let mut norm = snap.clone();
-        norm.tier = snap_base.tier;
         norm.superinstructions = snap_base.superinstructions;
         assert_eq!(
             norm, snap_base,
