@@ -78,26 +78,6 @@ impl BuildConfig {
         BuildConfig::ALL.iter().copied().find(|c| c.cli_name() == s)
     }
 
-    /// A deterministic fingerprint of *everything this configuration
-    /// feeds into the build* — the frontend options and every field of
-    /// the optimizer configuration — used as the configuration half of
-    /// the serve session's content-addressed cache keys.
-    ///
-    /// Built from the `Debug` renderings of the underlying option
-    /// structs, so a newly added `OpenMpOptConfig` or `FrontendOptions`
-    /// field changes the fingerprint automatically instead of silently
-    /// aliasing two distinct configurations to one cache entry.
-    pub fn fingerprint(self) -> u64 {
-        let fe = self.frontend_options("bench");
-        let text = format!(
-            "config={:?};frontend={:?};opt={:?}",
-            self,
-            fe,
-            self.opt_config()
-        );
-        omp_json::fnv1a(text.as_bytes())
-    }
-
     /// Frontend options for this configuration.
     pub fn frontend_options(self, module_name: &str) -> FrontendOptions {
         FrontendOptions {

@@ -6,8 +6,8 @@
 //! gets a [`JobResult`] or a staged [`JobError`] back:
 //!
 //! 1. **store** — [`Store::build`] turns (source, configuration) into an
-//!    optimized module through the content-addressed frontend and
-//!    optimized tiers, and the device tier hands out a warmed
+//!    optimized module through the frontend and optimized cache tiers,
+//!    and the device tier hands out a warmed
 //!    [`OwnedDevice`] for it. A daemon keeps one store for its lifetime;
 //!    the CLI and the oracle run against a fresh one (every lookup
 //!    misses, six configurations of one subject still share at most two
@@ -23,10 +23,12 @@
 //! from stage to exit code; classification reads the error *kind*
 //! ([`JobError::kind`]), never message text.
 
+use crate::cache::CacheTier;
 use crate::config::BuildConfig;
 use crate::oracle::{ArgSpec, BufInit};
 use crate::pipeline;
 use omp_benchmarks::ProxyApp;
+use omp_frontend::GlobalizationScheme;
 use omp_gpusim::{
     DeviceConfig, FaultPlan, Finding, KernelStats, LaunchDims, LaunchProfile, MemError,
     OwnedDevice, ProfileMode, RtVal, SanitizeMode, SimError, SimErrorKind, Tier,
@@ -34,7 +36,6 @@ use omp_gpusim::{
 use omp_ir::Module;
 use omp_json::{content_address, fnv1a, JsonWriter};
 use omp_opt::OptReport;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -414,18 +415,6 @@ impl TierCounts {
         ]
     }
 
-    /// Adds `other`'s hits and misses tier by tier.
-    pub(crate) fn add(&mut self, other: TierCounts) {
-        for (total, t) in [
-            (&mut self.frontend, other.frontend),
-            (&mut self.optimized, other.optimized),
-            (&mut self.device, other.device),
-        ] {
-            total.hits += t.hits;
-            total.misses += t.misses;
-        }
-    }
-
     pub(crate) fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         for (name, t) in self.tiers() {
@@ -441,9 +430,11 @@ impl TierCounts {
 pub struct Built {
     pub config: BuildConfig,
     pub module: Arc<Module>,
-    /// FNV-1a of the printed optimized IR — the device tier's key and
+    /// FNV-1a of the printed optimized IR — the device tier's digest and
     /// the artifact's public content address.
     pub ir_hash: u64,
+    /// The printed optimized IR: the device tier's key material.
+    pub(crate) ir: Arc<str>,
     /// The optimizer's report (when the mid-end ran).
     pub report: Option<OptReport>,
 }
@@ -504,52 +495,57 @@ impl Built {
     }
 }
 
-/// A device-tier entry: the warmed device and the configuration it was
-/// asked for, whose knob defaults every job re-arms (so a reused device
-/// carries nothing over from the previous job).
-struct WarmDevice {
-    key: u64,
-    cfg: DeviceConfig,
-    dev: OwnedDevice,
+/// Entries per module tier. `serve_churn`'s ring sends a reused source
+/// back within about 64 new sources across its two clients, about 94
+/// optimized inserts; 256 is over 2.5 times that reuse distance, and at
+/// about 26 KiB per entry a full tier holds about 7 MiB.
+pub const MODULE_TIER_CAPACITY: usize = 256;
+
+/// A module's printed IR and that text's FNV-1a.
+fn printed(module: &Module) -> (Arc<str>, u64) {
+    let ir = omp_ir::printer::print_module(module);
+    let hash = fnv1a(ir.as_bytes());
+    (ir.into(), hash)
 }
 
-/// The keys a [`Store::begin`]..[`Store::finish`] window inserted into
-/// each tier, plus every device it touched.
-#[derive(Default)]
-struct Journal {
-    frontend: Vec<u64>,
-    optimized: Vec<(u64, u64)>,
-    devices: Vec<u64>,
-    /// Device-tier keys armed or built (hit or miss).
-    touched_devices: Vec<u64>,
+/// A frontend-tier entry: the lowered module, its printed IR (the
+/// optimized tier's key material) and that text's FNV-1a.
+type Lowered = (Arc<Module>, Arc<str>, u64);
+
+/// Fires `fault` if it targets `stage`.
+fn check(fault: Option<StageFault>, stage: Stage) -> Result<(), JobError> {
+    match fault {
+        Some(f) if f.stage == stage => {
+            if f.panic {
+                panic!("injected panic at {} stage", stage.name());
+            }
+            Err(JobError::Injected(stage))
+        }
+        _ => Ok(()),
+    }
 }
 
-/// Content-addressed artifact caches at the pipeline's three stage
-/// boundaries (`docs/SERVE.md` has the key definitions):
-///
-/// 1. **frontend** — `fnv1a(globalization scheme, CUDA flag, source)` →
-///    lowered [`Module`]. The frontend depends on the configuration
-///    only through those two options, so the six OpenMP-source
-///    configurations share at most two entries per source.
-/// 2. **optimized** — (frontend IR hash, [`BuildConfig::fingerprint`])
-///    → [`Built`].
-/// 3. **device** — an LRU of warmed [`OwnedDevice`]s keyed by the
-///    optimized IR hash (and device shape); a hit is
-///    [`reset`](omp_gpusim::Device::reset) to its freshly constructed
-///    memory image, which makes warm launches byte-identical to cold.
-///
-/// Launches are not cached: every job resolves its kernel's launch plan
-/// on the armed device.
+/// Artifact caches at the pipeline's three stage boundaries, one
+/// `CacheTier` each, keyed by the full input of the artifact it holds
+/// (`docs/SERVE.md` has the key definitions). The frontend depends on
+/// the configuration only through the globalization scheme and CUDA
+/// mode, so the six OpenMP-source configurations share at most two
+/// frontend entries per source. A device hit is
+/// [`reset`](omp_gpusim::Device::reset) to its freshly constructed
+/// memory image, which makes warm launches byte-identical to cold. The
+/// module tiers hold [`MODULE_TIER_CAPACITY`] entries and the device
+/// tier what [`Store::new`] is given; each evicts its least recently
+/// used entry. Launches are not cached: every job resolves its kernel's
+/// launch plan on the armed device.
 ///
 /// Not internally synchronized.
 pub struct Store {
-    frontend: HashMap<u64, (Arc<Module>, u64)>,
-    optimized: HashMap<(u64, u64), Arc<Built>>,
-    /// Oldest first.
-    devices: Vec<WarmDevice>,
-    device_capacity: usize,
-    trace: TierCounts,
-    journal: Journal,
+    // Each key leads with a 64-bit FNV-1a digest of its source or IR
+    // text, so a lookup passes over almost every other entry on one
+    // integer compare.
+    frontend: CacheTier<(u64, GlobalizationScheme, bool, String), Lowered>,
+    optimized: CacheTier<(u64, BuildConfig, Arc<str>), Arc<Built>>,
+    devices: CacheTier<(u64, DeviceConfig, Arc<str>), OwnedDevice>,
     fault: Option<StageFault>,
 }
 
@@ -560,27 +556,38 @@ impl Store {
     /// same device twice, so a kept one would only hold memory.
     pub fn new(device_capacity: usize) -> Store {
         Store {
-            frontend: HashMap::new(),
-            optimized: HashMap::new(),
-            devices: Vec::new(),
-            device_capacity,
-            trace: TierCounts::default(),
-            journal: Journal::default(),
+            frontend: CacheTier::new(MODULE_TIER_CAPACITY),
+            optimized: CacheTier::new(MODULE_TIER_CAPACITY),
+            devices: CacheTier::new(device_capacity),
             fault: None,
         }
     }
 
-    /// Opens an accounting window: clears the hit/miss trace and the
-    /// insertion journal, and seeds `fault` for the jobs that follow.
+    /// Opens an accounting window: clears every tier's hit/miss trace
+    /// and seeds `fault` for the jobs that follow.
     pub(crate) fn begin(&mut self, fault: Option<StageFault>) {
-        self.trace = TierCounts::default();
-        self.journal = Journal::default();
+        self.frontend.begin();
+        self.optimized.begin();
+        self.devices.begin();
         self.fault = fault;
     }
 
     /// Hits and misses since [`Store::begin`].
     pub fn trace(&self) -> TierCounts {
-        self.trace
+        TierCounts {
+            frontend: self.frontend.trace(),
+            optimized: self.optimized.trace(),
+            device: self.devices.trace(),
+        }
+    }
+
+    /// Hits and misses over the store's lifetime.
+    pub(crate) fn totals(&self) -> TierCounts {
+        TierCounts {
+            frontend: self.frontend.totals(),
+            optimized: self.optimized.totals(),
+            device: self.devices.totals(),
+        }
     }
 
     /// Closes the window. When it `failed`, every insertion it made is
@@ -589,122 +596,74 @@ impl Store {
     /// cold on next use), so a device interrupted mid-launch can never
     /// answer a later job.
     pub(crate) fn finish(&mut self, failed: bool, quarantine: bool) {
-        let journal = std::mem::take(&mut self.journal);
         self.fault = None;
-        if failed {
-            for k in &journal.frontend {
-                self.frontend.remove(k);
-            }
-            for k in &journal.optimized {
-                self.optimized.remove(k);
-            }
-            self.devices.retain(|d| !journal.devices.contains(&d.key));
-        }
-        if quarantine {
-            self.devices
-                .retain(|d| !journal.touched_devices.contains(&d.key));
-        }
+        self.frontend.finish(failed, false);
+        self.optimized.finish(failed, false);
+        self.devices.finish(failed, quarantine);
     }
 
-    pub fn device_entries(&self) -> usize {
-        self.devices.len()
+    /// Live entries per tier: frontend, optimized, device.
+    pub fn entries(&self) -> [usize; 3] {
+        [
+            self.frontend.len(),
+            self.optimized.len(),
+            self.devices.len(),
+        ]
     }
 
     pub(crate) fn device_capacity(&self) -> usize {
-        self.device_capacity
-    }
-
-    /// Fires the seeded fault if it targets `stage`.
-    fn check(&self, stage: Stage) -> Result<(), JobError> {
-        match self.fault {
-            Some(f) if f.stage == stage => {
-                if f.panic {
-                    panic!("injected panic at {} stage", stage.name());
-                }
-                Err(JobError::Injected(stage))
-            }
-            _ => Ok(()),
-        }
-    }
-
-    fn frontend_module(
-        &mut self,
-        source: &str,
-        config: BuildConfig,
-    ) -> Result<(Arc<Module>, u64), JobError> {
-        self.check(Stage::Frontend)?;
-        let fe = config.frontend_options("bench");
-        let key = fnv1a(
-            format!(
-                "fe\x00{:?}\x00{}\x00{source}",
-                fe.globalization, fe.cuda_mode
-            )
-            .as_bytes(),
-        );
-        if let Some((module, ir_hash)) = self.frontend.get(&key) {
-            self.trace.frontend.hits += 1;
-            return Ok((Arc::clone(module), *ir_hash));
-        }
-        self.trace.frontend.misses += 1;
-        let module = pipeline::compile_frontend(source, config)
-            .map_err(|e| JobError::Build(e.to_string()))?;
-        let ir_hash = fnv1a(omp_ir::printer::print_module(&module).as_bytes());
-        let module = Arc::new(module);
-        self.frontend.insert(key, (Arc::clone(&module), ir_hash));
-        self.journal.frontend.push(key);
-        Ok((module, ir_hash))
+        self.devices.capacity()
     }
 
     /// The optimized build of `source` under `config` — the one place a
     /// source becomes a module.
     pub fn build(&mut self, source: &str, config: BuildConfig) -> Result<Arc<Built>, JobError> {
-        let (fe_module, fe_hash) = self.frontend_module(source, config)?;
-        self.check(Stage::Optimize)?;
-        let key = (fe_hash, config.fingerprint());
-        if let Some(built) = self.optimized.get(&key) {
-            self.trace.optimized.hits += 1;
-            return Ok(Arc::clone(built));
-        }
-        self.trace.optimized.misses += 1;
-        let (module, report) = pipeline::optimize((*fe_module).clone(), config)
-            .map_err(|e| JobError::Build(e.to_string()))?;
-        let built = Arc::new(Built {
-            config,
-            ir_hash: fnv1a(omp_ir::printer::print_module(&module).as_bytes()),
-            module: Arc::new(module),
-            report,
-        });
-        self.optimized.insert(key, Arc::clone(&built));
-        self.journal.optimized.push(key);
-        Ok(built)
+        check(self.fault, Stage::Frontend)?;
+        let fe = config.frontend_options("bench");
+        let digest = fnv1a(source.as_bytes());
+        let key = (digest, fe.globalization, fe.cuda_mode, source.to_owned());
+        let (fe_module, fe_ir, fe_hash) = self
+            .frontend
+            .get_or_try_insert(key, || {
+                let module = pipeline::compile_frontend(source, config)
+                    .map_err(|e| JobError::Build(e.to_string()))?;
+                let (ir, hash) = printed(&module);
+                Ok((Arc::new(module), ir, hash))
+            })?
+            .0
+            .clone();
+        check(self.fault, Stage::Optimize)?;
+        let (built, _) = self
+            .optimized
+            .get_or_try_insert((fe_hash, config, fe_ir), || {
+                let (module, report) = pipeline::optimize((*fe_module).clone(), config)
+                    .map_err(|e| JobError::Build(e.to_string()))?;
+                let (ir, ir_hash) = printed(&module);
+                Ok(Arc::new(Built {
+                    config,
+                    module: Arc::new(module),
+                    ir_hash,
+                    ir,
+                    report,
+                }))
+            })?;
+        Ok(Arc::clone(built))
     }
 
-    /// Index of a pristine device for `built`: a warm one reset to its
+    /// A pristine device for `built`: a warm one reset to its
     /// construction-time image, else a new one — the one place a module
     /// becomes a device.
-    fn device(&mut self, built: &Built, cfg: DeviceConfig) -> Result<usize, JobError> {
-        self.check(Stage::Device)?;
-        let key = built.ir_hash;
-        self.journal.touched_devices.push(key);
-        let warm = |d: &WarmDevice| d.key == key && d.cfg == cfg;
-        if self.device_capacity == 0 {
-            self.devices.clear();
-        } else if let Some(pos) = self.devices.iter().position(warm) {
-            self.trace.device.hits += 1;
-            let mut warm = self.devices.remove(pos);
-            warm.dev.with(|d| d.reset());
-            self.devices.push(warm);
-            return Ok(self.devices.len() - 1);
+    fn device(&mut self, built: &Built, cfg: &DeviceConfig) -> Result<&mut OwnedDevice, JobError> {
+        check(self.fault, Stage::Device)?;
+        let key = (built.ir_hash, cfg.clone(), Arc::clone(&built.ir));
+        let (dev, hit) = self.devices.get_or_try_insert(key, || {
+            OwnedDevice::new(Arc::clone(&built.module), cfg.clone())
+                .map_err(|e| JobError::Device(e.to_string()))
+        })?;
+        if hit {
+            dev.with(|d| d.reset());
         }
-        self.trace.device.misses += 1;
-        let dev = OwnedDevice::new(Arc::clone(&built.module), cfg.clone())
-            .map_err(|e| JobError::Device(e.to_string()))?;
-        if self.devices.len() >= self.device_capacity.max(1) {
-            self.devices.remove(0);
-        }
-        self.devices.push(WarmDevice { key, cfg, dev });
-        self.journal.devices.push(key);
-        Ok(self.devices.len() - 1)
+        Ok(dev)
     }
 }
 
@@ -798,9 +757,9 @@ impl<'a> Job<'a> {
             Subject::Source { kernel, dims, .. } => (kernel, dims, DeviceConfig::default()),
             Subject::Proxy(app) => (app.kernel_name(), app.dims(), app.device_config()),
         };
-        let idx = store.device(built, cfg)?;
-        store.check(Stage::Launch)?;
-        let WarmDevice { cfg, dev, .. } = &mut store.devices[idx];
+        let fault = store.fault;
+        let dev = store.device(built, &cfg)?;
+        check(fault, Stage::Launch)?;
         let (stats, profile, findings, buffers) = dev.with(|d| {
             let on = |mode| self.mode == mode;
             d.set_jobs(self.knobs.jobs.unwrap_or(0));

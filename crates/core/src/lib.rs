@@ -32,6 +32,7 @@
 //! assert_eq!(module.kernels.len(), 1);
 //! ```
 
+mod cache;
 pub mod config;
 pub mod job;
 pub mod oracle;

@@ -219,7 +219,6 @@ pub struct Field {
 }
 
 const LAUNCHING: &[&str] = &["run", "profile"];
-const BUILD_RUN: &[&str] = &["build", "run"];
 const SWEEPING: &[&str] = &["profile", "sanitize"];
 
 /// Every request field, once.
@@ -278,8 +277,8 @@ pub const FIELDS: &[Field] = &[
         v.text().map(|p| r.telemetry = Some(p))
     }},
     Field { key: "", flag: "--time-passes", cli: &["build", "run", "profile"], set: |r, v| v.switch().map(|b| r.time_passes = b) },
-    Field { key: "", flag: "--emit-ir", cli: BUILD_RUN, set: |r, v| v.switch().map(|b| r.emit_ir = b) },
-    Field { key: "", flag: "--remarks", cli: BUILD_RUN, set: |r, v| v.switch().map(|b| r.remarks = b) },
+    Field { key: "", flag: "--emit-ir", cli: &["build"], set: |r, v| v.switch().map(|b| r.emit_ir = b) },
+    Field { key: "", flag: "--remarks", cli: &["build"], set: |r, v| v.switch().map(|b| r.remarks = b) },
 ];
 
 /// The wire's `fault` object: `{"stage": S, "mode": "error"|"panic"}`.

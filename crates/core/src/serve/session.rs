@@ -18,7 +18,7 @@ use std::time::Duration;
 /// per-request slice is the store's [`Store::trace`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Hits and misses of the store's cache tiers, summed over requests.
+    /// Hits and misses of the store's cache tiers over its lifetime.
     pub cache: TierCounts,
     /// Requests handled (including malformed ones).
     pub requests: u64,
@@ -212,7 +212,7 @@ impl Session {
             panicked || outcome.exit_code == EXIT_TIMEOUT,
         );
         let trace = self.store.trace();
-        self.stats.cache.add(trace);
+        self.stats.cache = self.store.totals();
         if outcome.exit_code != EXIT_OK && outcome.result.is_none() {
             self.stats.errors += 1;
         }
@@ -378,7 +378,7 @@ impl Session {
         reg.counter_add("serve.panic", self.stats.panics);
         reg.counter_add("serve.shed", self.shared.shed.load(Ordering::Relaxed));
         reg.counter_add("serve.retries", self.shared.retries.load(Ordering::Relaxed));
-        reg.gauge_set("serve.device_entries", self.store.device_entries() as i64);
+        reg.gauge_set("serve.device_entries", self.store.entries()[2] as i64);
         reg.gauge_set("serve.device_capacity", self.store.device_capacity() as i64);
         reg
     }
@@ -410,7 +410,7 @@ impl Session {
         w.key("cache");
         self.stats.cache.write_json(&mut w);
         w.key("total_hits").u64(self.stats.total_hits());
-        w.key("device_entries").usize(self.store.device_entries());
+        w.key("device_entries").usize(self.store.entries()[2]);
         w.key("device_capacity").usize(self.store.device_capacity());
         w.key("batches").u64(self.stats.batches);
         w.key("batched_requests").u64(self.stats.batched_requests);

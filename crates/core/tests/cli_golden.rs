@@ -373,6 +373,15 @@ fn malformed_flag_values_are_usage_errors() {
 fn unknown_flags_are_named() {
     let table: &[(&[&str], &str)] = &[
         (&["run", SAXPY, "--bogus"], "ompgpu: unknown flag --bogus"),
+        // Only `build` prints IR and remarks.
+        (
+            &["run", SAXPY, "--emit-ir"],
+            "ompgpu: unknown flag --emit-ir",
+        ),
+        (
+            &["run", SAXPY, "--remarks"],
+            "ompgpu: unknown flag --remarks",
+        ),
         // The execution tier is a test switch, not a flag.
         (
             &["run", SAXPY, "--tier", "interp"],

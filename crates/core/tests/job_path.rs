@@ -85,7 +85,7 @@ fn a_zero_capacity_store_never_reuses_a_device() {
     let trace = store.trace();
     assert_eq!((trace.device.hits, trace.device.misses), (0, 2));
     assert_eq!((trace.optimized.hits, trace.optimized.misses), (1, 1));
-    assert_eq!(store.device_entries(), 1);
+    assert_eq!(store.entries(), [1, 1, 1]);
 }
 
 #[test]

@@ -5,11 +5,10 @@
 //! type, a warmed [`Session`] must return a `result` payload
 //! byte-identical to the cold computation — and the warm pass must
 //! actually hit the caches (otherwise the property would hold
-//! vacuously). Separately, configuration fingerprints must be pairwise
-//! distinct, so no two build configurations can ever alias one cache
-//! entry.
+//! vacuously). Separately, the store's module tiers must stay bounded
+//! under a stream of new sources.
 
-use omp_gpu::job::EnvOverrides;
+use omp_gpu::job::{EnvOverrides, MODULE_TIER_CAPACITY};
 use omp_gpu::oracle::ORACLE_CONFIGS;
 use omp_gpu::request::{self, Request};
 use omp_gpu::serve::Session;
@@ -263,25 +262,41 @@ fn wire_values_are_rejected_in_the_flags_words() {
     );
 }
 
+/// A one-kernel source, distinct for every `i`.
+fn tiny_source(i: usize) -> String {
+    format!(
+        "void k(double* a) {{\n  #pragma omp target teams distribute parallel for\n  \
+         for (long i = 0; i < 4; i++) {{ a[i] = a[i] * {i}.0; }}\n}}\n"
+    )
+}
+
 #[test]
-fn fingerprints_are_pairwise_distinct() {
-    // Every pair of configurations differs in at least one frontend or
-    // optimizer field, so every pair of fingerprints must differ —
-    // aliasing two configs to one optimized-cache entry would serve one
-    // config's artifacts for the other.
-    for a in BuildConfig::ALL {
-        for b in BuildConfig::ALL {
-            if a != b {
-                assert_ne!(
-                    a.fingerprint(),
-                    b.fingerprint(),
-                    "configs {:?} and {:?} share a cache fingerprint",
-                    a,
-                    b
-                );
-            }
-        }
+fn module_tiers_stay_bounded_under_churn() {
+    let config = BuildConfig::LlvmDev;
+    let mut store = Store::new(0);
+    let oldest = store.build(&tiny_source(0), config).unwrap().compile_json();
+    for i in 1..=MODULE_TIER_CAPACITY {
+        store.build(&tiny_source(i), config).unwrap();
     }
+    let [frontend, optimized, _] = store.entries();
+    assert_eq!(frontend, MODULE_TIER_CAPACITY);
+    assert_eq!(optimized, MODULE_TIER_CAPACITY);
+
+    let before = store.trace();
+    store
+        .build(&tiny_source(MODULE_TIER_CAPACITY), config)
+        .unwrap();
+    let after = store.trace();
+    assert_eq!(after.frontend.hits, before.frontend.hits + 1);
+    assert_eq!(after.optimized.hits, before.optimized.hits + 1);
+
+    // The oldest source was evicted: it rebuilds cold, to the same bytes.
+    let rebuilt = store.build(&tiny_source(0), config).unwrap();
+    let cold = store.trace();
+    assert_eq!(cold.frontend.misses, after.frontend.misses + 1);
+    assert_eq!(cold.optimized.misses, after.optimized.misses + 1);
+    assert_eq!(rebuilt.compile_json(), oldest);
+    assert_eq!(store.entries()[..2], [MODULE_TIER_CAPACITY; 2]);
 }
 
 #[test]

@@ -185,11 +185,13 @@ EOF
     # Client two: the same request must hit all three tiers.
     warm_resp="$(printf '%s\n' "$serve_req" | \
         "$ompgpu_bin" client --socket "$serve_sock")"
-    printf '%s' "$warm_resp" | grep -q '"device":{"hits":[1-9]' || {
-        echo "smoke: warm serve pass did not hit the device cache:" >&2
-        printf '%s\n' "$warm_resp" >&2
-        exit 1
-    }
+    for tier in frontend optimized device; do
+        printf '%s' "$warm_resp" | grep -q "\"$tier\":{\"hits\":[1-9]" || {
+            echo "smoke: warm serve pass did not hit the $tier cache:" >&2
+            printf '%s\n' "$warm_resp" >&2
+            exit 1
+        }
+    done
     # Stats must agree that the session saw cache hits overall.
     "$ompgpu_bin" client --socket "$serve_sock" --stats | \
         grep -q '"total_hits":[1-9]' || {
