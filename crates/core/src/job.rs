@@ -304,7 +304,7 @@ pub enum JobError {
     HostVerify(String),
     /// Reading buffers back.
     Readback(SimError),
-    /// A seeded [`StageFault`] fired.
+    /// A seeded stage fault fired (chaos testing).
     Injected(Stage),
 }
 
@@ -572,7 +572,7 @@ impl Store {
         self.fault = fault;
     }
 
-    /// Hits and misses since [`Store::begin`].
+    /// Hits and misses since the current accounting window opened.
     pub fn trace(&self) -> TierCounts {
         TierCounts {
             frontend: self.frontend.trace(),

@@ -66,7 +66,7 @@ impl ExecutorHandle {
     }
 
     /// Submits one request line and blocks for its response. A full
-    /// queue is shed immediately with an [`EXIT_OVERLOAD`] envelope
+    /// queue is shed immediately with an [`EXIT_OVERLOAD`](crate::serve::EXIT_OVERLOAD) envelope
     /// carrying a `retry_after_ms` hint — admission control never makes
     /// a client hang — and a shut-down executor answers a synthesized
     /// usage-error envelope.

@@ -39,7 +39,7 @@ pub const DEFAULT_DEADLINE_MS: u64 = 300_000;
 pub const DEFAULT_QUEUE_CAPACITY: usize = 256;
 
 /// Backoff hint carried by a shed response (`error.retry_after_ms`) and
-/// the base delay of [`ExecutorHandle::request_with_retry`].
+/// the base delay of [`ExecutorHandle::request_with_retry`](crate::serve::ExecutorHandle::request_with_retry).
 pub const RETRY_AFTER_MS: u64 = 25;
 
 /// Upper bound on one request frame (a single JSON line), in bytes.

@@ -57,7 +57,7 @@ impl SessionStats {
 pub struct ExecShared {
     /// Requests shed by admission control (executor queue full).
     pub shed: AtomicU64,
-    /// Retries performed by [`ExecutorHandle::request_with_retry`]
+    /// Retries performed by [`ExecutorHandle::request_with_retry`](crate::serve::ExecutorHandle::request_with_retry)
     /// after shed submissions.
     pub retries: AtomicU64,
     /// Set once the executor has processed a `shutdown` request (or
@@ -68,7 +68,7 @@ pub struct ExecShared {
 
 /// A long-lived compile-service session: the artifact [`Store`] plus
 /// request accounting. Not internally synchronized — wrap it in
-/// [`spawn_executor`](super::spawn_executor) to share it across clients.
+/// [`spawn_executor`](crate::serve::spawn_executor)(super::spawn_executor) to share it across clients.
 pub struct Session {
     store: Store,
     stats: SessionStats,
@@ -81,7 +81,7 @@ pub struct Session {
     access_log: Option<std::io::BufWriter<std::fs::File>>,
     /// Shed/retry/shutdown accounting shared with executor handles.
     shared: Arc<ExecShared>,
-    /// Bound of the executor admission queue ([`spawn_executor`]).
+    /// Bound of the executor admission queue ([`spawn_executor`](crate::serve::spawn_executor)).
     pub(super) queue_capacity: usize,
     /// Server-side default deadline in milliseconds (0 = none) for
     /// requests without a `deadline_ms` field.
@@ -140,7 +140,7 @@ impl Session {
     }
 
     /// Sets the executor admission-queue bound (minimum 1) used by
-    /// [`spawn_executor`].
+    /// [`spawn_executor`](crate::serve::spawn_executor).
     pub fn set_queue_capacity(&mut self, n: usize) {
         self.queue_capacity = n.max(1);
     }

@@ -8,6 +8,11 @@
 //! are left out), so the same golden must hold on both execution tiers:
 //! the test checks it under `Tier::Compiled`, then under `Tier::Interp`.
 //!
+//! The four superinstruction counters of the same units have a golden
+//! of their own, checked under `Tier::Compiled` only: an executor
+//! change that stopped fusing some blocks would keep every count above
+//! identical and show only here.
+//!
 //! To regenerate after an intentional change to simulated counts:
 //!
 //! ```text
@@ -46,8 +51,21 @@ fn row(out: &mut String, unit: &str, s: &KernelStats) {
     }
 }
 
-fn table(tier: Tier) -> String {
+/// The superinstruction counters of one unit.
+fn fusion_row(out: &mut String, unit: &str, s: &KernelStats) {
+    writeln!(
+        out,
+        "{unit}: fused_gep_load={} fused_load_bin_store={} fused_cmp_br={} plain_steps={}",
+        s.fused_gep_load, s.fused_load_bin_store, s.fused_cmp_br, s.plain_steps,
+    )
+    .unwrap();
+}
+
+/// The counts table of the twelve units under `tier`, and their fusion
+/// counters.
+fn table(tier: Tier) -> (String, String) {
     let mut out = String::new();
+    let mut fusion = String::new();
     let (mut cycles, mut insts, mut calls, mut smem) = (0u64, 0u64, 0u64, 0u64);
     for app in all_proxies(Scale::Bench) {
         for config in CONFIGS {
@@ -74,6 +92,7 @@ fn table(tier: Tier) -> String {
                 .unwrap_or_else(|e| panic!("{unit}: launch: {e}"));
             omp_benchmarks::verify(&mut dev, &w).unwrap_or_else(|e| panic!("{unit}: {e}"));
             row(&mut out, &unit, &s);
+            fusion_row(&mut fusion, &unit, &s);
             cycles += s.cycles;
             insts += s.instructions;
             calls += s.rtl_calls.values().sum::<u64>();
@@ -85,22 +104,28 @@ fn table(tier: Tier) -> String {
         "total: cycles={cycles} instructions={insts} rtl_calls={calls} shared_mem_bytes={smem}"
     )
     .unwrap();
-    out
+    (out, fusion)
 }
 
 #[test]
 fn sim_proxies_counts_match_golden() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sim_counts.txt");
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let (path, fusion_path) = (golden.join("sim_counts.txt"), golden.join("sim_fusion.txt"));
+    let update = std::env::var_os("OMP_UPDATE_GOLDEN").is_some();
     for tier in [Tier::Compiled, Tier::Interp] {
-        let text = table(tier);
-        if tier == Tier::Compiled && std::env::var_os("OMP_UPDATE_GOLDEN").is_some() {
-            std::fs::write(&path, &text).expect("write golden");
+        let (text, fusion) = table(tier);
+        if tier == Tier::Compiled {
+            if update {
+                std::fs::write(&path, &text).expect("write golden");
+                std::fs::write(&fusion_path, &fusion).expect("write golden");
+            }
+            check(&fusion_path, "fusion counters", tier, &fusion);
         }
-        check(&path, tier, &text);
+        check(&path, "simulated counts", tier, &text);
     }
 }
 
-fn check(path: &Path, tier: Tier, text: &str) {
+fn check(path: &Path, what: &str, tier: Tier, text: &str) {
     let golden = std::fs::read_to_string(path).unwrap_or_else(|e| {
         panic!(
             "missing golden file {} ({e}); run with OMP_UPDATE_GOLDEN=1 to create it",
@@ -114,7 +139,7 @@ fn check(path: &Path, tier: Tier, text: &str) {
             .position(|(g, t)| g != t)
             .unwrap_or_else(|| golden.lines().count().min(text.lines().count()));
         panic!(
-            "sim_counts: simulated counts under {tier:?} drifted from the golden at line {}:\n\
+            "sim_counts: {what} under {tier:?} drifted from the golden at line {}:\n\
              golden: {:?}\nactual: {:?}\n\
              a cycle or count change is a bug unless intended; \
              if intentional, regenerate with OMP_UPDATE_GOLDEN=1",

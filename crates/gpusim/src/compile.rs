@@ -1,10 +1,10 @@
 //! Block lowering: every [`BlockPlan`] gets one lowered form, read by
-//! both tiers. Each code entry becomes an [`Entry`] — a pre-decoded
-//! [`Step`], a [`Call`] with its operands and pre-resolved target, or a
-//! skipped mid-block phi — and the terminator becomes an [`Exit`] whose
-//! branches are [`Edge`]s. Blocks without calls are additionally fused
-//! into [`CompiledBlock`]s the executor runs without per-instruction
-//! budget checks or charges.
+//! the one executor loop. Each code entry becomes an [`Entry`] — a
+//! pre-decoded [`Step`], a [`Call`] with its operands and pre-resolved
+//! target, or a skipped mid-block phi — and the terminator becomes an
+//! [`Exit`] whose branches are [`Edge`]s. Blocks without calls are
+//! additionally fused into [`CompiledBlock`]s the executor runs without
+//! per-instruction budget checks or charges.
 //!
 //! Both happen once, at plan-build time (`ExecPlan::build`), per basic
 //! block:
@@ -32,17 +32,15 @@
 //!   consumer is the only reader;
 //! * the block's instruction count, static cycle cost (in total and per
 //!   [`CycleClass`], for the profiler) and step counts are pre-summed
-//!   from the per-entry [`Lowered`] costs tier 0 charges one at a time,
-//!   so one compiled block run performs a single budget check and a
-//!   single bulk charge — bit-identical to tier 0's per-instruction
-//!   accounting.
+//!   from the per-entry [`Lowered`] costs, terminator included, so one
+//!   fused block run performs a single budget check and a single bulk
+//!   charge — bit-identical to running the entries one at a time.
 //!
-//! A block with a call in it does not compile; one that ends in `ret`
-//! or `unreachable` compiles but bridges, handing the frame back to
-//! tier 0 positioned exactly at the terminator. Tier 0 runs the same
-//! [`Step`]s unfused and takes the same [`Exit`], so an op has one
-//! definition (`TeamExec::exec_step`); compiled blocks are a strict fast
-//! path over it.
+//! A block with a call in it does not compile. Every other block does,
+//! whatever its exit: the executor runs the same [`Step`]s fused or one
+//! entry at a time and leaves the block through the same [`Exit`] on
+//! both paths, so an op has one definition (`TeamExec::exec_step`);
+//! compiled blocks are a strict fast path over it.
 
 use crate::cost::CostModel;
 use crate::mem::PageHash;
@@ -237,9 +235,10 @@ impl Entry {
     }
 }
 
-/// A straight-line entry, lowered for tier 0: the unfused step and the
-/// static cycles it charges under `class`. Memory steps have `cycles == 0`;
-/// their cost is dynamic and charged per access by `exec_step`.
+/// A straight-line entry, lowered for the per-entry path: the unfused
+/// step and the static cycles it charges under `class`. Memory steps
+/// have `cycles == 0`; their cost is dynamic and charged per access by
+/// `exec_step`.
 #[derive(Debug, Clone)]
 pub(crate) struct Lowered {
     pub step: Step,
@@ -263,16 +262,16 @@ pub(crate) const STATIC_CLASSES: [CycleClass; 4] = [
 /// Executing the block once costs `n_insts` instructions and
 /// `static_cycles` cycles plus the dynamic memory-access costs the
 /// steps accumulate. A run is entered only when the remaining
-/// instruction budget covers `n_insts` (the caller deopts to tier 0
-/// otherwise), which keeps budget-stop errors at the exact instruction
-/// tier 0 would report.
+/// instruction budget covers `n_insts` (the executor runs the block
+/// entry by entry otherwise), which keeps budget-stop errors at the
+/// exact instruction.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledBlock {
     /// `(code index of the first fused component, step)`.
     pub steps: Vec<(u32, Step)>,
     /// Dynamic instructions per full run: every code entry (fused
     /// components and skipped mid-block phis included) plus the
-    /// terminator iteration for a branch exit.
+    /// terminator.
     pub n_insts: u64,
     /// Cycles per full run, excluding dynamic memory-access costs.
     pub static_cycles: u64,
@@ -681,13 +680,7 @@ fn compile_block(
     // The exit first: a fused compare-and-branch trims the step range.
     let mut upper = lowered.len();
     let mut cmp_br = None;
-    let bridge = matches!(exit, Exit::Ret(_) | Exit::Unreachable);
-    if bridge && lowered.is_empty() {
-        // Nothing to speed up, and an empty bridge body would re-enter
-        // itself from the resolve loop.
-        return None;
-    }
-    if !bridge {
+    if matches!(exit, Exit::Br(_) | Exit::CondBr { .. }) {
         charge(CycleClass::Branch, cost.simple_op);
     }
     if let (
@@ -727,8 +720,8 @@ fn compile_block(
         let at = i as u32;
         let l = match &lowered[i] {
             Entry::Step(l) => l,
-            // Counted in `n_insts`, never executed: tier 0 skips
-            // mid-block phis without charging.
+            // Counted in `n_insts`, never executed: the per-entry path
+            // skips mid-block phis without charging.
             Entry::Skip => {
                 i += 1;
                 continue;
@@ -841,11 +834,10 @@ fn compile_block(
         i += 1;
     }
 
-    let n_insts = lowered.len() as u64 + if bridge { 0 } else { 1 };
     Some(CompiledBlock {
         plain_steps: steps.len() as u32 - gep_loads - load_bin_stores,
         steps,
-        n_insts,
+        n_insts: lowered.len() as u64 + 1,
         static_cycles: class_cycles.iter().sum(),
         gep_loads,
         load_bin_stores,

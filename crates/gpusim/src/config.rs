@@ -15,14 +15,15 @@ use std::time::Duration;
 /// knob. No front end reads it from a flag, a request field or the
 /// environment; the differential tests flip it
 /// ([`DeviceConfig::tier`], [`crate::Device::set_tier`]) to check the
-/// fused path against the unfused one.
+/// fused path against the per-entry one.
 ///
-/// `Compiled` (the default) runs straight-line blocks through the
-/// fused superinstruction bodies built at plan time and falls back to
-/// tier 0 per block for runtime calls, barriers, and other effectful
-/// constructs. `Interp` runs every block unfused, one pre-decoded step
-/// per instruction with a budget check before each. Both tiers execute
-/// the same steps and feed the same observers, so outputs, statistics,
+/// The executor runs every block in one loop, either through the fused
+/// superinstruction body built at plan time or one pre-decoded entry at
+/// a time with a budget check before each. `Compiled` (the default)
+/// takes the fused body wherever the block has one (no call in it), the
+/// frame sits at the block head and the budget covers the block;
+/// `Interp` runs every block entry by entry. Both tiers execute the
+/// same steps and feed the same observers, so outputs, statistics,
 /// simulated cycles, profiles and sanitizer findings are bit-identical
 /// between them; only wall-clock and the superinstruction counters
 /// (all zero under `Interp`) differ. The tier that runs is the tier
@@ -30,10 +31,9 @@ use std::time::Duration;
 /// change it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tier {
-    /// Tier 0: one step per instruction (also the deopt path and the
-    /// differential reference).
+    /// Every block entry by entry: the differential reference.
     Interp,
-    /// Tier 1: fused block bodies, bridging to tier 0.
+    /// Fused block bodies wherever a block has one.
     #[default]
     Compiled,
 }

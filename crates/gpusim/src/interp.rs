@@ -10,20 +10,21 @@
 //! time.
 //!
 //! Execution is driven by the precompiled [`crate::plan::ExecPlan`],
-//! which holds one lowered form per block for both tiers: straight-line
-//! instructions are pre-decoded [`Step`]s with one definition
-//! ([`TeamExec::exec_step`]) that tier 0 runs one at a time and tier 1
-//! runs fused per block ([`crate::compile`]); calls carry pre-resolved
-//! targets and operand [`Slot`]s, and terminators are [`Exit`]s whose
-//! [`Edge`]s carry their phi moves. A frame is one value file,
-//! `[registers | arguments | constants]`, built from its function's
-//! frame image at push, so every operand [`Slot`] is a plain index into
-//! it; edges copy their phi moves in place unless the plan flagged them
-//! as needing a parallel copy. The coalescing-model state lives in dense
-//! `Vec`s indexed by a plan-wide access-site number.
+//! which holds one lowered form per block: straight-line instructions
+//! are pre-decoded [`Step`]s with one definition
+//! ([`TeamExec::exec_step`]), calls carry pre-resolved targets and
+//! operand [`Slot`]s, and terminators are [`Exit`]s whose [`Edge`]s
+//! carry their phi moves. One loop ([`TeamExec::run_blocks`]) runs
+//! every block, either through its fused body ([`crate::compile`]) or
+//! entry by entry, and leaves it through one exit. A frame is one
+//! value file, `[registers | arguments | constants]`, built from its
+//! function's frame image at push, so every operand [`Slot`] is a plain
+//! index into it; edges copy their phi moves in place unless the plan
+//! flagged them as needing a parallel copy. The coalescing-model state
+//! lives in dense `Vec`s indexed by a plan-wide access-site number.
 //!
 //! The profiler and the sanitizer are [`Observers`] of that one
-//! executor: they are told what happened on whichever tier it happened
+//! executor: they are told what happened on whichever path it happened
 //! and never choose the tier.
 //!
 //! One [`TeamExec`] runs one team to completion over a private
@@ -31,13 +32,13 @@
 //! (`launch.rs`) may run several on parallel host threads and merge the
 //! resulting [`TeamOutcome`]s in team-id order.
 
-use crate::compile::{Call, CompiledBlock, Edge, Entry, Exit, Slot, Step, STATIC_CLASSES};
+use crate::compile::{Call, Edge, Entry, Exit, Slot, Step, STATIC_CLASSES};
 use crate::config::{DeviceConfig, Tier};
 use crate::cost::CostModel;
-use crate::error::{Provenance, ThreadPos};
+use crate::error::{Provenance, SimError, ThreadPos};
 use crate::mem::{self, AccessClass, FastMap, TeamMemDelta, TeamMemView};
 use crate::observe::Observers;
-use crate::plan::{BlockPlan, CallTarget, ExecPlan, FuncPlan, MathKind, NUM_RTL_FNS};
+use crate::plan::{CallTarget, ExecPlan, FuncPlan, MathKind, NUM_RTL_FNS};
 use crate::profile::{CycleClass, TeamProfile};
 use crate::sanitize::{Finding, SiteRef};
 use crate::stats::KernelStats;
@@ -45,8 +46,6 @@ use crate::value::RtVal;
 use omp_ir::omprtl::{ALL_RTL_FNS, MODE_SPMD};
 use omp_ir::{BinOp, BlockId, CastOp, CmpOp, ExecMode, FuncId, InstId, Module, RtlFn, Type, Value};
 use std::time::Instant;
-
-pub use crate::error::SimError;
 
 /// Why a thread is not currently runnable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,6 +180,14 @@ const SITE_UNCOALESCED: u8 = 2;
 /// Sentinel lane for an empty coalescing sample slot.
 const NO_SAMPLE: u32 = u32::MAX;
 
+/// Where [`TeamExec::run_blocks`] hands a thread back to
+/// [`TeamExec::run_thread`]: at a call, counted but not executed, or at
+/// a `ret` with its value.
+enum Stop<'p> {
+    Call(&'p Call),
+    Ret(Option<RtVal>),
+}
+
 /// Per-team runtime state.
 struct Team {
     id: u32,
@@ -214,10 +221,10 @@ pub(crate) struct TeamStats {
     pub memory_accesses: u64,
     pub coalesced_accesses: u64,
     pub uncoalesced_accesses: u64,
-    /// Tier-1 superinstruction hit counters: steps of compiled blocks
-    /// per fused kind versus plain steps. Tier-dependent by
-    /// construction (tier 0 runs no compiled block), so they are
-    /// excluded from cross-tier differential comparisons.
+    /// Superinstruction hit counters: steps of fused block runs per
+    /// fused kind versus plain steps. Tier-dependent by construction
+    /// (`Tier::Interp` runs no block fused), so they are excluded from
+    /// cross-tier differential comparisons.
     pub fused_gep_load: u64,
     pub fused_load_bin_store: u64,
     pub fused_cmp_br: u64,
@@ -292,9 +299,6 @@ pub(crate) struct TeamExec<'a, 'm> {
     /// Injected trap threshold (`u64::MAX` = disabled), folded into the
     /// per-instruction budget compare.
     fault_trap_at: u64,
-    /// Whether this launch runs fused block bodies where it can
-    /// (`cfg.tier`); otherwise every block runs unfused on tier 0.
-    tier1: bool,
     /// Wall-clock deadline for this team (checked every 16 K
     /// instructions; `None` = no watchdog).
     deadline: Option<Instant>,
@@ -363,7 +367,6 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             scratch_phis: Vec::new(),
             obs,
             fault_trap_at: cfg.fault.trap_at_inst.unwrap_or(u64::MAX),
-            tier1: cfg.tier == Tier::Compiled,
             deadline: cfg.watchdog.map(|d| Instant::now() + d),
             watchdog_millis,
         }
@@ -498,24 +501,18 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         }
     }
 
-    /// Runs thread `hw` until it blocks, yields, or finishes.
-    ///
-    /// The loop is organized as *block runs*: each iteration resolves
-    /// the running frame's function and block plan once and hands the
-    /// block's straight-line steps to [`TeamExec::run_compiled`] (fused,
-    /// chaining across blocks) or [`TeamExec::run_unfused`] (tier 0, one
-    /// step at a time). What neither executes — calls, and the exits
-    /// tier 1 bridges — is handled here, then the frame is resolved
-    /// again.
+    /// Runs thread `hw` until it blocks, yields, or finishes: the top
+    /// frame runs in [`TeamExec::run_blocks`], and what stops it there —
+    /// a call or a `ret` — is handled here before the (possibly new) top
+    /// frame runs again.
     fn run_thread<const OBS: bool>(&mut self, hw: u32) -> Result<(), SimError> {
-        let plan = self.plan;
         let max_insts = self.cfg.max_insts_per_thread;
         // Fold the injected-trap threshold into the budget compare so
         // the hot loop pays a single bound check for both.
         let stop_at = max_insts.saturating_add(1).min(self.fault_trap_at);
         while self.team.threads[hw as usize].status == Status::Ready {
             let th = &mut self.team.threads[hw as usize];
-            let Some(frame) = th.frames.last() else {
+            if th.frames.is_empty() {
                 th.insts += 1;
                 if th.insts >= stop_at {
                     let insts = th.insts;
@@ -523,28 +520,10 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 }
                 th.status = Status::Done;
                 continue;
-            };
-            let fid = frame.func;
-            let fp = plan.func(fid).expect("frame in undefined function");
-            let bp = fp.block(frame.block);
-            // Tier 1: a block entered at its head runs through its
-            // compiled body when the remaining instruction budget
-            // covers the whole run. The budget pre-check lives *here*
-            // so a budget deopt falls through to the per-instruction
-            // loop below instead of re-entering the compiled body
-            // forever; mid-block resumption (returning calls) always
-            // runs unfused.
-            if self.tier1 && frame.idx == 0 {
-                if let Some(cb) = bp.compiled.as_ref() {
-                    if th.insts.saturating_add(cb.n_insts) < stop_at {
-                        self.run_compiled::<OBS>(hw, fid, fp, bp, cb, stop_at)?;
-                        continue;
-                    }
-                }
             }
-            match self.run_unfused::<OBS>(hw, fid, bp, stop_at)? {
-                None => self.exit_block(hw, &bp.exit)?,
-                Some(call) => {
+            match self.run_blocks::<OBS>(hw, stop_at)? {
+                Stop::Ret(val) => self.do_return(hw, val)?,
+                Stop::Call(call) => {
                     self.exec_call(hw, call)?;
                     // The call may have pushed a frame, blocked the
                     // thread, or requested a scheduler yield.
@@ -558,50 +537,171 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         Ok(())
     }
 
-    /// Tier 0: executes the top frame's block one [`Step`] at a time
-    /// from `frame.idx`, with the budget compare, the watchdog and the
-    /// static charge per instruction. Stops *at* (having counted, not
-    /// executed) the first call and returns it, or `None` at the
-    /// terminator. Like a compiled run, the frame is popped for the
-    /// duration and pushed back on every path.
-    fn run_unfused<'p, const OBS: bool>(
-        &mut self,
-        hw: u32,
-        fid: FuncId,
-        bp: &'p BlockPlan,
-        stop_at: u64,
-    ) -> Result<Option<&'p Call>, SimError> {
+    /// The executor loop: runs thread `hw`'s top frame block by block
+    /// until a call, a `ret` or an error. The frame is popped into a
+    /// local for the duration, and cycle/instruction deltas accumulate
+    /// in locals; all three go back to the thread once per stop.
+    ///
+    /// Each block runs on one of two paths, then leaves through one exit:
+    ///
+    /// * **fused**, when the frame sits at the block head, the launch
+    ///   runs [`Tier::Compiled`], the block has a
+    ///   [`CompiledBlock`](crate::compile::CompiledBlock) and the
+    ///   instruction budget covers its `n_insts`: the fused steps run,
+    ///   then one bulk charge covers the block, its terminator included;
+    /// * **per entry** otherwise (a resume after a call, a budget that
+    ///   might trip inside the block, [`Tier::Interp`]): the entries from
+    ///   `frame.idx` one at a time, each with the budget compare, the
+    ///   watchdog and its static charge, up to the terminator — or up to
+    ///   a call, which is counted and handed back unexecuted. A budget
+    ///   stop therefore lands at the exact instruction on both paths.
+    ///
+    /// The exit returns a `ret`'s value, traps at `unreachable`, or
+    /// decides a branch (through the fused compare on the fused path),
+    /// takes the edge and charges the branch (pre-summed on the fused
+    /// path), and the loop goes on in the successor. A fused block that
+    /// fails part-way reports no static cycles to the profiler (the
+    /// error drops the profile along with the statistics).
+    fn run_blocks<const OBS: bool>(&mut self, hw: u32, stop_at: u64) -> Result<Stop<'a>, SimError> {
+        let plan = self.plan;
         let th = &mut self.team.threads[hw as usize];
         let mut insts = th.insts;
         let mut cycles: u64 = 0;
         let mut frame = th.frames.pop().expect("block run without a frame");
-        let r = loop {
-            insts += 1;
-            if insts >= stop_at {
-                break Err(self.budget_stop(insts));
-            }
-            if insts & 0x3FFF == 0 && self.deadline.is_some_and(|d| Instant::now() >= d) {
-                break Err(SimError::timeout(self.watchdog_millis));
-            }
-            let l = match bp.lowered.get(frame.idx) {
-                None => break Ok(None),
-                Some(Entry::Call(call)) => break Ok(Some(call)),
-                Some(Entry::Skip) => {
-                    frame.idx += 1;
-                    continue;
+        let fid = frame.func;
+        let fp = plan.func(fid).expect("frame in undefined function");
+        let fuse = self.cfg.tier == Tier::Compiled;
+        let r = 'blocks: loop {
+            let bp = fp.block(frame.block);
+            let fused = bp
+                .compiled
+                .as_ref()
+                .filter(|cb| fuse && frame.idx == 0 && insts.saturating_add(cb.n_insts) < stop_at);
+            if let Some(cb) = fused {
+                let before = insts;
+                for &(at, ref step) in &cb.steps {
+                    if let Err((rel, e)) =
+                        self.exec_step::<OBS>(hw, fid, step, &mut frame, &mut cycles)
+                    {
+                        frame.idx = (at + rel) as usize;
+                        break 'blocks Err(e);
+                    }
                 }
-                Some(Entry::Step(l)) => l,
+                insts += cb.n_insts;
+                cycles += cb.static_cycles;
+                if OBS {
+                    for (class, &c) in STATIC_CLASSES.into_iter().zip(&cb.class_cycles) {
+                        self.obs.on_charge(Some(fid), class, c);
+                    }
+                }
+                self.stats.fused_gep_load += cb.gep_loads as u64;
+                self.stats.fused_load_bin_store += cb.load_bin_stores as u64;
+                self.stats.plain_steps += cb.plain_steps as u64;
+                frame.idx = bp.lowered.len();
+                // Amortized watchdog: fire on the same 16 K-instruction
+                // cadence as the per-entry check.
+                if (before >> 14) != (insts >> 14)
+                    && self.deadline.is_some_and(|d| Instant::now() >= d)
+                {
+                    break Err(SimError::timeout(self.watchdog_millis));
+                }
+            } else {
+                loop {
+                    insts += 1;
+                    if insts >= stop_at {
+                        break 'blocks Err(self.budget_stop(insts));
+                    }
+                    if insts & 0x3FFF == 0 && self.deadline.is_some_and(|d| Instant::now() >= d) {
+                        break 'blocks Err(SimError::timeout(self.watchdog_millis));
+                    }
+                    let l = match bp.lowered.get(frame.idx) {
+                        // The terminator's iteration.
+                        None => break,
+                        Some(Entry::Call(call)) => break 'blocks Ok(Stop::Call(call)),
+                        Some(Entry::Skip) => {
+                            frame.idx += 1;
+                            continue;
+                        }
+                        Some(Entry::Step(l)) => l,
+                    };
+                    if let Err((_, e)) =
+                        self.exec_step::<OBS>(hw, fid, &l.step, &mut frame, &mut cycles)
+                    {
+                        break 'blocks Err(e);
+                    }
+                    cycles += l.cycles;
+                    if OBS {
+                        self.obs.on_charge(Some(fid), l.class, l.cycles);
+                    }
+                    frame.idx += 1;
+                }
+            }
+            // The one exit; the frame sits at the terminator.
+            let edge = match &bp.exit {
+                Exit::Ret(v) => {
+                    break v
+                        .map(|s| Self::slot_val(&frame, s))
+                        .transpose()
+                        .map(Stop::Ret)
+                }
+                Exit::Unreachable => {
+                    break Err(SimError::trap(format!(
+                        "reached `unreachable` in @{}",
+                        self.module.func(fid).name
+                    )));
+                }
+                Exit::Br(e) => e,
+                Exit::CondBr {
+                    cond,
+                    then_e,
+                    else_e,
+                } => {
+                    // Early breaks, not a `Result<bool, _>` value: the
+                    // optimizer copies a materialized one once per block.
+                    let c = if let Some(f) = fused.and_then(|cb| cb.cmp_br.as_ref()) {
+                        self.stats.fused_cmp_br += 1;
+                        let r = (|| {
+                            let a = Self::slot_val(&frame, f.lhs)?;
+                            let b = Self::slot_val(&frame, f.rhs)?;
+                            exec_cmp(f.op, f.ty, a, b)
+                        })();
+                        match r {
+                            Ok(v) => v == RtVal::Bool(true),
+                            Err(e) => {
+                                // The fused compare's own code position.
+                                frame.idx = f.at as usize;
+                                break Err(e);
+                            }
+                        }
+                    } else {
+                        match Self::branch(&frame, *cond) {
+                            Ok(c) => c,
+                            Err(e) => break Err(e),
+                        }
+                    };
+                    if c {
+                        then_e
+                    } else {
+                        else_e
+                    }
+                }
             };
-            if let Err((_, e)) = self.exec_step::<OBS>(hw, fid, &l.step, &mut frame, &mut cycles) {
+            if let Err(e) = self.take_edge(&mut frame, edge) {
                 break Err(e);
             }
-            cycles += l.cycles;
-            if OBS {
-                self.obs.on_charge(Some(fid), l.class, l.cycles);
+            if fused.is_none() {
+                cycles += self.cost.simple_op;
+                if OBS {
+                    self.obs
+                        .on_charge(Some(fid), CycleClass::Branch, self.cost.simple_op);
+                }
             }
-            frame.idx += 1;
         };
-        self.end_run(hw, frame, cycles, insts, r)
+        let th = &mut self.team.threads[hw as usize];
+        th.frames.push(frame);
+        th.cycles += cycles;
+        th.insts = insts;
+        r
     }
 
     #[inline]
@@ -634,155 +734,14 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         }
     }
 
-    /// Runs compiled blocks for thread `hw` from the top frame's block
-    /// `bp` (compiled: `cb`), chaining across compiled successors. The
-    /// frame is popped into a local for the duration (pushed back by
-    /// [`TeamExec::end_run`] on every path), and cycle/instruction
-    /// deltas accumulate in locals, flushed once per exit.
-    ///
-    /// Callers guarantee `frame.idx == 0` and that the instruction
-    /// budget covers the first block's `n_insts`; the loop re-checks the
-    /// budget per chained block and exits back to `run_thread` (same
-    /// position, nothing charged for the unexecuted block) when the
-    /// budget might trip inside it — tier 0 then stops at the exact
-    /// instruction.
-    ///
-    /// A finished block reports its static cycles to the profiler by
-    /// class; a block that fails part-way reports none (the error drops
-    /// the profile along with the statistics).
-    fn run_compiled<'p, const OBS: bool>(
-        &mut self,
-        hw: u32,
-        fid: FuncId,
-        fp: &'p FuncPlan,
-        bp: &'p BlockPlan,
-        cb: &'p CompiledBlock,
-        stop_at: u64,
-    ) -> Result<(), SimError> {
-        let (mut bp, mut cb) = (bp, cb);
-        let th = &mut self.team.threads[hw as usize];
-        let mut insts = th.insts;
-        let mut cycles: u64 = 0;
-        let mut frame = th.frames.pop().expect("compiled run without a frame");
-        loop {
-            let before = insts;
-            if before.saturating_add(cb.n_insts) >= stop_at {
-                // Budget deopt: let the interpreter run this block.
-                return self.end_run(hw, frame, cycles, insts, Ok(()));
-            }
-            let mut failed: Option<SimError> = None;
-            for &(at, ref step) in &cb.steps {
-                if let Err((rel, e)) = self.exec_step::<OBS>(hw, fid, step, &mut frame, &mut cycles)
-                {
-                    frame.idx = (at + rel) as usize;
-                    failed = Some(e);
-                    break;
-                }
-            }
-            if let Some(e) = failed {
-                return self.end_run(hw, frame, cycles, insts, Err(e));
-            }
-            insts += cb.n_insts;
-            cycles += cb.static_cycles;
-            if OBS {
-                for (class, &c) in STATIC_CLASSES.into_iter().zip(&cb.class_cycles) {
-                    self.obs.on_charge(Some(fid), class, c);
-                }
-            }
-            self.stats.fused_gep_load += cb.gep_loads as u64;
-            self.stats.fused_load_bin_store += cb.load_bin_stores as u64;
-            self.stats.plain_steps += cb.plain_steps as u64;
-            frame.idx = bp.lowered.len();
-            // Amortized watchdog: fire on the same 16 K-instruction
-            // cadence as the interpreter's per-instruction check.
-            if (before >> 14) != (insts >> 14) {
-                if let Some(deadline) = self.deadline {
-                    if Instant::now() >= deadline {
-                        let e = SimError::timeout(self.watchdog_millis);
-                        return self.end_run(hw, frame, cycles, insts, Err(e));
-                    }
-                }
-            }
-            let taken = match &bp.exit {
-                // `ret` and `unreachable` belong to the interpreter; the
-                // frame sits at the terminator.
-                Exit::Ret(_) | Exit::Unreachable => {
-                    return self.end_run(hw, frame, cycles, insts, Ok(()));
-                }
-                Exit::Br(e) => e,
-                Exit::CondBr {
-                    cond,
-                    then_e,
-                    else_e,
-                } => {
-                    // Early returns, not a `Result<bool, _>` value: the
-                    // optimizer copies a materialized one once per block.
-                    let c = if let Some(f) = &cb.cmp_br {
-                        self.stats.fused_cmp_br += 1;
-                        let r = (|| {
-                            let a = Self::slot_val(&frame, f.lhs)?;
-                            let b = Self::slot_val(&frame, f.rhs)?;
-                            exec_cmp(f.op, f.ty, a, b)
-                        })();
-                        match r {
-                            Ok(v) => v == RtVal::Bool(true),
-                            Err(e) => {
-                                // The fused compare's own code position.
-                                frame.idx = f.at as usize;
-                                return self.end_run(hw, frame, cycles, insts, Err(e));
-                            }
-                        }
-                    } else {
-                        match Self::branch(&frame, *cond) {
-                            Ok(c) => c,
-                            Err(e) => return self.end_run(hw, frame, cycles, insts, Err(e)),
-                        }
-                    };
-                    if c {
-                        then_e
-                    } else {
-                        else_e
-                    }
-                }
-            };
-            if let Err(e) = Self::take_edge(&mut self.scratch_phis, &mut frame, taken) {
-                return self.end_run(hw, frame, cycles, insts, Err(e));
-            }
-            bp = fp.block(frame.block);
-            cb = match bp.compiled.as_ref() {
-                Some(c) => c,
-                // Successor needs the interpreter (a call, or a lone
-                // `ret`): bridge with the frame at its head.
-                None => return self.end_run(hw, frame, cycles, insts, Ok(())),
-            };
-        }
-    }
-
-    /// Pushes the popped frame back and flushes the accumulated
-    /// instruction/cycle deltas of a block run.
-    fn end_run<T>(
-        &mut self,
-        hw: u32,
-        frame: Frame,
-        cycles: u64,
-        insts: u64,
-        r: Result<T, SimError>,
-    ) -> Result<T, SimError> {
-        let th = &mut self.team.threads[hw as usize];
-        th.frames.push(frame);
-        th.cycles += cycles;
-        th.insts = insts;
-        r
-    }
-
     /// Follows a pre-resolved edge: applies the target's phi moves for
     /// this predecessor and repositions the frame, or traps at a phi
     /// with no incoming. The moves take effect simultaneously: in place
     /// when the plan proved that equivalent, otherwise every read goes
-    /// through `scratch` before any write. Takes the executor's parts so
-    /// that either tier can pass the frame it holds.
-    fn take_edge(scratch: &mut Vec<RtVal>, frame: &mut Frame, edge: &Edge) -> Result<(), SimError> {
+    /// through `scratch_phis` before any write.
+    fn take_edge(&mut self, frame: &mut Frame, edge: &Edge) -> Result<(), SimError> {
         if edge.parallel {
+            let scratch = &mut self.scratch_phis;
             scratch.clear();
             for &(_, s) in &edge.moves {
                 scratch.push(Self::slot_val(frame, s)?);
@@ -808,7 +767,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
     }
 
     /// A conditional branch's decision on `cond`; inlined like
-    /// [`TeamExec::slot_val`], as tier 1 decides one per block.
+    /// [`TeamExec::slot_val`], as the loop decides one per block.
     #[inline(always)]
     fn branch(frame: &Frame, cond: Slot) -> Result<bool, SimError> {
         Self::slot_val(frame, cond)?
@@ -817,15 +776,16 @@ impl<'a, 'm> TeamExec<'a, 'm> {
     }
 
     /// Executes one step — the single definition of every straight-line
-    /// op, for both tiers — against the popped frame, accumulating
+    /// op, fused or not — against the popped frame, accumulating
     /// dynamic (memory-access) cycle costs into `cycles`; static costs
-    /// are the caller's (per step on tier 0, pre-summed per block on
-    /// tier 1). On error, returns the offset of the failing fused
-    /// component so the caller can restore the exact code position.
+    /// are the caller's (per entry, or pre-summed per fused block). On
+    /// error, returns the offset of the failing fused component so the
+    /// caller can restore the exact code position.
     ///
-    /// `inline(always)`: with two callers per instantiation the
-    /// optimizer otherwise leaves this an outlined call returning a
-    /// large `Result` through memory, once per step.
+    /// `inline(always)`: with two call sites per instantiation (the
+    /// fused and the per-entry path) the optimizer otherwise leaves this
+    /// an outlined call returning a large `Result` through memory, once
+    /// per step.
     #[inline(always)]
     fn exec_step<const OBS: bool>(
         &mut self,
@@ -1025,43 +985,6 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 .on_stall(th.frames.last().map(|f| f.func), new - old);
         }
         new
-    }
-
-    /// Tier 0: leaves the top frame's block through its exit, in the
-    /// terminator iteration `run_unfused` counted: the condition, then
-    /// the phi moves, then the branch charge.
-    fn exit_block(&mut self, hw: u32, exit: &Exit) -> Result<(), SimError> {
-        let frame = self.team.threads[hw as usize]
-            .frames
-            .last_mut()
-            .expect("block exit without a frame");
-        let edge = match exit {
-            Exit::Br(e) => e,
-            Exit::CondBr {
-                cond,
-                then_e,
-                else_e,
-            } => {
-                if Self::branch(frame, *cond)? {
-                    then_e
-                } else {
-                    else_e
-                }
-            }
-            Exit::Ret(v) => {
-                let val = v.map(|s| Self::slot_val(frame, s)).transpose()?;
-                return self.do_return(hw, val);
-            }
-            Exit::Unreachable => {
-                return Err(SimError::trap(format!(
-                    "reached `unreachable` in @{}",
-                    self.module.func(frame.func).name
-                )));
-            }
-        };
-        Self::take_edge(&mut self.scratch_phis, frame, edge)?;
-        self.charge(hw, self.cost.simple_op, CycleClass::Branch);
-        Ok(())
     }
 
     fn do_return(&mut self, hw: u32, val: Option<RtVal>) -> Result<(), SimError> {

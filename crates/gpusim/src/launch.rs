@@ -75,7 +75,7 @@ impl<'m> Device<'m> {
         if cfg.warp_size == 0 {
             return Err(SimError::bad_config("warp_size must be at least 1, got 0"));
         }
-        // Tier-1 blocks pre-sum cycle charges from the device's cost
+        // Fused blocks pre-sum cycle charges from the device's cost
         // model, so plan construction takes it as an input.
         let mut plan = {
             let _span = omp_telemetry::span("execplan.build", "gpusim");

@@ -48,12 +48,12 @@ pub(crate) mod compile;
 pub mod config;
 pub mod cost;
 pub mod error;
-pub mod interp;
+pub(crate) mod interp;
 pub mod launch;
 pub mod mem;
 pub(crate) mod observe;
 pub mod owned;
-pub mod plan;
+pub(crate) mod plan;
 pub mod profile;
 pub mod sanitize;
 pub mod stats;

@@ -7,7 +7,7 @@
 //! fans it out to whichever collectors the launch enabled. Neither
 //! collector selects a tier or changes what executes.
 //!
-//! The per-instruction paths (`run_thread`, `run_compiled`, `exec_step`,
+//! The per-instruction paths (`run_thread`, `run_blocks`, `exec_step`,
 //! `access_cost`) are monomorphised over a `const OBS: bool` that
 //! [`crate::interp::TeamExec::run`] picks once per team from
 //! [`Observers::active`], so a plain launch compiles to code with no

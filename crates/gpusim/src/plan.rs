@@ -6,10 +6,10 @@
 //! A [`FuncPlan`] holds, per defined function:
 //!
 //! * one [`BlockPlan`] per block: its code entries and its terminator,
-//!   each in the one lowered form both tiers execute
+//!   each in the one lowered form the executor runs
 //!   ([`crate::compile`]) — steps, calls with pre-resolved
 //!   [`CallTarget`]s and operand slots, and branch edges with their phi
-//!   moves — plus the fused body tier 1 runs where it can;
+//!   moves — plus the fused body it runs where it can;
 //! * the frame image: the function's value file `[registers |
 //!   arguments | constants]` as a new frame starts it, with registers
 //!   and arguments empty and the interned constants and globals
@@ -93,10 +93,10 @@ pub(crate) enum CallTarget {
 pub(crate) struct BlockPlan {
     /// One entry per code position (leading phis excluded).
     pub lowered: Vec<Entry>,
-    /// The terminator, taken by both tiers.
+    /// The terminator, the one exit of both paths.
     pub exit: Exit,
-    /// The same steps fused for tier 1 ([`crate::compile`]); `None`
-    /// when the block contains a call.
+    /// The same steps fused ([`crate::compile`]); `None` when the block
+    /// contains a call.
     pub compiled: Option<CompiledBlock>,
 }
 
@@ -161,16 +161,16 @@ pub struct ExecPlan {
 
 impl ExecPlan {
     /// Decodes `module` into an execution plan, validating every call
-    /// target and operand reference. Tier-1 blocks are compiled against
+    /// target and operand reference. Fused blocks are compiled against
     /// the default cost model; use [`ExecPlan::build_with_cost`] when
     /// the device charges a non-default one.
     pub fn build(module: &Module) -> Result<ExecPlan, SimError> {
         Self::build_with_cost(module, &CostModel::default())
     }
 
-    /// Like [`ExecPlan::build`], pre-summing tier-1 block cycle costs
-    /// from `cost` so compiled-tier charges are bit-identical to the
-    /// interpreter's under any cost model.
+    /// Like [`ExecPlan::build`], pre-summing fused block cycle costs
+    /// from `cost` so fused charges are bit-identical to per-entry ones
+    /// under any cost model.
     pub fn build_with_cost(module: &Module, cost: &CostModel) -> Result<ExecPlan, SimError> {
         let num_functions = module.num_functions();
         let num_globals = module.global_ids().count();

@@ -56,7 +56,7 @@ pub(crate) enum CycleClass {
 
 pub(crate) const NUM_CLASSES: usize = 9;
 
-/// Display names, indexed by [`CycleClass::index`].
+/// Display names, in cycle-class index order.
 pub const CLASS_NAMES: [&str; NUM_CLASSES] = [
     "alloca", "load", "store", "alu", "branch", "call", "math", "runtime", "sync",
 ];

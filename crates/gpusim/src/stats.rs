@@ -2,8 +2,9 @@
 //! (kernel time, shared memory, registers) plus diagnostic counters.
 //!
 //! Every count is a property of the program, bit-identical on both
-//! execution tiers, except the superinstruction counters: they are
-//! zero under `Tier::Interp`, which is how a test tells which tier ran.
+//! execution tiers, except the superinstruction counters: they count
+//! fused block runs only, so they are zero under `Tier::Interp`, which
+//! is how a test tells which tier ran.
 //! The tier itself is not recorded.
 
 use std::collections::HashMap;
@@ -41,18 +42,18 @@ pub struct KernelStats {
     pub coalesced_accesses: u64,
     /// Global-memory accesses classified as uncoalesced.
     pub uncoalesced_accesses: u64,
-    /// Tier-1 steps executed through the `gep+load` superinstruction.
+    /// Fused steps executed through the `gep+load` superinstruction.
     pub fused_gep_load: u64,
-    /// Tier-1 steps executed through the `load+bin+store`
+    /// Fused steps executed through the `load+bin+store`
     /// superinstruction.
     pub fused_load_bin_store: u64,
-    /// Tier-1 fused compare-and-branch terminators executed.
+    /// Fused compare-and-branch terminators executed.
     pub fused_cmp_br: u64,
-    /// Tier-1 steps executed without fusion. Together with the fused
-    /// counters this gives the superinstruction hit rate; all four are
-    /// zero under the interpreter tier and therefore tier-*dependent*
-    /// (unlike every counter above, which is bit-identical across
-    /// tiers).
+    /// Steps of fused block runs executed without fusion. Together
+    /// with the fused counters this gives the superinstruction hit
+    /// rate; all four are zero under the interpreter tier and therefore
+    /// tier-*dependent* (unlike every counter above, which is
+    /// bit-identical across tiers).
     pub plain_steps: u64,
 }
 

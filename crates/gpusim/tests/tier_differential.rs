@@ -1,6 +1,7 @@
-//! Differential testing of the two execution tiers: the compiled
-//! block engine (tier 1) must be observationally indistinguishable
-//! from the reference interpreter (tier 0) — bit-identical outputs,
+//! Differential testing of the two execution tiers: `Tier::Compiled`
+//! (fused block bodies wherever a block has one) must be
+//! observationally indistinguishable from `Tier::Interp` (every block
+//! entry by entry) — bit-identical outputs,
 //! statistics, per-team cycle counts, and failure diagnostics — for
 //! every program, launch geometry, worker-thread count, and
 //! instruction budget; and so must what the observers report of it:
@@ -31,9 +32,8 @@ void mixed(double* a, double* b, long n) {
 }
 "#;
 
-/// A generic-mode kernel: the sequential team loop bridges to the
-/// interpreter at every runtime call while the parallel body runs
-/// compiled.
+/// A generic-mode kernel: the sequential team loop runs entry by entry
+/// around every runtime call while the parallel body runs fused.
 const GENERIC_SRC: &str = r#"
 void nested(double* a, long n) {
   #pragma omp target teams distribute
@@ -174,7 +174,8 @@ proptest! {
     }
 
     /// Generic-mode worker state machine under both tiers: the
-    /// parallel-region bridges must preserve every counter.
+    /// per-entry runs around parallel-region calls must preserve every
+    /// counter.
     #[test]
     fn generic_kernel_is_tier_invariant(
         n in 1usize..9,

@@ -4,7 +4,7 @@
 # resolves to the in-tree shim).
 #
 #   tools/ci.sh          # run everything
-#   tools/ci.sh fmt      # one stage: fmt | clippy | test | smoke | benchcheck
+#   tools/ci.sh fmt      # one stage: fmt | clippy | doc | test | smoke | benchcheck
 #   tools/ci.sh bench [ARGS]   # = bash benchmark/run.sh ARGS
 #
 # Exits non-zero on the first failing stage. The `bench` stage runs the
@@ -61,6 +61,13 @@ with_timeout() {
     timeout "$secs" "$@" || rc=$?
     [ "$rc" -ne 124 ] || echo "$what: timed out after ${secs}s (a hung worker rendezvous?)" >&2
     return "$rc"
+}
+
+run_doc() {
+    # Rustdoc with warnings denied: a renamed or private intra-doc link
+    # fails here instead of rotting.
+    echo "==> cargo doc -D warnings"
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 }
 
 run_test() {
@@ -483,6 +490,7 @@ EOF
 case "$stage" in
     fmt) run_fmt ;;
     clippy) run_clippy ;;
+    doc) run_doc ;;
     test) run_test ;;
     bench)
         shift
@@ -493,13 +501,14 @@ case "$stage" in
     all)
         run_fmt
         run_clippy
+        run_doc
         run_test
         run_smoke
         run_benchmark_check
         echo "==> tier-1 gate passed"
         ;;
     *)
-        echo "usage: tools/ci.sh [fmt|clippy|test|smoke|benchcheck|bench [ARGS]]" >&2
+        echo "usage: tools/ci.sh [fmt|clippy|doc|test|smoke|benchcheck|bench [ARGS]]" >&2
         exit 2
         ;;
 esac
