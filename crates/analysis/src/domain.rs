@@ -19,7 +19,7 @@
 //! in a main-only context.
 
 use crate::callgraph::CallGraph;
-use omp_ir::{BlockId, CmpOp, ExecMode, FuncId, Function, InstId, InstKind, Module, RtlFn, Value};
+use omp_ir::{BlockId, CmpOp, FuncId, Function, InstKind, Module, RtlFn, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Whether code may be executed by many threads or only the team main
@@ -133,14 +133,6 @@ impl ExecutionDomains {
             return true;
         }
         self.func_context.get(&func) == Some(&ExecDomain::MainOnly)
-    }
-
-    /// Whether the instruction is executed by the main thread only.
-    pub fn inst_is_main_only(&self, m: &Module, func: FuncId, inst: InstId) -> bool {
-        match m.func(func).block_of(inst) {
-            Some(b) => self.is_main_only(func, b),
-            None => false,
-        }
     }
 }
 
@@ -270,16 +262,10 @@ fn blocks_dominated_by_edge(f: &Function, from: BlockId, to: BlockId) -> Vec<Blo
         .collect()
 }
 
-/// Convenience: whether the kernel `k` of module `m` is a generic-mode
-/// kernel (used by tests and the optimizer driver).
-pub fn kernel_is_generic(m: &Module, k: usize) -> bool {
-    m.kernels[k].exec_mode == ExecMode::Generic
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omp_ir::{Builder, Function, KernelInfo, Linkage, Type};
+    use omp_ir::{Builder, ExecMode, Function, KernelInfo, Linkage, Type};
 
     /// Builds a canonical generic-mode kernel skeleton:
     /// entry: tid = target_init(1); is_worker = tid >= 0;

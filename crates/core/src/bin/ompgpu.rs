@@ -407,7 +407,9 @@ fn client_main(args: &[String]) -> Result<ExitCode, ExitCode> {
             "--socket" => socket = Some(value(a, &mut rest)?),
             "--retries" => retries = value(a, &mut rest)?,
             "--ping" | "--stats" | "--metrics" | "--shutdown" => {
-                requests.push(format!("{{\"op\":\"{}\"}}", &a[2..]))
+                let mut w = omp_json::JsonWriter::new();
+                w.begin_object().key("op").string(&a[2..]).end_object();
+                requests.push(w.finish())
             }
             other => return Err(unknown_flag(" client", other)),
         }
@@ -557,13 +559,7 @@ fn json_validate_main(args: &[String]) -> Result<ExitCode, ExitCode> {
         Err(whole_file_err) => {
             // Not a single document: accept JSON-lines (every non-empty
             // line its own object), else report the whole-file error.
-            let records: Result<Vec<_>, _> = text
-                .lines()
-                .enumerate()
-                .filter(|(_, line)| !line.trim().is_empty())
-                .map(|(i, line)| omp_json::parse(line).map(|v| (i + 1, v)))
-                .collect();
-            match records {
+            match omp_json::parse_lines(&text) {
                 Ok(records) if records.len() >= 2 => records,
                 _ => {
                     eprintln!("ompgpu: {path}: invalid JSON: {whole_file_err}");

@@ -481,7 +481,7 @@ impl Built {
                 w.end_object();
                 w.key("remarks").begin_array();
                 for remark in r.remarks.all() {
-                    w.raw(&remark.to_json());
+                    remark.write_json(&mut w);
                 }
                 w.end_array();
             }

@@ -411,19 +411,25 @@ void scale(double* a, double f, long n) {
         let mut s = Session::default();
         // Each integer fits a u64 but not its field: 4294967298 teams
         // used to launch 2 teams, and a watchdog whose milliseconds
-        // overflow used to launch with no watchdog at all.
+        // overflow used to launch with no watchdog at all. `02` is not
+        // JSON (RFC 8259) and used to launch 2 teams.
         for (op, field, value) in [
             ("run", "teams", "4294967298"),
             ("run", "threads", "4294967296"),
             ("profile", "jobs", "4294967297"),
             ("run", "watchdog_secs", "18446744073709552"),
             ("sanitize", "all_configs", "\"yes\""),
+            ("run", "teams", "02"),
         ] {
             let line = format!("{{\"op\":\"{op}\",\"source\":{SRC:?},\"{field}\":{value}}}");
             let v = request(&mut s, &line);
             let message = v.get("error").and_then(|e| e.get("message"));
-            let expected = match field {
-                "all_configs" => "field \"all_configs\" must be a boolean".to_string(),
+            let expected = match (field, value) {
+                ("all_configs", _) => "field \"all_configs\" must be a boolean".to_string(),
+                (_, "02") => format!(
+                    "malformed request JSON: leading zero in number at byte {}",
+                    line.len() - "02}".len()
+                ),
                 _ => format!("invalid value \"{value}\" for field \"{field}\""),
             };
             assert_eq!(message.and_then(Value::as_str), Some(expected.as_str()));

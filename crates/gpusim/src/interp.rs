@@ -1933,3 +1933,198 @@ fn exec_math(kind: MathKind, f32out: bool, args: &[RtVal]) -> Result<RtVal, SimE
         RtVal::F64(r)
     })
 }
+
+#[cfg(test)]
+mod tests {
+    //! `exec_bin`/`exec_cmp`/`exec_cast` re-implement `omp_ir::fold`
+    //! for speed. These sweeps pin the two together: wherever the
+    //! folder defines a well-typed instruction over edge values, the
+    //! simulator computes the same constant, bit for bit.
+    use super::*;
+    use omp_ir::fold;
+
+    const TYPES: [Type; 6] = [
+        Type::I1,
+        Type::I32,
+        Type::I64,
+        Type::Ptr,
+        Type::F32,
+        Type::F64,
+    ];
+    #[rustfmt::skip]
+    const BIN_OPS: [BinOp; 18] = [
+        BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::SDiv, BinOp::SRem, BinOp::UDiv,
+        BinOp::URem, BinOp::And, BinOp::Or, BinOp::Xor, BinOp::Shl, BinOp::LShr,
+        BinOp::AShr, BinOp::FAdd, BinOp::FSub, BinOp::FMul, BinOp::FDiv, BinOp::FRem,
+    ];
+    #[rustfmt::skip]
+    const CMP_OPS: [CmpOp; 16] = [
+        CmpOp::Eq, CmpOp::Ne, CmpOp::Slt, CmpOp::Sle, CmpOp::Sgt, CmpOp::Sge,
+        CmpOp::Ult, CmpOp::Ule, CmpOp::Ugt, CmpOp::Uge, CmpOp::FOeq, CmpOp::FOne,
+        CmpOp::FOlt, CmpOp::FOle, CmpOp::FOgt, CmpOp::FOge,
+    ];
+    #[rustfmt::skip]
+    const CAST_OPS: [CastOp; 9] = [
+        CastOp::ZExt, CastOp::SExt, CastOp::Trunc, CastOp::SiToFp, CastOp::FpToSi,
+        CastOp::FpExt, CastOp::FpTrunc, CastOp::PtrToInt, CastOp::IntToPtr,
+    ];
+    #[rustfmt::skip]
+    const INTS: [i64; 13] = [
+        0, 1, -1, 31, 32, 63, 64, i32::MIN as i64, i32::MAX as i64, i64::MIN, i64::MAX, -32, 7,
+    ];
+    #[rustfmt::skip]
+    const FLOATS: [f64; 10] = [
+        0.0, -0.0, 1.0, -1.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e300, 31.5, -64.0,
+    ];
+
+    /// The edge values of `ty`, as (folder constant, simulator value).
+    /// The folder's one pointer constant is null.
+    fn edges(ty: Type) -> Vec<(Value, RtVal)> {
+        let all: Vec<(Value, RtVal)> = match ty {
+            Type::F32 => FLOATS
+                .iter()
+                .map(|&x| (Value::f32(x as f32), RtVal::F32(x as f32)))
+                .collect(),
+            Type::F64 => FLOATS
+                .iter()
+                .map(|&x| (Value::f64(x), RtVal::F64(x)))
+                .collect(),
+            Type::Ptr => vec![(Value::Null, RtVal::Ptr(0))],
+            _ => INTS
+                .iter()
+                .map(|&v| {
+                    let rt = int_to(ty, v);
+                    (Value::ConstInt(rt.as_i64().unwrap(), ty), rt)
+                })
+                .collect(),
+        };
+        let mut unique: Vec<(Value, RtVal)> = Vec::new();
+        for e in all {
+            if unique.iter().all(|(c, _)| *c != e.0) {
+                unique.push(e);
+            }
+        }
+        unique
+    }
+
+    /// A folded constant as the simulator value it stands for.
+    fn rt(c: Value) -> RtVal {
+        match c {
+            Value::ConstInt(v, ty) => int_to(ty, v),
+            Value::ConstFloat(bits, Type::F32) => RtVal::F32(f64::from_bits(bits) as f32),
+            Value::ConstFloat(bits, _) => RtVal::F64(f64::from_bits(bits)),
+            Value::Null => RtVal::Ptr(0),
+            other => panic!("the folder produced {other:?}"),
+        }
+    }
+
+    /// Type and raw bits, so floats (NaN included) compare bit for bit.
+    fn bits(v: RtVal) -> (Type, u64) {
+        let raw = match v {
+            RtVal::Bool(b) => b as u64,
+            RtVal::I32(x) => x as u32 as u64,
+            RtVal::I64(x) => x as u64,
+            RtVal::F32(x) => x.to_bits() as u64,
+            RtVal::F64(x) => x.to_bits(),
+            RtVal::Ptr(p) => p,
+        };
+        (v.ty(), raw)
+    }
+
+    /// The verifier's cast rules: only these casts reach the simulator.
+    fn cast_is_well_typed(op: CastOp, from: Type, to: Type) -> bool {
+        match op {
+            CastOp::ZExt | CastOp::SExt => from.is_int() && to.is_int() && from.size() < to.size(),
+            CastOp::Trunc => from.is_int() && to.is_int() && from.size() > to.size(),
+            CastOp::SiToFp => from.is_int() && to.is_float(),
+            CastOp::FpToSi => from.is_float() && to.is_int(),
+            CastOp::FpExt => from == Type::F32 && to == Type::F64,
+            CastOp::FpTrunc => from == Type::F64 && to == Type::F32,
+            CastOp::PtrToInt => from == Type::Ptr && to.is_int(),
+            CastOp::IntToPtr => from.is_int() && to == Type::Ptr,
+        }
+    }
+
+    #[test]
+    fn bin_and_cmp_agree_with_the_folder() {
+        let mut checked = 0;
+        for ty in TYPES {
+            let vals = edges(ty);
+            for &(a, ra) in &vals {
+                for &(b, rb) in &vals {
+                    for op in BIN_OPS
+                        .into_iter()
+                        .filter(|op| op.is_float() == ty.is_float())
+                    {
+                        let sim = exec_bin(op, ty, ra, rb).ok().map(bits);
+                        match fold::fold_bin(op, ty, a, b) {
+                            Some(c) => {
+                                assert_eq!(sim, Some(bits(rt(c))), "{op:?} {ty} {a:?} {b:?}");
+                                checked += 1;
+                            }
+                            // Undefined integer ops (division by zero,
+                            // oversized shifts) trap.
+                            None if ty.is_int() => {
+                                assert_eq!(sim, None, "{op:?} {ty} {a:?} {b:?} must trap")
+                            }
+                            None => {}
+                        }
+                    }
+                    for op in CMP_OPS
+                        .into_iter()
+                        .filter(|op| op.is_float() == ty.is_float())
+                    {
+                        if let Some(c) = fold::fold_cmp(op, ty, a, b) {
+                            let sim = exec_cmp(op, ty, ra, rb).ok().map(bits);
+                            assert_eq!(sim, Some(bits(rt(c))), "{op:?} {ty} {a:?} {b:?}");
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 6_000, "only {checked} folded cases");
+    }
+
+    #[test]
+    fn pointer_arithmetic_is_i64_arithmetic_on_the_address() {
+        // The folder does no arithmetic on pointers; the simulator runs
+        // integer ops on raw addresses through the `i64` fold.
+        for &(a, ra) in &edges(Type::I64) {
+            for &(b, rb) in &edges(Type::I64) {
+                for op in BIN_OPS.into_iter().filter(|op| !op.is_float()) {
+                    let (pa, pb) = (
+                        RtVal::Ptr(ra.as_i64().unwrap() as u64),
+                        RtVal::Ptr(rb.as_i64().unwrap() as u64),
+                    );
+                    let sim = exec_bin(op, Type::Ptr, pa, pb).ok().map(bits);
+                    let want = fold::fold_bin(op, Type::I64, a, b)
+                        .map(|c| bits(RtVal::Ptr(c.as_int().unwrap() as u64)));
+                    assert_eq!(sim, want, "{op:?} ptr {a:?} {b:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn casts_agree_with_the_folder() {
+        let mut checked = 0;
+        for from in TYPES {
+            for to in TYPES {
+                for op in CAST_OPS
+                    .into_iter()
+                    .filter(|&op| cast_is_well_typed(op, from, to))
+                {
+                    for &(a, ra) in &edges(from) {
+                        if let Some(c) = fold::fold_cast(op, a, to) {
+                            let sim = exec_cast(op, ra, to).ok().map(bits);
+                            assert_eq!(sim, Some(bits(rt(c))), "{op:?} {a:?} to {to}");
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 100, "only {checked} folded casts");
+    }
+}

@@ -222,14 +222,6 @@ impl<'m> Device<'m> {
         Ok(addr)
     }
 
-    /// Allocates and fills a buffer of `f32`s.
-    pub fn alloc_f32(&mut self, data: &[f32]) -> Result<u64, SimError> {
-        let addr = self.alloc(4 * data.len().max(1) as u64)?;
-        let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.mem.write_bytes(addr, &bytes)?;
-        Ok(addr)
-    }
-
     /// Allocates and fills a buffer of `i32`s.
     pub fn alloc_i32(&mut self, data: &[i32]) -> Result<u64, SimError> {
         let addr = self.alloc(4 * data.len().max(1) as u64)?;
@@ -258,24 +250,6 @@ impl<'m> Device<'m> {
         Ok(bytes
             .chunks_exact(8)
             .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    /// Reads `n` `f32`s from a buffer.
-    pub fn read_f32(&mut self, addr: u64, n: usize) -> Result<Vec<f32>, SimError> {
-        let bytes = self.mem.read_bytes(addr, n * 4)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    /// Reads `n` `i32`s from a buffer.
-    pub fn read_i32(&mut self, addr: u64, n: usize) -> Result<Vec<i32>, SimError> {
-        let bytes = self.mem.read_bytes(addr, n * 4)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| i32::from_le_bytes(c.try_into().unwrap()))
             .collect())
     }
 

@@ -34,11 +34,6 @@ impl<'m> Builder<'m> {
         }
     }
 
-    /// The function being built.
-    pub fn func_id(&self) -> FuncId {
-        self.func
-    }
-
     /// The current insertion block.
     pub fn current_block(&self) -> BlockId {
         self.block
@@ -198,16 +193,6 @@ impl<'m> Builder<'m> {
     /// Integer add convenience (`i64`).
     pub fn add_i64(&mut self, a: Value, b: Value) -> Value {
         self.bin(BinOp::Add, Type::I64, a, b)
-    }
-
-    /// Integer multiply convenience (`i64`).
-    pub fn mul_i64(&mut self, a: Value, b: Value) -> Value {
-        self.bin(BinOp::Mul, Type::I64, a, b)
-    }
-
-    /// Type of a value in the function under construction.
-    pub fn type_of(&self, v: Value) -> Type {
-        self.module.func(self.func).value_type(v)
     }
 }
 

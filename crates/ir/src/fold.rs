@@ -78,19 +78,19 @@ pub fn fold_bin(op: BinOp, ty: Type, lhs: Value, rhs: Value) -> Option<Value> {
         BinOp::Or => a | b,
         BinOp::Xor => a ^ b,
         BinOp::Shl => {
-            if (ub as u32) >= bits {
+            if ub >= u64::from(bits) {
                 return None;
             }
             a.wrapping_shl(ub as u32)
         }
         BinOp::LShr => {
-            if (ub as u32) >= bits {
+            if ub >= u64::from(bits) {
                 return None;
             }
             (ua >> ub) as i64
         }
         BinOp::AShr => {
-            if (ub as u32) >= bits {
+            if ub >= u64::from(bits) {
                 return None;
             }
             a >> ub
@@ -307,6 +307,15 @@ mod tests {
             fold_bin(BinOp::Shl, Type::I32, Value::i32(1), Value::i32(40)),
             None
         );
+        // ... also by an amount whose low 32 bits are in range
+        for op in [BinOp::Shl, BinOp::LShr, BinOp::AShr] {
+            for amount in [1 << 32, (1 << 32) + 1, i64::MIN] {
+                assert_eq!(
+                    fold_bin(op, Type::I64, Value::i64(8), Value::i64(amount)),
+                    None
+                );
+            }
+        }
         assert_eq!(
             fold_bin(BinOp::LShr, Type::I32, Value::i32(-1), Value::i32(28)),
             Some(Value::i32(0xF))

@@ -402,17 +402,6 @@ impl InstKind {
         }
     }
 
-    /// Whether the instruction may read or write memory or have other
-    /// observable effects when considered in isolation. Calls are always
-    /// treated as effectful here; use the side-effect analysis for a
-    /// callee-aware answer.
-    pub fn has_side_effects(&self) -> bool {
-        matches!(
-            self,
-            InstKind::Store { .. } | InstKind::Call { .. } | InstKind::Load { .. }
-        )
-    }
-
     /// Whether this instruction is trivially dead if its result is unused.
     pub fn is_removable_if_unused(&self) -> bool {
         !matches!(self, InstKind::Store { .. } | InstKind::Call { .. })

@@ -99,14 +99,6 @@ pub struct LaunchAttrs {
     pub graph: Option<u32>,
 }
 
-impl LaunchAttrs {
-    /// True when every attribute is at its synchronous default (the
-    /// printer omits the clauses entirely in that case).
-    pub fn is_default(&self) -> bool {
-        *self == LaunchAttrs::default()
-    }
-}
-
 /// Per-kernel metadata attached by the frontend and updated by the
 /// optimizer (e.g. SPMDization flips `exec_mode`).
 #[derive(Debug, Clone)]
@@ -223,11 +215,6 @@ impl Module {
     /// Immutable access to a global.
     pub fn global(&self, id: GlobalId) -> &Global {
         &self.globals[id.index()]
-    }
-
-    /// Mutable access to a global.
-    pub fn global_mut(&mut self, id: GlobalId) -> &mut Global {
-        &mut self.globals[id.index()]
     }
 
     /// All global ids.

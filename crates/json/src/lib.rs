@@ -1,22 +1,23 @@
 //! Minimal JSON support shared across the workspace.
 //!
-//! Five pieces, all dependency-free:
+//! Four pieces, all dependency-free:
 //!
 //! - [`escape_into`] / [`escape`]: JSON string escaping with the exact
 //!   byte-level behavior the remarks JSON-lines format has always used
 //!   (`\"`, `\\`, `\n`, `\r`, `\t`, and `\u00XX` for other control
 //!   characters). Every serializer in the workspace routes through this
 //!   so RTL names, file paths, and error messages are always escaped.
-//! - [`JsonWriter`]: a compact (no-whitespace) streaming writer for the
-//!   machine-readable artifacts (stats snapshots, profiles, traces).
-//!   Comma placement is tracked per nesting level, so callers never
-//!   emit a trailing or missing comma.
-//! - [`validate`]: a full recursive-descent syntax check used by tests
-//!   and by `ompgpu profile --trace` to verify written artifacts load.
-//! - [`Value`] / [`parse`]: a JSON reader producing a document tree —
-//!   the decoder side of the `ompgpu-serve/v1` wire protocol. Object
-//!   key order is preserved and numbers keep their source spelling, so
-//!   `parse` → [`Value::to_json`] round-trips byte-identically.
+//! - [`JsonWriter`]: a compact (no-whitespace) streaming writer, the
+//!   one JSON emitter of the workspace (stats snapshots, profiles,
+//!   traces, remarks, wire replies). Comma placement is tracked per
+//!   nesting level, so callers never emit a trailing or missing comma.
+//! - [`Value`] / [`parse`]: the one JSON reader, producing a document
+//!   tree. It decodes the `ompgpu-serve/v1` wire protocol, artifacts
+//!   and remark streams alike (strict RFC 8259: no duplicate keys, no
+//!   unpaired surrogates, no leading zeros). Object key order is
+//!   preserved and numbers keep their source spelling, so `parse` →
+//!   [`Value::to_json`] round-trips byte-identically. [`validate`] is
+//!   `parse`'s syntax check and [`parse_lines`] its JSON-lines walk.
 //! - [`fnv1a`] / [`content_address`]: the 64-bit FNV-1a hash used for
 //!   the compile service's content-addressed artifact cache keys.
 
@@ -184,8 +185,8 @@ impl JsonWriter {
     }
 
     /// Splices a pre-serialized JSON value verbatim (caller guarantees
-    /// validity). Used to embed existing stable formats (for example a
-    /// remark line) without re-encoding.
+    /// validity). Used to embed an already encoded document (for
+    /// example a launch's stats object) without re-encoding.
     pub fn raw(&mut self, json: &str) -> &mut Self {
         self.comma();
         self.buf.push_str(json);
@@ -203,130 +204,17 @@ impl JsonWriter {
 }
 
 /// Validates that `s` is exactly one well-formed JSON value (with
-/// optional surrounding whitespace). Returns a human-readable error
-/// with a byte offset on failure.
+/// optional surrounding whitespace): [`parse`]'s syntax check, so every
+/// artifact is held to the grammar the wire decoder accepts. Returns a
+/// human-readable error with a byte offset on failure.
 pub fn validate(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    parse_value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
+    parse(s).map(|_| ())
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
     }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        None => Err(format!("unexpected end of input at byte {pos}", pos = *pos)),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, "true"),
-        Some(b'f') => parse_lit(b, pos, "false"),
-        Some(b'n') => parse_lit(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:?} at {pos}", pos = *pos)),
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
-        }
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '"'
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            match b.get(*pos) {
-                                Some(h) if h.is_ascii_hexdigit() => *pos += 1,
-                                _ => {
-                                    return Err(format!("bad \\u escape at byte {pos}", pos = *pos))
-                                }
-                            }
-                        }
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
-            }
-            c if c < 0x20 => {
-                return Err(format!(
-                    "unescaped control byte {c:#04x} at {pos}",
-                    pos = *pos
-                ))
-            }
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
 }
 
 fn parse_lit(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
@@ -343,13 +231,17 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    let mut digits = 0;
+    let int_start = *pos;
     while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
         *pos += 1;
-        digits += 1;
     }
+    let digits = *pos - int_start;
     if digits == 0 {
         return Err(format!("bad number at byte {start}"));
+    }
+    // RFC 8259: `0` is the only integer part that may start with `0`.
+    if digits > 1 && b[int_start] == b'0' {
+        return Err(format!("leading zero in number at byte {start}"));
     }
     if b.get(*pos) == Some(&b'.') {
         *pos += 1;
@@ -537,7 +429,7 @@ pub fn parse(s: &str) -> Result<Value, String> {
     let b = s.as_bytes();
     let mut pos = 0usize;
     skip_ws(b, &mut pos);
-    let v = parse_value_tree(b, &mut pos)?;
+    let v = parse_value(b, &mut pos)?;
     skip_ws(b, &mut pos);
     if pos != b.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -545,7 +437,7 @@ pub fn parse(s: &str) -> Result<Value, String> {
     Ok(v)
 }
 
-fn parse_value_tree(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     match b.get(*pos) {
         None => Err(format!("unexpected end of input at byte {pos}", pos = *pos)),
         Some(b'{') => {
@@ -561,7 +453,7 @@ fn parse_value_tree(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 if b.get(*pos) != Some(&b'"') {
                     return Err(format!("expected object key at byte {pos}", pos = *pos));
                 }
-                let key = parse_string_tree(b, pos)?;
+                let key = parse_string(b, pos)?;
                 if members.iter().any(|(k, _)| *k == key) {
                     return Err(format!("duplicate object key {key:?}"));
                 }
@@ -571,7 +463,7 @@ fn parse_value_tree(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 }
                 *pos += 1;
                 skip_ws(b, pos);
-                let v = parse_value_tree(b, pos)?;
+                let v = parse_value(b, pos)?;
                 members.push((key, v));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -594,7 +486,7 @@ fn parse_value_tree(b: &[u8], pos: &mut usize) -> Result<Value, String> {
             }
             loop {
                 skip_ws(b, pos);
-                items.push(parse_value_tree(b, pos)?);
+                items.push(parse_value(b, pos)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -606,7 +498,7 @@ fn parse_value_tree(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 }
             }
         }
-        Some(b'"') => Ok(Value::String(parse_string_tree(b, pos)?)),
+        Some(b'"') => Ok(Value::String(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true").map(|()| Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false").map(|()| Value::Bool(false)),
         Some(b'n') => parse_lit(b, pos, "null").map(|()| Value::Null),
@@ -625,85 +517,22 @@ fn parse_value_tree(b: &[u8], pos: &mut usize) -> Result<Value, String> {
 /// Parses a string literal (cursor on the opening quote), decoding
 /// escapes — including `\uXXXX` surrogate pairs — into the returned
 /// `String`.
-fn parse_string_tree(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     *pos += 1; // '"'
     let mut out = String::new();
     loop {
+        // Copy the run that needs no decoding in one piece: it ends
+        // before an ASCII byte, so it is whole UTF-8.
+        let run = *pos;
+        while matches!(b.get(*pos), Some(&c) if c != b'"' && c != b'\\' && c >= 0x20) {
+            *pos += 1;
+        }
+        out.push_str(std::str::from_utf8(&b[run..*pos]).expect("the input is a &str"));
         match b.get(*pos) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => {
-                        out.push('"');
-                        *pos += 1;
-                    }
-                    Some(b'\\') => {
-                        out.push('\\');
-                        *pos += 1;
-                    }
-                    Some(b'/') => {
-                        out.push('/');
-                        *pos += 1;
-                    }
-                    Some(b'b') => {
-                        out.push('\u{8}');
-                        *pos += 1;
-                    }
-                    Some(b'f') => {
-                        out.push('\u{c}');
-                        *pos += 1;
-                    }
-                    Some(b'n') => {
-                        out.push('\n');
-                        *pos += 1;
-                    }
-                    Some(b'r') => {
-                        out.push('\r');
-                        *pos += 1;
-                    }
-                    Some(b't') => {
-                        out.push('\t');
-                        *pos += 1;
-                    }
-                    Some(b'u') => {
-                        *pos += 1;
-                        let hi = parse_hex4(b, pos)?;
-                        let c = if (0xD800..0xDC00).contains(&hi) {
-                            // High surrogate: a `\uXXXX` low surrogate
-                            // must follow.
-                            if b.get(*pos) != Some(&b'\\') || b.get(*pos + 1) != Some(&b'u') {
-                                return Err(format!(
-                                    "unpaired surrogate at byte {pos}",
-                                    pos = *pos
-                                ));
-                            }
-                            *pos += 2;
-                            let lo = parse_hex4(b, pos)?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(format!(
-                                    "unpaired surrogate at byte {pos}",
-                                    pos = *pos
-                                ));
-                            }
-                            let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                            char::from_u32(cp)
-                        } else {
-                            char::from_u32(hi)
-                        };
-                        match c {
-                            Some(c) => out.push(c),
-                            None => {
-                                return Err(format!("invalid \\u escape at byte {pos}", pos = *pos))
-                            }
-                        }
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
             }
             Some(&c) if c < 0x20 => {
                 return Err(format!(
@@ -711,20 +540,46 @@ fn parse_string_tree(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     pos = *pos
                 ))
             }
-            Some(&c) if c < 0x80 => {
-                out.push(c as char);
-                *pos += 1;
-            }
-            Some(_) => {
-                // Multi-byte UTF-8: copy the whole scalar.
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {pos}", pos = *pos))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            _ => {}
         }
+        // A backslash: decode one escape.
+        let escape = b.get(*pos + 1).copied();
+        *pos += 2;
+        out.push(match escape {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => parse_unicode_escape(b, pos)?,
+            _ => return Err(format!("bad escape at byte {}", *pos - 1)),
+        });
     }
+}
+
+/// Decodes the `XXXX` of a `\uXXXX` escape (cursor after the `u`),
+/// joining a surrogate pair into one scalar.
+fn parse_unicode_escape(b: &[u8], pos: &mut usize) -> Result<char, String> {
+    let hi = parse_hex4(b, pos)?;
+    let cp = if (0xD800..0xDC00).contains(&hi) {
+        // High surrogate: a `\uXXXX` low surrogate must follow.
+        let unpaired = |pos: usize| format!("unpaired surrogate at byte {pos}");
+        if b.get(*pos..*pos + 2) != Some(&b"\\u"[..]) {
+            return Err(unpaired(*pos));
+        }
+        *pos += 2;
+        let lo = parse_hex4(b, pos)?;
+        if !(0xDC00..0xE000).contains(&lo) {
+            return Err(unpaired(*pos));
+        }
+        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+    } else {
+        hi
+    };
+    char::from_u32(cp).ok_or_else(|| format!("invalid \\u escape at byte {pos}", pos = *pos))
 }
 
 fn parse_hex4(b: &[u8], pos: &mut usize) -> Result<u32, String> {
@@ -740,9 +595,25 @@ fn parse_hex4(b: &[u8], pos: &mut usize) -> Result<u32, String> {
     Ok(v)
 }
 
+/// Parses a JSON-lines document: every non-blank line is one value.
+/// Returns the values with their 1-based line numbers; the error of
+/// the first malformed line is prefixed `line N: `.
+pub fn parse_lines(text: &str) -> Result<Vec<(usize, Value)>, String> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            parse(line)
+                .map(|v| (i + 1, v))
+                .map_err(|e| format!("line {}: {e}", i + 1))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn escape_matches_remarks_format() {
@@ -872,6 +743,8 @@ mod tests {
     fn parse_decodes_escapes_and_surrogates() {
         let v = parse("\"\\u00e9 \\uD83D\\uDE00 \\t\"").unwrap();
         assert_eq!(v.as_str(), Some("é 😀 \t"));
+        let v = parse(r#""\"\\\/\b\f\n\r\t\u0000""#).unwrap();
+        assert_eq!(v.as_str(), Some("\"\\/\u{8}\u{c}\n\r\t\u{0}"));
         assert!(parse("\"\\uD83D\"").is_err(), "unpaired high surrogate");
         assert!(parse("\"\\uDE00\"").is_err(), "lone low surrogate");
     }
@@ -896,6 +769,159 @@ mod tests {
     fn parse_rejects_malformed_and_duplicates() {
         for bad in ["", "{", "[1,]", "{\"a\":1,\"a\":2}", "{} {}", "\"\\q\""] {
             assert!(parse(bad).is_err(), "{bad:?} should be rejected");
+        }
+    }
+
+    #[test]
+    fn numbers_with_a_leading_zero_are_rejected() {
+        for bad in [
+            "01",
+            "-01",
+            "00",
+            "-00.5",
+            "012e3",
+            "[1,02]",
+            "{\"teams\":02}",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} should be rejected");
+        }
+        assert_eq!(
+            parse("[1,02]"),
+            Err("leading zero in number at byte 3".to_string())
+        );
+        for ok in ["0", "-0", "0.5", "-0.0", "0e1", "10", "100.01", "-20"] {
+            assert_eq!(parse(ok).map(|v| v.to_json()), Ok(ok.to_string()));
+        }
+    }
+
+    #[test]
+    fn validate_is_parse_s_syntax_check() {
+        // A syntax-only twin parser used to accept the first three.
+        for bad in ["{\"a\":1,\"a\":2}", "\"\\uD83D\"", "\"\\uDE00\"", "01"] {
+            assert!(validate(bad).is_err(), "{bad:?} should be rejected");
+            assert_eq!(validate(bad), parse(bad).map(|_| ()));
+        }
+    }
+
+    #[test]
+    fn parse_lines_numbers_lines_and_skips_blank_ones() {
+        let values = parse_lines("{\"a\":1}\n\n  \n[2]\n").unwrap();
+        assert_eq!(
+            values,
+            vec![(1, parse("{\"a\":1}").unwrap()), (4, parse("[2]").unwrap())]
+        );
+        assert_eq!(parse_lines(""), Ok(Vec::new()));
+        assert_eq!(
+            parse_lines("1\n\n{"),
+            Err("line 3: expected object key at byte 1".to_string())
+        );
+    }
+
+    /// Characters that exercise the escaper and the decoder: control
+    /// bytes (`\b` and `\f` included), `"`, `\`, `/`, multi-byte and
+    /// non-BMP scalars.
+    const TRICKY: &[char] = &[
+        'a',
+        ' ',
+        '"',
+        '\\',
+        '/',
+        '\n',
+        '\r',
+        '\t',
+        '\u{0}',
+        '\u{8}',
+        '\u{c}',
+        '\u{1f}',
+        '\u{7f}',
+        'é',
+        '\u{2028}',
+        '\u{fffd}',
+        '\u{ffff}',
+        '😀',
+        '\u{10ffff}',
+    ];
+
+    fn arbitrary_string(rng: &mut TestRng) -> String {
+        (0..rng.below(8))
+            .map(|_| match rng.below(4) {
+                0 => char::from_u32(rng.below(0x11_0000) as u32).unwrap_or('x'),
+                _ => TRICKY[rng.below(TRICKY.len() as u64) as usize],
+            })
+            .collect()
+    }
+
+    /// A number spelled the way producers spell them.
+    fn arbitrary_number(rng: &mut TestRng) -> String {
+        match rng.below(3) {
+            0 => (rng.next_u64() as i64 >> rng.below(64)).to_string(),
+            1 => rng.next_u64().to_string(),
+            _ => {
+                let x = f64::from_bits(rng.next_u64());
+                let mut w = JsonWriter::new();
+                w.f64(if x.is_finite() { x } else { -0.5 });
+                w.finish()
+            }
+        }
+    }
+
+    /// A document nested at most `depth` containers deep (the shim has
+    /// no recursive strategies, so the recursion lives here).
+    fn arbitrary_value(rng: &mut TestRng, depth: u32) -> Value {
+        match rng.below(if depth == 0 { 4 } else { 6 }) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.below(2) == 1),
+            2 => Value::Number(arbitrary_number(rng)),
+            3 => Value::String(arbitrary_string(rng)),
+            4 => Value::Array(
+                (0..rng.below(4))
+                    .map(|_| arbitrary_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => {
+                let mut members: Vec<(String, Value)> = Vec::new();
+                for _ in 0..rng.below(4) {
+                    let key = arbitrary_string(rng);
+                    if members.iter().all(|(k, _)| *k != key) {
+                        members.push((key, arbitrary_value(rng, depth - 1)));
+                    }
+                }
+                Value::Object(members)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn written_documents_parse_back_to_the_same_tree(seed in any::<u64>()) {
+            let v = arbitrary_value(&mut TestRng::new(seed), 4);
+            prop_assert_eq!(parse(&v.to_json()), Ok(v));
+        }
+
+        #[test]
+        fn parse_never_panics_on_arbitrary_bytes(seed in any::<u64>()) {
+            let mut rng = TestRng::new(seed);
+            // Half the inputs are a written document with a few bytes
+            // overwritten, so most of them get past the first byte.
+            let mut bytes = match rng.below(2) {
+                0 => arbitrary_value(&mut rng, 3).to_json().into_bytes(),
+                _ => (0..rng.below(48)).map(|_| rng.next_u64() as u8).collect(),
+            };
+            const JSONISH: &[u8] = b"{}[]\":,\\/-+.0123456789eEtrufalsn \x01\xf0";
+            for _ in 0..rng.below(4) {
+                if !bytes.is_empty() {
+                    let at = rng.below(bytes.len() as u64) as usize;
+                    bytes[at] = JSONISH[rng.below(JSONISH.len() as u64) as usize];
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            // `Ok` or `Err`, never a panic; what it accepts re-encodes
+            // to a document that reads back the same.
+            if let Ok(v) = parse(&text) {
+                prop_assert_eq!(parse(&v.to_json()), Ok(v));
+            }
         }
     }
 

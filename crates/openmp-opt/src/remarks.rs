@@ -23,7 +23,7 @@
 //! [`Remarks::to_json_lines`]); `docs/remarks.md` documents the format
 //! and its stability guarantees.
 
-use omp_json::escape_into as json_escape_into;
+use omp_json::{JsonWriter, Value};
 use std::fmt;
 
 /// Remark category.
@@ -125,96 +125,79 @@ impl Remark {
         self
     }
 
-    /// Serializes to one stable JSON object (field order and spelling
-    /// are guaranteed; see `docs/remarks.md`).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        s.push_str("{\"id\":");
-        s.push_str(&self.id.to_string());
-        s.push_str(",\"kind\":\"");
-        s.push_str(self.kind.name());
-        s.push_str("\",\"pass\":\"");
-        json_escape_into(&mut s, self.pass);
-        s.push_str("\",\"function\":\"");
-        json_escape_into(&mut s, &self.function);
-        s.push_str("\",\"callsite\":");
+    /// Serializes the remark as one JSON object into `w` (field order
+    /// and spelling are guaranteed; see `docs/remarks.md`).
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("id").u32(self.id);
+        w.key("kind").string(self.kind.name());
+        w.key("pass").string(self.pass);
+        w.key("function").string(&self.function);
         match &self.callsite {
-            Some(c) => {
-                s.push('"');
-                json_escape_into(&mut s, c);
-                s.push('"');
-            }
-            None => s.push_str("null"),
-        }
-        s.push_str(",\"action\":\"");
-        json_escape_into(&mut s, self.action);
-        s.push_str("\",\"bytes\":");
+            Some(c) => w.key("callsite").string(c),
+            None => w.key("callsite").null(),
+        };
+        w.key("action").string(self.action);
         match self.bytes {
-            Some(b) => s.push_str(&b.to_string()),
-            None => s.push_str("null"),
-        }
-        s.push_str(",\"message\":\"");
-        json_escape_into(&mut s, &self.message);
-        s.push_str("\"}");
-        s
+            Some(b) => w.key("bytes").u64(b),
+            None => w.key("bytes").null(),
+        };
+        w.key("message").string(&self.message);
+        w.end_object();
     }
 
-    /// Parses one remark from its serialized form. Accepts exactly the
-    /// output of [`Remark::to_json`] (flat object, any field order).
+    /// Serializes to one stable JSON object ([`Remark::write_json`]).
+    pub fn to_json(&self) -> String {
+        let mut w = JsonWriter::with_capacity(128);
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Parses one remark from its serialized form: any JSON object with
+    /// the eight fields of [`Remark::to_json`], in any order.
     pub fn from_json(line: &str) -> Result<Remark, String> {
-        let fields = parse_flat_json_object(line)?;
-        let get = |k: &str| -> Result<&JsonValue, String> {
-            fields
-                .iter()
-                .find(|(n, _)| n == k)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field {k:?}"))
+        Remark::from_value(&omp_json::parse(line)?)
+    }
+
+    fn from_value(v: &Value) -> Result<Remark, String> {
+        if v.as_object().is_none() {
+            return Err("a remark must be a JSON object".into());
+        }
+        let get = |k: &str| v.get(k).ok_or_else(|| format!("missing field {k:?}"));
+        let string = |k: &str| {
+            get(k)?
+                .as_str()
+                .ok_or_else(|| format!("field {k:?} must be a string"))
         };
-        let id = match get("id")? {
-            JsonValue::Number(n) => *n as u32,
-            _ => return Err("field \"id\" must be a number".into()),
-        };
-        let kind = match get("kind")? {
-            JsonValue::String(s) => {
-                RemarkKind::from_name(s).ok_or_else(|| format!("unknown kind {s:?}"))?
-            }
-            _ => return Err("field \"kind\" must be a string".into()),
-        };
-        let pass = match get("pass")? {
-            JsonValue::String(s) => intern_pass(s),
-            _ => return Err("field \"pass\" must be a string".into()),
-        };
-        let function = match get("function")? {
-            JsonValue::String(s) => s.clone(),
-            _ => return Err("field \"function\" must be a string".into()),
-        };
+        let id = get("id")?
+            .as_u64()
+            .and_then(|n| u32::try_from(n).ok())
+            .ok_or("field \"id\" must be an integer in the u32 range")?;
+        let kind = string("kind")?;
+        let kind = RemarkKind::from_name(kind).ok_or_else(|| format!("unknown kind {kind:?}"))?;
         let callsite = match get("callsite")? {
-            JsonValue::String(s) => Some(s.clone()),
-            JsonValue::Null => None,
-            _ => return Err("field \"callsite\" must be a string or null".into()),
-        };
-        let action = match get("action")? {
-            JsonValue::String(s) => intern_action(s),
-            _ => return Err("field \"action\" must be a string".into()),
+            Value::Null => None,
+            c => Some(
+                c.as_str()
+                    .ok_or("field \"callsite\" must be a string or null")?,
+            ),
         };
         let bytes = match get("bytes")? {
-            JsonValue::Number(n) => Some(*n as u64),
-            JsonValue::Null => None,
-            _ => return Err("field \"bytes\" must be a number or null".into()),
-        };
-        let message = match get("message")? {
-            JsonValue::String(s) => s.clone(),
-            _ => return Err("field \"message\" must be a string".into()),
+            Value::Null => None,
+            b => Some(
+                b.as_u64()
+                    .ok_or("field \"bytes\" must be a non-negative integer or null")?,
+            ),
         };
         Ok(Remark {
             id,
             kind,
-            pass,
-            function,
-            callsite,
-            action,
+            pass: intern(&passes::ALL, string("pass")?),
+            function: string("function")?.to_string(),
+            callsite: callsite.map(str::to_string),
+            action: intern(&actions::ALL, string("action")?),
             bytes,
-            message,
+            message: string("message")?.to_string(),
         })
     }
 }
@@ -298,33 +281,33 @@ pub mod actions {
     pub const CAPTURE_REPLAY: &str = "capture-replay";
     /// `nowait` kernel eligible for asynchronous stream overlap.
     pub const ASYNC_OVERLAP: &str = "async-overlap";
-}
 
-fn intern_pass(s: &str) -> &'static str {
-    passes::ALL.iter().find(|p| **p == s).copied().unwrap_or("")
-}
-
-fn intern_action(s: &str) -> &'static str {
-    const ALL: [&str; 17] = [
-        actions::STACKIFY,
-        actions::SHARIFY,
-        actions::KEEP_GLOBALIZED,
-        actions::SPMDIZE,
-        actions::SPMD_BLOCKED,
-        actions::REMOVE_DEAD_RUNTIME,
-        actions::CUSTOM_STATE_MACHINE,
-        actions::STATE_MACHINE_FALLBACK,
-        actions::KEEP_STATE_MACHINE,
-        actions::FOLD,
-        actions::KEEP_EXTERNAL,
-        actions::INLINE,
-        actions::KEEP_CALL,
-        actions::CSE,
-        actions::HOIST,
-        actions::CAPTURE_REPLAY,
-        actions::ASYNC_OVERLAP,
+    /// All action verbs, in declaration order.
+    pub const ALL: [&str; 17] = [
+        STACKIFY,
+        SHARIFY,
+        KEEP_GLOBALIZED,
+        SPMDIZE,
+        SPMD_BLOCKED,
+        REMOVE_DEAD_RUNTIME,
+        CUSTOM_STATE_MACHINE,
+        STATE_MACHINE_FALLBACK,
+        KEEP_STATE_MACHINE,
+        FOLD,
+        KEEP_EXTERNAL,
+        INLINE,
+        KEEP_CALL,
+        CSE,
+        HOIST,
+        CAPTURE_REPLAY,
+        ASYNC_OVERLAP,
     ];
-    ALL.iter().find(|a| **a == s).copied().unwrap_or("")
+}
+
+/// The spelling in `known` equal to `s`; an unknown value reads as `""`
+/// so old readers accept new streams (`docs/remarks.md`).
+fn intern(known: &[&'static str], s: &str) -> &'static str {
+    known.iter().find(|k| **k == s).copied().unwrap_or("")
 }
 
 impl fmt::Display for Remark {
@@ -339,117 +322,6 @@ impl fmt::Display for Remark {
             "{}: remark: {} [OMP{}] [{}]",
             self.function, self.message, self.id, flag
         )
-    }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    String(String),
-    Number(i64),
-    Null,
-}
-
-/// Parses a flat JSON object with string / integer / null values — the
-/// exact shape [`Remark::to_json`] emits. Not a general JSON parser.
-fn parse_flat_json_object(s: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let b: Vec<char> = s.trim().chars().collect();
-    let mut i = 0usize;
-    let err = |what: &str, at: usize| format!("{what} at offset {at}");
-    let skip_ws = |b: &[char], mut i: usize| {
-        while i < b.len() && b[i].is_whitespace() {
-            i += 1;
-        }
-        i
-    };
-    let parse_string = |b: &[char], mut i: usize| -> Result<(String, usize), String> {
-        if b.get(i) != Some(&'"') {
-            return Err(err("expected '\"'", i));
-        }
-        i += 1;
-        let mut out = String::new();
-        while i < b.len() {
-            match b[i] {
-                '"' => return Ok((out, i + 1)),
-                '\\' => {
-                    let e = *b.get(i + 1).ok_or_else(|| err("dangling escape", i))?;
-                    match e {
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'u' => {
-                            let hex: String = b
-                                .get(i + 2..i + 6)
-                                .ok_or_else(|| err("short \\u escape", i))?
-                                .iter()
-                                .collect();
-                            let code = u32::from_str_radix(&hex, 16)
-                                .map_err(|_| err("bad \\u escape", i))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            i += 4;
-                        }
-                        other => out.push(other),
-                    }
-                    i += 2;
-                }
-                c => {
-                    out.push(c);
-                    i += 1;
-                }
-            }
-        }
-        Err(err("unterminated string", i))
-    };
-    i = skip_ws(&b, i);
-    if b.get(i) != Some(&'{') {
-        return Err(err("expected '{'", i));
-    }
-    i += 1;
-    let mut fields = Vec::new();
-    loop {
-        i = skip_ws(&b, i);
-        if b.get(i) == Some(&'}') {
-            return Ok(fields);
-        }
-        let (key, ni) = parse_string(&b, i)?;
-        i = skip_ws(&b, ni);
-        if b.get(i) != Some(&':') {
-            return Err(err("expected ':'", i));
-        }
-        i = skip_ws(&b, i + 1);
-        let value = match b.get(i) {
-            Some('"') => {
-                let (v, ni) = parse_string(&b, i)?;
-                i = ni;
-                JsonValue::String(v)
-            }
-            Some('n') => {
-                if b.get(i..i + 4).map(|c| c.iter().collect::<String>()) == Some("null".into()) {
-                    i += 4;
-                    JsonValue::Null
-                } else {
-                    return Err(err("expected null", i));
-                }
-            }
-            Some(c) if c.is_ascii_digit() || *c == '-' => {
-                let start = i;
-                if b[i] == '-' {
-                    i += 1;
-                }
-                while i < b.len() && b[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let text: String = b[start..i].iter().collect();
-                JsonValue::Number(text.parse().map_err(|_| err("bad number", start))?)
-            }
-            _ => return Err(err("expected value", i)),
-        };
-        fields.push((key, value));
-        i = skip_ws(&b, i);
-        match b.get(i) {
-            Some(',') => i += 1,
-            Some('}') => return Ok(fields),
-            _ => return Err(err("expected ',' or '}'", i)),
-        }
     }
 }
 
@@ -572,14 +444,11 @@ impl Remarks {
     /// Parses a [`Remarks::to_json_lines`] document (empty lines are
     /// skipped).
     pub fn from_json_lines(text: &str) -> Result<Remarks, String> {
-        let mut rs = Remarks::default();
-        for (n, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            rs.push(Remark::from_json(line).map_err(|e| format!("line {}: {e}", n + 1))?);
-        }
-        Ok(rs)
+        let entries = omp_json::parse_lines(text)?
+            .iter()
+            .map(|(n, v)| Remark::from_value(v).map_err(|e| format!("line {n}: {e}")))
+            .collect::<Result<_, _>>()?;
+        Ok(Remarks { entries })
     }
 }
 
@@ -648,7 +517,68 @@ mod tests {
 
     #[test]
     fn json_roundtrip_preserves_everything() {
+        // The spellings are the format: pin every current value.
+        assert_eq!(
+            passes::ALL,
+            [
+                "inline",
+                "internalize",
+                "spmdization",
+                "heap-to-stack",
+                "heap-to-shared",
+                "state-machine",
+                "folding",
+                "gvn",
+                "licm",
+                "taskgraph",
+                "pipeline",
+            ]
+        );
+        assert_eq!(
+            actions::ALL,
+            [
+                "stackify",
+                "sharify",
+                "keep-globalized",
+                "spmdize",
+                "spmd-blocked",
+                "remove-dead-runtime",
+                "custom-state-machine",
+                "state-machine-fallback",
+                "keep-state-machine",
+                "fold",
+                "keep-external",
+                "inline",
+                "keep-call",
+                "cse",
+                "hoist",
+                "capture-replay",
+                "async-overlap",
+            ]
+        );
+        let kinds = [
+            (RemarkKind::Passed, "passed"),
+            (RemarkKind::Missed, "missed"),
+            (RemarkKind::Analysis, "analysis"),
+        ];
         let mut rs = Remarks::default();
+        for (i, pass) in passes::ALL.into_iter().enumerate() {
+            for (j, action) in actions::ALL.into_iter().enumerate() {
+                let (kind, name) = kinds[(i + j) % kinds.len()];
+                let r = Remark::new(ids::MOVED_TO_STACK, kind, "f", "m")
+                    .in_pass(pass)
+                    .with_action(action);
+                let json = r.to_json();
+                for field in [
+                    format!("\"kind\":\"{name}\""),
+                    format!("\"pass\":\"{pass}\""),
+                    format!("\"action\":\"{action}\""),
+                ] {
+                    assert!(json.contains(&field), "{field} missing in {json}");
+                }
+                rs.push(r);
+            }
+        }
         rs.push(
             Remark::new(
                 ids::RUNTIME_CALL_FOLDED,
@@ -658,31 +588,25 @@ mod tests {
             )
             .in_pass(passes::FOLDING)
             .with_action(actions::FOLD)
-            .at("__kmpc_get_warp_size"),
+            .at("__kmpc_get_warp_size")
+            .with_bytes(u64::MAX),
         );
         rs.push(Remark::new(
-            ids::SPMD_BLOCKED,
+            u32::MAX,
             RemarkKind::Missed,
-            "k",
+            "k\u{1}\u{8}😀",
             "plain",
         ));
         let text = rs.to_json_lines();
         let back = Remarks::from_json_lines(&text).unwrap();
         assert_eq!(back.all(), rs.all());
-        // Stability: the serialized field spelling is part of the format.
-        let first = text.lines().next().unwrap();
-        for key in [
-            "\"id\":",
-            "\"kind\":",
-            "\"pass\":",
-            "\"function\":",
-            "\"callsite\":",
-            "\"action\":",
-            "\"bytes\":",
-            "\"message\":",
-        ] {
-            assert!(first.contains(key), "{key} missing in {first}");
-        }
+        // Stability: the serialized key order and spelling are part of
+        // the format.
+        assert_eq!(
+            text.lines().last().unwrap(),
+            "{\"id\":4294967295,\"kind\":\"missed\",\"pass\":\"\",\"function\":\"k\\u0001\\u0008😀\",\
+             \"callsite\":null,\"action\":\"\",\"bytes\":null,\"message\":\"plain\"}"
+        );
     }
 
     #[test]
@@ -690,7 +614,62 @@ mod tests {
         assert!(Remark::from_json("{}").is_err());
         assert!(Remark::from_json("{\"id\":1").is_err());
         assert!(Remark::from_json("not json").is_err());
+        assert!(Remark::from_json("[]").is_err());
+        for head in [
+            "\"id\":170,\"bytes\":18446744073709551616,",
+            "\"id\":170.5,\"bytes\":8,",
+        ] {
+            assert!(Remark::from_json(&line_with(head)).is_err(), "{head}");
+        }
         let ok = Remark::new(ids::MOVED_TO_STACK, RemarkKind::Passed, "f", "m").to_json();
         assert!(Remark::from_json(&ok).is_ok());
+    }
+
+    /// A valid remark line with `head` spliced in as its first members.
+    fn line_with(head: &str) -> String {
+        format!(
+            "{{{head}\"kind\":\"passed\",\"pass\":\"folding\",\"function\":\"f\",\
+             \"callsite\":null,\"action\":\"fold\",\"message\":\"m\"}}"
+        )
+    }
+
+    #[test]
+    fn json_reader_is_strict_json() {
+        let ok = line_with("\"id\":170,\"bytes\":8,");
+        assert_eq!(Remark::from_json(&ok).unwrap().bytes, Some(8));
+        for bad in [
+            // Trailing data and a trailing comma.
+            format!("{ok} x"),
+            format!("{},}}", ok.trim_end_matches('}')),
+            // A duplicate key (the first `id` used to win).
+            line_with("\"id\":170,\"id\":171,\"bytes\":8,"),
+            // Negative and out-of-range numbers (read as 4294967295,
+            // u64::MAX and 0 before).
+            line_with("\"id\":-1,\"bytes\":8,"),
+            line_with("\"id\":170,\"bytes\":-1,"),
+            line_with("\"id\":4294967296,\"bytes\":8,"),
+        ] {
+            assert!(Remark::from_json(&bad).is_err(), "{bad} should be rejected");
+        }
+    }
+
+    #[test]
+    fn json_reader_decodes_every_escape() {
+        // `\b` and `\f` used to decode as the letters, and a surrogate
+        // pair as two replacement characters.
+        let line = r#"{"id":1,"kind":"analysis","pass":"","function":"a\bb\fc","callsite":"\uD83D\uDE00\/","action":"","bytes":null,"message":"\u00e9"}"#;
+        let r = Remark::from_json(line).unwrap();
+        assert_eq!(r.function, "a\u{8}b\u{c}c");
+        assert_eq!(r.callsite.as_deref(), Some("😀/"));
+        assert_eq!(r.message, "é");
+    }
+
+    #[test]
+    fn unknown_pass_and_action_read_as_empty() {
+        let line = line_with("\"id\":1,\"bytes\":null,")
+            .replace("\"folding\"", "\"from-the-future\"")
+            .replace("\"fold\"", "\"time-travel\"");
+        let r = Remark::from_json(&line).unwrap();
+        assert_eq!((r.pass, r.action), ("", ""));
     }
 }

@@ -500,17 +500,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Drops every histogram — used where wall-clock distributions must
-    /// be excluded from a deterministic comparison while counters and
-    /// gauges are kept.
-    pub fn without_histograms(&self) -> MetricsRegistry {
-        MetricsRegistry {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: BTreeMap::new(),
-        }
-    }
-
     /// Writes the JSON rendering into an open writer position:
     /// `{"counters":{...},"gauges":{...},"histograms":{name:{count,
     /// sum,p50,p90,p99,buckets:{le:count}}}}`, everything name-sorted,

@@ -12,11 +12,13 @@
 # gating `all` run; `benchcheck` (fmt, clippy and unit tests of the
 # standalone benchmark package, which compiles against this
 # workspace's public API) is. The `smoke` stage runs
-# `ompgpu profile` on one proxy and validates the emitted Chrome trace,
+# `ompgpu profile` on one proxy and validates the emitted Chrome trace
+# with `ompgpu json-validate`,
 # runs the device sanitizer over a proxy's full config matrix and the
 # fault-injection self-test, round-trips the `ompgpu serve` daemon
 # (two client passes over a Unix socket: the second must hit the warm
-# caches and leave the daemon's peak RSS below one device arena,
+# caches and leave the daemon's peak RSS below one device arena, a
+# `compile` reply with its remarks must pass `ompgpu json-validate`,
 # `ompgpu run --json` must print the daemon's `result.stats` for the
 # same launch byte for byte, shutdown must be clean), checks the telemetry surface
 # (metrics op, access log, --telemetry artifact, unknown-schema exit
@@ -105,9 +107,11 @@ run_smoke() {
     cargo run -q -p omp-gpu --bin ompgpu --offline -- \
         profile --proxy su3bench --scale small --config dev \
         --trace "$trace" > /dev/null
-    # Belt and braces: the artifact must exist, be non-empty, and carry
-    # the trace-event envelope Perfetto expects.
+    # Belt and braces: the artifact on disk must read back through the
+    # one JSON reader (`json-validate` exits non-zero otherwise) and
+    # carry the trace-event envelope Perfetto expects.
     [ -s "$trace" ] || { echo "smoke: trace file missing/empty" >&2; exit 1; }
+    cargo run -q -p omp-gpu --bin ompgpu --offline -- json-validate "$trace" > /dev/null
     grep -q '"traceEvents"' "$trace" || {
         echo "smoke: trace lacks traceEvents envelope" >&2
         exit 1
@@ -199,6 +203,21 @@ EOF
             exit 1
         }
     done
+    # A compile reply embeds the remark stream: it must read back
+    # through the one JSON reader as a serve envelope with remarks.
+    compile_reply="$serve_dir/compile.json"
+    printf '{"op":"compile","path":"%s"}\n' "$serve_src" |
+        "$ompgpu_bin" client --socket "$serve_sock" > "$compile_reply"
+    grep -q '"remarks":\[{"id":' "$compile_reply" || {
+        echo "smoke: compile reply carries no remarks:" >&2
+        cat "$compile_reply" >&2
+        exit 1
+    }
+    "$ompgpu_bin" json-validate "$compile_reply" | grep -q 'ompgpu-serve/v1' || {
+        echo "smoke: compile reply did not validate" >&2
+        exit 1
+    }
+    echo "smoke: compile reply with remarks validates"
     # Stats must agree that the session saw cache hits overall.
     "$ompgpu_bin" client --socket "$serve_sock" --stats | \
         grep -q '"total_hits":[1-9]' || {
