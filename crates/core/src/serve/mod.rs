@@ -412,7 +412,9 @@ void scale(double* a, double f, long n) {
         // Each integer fits a u64 but not its field: 4294967298 teams
         // used to launch 2 teams, and a watchdog whose milliseconds
         // overflow used to launch with no watchdog at all. `02` is not
-        // JSON (RFC 8259) and used to launch 2 teams.
+        // JSON (RFC 8259) and used to launch 2 teams. 200,000 nested
+        // arrays used to overflow the stack and abort the daemon.
+        let deep = "[".repeat(200_000);
         for (op, field, value) in [
             ("run", "teams", "4294967298"),
             ("run", "threads", "4294967296"),
@@ -420,6 +422,7 @@ void scale(double* a, double f, long n) {
             ("run", "watchdog_secs", "18446744073709552"),
             ("sanitize", "all_configs", "\"yes\""),
             ("run", "teams", "02"),
+            ("run", "teams", deep.as_str()),
         ] {
             let line = format!("{{\"op\":\"{op}\",\"source\":{SRC:?},\"{field}\":{value}}}");
             let v = request(&mut s, &line);
@@ -429,6 +432,12 @@ void scale(double* a, double f, long n) {
                 (_, "02") => format!(
                     "malformed request JSON: leading zero in number at byte {}",
                     line.len() - "02}".len()
+                ),
+                // The request object is one level; the 128th is the
+                // array 127 bytes into the value.
+                (_, v) if v.starts_with('[') => format!(
+                    "malformed request JSON: nesting deeper than 128 at byte {}",
+                    line.len() - v.len() - 1 + 127
                 ),
                 _ => format!("invalid value \"{value}\" for field \"{field}\""),
             };

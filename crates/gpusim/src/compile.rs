@@ -46,8 +46,9 @@ use crate::cost::CostModel;
 use crate::mem::PageHash;
 use crate::plan::{for_each_operand, BlockPlan, CallTarget, FuncPlan, MathKind};
 use crate::profile::CycleClass;
-use crate::value::RtVal;
-use omp_ir::{BinOp, BlockId, CastOp, CmpOp, GlobalId, InstId, InstKind, Terminator, Type, Value};
+use omp_ir::{
+    BinOp, BlockId, CastOp, CmpOp, GlobalId, InstId, InstKind, RtVal, Terminator, Type, Value,
+};
 use std::collections::HashMap;
 
 /// One basic block as the plan builder decodes it: leading phis
@@ -434,18 +435,12 @@ impl ValueFile {
                 }
                 return s;
             }
-            Value::ConstInt(c, ty) => match ty {
-                Type::I1 => RtVal::Bool(c != 0),
-                Type::I32 => RtVal::I32(c as i32),
-                _ => RtVal::I64(c),
-            },
-            Value::ConstFloat(bits, ty) => match ty {
-                Type::F32 => RtVal::F32(f64::from_bits(bits) as f32),
-                _ => RtVal::F64(f64::from_bits(bits)),
-            },
             Value::Func(f) => RtVal::Ptr(crate::mem::func_addr(f.0)),
             Value::Null => RtVal::Ptr(0),
             Value::Undef(ty) => RtVal::zero(ty),
+            Value::ConstInt(..) | Value::ConstFloat(..) => {
+                RtVal::from_const(v).expect("a scalar constant")
+            }
         };
         self.intern(const_key(c), Some(c)).0
     }

@@ -9,6 +9,10 @@
 
 use omp_ir::{BinOp, RtlFn};
 
+/// A scattered shared-memory access hits the same banks from several
+/// lanes, so it is serialized into this many `shared_access`es.
+pub(crate) const BANK_CONFLICT_REPLAYS: u64 = 8;
+
 /// Cycle costs of the simulated device.
 #[derive(Debug, Clone)]
 pub struct CostModel {

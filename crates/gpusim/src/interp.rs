@@ -34,7 +34,7 @@
 
 use crate::compile::{Call, Edge, Entry, Exit, Slot, Step, STATIC_CLASSES};
 use crate::config::{DeviceConfig, Tier};
-use crate::cost::CostModel;
+use crate::cost::{CostModel, BANK_CONFLICT_REPLAYS};
 use crate::error::{Provenance, SimError, ThreadPos};
 use crate::mem::{self, AccessClass, FastMap, TeamMemDelta, TeamMemView};
 use crate::observe::Observers;
@@ -42,9 +42,9 @@ use crate::plan::{CallTarget, ExecPlan, FuncPlan, MathKind, NUM_RTL_FNS};
 use crate::profile::{CycleClass, TeamProfile};
 use crate::sanitize::{Finding, SiteRef};
 use crate::stats::KernelStats;
-use crate::value::RtVal;
 use omp_ir::omprtl::{ALL_RTL_FNS, MODE_SPMD};
-use omp_ir::{BinOp, BlockId, CastOp, CmpOp, ExecMode, FuncId, InstId, Module, RtlFn, Type, Value};
+use omp_ir::scalar::{self, ScalarError};
+use omp_ir::{BinOp, BlockId, ExecMode, FuncId, InstId, Module, RtVal, RtlFn, Type};
 use std::time::Instant;
 
 /// Why a thread is not currently runnable.
@@ -663,7 +663,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                         let r = (|| {
                             let a = Self::slot_val(&frame, f.lhs)?;
                             let b = Self::slot_val(&frame, f.rhs)?;
-                            exec_cmp(f.op, f.ty, a, b)
+                            scalar::eval_cmp(f.op, f.ty, a, b).map_err(scalar_trap)
                         })();
                         match r {
                             Ok(v) => v == RtVal::Bool(true),
@@ -833,7 +833,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             } => {
                 let a = Self::slot_val(frame, lhs).map_err(|e| (0, e))?;
                 let b = Self::slot_val(frame, rhs).map_err(|e| (0, e))?;
-                let v = exec_bin(op, ty, a, b).map_err(|e| (0, e))?;
+                let v = scalar::eval_bin(op, ty, a, b).map_err(|e| (0, bin_trap(e, op, a, b)))?;
                 Self::set_reg(frame, dst, v);
             }
             Step::Cmp {
@@ -845,12 +845,12 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             } => {
                 let a = Self::slot_val(frame, lhs).map_err(|e| (0, e))?;
                 let b = Self::slot_val(frame, rhs).map_err(|e| (0, e))?;
-                let v = exec_cmp(op, ty, a, b).map_err(|e| (0, e))?;
+                let v = scalar::eval_cmp(op, ty, a, b).map_err(|e| (0, scalar_trap(e)))?;
                 Self::set_reg(frame, dst, v);
             }
             Step::Cast { op, val, to, dst } => {
                 let a = Self::slot_val(frame, val).map_err(|e| (0, e))?;
-                let v = exec_cast(op, a, to).map_err(|e| (0, e))?;
+                let v = scalar::eval_cast(op, a, to).map_err(|e| (0, scalar_trap(e)))?;
                 Self::set_reg(frame, dst, v);
             }
             Step::Gep {
@@ -868,7 +868,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                     .map_err(|e| (0, e))?
                     .as_i64()
                     .ok_or_else(|| (0, op_trap("gep with non-integer index")))?;
-                let addr = (b as i64 + i * scale as i64 + offset) as u64;
+                let addr = b.wrapping_add_signed(scalar::gep_offset(i, scale, offset));
                 Self::set_reg(frame, dst, RtVal::Ptr(addr));
             }
             Step::Select {
@@ -920,7 +920,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                     .map_err(|e| (0, e))?
                     .as_i64()
                     .ok_or_else(|| (0, op_trap("gep with non-integer index")))?;
-                let addr = (b as i64 + i * scale as i64 + offset) as u64;
+                let addr = b.wrapping_add_signed(scalar::gep_offset(i, scale, offset));
                 if let Some(d) = addr_dst {
                     Self::set_reg(frame, d, RtVal::Ptr(addr));
                 }
@@ -952,10 +952,10 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 }
                 let bv = if loaded_is_lhs {
                     let b = Self::slot_val(frame, other).map_err(|e| (1, e))?;
-                    exec_bin(op, bty, lv, b).map_err(|e| (1, e))?
+                    scalar::eval_bin(op, bty, lv, b).map_err(|e| (1, bin_trap(e, op, lv, b)))?
                 } else {
                     let a = Self::slot_val(frame, other).map_err(|e| (1, e))?;
-                    exec_bin(op, bty, a, lv).map_err(|e| (1, e))?
+                    scalar::eval_bin(op, bty, a, lv).map_err(|e| (1, bin_trap(e, op, a, lv)))?
                 };
                 if let Some(d) = bdst {
                     Self::set_reg(frame, d, bv);
@@ -1187,7 +1187,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
                 }
                 match (class, coalesced) {
                     (AccessClass::Shared, true) => self.cost.shared_access,
-                    (AccessClass::Shared, false) => self.cost.shared_access * 8,
+                    (AccessClass::Shared, false) => self.cost.shared_access * BANK_CONFLICT_REPLAYS,
                     (_, true) => {
                         self.stats.coalesced_accesses += 1;
                         self.cost.global_coalesced
@@ -1735,175 +1735,27 @@ fn op_trap(msg: &'static str) -> SimError {
     SimError::trap(msg)
 }
 
+/// Outlined constructor of a scalar op's trap: a comparison or cast
+/// is total, so its only error names a mistyped operand.
 #[cold]
 #[inline(never)]
-fn undefined_int_op_trap(op: BinOp, x: i64, y: i64) -> SimError {
-    SimError::trap(format!("undefined integer operation {op:?} ({x}, {y})"))
-}
-
-// ---- scalar operation semantics ----
-
-#[inline(always)]
-fn exec_bin(op: BinOp, ty: Type, a: RtVal, b: RtVal) -> Result<RtVal, SimError> {
-    use omp_ir::fold;
-    if op.is_float() {
-        let (x, y) = (
-            a.as_f64().ok_or_else(|| op_trap("float op on non-float"))?,
-            b.as_f64().ok_or_else(|| op_trap("float op on non-float"))?,
-        );
-        let r = match op {
-            BinOp::FAdd => x + y,
-            BinOp::FSub => x - y,
-            BinOp::FMul => x * y,
-            BinOp::FDiv => x / y,
-            BinOp::FRem => x % y,
-            _ => unreachable!(),
-        };
-        return Ok(match ty {
-            Type::F32 => RtVal::F32(r as f32),
-            _ => RtVal::F64(r),
-        });
-    }
-    // Pointer arithmetic via integer ops on raw addresses is allowed.
-    let x = a.as_i64().ok_or_else(|| op_trap("int op on non-int"))?;
-    let y = b.as_i64().ok_or_else(|| op_trap("int op on non-int"))?;
-    // Total integer ops take a direct path: same wrapping semantics as
-    // `fold::fold_bin` (`wrap_int` + the `ConstInt` conversion below),
-    // minus the per-instruction `Value` round trip. Partial ops
-    // (divisions, shifts — they can be undefined) keep using the
-    // folder so the trap behavior stays identical.
-    let fast = match op {
-        BinOp::Add => Some(x.wrapping_add(y)),
-        BinOp::Sub => Some(x.wrapping_sub(y)),
-        BinOp::Mul => Some(x.wrapping_mul(y)),
-        BinOp::And => Some(x & y),
-        BinOp::Or => Some(x | y),
-        BinOp::Xor => Some(x ^ y),
-        _ => None,
-    };
-    if let Some(r) = fast {
-        return Ok(match ty {
-            Type::I1 => RtVal::Bool(r & 1 != 0),
-            Type::I32 => RtVal::I32(r as i32),
-            Type::Ptr => RtVal::Ptr(r as u64),
-            _ => RtVal::I64(r),
-        });
-    }
-    match fold::fold_bin(
-        op,
-        if ty == Type::Ptr { Type::I64 } else { ty },
-        Value::ConstInt(x, if ty == Type::Ptr { Type::I64 } else { ty }),
-        Value::ConstInt(y, if ty == Type::Ptr { Type::I64 } else { ty }),
-    ) {
-        Some(Value::ConstInt(v, t)) => Ok(match t {
-            Type::I1 => RtVal::Bool(v != 0),
-            Type::I32 => RtVal::I32(v as i32),
-            _ => {
-                if ty == Type::Ptr {
-                    RtVal::Ptr(v as u64)
-                } else {
-                    RtVal::I64(v)
-                }
-            }
-        }),
-        _ => Err(undefined_int_op_trap(op, x, y)),
+fn scalar_trap(e: ScalarError) -> SimError {
+    match e {
+        ScalarError::Mistyped(msg) => SimError::trap(msg),
+        ScalarError::Undefined => unreachable!("only an integer bin op is undefined"),
     }
 }
 
-#[inline(always)]
-fn exec_cmp(op: CmpOp, ty: Type, a: RtVal, b: RtVal) -> Result<RtVal, SimError> {
-    if op.is_float() {
-        let (x, y) = (
-            a.as_f64()
-                .ok_or_else(|| op_trap("float cmp on non-float"))?,
-            b.as_f64()
-                .ok_or_else(|| op_trap("float cmp on non-float"))?,
-        );
-        let r = match op {
-            CmpOp::FOeq => x == y,
-            CmpOp::FOne => x != y,
-            CmpOp::FOlt => x < y,
-            CmpOp::FOle => x <= y,
-            CmpOp::FOgt => x > y,
-            CmpOp::FOge => x >= y,
-            _ => unreachable!(),
-        };
-        return Ok(RtVal::Bool(r));
-    }
-    let x = a.as_i64().ok_or_else(|| op_trap("int cmp on non-int"))?;
-    let y = b.as_i64().ok_or_else(|| op_trap("int cmp on non-int"))?;
-    // Every integer comparison is total, so the generic constant
-    // folder is skipped; semantics mirror `fold::fold_cmp` exactly
-    // (pointers compare as raw i64 addresses, unsigned views truncate
-    // per `to_unsigned`).
-    let t = if ty == Type::Ptr { Type::I64 } else { ty };
-    let (ux, uy) = match t {
-        Type::I1 => ((x as u64) & 1, (y as u64) & 1),
-        Type::I32 => (x as u32 as u64, y as u32 as u64),
-        _ => (x as u64, y as u64),
-    };
-    let r = match op {
-        CmpOp::Eq => x == y,
-        CmpOp::Ne => x != y,
-        CmpOp::Slt => x < y,
-        CmpOp::Sle => x <= y,
-        CmpOp::Sgt => x > y,
-        CmpOp::Sge => x >= y,
-        CmpOp::Ult => ux < uy,
-        CmpOp::Ule => ux <= uy,
-        CmpOp::Ugt => ux > uy,
-        CmpOp::Uge => ux >= uy,
-        _ => return Err(op_trap("undefined comparison")),
-    };
-    Ok(RtVal::Bool(r))
-}
-
-#[inline(always)]
-fn exec_cast(op: CastOp, a: RtVal, to: Type) -> Result<RtVal, SimError> {
-    let out = match op {
-        CastOp::ZExt => {
-            let v = match a {
-                RtVal::Bool(b) => b as u64,
-                RtVal::I32(v) => v as u32 as u64,
-                RtVal::I64(v) => v as u64,
-                _ => return Err(op_trap("zext on non-int")),
-            };
-            int_to(to, v as i64)
+/// [`scalar_trap`] for a binary op, whose undefined case (division by
+/// zero, an over-wide shift) names the op and its operands.
+#[cold]
+#[inline(never)]
+fn bin_trap(e: ScalarError, op: BinOp, a: RtVal, b: RtVal) -> SimError {
+    match (e, a.as_i64(), b.as_i64()) {
+        (ScalarError::Undefined, Some(x), Some(y)) => {
+            SimError::trap(format!("undefined integer operation {op:?} ({x}, {y})"))
         }
-        CastOp::SExt => int_to(to, a.as_i64().ok_or_else(|| op_trap("sext on non-int"))?),
-        CastOp::Trunc => int_to(to, a.as_i64().ok_or_else(|| op_trap("trunc on non-int"))?),
-        CastOp::SiToFp => {
-            let v = a.as_i64().ok_or_else(|| op_trap("sitofp on non-int"))?;
-            match to {
-                Type::F32 => RtVal::F32(v as f32),
-                _ => RtVal::F64(v as f64),
-            }
-        }
-        CastOp::FpToSi => {
-            let v = a.as_f64().ok_or_else(|| op_trap("fptosi on non-float"))?;
-            int_to(to, v as i64)
-        }
-        CastOp::FpExt => RtVal::F64(a.as_f64().ok_or_else(|| op_trap("fpext on non-float"))?),
-        CastOp::FpTrunc => {
-            RtVal::F32(a.as_f64().ok_or_else(|| op_trap("fptrunc on non-float"))? as f32)
-        }
-        CastOp::PtrToInt => int_to(
-            to,
-            a.as_ptr()
-                .ok_or_else(|| op_trap("ptrtoint on non-pointer"))? as i64,
-        ),
-        CastOp::IntToPtr => {
-            RtVal::Ptr(a.as_i64().ok_or_else(|| op_trap("inttoptr on non-int"))? as u64)
-        }
-    };
-    Ok(out)
-}
-
-fn int_to(ty: Type, v: i64) -> RtVal {
-    match ty {
-        Type::I1 => RtVal::Bool(v & 1 != 0),
-        Type::I32 => RtVal::I32(v as i32),
-        _ => RtVal::I64(v),
+        _ => scalar_trap(e),
     }
 }
 
@@ -1936,195 +1788,207 @@ fn exec_math(kind: MathKind, f32out: bool, args: &[RtVal]) -> Result<RtVal, SimE
 
 #[cfg(test)]
 mod tests {
-    //! `exec_bin`/`exec_cmp`/`exec_cast` re-implement `omp_ir::fold`
-    //! for speed. These sweeps pin the two together: wherever the
-    //! folder defines a well-typed instruction over edge values, the
-    //! simulator computes the same constant, bit for bit.
-    use super::*;
-    use omp_ir::fold;
+    //! The simulator evaluates scalar ops through `omp_ir::scalar`, but
+    //! reaches it its own way: through lowered steps (fused
+    //! `LoadBinStore` and compare-and-branch on the compiled tier, one
+    //! entry at a time on the interpreter tier), memory and trap
+    //! mapping. These sweeps launch one kernel per row of omp-ir's
+    //! `tests/golden/scalar_ops.txt` on both tiers and check every cell
+    //! bit for bit: the simulator leaves the table's value — the
+    //! folder's constant wherever the folder folds, as the table's own
+    //! test asserts — and an `undef` cell traps.
+    use crate::config::{DeviceConfig, Tier};
+    use crate::launch::{Device, LaunchDims};
+    use omp_ir::{
+        BinOp, Builder, CastOp, CmpOp, ExecMode, Function, KernelInfo, Module, RtVal, Type, Value,
+    };
+    use std::collections::HashMap;
 
-    const TYPES: [Type; 6] = [
-        Type::I1,
-        Type::I32,
-        Type::I64,
-        Type::Ptr,
-        Type::F32,
-        Type::F64,
-    ];
-    #[rustfmt::skip]
-    const BIN_OPS: [BinOp; 18] = [
-        BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::SDiv, BinOp::SRem, BinOp::UDiv,
-        BinOp::URem, BinOp::And, BinOp::Or, BinOp::Xor, BinOp::Shl, BinOp::LShr,
-        BinOp::AShr, BinOp::FAdd, BinOp::FSub, BinOp::FMul, BinOp::FDiv, BinOp::FRem,
-    ];
-    #[rustfmt::skip]
-    const CMP_OPS: [CmpOp; 16] = [
-        CmpOp::Eq, CmpOp::Ne, CmpOp::Slt, CmpOp::Sle, CmpOp::Sgt, CmpOp::Sge,
-        CmpOp::Ult, CmpOp::Ule, CmpOp::Ugt, CmpOp::Uge, CmpOp::FOeq, CmpOp::FOne,
-        CmpOp::FOlt, CmpOp::FOle, CmpOp::FOgt, CmpOp::FOge,
-    ];
-    #[rustfmt::skip]
-    const CAST_OPS: [CastOp; 9] = [
-        CastOp::ZExt, CastOp::SExt, CastOp::Trunc, CastOp::SiToFp, CastOp::FpToSi,
-        CastOp::FpExt, CastOp::FpTrunc, CastOp::PtrToInt, CastOp::IntToPtr,
-    ];
-    #[rustfmt::skip]
-    const INTS: [i64; 13] = [
-        0, 1, -1, 31, 32, 63, 64, i32::MIN as i64, i32::MAX as i64, i64::MIN, i64::MAX, -32, 7,
-    ];
-    #[rustfmt::skip]
-    const FLOATS: [f64; 10] = [
-        0.0, -0.0, 1.0, -1.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e300, 31.5, -64.0,
-    ];
+    const TIERS: [Tier; 2] = [Tier::Interp, Tier::Compiled];
+    const TABLE: &str = include_str!("../../ir/tests/golden/scalar_ops.txt");
 
-    /// The edge values of `ty`, as (folder constant, simulator value).
-    /// The folder's one pointer constant is null.
-    fn edges(ty: Type) -> Vec<(Value, RtVal)> {
-        let all: Vec<(Value, RtVal)> = match ty {
-            Type::F32 => FLOATS
-                .iter()
-                .map(|&x| (Value::f32(x as f32), RtVal::F32(x as f32)))
-                .collect(),
-            Type::F64 => FLOATS
-                .iter()
-                .map(|&x| (Value::f64(x), RtVal::F64(x)))
-                .collect(),
-            Type::Ptr => vec![(Value::Null, RtVal::Ptr(0))],
-            _ => INTS
-                .iter()
-                .map(|&v| {
-                    let rt = int_to(ty, v);
-                    (Value::ConstInt(rt.as_i64().unwrap(), ty), rt)
-                })
-                .collect(),
+    /// The table's rows of `kind` (`edges TY`, `bin OP TY A`, `cmp OP
+    /// TY A` or `cast OP FROM TO`), as head words and cells.
+    fn rows(kind: &str) -> impl Iterator<Item = (Vec<&'static str>, Vec<&'static str>)> + '_ {
+        TABLE
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .filter_map(move |l| {
+                let (head, cells) = l.split_once(": ").expect("a table row");
+                let head: Vec<&str> = head.split(' ').collect();
+                (head[0] == kind).then(|| (head, cells.split(' ').collect()))
+            })
+    }
+
+    fn ty(name: &str) -> Type {
+        [
+            Type::I1,
+            Type::I32,
+            Type::I64,
+            Type::Ptr,
+            Type::F32,
+            Type::F64,
+        ]
+        .into_iter()
+        .find(|t| t.to_string() == name)
+        .unwrap_or_else(|| panic!("no scalar type {name}"))
+    }
+
+    /// A cell's raw bits (its `*` mark dropped), or `None` for `undef`.
+    fn expect(cell: &str) -> Option<u64> {
+        let hex = cell.trim_end_matches('*');
+        (hex != "undef").then(|| u64::from_str_radix(hex, 16).expect("a hex cell"))
+    }
+
+    /// The `ty` value with the raw bits of `cell`.
+    fn val(ty: Type, cell: &str) -> RtVal {
+        RtVal::from_bytes(ty, &expect(cell).unwrap().to_le_bytes())
+    }
+
+    /// The edge values of each type, in the table's order.
+    fn edges() -> HashMap<Type, Vec<RtVal>> {
+        rows("edges")
+            .map(|(head, cells)| {
+                let t = ty(head[1]);
+                (t, cells.iter().map(|c| val(t, c)).collect())
+            })
+            .collect()
+    }
+
+    /// Adds a one-thread SPMD kernel `name(out: ptr, params...)` whose
+    /// body `body` emits.
+    fn kernel(
+        m: &mut Module,
+        name: &str,
+        params: &[Type],
+        body: impl FnOnce(&mut Builder<'_>, Value),
+    ) {
+        let mut tys = vec![Type::Ptr];
+        tys.extend_from_slice(params);
+        let f = m.add_function(Function::definition(name, tys, Type::Void));
+        let mut b = Builder::at_entry(m, f);
+        body(&mut b, Value::Arg(0));
+        m.kernels.push(KernelInfo {
+            func: f,
+            exec_mode: ExecMode::Spmd,
+            num_teams: Some(1),
+            thread_limit: Some(1),
+            source_name: name.into(),
+            launch: Default::default(),
+        });
+    }
+
+    /// One single-threaded device per tier, each with an 8-byte `out`
+    /// buffer.
+    fn devices(m: &Module) -> Vec<(Tier, Device<'_>, u64)> {
+        omp_ir::verifier::assert_valid(m);
+        TIERS
+            .into_iter()
+            .map(|tier| {
+                let mut dev = Device::new(m, DeviceConfig::default()).unwrap();
+                dev.set_jobs(1);
+                dev.set_tier(tier);
+                let out = dev.alloc_i64(&[0]).unwrap();
+                (tier, dev, out)
+            })
+            .collect()
+    }
+
+    /// Launches `name` on one thread and reads back the raw bits of
+    /// the `ty` it left in `out`; `None` when the launch traps.
+    fn run(dev: &mut Device<'_>, out: u64, name: &str, args: &[RtVal], ty: Type) -> Option<u64> {
+        let mut all = vec![RtVal::Ptr(out)];
+        all.extend_from_slice(args);
+        let dims = LaunchDims {
+            teams: Some(1),
+            threads: Some(1),
         };
-        let mut unique: Vec<(Value, RtVal)> = Vec::new();
-        for e in all {
-            if unique.iter().all(|(c, _)| *c != e.0) {
-                unique.push(e);
+        dev.launch(name, &all, dims).ok()?;
+        let bytes = dev.mem.read_bytes(out, ty.size() as usize).unwrap();
+        let mut raw = [0u8; 8];
+        raw[..bytes.len()].copy_from_slice(&bytes);
+        Some(u64::from_le_bytes(raw))
+    }
+
+    /// A kernel, its arguments, its result type and the table's cell.
+    type Case = (String, Vec<RtVal>, Type, &'static str);
+
+    /// Launches every case on both tiers and checks the result against
+    /// its cell; returns the cells checked.
+    fn sweep(m: &Module, cases: &[Case]) -> usize {
+        for (tier, mut dev, out) in devices(m) {
+            for (name, args, ty, cell) in cases {
+                let sim = run(&mut dev, out, name, args, *ty);
+                assert_eq!(sim, expect(cell), "{tier:?}: {name} {args:?}");
             }
         }
-        unique
-    }
-
-    /// A folded constant as the simulator value it stands for.
-    fn rt(c: Value) -> RtVal {
-        match c {
-            Value::ConstInt(v, ty) => int_to(ty, v),
-            Value::ConstFloat(bits, Type::F32) => RtVal::F32(f64::from_bits(bits) as f32),
-            Value::ConstFloat(bits, _) => RtVal::F64(f64::from_bits(bits)),
-            Value::Null => RtVal::Ptr(0),
-            other => panic!("the folder produced {other:?}"),
-        }
-    }
-
-    /// Type and raw bits, so floats (NaN included) compare bit for bit.
-    fn bits(v: RtVal) -> (Type, u64) {
-        let raw = match v {
-            RtVal::Bool(b) => b as u64,
-            RtVal::I32(x) => x as u32 as u64,
-            RtVal::I64(x) => x as u64,
-            RtVal::F32(x) => x.to_bits() as u64,
-            RtVal::F64(x) => x.to_bits(),
-            RtVal::Ptr(p) => p,
-        };
-        (v.ty(), raw)
-    }
-
-    /// The verifier's cast rules: only these casts reach the simulator.
-    fn cast_is_well_typed(op: CastOp, from: Type, to: Type) -> bool {
-        match op {
-            CastOp::ZExt | CastOp::SExt => from.is_int() && to.is_int() && from.size() < to.size(),
-            CastOp::Trunc => from.is_int() && to.is_int() && from.size() > to.size(),
-            CastOp::SiToFp => from.is_int() && to.is_float(),
-            CastOp::FpToSi => from.is_float() && to.is_int(),
-            CastOp::FpExt => from == Type::F32 && to == Type::F64,
-            CastOp::FpTrunc => from == Type::F64 && to == Type::F32,
-            CastOp::PtrToInt => from == Type::Ptr && to.is_int(),
-            CastOp::IntToPtr => from.is_int() && to == Type::Ptr,
-        }
+        cases.len()
     }
 
     #[test]
     fn bin_and_cmp_agree_with_the_folder() {
-        let mut checked = 0;
-        for ty in TYPES {
-            let vals = edges(ty);
-            for &(a, ra) in &vals {
-                for &(b, rb) in &vals {
-                    for op in BIN_OPS
-                        .into_iter()
-                        .filter(|op| op.is_float() == ty.is_float())
-                    {
-                        let sim = exec_bin(op, ty, ra, rb).ok().map(bits);
-                        match fold::fold_bin(op, ty, a, b) {
-                            Some(c) => {
-                                assert_eq!(sim, Some(bits(rt(c))), "{op:?} {ty} {a:?} {b:?}");
-                                checked += 1;
+        // `bin`: the left operand goes through memory so that the
+        // compiled tier runs the op fused as load + bin + store.
+        // `cmp`: the compare feeds a branch, fused on the compiled tier.
+        let (edges, mut m) = (edges(), Module::new("scalar_bin_cmp"));
+        let mut cases: Vec<Case> = Vec::new();
+        for kind in ["bin", "cmp"] {
+            for (head, cells) in rows(kind) {
+                let t = ty(head[2]);
+                let name = format!("{kind}_{}_{t}", head[1]);
+                if cases.last().is_none_or(|(last, ..)| *last != name) {
+                    if kind == "bin" {
+                        let op = BinOp::from_mnemonic(head[1]).unwrap();
+                        kernel(&mut m, &name, &[t, t], |b, out| {
+                            b.store(Value::Arg(1), out);
+                            let x = b.load(t, out);
+                            let r = b.bin(op, t, x, Value::Arg(2));
+                            b.store(r, out);
+                            b.ret(None);
+                        });
+                    } else {
+                        let op = CmpOp::from_mnemonic(head[1]).unwrap();
+                        kernel(&mut m, &name, &[t, t], |b, out| {
+                            let (yes, no) = (b.new_block(), b.new_block());
+                            let c = b.cmp(op, t, Value::Arg(1), Value::Arg(2));
+                            b.cond_br(c, yes, no);
+                            for (block, v) in [(yes, true), (no, false)] {
+                                b.switch_to(block);
+                                b.store(Value::ConstInt(v as i64, Type::I1), out);
+                                b.ret(None);
                             }
-                            // Undefined integer ops (division by zero,
-                            // oversized shifts) trap.
-                            None if ty.is_int() => {
-                                assert_eq!(sim, None, "{op:?} {ty} {a:?} {b:?} must trap")
-                            }
-                            None => {}
-                        }
+                        });
                     }
-                    for op in CMP_OPS
-                        .into_iter()
-                        .filter(|op| op.is_float() == ty.is_float())
-                    {
-                        if let Some(c) = fold::fold_cmp(op, ty, a, b) {
-                            let sim = exec_cmp(op, ty, ra, rb).ok().map(bits);
-                            assert_eq!(sim, Some(bits(rt(c))), "{op:?} {ty} {a:?} {b:?}");
-                            checked += 1;
-                        }
-                    }
+                }
+                let result = if kind == "bin" { t } else { Type::I1 };
+                let a = val(t, head[3]);
+                assert_eq!(cells.len(), edges[&t].len(), "{head:?}");
+                for (&b, cell) in edges[&t].iter().zip(cells) {
+                    cases.push((name.clone(), vec![a, b], result, cell));
                 }
             }
         }
-        assert!(checked > 6_000, "only {checked} folded cases");
-    }
-
-    #[test]
-    fn pointer_arithmetic_is_i64_arithmetic_on_the_address() {
-        // The folder does no arithmetic on pointers; the simulator runs
-        // integer ops on raw addresses through the `i64` fold.
-        for &(a, ra) in &edges(Type::I64) {
-            for &(b, rb) in &edges(Type::I64) {
-                for op in BIN_OPS.into_iter().filter(|op| !op.is_float()) {
-                    let (pa, pb) = (
-                        RtVal::Ptr(ra.as_i64().unwrap() as u64),
-                        RtVal::Ptr(rb.as_i64().unwrap() as u64),
-                    );
-                    let sim = exec_bin(op, Type::Ptr, pa, pb).ok().map(bits);
-                    let want = fold::fold_bin(op, Type::I64, a, b)
-                        .map(|c| bits(RtVal::Ptr(c.as_int().unwrap() as u64)));
-                    assert_eq!(sim, want, "{op:?} ptr {a:?} {b:?}");
-                }
-            }
-        }
+        assert!(sweep(&m, &cases) > 8_000, "the table lost rows");
     }
 
     #[test]
     fn casts_agree_with_the_folder() {
-        let mut checked = 0;
-        for from in TYPES {
-            for to in TYPES {
-                for op in CAST_OPS
-                    .into_iter()
-                    .filter(|&op| cast_is_well_typed(op, from, to))
-                {
-                    for &(a, ra) in &edges(from) {
-                        if let Some(c) = fold::fold_cast(op, a, to) {
-                            let sim = exec_cast(op, ra, to).ok().map(bits);
-                            assert_eq!(sim, Some(bits(rt(c))), "{op:?} {a:?} to {to}");
-                            checked += 1;
-                        }
-                    }
-                }
+        let (edges, mut m) = (edges(), Module::new("scalar_casts"));
+        let mut cases: Vec<Case> = Vec::new();
+        for (head, cells) in rows("cast") {
+            let op = CastOp::from_mnemonic(head[1]).unwrap();
+            let (from, to) = (ty(head[2]), ty(head[3]));
+            let name = format!("cast_{op}_{from}_{to}");
+            kernel(&mut m, &name, &[from], |b, out| {
+                let r = b.cast(op, Value::Arg(1), to);
+                b.store(r, out);
+                b.ret(None);
+            });
+            assert_eq!(cells.len(), edges[&from].len(), "{head:?}");
+            for (&a, cell) in edges[&from].iter().zip(cells) {
+                cases.push((name.clone(), vec![a], to, cell));
             }
         }
-        assert!(checked > 100, "only {checked} folded casts");
+        assert!(sweep(&m, &cases) > 200, "the table lost rows");
     }
 }

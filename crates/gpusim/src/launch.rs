@@ -18,9 +18,8 @@ use crate::plan::ExecPlan;
 use crate::profile::{LaunchProfile, ProfileMode};
 use crate::sanitize::{FaultPlan, Finding, SanitizeMode};
 use crate::stats::KernelStats;
-use crate::value::RtVal;
 use omp_analysis::{kernel_register_estimate, CallGraph};
-use omp_ir::{AddrSpace, Module, Type};
+use omp_ir::{AddrSpace, Module, RtVal, Type};
 use std::sync::OnceLock;
 use std::time::Duration;
 

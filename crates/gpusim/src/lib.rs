@@ -58,13 +58,13 @@ pub mod profile;
 pub mod sanitize;
 pub mod stats;
 pub mod stream;
-pub mod value;
 
 pub use config::{DeviceConfig, Tier};
 pub use cost::CostModel;
 pub use error::{Provenance, SimError, SimErrorKind, ThreadPos};
 pub use launch::{Device, LaunchDims};
 pub use mem::MemError;
+pub use omp_ir::RtVal;
 pub use owned::OwnedDevice;
 pub use plan::ExecPlan;
 pub use profile::{
@@ -73,4 +73,3 @@ pub use profile::{
 pub use sanitize::{findings_to_json, FaultPlan, Finding, FindingKind, SanitizeMode, Severity};
 pub use stats::{KernelStats, StatsSnapshot};
 pub use stream::{CapturedGraph, LaunchPlan, PlanNode};
-pub use value::RtVal;

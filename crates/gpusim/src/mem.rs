@@ -41,8 +41,7 @@
 //! committed.
 
 use crate::config::DeviceConfig;
-use crate::value::RtVal;
-use omp_ir::Type;
+use omp_ir::{RtVal, Type};
 use std::collections::HashMap;
 use std::fmt;
 

@@ -62,8 +62,8 @@ impl OwnedDevice {
 mod tests {
     use super::*;
     use crate::launch::LaunchDims;
-    use crate::value::RtVal;
     use omp_frontend::{compile, FrontendOptions};
+    use omp_ir::RtVal;
 
     const SRC: &str = r#"
 void fill(double* a, long n) {

@@ -31,9 +31,8 @@ use crate::compile::{self, BlockSrc, CompiledBlock, Entry, Exit, Slot};
 use crate::cost::CostModel;
 use crate::error::SimError;
 use crate::mem;
-use crate::value::RtVal;
 use omp_ir::omprtl::{math_fn_signature, RtlFn, ALL_RTL_FNS};
-use omp_ir::{AddrSpace, BlockId, FuncId, GlobalId, InstKind, Module, Terminator, Value};
+use omp_ir::{AddrSpace, BlockId, FuncId, GlobalId, InstKind, Module, RtVal, Terminator, Value};
 use std::ops::Range;
 
 /// Number of runtime entry points — the size of the dense per-team

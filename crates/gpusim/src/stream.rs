@@ -37,8 +37,7 @@ use crate::mem::{Memory, PAGE_BYTES};
 use crate::profile::{LaunchProfile, ProfileMode, StreamSpan, TeamProfile};
 use crate::sanitize::{Finding, FindingKind, SanitizeMode, Severity};
 use crate::stats::KernelStats;
-use crate::value::RtVal;
-use omp_ir::{ExecMode, FuncId, LaunchAttrs};
+use omp_ir::{ExecMode, FuncId, LaunchAttrs, RtVal};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, RwLock};

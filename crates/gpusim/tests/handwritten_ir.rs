@@ -310,3 +310,50 @@ fn global_initializers_and_shared_globals() {
     // Each team sees its own shared `scratch`: no cross-team clobber.
     assert_eq!(dev.read_i64(out, 2).unwrap(), vec![42, 43]);
 }
+
+/// GEP address arithmetic wraps: `gep(p, i64::MAX, 8, 0)` is `p - 8`,
+/// a structured memory trap on both tiers and in every build profile,
+/// never an overflow panic in the worker thread. `st` runs the plain
+/// gep step; `ld`'s gep feeds a load, which the compiled tier fuses.
+#[test]
+fn gep_offset_overflow_wraps_to_a_memory_trap() {
+    let mut m = Module::new("t");
+    for (name, load) in [("st", false), ("ld", true)] {
+        let f = m.add_function(Function::definition(
+            name,
+            vec![Type::Ptr, Type::I64],
+            Type::Void,
+        ));
+        let mut b = Builder::at_entry(&mut m, f);
+        let p = b.gep(Value::Arg(0), Value::Arg(1), 8, 0);
+        if load {
+            let v = b.load(Type::I64, p);
+            b.store(v, Value::Arg(0));
+        } else {
+            b.store(Value::i64(1), p);
+        }
+        b.ret(None);
+        kernelize(&mut m, f, name);
+    }
+    omp_ir::verifier::assert_valid(&m);
+    for name in ["st", "ld"] {
+        let mut errs = Vec::new();
+        for tier in [Tier::Interp, Tier::Compiled] {
+            let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+            dev.set_tier(tier);
+            let out = dev.alloc_i64(&[7, 7]).unwrap();
+            dev.launch(name, &[RtVal::Ptr(out), RtVal::I64(1)], one_thread())
+                .unwrap();
+            let err = dev
+                .launch(name, &[RtVal::Ptr(out), RtVal::I64(i64::MAX)], one_thread())
+                .unwrap_err();
+            let addr = match &err.kind {
+                omp_gpusim::SimErrorKind::Mem(e) => e.to_string(),
+                other => panic!("{name} under {tier:?}: {other:?}"),
+            };
+            errs.push(err.to_string());
+            assert!(addr.contains(&format!("{:#x}", out - 8)), "{name}: {addr}");
+        }
+        assert_eq!(errs[0], errs[1], "{name}: the tiers disagree");
+    }
+}

@@ -1,121 +1,28 @@
 //! Constant folding of individual instructions.
+//!
+//! What a `Bin`, `Cmp` or `Cast` computes on constants is defined once,
+//! in [`crate::scalar`], which the simulator runs too: folding converts
+//! the constants to [`RtVal`]s, evaluates, and converts the result
+//! back, declining where the op is undefined. Only the symbolic pointer
+//! cases live here, since the simulator has no equivalent for them:
+//! globals and functions are non-null, functions are equal only to
+//! themselves, and `null` converts to and from `0`.
 
 use crate::inst::{BinOp, CastOp, CmpOp, InstKind};
+use crate::scalar;
 use crate::types::Type;
-use crate::value::Value;
-
-fn wrap_int(v: i64, ty: Type) -> Value {
-    let w = match ty {
-        Type::I1 => v & 1,
-        Type::I32 => v as i32 as i64,
-        _ => v,
-    };
-    Value::ConstInt(w, ty)
-}
-
-fn to_unsigned(v: i64, ty: Type) -> u64 {
-    match ty {
-        Type::I1 => (v as u64) & 1,
-        Type::I32 => v as u32 as u64,
-        _ => v as u64,
-    }
-}
+use crate::value::{RtVal, Value};
 
 /// Folds a binary operation over two constants. Returns `None` if the
 /// operands are not constants of the right kind or the result is not
 /// defined (e.g. division by zero).
 pub fn fold_bin(op: BinOp, ty: Type, lhs: Value, rhs: Value) -> Option<Value> {
-    if op.is_float() {
-        let a = lhs.as_float()?;
-        let b = rhs.as_float()?;
-        let r = match op {
-            BinOp::FAdd => a + b,
-            BinOp::FSub => a - b,
-            BinOp::FMul => a * b,
-            BinOp::FDiv => a / b,
-            BinOp::FRem => a % b,
-            _ => unreachable!(),
-        };
-        return Some(match ty {
-            Type::F32 => Value::f32(r as f32),
-            _ => Value::f64(r),
-        });
-    }
-    let a = lhs.as_int()?;
-    let b = rhs.as_int()?;
-    let ua = to_unsigned(a, ty);
-    let ub = to_unsigned(b, ty);
-    let bits = ty.int_bits().unwrap_or(64);
-    let r = match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::SDiv => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_div(b)
-        }
-        BinOp::SRem => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_rem(b)
-        }
-        BinOp::UDiv => {
-            if ub == 0 {
-                return None;
-            }
-            (ua / ub) as i64
-        }
-        BinOp::URem => {
-            if ub == 0 {
-                return None;
-            }
-            (ua % ub) as i64
-        }
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl => {
-            if ub >= u64::from(bits) {
-                return None;
-            }
-            a.wrapping_shl(ub as u32)
-        }
-        BinOp::LShr => {
-            if ub >= u64::from(bits) {
-                return None;
-            }
-            (ua >> ub) as i64
-        }
-        BinOp::AShr => {
-            if ub >= u64::from(bits) {
-                return None;
-            }
-            a >> ub
-        }
-        _ => unreachable!(),
-    };
-    Some(wrap_int(r, ty))
+    let (a, b) = (RtVal::from_const(lhs)?, RtVal::from_const(rhs)?);
+    scalar::eval_bin(op, ty, a, b).ok()?.to_const()
 }
 
 /// Folds a comparison over two constants into an `i1` constant.
 pub fn fold_cmp(op: CmpOp, ty: Type, lhs: Value, rhs: Value) -> Option<Value> {
-    if op.is_float() {
-        let a = lhs.as_float()?;
-        let b = rhs.as_float()?;
-        let r = match op {
-            CmpOp::FOeq => a == b,
-            CmpOp::FOne => a != b,
-            CmpOp::FOlt => a < b,
-            CmpOp::FOle => a <= b,
-            CmpOp::FOgt => a > b,
-            CmpOp::FOge => a >= b,
-            _ => unreachable!(),
-        };
-        return Some(Value::bool(r));
-    }
     // Pointer equality against null is foldable for globals/functions.
     if ty == Type::Ptr {
         let known_nonnull = |v: Value| matches!(v, Value::Global(_) | Value::Func(_));
@@ -134,74 +41,18 @@ pub fn fold_cmp(op: CmpOp, ty: Type, lhs: Value, rhs: Value) -> Option<Value> {
         };
         return r.map(Value::bool);
     }
-    let a = lhs.as_int()?;
-    let b = rhs.as_int()?;
-    let ua = to_unsigned(a, ty);
-    let ub = to_unsigned(b, ty);
-    let r = match op {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::Slt => a < b,
-        CmpOp::Sle => a <= b,
-        CmpOp::Sgt => a > b,
-        CmpOp::Sge => a >= b,
-        CmpOp::Ult => ua < ub,
-        CmpOp::Ule => ua <= ub,
-        CmpOp::Ugt => ua > ub,
-        CmpOp::Uge => ua >= ub,
-        _ => unreachable!(),
-    };
-    Some(Value::bool(r))
+    let (a, b) = (RtVal::from_const(lhs)?, RtVal::from_const(rhs)?);
+    scalar::eval_cmp(op, ty, a, b).ok()?.to_const()
 }
 
 /// Folds a cast of a constant.
 pub fn fold_cast(op: CastOp, val: Value, to: Type) -> Option<Value> {
-    match op {
-        CastOp::ZExt => {
-            let (v, from) = match val {
-                Value::ConstInt(v, t) => (v, t),
-                _ => return None,
-            };
-            Some(wrap_int(to_unsigned(v, from) as i64, to))
-        }
-        CastOp::SExt => {
-            let v = val.as_int()?;
-            Some(wrap_int(v, to))
-        }
-        CastOp::Trunc => {
-            let v = val.as_int()?;
-            Some(wrap_int(v, to))
-        }
-        CastOp::SiToFp => {
-            let v = val.as_int()?;
-            Some(match to {
-                Type::F32 => Value::f32(v as f32),
-                _ => Value::f64(v as f64),
-            })
-        }
-        CastOp::FpToSi => {
-            let v = val.as_float()?;
-            if !v.is_finite() {
-                return None;
-            }
-            Some(wrap_int(v as i64, to))
-        }
-        CastOp::FpExt => {
-            let v = val.as_float()?;
-            Some(Value::f64(v))
-        }
-        CastOp::FpTrunc => {
-            let v = val.as_float()?;
-            Some(Value::f32(v as f32))
-        }
-        CastOp::PtrToInt => match val {
-            Value::Null => Some(wrap_int(0, to)),
-            _ => None,
-        },
-        CastOp::IntToPtr => match val.as_int()? {
-            0 => Some(Value::Null),
-            _ => None,
-        },
+    match (op, val) {
+        (CastOp::PtrToInt, Value::Null) => Some(Value::ConstInt(0, to)),
+        (CastOp::IntToPtr, Value::ConstInt(0, _)) => Some(Value::Null),
+        _ => scalar::eval_cast(op, RtVal::from_const(val)?, to)
+            .ok()?
+            .to_const(),
     }
 }
 
@@ -228,18 +79,11 @@ pub fn fold_inst(kind: &InstKind) -> Option<Value> {
         InstKind::Gep {
             base,
             index,
-            scale,
             offset,
+            ..
         } => {
             // base + 0*scale + 0 == base
-            if index.is_int_const(0) && *offset == 0 {
-                Some(*base)
-            } else if *base == Value::Null {
-                None
-            } else {
-                let _ = scale;
-                None
-            }
+            (index.is_int_const(0) && *offset == 0).then_some(*base)
         }
         _ => None,
     }
@@ -398,10 +242,33 @@ mod tests {
             fold_cast(CastOp::FpToSi, Value::f64(3.9), Type::I32),
             Some(Value::i32(3))
         );
+        // Non-finite values fold to what the device computes:
+        // saturated to i64 (NaN as 0), then wrapped to the target.
+        assert_eq!(
+            fold_cast(CastOp::FpToSi, Value::f64(f64::INFINITY), Type::I64),
+            Some(Value::i64(i64::MAX))
+        );
         assert_eq!(
             fold_cast(CastOp::FpToSi, Value::f64(f64::INFINITY), Type::I32),
-            None
+            Some(Value::i32(-1))
         );
+        assert_eq!(
+            fold_cast(CastOp::FpToSi, Value::f64(f64::NEG_INFINITY), Type::I32),
+            Some(Value::i32(0))
+        );
+        assert_eq!(
+            fold_cast(CastOp::FpToSi, Value::f64(f64::NAN), Type::I32),
+            Some(Value::i32(0))
+        );
+        assert_eq!(
+            fold_cast(CastOp::PtrToInt, Value::Null, Type::I64),
+            Some(Value::i64(0))
+        );
+        assert_eq!(
+            fold_cast(CastOp::IntToPtr, Value::i64(0), Type::Ptr),
+            Some(Value::Null)
+        );
+        assert_eq!(fold_cast(CastOp::IntToPtr, Value::i64(8), Type::Ptr), None);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! * the OpenMP device runtime ABI ([`omprtl`]) shared between frontend,
 //!   optimizer and GPU simulator;
 //! * a round-tripping textual format ([`printer`], [`parser`]) and a
-//!   [`verifier`].
+//!   [`verifier`];
+//! * the one definition of scalar semantics ([`scalar`]): what a
+//!   `Bin`, `Cmp`, `Cast` or GEP offset computes on an [`RtVal`],
+//!   shared by the constant folder ([`fold`]) and the GPU simulator.
 //!
 //! ## Example
 //!
@@ -40,6 +43,7 @@ pub mod module;
 pub mod omprtl;
 pub mod parser;
 pub mod printer;
+pub mod scalar;
 pub mod types;
 pub mod value;
 pub mod verifier;
@@ -51,4 +55,4 @@ pub use inst::{BinOp, CastOp, CmpOp, InstKind, Terminator};
 pub use module::{AddrSpace, DependKind, ExecMode, Global, KernelInfo, LaunchAttrs, Module};
 pub use omprtl::{math_fn_signature, RtlFn};
 pub use types::Type;
-pub use value::{BlockId, FuncId, GlobalId, InstId, Value};
+pub use value::{BlockId, FuncId, GlobalId, InstId, RtVal, Value};

@@ -1,4 +1,5 @@
-//! Values: SSA results, arguments, and constants.
+//! Values: SSA results, arguments, and constants, and the run-time
+//! scalars ([`RtVal`]) they denote.
 
 use crate::types::Type;
 use std::fmt;
@@ -146,6 +147,184 @@ impl fmt::Display for Value {
     }
 }
 
+/// A dynamically-typed scalar value: an operand or result of the ops
+/// in [`crate::scalar`], and a value in the simulator's registers and
+/// memory.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RtVal {
+    /// Boolean (`i1`).
+    Bool(bool),
+    /// 32-bit integer.
+    I32(i32),
+    /// 64-bit integer.
+    I64(i64),
+    /// 32-bit float.
+    F32(f32),
+    /// 64-bit float.
+    F64(f64),
+    /// Pointer (a simulated address; the simulator's `mem` module
+    /// defines the encoding).
+    Ptr(u64),
+}
+
+impl RtVal {
+    /// The IR type of this value.
+    pub fn ty(self) -> Type {
+        match self {
+            RtVal::Bool(_) => Type::I1,
+            RtVal::I32(_) => Type::I32,
+            RtVal::I64(_) => Type::I64,
+            RtVal::F32(_) => Type::F32,
+            RtVal::F64(_) => Type::F64,
+            RtVal::Ptr(_) => Type::Ptr,
+        }
+    }
+
+    /// Interprets the value as a signed 64-bit integer (sign extended).
+    pub fn as_i64(self) -> Option<i64> {
+        match self {
+            RtVal::Bool(b) => Some(b as i64),
+            RtVal::I32(v) => Some(v as i64),
+            RtVal::I64(v) => Some(v),
+            RtVal::Ptr(p) => Some(p as i64),
+            _ => None,
+        }
+    }
+
+    /// Interprets the value as a float.
+    pub fn as_f64(self) -> Option<f64> {
+        match self {
+            RtVal::F32(v) => Some(v as f64),
+            RtVal::F64(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Pointer payload, if this is a pointer.
+    pub fn as_ptr(self) -> Option<u64> {
+        match self {
+            RtVal::Ptr(p) => Some(p),
+            _ => None,
+        }
+    }
+
+    /// Truthiness (for `i1` conditions).
+    pub fn as_bool(self) -> Option<bool> {
+        match self {
+            RtVal::Bool(b) => Some(b),
+            RtVal::I32(v) => Some(v != 0),
+            RtVal::I64(v) => Some(v != 0),
+            _ => None,
+        }
+    }
+
+    /// Serializes the value to little-endian bytes of its natural width.
+    pub fn to_bytes(self) -> Vec<u8> {
+        match self {
+            RtVal::Bool(b) => vec![b as u8],
+            RtVal::I32(v) => v.to_le_bytes().to_vec(),
+            RtVal::I64(v) => v.to_le_bytes().to_vec(),
+            RtVal::F32(v) => v.to_le_bytes().to_vec(),
+            RtVal::F64(v) => v.to_le_bytes().to_vec(),
+            RtVal::Ptr(p) => p.to_le_bytes().to_vec(),
+        }
+    }
+
+    /// Serializes the value into a caller-provided buffer without
+    /// allocating; returns the number of bytes written.
+    pub fn write_le(self, buf: &mut [u8; 8]) -> usize {
+        match self {
+            RtVal::Bool(b) => {
+                buf[0] = b as u8;
+                1
+            }
+            RtVal::I32(v) => {
+                buf[..4].copy_from_slice(&v.to_le_bytes());
+                4
+            }
+            RtVal::I64(v) => {
+                buf.copy_from_slice(&v.to_le_bytes());
+                8
+            }
+            RtVal::F32(v) => {
+                buf[..4].copy_from_slice(&v.to_le_bytes());
+                4
+            }
+            RtVal::F64(v) => {
+                buf.copy_from_slice(&v.to_le_bytes());
+                8
+            }
+            RtVal::Ptr(p) => {
+                buf.copy_from_slice(&p.to_le_bytes());
+                8
+            }
+        }
+    }
+
+    /// Deserializes a value of type `ty` from little-endian bytes.
+    pub fn from_bytes(ty: Type, bytes: &[u8]) -> RtVal {
+        match ty {
+            Type::I1 => RtVal::Bool(bytes[0] != 0),
+            Type::I32 => RtVal::I32(i32::from_le_bytes(bytes[..4].try_into().unwrap())),
+            Type::I64 => RtVal::I64(i64::from_le_bytes(bytes[..8].try_into().unwrap())),
+            Type::F32 => RtVal::F32(f32::from_le_bytes(bytes[..4].try_into().unwrap())),
+            Type::F64 => RtVal::F64(f64::from_le_bytes(bytes[..8].try_into().unwrap())),
+            Type::Ptr => RtVal::Ptr(u64::from_le_bytes(bytes[..8].try_into().unwrap())),
+            Type::Void => panic!("cannot load a void value"),
+        }
+    }
+
+    /// Zero of the given type.
+    pub fn zero(ty: Type) -> RtVal {
+        match ty {
+            Type::I1 => RtVal::Bool(false),
+            Type::I32 => RtVal::I32(0),
+            Type::I64 => RtVal::I64(0),
+            Type::F32 => RtVal::F32(0.0),
+            Type::F64 => RtVal::F64(0.0),
+            Type::Ptr => RtVal::Ptr(0),
+            Type::Void => panic!("no zero of void"),
+        }
+    }
+
+    /// The value an integer or float constant denotes.
+    pub fn from_const(c: Value) -> Option<RtVal> {
+        match c {
+            Value::ConstInt(v, Type::I1) => Some(RtVal::Bool(v != 0)),
+            Value::ConstInt(v, Type::I32) => Some(RtVal::I32(v as i32)),
+            Value::ConstInt(v, _) => Some(RtVal::I64(v)),
+            Value::ConstFloat(bits, Type::F32) => Some(RtVal::F32(f64::from_bits(bits) as f32)),
+            Value::ConstFloat(bits, _) => Some(RtVal::F64(f64::from_bits(bits))),
+            _ => None,
+        }
+    }
+
+    /// The constant denoting this value; pointers have none.
+    pub fn to_const(self) -> Option<Value> {
+        match self {
+            RtVal::Bool(b) => Some(Value::bool(b)),
+            RtVal::I32(v) => Some(Value::i32(v)),
+            RtVal::I64(v) => Some(Value::i64(v)),
+            RtVal::F32(v) => Some(Value::f32(v)),
+            RtVal::F64(v) => Some(Value::f64(v)),
+            RtVal::Ptr(_) => None,
+        }
+    }
+}
+
+impl fmt::Display for RtVal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RtVal::Bool(b) => write!(f, "{b}"),
+            RtVal::I32(v) => write!(f, "{v}"),
+            RtVal::I64(v) => write!(f, "{v}"),
+            RtVal::F32(v) => write!(f, "{v}"),
+            RtVal::F64(v) => write!(f, "{v}"),
+            RtVal::Ptr(p) => write!(f, "0x{p:x}"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,5 +370,36 @@ mod tests {
         s.insert(Value::f64(1.0));
         assert!(s.contains(&Value::f64(1.0)));
         assert!(!s.contains(&Value::f64(2.0)));
+    }
+
+    #[test]
+    fn roundtrip_bytes() {
+        for v in [
+            RtVal::Bool(true),
+            RtVal::I32(-5),
+            RtVal::I64(1 << 40),
+            RtVal::F32(1.25),
+            RtVal::F64(-2.5),
+            RtVal::Ptr(0x2000_0000_1234),
+        ] {
+            let b = v.to_bytes();
+            assert_eq!(RtVal::from_bytes(v.ty(), &b), v);
+        }
+    }
+
+    #[test]
+    fn conversions() {
+        assert_eq!(RtVal::I32(-1).as_i64(), Some(-1));
+        assert_eq!(RtVal::Bool(true).as_i64(), Some(1));
+        assert_eq!(RtVal::F32(1.5).as_f64(), Some(1.5));
+        assert_eq!(RtVal::I32(0).as_bool(), Some(false));
+        assert_eq!(RtVal::Ptr(7).as_ptr(), Some(7));
+        assert_eq!(RtVal::F64(0.0).as_i64(), None);
+    }
+
+    #[test]
+    fn zeros() {
+        assert_eq!(RtVal::zero(Type::F64), RtVal::F64(0.0));
+        assert_eq!(RtVal::zero(Type::Ptr), RtVal::Ptr(0));
     }
 }

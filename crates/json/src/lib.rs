@@ -14,10 +14,12 @@
 //! - [`Value`] / [`parse`]: the one JSON reader, producing a document
 //!   tree. It decodes the `ompgpu-serve/v1` wire protocol, artifacts
 //!   and remark streams alike (strict RFC 8259: no duplicate keys, no
-//!   unpaired surrogates, no leading zeros). Object key order is
-//!   preserved and numbers keep their source spelling, so `parse` →
-//!   [`Value::to_json`] round-trips byte-identically. [`validate`] is
-//!   `parse`'s syntax check and [`parse_lines`] its JSON-lines walk.
+//!   unpaired surrogates, no leading zeros; at most [`MAX_DEPTH`]
+//!   nested arrays and objects, so no input can overflow the parser's
+//!   stack). Object key order is preserved and numbers keep their
+//!   source spelling, so `parse` → [`Value::to_json`] round-trips
+//!   byte-identically. [`validate`] is `parse`'s syntax check and
+//!   [`parse_lines`] its JSON-lines walk.
 //! - [`fnv1a`] / [`content_address`]: the 64-bit FNV-1a hash used for
 //!   the compile service's content-addressed artifact cache keys.
 
@@ -423,13 +425,18 @@ impl Value {
     }
 }
 
+/// How deeply [`parse`] nests arrays and objects. The workspace's
+/// documents nest about 6 deep; the parser recurses once per level, so
+/// the bound keeps any input off the end of the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses exactly one JSON value (with optional surrounding
 /// whitespace) into a [`Value`] tree. Errors carry a byte offset.
 pub fn parse(s: &str) -> Result<Value, String> {
     let b = s.as_bytes();
     let mut pos = 0usize;
     skip_ws(b, &mut pos);
-    let v = parse_value(b, &mut pos)?;
+    let v = parse_value(b, &mut pos, 0)?;
     skip_ws(b, &mut pos);
     if pos != b.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -437,9 +444,14 @@ pub fn parse(s: &str) -> Result<Value, String> {
     Ok(v)
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses the value at `pos`, inside `depth` open arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     match b.get(*pos) {
         None => Err(format!("unexpected end of input at byte {pos}", pos = *pos)),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
         Some(b'{') => {
             *pos += 1;
             skip_ws(b, pos);
@@ -463,7 +475,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 }
                 *pos += 1;
                 skip_ws(b, pos);
-                let v = parse_value(b, pos)?;
+                let v = parse_value(b, pos, depth + 1)?;
                 members.push((key, v));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -486,7 +498,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
             }
             loop {
                 skip_ws(b, pos);
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -770,6 +782,29 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":1,\"a\":2}", "{} {}", "\"\\q\""] {
             assert!(parse(bad).is_err(), "{bad:?} should be rejected");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&nest(MAX_DEPTH + 1)),
+            Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"
+            ))
+        );
+        let objects = |n: usize| "{\"a\":".repeat(n) + "1" + &"}".repeat(n);
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+        // Far past the limit: an error, not a stack overflow.
+        let deep = "[".repeat(200_000);
+        assert_eq!(
+            validate(&deep),
+            Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"
+            ))
+        );
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use crate::remarks::{actions, ids, passes, Remark, RemarkKind, Remarks};
 use omp_analysis::{pointer_escapes, underlying_alloca, EscapeResult};
+use omp_ir::scalar::gep_offset;
 use omp_ir::{FuncId, InstId, InstKind, Module, RtlFn, Value};
 
 /// Result counters.
@@ -247,7 +248,7 @@ fn store_target_is_threadlocal_capture(
                 scale,
                 offset,
             } => {
-                slot_offset = *k * *scale as i64 + *offset;
+                slot_offset = gep_offset(*k, *scale, *offset);
                 *base
             }
             InstKind::Alloca { .. } | InstKind::Call { .. } => {
@@ -325,7 +326,7 @@ fn store_target_is_threadlocal_capture(
                         index: Value::ConstInt(k2, _),
                         scale,
                         offset,
-                    } if *base == base_obj => Some(*k2 * *scale as i64 + *offset),
+                    } if *base == base_obj => Some(gep_offset(*k2, *scale, *offset)),
                     _ => None,
                 }
             } else {
@@ -357,7 +358,7 @@ fn store_target_is_threadlocal_capture(
                             index: Value::ConstInt(k2, _),
                             scale,
                             offset,
-                        } if *n == argno => Some(*k2 * *scale as i64 + *offset),
+                        } if *n == argno => Some(gep_offset(*k2, *scale, *offset)),
                         _ => None,
                     },
                     _ => None,

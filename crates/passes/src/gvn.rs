@@ -33,6 +33,7 @@
 //! fields of one argument-struct alloca) do not alias.
 
 use crate::cache::AnalysisCache;
+use omp_ir::scalar::gep_offset;
 use omp_ir::{
     BinOp, BlockId, CastOp, CmpOp, FuncId, Function, InstId, InstKind, Module, Type, Value,
 };
@@ -147,9 +148,7 @@ pub(crate) fn const_offset(f: &Function, mut v: Value) -> Option<i64> {
                     offset,
                 } => match index {
                     Value::ConstInt(c, _) => {
-                        off = off
-                            .wrapping_add(c.wrapping_mul(*scale as i64))
-                            .wrapping_add(*offset);
+                        off = off.wrapping_add(gep_offset(*c, *scale, *offset));
                         v = *base;
                     }
                     _ => return None,

@@ -22,7 +22,8 @@
 # `ompgpu run --json` must print the daemon's `result.stats` for the
 # same launch byte for byte, shutdown must be clean), checks the telemetry surface
 # (metrics op, access log, --telemetry artifact, unknown-schema exit
-# code), and runs a chaos leg (4 concurrent clients of mixed
+# code), feeds `ompgpu json-validate` a file of 200,000 `[` (exit 1
+# with the reader's nesting error, not a signal), and runs a chaos leg (4 concurrent clients of mixed
 # good/malformed/fault-injected traffic against a tiny admission
 # queue; every reply structured, warm==cold afterwards, no panics,
 # clean shutdown), and builds a generated 64-kernel unit twice in two
@@ -344,9 +345,20 @@ EOF
         echo "smoke: unknown schema id exited $schema_rc, want 6" >&2
         exit 1
     }
+    # A document nested past the reader's depth bound (200,000 `[`)
+    # must fail as invalid JSON naming the bound (exit 1), not abort
+    # on a stack overflow (a signal).
+    head -c 200000 /dev/zero | tr '\0' '[' > "$serve_dir/deep.json"
+    deep_rc=0
+    "$ompgpu_bin" json-validate "$serve_dir/deep.json" > /dev/null \
+        2> "$serve_dir/deep.err" || deep_rc=$?
+    [ "$deep_rc" -eq 1 ] && grep -q 'nesting deeper than 128' "$serve_dir/deep.err" || {
+        echo "smoke: 200,000 nested arrays exited $deep_rc, want 1 and the nesting error" >&2
+        exit 1
+    }
     rm -rf "$serve_dir"
     trap 'rm -f "$trace"' EXIT
-    echo "smoke: telemetry OK (artifact, access log, unknown-schema exit 6)"
+    echo "smoke: telemetry OK (artifact, access log, unknown-schema exit 6, deep nesting exit 1)"
 
     echo "==> ompgpu serve chaos smoke (4 clients, mixed traffic, tiny queue)"
     # Four concurrent clients hammer a daemon with a 4-entry admission
