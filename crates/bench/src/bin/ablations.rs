@@ -14,6 +14,7 @@ use omp_bench::{args, fmt_cycles};
 use omp_benchmarks::{all_proxies, verify, ProxyApp};
 use omp_gpusim::Device;
 use omp_opt::OpenMpOptConfig;
+use std::sync::Arc;
 
 fn run_with(
     app: &dyn ProxyApp,
@@ -25,13 +26,13 @@ fn run_with(
     )
     .map_err(|e| e.to_string())?;
     let report = omp_opt::run(&mut m, cfg);
-    let mut dev = Device::new(&m, app.device_config()).map_err(|e| e.to_string())?;
+    let mut dev = Device::new(Arc::new(m), app.device_config()).map_err(|e| e.to_string())?;
     let w = app.prepare(&mut dev).map_err(|e| e.to_string())?;
-    let stats = dev
+    let launch = dev
         .launch(app.kernel_name(), &w.args, app.dims())
         .map_err(|e| e.to_string())?;
     verify(&mut dev, &w)?;
-    Ok((stats.cycles, report.counts))
+    Ok((launch.stats.cycles, report.counts))
 }
 
 /// Synthetic Figure 7 kernel: several guardable side effects in the
@@ -58,7 +59,7 @@ fn run_fig7(cfg: &OpenMpOptConfig) -> (u64, usize) {
     use omp_gpusim::{LaunchDims, RtVal};
     let mut m = omp_frontend::compile(FIG7, &omp_frontend::FrontendOptions::default()).unwrap();
     let report = omp_opt::run(&mut m, cfg);
-    let mut dev = Device::new(&m, Default::default()).unwrap();
+    let mut dev = Device::new(Arc::new(m), Default::default()).unwrap();
     let nb = 32i64;
     let bufs: Vec<u64> = (0..4)
         .map(|_| dev.alloc_f64(&vec![0.0; nb as usize]).unwrap())
@@ -79,7 +80,8 @@ fn run_fig7(cfg: &OpenMpOptConfig) -> (u64, usize) {
                 threads: Some(8),
             },
         )
-        .unwrap();
+        .unwrap()
+        .stats;
     for (k, b) in bufs.iter().enumerate() {
         let v = dev.read_f64(*b, nb as usize).unwrap();
         for (i, got) in v.iter().enumerate() {

@@ -8,7 +8,7 @@
 //! 1. **store** — [`Store::build`] turns (source, configuration) into an
 //!    optimized module through the frontend and optimized cache tiers,
 //!    and the device tier hands out a warmed
-//!    [`OwnedDevice`] for it. A daemon keeps one store for its lifetime;
+//!    [`Device`] for it. A daemon keeps one store for its lifetime;
 //!    the CLI and the oracle run against a fresh one (every lookup
 //!    misses, six configurations of one subject still share at most two
 //!    frontend runs).
@@ -30,8 +30,8 @@ use crate::pipeline;
 use omp_benchmarks::ProxyApp;
 use omp_frontend::GlobalizationScheme;
 use omp_gpusim::{
-    DeviceConfig, FaultPlan, Finding, KernelStats, LaunchDims, LaunchProfile, MemError,
-    OwnedDevice, ProfileMode, RtVal, SanitizeMode, SimError, SimErrorKind, Tier,
+    Device, DeviceConfig, FaultPlan, Finding, KernelStats, Launch, LaunchDims, LaunchProfile,
+    MemError, ProfileMode, RtVal, SanitizeMode, SimError, SimErrorKind, Tier,
 };
 use omp_ir::Module;
 use omp_json::{content_address, fnv1a, JsonWriter};
@@ -545,7 +545,7 @@ pub struct Store {
     // integer compare.
     frontend: CacheTier<(u64, GlobalizationScheme, bool, String), Lowered>,
     optimized: CacheTier<(u64, BuildConfig, Arc<str>), Arc<Built>>,
-    devices: CacheTier<(u64, DeviceConfig, Arc<str>), OwnedDevice>,
+    devices: CacheTier<(u64, DeviceConfig, Arc<str>), Device>,
     fault: Option<StageFault>,
 }
 
@@ -653,15 +653,15 @@ impl Store {
     /// A pristine device for `built`: a warm one reset to its
     /// construction-time image, else a new one — the one place a module
     /// becomes a device.
-    fn device(&mut self, built: &Built, cfg: &DeviceConfig) -> Result<&mut OwnedDevice, JobError> {
+    fn device(&mut self, built: &Built, cfg: &DeviceConfig) -> Result<&mut Device, JobError> {
         check(self.fault, Stage::Device)?;
         let key = (built.ir_hash, cfg.clone(), Arc::clone(&built.ir));
         let (dev, hit) = self.devices.get_or_try_insert(key, || {
-            OwnedDevice::new(Arc::clone(&built.module), cfg.clone())
+            Device::new(Arc::clone(&built.module), cfg.clone())
                 .map_err(|e| JobError::Device(e.to_string()))
         })?;
         if hit {
-            dev.with(|d| d.reset());
+            dev.reset();
         }
         Ok(dev)
     }
@@ -689,7 +689,7 @@ fn init_value(init: BufInit, i: i64) -> f64 {
 /// initialized (`i64` buffers scale the pseudo-random sequence to
 /// `0..1000`); scalars pass through.
 fn materialize(
-    dev: &mut omp_gpusim::Device,
+    dev: &mut Device,
     specs: &[ArgSpec],
 ) -> Result<(Vec<RtVal>, Vec<BufferHandle>), SimError> {
     let mut args: Vec<RtVal> = Vec::new();
@@ -758,76 +758,64 @@ impl<'a> Job<'a> {
             Subject::Proxy(app) => (app.kernel_name(), app.dims(), app.device_config()),
         };
         let fault = store.fault;
-        let dev = store.device(built, &cfg)?;
+        let d = store.device(built, &cfg)?;
         check(fault, Stage::Launch)?;
-        let (stats, profile, findings, buffers) = dev.with(|d| {
-            let on = |mode| self.mode == mode;
-            d.set_jobs(self.knobs.jobs.unwrap_or(0));
-            d.set_tier(self.knobs.tier.unwrap_or(cfg.tier));
-            d.set_max_insts(self.knobs.max_insts.unwrap_or(cfg.max_insts_per_thread));
-            d.set_watchdog(self.knobs.watchdog);
-            d.set_fault_plan(self.knobs.fault.clone());
-            d.set_profile(if on(Mode::Profile) {
-                ProfileMode::On
-            } else {
-                ProfileMode::Off
-            });
-            d.set_sanitize(if on(Mode::Sanitize) {
-                SanitizeMode::On
-            } else {
-                SanitizeMode::Off
-            });
+        let on = |mode| self.mode == mode;
+        d.set_jobs(self.knobs.jobs.unwrap_or(0));
+        d.set_tier(self.knobs.tier.unwrap_or(cfg.tier));
+        d.set_max_insts(self.knobs.max_insts.unwrap_or(cfg.max_insts_per_thread));
+        d.set_watchdog(self.knobs.watchdog);
+        d.set_fault_plan(self.knobs.fault.clone());
+        d.set_profile(if on(Mode::Profile) {
+            ProfileMode::On
+        } else {
+            ProfileMode::Off
+        });
+        d.set_sanitize(if on(Mode::Sanitize) {
+            SanitizeMode::On
+        } else {
+            SanitizeMode::Off
+        });
 
-            let (args, handles, workload) = match self.subject {
-                Subject::Source { args, .. } => {
-                    let (args, handles) = materialize(d, args).map_err(JobError::Prepare)?;
-                    (args, handles, None)
-                }
-                Subject::Proxy(app) => {
-                    let mut w = app.prepare(d).map_err(JobError::Prepare)?;
-                    let args = std::mem::take(&mut w.args);
-                    (args, vec![(w.out_buf, w.out_len, true)], Some(w))
-                }
-            };
-
-            let launched = match self.mode {
-                Mode::Plain => d
-                    .launch_plan(kernel, &args, dims)
-                    .map(|s| (s, None, Vec::new())),
-                Mode::Profile => d
-                    .launch_plan_profiled(kernel, &args, dims)
-                    .map(|(s, p)| (s, p, Vec::new())),
-                Mode::Sanitize => d
-                    .launch_plan_checked(kernel, &args, dims)
-                    .map(|(s, f)| (s, None, f)),
-            };
-            let (stats, profile, findings) = launched.map_err(JobError::Launch)?;
-
-            // Host reference first: bit-equality between two wrong
-            // builds must not pass the oracle.
-            if let (Some(w), false) = (&workload, on(Mode::Sanitize)) {
-                omp_benchmarks::verify(d, w).map_err(JobError::HostVerify)?;
+        let (args, handles, workload) = match self.subject {
+            Subject::Source { args, .. } => {
+                let (args, handles) = materialize(d, args).map_err(JobError::Prepare)?;
+                (args, handles, None)
             }
-            let read = |(addr, len, is_f64): BufferHandle| {
-                let n = match self.readback {
-                    Readback::None => return None,
-                    Readback::Head(n) => n.min(len),
-                    Readback::All => len,
-                };
-                Some(match is_f64 {
-                    true => d.read_f64(addr, n).map(Buffer::F64),
-                    false => d.read_i64(addr, n).map(Buffer::I64),
-                })
+            Subject::Proxy(app) => {
+                let mut w = app.prepare(d).map_err(JobError::Prepare)?;
+                let args = std::mem::take(&mut w.args);
+                (args, vec![(w.out_buf, w.out_len, true)], Some(w))
+            }
+        };
+
+        let Launch {
+            stats,
+            profile,
+            findings,
+        } = d.launch(kernel, &args, dims).map_err(JobError::Launch)?;
+
+        // Host reference first: bit-equality between two wrong
+        // builds must not pass the oracle.
+        if let (Some(w), false) = (&workload, on(Mode::Sanitize)) {
+            omp_benchmarks::verify(d, w).map_err(JobError::HostVerify)?;
+        }
+        let read = |(addr, len, is_f64): BufferHandle| {
+            let n = match self.readback {
+                Readback::None => return None,
+                Readback::Head(n) => n.min(len),
+                Readback::All => len,
             };
-            let buffers: Result<Vec<Buffer>, SimError> =
-                handles.into_iter().filter_map(read).collect();
-            Ok((
-                stats,
-                profile,
-                findings,
-                buffers.map_err(JobError::Readback)?,
-            ))
-        })?;
+            Some(match is_f64 {
+                true => d.read_f64(addr, n).map(Buffer::F64),
+                false => d.read_i64(addr, n).map(Buffer::I64),
+            })
+        };
+        let buffers = handles
+            .into_iter()
+            .filter_map(read)
+            .collect::<Result<Vec<Buffer>, SimError>>()
+            .map_err(JobError::Readback)?;
         Ok(JobResult {
             built: Arc::clone(built),
             stats,

@@ -1,7 +1,7 @@
 //! The executor: one thread owning the session, FIFO over a bounded
 //! MPSC queue.
 
-use super::protocol::{overload_envelope, shutdown_envelope, RETRY_AFTER_MS};
+use super::protocol::{overload_envelope, shutdown_envelope, EXECUTOR_STACK_BYTES, RETRY_AFTER_MS};
 use super::session::{ExecShared, Session};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
@@ -121,12 +121,14 @@ impl ExecutorHandle {
 /// [`Session::set_queue_capacity`] — a submission against a full queue
 /// is shed by [`ExecutorHandle::request`], never blocked. The thread
 /// exits — returning the session — when a `shutdown` request is
-/// processed or every handle is dropped.
+/// processed or every handle is dropped. Its stack is
+/// [`EXECUTOR_STACK_BYTES`].
 pub fn spawn_executor(session: Session) -> (ExecutorHandle, std::thread::JoinHandle<Session>) {
     let shared = session.shared();
     let (tx, rx) = mpsc::sync_channel::<ServeJob>(session.queue_capacity.max(1));
     let exec_shared = Arc::clone(&shared);
-    let thread = std::thread::spawn(move || {
+    let executor = std::thread::Builder::new().stack_size(EXECUTOR_STACK_BYTES);
+    let thread = executor.spawn(move || {
         let mut session = session;
         'outer: loop {
             let first = match rx.recv() {
@@ -157,5 +159,6 @@ pub fn spawn_executor(session: Session) -> (ExecutorHandle, std::thread::JoinHan
         exec_shared.shutdown.store(true, Ordering::SeqCst);
         session
     });
+    let thread = thread.expect("failed to spawn the serve executor thread");
     (ExecutorHandle { tx, shared }, thread)
 }

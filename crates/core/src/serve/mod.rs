@@ -32,9 +32,9 @@ mod transport;
 pub use crate::job::TierStats;
 pub use executor::{spawn_executor, ExecutorHandle, ServeJob};
 pub use protocol::{
-    ALL_OPS, DEFAULT_DEADLINE_MS, DEFAULT_DEVICE_CAPACITY, DEFAULT_QUEUE_CAPACITY, EXIT_BUILD,
-    EXIT_DIVERGED, EXIT_FINDINGS, EXIT_INTERNAL, EXIT_OK, EXIT_OVERLOAD, EXIT_SIM, EXIT_TIMEOUT,
-    EXIT_USAGE, MAX_FRAME_BYTES, RETRY_AFTER_MS, SCHEMA,
+    ALL_OPS, DEFAULT_DEADLINE_MS, DEFAULT_DEVICE_CAPACITY, DEFAULT_QUEUE_CAPACITY,
+    EXECUTOR_STACK_BYTES, EXIT_BUILD, EXIT_DIVERGED, EXIT_FINDINGS, EXIT_INTERNAL, EXIT_OK,
+    EXIT_OVERLOAD, EXIT_SIM, EXIT_TIMEOUT, EXIT_USAGE, MAX_FRAME_BYTES, RETRY_AFTER_MS, SCHEMA,
 };
 pub use session::{ExecShared, Session, SessionStats};
 pub use transport::serve_unix;

@@ -47,6 +47,15 @@ pub const RETRY_AFTER_MS: u64 = 25;
 /// being buffered without bound.
 pub const MAX_FRAME_BYTES: usize = 4 * 1024 * 1024;
 
+/// Stack of the executor thread, which compiles and launches every
+/// request. The frontend recurses once per nesting level of a source,
+/// and rejects sources nested deeper than
+/// [`omp_frontend::parser::MAX_NESTING`]; building a source at that
+/// limit needs under 4 MiB of stack in a debug build (less in release),
+/// so this leaves a fourfold margin. A stack overflow aborts the whole
+/// daemon: it is not a panic that request isolation could catch.
+pub const EXECUTOR_STACK_BYTES: usize = 16 * 1024 * 1024;
+
 /// Default capacity of the warm-device LRU: enough to keep the whole
 /// six-configuration ablation matrix of one subject warm, plus slack.
 pub const DEFAULT_DEVICE_CAPACITY: usize = 8;

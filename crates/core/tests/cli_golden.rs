@@ -79,6 +79,7 @@ fn case(head: &[&str], tail: &[String], more: &[&str]) -> Vec<String> {
 const SAXPY: &str = "examples/omp/saxpy.c";
 const BROKEN: &str = "tests/fixtures/cli/broken.c";
 const NO_HEADER: &str = "tests/fixtures/cli/no_header.c";
+const TOO_DEEP: &str = "tests/fixtures/cli/too_deep.c";
 
 #[test]
 fn build() {
@@ -209,6 +210,7 @@ fn failures() {
         // 1: I/O and compile failures.
         case(&["build", "examples/omp/no_such_file.c"], &[], &[]),
         case(&["build", BROKEN], &[], &[]),
+        case(&["build", TOO_DEEP], &[], &[]),
         case(&["profile", "examples/omp/no_such_file.c"], &[], &[]),
         case(&["sanitize", BROKEN], &[], &[]),
         case(&["sanitize", BROKEN, "--json"], &[], &[]),
@@ -604,5 +606,57 @@ fn valid_env_max_insts_is_the_default_budget() {
         replies[0]
     );
     assert!(replies[0].contains(runaway), "{}", replies[0]);
+    assert!(replies[1].contains("\"ok\":true"), "{}", replies[1]);
+}
+
+/// A source nested past the frontend's limit is answered by the daemon
+/// like any other compile error, and the daemon keeps serving: before
+/// the limit, 700 nested parentheses overflowed the executor's stack
+/// and aborted the process.
+#[test]
+fn daemon_answers_an_over_deep_source_then_serves_on() {
+    let socket = std::env::temp_dir().join(format!("ompgpu-deep-{}.sock", std::process::id()));
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_ompgpu"))
+        .args(["serve", "--socket", socket.to_str().unwrap()])
+        .current_dir(repo_root())
+        .env_remove("OMPGPU_JOBS")
+        .env_remove("OMPGPU_MAX_INSTS")
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("ompgpu serve starts");
+    let replies = (|| {
+        for _ in 0..200 {
+            if let Ok(stream) = UnixStream::connect(&socket) {
+                let mut writer = stream.try_clone().ok()?;
+                let compile = format!("{{\"op\":\"compile\",\"path\":\"{TOO_DEEP}\"}}");
+                for line in [&compile, "{\"op\":\"ping\"}", "{\"op\":\"shutdown\"}"] {
+                    writeln!(writer, "{line}").ok()?;
+                }
+                return BufReader::new(stream)
+                    .lines()
+                    .take(3)
+                    .collect::<Result<Vec<_>, _>>()
+                    .ok();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        None
+    })();
+    let replies = replies.unwrap_or_else(|| {
+        let _ = daemon.kill();
+        panic!("no replies from ompgpu serve on {}", socket.display())
+    });
+    assert!(daemon.wait().expect("daemon exits").success());
+    assert!(
+        replies[0].contains("\"ok\":false,\"exit_code\":1,"),
+        "{}",
+        replies[0]
+    );
+    assert!(
+        replies[0].contains("nesting deeper than 256 levels"),
+        "{}",
+        replies[0]
+    );
     assert!(replies[1].contains("\"ok\":true"), "{}", replies[1]);
 }

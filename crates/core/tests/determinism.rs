@@ -5,6 +5,7 @@
 
 use omp_benchmarks::{all_proxies, ProxyApp, Scale};
 use omp_gpu::{pipeline, BuildConfig, Device, StatsSnapshot};
+use std::sync::Arc;
 
 fn run_with_jobs(
     app: &dyn ProxyApp,
@@ -12,12 +13,13 @@ fn run_with_jobs(
     jobs: u32,
 ) -> (Vec<u64>, Vec<u64>, StatsSnapshot) {
     let (module, _) = pipeline::build(&app.openmp_source(), config).expect("build");
-    let mut dev = Device::new(&module, app.device_config()).expect("device");
+    let mut dev = Device::new(Arc::new(module), app.device_config()).expect("device");
     dev.set_jobs(jobs);
     let workload = app.prepare(&mut dev).expect("prepare");
     let stats = dev
         .launch(app.kernel_name(), &workload.args, app.dims())
-        .expect("launch");
+        .expect("launch")
+        .stats;
     let out = dev
         .read_f64(workload.out_buf, workload.out_len)
         .expect("readback");

@@ -311,3 +311,68 @@ fn cli_names_round_trip() {
     }
     assert_eq!(BuildConfig::from_cli_name("nope"), None);
 }
+
+/// A source nested to the frontend's limit builds and runs on a thread
+/// with the executor's stack, in a debug build too; one level deeper is
+/// a compile error (exit 1) naming the limit, not a stack overflow that
+/// would abort the daemon. Both shapes of nesting are checked: an
+/// expression in parentheses and a statement in blocks.
+#[test]
+fn sources_at_the_nesting_limit_run_on_the_executor_stack() {
+    use omp_frontend::parser::MAX_NESTING;
+    // Levels open around the nested part: the `target` pragma, the
+    // loop, its body, the assignment statement, the assignment and its
+    // right side (or, for blocks, the index and the right side).
+    const AROUND: u32 = 6;
+    let source = |nested: String| {
+        format!(
+            "// oracle-kernel: deep\n// oracle-teams: 1\n// oracle-threads: 2\n\
+             // oracle-arg: buf f64 2 zero\n// oracle-arg: i64 2\n\
+             void deep(double* a, long n) {{\n\
+             #pragma omp target teams distribute parallel for\n\
+             for (long i = 0; i < n; i++) {{\n{nested}\n}}\n}}\n"
+        )
+    };
+    let parens = |k: u32| {
+        let k = k as usize;
+        source(format!("a[i] = {}1.0{};", "(".repeat(k), ")".repeat(k)))
+    };
+    let blocks = |k: u32| {
+        let k = k as usize;
+        source(format!("{}a[i] = 1.0;{}", "{ ".repeat(k), " }".repeat(k)))
+    };
+    let deepest = MAX_NESTING - AROUND;
+    let sources = [
+        parens(deepest),
+        blocks(deepest),
+        parens(deepest + 1),
+        blocks(deepest + 1),
+    ];
+    let answers = std::thread::Builder::new()
+        .stack_size(omp_gpu::serve::EXECUTOR_STACK_BYTES)
+        .spawn(move || {
+            let mut session = Session::new(1);
+            sources.map(|src| {
+                let line = format!(
+                    "{{\"op\":\"run\",\"source\":\"{}\",\"dump\":2}}",
+                    omp_json::escape(&src)
+                );
+                session.handle_line(&line).0
+            })
+        })
+        .expect("spawn a thread with the executor's stack")
+        .join()
+        .expect("the session answers");
+    for accepted in &answers[..2] {
+        assert!(accepted.contains("\"ok\":true"), "{accepted}");
+        assert!(accepted.contains("[1.0,1.0]"), "{accepted}");
+    }
+    let limit = format!("nesting deeper than {MAX_NESTING} levels");
+    for rejected in &answers[2..] {
+        assert!(
+            rejected.contains("\"ok\":false,\"exit_code\":1,"),
+            "{rejected}"
+        );
+        assert!(rejected.contains(&limit), "{rejected}");
+    }
+}

@@ -1,6 +1,6 @@
 //! Exact simulated counts of the four proxies at `Scale::Bench` under
 //! `dev`, `llvm12` and `cuda`, each launched through
-//! `Device::launch_plan` on a fresh device: the same twelve units the
+//! `Device::launch` on a fresh device: the same twelve units the
 //! `sim_proxies` benchmark workload runs, so its cycle, instruction,
 //! runtime-call and shared-memory fingerprint is gated here.
 //!
@@ -22,6 +22,7 @@
 use omp_gpu::{all_proxies, pipeline, BuildConfig, Device, DeviceConfig, KernelStats, Scale, Tier};
 use std::fmt::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const CONFIGS: [BuildConfig; 3] = [
     BuildConfig::LlvmDev,
@@ -82,14 +83,15 @@ fn table(tier: Tier) -> (String, String) {
                 tier,
                 ..app.device_config()
             };
-            let mut dev =
-                Device::new(&module, cfg).unwrap_or_else(|e| panic!("{unit}: device: {e}"));
+            let mut dev = Device::new(Arc::new(module), cfg)
+                .unwrap_or_else(|e| panic!("{unit}: device: {e}"));
             let w = app
                 .prepare(&mut dev)
                 .unwrap_or_else(|e| panic!("{unit}: prepare: {e}"));
             let s = dev
-                .launch_plan(app.kernel_name(), &w.args, app.dims())
-                .unwrap_or_else(|e| panic!("{unit}: launch: {e}"));
+                .launch(app.kernel_name(), &w.args, app.dims())
+                .unwrap_or_else(|e| panic!("{unit}: launch: {e}"))
+                .stats;
             omp_benchmarks::verify(&mut dev, &w).unwrap_or_else(|e| panic!("{unit}: {e}"));
             row(&mut out, &unit, &s);
             fusion_row(&mut fusion, &unit, &s);

@@ -7,16 +7,30 @@ use crate::token::{Punct, Spanned, Token};
 
 type Result<T> = std::result::Result<T, CompileError>;
 
+/// How deeply source may nest. A statement, an expression (a
+/// parenthesized one, an argument, an index, a condition, the right
+/// side of an assignment), a unary operator and a cast each open one
+/// level. Deeper input is a compile error rather than a stack overflow:
+/// the parser and every walk over the AST recurse once per level. The
+/// proxies and the examples nest at most 12 levels.
+pub const MAX_NESTING: u32 = 256;
+
 /// Parses a full translation unit.
 pub fn parse_program(src: &str) -> Result<Program> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     p.program()
 }
 
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Levels open at the current token (see [`MAX_NESTING`]).
+    depth: u32,
 }
 
 impl Parser {
@@ -42,6 +56,18 @@ impl Parser {
 
     fn err(&self, msg: impl Into<String>) -> CompileError {
         CompileError::new(self.line(), msg)
+    }
+
+    /// Parses `f` one nesting level deeper, or fails at the current
+    /// token when that would exceed [`MAX_NESTING`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Parser) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let parsed = f(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn eat_punct(&mut self, p: Punct) -> bool {
@@ -203,6 +229,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt> {
+        self.nested(Self::stmt_inner)
+    }
+
+    fn stmt_inner(&mut self) -> Result<Stmt> {
         match self.peek().clone() {
             Token::Punct(Punct::LBrace) => self.block(),
             Token::Pragma(text) => {
@@ -382,7 +412,7 @@ impl Parser {
     // ---- expressions (precedence climbing) ----
 
     fn expr(&mut self) -> Result<Expr> {
-        self.assignment()
+        self.nested(Self::assignment)
     }
 
     fn assignment(&mut self) -> Result<Expr> {
@@ -397,7 +427,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let rhs = self.assignment()?;
+            let rhs = self.expr()?;
             return Ok(Expr::Assign {
                 op,
                 lhs: Box::new(lhs),
@@ -597,7 +627,7 @@ impl Parser {
             None
         };
         if let Some(op) = op {
-            let e = self.unary()?;
+            let e = self.nested(Self::unary)?;
             return Ok(Expr::Unary {
                 op,
                 expr: Box::new(e),
@@ -645,7 +675,7 @@ impl Parser {
                 if Self::is_type_kw(self.peek()) {
                     let ty = self.parse_base_type()?;
                     self.expect_punct(Punct::RParen)?;
-                    let e = self.unary()?;
+                    let e = self.nested(Self::unary)?;
                     Ok(Expr::Cast {
                         ty,
                         expr: Box::new(e),

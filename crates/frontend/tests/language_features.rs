@@ -4,11 +4,12 @@
 
 use omp_frontend::{compile, FrontendOptions};
 use omp_gpusim::{Device, LaunchDims, RtVal};
+use std::sync::Arc;
 
 fn run_i64(src: &str, kernel: &str, args: &[RtVal], n: usize) -> Vec<i64> {
     let m = compile(src, &FrontendOptions::default()).unwrap();
     omp_ir::verifier::assert_valid(&m);
-    let mut dev = Device::new(&m, Default::default()).unwrap();
+    let mut dev = Device::new(Arc::new(m), Default::default()).unwrap();
     let out = dev.alloc_i64(&vec![0; n]).unwrap();
     let mut full = vec![RtVal::Ptr(out)];
     full.extend_from_slice(args);
@@ -27,7 +28,7 @@ fn run_i64(src: &str, kernel: &str, args: &[RtVal], n: usize) -> Vec<i64> {
 fn run_f64(src: &str, kernel: &str, args: &[RtVal], n: usize) -> Vec<f64> {
     let m = compile(src, &FrontendOptions::default()).unwrap();
     omp_ir::verifier::assert_valid(&m);
-    let mut dev = Device::new(&m, Default::default()).unwrap();
+    let mut dev = Device::new(Arc::new(m), Default::default()).unwrap();
     let out = dev.alloc_f64(&vec![0.0; n]).unwrap();
     let mut full = vec![RtVal::Ptr(out)];
     full.extend_from_slice(args);

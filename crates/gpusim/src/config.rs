@@ -141,17 +141,18 @@ void k(double* a, long n) {
   for (long i = 0; i < n; i++) { a[i] = a[i] * 2.0 + 1.0; }
 }
 "#;
-        let m = omp_frontend::compile(src, &Default::default()).unwrap();
+        let m = std::sync::Arc::new(omp_frontend::compile(src, &Default::default()).unwrap());
         let run = |cfg: DeviceConfig| {
-            let mut dev = Device::new(&m, cfg).unwrap();
+            let mut dev = Device::new(std::sync::Arc::clone(&m), cfg).unwrap();
             let a = dev.alloc_f64(&[1.0; 64]).unwrap();
             let dims = LaunchDims {
                 teams: Some(2),
                 threads: Some(8),
             };
-            let (stats, ..) = dev
-                .launch_full("k", &[RtVal::Ptr(a), RtVal::I64(64)], dims)
-                .unwrap();
+            let stats = dev
+                .launch("k", &[RtVal::Ptr(a), RtVal::I64(64)], dims)
+                .unwrap()
+                .stats;
             (stats.snapshot(), dev.read_f64(a, 64).unwrap())
         };
         for tier in [Tier::Interp, Tier::Compiled] {

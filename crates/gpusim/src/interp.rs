@@ -269,8 +269,8 @@ pub(crate) struct TeamOutcome {
 /// memory view and all mutable state, sharing only read-only module,
 /// plan, and configuration — which is what makes running several
 /// `TeamExec`s on parallel host threads sound.
-pub(crate) struct TeamExec<'a, 'm> {
-    module: &'m Module,
+pub(crate) struct TeamExec<'a> {
+    module: &'a Module,
     plan: &'a ExecPlan,
     cfg: &'a DeviceConfig,
     cost: &'a CostModel,
@@ -305,15 +305,14 @@ pub(crate) struct TeamExec<'a, 'm> {
     watchdog_millis: u64,
 }
 
-impl<'a, 'm> TeamExec<'a, 'm> {
+impl<'a> TeamExec<'a> {
     /// Creates the executor for one team. The caller must have checked
     /// that `kernel` is a defined function of the plan.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        module: &'m Module,
+        module: &'a Module,
         plan: &'a ExecPlan,
         cfg: &'a DeviceConfig,
-        cost: &'a CostModel,
         mem: TeamMemView<'a>,
         num_teams: u32,
         team_size: u32,
@@ -321,7 +320,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
         mode: ExecMode,
         kernel: FuncId,
         args: &[RtVal],
-    ) -> TeamExec<'a, 'm> {
+    ) -> TeamExec<'a> {
         let kplan = plan.func(kernel).expect("launch checked kernel is defined");
         let total_sites = plan.total_sites() as usize;
         let sample_words = total_sites.div_ceil(64);
@@ -353,7 +352,7 @@ impl<'a, 'm> TeamExec<'a, 'm> {
             module,
             plan,
             cfg,
-            cost,
+            cost: plan.cost(),
             mem,
             num_teams,
             team_size,
@@ -1803,6 +1802,7 @@ mod tests {
         BinOp, Builder, CastOp, CmpOp, ExecMode, Function, KernelInfo, Module, RtVal, Type, Value,
     };
     use std::collections::HashMap;
+    use std::sync::Arc;
 
     const TIERS: [Tier; 2] = [Tier::Interp, Tier::Compiled];
     const TABLE: &str = include_str!("../../ir/tests/golden/scalar_ops.txt");
@@ -1880,12 +1880,13 @@ mod tests {
 
     /// One single-threaded device per tier, each with an 8-byte `out`
     /// buffer.
-    fn devices(m: &Module) -> Vec<(Tier, Device<'_>, u64)> {
-        omp_ir::verifier::assert_valid(m);
+    fn devices(m: Module) -> Vec<(Tier, Device, u64)> {
+        omp_ir::verifier::assert_valid(&m);
+        let m = Arc::new(m);
         TIERS
             .into_iter()
             .map(|tier| {
-                let mut dev = Device::new(m, DeviceConfig::default()).unwrap();
+                let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
                 dev.set_jobs(1);
                 dev.set_tier(tier);
                 let out = dev.alloc_i64(&[0]).unwrap();
@@ -1896,7 +1897,7 @@ mod tests {
 
     /// Launches `name` on one thread and reads back the raw bits of
     /// the `ty` it left in `out`; `None` when the launch traps.
-    fn run(dev: &mut Device<'_>, out: u64, name: &str, args: &[RtVal], ty: Type) -> Option<u64> {
+    fn run(dev: &mut Device, out: u64, name: &str, args: &[RtVal], ty: Type) -> Option<u64> {
         let mut all = vec![RtVal::Ptr(out)];
         all.extend_from_slice(args);
         let dims = LaunchDims {
@@ -1915,7 +1916,7 @@ mod tests {
 
     /// Launches every case on both tiers and checks the result against
     /// its cell; returns the cells checked.
-    fn sweep(m: &Module, cases: &[Case]) -> usize {
+    fn sweep(m: Module, cases: &[Case]) -> usize {
         for (tier, mut dev, out) in devices(m) {
             for (name, args, ty, cell) in cases {
                 let sim = run(&mut dev, out, name, args, *ty);
@@ -1968,7 +1969,7 @@ mod tests {
                 }
             }
         }
-        assert!(sweep(&m, &cases) > 8_000, "the table lost rows");
+        assert!(sweep(m, &cases) > 8_000, "the table lost rows");
     }
 
     #[test]
@@ -1989,6 +1990,6 @@ mod tests {
                 cases.push((name.clone(), vec![a], to, cell));
             }
         }
-        assert!(sweep(&m, &cases) > 200, "the table lost rows");
+        assert!(sweep(m, &cases) > 200, "the table lost rows");
     }
 }

@@ -11,7 +11,6 @@
 //! order. A single launch is a one-node plan to that executor.
 
 use crate::config::{DeviceConfig, Tier};
-use crate::cost::CostModel;
 use crate::error::SimError;
 use crate::mem::Memory;
 use crate::plan::ExecPlan;
@@ -20,7 +19,7 @@ use crate::sanitize::{FaultPlan, Finding, SanitizeMode};
 use crate::stats::KernelStats;
 use omp_analysis::{kernel_register_estimate, CallGraph};
 use omp_ir::{AddrSpace, Module, RtVal, Type};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Launch geometry overrides.
@@ -33,14 +32,33 @@ pub struct LaunchDims {
     pub threads: Option<u32>,
 }
 
-/// A simulated GPU bound to one compiled module. Owns device memory:
-/// buffers persist across launches; shared memory and the globalization
-/// heap are per-launch.
-pub struct Device<'m> {
-    pub(crate) module: &'m Module,
+/// What one [`Device::launch`] returns.
+#[derive(Debug)]
+pub struct Launch {
+    /// Statistics of the launch: counters summed over its nodes, team
+    /// cycles concatenated, shared/heap high-water maxima, registers
+    /// the per-node maximum, and `cycles` the plan's makespan (a
+    /// one-node plan's own kernel time).
+    pub stats: KernelStats,
+    /// The launch's profile when profiling is on (see
+    /// [`Device::set_profile`]); `None` otherwise.
+    pub profile: Option<LaunchProfile>,
+    /// Sanitizer findings, merged in team-id order (empty unless
+    /// [`Device::set_sanitize`] enabled the sanitizer): per-team
+    /// findings in submission order, then cross-kernel races between
+    /// unordered nodes. The merge order makes them bit-identical for
+    /// every `jobs` setting.
+    pub findings: Vec<Finding>,
+}
+
+/// A simulated GPU bound to one compiled module, which it holds a
+/// handle to, so a device can outlive the scope that built it (a cache
+/// entry, say). Owns device memory: buffers persist across launches;
+/// shared memory and the globalization heap are per-launch.
+pub struct Device {
+    pub(crate) module: Arc<Module>,
     pub(crate) plan: ExecPlan,
     pub(crate) cfg: DeviceConfig,
-    pub(crate) cost: CostModel,
     pub(crate) mem: Memory,
     /// Global-space initializer payloads, re-applied by [`Device::reset`].
     global_inits: Vec<(u64, Vec<u8>)>,
@@ -57,28 +75,19 @@ pub struct Device<'m> {
     reg_estimates: std::collections::HashMap<omp_ir::FuncId, u32>,
 }
 
-impl<'m> Device<'m> {
-    /// Creates a device for `module`, placing its globals.
-    pub fn new(module: &'m Module, cfg: DeviceConfig) -> Result<Device<'m>, SimError> {
-        Self::with_cost(module, cfg, CostModel::default())
-    }
-
-    /// Creates a device with a custom cost model.
-    pub fn with_cost(
-        module: &'m Module,
-        cfg: DeviceConfig,
-        cost: CostModel,
-    ) -> Result<Device<'m>, SimError> {
+impl Device {
+    /// Creates a device for `module`, placing its globals. Every device
+    /// charges the default [`CostModel`](crate::CostModel) (see
+    /// [`ExecPlan::build`]).
+    pub fn new(module: Arc<Module>, cfg: DeviceConfig) -> Result<Device, SimError> {
         // The coalescing model and the warp/lane runtime calls divide
         // by the warp size.
         if cfg.warp_size == 0 {
             return Err(SimError::bad_config("warp_size must be at least 1, got 0"));
         }
-        // Fused blocks pre-sum cycle charges from the device's cost
-        // model, so plan construction takes it as an input.
         let mut plan = {
             let _span = omp_telemetry::span("execplan.build", "gpusim");
-            ExecPlan::build_with_cost(module, &cost)?
+            ExecPlan::build(&module)?
         };
         // Lay out shared-space globals at the base of each team's shared
         // memory and global-space globals at the base of global memory.
@@ -115,7 +124,6 @@ impl<'m> Device<'m> {
             module,
             plan,
             cfg,
-            cost,
             mem,
             global_inits,
             base_cursor,
@@ -261,75 +269,24 @@ impl<'m> Device<'m> {
             .collect())
     }
 
-    /// Launches the kernel whose source-level name is `name` with the
-    /// given arguments. Returns launch statistics including the modelled
-    /// kernel time.
+    /// Launches `name`: every kernel whose `source_name` is `name`, as
+    /// one plan in module order (see [`crate::stream`]), else the one
+    /// kernel whose device function is named `name`. The plan is
+    /// resolved and validated once, then run by the one team executor.
     pub fn launch(
         &mut self,
         name: &str,
         args: &[RtVal],
         dims: LaunchDims,
-    ) -> Result<KernelStats, SimError> {
-        self.launch_full(name, args, dims)
-            .map(|(stats, _, _)| stats)
-    }
-
-    /// Like [`Device::launch`], but also returns the launch's
-    /// [`LaunchProfile`] when profiling is enabled (see
-    /// [`Device::set_profile`]); `None` with profiling off.
-    pub fn launch_profiled(
-        &mut self,
-        name: &str,
-        args: &[RtVal],
-        dims: LaunchDims,
-    ) -> Result<(KernelStats, Option<LaunchProfile>), SimError> {
-        self.launch_full(name, args, dims)
-            .map(|(stats, profile, _)| (stats, profile))
-    }
-
-    /// Like [`Device::launch`], but also returns the sanitizer findings
-    /// gathered by the launch, merged in team-id order (empty unless
-    /// [`Device::set_sanitize`] enabled the sanitizer). The merge order
-    /// makes findings bit-identical for every `jobs` setting.
-    pub fn launch_checked(
-        &mut self,
-        name: &str,
-        args: &[RtVal],
-        dims: LaunchDims,
-    ) -> Result<(KernelStats, Vec<Finding>), SimError> {
-        self.launch_full(name, args, dims)
-            .map(|(stats, _, findings)| (stats, findings))
-    }
-
-    pub(crate) fn launch_full(
-        &mut self,
-        name: &str,
-        args: &[RtVal],
-        dims: LaunchDims,
-    ) -> Result<(KernelStats, Option<LaunchProfile>, Vec<Finding>), SimError> {
+    ) -> Result<Launch, SimError> {
         let _span = omp_telemetry::span_lazy("gpusim", || format!("launch {name}"));
-        let kernel = self
-            .module
-            .kernels
-            .iter()
-            .find(|k| k.source_name == name || self.module.func(k.func).name == name)
-            .ok_or_else(|| SimError::unknown_kernel(name))?;
-        self.validate_args(name, kernel.func, args)?;
-        let node = self.plan_node(kernel, dims);
-        let mut run = self
-            .run_nodes(std::slice::from_ref(&node), args, false)?
-            .pop()
-            .expect("a launched node yields its run");
-        run.stats.registers = self.register_estimate(node.kfunc);
-        let profile = (self.cfg.profile == ProfileMode::On).then(|| {
-            LaunchProfile::assemble(self.module, self.cfg.num_sms, &run.stats, run.profiles)
-        });
-        Ok((run.stats, profile, run.findings))
+        let plan = self.resolve_plan(name, args, dims)?;
+        self.execute_plan(&plan, args)
     }
 
     /// Checks the argument vector against the kernel function's
-    /// signature and rejects launches of declarations. Shared by single
-    /// launches and (once, at resolution/capture time) launch plans.
+    /// signature and rejects launches of declarations. Runs once per
+    /// node when a plan is resolved.
     pub(crate) fn validate_args(
         &self,
         name: &str,
@@ -373,10 +330,10 @@ impl<'m> Device<'m> {
         match self.reg_estimates.get(&kfunc) {
             Some(&r) => r,
             None => {
-                let cg = CallGraph::build(self.module);
+                let cg = CallGraph::build(&self.module);
                 let reachable = cg.reachable_from([kfunc]);
                 let has_indirect = reachable.iter().any(|f| cg.has_indirect_call.contains(f));
-                let mut r = kernel_register_estimate(self.module, reachable.iter().copied());
+                let mut r = kernel_register_estimate(&self.module, reachable.iter().copied());
                 if has_indirect {
                     r += 24;
                 }

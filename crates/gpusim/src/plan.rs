@@ -156,21 +156,17 @@ pub struct ExecPlan {
     /// of the dense coalescing-state tables.
     total_sites: u32,
     num_globals: usize,
+    /// The cost model fused blocks pre-sum their cycles from; every
+    /// per-entry charge reads the same one, so the two agree bit for
+    /// bit.
+    cost: CostModel,
 }
 
 impl ExecPlan {
     /// Decodes `module` into an execution plan, validating every call
-    /// target and operand reference. Fused blocks are compiled against
-    /// the default cost model; use [`ExecPlan::build_with_cost`] when
-    /// the device charges a non-default one.
+    /// target and operand reference, under the default cost model.
     pub fn build(module: &Module) -> Result<ExecPlan, SimError> {
-        Self::build_with_cost(module, &CostModel::default())
-    }
-
-    /// Like [`ExecPlan::build`], pre-summing fused block cycle costs
-    /// from `cost` so fused charges are bit-identical to per-entry ones
-    /// under any cost model.
-    pub fn build_with_cost(module: &Module, cost: &CostModel) -> Result<ExecPlan, SimError> {
+        let cost = CostModel::default();
         let num_functions = module.num_functions();
         let num_globals = module.global_ids().count();
         let mut nature = Vec::with_capacity(num_functions);
@@ -256,7 +252,7 @@ impl ExecPlan {
                 &nature,
                 num_regs,
                 total_sites,
-                cost,
+                &cost,
             )));
             total_sites += num_regs as u32;
         }
@@ -265,6 +261,7 @@ impl ExecPlan {
             nature,
             total_sites,
             num_globals,
+            cost,
         })
     }
 
@@ -304,6 +301,11 @@ impl ExecPlan {
     #[inline]
     pub(crate) fn total_sites(&self) -> u32 {
         self.total_sites
+    }
+
+    /// The cost model every charge of a launch on this plan reads.
+    pub(crate) fn cost(&self) -> &CostModel {
+        &self.cost
     }
 
     /// Number of globals the plan was validated against.

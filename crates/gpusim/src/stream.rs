@@ -5,7 +5,7 @@
 //! carrying its [`omp_ir::LaunchAttrs`] (`nowait`, `depend`,
 //! `taskwait`, `taskgraph` membership). This module resolves a plan
 //! into explicit dependency edges, assigns nodes to streams, and
-//! executes them — eagerly ([`Device::launch_plan`]) or through
+//! executes them — eagerly ([`Device::launch`]) or through
 //! capture-and-replay ([`Device::capture_graph`] /
 //! [`Device::replay_graph`]), the simulator's analogue of CUDA Graphs.
 //!
@@ -18,11 +18,11 @@
 //! findings are therefore bit-identical across `--jobs`, execution
 //! tiers, and eager-vs-replay execution.
 //!
-//! **One executor.** Single launches, eager plans and replays all run
-//! through one executor (`Device::run_nodes`): the calling thread is
-//! worker 0, up to `jobs - 1` scoped workers join it for the whole
-//! plan, and one rendezvous per node commits that node in team-id
-//! order.
+//! **One executor.** Launches (a one-node plan is a single kernel) and
+//! replays run through one executor (`Device::run_nodes`): the calling
+//! thread is worker 0, up to `jobs - 1` scoped workers join it for the
+//! whole plan, and one rendezvous per node commits that node in
+//! team-id order.
 //!
 //! **What a replay skips.** Resolution only. Capture resolves the plan
 //! once — kernel lookup, argument validation and marshalling, geometry
@@ -32,7 +32,7 @@
 
 use crate::error::SimError;
 use crate::interp::{TeamExec, TeamOutcome};
-use crate::launch::{Device, LaunchDims};
+use crate::launch::{Device, Launch, LaunchDims};
 use crate::mem::{Memory, PAGE_BYTES};
 use crate::profile::{LaunchProfile, ProfileMode, StreamSpan, TeamProfile};
 use crate::sanitize::{Finding, FindingKind, SanitizeMode, Severity};
@@ -111,7 +111,7 @@ impl LaunchPlan {
 /// A captured task graph: the resolved plan plus pre-marshalled launch
 /// arguments. Replaying one skips resolution — kernel lookup,
 /// validation, geometry/edge/stream resolution, register estimation —
-/// and runs the same executor as an eager [`Device::launch_plan`].
+/// and runs the same executor as an eager [`Device::launch`].
 #[derive(Debug, Clone)]
 pub struct CapturedGraph {
     pub(crate) plan: LaunchPlan,
@@ -238,15 +238,16 @@ fn reachability(nodes: &[PlanNode]) -> Vec<Vec<bool>> {
 }
 
 /// Everything one executed node contributes to the plan totals.
-pub(crate) struct NodeRun {
+struct NodeRun {
     /// Counters merged across the node's teams, with the node's team
-    /// cycles, its own duration in `cycles` (SM-packed, the single-launch
-    /// rule) and its shared/heap high-water marks.
-    pub(crate) stats: KernelStats,
-    /// Global pages the node stored to (sanitizer runs only).
+    /// cycles, its own duration in `cycles` (SM-packed) and its
+    /// shared/heap high-water marks.
+    stats: KernelStats,
+    /// Global pages the node stored to (tracked only for a sanitized
+    /// plan of several nodes).
     written: BTreeSet<u64>,
-    pub(crate) profiles: Vec<TeamProfile>,
-    pub(crate) findings: Vec<Finding>,
+    profiles: Vec<TeamProfile>,
+    findings: Vec<Finding>,
 }
 
 /// Commits one node's team outcomes to device memory in team-id order —
@@ -389,7 +390,7 @@ fn add_node(dst: &mut KernelStats, src: &KernelStats) {
     }
 }
 
-impl<'m> Device<'m> {
+impl Device {
     /// Resolves the host launch plan for `name`: every kernel whose
     /// `source_name` is `name`, in module order (falling back to the
     /// single kernel whose device function is named `name`). Validates
@@ -430,8 +431,23 @@ impl<'m> Device<'m> {
             .iter()
             .zip(edges)
             .map(|(k, deps)| PlanNode {
+                kfunc: k.func,
+                label: self.module.func(k.func).name.clone(),
+                // `dims`, else the kernel's clauses, else the device
+                // defaults.
+                teams: dims
+                    .teams
+                    .or(k.num_teams)
+                    .unwrap_or(self.cfg.default_teams)
+                    .max(1),
+                threads: dims
+                    .threads
+                    .or(k.thread_limit)
+                    .unwrap_or(self.cfg.default_threads)
+                    .max(1),
+                mode: k.exec_mode,
                 deps,
-                ..self.plan_node(k, dims)
+                stream: 0,
             })
             .collect();
         assign_streams(&mut nodes);
@@ -439,80 +455,6 @@ impl<'m> Device<'m> {
             name: name.to_string(),
             nodes,
         })
-    }
-
-    /// The launch node of kernel `k` with its geometry resolved: `dims`,
-    /// else the kernel's clauses, else the device defaults. No edges, on
-    /// stream 0.
-    pub(crate) fn plan_node(&self, k: &omp_ir::KernelInfo, dims: LaunchDims) -> PlanNode {
-        PlanNode {
-            kfunc: k.func,
-            label: self.module.func(k.func).name.clone(),
-            teams: dims
-                .teams
-                .or(k.num_teams)
-                .unwrap_or(self.cfg.default_teams)
-                .max(1),
-            threads: dims
-                .threads
-                .or(k.thread_limit)
-                .unwrap_or(self.cfg.default_threads)
-                .max(1),
-            mode: k.exec_mode,
-            deps: Vec::new(),
-            stream: 0,
-        }
-    }
-
-    /// Resolves and launches the full plan for `name` and returns the
-    /// combined statistics. A one-node plan is exactly
-    /// [`Device::launch`].
-    pub fn launch_plan(
-        &mut self,
-        name: &str,
-        args: &[RtVal],
-        dims: LaunchDims,
-    ) -> Result<KernelStats, SimError> {
-        self.launch_plan_full(name, args, dims).map(|(s, _, _)| s)
-    }
-
-    /// Like [`Device::launch_plan`], but also returns the plan's
-    /// profile (with per-stream spans) when profiling is enabled.
-    pub fn launch_plan_profiled(
-        &mut self,
-        name: &str,
-        args: &[RtVal],
-        dims: LaunchDims,
-    ) -> Result<(KernelStats, Option<LaunchProfile>), SimError> {
-        self.launch_plan_full(name, args, dims)
-            .map(|(s, p, _)| (s, p))
-    }
-
-    /// Like [`Device::launch_plan`], but also returns sanitizer
-    /// findings — per-team findings in submission/team order, then
-    /// cross-kernel race findings on unordered node pairs.
-    pub fn launch_plan_checked(
-        &mut self,
-        name: &str,
-        args: &[RtVal],
-        dims: LaunchDims,
-    ) -> Result<(KernelStats, Vec<Finding>), SimError> {
-        self.launch_plan_full(name, args, dims)
-            .map(|(s, _, f)| (s, f))
-    }
-
-    pub(crate) fn launch_plan_full(
-        &mut self,
-        name: &str,
-        args: &[RtVal],
-        dims: LaunchDims,
-    ) -> Result<(KernelStats, Option<LaunchProfile>, Vec<Finding>), SimError> {
-        let plan = self.resolve_plan(name, args, dims)?;
-        if plan.nodes.len() == 1 {
-            // Degenerate plan: exactly a single launch, bit for bit.
-            return self.launch_full(name, args, dims);
-        }
-        self.execute_plan(&plan, args, false)
     }
 
     /// Records the plan for `name` as a replayable task graph: resolves
@@ -539,34 +481,26 @@ impl<'m> Device<'m> {
     /// Replays a captured graph: no lookup, validation, marshalling, or
     /// resolution; the nodes run on the same executor as an eager
     /// launch. Outputs and statistics are bit-identical to the eager
-    /// [`Device::launch_plan`] of the same name and arguments.
+    /// [`Device::launch`] of the same name and arguments.
     pub fn replay_graph(&mut self, graph: &CapturedGraph) -> Result<KernelStats, SimError> {
-        self.execute_plan(&graph.plan, &graph.args, true)
-            .map(|(s, _, _)| s)
+        let _span = omp_telemetry::span("graph.replay", "gpusim");
+        self.execute_plan(&graph.plan, &graph.args).map(|l| l.stats)
     }
 
     /// Runs a resolved plan's nodes sequentially in submission order,
     /// then assembles combined statistics: counters summed, team cycles
     /// concatenated, shared/heap high-water maxima, registers the
-    /// per-node maximum, and `cycles` the list-schedule makespan.
-    /// `replay` only names the span: eager launches and replays run the
-    /// same executor and differ only in whether the plan was resolved
-    /// again.
-    fn execute_plan(
+    /// per-node maximum, and `cycles` the list-schedule makespan. A
+    /// one-node plan is a single kernel launch: its stats are the
+    /// node's own, no global writes are tracked (there is no other node
+    /// to race with), and its profile has no stream spans.
+    pub(crate) fn execute_plan(
         &mut self,
         plan: &LaunchPlan,
         args: &[RtVal],
-        replay: bool,
-    ) -> Result<(KernelStats, Option<LaunchProfile>, Vec<Finding>), SimError> {
-        let _span = omp_telemetry::span(
-            if replay {
-                "graph.replay"
-            } else {
-                "plan.execute"
-            },
-            "gpusim",
-        );
-        let track_writes = self.cfg.sanitize != SanitizeMode::Off;
+    ) -> Result<Launch, SimError> {
+        let single = plan.nodes.len() == 1;
+        let track_writes = !single && self.cfg.sanitize != SanitizeMode::Off;
         let num_sms = self.cfg.num_sms;
         let mut registers = 0u32;
         for node in &plan.nodes {
@@ -593,7 +527,7 @@ impl<'m> Device<'m> {
         // stored to the same global page raced — had the streams truly
         // overlapped, the commit order would be timing-dependent. One
         // finding per unordered conflicting pair, in (i, j) order.
-        if track_writes && plan.nodes.len() > 1 {
+        if track_writes {
             let reach = reachability(&plan.nodes);
             for i in 0..plan.nodes.len() {
                 for j in i + 1..plan.nodes.len() {
@@ -627,25 +561,30 @@ impl<'m> Device<'m> {
             }
         }
         let profile = (self.cfg.profile == ProfileMode::On).then(|| {
-            let mut p = LaunchProfile::assemble(self.module, num_sms, &stats, team_profiles);
-            p.streams = plan
-                .nodes
-                .iter()
-                .zip(&spans)
-                .map(|(n, &(start, end))| StreamSpan {
-                    stream: n.stream,
-                    label: n.label.clone(),
-                    start,
-                    end,
-                })
-                .collect();
+            let mut p = LaunchProfile::assemble(&self.module, num_sms, &stats, team_profiles);
+            if !single {
+                p.streams = plan
+                    .nodes
+                    .iter()
+                    .zip(&spans)
+                    .map(|(n, &(start, end))| StreamSpan {
+                        stream: n.stream,
+                        label: n.label.clone(),
+                        start,
+                        end,
+                    })
+                    .collect();
+            }
             p
         });
-        Ok((stats, profile, findings))
+        Ok(Launch {
+            stats,
+            profile,
+            findings,
+        })
     }
 
-    /// The one team executor, behind single launches, eager plans and
-    /// graph replays alike. The calling thread is worker 0; `pool - 1`
+    /// The one team executor, behind launches and graph replays alike. The calling thread is worker 0; `pool - 1`
     /// scoped workers join it, where `pool` is [`Device::worker_count`]
     /// of the widest node, and none are spawned when `pool == 1`. Worker
     /// `w` runs teams `w`, `w + pool`, ... of each node and stops its
@@ -659,7 +598,7 @@ impl<'m> Device<'m> {
     /// committed. A panic in a team run or a merge, on any thread,
     /// becomes the structured `internal: team worker thread panicked`
     /// error, and every worker still leaves the rendezvous.
-    pub(crate) fn run_nodes(
+    fn run_nodes(
         &mut self,
         nodes: &[PlanNode],
         args: &[RtVal],
@@ -667,7 +606,7 @@ impl<'m> Device<'m> {
     ) -> Result<Vec<NodeRun>, SimError> {
         let widest = nodes.iter().map(|n| n.teams).max().unwrap_or(1);
         let pool = self.worker_count(widest);
-        let (module, eplan, cfg, cost) = (self.module, &self.plan, &self.cfg, &self.cost);
+        let (module, eplan, cfg) = (&*self.module, &self.plan, &self.cfg);
         // Workers read device memory while running a node's teams; the
         // sealing worker takes the write lock inside the rendezvous
         // (everyone else is parked there) to commit the node.
@@ -705,7 +644,6 @@ impl<'m> Device<'m> {
                                 module,
                                 eplan,
                                 cfg,
-                                cost,
                                 view.team_view(team_id),
                                 node.teams,
                                 node.threads,

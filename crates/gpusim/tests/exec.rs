@@ -3,21 +3,22 @@
 
 use omp_frontend::{compile, FrontendOptions, GlobalizationScheme};
 use omp_gpusim::{Device, DeviceConfig, LaunchDims, RtVal};
+use std::sync::Arc;
 
-fn build(src: &str) -> omp_ir::Module {
+fn build(src: &str) -> Arc<omp_ir::Module> {
     let m = compile(src, &FrontendOptions::default()).unwrap();
     omp_ir::verifier::assert_valid(&m);
-    m
+    Arc::new(m)
 }
 
-fn build_legacy(src: &str) -> omp_ir::Module {
+fn build_legacy(src: &str) -> Arc<omp_ir::Module> {
     let opts = FrontendOptions {
         globalization: GlobalizationScheme::Legacy,
         ..FrontendOptions::default()
     };
     let m = compile(src, &opts).unwrap();
     omp_ir::verifier::assert_valid(&m);
-    m
+    Arc::new(m)
 }
 
 fn dims(teams: u32, threads: u32) -> LaunchDims {
@@ -37,7 +38,7 @@ void axpy(double* x, double* y, double a, long n) {
 }
 "#,
     );
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     let n = 100usize;
     let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
     let y: Vec<f64> = vec![1.0; n];
@@ -54,7 +55,8 @@ void axpy(double* x, double* y, double a, long n) {
             ],
             dims(4, 8),
         )
-        .unwrap();
+        .unwrap()
+        .stats;
     let out = dev.read_f64(yb, n).unwrap();
     for (i, v) in out.iter().enumerate() {
         assert_eq!(*v, 2.0 * i as f64 + 1.0, "element {i}");
@@ -81,7 +83,7 @@ void fig1(double* out, long nblocks, long nthreads) {
 }
 "#,
     );
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     let (nb, nt) = (4i64, 8i64);
     let out = dev.alloc_f64(&vec![0.0; (nb * nt) as usize]).unwrap();
     let stats = dev
@@ -90,7 +92,8 @@ void fig1(double* out, long nblocks, long nthreads) {
             &[RtVal::Ptr(out), RtVal::I64(nb), RtVal::I64(nt)],
             dims(2, 8),
         )
-        .unwrap();
+        .unwrap()
+        .stats;
     let vals = dev.read_f64(out, (nb * nt) as usize).unwrap();
     for b in 0..nb {
         for t in 0..nt {
@@ -178,7 +181,7 @@ void share(double* out, long nthreads) {
 }
 "#,
     );
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     let out = dev.alloc_f64(&[0.0; 8]).unwrap();
     dev.launch("share", &[RtVal::Ptr(out), RtVal::I64(8)], dims(1, 8))
         .unwrap();
@@ -205,7 +208,7 @@ void share(double* out, long nthreads) {
 "#;
     // Generic mode: legacy allocates from the data-sharing stack; works.
     let m = build_legacy(src);
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     let out = dev.alloc_f64(&[0.0; 8]).unwrap();
     dev.launch("share", &[RtVal::Ptr(out), RtVal::I64(8)], dims(1, 8))
         .unwrap();
@@ -241,7 +244,7 @@ void spmd_share(double* out, long n) {
         ..FrontendOptions::default()
     };
     let m = compile(src, &opts).unwrap();
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::new(m), DeviceConfig::default()).unwrap();
     let out = dev.alloc_f64(&[0.0; 8]).unwrap();
     let err = dev
         .launch("share", &[RtVal::Ptr(out), RtVal::I64(8)], dims(1, 8))
@@ -272,7 +275,7 @@ void neighbors(long* a, long* b, long n) {
 }
 "#,
     );
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     let n = 8usize;
     let a = dev.alloc_i64(&vec![0; n]).unwrap();
     let b = dev.alloc_i64(&vec![-1; n]).unwrap();
@@ -282,7 +285,8 @@ void neighbors(long* a, long* b, long n) {
             &[RtVal::Ptr(a), RtVal::Ptr(b), RtVal::I64(n as i64)],
             dims(1, n as u32),
         )
-        .unwrap();
+        .unwrap()
+        .stats;
     let out = dev.read_i64(b, n).unwrap();
     for (i, &got) in out.iter().enumerate() {
         assert_eq!(got, (((i + 1) % n) * 100) as i64, "thread {i}");
@@ -309,7 +313,7 @@ void nested(long* out, long n) {
 }
 "#,
     );
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     let n = 16usize;
     let out = dev.alloc_i64(&vec![0; n]).unwrap();
     dev.launch(
@@ -333,7 +337,7 @@ void count(long* out, long n) {
 "#,
     );
     for (teams, threads, n) in [(3u32, 5u32, 37usize), (1, 1, 7), (4, 8, 1), (2, 2, 0)] {
-        let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+        let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
         let out = dev.alloc_i64(&vec![0; n.max(1)]).unwrap();
         dev.launch(
             "count",
@@ -376,8 +380,8 @@ void light(double* out, long nblocks, long nthreads) {
 "#,
     );
     let (nb, nt) = (16i64, 8i64);
-    let run = |m: &omp_ir::Module| {
-        let mut dev = Device::new(m, DeviceConfig::default()).unwrap();
+    let run = |m: &Arc<omp_ir::Module>| {
+        let mut dev = Device::new(Arc::clone(m), DeviceConfig::default()).unwrap();
         let out = dev.alloc_f64(&vec![0.0; (nb * nt) as usize]).unwrap();
         let stats = dev
             .launch(
@@ -385,7 +389,8 @@ void light(double* out, long nblocks, long nthreads) {
                 &[RtVal::Ptr(out), RtVal::I64(nb), RtVal::I64(nt)],
                 dims(2, nt as u32),
             )
-            .unwrap();
+            .unwrap()
+            .stats;
         let v = dev.read_f64(out, (nb * nt) as usize).unwrap();
         assert!(v.iter().all(|&x| x == 1.0));
         stats.cycles
@@ -420,7 +425,7 @@ void hog(double* out, long n) {
         global_heap_bytes: 1024,
         ..DeviceConfig::default()
     };
-    let mut dev = Device::new(&m, cfg).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), cfg).unwrap();
     let out = dev.alloc_f64(&vec![0.0; 64]).unwrap();
     let err = dev
         .launch("hog", &[RtVal::Ptr(out), RtVal::I64(64)], dims(2, 32))
@@ -447,7 +452,7 @@ void mathy(double* out) {
 }
 "#,
     );
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     let out = dev.alloc_f64(&[0.0; 4]).unwrap();
     dev.launch("mathy", &[RtVal::Ptr(out)], dims(1, 4)).unwrap();
     let v = dev.read_f64(out, 4).unwrap();
@@ -476,8 +481,8 @@ void copy(double* a, double* b, long n) {
 "#,
     );
     let n = 256usize;
-    let run = |m: &omp_ir::Module| {
-        let mut dev = Device::new(m, DeviceConfig::default()).unwrap();
+    let run = |m: &Arc<omp_ir::Module>| {
+        let mut dev = Device::new(Arc::clone(m), DeviceConfig::default()).unwrap();
         let a = dev.alloc_f64(&vec![1.0; n]).unwrap();
         let b = dev.alloc_f64(&vec![0.0; n]).unwrap();
         dev.launch(
@@ -486,6 +491,7 @@ void copy(double* a, double* b, long n) {
             dims(1, 32),
         )
         .unwrap()
+        .stats
     };
     let c = run(&coalesced);
     let s = run(&strided);
@@ -509,7 +515,7 @@ void k(double* a) {
 }
 "#,
     );
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     use omp_gpusim::SimErrorKind;
     assert!(matches!(
         dev.launch("nope", &[], LaunchDims::default()),
@@ -542,7 +548,7 @@ void k(double* a) {
         warp_size: 0,
         ..DeviceConfig::default()
     };
-    let err = Device::new(&m, cfg)
+    let err = Device::new(Arc::clone(&m), cfg)
         .err()
         .expect("a zero warp size must not build a device");
     assert_eq!(err.kind.name(), "bad-config", "{err}");
@@ -565,7 +571,7 @@ void fig1(double* out, long nblocks, long nthreads) {
 }
 "#,
     );
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     let (nb, nt) = (3i64, 4i64);
     let out = dev.alloc_f64(&vec![0.0; (nb * nt) as usize]).unwrap();
     let stats = dev
@@ -574,7 +580,8 @@ void fig1(double* out, long nblocks, long nthreads) {
             &[RtVal::Ptr(out), RtVal::I64(nb), RtVal::I64(nt)],
             dims(1, nt as u32),
         )
-        .unwrap();
+        .unwrap()
+        .stats;
     let vals = dev.read_f64(out, (nb * nt) as usize).unwrap();
     for b in 0..nb {
         for t in 0..nt {
@@ -601,8 +608,8 @@ void work(double* out, long n) {
   }
 }
 "#;
-    let run = |m: &omp_ir::Module| -> Vec<f64> {
-        let mut dev = Device::new(m, DeviceConfig::default()).unwrap();
+    let run = |m: &Arc<omp_ir::Module>| -> Vec<f64> {
+        let mut dev = Device::new(Arc::clone(m), DeviceConfig::default()).unwrap();
         let out = dev.alloc_f64(&[0.0; 16]).unwrap();
         dev.launch("work", &[RtVal::Ptr(out), RtVal::I64(4)], dims(2, 4))
             .unwrap();

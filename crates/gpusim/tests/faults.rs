@@ -4,9 +4,10 @@
 
 use omp_frontend::{compile, FrontendOptions};
 use omp_gpusim::{
-    Device, DeviceConfig, FaultPlan, FindingKind, LaunchDims, MemError, RtVal, SanitizeMode,
-    SimErrorKind,
+    Device, DeviceConfig, FaultPlan, FindingKind, Launch, LaunchDims, MemError, RtVal,
+    SanitizeMode, SimErrorKind,
 };
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Globalizes one capture struct per distribute iteration when built
@@ -24,10 +25,10 @@ void counted(double* a, long n) {
 }
 "#;
 
-fn build(src: &str) -> omp_ir::Module {
+fn build(src: &str) -> Arc<omp_ir::Module> {
     let m = compile(src, &FrontendOptions::default()).unwrap();
     omp_ir::verifier::assert_valid(&m);
-    m
+    Arc::new(m)
 }
 
 fn dims(teams: u32, threads: u32) -> LaunchDims {
@@ -38,11 +39,11 @@ fn dims(teams: u32, threads: u32) -> LaunchDims {
 }
 
 fn launch_with_plan(
-    m: &omp_ir::Module,
+    m: &Arc<omp_ir::Module>,
     plan: FaultPlan,
     jobs: u32,
 ) -> Result<(), omp_gpusim::SimError> {
-    let mut dev = Device::new(m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(m), DeviceConfig::default()).unwrap();
     dev.set_fault_plan(plan);
     dev.set_jobs(jobs);
     let a = dev.alloc_f64(&[0.0; 16]).unwrap();
@@ -53,15 +54,17 @@ fn launch_with_plan(
 #[test]
 fn capped_shared_stack_falls_back_to_heap_and_completes() {
     let m = build(GLOBALIZING);
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     dev.set_sanitize(SanitizeMode::On);
     dev.set_fault_plan(FaultPlan {
         shared_stack_limit: Some(0),
         ..FaultPlan::default()
     });
     let a = dev.alloc_f64(&[0.0; 16]).unwrap();
-    let (stats, findings) = dev
-        .launch_checked("counted", &[RtVal::Ptr(a), RtVal::I64(4)], dims(4, 4))
+    let Launch {
+        stats, findings, ..
+    } = dev
+        .launch("counted", &[RtVal::Ptr(a), RtVal::I64(4)], dims(4, 4))
         .unwrap();
     // The run degrades (heap traffic instead of shared) but completes
     // with correct results.
@@ -174,7 +177,7 @@ fn injected_failures_are_identical_across_worker_thread_counts() {
 #[test]
 fn device_survives_an_injected_failure_and_runs_again() {
     let m = build(GLOBALIZING);
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     dev.set_fault_plan(FaultPlan {
         fail_alloc_after: Some(0),
         ..FaultPlan::default()
@@ -207,7 +210,7 @@ void spin(long* out) {
 }
 "#,
     );
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     dev.set_watchdog(Some(Duration::from_millis(1)));
     let out = dev.alloc_i64(&[0]).unwrap();
     let err = dev
@@ -236,7 +239,7 @@ void spin(long* out) {
 }
 "#,
     );
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     dev.set_max_insts(10_000);
     let out = dev.alloc_i64(&[0]).unwrap();
     let err = dev

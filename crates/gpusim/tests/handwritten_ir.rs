@@ -4,6 +4,7 @@
 
 use omp_gpusim::{Device, DeviceConfig, LaunchDims, RtVal, Tier};
 use omp_ir::{BinOp, Builder, CastOp, CmpOp, ExecMode, Function, KernelInfo, Module, Type, Value};
+use std::sync::Arc;
 
 fn kernelize(m: &mut Module, f: omp_ir::FuncId, name: &str) {
     m.kernels.push(KernelInfo {
@@ -65,7 +66,7 @@ fn phi_swap_is_simultaneous() {
     }
     kernelize(&mut m, f, "swap");
     omp_ir::verifier::assert_valid(&m);
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::new(m), DeviceConfig::default()).unwrap();
     let out = dev.alloc_i64(&[0, 0]).unwrap();
     // Odd number of swaps: (1,2) -> (2,1)
     dev.launch("swap", &[RtVal::Ptr(out), RtVal::I64(5)], one_thread())
@@ -119,8 +120,9 @@ fn phi_reading_an_earlier_phi_sees_its_old_value() {
     }
     kernelize(&mut m, f, "lag");
     omp_ir::verifier::assert_valid(&m);
+    let m = Arc::new(m);
     for tier in [Tier::Interp, Tier::Compiled] {
-        let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+        let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
         dev.set_tier(tier);
         let out = dev.alloc_i64(&[0, 0]).unwrap();
         for (n, want) in [(0, [0, 7]), (1, [7, 1]), (3, [1, 1])] {
@@ -161,7 +163,7 @@ fn unsigned_ops_and_casts() {
     }
     kernelize(&mut m, f, "u");
     omp_ir::verifier::assert_valid(&m);
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::new(m), DeviceConfig::default()).unwrap();
     let out = dev.alloc_i64(&[0; 4]).unwrap();
     dev.launch("u", &[RtVal::Ptr(out)], one_thread()).unwrap();
     let v = dev.read_i64(out, 4).unwrap();
@@ -198,7 +200,7 @@ fn selects_and_float_casts() {
     }
     kernelize(&mut m, f, "s");
     omp_ir::verifier::assert_valid(&m);
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::new(m), DeviceConfig::default()).unwrap();
     let out = dev.alloc_f64(&[0.0; 3]).unwrap();
     dev.launch("s", &[RtVal::Ptr(out), RtVal::Bool(true)], one_thread())
         .unwrap();
@@ -227,7 +229,7 @@ fn division_by_zero_traps() {
         b.ret(None);
     }
     kernelize(&mut m, f, "d");
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::new(m), DeviceConfig::default()).unwrap();
     let out = dev.alloc_i64(&[0]).unwrap();
     dev.launch("d", &[RtVal::Ptr(out), RtVal::I64(2)], one_thread())
         .unwrap();
@@ -250,7 +252,7 @@ fn unreachable_reports_function() {
         fun.block_mut(e).term = omp_ir::Terminator::Unreachable;
     }
     kernelize(&mut m, f, "bad");
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::new(m), DeviceConfig::default()).unwrap();
     let out = dev.alloc_i64(&[0]).unwrap();
     let err = dev
         .launch("bad", &[RtVal::Ptr(out)], one_thread())
@@ -296,7 +298,7 @@ fn global_initializers_and_shared_globals() {
     }
     kernelize(&mut m, f, "g");
     omp_ir::verifier::assert_valid(&m);
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::new(m), DeviceConfig::default()).unwrap();
     let out = dev.alloc_i64(&[0, 0]).unwrap();
     dev.launch(
         "g",
@@ -336,10 +338,11 @@ fn gep_offset_overflow_wraps_to_a_memory_trap() {
         kernelize(&mut m, f, name);
     }
     omp_ir::verifier::assert_valid(&m);
+    let m = Arc::new(m);
     for name in ["st", "ld"] {
         let mut errs = Vec::new();
         for tier in [Tier::Interp, Tier::Compiled] {
-            let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+            let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
             dev.set_tier(tier);
             let out = dev.alloc_i64(&[7, 7]).unwrap();
             dev.launch(name, &[RtVal::Ptr(out), RtVal::I64(1)], one_thread())

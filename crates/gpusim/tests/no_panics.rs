@@ -7,6 +7,7 @@
 use omp_frontend::{compile, FrontendOptions};
 use omp_gpusim::{Device, DeviceConfig, FaultPlan, LaunchDims, RtVal, SanitizeMode};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const SUBJECT: &str = r#"
 void kern(double* out, long n) {
@@ -19,8 +20,8 @@ void kern(double* out, long n) {
 }
 "#;
 
-fn module() -> omp_ir::Module {
-    compile(SUBJECT, &FrontendOptions::default()).unwrap()
+fn module() -> Arc<omp_ir::Module> {
+    Arc::new(compile(SUBJECT, &FrontendOptions::default()).unwrap())
 }
 
 fn rtval_strategy() -> impl Strategy<Value = RtVal> {
@@ -57,7 +58,7 @@ proptest! {
         threads in opt(0u32..65),
     ) {
         let m = module();
-        let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+        let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
         // Keep hostile launches cheap: wild pointers can send loop
         // bounds to the billions, which only the budget should stop.
         dev.set_max_insts(50_000);
@@ -77,7 +78,7 @@ proptest! {
         jobs in 1u32..5,
     ) {
         let m = module();
-        let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+        let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
         dev.set_fault_plan(FaultPlan {
             shared_stack_limit: stack,
             fail_alloc_after: allocs,
@@ -89,7 +90,7 @@ proptest! {
         dev.set_jobs(jobs);
         let out = dev.alloc_f64(&[0.0; 16]).unwrap();
         let dims = LaunchDims { teams: Some(4), threads: Some(4) };
-        let _ = dev.launch_checked("kern", &[RtVal::Ptr(out), RtVal::I64(4)], dims);
+        let _ = dev.launch("kern", &[RtVal::Ptr(out), RtVal::I64(4)], dims);
         // The device stays usable after whatever the plan injected.
         dev.set_fault_plan(FaultPlan::default());
         dev.set_max_insts(1_000_000);

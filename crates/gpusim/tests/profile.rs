@@ -3,22 +3,23 @@
 //! across worker-thread counts, and well-formed trace artifacts.
 
 use omp_frontend::{compile, FrontendOptions, GlobalizationScheme};
-use omp_gpusim::{Device, DeviceConfig, LaunchDims, LaunchProfile, ProfileMode, RtVal};
+use omp_gpusim::{Device, DeviceConfig, Launch, LaunchDims, LaunchProfile, ProfileMode, RtVal};
+use std::sync::Arc;
 
-fn build(src: &str) -> omp_ir::Module {
+fn build(src: &str) -> Arc<omp_ir::Module> {
     let m = compile(src, &FrontendOptions::default()).unwrap();
     omp_ir::verifier::assert_valid(&m);
-    m
+    Arc::new(m)
 }
 
-fn build_legacy(src: &str) -> omp_ir::Module {
+fn build_legacy(src: &str) -> Arc<omp_ir::Module> {
     let opts = FrontendOptions {
         globalization: GlobalizationScheme::Legacy,
         ..FrontendOptions::default()
     };
     let m = compile(src, &opts).unwrap();
     omp_ir::verifier::assert_valid(&m);
-    m
+    Arc::new(m)
 }
 
 fn dims(teams: u32, threads: u32) -> LaunchDims {
@@ -49,12 +50,12 @@ void work(double* a, double* b, long n) {
 /// Launches `GENERIC_SRC` on a fresh device and returns what the caller
 /// wants to compare.
 fn launch_generic(
-    m: &omp_ir::Module,
+    m: &Arc<omp_ir::Module>,
     mode: ProfileMode,
     jobs: u32,
 ) -> (omp_gpusim::KernelStats, Option<LaunchProfile>, Vec<f64>) {
     let mut dev = Device::new(
-        m,
+        Arc::clone(m),
         DeviceConfig {
             num_sms: 4,
             ..DeviceConfig::default()
@@ -68,8 +69,8 @@ fn launch_generic(
     let b: Vec<f64> = (0..n).map(|i| (i * 3) as f64).collect();
     let ab = dev.alloc_f64(&a).unwrap();
     let bb = dev.alloc_f64(&b).unwrap();
-    let (stats, profile) = dev
-        .launch_profiled(
+    let Launch { stats, profile, .. } = dev
+        .launch(
             "work",
             &[RtVal::Ptr(ab), RtVal::Ptr(bb), RtVal::I64(n as i64)],
             dims(6, 8),
@@ -179,11 +180,11 @@ void share(long* out, long n) {
 }
 "#,
     );
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     dev.set_profile(ProfileMode::On);
     let out = dev.alloc_i64(&[0; 8]).unwrap();
-    let (stats, profile) = dev
-        .launch_profiled("share", &[RtVal::Ptr(out), RtVal::I64(8)], dims(2, 4))
+    let Launch { stats, profile, .. } = dev
+        .launch("share", &[RtVal::Ptr(out), RtVal::I64(8)], dims(2, 4))
         .unwrap();
     let p = profile.unwrap();
     assert!(stats.globalization_allocs > 0, "legacy scheme globalizes");

@@ -7,7 +7,7 @@
 
 use omp_frontend::{compile, FrontendOptions};
 use omp_gpusim::mem::global_addr;
-use omp_gpusim::{Device, DeviceConfig, LaunchDims, OwnedDevice, RtVal, StatsSnapshot};
+use omp_gpusim::{Device, DeviceConfig, LaunchDims, RtVal, StatsSnapshot};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -37,18 +37,19 @@ fn run_once(dev: &mut Device) -> (u64, Vec<f64>, StatsSnapshot) {
                 threads: Some(4),
             },
         )
-        .unwrap();
+        .unwrap()
+        .stats;
     let out = dev.read_f64(buf, 64).unwrap();
     (buf, out, stats.snapshot())
 }
 
 #[test]
 fn reset_restores_fresh_device_state() {
-    let module = compile(SRC, &FrontendOptions::default()).unwrap();
-    let mut fresh = Device::new(&module, DeviceConfig::default()).unwrap();
+    let module = Arc::new(compile(SRC, &FrontendOptions::default()).unwrap());
+    let mut fresh = Device::new(Arc::clone(&module), DeviceConfig::default()).unwrap();
     let cold = run_once(&mut fresh);
 
-    let mut reused = Device::new(&module, DeviceConfig::default()).unwrap();
+    let mut reused = Device::new(Arc::clone(&module), DeviceConfig::default()).unwrap();
     // Dirty the device: extra allocations shift the bump cursor, a
     // launch leaves high-water marks and global-memory contents behind.
     let _scratch = reused.alloc_f64(&[9.0; 128]).unwrap();
@@ -70,13 +71,18 @@ fn reset_restores_fresh_device_state() {
     );
 }
 
+/// A device owns its module, so it outlives the scope that built the
+/// module — the shape of a cache entry — and still resets.
 #[test]
 fn reset_applies_to_owned_devices_too() {
-    let module = Arc::new(compile(SRC, &FrontendOptions::default()).unwrap());
-    let mut owned = OwnedDevice::new(Arc::clone(&module), DeviceConfig::default()).unwrap();
-    let first = owned.with(run_once);
-    owned.with(|d| d.reset());
-    let second = owned.with(run_once);
+    let mut dev = {
+        let module = Arc::new(compile(SRC, &FrontendOptions::default()).unwrap());
+        Device::new(module, DeviceConfig::default()).unwrap()
+    };
+    let first = run_once(&mut dev);
+    assert_eq!(first.1[10], 3.0 * 2.0 + 2.0);
+    dev.reset();
+    let second = run_once(&mut dev);
     assert_eq!(first.0, second.0);
     assert_eq!(first.2, second.2);
     assert_eq!(
@@ -86,7 +92,7 @@ fn reset_applies_to_owned_devices_too() {
 }
 
 /// A two-node `nowait` chain over one buffer: a multi-node plan, which
-/// commits through the stream executor's merge, not `Device::launch`'s.
+/// commits one node after the other.
 const CHAIN_SRC: &str = r#"
 void chain(double* a, long n) {
   #pragma omp target teams distribute parallel for nowait depend(inout: a) num_teams(2) thread_limit(8)
@@ -99,7 +105,7 @@ void chain(double* a, long n) {
 /// `scale_add` and `chain` in one module, plus an initialized
 /// global-space global (placed at arena offset 0) so a fresh arena is
 /// not all zeros and reset has an initializer to re-apply.
-fn arena_module() -> omp_ir::Module {
+fn arena_module() -> Arc<omp_ir::Module> {
     let mut m = compile(&format!("{SRC}{CHAIN_SRC}"), &FrontendOptions::default()).unwrap();
     m.add_global(omp_ir::Global {
         name: "seed".into(),
@@ -109,7 +115,7 @@ fn arena_module() -> omp_ir::Module {
         init: Some((1..=16).collect()),
         is_const: false,
     });
-    m
+    Arc::new(m)
 }
 
 /// Every byte of `[0, global_mem_bytes + global_heap_bytes)`.
@@ -127,8 +133,8 @@ struct Fresh {
 }
 
 impl Fresh {
-    fn of(module: &omp_ir::Module, cfg: DeviceConfig) -> Fresh {
-        let mut dev = Device::new(module, cfg).unwrap();
+    fn of(module: &Arc<omp_ir::Module>, cfg: DeviceConfig) -> Fresh {
+        let mut dev = Device::new(Arc::clone(module), cfg).unwrap();
         Fresh {
             arena: arena(&mut dev),
             first_alloc: dev.alloc(8).unwrap(),
@@ -178,7 +184,7 @@ fn reset_restores_the_whole_arena() {
 
     // One device through every scenario: a byte any reset misses also
     // fails every later check.
-    let mut dev = Device::new(&module, cfg).unwrap();
+    let mut dev = Device::new(Arc::clone(&module), cfg).unwrap();
     let dev = &mut dev;
 
     dev.write_f64(global_addr(heap_base - 8), &[f64::MAX])
@@ -211,9 +217,9 @@ fn reset_restores_the_whole_arena() {
     let dims = LaunchDims::default();
     let buf = dev.alloc_f64(&[1.5; 64]).unwrap();
     let args = [RtVal::Ptr(buf), RtVal::I64(64)];
-    dev.launch_plan("chain", &args, dims).unwrap();
+    dev.launch("chain", &args, dims).unwrap();
     assert_eq!(dev.read_f64(buf, 64).unwrap(), vec![5.0; 64]);
-    fresh.check_reset(dev, "a multi-node launch_plan");
+    fresh.check_reset(dev, "a multi-node launch");
 
     let buf = dev.alloc_f64(&[1.5; 64]).unwrap();
     let args = [RtVal::Ptr(buf), RtVal::I64(64)];
@@ -233,7 +239,7 @@ fn reset_restores_the_whole_arena() {
 #[test]
 fn reset_opens_a_span_under_the_callers() {
     let module = arena_module();
-    let mut dev = Device::new(&module, small_cfg()).unwrap();
+    let mut dev = Device::new(Arc::clone(&module), small_cfg()).unwrap();
     omp_telemetry::set_enabled(true);
     {
         let _request = omp_telemetry::span("reset-test-request", "test");
@@ -307,7 +313,7 @@ proptest! {
         let module = arena_module();
         let fresh = Fresh::of(&module, small_cfg());
 
-        let mut dev = Device::new(&module, small_cfg()).unwrap();
+        let mut dev = Device::new(Arc::clone(&module), small_cfg()).unwrap();
         dev.set_jobs(jobs);
         for op in &ops {
             // Errors (exhausted arena, blown budget) are part of the
@@ -330,7 +336,7 @@ proptest! {
                         let graph = dev.capture_graph("chain", &args, dims).unwrap();
                         dev.replay_graph(&graph).unwrap();
                     } else {
-                        dev.launch_plan("chain", &args, dims).unwrap();
+                        dev.launch("chain", &args, dims).unwrap();
                     }
                 }
                 Op::Reset => dev.reset(),

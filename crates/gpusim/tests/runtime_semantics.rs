@@ -4,11 +4,12 @@
 
 use omp_frontend::{compile, FrontendOptions};
 use omp_gpusim::{Device, DeviceConfig, LaunchDims, RtVal, SimErrorKind};
+use std::sync::Arc;
 
-fn build(src: &str) -> omp_ir::Module {
+fn build(src: &str) -> Arc<omp_ir::Module> {
     let m = compile(src, &FrontendOptions::default()).unwrap();
     omp_ir::verifier::assert_valid(&m);
-    m
+    Arc::new(m)
 }
 
 fn dims(teams: u32, threads: u32) -> LaunchDims {
@@ -34,7 +35,7 @@ void ids(long* tid, long* team, long* nthreads, long* nteams, long n) {
 }
 "#,
     );
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     let n = 8usize;
     let bufs: Vec<u64> = (0..4)
         .map(|_| dev.alloc_i64(&vec![-1; n]).unwrap())
@@ -74,7 +75,7 @@ void narrow(long* count, long nthreads) {
 }
 "#,
     );
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     let out = dev.alloc_i64(&[-1; 8]).unwrap();
     dev.launch("narrow", &[RtVal::Ptr(out), RtVal::I64(8)], dims(1, 8))
         .unwrap();
@@ -104,7 +105,7 @@ void nest(long* out, long n) {
 }
 "#,
     );
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     let out = dev.alloc_i64(&[-1; 8]).unwrap();
     dev.launch("nest", &[RtVal::Ptr(out), RtVal::I64(8)], dims(1, 4))
         .unwrap();
@@ -132,7 +133,7 @@ void bad(long* out, long n) {
 }
 "#,
     );
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     let out = dev.alloc_i64(&[0; 4]).unwrap();
     let err = dev
         .launch("bad", &[RtVal::Ptr(out), RtVal::I64(4)], dims(1, 4))
@@ -160,7 +161,7 @@ void spin(long* out) {
         max_insts_per_thread: 10_000,
         ..DeviceConfig::default()
     };
-    let mut dev = Device::new(&m, cfg).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), cfg).unwrap();
     let out = dev.alloc_i64(&[0]).unwrap();
     let err = dev
         .launch("spin", &[RtVal::Ptr(out)], dims(1, 2))
@@ -191,7 +192,7 @@ long probe_lane();
     // by renaming the declarations to the runtime symbols is not
     // possible from source, so this test exercises the trap path for
     // unresolved externals instead.
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     let w = dev.alloc_i64(&vec![0; 64]).unwrap();
     let l = dev.alloc_i64(&vec![0; 64]).unwrap();
     let err = dev
@@ -221,7 +222,7 @@ void nested_barrier(long* out, long n) {
 }
 "#,
     );
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     let out = dev.alloc_i64(&[0; 4]).unwrap();
     dev.launch(
         "nested_barrier",
@@ -248,11 +249,12 @@ void counted(double* a, long n) {
 }
 "#,
     );
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     let a = dev.alloc_f64(&[0.0; 16]).unwrap();
     let stats = dev
         .launch("counted", &[RtVal::Ptr(a), RtVal::I64(4)], dims(1, 4))
-        .unwrap();
+        .unwrap()
+        .stats;
     // 4 distribute iterations, one generic dispatch each.
     assert_eq!(stats.parallel_regions, 4);
     assert_eq!(stats.rtl_count("__kmpc_parallel_51"), 4);

@@ -5,13 +5,16 @@
 //! leave launches byte-identical to a device that never sanitized.
 
 use omp_frontend::{compile, FrontendOptions};
-use omp_gpusim::{Device, DeviceConfig, FindingKind, LaunchDims, RtVal, SanitizeMode, Severity};
+use omp_gpusim::{
+    Device, DeviceConfig, FindingKind, Launch, LaunchDims, RtVal, SanitizeMode, Severity,
+};
 use omp_ir::{Builder, ExecMode, Function, KernelInfo, Module, RtlFn, Type, Value};
+use std::sync::Arc;
 
-fn build(src: &str) -> Module {
+fn build(src: &str) -> Arc<Module> {
     let m = compile(src, &FrontendOptions::default()).unwrap();
     omp_ir::verifier::assert_valid(&m);
-    m
+    Arc::new(m)
 }
 
 fn dims(teams: u32, threads: u32) -> LaunchDims {
@@ -34,11 +37,11 @@ void racy(long* out, long n) {
 #[test]
 fn write_write_race_is_detected_with_provenance() {
     let m = build(RACY);
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     dev.set_sanitize(SanitizeMode::On);
     let out = dev.alloc_i64(&[0; 4]).unwrap();
-    let (_, findings) = dev
-        .launch_checked("racy", &[RtVal::Ptr(out), RtVal::I64(4)], dims(1, 4))
+    let Launch { findings, .. } = dev
+        .launch("racy", &[RtVal::Ptr(out), RtVal::I64(4)], dims(1, 4))
         .unwrap();
     let race = findings
         .iter()
@@ -67,11 +70,11 @@ void sync(long* out, long n) {
 }
 "#,
     );
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     dev.set_sanitize(SanitizeMode::On);
     let out = dev.alloc_i64(&[0; 8]).unwrap();
-    let (_, findings) = dev
-        .launch_checked("sync", &[RtVal::Ptr(out), RtVal::I64(8)], dims(1, 4))
+    let Launch { findings, .. } = dev
+        .launch("sync", &[RtVal::Ptr(out), RtVal::I64(8)], dims(1, 4))
         .unwrap();
     assert!(findings.is_empty(), "false positives: {findings:?}");
     assert_eq!(dev.read_i64(out, 4).unwrap(), vec![9; 4]);
@@ -96,11 +99,11 @@ void divb(long* out, long n) {
 }
 "#,
     );
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     dev.set_sanitize(SanitizeMode::On);
     let out = dev.alloc_i64(&[0; 8]).unwrap();
-    let (_, findings) = dev
-        .launch_checked("divb", &[RtVal::Ptr(out), RtVal::I64(8)], dims(1, 4))
+    let Launch { findings, .. } = dev
+        .launch("divb", &[RtVal::Ptr(out), RtVal::I64(8)], dims(1, 4))
         .unwrap();
     let div = findings
         .iter()
@@ -114,7 +117,7 @@ void divb(long* out, long n) {
 /// Hand-built kernel: read a `__kmpc_alloc_shared` allocation before
 /// any write (uninit read), then free it and store through the dangling
 /// pointer (use-after-free).
-fn memory_state_kernel() -> Module {
+fn memory_state_kernel() -> Arc<Module> {
     let mut m = Module::new("t");
     let f = m.add_function(Function::definition("mem", vec![Type::Ptr], Type::Void));
     {
@@ -135,18 +138,16 @@ fn memory_state_kernel() -> Module {
         launch: Default::default(),
     });
     omp_ir::verifier::assert_valid(&m);
-    m
+    Arc::new(m)
 }
 
 #[test]
 fn uninit_read_and_use_after_free_are_detected() {
     let m = memory_state_kernel();
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     dev.set_sanitize(SanitizeMode::On);
     let out = dev.alloc_i64(&[0]).unwrap();
-    let (_, findings) = dev
-        .launch_checked("mem", &[RtVal::Ptr(out)], dims(1, 1))
-        .unwrap();
+    let Launch { findings, .. } = dev.launch("mem", &[RtVal::Ptr(out)], dims(1, 1)).unwrap();
     assert!(
         findings.iter().any(|f| f.kind == FindingKind::UninitRead),
         "uninit read not detected: {findings:?}"
@@ -166,12 +167,12 @@ fn findings_are_bit_identical_across_worker_thread_counts() {
     let m = build(RACY);
     let mut reference = None;
     for jobs in [1u32, 2, 4] {
-        let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+        let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
         dev.set_sanitize(SanitizeMode::On);
         dev.set_jobs(jobs);
         let out = dev.alloc_i64(&[0; 8]).unwrap();
-        let (_, findings) = dev
-            .launch_checked("racy", &[RtVal::Ptr(out), RtVal::I64(8)], dims(4, 4))
+        let Launch { findings, .. } = dev
+            .launch("racy", &[RtVal::Ptr(out), RtVal::I64(8)], dims(4, 4))
             .unwrap();
         assert!(!findings.is_empty());
         match &reference {
@@ -185,17 +186,20 @@ fn findings_are_bit_identical_across_worker_thread_counts() {
 fn off_mode_is_byte_identical_and_returns_no_findings() {
     let m = build(RACY);
     // A device that never heard of the sanitizer.
-    let mut plain = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut plain = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     let out1 = plain.alloc_i64(&[0; 4]).unwrap();
     let base = plain
         .launch("racy", &[RtVal::Ptr(out1), RtVal::I64(4)], dims(1, 4))
-        .unwrap();
+        .unwrap()
+        .stats;
     // A device with the sanitizer explicitly Off.
-    let mut off = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut off = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     off.set_sanitize(SanitizeMode::Off);
     let out2 = off.alloc_i64(&[0; 4]).unwrap();
-    let (stats, findings) = off
-        .launch_checked("racy", &[RtVal::Ptr(out2), RtVal::I64(4)], dims(1, 4))
+    let Launch {
+        stats, findings, ..
+    } = off
+        .launch("racy", &[RtVal::Ptr(out2), RtVal::I64(4)], dims(1, 4))
         .unwrap();
     assert!(findings.is_empty());
     assert_eq!(base.snapshot(), stats.snapshot());
@@ -204,11 +208,13 @@ fn off_mode_is_byte_identical_and_returns_no_findings() {
         off.read_i64(out2, 4).unwrap()
     );
     // Sanitizing must observe, never perturb: stats identical under On.
-    let mut on = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut on = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     on.set_sanitize(SanitizeMode::On);
     let out3 = on.alloc_i64(&[0; 4]).unwrap();
-    let (stats_on, _) = on
-        .launch_checked("racy", &[RtVal::Ptr(out3), RtVal::I64(4)], dims(1, 4))
+    let Launch {
+        stats: stats_on, ..
+    } = on
+        .launch("racy", &[RtVal::Ptr(out3), RtVal::I64(4)], dims(1, 4))
         .unwrap();
     // ... on the tier the plain launch ran, nothing normalised (the
     // superinstruction counters included).
@@ -218,11 +224,11 @@ fn off_mode_is_byte_identical_and_returns_no_findings() {
 #[test]
 fn findings_serialize_to_valid_json() {
     let m = build(RACY);
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     dev.set_sanitize(SanitizeMode::On);
     let out = dev.alloc_i64(&[0; 4]).unwrap();
-    let (_, findings) = dev
-        .launch_checked("racy", &[RtVal::Ptr(out), RtVal::I64(4)], dims(1, 4))
+    let Launch { findings, .. } = dev
+        .launch("racy", &[RtVal::Ptr(out), RtVal::I64(4)], dims(1, 4))
         .unwrap();
     let json = omp_gpusim::findings_to_json(&findings);
     omp_json::validate(&json).unwrap();

@@ -5,9 +5,10 @@
 
 use omp_frontend::{compile, FrontendOptions};
 use omp_gpusim::{
-    Device, DeviceConfig, FaultPlan, FindingKind, LaunchDims, ProfileMode, RtVal, SanitizeMode,
-    StatsSnapshot, Tier,
+    Device, DeviceConfig, FaultPlan, FindingKind, Launch, LaunchDims, ProfileMode, RtVal,
+    SanitizeMode, StatsSnapshot, Tier,
 };
+use std::sync::Arc;
 
 /// Producer/producer/consumer: the first two targets are independent
 /// (`nowait`, disjoint `depend(out)`), the third waits on both.
@@ -89,15 +90,15 @@ void chain(double* a, long n) {
 
 const N: usize = 64;
 
-fn compile_src(src: &str) -> omp_ir::Module {
-    compile(src, &FrontendOptions::default()).expect("source compiles")
+fn compile_src(src: &str) -> Arc<omp_ir::Module> {
+    Arc::new(compile(src, &FrontendOptions::default()).expect("source compiles"))
 }
 
 /// Runs the pipeline plan under one configuration and returns the
 /// output buffer bits plus the stats snapshot.
 fn run_pipeline(src: &str, jobs: u32, tier: Tier, replay: bool) -> (Vec<u64>, StatsSnapshot) {
     let module = compile_src(src);
-    let mut dev = Device::new(&module, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&module), DeviceConfig::default()).unwrap();
     dev.set_jobs(jobs);
     dev.set_tier(tier);
     let a = dev.alloc_f64(&[0.0; N]).unwrap();
@@ -115,8 +116,9 @@ fn run_pipeline(src: &str, jobs: u32, tier: Tier, replay: bool) -> (Vec<u64>, St
             .unwrap();
         dev.replay_graph(&graph).unwrap()
     } else {
-        dev.launch_plan("pipeline", &args, LaunchDims::default())
+        dev.launch("pipeline", &args, LaunchDims::default())
             .unwrap()
+            .stats
     };
     let out = dev.read_f64(c, N).unwrap();
     (out.iter().map(|v| v.to_bits()).collect(), stats.snapshot())
@@ -130,7 +132,7 @@ fn multi_target_function_lowers_to_one_plan() {
         .kernels
         .iter()
         .all(|k| k.source_name == "pipeline" && k.launch.nowait));
-    let dev = Device::new(&module, DeviceConfig::default()).unwrap();
+    let dev = Device::new(Arc::clone(&module), DeviceConfig::default()).unwrap();
     let args = [RtVal::Ptr(0), RtVal::Ptr(0), RtVal::Ptr(0), RtVal::I64(0)];
     let plan = dev
         .resolve_plan("pipeline", &args, LaunchDims::default())
@@ -148,7 +150,7 @@ fn multi_target_function_lowers_to_one_plan() {
 #[test]
 fn producer_consumer_plan_computes_and_overlaps() {
     let module = compile_src(PIPELINE_SRC);
-    let mut dev = Device::new(&module, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&module), DeviceConfig::default()).unwrap();
     let a = dev.alloc_f64(&[0.0; N]).unwrap();
     let b = dev.alloc_f64(&[0.0; N]).unwrap();
     let c = dev.alloc_f64(&[0.0; N]).unwrap();
@@ -159,8 +161,9 @@ fn producer_consumer_plan_computes_and_overlaps() {
         RtVal::I64(N as i64),
     ];
     let stats = dev
-        .launch_plan("pipeline", &args, LaunchDims::default())
-        .unwrap();
+        .launch("pipeline", &args, LaunchDims::default())
+        .unwrap()
+        .stats;
     let out = dev.read_f64(c, N).unwrap();
     for (i, &v) in out.iter().enumerate() {
         assert_eq!(v, (i as f64 + 1.0) + i as f64 * 2.0, "c[{i}]");
@@ -177,7 +180,7 @@ fn producer_consumer_plan_computes_and_overlaps() {
             } else {
                 format!("__omp_offloading_pipeline.{k}")
             };
-            let mut d2 = Device::new(&module, DeviceConfig::default()).unwrap();
+            let mut d2 = Device::new(Arc::clone(&module), DeviceConfig::default()).unwrap();
             let a = d2.alloc_f64(&[0.0; N]).unwrap();
             let b = d2.alloc_f64(&[0.0; N]).unwrap();
             let c = d2.alloc_f64(&[0.0; N]).unwrap();
@@ -192,6 +195,7 @@ fn producer_consumer_plan_computes_and_overlaps() {
                 LaunchDims::default(),
             )
             .unwrap()
+            .stats
             .cycles
         })
         .collect();
@@ -199,6 +203,82 @@ fn producer_consumer_plan_computes_and_overlaps() {
     assert!(stats.cycles < serial, "{} !< {serial}", stats.cycles);
     // ... but never cheaper than its critical path.
     assert!(stats.cycles >= node_cycles[0].max(node_cycles[1]) + node_cycles[2]);
+}
+
+/// Launching a source name runs every kernel of its plan, in order: the
+/// same bytes as launching the three device functions one by one, and
+/// the same statistics as a replay of the captured plan.
+#[test]
+fn launching_a_source_name_runs_its_whole_plan() {
+    let module = compile_src(PIPELINE_SRC);
+    let buffers =
+        |dev: &mut Device| -> [u64; 3] { [0; 3].map(|_| dev.alloc_f64(&[0.0; N]).unwrap()) };
+    let args = |[a, b, c]: [u64; 3]| {
+        [
+            RtVal::Ptr(a),
+            RtVal::Ptr(b),
+            RtVal::Ptr(c),
+            RtVal::I64(N as i64),
+        ]
+    };
+    let read = |dev: &mut Device, bufs: [u64; 3]| bufs.map(|p| dev.read_f64(p, N).unwrap());
+
+    let mut dev = Device::new(Arc::clone(&module), DeviceConfig::default()).unwrap();
+    let bufs = buffers(&mut dev);
+    let plan = dev
+        .launch("pipeline", &args(bufs), LaunchDims::default())
+        .unwrap()
+        .stats;
+    assert_eq!(plan.team_cycles.len(), 6, "all three nodes ran");
+
+    let mut nodes = Device::new(Arc::clone(&module), DeviceConfig::default()).unwrap();
+    let node_bufs = buffers(&mut nodes);
+    let mut instructions = 0;
+    for kernel in &module.kernels {
+        let name = &module.func(kernel.func).name;
+        let node = nodes
+            .launch(name, &args(node_bufs), LaunchDims::default())
+            .unwrap()
+            .stats;
+        instructions += node.instructions;
+    }
+    assert_eq!(read(&mut dev, bufs), read(&mut nodes, node_bufs));
+    assert_eq!(plan.instructions, instructions);
+
+    let mut replayed = Device::new(Arc::clone(&module), DeviceConfig::default()).unwrap();
+    let replay_bufs = buffers(&mut replayed);
+    let graph = replayed
+        .capture_graph("pipeline", &args(replay_bufs), LaunchDims::default())
+        .unwrap();
+    let replay = replayed.replay_graph(&graph).unwrap();
+    assert_eq!(plan.snapshot(), replay.snapshot());
+    assert_eq!(read(&mut dev, bufs), read(&mut replayed, replay_bufs));
+}
+
+/// Launching one device function of a multi-kernel plan runs that node
+/// alone.
+#[test]
+fn launching_a_device_function_runs_one_node() {
+    let module = compile_src(PIPELINE_SRC);
+    let mut dev = Device::new(module, DeviceConfig::default()).unwrap();
+    let a = dev.alloc_f64(&[0.0; N]).unwrap();
+    let b = dev.alloc_f64(&[0.0; N]).unwrap();
+    let c = dev.alloc_f64(&[0.0; N]).unwrap();
+    let args = [
+        RtVal::Ptr(a),
+        RtVal::Ptr(b),
+        RtVal::Ptr(c),
+        RtVal::I64(N as i64),
+    ];
+    let stats = dev
+        .launch("__omp_offloading_pipeline.1", &args, LaunchDims::default())
+        .unwrap()
+        .stats;
+    assert_eq!(stats.team_cycles.len(), 2, "one node of two teams");
+    let expect: Vec<f64> = (0..N).map(|i| i as f64 * 2.0).collect();
+    assert_eq!(dev.read_f64(b, N).unwrap(), expect);
+    assert_eq!(dev.read_f64(a, N).unwrap(), vec![0.0; N]);
+    assert_eq!(dev.read_f64(c, N).unwrap(), vec![0.0; N]);
 }
 
 #[test]
@@ -241,7 +321,7 @@ fn taskgraph_region_replays_bit_identically() {
     assert_eq!(out_eager, out_replay);
     assert_eq!(snap_eager, snap_replay);
     // Replaying the same captured graph repeatedly is idempotent.
-    let mut dev = Device::new(&module, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&module), DeviceConfig::default()).unwrap();
     dev.set_jobs(2);
     let a = dev.alloc_f64(&[0.0; N]).unwrap();
     let b = dev.alloc_f64(&[0.0; N]).unwrap();
@@ -263,6 +343,9 @@ fn taskgraph_region_replays_bit_identically() {
     assert_eq!(o1, o2);
 }
 
+/// A one-node plan is a single kernel launch: its profile has no stream
+/// spans, and a replay of its captured graph reports the same
+/// statistics and bytes.
 #[test]
 fn single_node_plan_is_exactly_a_plain_launch() {
     let src = r#"
@@ -272,28 +355,20 @@ void fill(double* a, long n) {
 }
 "#;
     let module = compile_src(src);
-    let mut d1 = Device::new(&module, DeviceConfig::default()).unwrap();
+    let mut d1 = Device::new(Arc::clone(&module), DeviceConfig::default()).unwrap();
+    d1.set_profile(ProfileMode::On);
     let a1 = d1.alloc_f64(&[0.0; N]).unwrap();
-    let s1 = d1
+    let launch = d1
         .launch(
             "fill",
             &[RtVal::Ptr(a1), RtVal::I64(N as i64)],
             LaunchDims::default(),
         )
         .unwrap();
-    let mut d2 = Device::new(&module, DeviceConfig::default()).unwrap();
-    let a2 = d2.alloc_f64(&[0.0; N]).unwrap();
-    let s2 = d2
-        .launch_plan(
-            "fill",
-            &[RtVal::Ptr(a2), RtVal::I64(N as i64)],
-            LaunchDims::default(),
-        )
-        .unwrap();
-    assert_eq!(s1.snapshot(), s2.snapshot());
-    assert_eq!(d1.read_f64(a1, N).unwrap(), d2.read_f64(a2, N).unwrap());
-    // A replayed single-node graph reports the same statistics too.
-    let mut d3 = Device::new(&module, DeviceConfig::default()).unwrap();
+    let profile = launch.profile.expect("profiling was enabled");
+    assert!(profile.streams.is_empty(), "{:?}", profile.streams);
+    assert_eq!(profile.cycles, launch.stats.cycles);
+    let mut d3 = Device::new(Arc::clone(&module), DeviceConfig::default()).unwrap();
     let a3 = d3.alloc_f64(&[0.0; N]).unwrap();
     let graph = d3
         .capture_graph(
@@ -303,7 +378,7 @@ void fill(double* a, long n) {
         )
         .unwrap();
     let s3 = d3.replay_graph(&graph).unwrap();
-    assert_eq!(s3.snapshot(), s1.snapshot());
+    assert_eq!(s3.snapshot(), launch.stats.snapshot());
     assert_eq!(d3.read_f64(a3, N).unwrap(), d1.read_f64(a1, N).unwrap());
 }
 
@@ -318,7 +393,7 @@ void chain(double* a, long n) {
 }
 "#;
     let module = compile_src(src);
-    let mut dev = Device::new(&module, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&module), DeviceConfig::default()).unwrap();
     let a = dev.alloc_f64(&[0.0; N]).unwrap();
     let args = [RtVal::Ptr(a), RtVal::I64(N as i64)];
     let plan = dev
@@ -326,21 +401,18 @@ void chain(double* a, long n) {
         .unwrap();
     assert_eq!(plan.nodes()[1].deps(), &[0]);
     assert_eq!(plan.num_streams(), 1);
-    dev.launch_plan("chain", &args, LaunchDims::default())
-        .unwrap();
+    dev.launch("chain", &args, LaunchDims::default()).unwrap();
     assert!(dev.read_f64(a, N).unwrap().iter().all(|&v| v == 2.0));
 }
 
 #[test]
 fn cross_kernel_race_is_detected_on_missing_depend_edge() {
     let module = compile_src(RACY_SRC);
-    let mut dev = Device::new(&module, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&module), DeviceConfig::default()).unwrap();
     dev.set_sanitize(SanitizeMode::On);
     let a = dev.alloc_f64(&[0.0; N]).unwrap();
     let args = [RtVal::Ptr(a), RtVal::I64(N as i64)];
-    let (_, findings) = dev
-        .launch_plan_checked("racy", &args, LaunchDims::default())
-        .unwrap();
+    let Launch { findings, .. } = dev.launch("racy", &args, LaunchDims::default()).unwrap();
     let races: Vec<_> = findings
         .iter()
         .filter(|f| f.kind == FindingKind::CrossKernelRace)
@@ -353,11 +425,14 @@ fn cross_kernel_race_is_detected_on_missing_depend_edge() {
     assert!(dev.read_f64(a, N).unwrap().iter().all(|&v| v == 2.0));
     // The depend-ordered variant is clean.
     let module2 = compile_src(ORDERED_SRC);
-    let mut dev3 = Device::new(&module2, DeviceConfig::default()).unwrap();
+    let mut dev3 = Device::new(Arc::clone(&module2), DeviceConfig::default()).unwrap();
     dev3.set_sanitize(SanitizeMode::On);
     let a3 = dev3.alloc_f64(&[0.0; N]).unwrap();
-    let (_, ordered_findings) = dev3
-        .launch_plan_checked(
+    let Launch {
+        findings: ordered_findings,
+        ..
+    } = dev3
+        .launch(
             "ordered",
             &[RtVal::Ptr(a3), RtVal::I64(N as i64)],
             LaunchDims::default(),
@@ -371,7 +446,7 @@ fn cross_kernel_race_is_detected_on_missing_depend_edge() {
 #[test]
 fn plan_profile_exposes_stream_tracks() {
     let module = compile_src(PIPELINE_SRC);
-    let mut dev = Device::new(&module, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&module), DeviceConfig::default()).unwrap();
     dev.set_profile(ProfileMode::On);
     let a = dev.alloc_f64(&[0.0; N]).unwrap();
     let b = dev.alloc_f64(&[0.0; N]).unwrap();
@@ -382,8 +457,8 @@ fn plan_profile_exposes_stream_tracks() {
         RtVal::Ptr(c),
         RtVal::I64(N as i64),
     ];
-    let (stats, profile) = dev
-        .launch_plan_profiled("pipeline", &args, LaunchDims::default())
+    let Launch { stats, profile, .. } = dev
+        .launch("pipeline", &args, LaunchDims::default())
         .unwrap();
     let profile = profile.expect("profiling was enabled");
     assert_eq!(profile.streams.len(), 3);
@@ -408,7 +483,7 @@ void fill(double* a, long n) {
 }
 "#;
     let module = compile_src(src);
-    let mut dev = Device::new(&module, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&module), DeviceConfig::default()).unwrap();
     dev.set_tier(Tier::Compiled);
     let a = dev.alloc_f64(&[0.0; N]).unwrap();
     let stats = dev
@@ -417,7 +492,8 @@ void fill(double* a, long n) {
             &[RtVal::Ptr(a), RtVal::I64(N as i64)],
             LaunchDims::default(),
         )
-        .unwrap();
+        .unwrap()
+        .stats;
     let si = stats.snapshot().superinstructions;
     assert!(
         si.iter().sum::<u64>() > 0,
@@ -425,7 +501,7 @@ void fill(double* a, long n) {
     );
     assert!(si[1] > 0, "a[i] = a[i] + 1.0 should fuse load+bin+store");
     // The interpreter tier executes no compiled steps.
-    let mut d0 = Device::new(&module, DeviceConfig::default()).unwrap();
+    let mut d0 = Device::new(Arc::clone(&module), DeviceConfig::default()).unwrap();
     d0.set_tier(Tier::Interp);
     let a0 = d0.alloc_f64(&[0.0; N]).unwrap();
     let s0 = d0
@@ -434,7 +510,8 @@ void fill(double* a, long n) {
             &[RtVal::Ptr(a0), RtVal::I64(N as i64)],
             LaunchDims::default(),
         )
-        .unwrap();
+        .unwrap()
+        .stats;
     assert_eq!(s0.snapshot().superinstructions, [0; 4]);
 }
 
@@ -463,7 +540,7 @@ void chain(double* a, long n) {
 }
 "#;
     let module = compile_src(src);
-    let mut dev = Device::new(&module, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&module), DeviceConfig::default()).unwrap();
     dev.set_jobs(4);
     dev.set_tier(Tier::Compiled);
     let a = dev.alloc_f64(&[0.0; 4]).unwrap();
@@ -474,13 +551,15 @@ void chain(double* a, long n) {
     let callers: [(&str, Caller); 3] = [
         ("replay", |d, g, _| d.replay_graph(g).unwrap().snapshot()),
         ("eager plan", |d, _, args| {
-            d.launch_plan("chain", args, LaunchDims::default())
+            d.launch("chain", args, LaunchDims::default())
                 .unwrap()
+                .stats
                 .snapshot()
         }),
         ("single launch", |d, _, args| {
             d.launch("__omp_offloading_chain", args, LaunchDims::default())
                 .unwrap()
+                .stats
                 .snapshot()
         }),
     ];
@@ -498,7 +577,7 @@ void chain(double* a, long n) {
 /// after the same device ran the plan again with the fault disarmed.
 fn run_faulty_chain(fault: &FaultPlan, jobs: u32, replay: bool) -> (String, Vec<u64>, Vec<u64>) {
     let module = compile_src(FAULTY_CHAIN_SRC);
-    let mut dev = Device::new(&module, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&module), DeviceConfig::default()).unwrap();
     dev.set_jobs(jobs);
     dev.set_fault_plan(fault.clone());
     let init: Vec<f64> = (0..N).map(|i| i as f64).collect();
@@ -509,7 +588,9 @@ fn run_faulty_chain(fault: &FaultPlan, jobs: u32, replay: bool) -> (String, Vec<
         .unwrap();
     let launch = |dev: &mut Device| match replay {
         true => dev.replay_graph(&graph),
-        false => dev.launch_plan("chain", &args, LaunchDims::default()),
+        false => dev
+            .launch("chain", &args, LaunchDims::default())
+            .map(|l| l.stats),
     };
     let bits = |dev: &mut Device| -> Vec<u64> {
         let out = dev.read_f64(a, N).unwrap();

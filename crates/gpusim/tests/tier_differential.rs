@@ -11,11 +11,12 @@
 
 use omp_frontend::{compile, FrontendOptions};
 use omp_gpusim::{
-    findings_to_json, Device, DeviceConfig, FaultPlan, KernelStats, LaunchDims, ProfileMode, RtVal,
-    SanitizeMode, SimError, StatsSnapshot, Tier,
+    findings_to_json, Device, DeviceConfig, FaultPlan, KernelStats, Launch, LaunchDims,
+    ProfileMode, RtVal, SanitizeMode, SimError, StatsSnapshot, Tier,
 };
 use omp_ir::{BinOp, Builder, CmpOp, ExecMode, Function, KernelInfo, Module, Type, Value};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A kernel mixing every fusion-eligible idiom: address-calc + load,
 /// load + arith + store, compare + branch, constant-operand
@@ -45,10 +46,10 @@ void nested(double* a, long n) {
 }
 "#;
 
-fn build(src: &str) -> Module {
+fn build(src: &str) -> Arc<Module> {
     let m = compile(src, &FrontendOptions::default()).unwrap();
     omp_ir::verifier::assert_valid(&m);
-    m
+    Arc::new(m)
 }
 
 /// Snapshot with the tier-dependent counters normalized away so the
@@ -66,7 +67,7 @@ fn norm(s: &KernelStats) -> StatsSnapshot {
 /// Returns the interpreter outcome for additional checks.
 #[allow(clippy::too_many_arguments)]
 fn assert_tiers_agree(
-    m: &Module,
+    m: &Arc<Module>,
     kernel: &str,
     init: &[f64],
     extra: &[RtVal],
@@ -77,7 +78,7 @@ fn assert_tiers_agree(
 ) -> Result<(Vec<f64>, KernelStats), String> {
     let run = |tier: Tier| {
         let mut dev = Device::new(
-            m,
+            Arc::clone(m),
             DeviceConfig {
                 num_sms,
                 ..DeviceConfig::default()
@@ -93,7 +94,7 @@ fn assert_tiers_agree(
         let mut args = vec![RtVal::Ptr(buf)];
         args.extend_from_slice(extra);
         match dev.launch(kernel, &args, dims) {
-            Ok(stats) => {
+            Ok(Launch { stats, .. }) => {
                 let out = dev.read_f64(buf, init.len()).unwrap();
                 let fused = stats.snapshot().superinstructions;
                 assert!(
@@ -150,7 +151,7 @@ proptest! {
         let dims = LaunchDims { teams: Some(teams), threads: Some(threads) };
         let run = |tier: Tier| {
             let mut dev = Device::new(
-                &m,
+                Arc::clone(&m),
                 DeviceConfig { num_sms, ..DeviceConfig::default() },
             )
             .unwrap();
@@ -160,7 +161,7 @@ proptest! {
             let bb = dev.alloc_f64(&b).unwrap();
             let stats = dev
                 .launch("mixed", &[RtVal::Ptr(ab), RtVal::Ptr(bb), RtVal::I64(n as i64)], dims)
-                .unwrap();
+                .unwrap().stats;
             (dev.read_f64(ab, n).unwrap(), stats)
         };
         let (oi, si) = run(Tier::Interp);
@@ -200,14 +201,14 @@ proptest! {
         let init: Vec<f64> = (0..n).map(|i| i as f64).collect();
         let dims = LaunchDims { teams: Some(2), threads: Some(8) };
         let run = |tier: Tier| {
-            let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+            let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
             dev.set_tier(tier);
             dev.set_max_insts(budget);
             let ab = dev.alloc_f64(&init).unwrap();
             let bb = dev.alloc_f64(&init).unwrap();
             dev.launch("mixed", &[RtVal::Ptr(ab), RtVal::Ptr(bb), RtVal::I64(n as i64)], dims)
-                .map(|s| {
-                    (dev.read_f64(ab, n).unwrap(), norm(&s), s.team_cycles.clone())
+                .map(|l| {
+                    (dev.read_f64(ab, n).unwrap(), norm(&l.stats), l.stats.team_cycles)
                 })
                 .map_err(|e| e.to_string())
         };
@@ -242,14 +243,15 @@ fn one_thread() -> LaunchDims {
 
 /// Runs a handwritten one-thread kernel under both tiers over an i64
 /// buffer and asserts outputs and statistics are bit-identical.
-fn assert_ir_tier_identical(m: &Module, kernel: &str, init: &[i64]) -> Vec<i64> {
+fn assert_ir_tier_identical(m: &Arc<Module>, kernel: &str, init: &[i64]) -> Vec<i64> {
     let run = |tier: Tier| {
-        let mut dev = Device::new(m, DeviceConfig::default()).unwrap();
+        let mut dev = Device::new(Arc::clone(m), DeviceConfig::default()).unwrap();
         dev.set_tier(tier);
         let buf = dev.alloc_i64(init).unwrap();
         let stats = dev
             .launch(kernel, &[RtVal::Ptr(buf)], one_thread())
-            .unwrap();
+            .unwrap()
+            .stats;
         (dev.read_i64(buf, init.len()).unwrap(), norm(&stats))
     };
     let (oi, si) = run(Tier::Interp);
@@ -275,7 +277,7 @@ fn gep_load_fusion_single_use() {
     }
     kernelize(&mut m, f, "k");
     omp_ir::verifier::assert_valid(&m);
-    let out = assert_ir_tier_identical(&m, "k", &[0, 11]);
+    let out = assert_ir_tier_identical(&Arc::new(m), "k", &[0, 11]);
     assert_eq!(out[0], 33);
 }
 
@@ -296,7 +298,7 @@ fn gep_load_fusion_multi_use_writes_intermediate() {
     }
     kernelize(&mut m, f, "k");
     omp_ir::verifier::assert_valid(&m);
-    let out = assert_ir_tier_identical(&m, "k", &[0, 11]);
+    let out = assert_ir_tier_identical(&Arc::new(m), "k", &[0, 11]);
     assert_eq!(out[1], 16);
 }
 
@@ -315,7 +317,7 @@ fn load_bin_store_fusion() {
     }
     kernelize(&mut m, f, "k");
     omp_ir::verifier::assert_valid(&m);
-    let out = assert_ir_tier_identical(&m, "k", &[7]);
+    let out = assert_ir_tier_identical(&Arc::new(m), "k", &[7]);
     assert_eq!(out[0], 107);
 }
 
@@ -351,18 +353,18 @@ fn cmp_branch_fusion_loop() {
     }
     kernelize(&mut m, f, "k");
     omp_ir::verifier::assert_valid(&m);
-    let out = assert_ir_tier_identical(&m, "k", &[0]);
+    let out = assert_ir_tier_identical(&Arc::new(m), "k", &[0]);
     assert_eq!(out[0], 55);
 }
 
 /// A one-thread kernel `k(ptr)` whose body `body` builds; the kernel is
 /// not verified, so it may be as malformed as a trap needs.
-fn handwritten_kernel(body: impl FnOnce(&mut Builder)) -> Module {
+fn handwritten_kernel(body: impl FnOnce(&mut Builder)) -> Arc<Module> {
     let mut m = Module::new("t");
     let f = m.add_function(Function::definition("k", vec![Type::Ptr], Type::Void));
     body(&mut Builder::at_entry(&mut m, f));
     kernelize(&mut m, f, "k");
-    m
+    Arc::new(m)
 }
 
 /// Runtime traps carry the same message and provenance on both tiers,
@@ -379,7 +381,7 @@ fn trap_diagnostics_are_tier_identical() {
         b.switch_to(here);
         v
     }
-    let rows: Vec<(&str, Module, &str)> = vec![
+    let rows: Vec<(&str, Arc<Module>, &str)> = vec![
         (
             "gep on a non-pointer inside a fused gep+load",
             handwritten_kernel(|b| {
@@ -517,7 +519,7 @@ fn trap_diagnostics_are_tier_identical() {
     ];
     for (what, m, expect) in &rows {
         for tier in [Tier::Interp, Tier::Compiled] {
-            let mut dev = Device::new(m, DeviceConfig::default()).unwrap();
+            let mut dev = Device::new(Arc::clone(m), DeviceConfig::default()).unwrap();
             dev.set_tier(tier);
             let buf = dev.alloc_i64(&[0]).unwrap();
             let err = dev
@@ -547,9 +549,9 @@ void pipe(double* a, double* b, double* c, long n) {
 
 /// Runs `PIPELINE_SRC` as a launch plan (eager or captured/replayed)
 /// and returns the consumer output bits plus normalized statistics.
-fn run_pipeline(m: &Module, tier: Tier, jobs: u32, replay: bool) -> (Vec<u64>, StatsSnapshot) {
+fn run_pipeline(m: &Arc<Module>, tier: Tier, jobs: u32, replay: bool) -> (Vec<u64>, StatsSnapshot) {
     let n = 48usize;
-    let mut dev = Device::new(m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(m), DeviceConfig::default()).unwrap();
     dev.set_tier(tier);
     dev.set_jobs(jobs);
     let a = dev.alloc_f64(&vec![0.0; n]).unwrap();
@@ -566,7 +568,7 @@ fn run_pipeline(m: &Module, tier: Tier, jobs: u32, replay: bool) -> (Vec<u64>, S
         let graph = dev.capture_graph("pipe", &args, dims).unwrap();
         dev.replay_graph(&graph).unwrap()
     } else {
-        dev.launch_plan("pipe", &args, dims).unwrap()
+        dev.launch("pipe", &args, dims).unwrap().stats
     };
     let bits: Vec<u64> = dev
         .read_f64(c, n)
@@ -665,13 +667,13 @@ proptest! {
 /// thread positions, findings gathered before it).
 type Observed = Result<(Vec<u64>, StatsSnapshot, Vec<u64>, Option<String>, String), SimError>;
 
-fn observe(m: &Module, kernel: &str, bufs: usize, len: usize, cfg: &DeviceConfig) -> Observed {
+fn observe(m: &Arc<Module>, kernel: &str, bufs: usize, len: usize, cfg: &DeviceConfig) -> Observed {
     let dims = LaunchDims {
         teams: Some(2),
         threads: Some(8),
     };
     let device = || {
-        let mut dev = Device::new(m, cfg.clone()).unwrap();
+        let mut dev = Device::new(Arc::clone(m), cfg.clone()).unwrap();
         let mut args: Vec<RtVal> = (0..bufs)
             .map(|_| RtVal::Ptr(dev.alloc_f64(&vec![0.0; len]).unwrap()))
             .collect();
@@ -682,10 +684,10 @@ fn observe(m: &Module, kernel: &str, bufs: usize, len: usize, cfg: &DeviceConfig
     // One launch hands back the profile, its twin the findings; both
     // run with every observer `cfg` enables.
     let (mut dev, buf, args) = device();
-    let (stats, profile) = dev.launch_profiled(kernel, &args, dims)?;
+    let Launch { stats, profile, .. } = dev.launch(kernel, &args, dims)?;
     let bits = dev.read_f64(buf, len).unwrap();
     let (mut dev, _, args) = device();
-    let (_, findings) = dev.launch_checked(kernel, &args, dims)?;
+    let Launch { findings, .. } = dev.launch(kernel, &args, dims)?;
     Ok((
         bits.into_iter().map(f64::to_bits).collect(),
         norm(&stats),
@@ -695,7 +697,13 @@ fn observe(m: &Module, kernel: &str, bufs: usize, len: usize, cfg: &DeviceConfig
     ))
 }
 
-fn assert_observed_alike(m: &Module, kernel: &str, bufs: usize, len: usize, cfg: DeviceConfig) {
+fn assert_observed_alike(
+    m: &Arc<Module>,
+    kernel: &str,
+    bufs: usize,
+    len: usize,
+    cfg: DeviceConfig,
+) {
     let [interp, compiled] = [Tier::Interp, Tier::Compiled].map(|tier| {
         let cfg = DeviceConfig {
             tier,
@@ -805,23 +813,27 @@ fn injected_traps_land_inside_fused_steps() {
     }
     kernelize(&mut m, f, "k");
     omp_ir::verifier::assert_valid(&m);
-    let run = |m: &Module, tier: Tier, trap: u64| {
+    let m = Arc::new(m);
+    let run = |m: &Arc<Module>, tier: Tier, trap: u64| {
         let mut cfg = DeviceConfig {
             tier,
             ..DeviceConfig::default()
         };
         cfg.fault.trap_at_inst = Some(trap);
-        let mut dev = Device::new(m, cfg).unwrap();
+        let mut dev = Device::new(Arc::clone(m), cfg).unwrap();
         let buf = dev.alloc_i64(&[7]).unwrap();
         dev.launch("k", &[RtVal::Ptr(buf)], one_thread())
-            .map(|s| (norm(&s), dev.read_i64(buf, 1).unwrap()))
+            .map(|l| (norm(&l.stats), dev.read_i64(buf, 1).unwrap()))
     };
     // The fusion this test is about really happens.
     let fused = run(&m, Tier::Compiled, 1_000).unwrap();
     assert_eq!(fused.1, [107]);
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     let buf = dev.alloc_i64(&[7]).unwrap();
-    let stats = dev.launch("k", &[RtVal::Ptr(buf)], one_thread()).unwrap();
+    let stats = dev
+        .launch("k", &[RtVal::Ptr(buf)], one_thread())
+        .unwrap()
+        .stats;
     assert_eq!((stats.fused_load_bin_store, stats.fused_cmp_br), (1, 1));
     // Instruction n of the thread is code entry n - 1 of the entry
     // block: 1 = load, 2 = add, 3 = store, 4 = compare, 5 = branch.
@@ -870,6 +882,7 @@ fn injected_traps_land_inside_fused_steps() {
     }
     kernelize(&mut m, f, "k");
     omp_ir::verifier::assert_valid(&m);
+    let m = Arc::new(m);
     assert_eq!(run(&m, Tier::Compiled, 1_000).unwrap().1, [13]);
     // Where dynamic instruction n traps: (function, block, code index).
     let positions = [

@@ -8,6 +8,7 @@ use omp_frontend::{compile, FrontendOptions, GlobalizationScheme};
 use omp_gpusim::{Device, DeviceConfig, LaunchDims, RtVal};
 use omp_ir::ExecMode;
 use omp_opt::OpenMpOptConfig;
+use std::sync::Arc;
 
 const FIG1_LIKE: &str = r#"
 static double compute(long seed) {
@@ -26,17 +27,17 @@ void kern(double* out, long nblocks, long nthreads) {
 }
 "#;
 
-fn compile_opt(src: &str, cfg: &OpenMpOptConfig) -> (omp_ir::Module, omp_opt::OptReport) {
+fn compile_opt(src: &str, cfg: &OpenMpOptConfig) -> (Arc<omp_ir::Module>, omp_opt::OptReport) {
     let mut m = compile(src, &FrontendOptions::default()).unwrap();
     omp_ir::verifier::assert_valid(&m);
     let report = omp_opt::run(&mut m, cfg);
     omp_ir::verifier::assert_valid(&m);
-    (m, report)
+    (Arc::new(m), report)
 }
 
-fn run_fig1(m: &omp_ir::Module) -> (Vec<f64>, omp_gpusim::KernelStats) {
+fn run_fig1(m: &Arc<omp_ir::Module>) -> (Vec<f64>, omp_gpusim::KernelStats) {
     let (nb, nt) = (6i64, 8i64);
-    let mut dev = Device::new(m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(m), DeviceConfig::default()).unwrap();
     let out = dev.alloc_f64(&vec![0.0; (nb * nt) as usize]).unwrap();
     let stats = dev
         .launch(
@@ -47,7 +48,8 @@ fn run_fig1(m: &omp_ir::Module) -> (Vec<f64>, omp_gpusim::KernelStats) {
                 threads: Some(8),
             },
         )
-        .unwrap();
+        .unwrap()
+        .stats;
     (dev.read_f64(out, (nb * nt) as usize).unwrap(), stats)
 }
 
@@ -109,7 +111,7 @@ fn all_configurations_compute_identical_results() {
     )
     .unwrap();
     omp_passes::run_pipeline(&mut m);
-    let (vals, _) = run_fig1(&m);
+    let (vals, _) = run_fig1(&Arc::new(m));
     assert_eq!(vals, reference, "legacy frontend changed results");
 }
 
@@ -230,7 +232,7 @@ void axpy(double* x, double* y, double a, long n) {
     let (m, report) = compile_opt(src, &OpenMpOptConfig::default());
     assert!(report.counts.folds_exec_mode >= 1, "{:?}", report.counts);
     assert!(report.counts.folds_launch_params >= 1);
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     let n = 64usize;
     let x = dev.alloc_f64(&vec![1.0; n]).unwrap();
     let y = dev.alloc_f64(&vec![2.0; n]).unwrap();
@@ -248,7 +250,8 @@ void axpy(double* x, double* y, double a, long n) {
                 threads: Some(32),
             },
         )
-        .unwrap();
+        .unwrap()
+        .stats;
     assert_eq!(dev.read_f64(y, n).unwrap(), vec![5.0; n]);
     assert_eq!(stats.indirect_calls, 0);
 }
@@ -272,7 +275,7 @@ void kern(long* counter, double* out, long nb, long nt) {
     assert_eq!(report.counts.spmdized, 1);
     assert!(report.counts.guard_regions >= 1);
     let (nb, nt) = (4i64, 8i64);
-    let mut dev = Device::new(&m, DeviceConfig::default()).unwrap();
+    let mut dev = Device::new(Arc::clone(&m), DeviceConfig::default()).unwrap();
     let counter = dev.alloc_i64(&vec![0; nb as usize]).unwrap();
     let out = dev.alloc_f64(&vec![0.0; (nb * nt) as usize]).unwrap();
     dev.launch(

@@ -6,6 +6,7 @@ use omp_frontend::{compile, FrontendOptions};
 use omp_gpusim::{Device, LaunchDims, RtVal};
 use omp_ir::ExecMode;
 use omp_opt::OpenMpOptConfig;
+use std::sync::Arc;
 
 const TWO_KERNELS: &str = r#"
 static double shared_helper(double v) {
@@ -56,7 +57,7 @@ fn shared_helper_blocks_mode_specific_folds() {
 fn both_kernels_execute_correctly_after_optimization() {
     let mut m = compile(TWO_KERNELS, &FrontendOptions::default()).unwrap();
     omp_opt::run(&mut m, &OpenMpOptConfig::default());
-    let mut dev = Device::new(&m, Default::default()).unwrap();
+    let mut dev = Device::new(Arc::new(m), Default::default()).unwrap();
     let n = 8usize;
     let a = dev.alloc_f64(&vec![0.0; n]).unwrap();
     let b = dev.alloc_f64(&vec![0.0; n]).unwrap();

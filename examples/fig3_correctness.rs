@@ -6,6 +6,7 @@
 //! Run with: `cargo run --release -p omp-gpu --example fig3_correctness`
 
 use omp_gpu::{compile, Device, FrontendOptions, LaunchDims, RtVal};
+use std::sync::Arc;
 
 const SRC: &str = r#"
 void share(double* out, long nthreads) {
@@ -23,7 +24,7 @@ void share(double* out, long nthreads) {
 fn main() {
     // Correct build: the frontend globalizes team_val.
     let m = compile(SRC, &FrontendOptions::default()).unwrap();
-    let mut dev = Device::new(&m, Default::default()).unwrap();
+    let mut dev = Device::new(Arc::new(m), Default::default()).unwrap();
     let out = dev.alloc_f64(&[0.0; 8]).unwrap();
     dev.launch(
         "share",
@@ -46,7 +47,7 @@ fn main() {
         ..FrontendOptions::default()
     };
     let m = compile(SRC, &opts).unwrap();
-    let mut dev = Device::new(&m, Default::default()).unwrap();
+    let mut dev = Device::new(Arc::new(m), Default::default()).unwrap();
     let out = dev.alloc_f64(&[0.0; 8]).unwrap();
     let err = dev
         .launch(

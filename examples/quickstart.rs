@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release -p omp-gpu --example quickstart`
 
 use omp_gpu::{pipeline, BuildConfig, Device, LaunchDims, RtVal};
+use std::sync::Arc;
 
 fn main() {
     // A classic CPU-style OpenMP pattern (the paper's Figure 1): a
@@ -29,7 +30,7 @@ void weighted_fill(double* out, long nblocks, long nthreads) {
     // OpenMP optimization pipeline.
     for config in [BuildConfig::NoOpenmpOpt, BuildConfig::LlvmDev] {
         let (module, report) = pipeline::build(source, config).expect("compile");
-        let mut dev = Device::new(&module, Default::default()).expect("device");
+        let mut dev = Device::new(Arc::new(module), Default::default()).expect("device");
         let (nb, nt) = (8i64, 16i64);
         let out = dev
             .alloc_f64(&vec![0.0; (nb * nt) as usize])
@@ -43,7 +44,8 @@ void weighted_fill(double* out, long nblocks, long nthreads) {
                     threads: Some(16),
                 },
             )
-            .expect("launch");
+            .expect("launch")
+            .stats;
         println!("== {} ==", config.label());
         println!("  kernel time : {} cycles", stats.cycles);
         println!("  registers   : {}", stats.registers);

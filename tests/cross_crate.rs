@@ -3,6 +3,7 @@
 //! GPU simulation.
 
 use omp_gpu::{all_proxies, pipeline, BuildConfig, Device, LaunchDims, RtVal, Scale};
+use std::sync::Arc;
 
 /// Every proxy module survives a print → parse → print round-trip at
 /// every stage (fresh from the frontend and after full optimization).
@@ -35,7 +36,7 @@ fn su3_imaginary_plane_is_correct() {
     use omp_benchmarks::ProxyApp;
     let app = Su3Bench::new(Scale::Small);
     let (m, _) = pipeline::build(&app.openmp_source(), BuildConfig::LlvmDev).unwrap();
-    let mut dev = Device::new(&m, app.device_config()).unwrap();
+    let mut dev = Device::new(Arc::new(m), app.device_config()).unwrap();
     let w = app.prepare(&mut dev).unwrap();
     dev.launch(app.kernel_name(), &w.args, app.dims()).unwrap();
     let ptr_arg = |i: usize| match w.args[i] {
@@ -88,7 +89,7 @@ void bump(long* a, long n) {
 }
 "#;
     let (m, _) = pipeline::build(src, BuildConfig::NoOpenmpOpt).unwrap();
-    let mut dev = Device::new(&m, Default::default()).unwrap();
+    let mut dev = Device::new(Arc::new(m), Default::default()).unwrap();
     let n = 16usize;
     let a = dev.alloc_i64(&vec![0; n]).unwrap();
     let dims = LaunchDims {
@@ -98,7 +99,8 @@ void bump(long* a, long n) {
     for _ in 0..3 {
         let stats = dev
             .launch("bump", &[RtVal::Ptr(a), RtVal::I64(n as i64)], dims)
-            .unwrap();
+            .unwrap()
+            .stats;
         // Runtime allocations happen every launch; the shared stack must
         // not accumulate across launches.
         assert!(stats.globalization_allocs > 0);

@@ -4,6 +4,7 @@
 
 use omp_gpu::{pipeline, BuildConfig, Device, LaunchDims, RtVal};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A small integer expression over three variables, mirrored between
 /// the mini-C source and a host evaluator with wrapping semantics.
@@ -116,7 +117,7 @@ fn run_kernel(
     threads: u32,
 ) -> Vec<i64> {
     let (m, _) = pipeline::build(src, cfg).unwrap();
-    let mut dev = Device::new(&m, Default::default()).unwrap();
+    let mut dev = Device::new(Arc::new(m), Default::default()).unwrap();
     let out = dev.alloc_i64(&vec![0; n]).unwrap();
     dev.launch(
         "k",

@@ -11,7 +11,8 @@
 # repository benchmark (benchmark/README.md) and is not part of the
 # gating `all` run; `benchcheck` (fmt, clippy and unit tests of the
 # standalone benchmark package, which compiles against this
-# workspace's public API) is. The `smoke` stage runs
+# workspace's public API) is. The `smoke` stage checks that nothing in
+# the workspace calls the benchmark-only compatibility names, runs
 # `ompgpu profile` on one proxy and validates the emitted Chrome trace
 # with `ompgpu json-validate`,
 # runs the device sanitizer over a proxy's full config matrix and the
@@ -99,6 +100,20 @@ run_benchmark_check() {
 }
 
 run_smoke() {
+    echo "==> benchmark-only names smoke (no caller in the workspace)"
+    # `OwnedDevice` and the `launch_plan*` projections of `Device::launch`
+    # exist only for the standalone benchmark package, until its refresh
+    # moves it to `Device::new(Arc<Module>, ..)` and `Device::launch`.
+    # crates/gpusim/src/compat.rs defines them; nothing else may name them.
+    compat_uses="$(grep -rnwIE 'OwnedDevice|launch_plan|launch_plan_profiled|launch_plan_checked' \
+        crates tests examples | grep -v '^crates/gpusim/src/compat\.rs:' || true)"
+    [ -z "$compat_uses" ] || {
+        echo "smoke: benchmark-only names used outside crates/gpusim/src/compat.rs:" >&2
+        printf '%s\n' "$compat_uses" >&2
+        exit 1
+    }
+    echo "smoke: benchmark-only names confined to crates/gpusim/src/compat.rs"
+
     echo "==> ompgpu profile smoke (proxy + chrome trace)"
     trace="$(mktemp -t ompgpu-trace.XXXXXX.json)"
     trap 'rm -f "$trace"' EXIT
