@@ -80,6 +80,12 @@ const SAXPY: &str = "examples/omp/saxpy.c";
 const BROKEN: &str = "tests/fixtures/cli/broken.c";
 const NO_HEADER: &str = "tests/fixtures/cli/no_header.c";
 const TOO_DEEP: &str = "tests/fixtures/cli/too_deep.c";
+/// Operator chains that nest without parentheses.
+const LONG_CHAINS: [&str; 3] = [
+    "tests/fixtures/cli/long_chain.c",
+    "tests/fixtures/cli/long_index_chain.c",
+    "tests/fixtures/cli/nested_groups.c",
+];
 
 #[test]
 fn build() {
@@ -211,6 +217,9 @@ fn failures() {
         case(&["build", "examples/omp/no_such_file.c"], &[], &[]),
         case(&["build", BROKEN], &[], &[]),
         case(&["build", TOO_DEEP], &[], &[]),
+        case(&["build", LONG_CHAINS[0]], &[], &[]),
+        case(&["build", LONG_CHAINS[1]], &[], &[]),
+        case(&["build", LONG_CHAINS[2]], &[], &[]),
         case(&["profile", "examples/omp/no_such_file.c"], &[], &[]),
         case(&["sanitize", BROKEN], &[], &[]),
         case(&["sanitize", BROKEN, "--json"], &[], &[]),
@@ -612,7 +621,8 @@ fn valid_env_max_insts_is_the_default_budget() {
 /// A source nested past the frontend's limit is answered by the daemon
 /// like any other compile error, and the daemon keeps serving: before
 /// the limit, 700 nested parentheses overflowed the executor's stack
-/// and aborted the process.
+/// and aborted the process, and so did a flat chain of operators or
+/// indexes before the limit counted their operands.
 #[test]
 fn daemon_answers_an_over_deep_source_then_serves_on() {
     let socket = std::env::temp_dir().join(format!("ompgpu-deep-{}.sock", std::process::id()));
@@ -629,13 +639,15 @@ fn daemon_answers_an_over_deep_source_then_serves_on() {
         for _ in 0..200 {
             if let Ok(stream) = UnixStream::connect(&socket) {
                 let mut writer = stream.try_clone().ok()?;
-                let compile = format!("{{\"op\":\"compile\",\"path\":\"{TOO_DEEP}\"}}");
-                for line in [&compile, "{\"op\":\"ping\"}", "{\"op\":\"shutdown\"}"] {
+                for path in [TOO_DEEP].iter().chain(&LONG_CHAINS) {
+                    writeln!(writer, "{{\"op\":\"compile\",\"path\":\"{path}\"}}").ok()?;
+                }
+                for line in ["{\"op\":\"ping\"}", "{\"op\":\"shutdown\"}"] {
                     writeln!(writer, "{line}").ok()?;
                 }
                 return BufReader::new(stream)
                     .lines()
-                    .take(3)
+                    .take(LONG_CHAINS.len() + 3)
                     .collect::<Result<Vec<_>, _>>()
                     .ok();
             }
@@ -648,15 +660,10 @@ fn daemon_answers_an_over_deep_source_then_serves_on() {
         panic!("no replies from ompgpu serve on {}", socket.display())
     });
     assert!(daemon.wait().expect("daemon exits").success());
-    assert!(
-        replies[0].contains("\"ok\":false,\"exit_code\":1,"),
-        "{}",
-        replies[0]
-    );
-    assert!(
-        replies[0].contains("nesting deeper than 256 levels"),
-        "{}",
-        replies[0]
-    );
-    assert!(replies[1].contains("\"ok\":true"), "{}", replies[1]);
+    let (compiles, ping) = replies.split_at(LONG_CHAINS.len() + 1);
+    for reply in compiles {
+        assert!(reply.contains("\"ok\":false,\"exit_code\":1,"), "{reply}");
+        assert!(reply.contains("nesting deeper than 256 levels"), "{reply}");
+    }
+    assert!(ping[0].contains("\"ok\":true"), "{}", ping[0]);
 }

@@ -315,14 +315,15 @@ fn cli_names_round_trip() {
 /// A source nested to the frontend's limit builds and runs on a thread
 /// with the executor's stack, in a debug build too; one level deeper is
 /// a compile error (exit 1) naming the limit, not a stack overflow that
-/// would abort the daemon. Both shapes of nesting are checked: an
-/// expression in parentheses and a statement in blocks.
+/// would abort the daemon. Every shape of nesting is checked: an
+/// expression in parentheses, a statement in blocks, a flat operator
+/// chain, groups nested in a chain, and a chain of indexes.
 #[test]
 fn sources_at_the_nesting_limit_run_on_the_executor_stack() {
     use omp_frontend::parser::MAX_NESTING;
     // Levels open around the nested part: the `target` pragma, the
     // loop, its body, the assignment statement, the assignment and its
-    // right side (or, for blocks, the index and the right side).
+    // right side.
     const AROUND: u32 = 6;
     let source = |nested: String| {
         format!(
@@ -333,46 +334,73 @@ fn sources_at_the_nesting_limit_run_on_the_executor_stack() {
              for (long i = 0; i < n; i++) {{\n{nested}\n}}\n}}\n"
         )
     };
-    let parens = |k: u32| {
-        let k = k as usize;
-        source(format!("a[i] = {}1.0{};", "(".repeat(k), ")".repeat(k)))
-    };
-    let blocks = |k: u32| {
-        let k = k as usize;
-        source(format!("{}a[i] = 1.0;{}", "{ ".repeat(k), " }".repeat(k)))
-    };
-    let deepest = MAX_NESTING - AROUND;
-    let sources = [
-        parens(deepest),
-        blocks(deepest),
-        parens(deepest + 1),
-        blocks(deepest + 1),
+    // Each shape nests `k` levels past `AROUND`.
+    type Shape = fn(usize) -> String;
+    let shapes: [(&str, Shape); 5] = [
+        ("parens", |k| {
+            format!("a[i] = {}1.0{};", "(".repeat(k), ")".repeat(k))
+        }),
+        // The assignment pushes its left side `a[i]` a level below
+        // itself, so one block fewer reaches the limit.
+        ("blocks", |k| {
+            format!("{}a[i] = 1.0;{}", "{ ".repeat(k - 1), " }".repeat(k - 1))
+        }),
+        ("chain", |k| format!("a[i] = 1.0{};", " * 1.0".repeat(k))),
+        // Groups of ten factors, each a parenthesis and nine operators
+        // deeper than the one inside it, then a chain.
+        ("groups", |k| {
+            let g = (k - 1) / 10;
+            let close = format!("{})", " * 1.0".repeat(9));
+            let chain = " * 1.0".repeat(k - 10 * g);
+            format!("a[i] = {}1.0{}{chain};", "(".repeat(g), close.repeat(g))
+        }),
+        // No pointer can be indexed twice, so at the limit the type
+        // check rejects the chain, after every walk over it.
+        ("indexes", |k| format!("a[i] = a{};", "[0]".repeat(k))),
     ];
+    let deepest = (MAX_NESTING - AROUND) as usize;
+    let sources: Vec<String> = shapes
+        .iter()
+        .flat_map(|(_, shape)| [source(shape(deepest)), source(shape(deepest + 1))])
+        .collect();
     let answers = std::thread::Builder::new()
         .stack_size(omp_gpu::serve::EXECUTOR_STACK_BYTES)
         .spawn(move || {
             let mut session = Session::new(1);
-            sources.map(|src| {
-                let line = format!(
-                    "{{\"op\":\"run\",\"source\":\"{}\",\"dump\":2}}",
-                    omp_json::escape(&src)
-                );
-                session.handle_line(&line).0
-            })
+            sources
+                .iter()
+                .map(|src| {
+                    let line = format!(
+                        "{{\"op\":\"run\",\"source\":\"{}\",\"dump\":2}}",
+                        omp_json::escape(src)
+                    );
+                    session.handle_line(&line).0
+                })
+                .collect::<Vec<_>>()
         })
         .expect("spawn a thread with the executor's stack")
         .join()
         .expect("the session answers");
-    for accepted in &answers[..2] {
-        assert!(accepted.contains("\"ok\":true"), "{accepted}");
-        assert!(accepted.contains("[1.0,1.0]"), "{accepted}");
-    }
     let limit = format!("nesting deeper than {MAX_NESTING} levels");
-    for rejected in &answers[2..] {
+    for ((name, _), pair) in shapes.iter().zip(answers.chunks(2)) {
+        let (at_limit, past_limit) = (&pair[0], &pair[1]);
+        if *name == "indexes" {
+            assert!(
+                at_limit.contains("\"ok\":false,\"exit_code\":1,"),
+                "{name}: {at_limit}"
+            );
+            assert!(
+                at_limit.contains("indexing a non-pointer value"),
+                "{name}: {at_limit}"
+            );
+        } else {
+            assert!(at_limit.contains("\"ok\":true"), "{name}: {at_limit}");
+            assert!(at_limit.contains("[1.0,1.0]"), "{name}: {at_limit}");
+        }
         assert!(
-            rejected.contains("\"ok\":false,\"exit_code\":1,"),
-            "{rejected}"
+            past_limit.contains("\"ok\":false,\"exit_code\":1,"),
+            "{name}: {past_limit}"
         );
-        assert!(rejected.contains(&limit), "{rejected}");
+        assert!(past_limit.contains(&limit), "{name}: {past_limit}");
     }
 }

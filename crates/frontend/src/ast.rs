@@ -1,4 +1,7 @@
-//! Abstract syntax tree of the mini-C OpenMP dialect.
+//! Abstract syntax tree of the mini-C OpenMP dialect, and the one
+//! traversal the frontend's analyses walk it with.
+
+use crate::parser::MAX_NESTING;
 
 /// Scalar and pointer types of the source language.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,6 +241,117 @@ pub enum Stmt {
     Break,
     /// `continue;`
     Continue,
+}
+
+impl Expr {
+    /// Calls `f` on each direct subexpression, in source order.
+    pub(crate) fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
+        match self {
+            Expr::Int(_) | Expr::Float(_) | Expr::Ident(_) => {}
+            Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
+                f(lhs);
+                f(rhs);
+            }
+            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => f(expr),
+            Expr::Call { args, .. } => args.iter().for_each(f),
+            Expr::Index { base, idx } => {
+                f(base);
+                f(idx);
+            }
+        }
+    }
+}
+
+/// A statement or an expression: a node of a function body.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Node<'a> {
+    Stmt(&'a Stmt),
+    Expr(&'a Expr),
+}
+
+impl Stmt {
+    /// Calls `f` on each direct child statement and expression, in
+    /// source order: a loop's bounds and step come before its body.
+    pub(crate) fn for_each_child<'a>(&'a self, mut f: impl FnMut(Node<'a>)) {
+        match self {
+            Stmt::Block(ss) => ss.iter().for_each(|s| f(Node::Stmt(s))),
+            Stmt::VarDecl { init: Some(e), .. } | Stmt::Expr(e) | Stmt::Return(Some(e)) => {
+                f(Node::Expr(e))
+            }
+            Stmt::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                f(Node::Expr(cond));
+                f(Node::Stmt(then_branch));
+                if let Some(e) = else_branch {
+                    f(Node::Stmt(e));
+                }
+            }
+            Stmt::For { header, body } => {
+                f(Node::Expr(&header.lb));
+                f(Node::Expr(&header.ub));
+                f(Node::Expr(&header.step));
+                f(Node::Stmt(body));
+            }
+            Stmt::While { cond, body } => {
+                f(Node::Expr(cond));
+                f(Node::Stmt(body));
+            }
+            Stmt::Omp { body: Some(b), .. } => f(Node::Stmt(b)),
+            Stmt::VarDecl { init: None, .. }
+            | Stmt::Return(None)
+            | Stmt::Omp { body: None, .. }
+            | Stmt::Break
+            | Stmt::Continue => {}
+        }
+    }
+
+    /// The variable this statement declares: a local, or a loop's
+    /// induction variable.
+    pub(crate) fn declared_name(&self) -> Option<&str> {
+        match self {
+            Stmt::VarDecl { name, .. } => Some(name),
+            Stmt::For { header, .. } => Some(&header.var),
+            _ => None,
+        }
+    }
+}
+
+/// Visits `root` and every statement and expression under it in
+/// pre-order, children in source order. `on_stmt` returns whether to
+/// descend into a statement; every expression under a visited statement
+/// is visited. The recursion is as deep as the tree, which the parser
+/// bounds by [`MAX_NESTING`].
+pub(crate) fn walk<'a>(
+    root: &'a Stmt,
+    mut on_stmt: impl FnMut(&'a Stmt) -> bool,
+    mut on_expr: impl FnMut(&'a Expr),
+) {
+    fn visit<'a>(
+        node: Node<'a>,
+        depth: u32,
+        on_stmt: &mut dyn FnMut(&'a Stmt) -> bool,
+        on_expr: &mut dyn FnMut(&'a Expr),
+    ) {
+        debug_assert!(
+            depth <= MAX_NESTING,
+            "syntax tree deeper than the parser admits"
+        );
+        match node {
+            Node::Stmt(s) => {
+                if on_stmt(s) {
+                    s.for_each_child(|c| visit(c, depth + 1, on_stmt, on_expr));
+                }
+            }
+            Node::Expr(e) => {
+                on_expr(e);
+                e.for_each_child(|c| visit(Node::Expr(c), depth + 1, on_stmt, on_expr));
+            }
+        }
+    }
+    visit(Node::Stmt(root), 0, &mut on_stmt, &mut on_expr);
 }
 
 /// One formal parameter.

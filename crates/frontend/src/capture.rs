@@ -13,421 +13,162 @@
 use crate::ast::*;
 use std::collections::HashSet;
 
-/// Walks an expression, invoking `on_ident` for every variable
-/// reference and `on_addr` for every variable whose address is exposed:
-/// the operand of `&`, or a bare identifier passed as a call argument
-/// *when it names a local array* (array-to-pointer decay). Pointer and
-/// scalar variables passed bare go by value and do not expose their
-/// storage.
-fn walk_expr(
-    e: &Expr,
-    arrays: &HashSet<String>,
-    on_ident: &mut impl FnMut(&str),
-    on_addr: &mut impl FnMut(&str),
-) {
-    match e {
-        Expr::Int(_) | Expr::Float(_) => {}
-        Expr::Ident(n) => on_ident(n),
-        Expr::Binary { lhs, rhs, .. } => {
-            walk_expr(lhs, arrays, on_ident, on_addr);
-            walk_expr(rhs, arrays, on_ident, on_addr);
-        }
-        Expr::Unary { op, expr } => {
-            if *op == UnaryOp::Addr {
-                if let Expr::Ident(n) = expr.as_ref() {
-                    on_addr(n);
-                }
-            }
-            walk_expr(expr, arrays, on_ident, on_addr);
-        }
-        Expr::Assign { lhs, rhs, .. } => {
-            walk_expr(lhs, arrays, on_ident, on_addr);
-            walk_expr(rhs, arrays, on_ident, on_addr);
-        }
-        Expr::Call { args, .. } => {
-            for a in args {
-                if let Expr::Ident(n) = a {
-                    if arrays.contains(n) {
-                        on_addr(n);
-                    }
-                }
-                walk_expr(a, arrays, on_ident, on_addr);
-            }
-        }
-        Expr::Index { base, idx } => {
-            walk_expr(base, arrays, on_ident, on_addr);
-            walk_expr(idx, arrays, on_ident, on_addr);
-        }
-        Expr::Cast { expr, .. } => walk_expr(expr, arrays, on_ident, on_addr),
-    }
-}
-
-fn walk_stmt(
-    s: &Stmt,
-    arrays: &HashSet<String>,
-    on_ident: &mut impl FnMut(&str),
-    on_addr: &mut impl FnMut(&str),
-    on_decl: &mut impl FnMut(&str),
-    enter_parallel: &mut impl FnMut(&Stmt),
-    descend_parallel: bool,
-) {
-    match s {
-        Stmt::Block(ss) => {
-            for s in ss {
-                walk_stmt(
-                    s,
-                    arrays,
-                    on_ident,
-                    on_addr,
-                    on_decl,
-                    enter_parallel,
-                    descend_parallel,
-                );
-            }
-        }
-        Stmt::VarDecl { name, init, .. } => {
-            if let Some(i) = init {
-                walk_expr(i, arrays, on_ident, on_addr);
-            }
-            on_decl(name);
-        }
-        Stmt::Expr(e) => walk_expr(e, arrays, on_ident, on_addr),
-        Stmt::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            walk_expr(cond, arrays, on_ident, on_addr);
-            walk_stmt(
-                then_branch,
-                arrays,
-                on_ident,
-                on_addr,
-                on_decl,
-                enter_parallel,
-                descend_parallel,
-            );
-            if let Some(e) = else_branch {
-                walk_stmt(
-                    e,
-                    arrays,
-                    on_ident,
-                    on_addr,
-                    on_decl,
-                    enter_parallel,
-                    descend_parallel,
-                );
-            }
-        }
-        Stmt::For { header, body } => {
-            walk_expr(&header.lb, arrays, on_ident, on_addr);
-            walk_expr(&header.ub, arrays, on_ident, on_addr);
-            walk_expr(&header.step, arrays, on_ident, on_addr);
-            on_decl(&header.var);
-            walk_stmt(
-                body,
-                arrays,
-                on_ident,
-                on_addr,
-                on_decl,
-                enter_parallel,
-                descend_parallel,
-            );
-        }
-        Stmt::While { cond, body } => {
-            walk_expr(cond, arrays, on_ident, on_addr);
-            walk_stmt(
-                body,
-                arrays,
-                on_ident,
-                on_addr,
-                on_decl,
-                enter_parallel,
-                descend_parallel,
-            );
-        }
-        Stmt::Return(Some(e)) => walk_expr(e, arrays, on_ident, on_addr),
-        Stmt::Return(None) | Stmt::Break | Stmt::Continue => {}
-        Stmt::Omp { directive, body } => {
-            let is_parallel = matches!(directive, OmpDirective::Parallel { .. });
-            if let Some(b) = body {
-                if is_parallel && !descend_parallel {
-                    enter_parallel(b);
-                } else {
-                    walk_stmt(
-                        b,
-                        arrays,
-                        on_ident,
-                        on_addr,
-                        on_decl,
-                        enter_parallel,
-                        descend_parallel,
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// A captured variable together with whether the region assigns to it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Capture {
+pub(crate) struct Capture {
     /// Variable name.
-    pub name: String,
+    pub(crate) name: String,
     /// Whether the region body assigns to the variable itself
     /// (`x = ...`, `x += ...`); writes through pointers or array
     /// elements do not count.
-    pub assigned: bool,
+    pub(crate) assigned: bool,
 }
 
-/// Like [`captured_vars`] but with per-variable assignment flags, used
-/// to decide by-value vs by-reference capture.
-pub fn captured_with_flags(body: &Stmt, outer: &HashSet<String>) -> Vec<Capture> {
-    let names = captured_vars(body, outer);
-    let assigned = assigned_vars(body);
-    names
+/// The free variables of a parallel region body with per-variable
+/// assignment flags, used to decide by-value vs by-reference capture:
+/// names in `outer` referenced inside the region (including nested
+/// regions) that are not declared within it. Order is first-reference
+/// order, deterministic. Shadowing is approximated name-wise (the
+/// dialect forbids shadowing; see `lower`).
+pub(crate) fn captured_with_flags(body: &Stmt, outer: &HashSet<String>) -> Vec<Capture> {
+    let mut declared = HashSet::new();
+    let mut assigned = HashSet::new();
+    let mut referenced: Vec<&str> = Vec::new();
+    walk(
+        body,
+        |s| {
+            declared.extend(s.declared_name());
+            true
+        },
+        |e| match e {
+            Expr::Ident(n) => referenced.push(n),
+            Expr::Assign { lhs, .. } => {
+                if let Expr::Ident(n) = lhs.as_ref() {
+                    assigned.insert(n.as_str());
+                }
+            }
+            _ => {}
+        },
+    );
+    let mut seen = HashSet::new();
+    referenced
         .into_iter()
-        .map(|name| Capture {
-            assigned: assigned.contains(&name),
-            name,
+        .filter(|n| outer.contains(*n) && !declared.contains(n) && seen.insert(*n))
+        .map(|n| Capture {
+            name: n.to_string(),
+            assigned: assigned.contains(n),
         })
         .collect()
 }
 
-/// Variables assigned (as whole bindings) anywhere in `s`.
-pub fn assigned_vars(s: &Stmt) -> HashSet<String> {
-    fn walk_e(e: &Expr, out: &mut HashSet<String>) {
-        match e {
-            Expr::Assign { lhs, rhs, .. } => {
-                if let Expr::Ident(n) = lhs.as_ref() {
-                    out.insert(n.clone());
-                }
-                walk_e(lhs, out);
-                walk_e(rhs, out);
-            }
-            Expr::Binary { lhs, rhs, .. } => {
-                walk_e(lhs, out);
-                walk_e(rhs, out);
-            }
-            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => walk_e(expr, out),
-            Expr::Call { args, .. } => args.iter().for_each(|a| walk_e(a, out)),
-            Expr::Index { base, idx } => {
-                walk_e(base, out);
-                walk_e(idx, out);
-            }
-            _ => {}
-        }
-    }
-    let mut out = HashSet::new();
-    fn walk_s(s: &Stmt, out: &mut HashSet<String>) {
-        match s {
-            Stmt::Block(ss) => ss.iter().for_each(|s| walk_s(s, out)),
-            Stmt::VarDecl { init: Some(e), .. } => walk_e(e, out),
-            Stmt::Expr(e) => walk_e(e, out),
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                walk_e(cond, out);
-                walk_s(then_branch, out);
-                if let Some(e) = else_branch {
-                    walk_s(e, out);
-                }
-            }
-            Stmt::For { header, body } => {
-                walk_e(&header.lb, out);
-                walk_e(&header.ub, out);
-                walk_e(&header.step, out);
-                walk_s(body, out);
-            }
-            Stmt::While { cond, body } => {
-                walk_e(cond, out);
-                walk_s(body, out);
-            }
-            Stmt::Return(Some(e)) => walk_e(e, out),
-            Stmt::Omp { body: Some(b), .. } => walk_s(b, out),
-            _ => {}
-        }
-    }
-    walk_s(s, &mut out);
-    out
+/// The names of [`captured_with_flags`].
+pub(crate) fn captured_vars(body: &Stmt, outer: &HashSet<String>) -> Vec<String> {
+    captured_with_flags(body, outer)
+        .into_iter()
+        .map(|c| c.name)
+        .collect()
 }
 
-/// The ordered free variables of a parallel region body: names referenced
-/// inside the region (including nested regions) that are not declared
-/// within it. Order is first-reference order, deterministic.
-pub fn captured_vars(body: &Stmt, outer: &HashSet<String>) -> Vec<String> {
-    let mut declared: HashSet<String> = HashSet::new();
-    let mut captured: Vec<String> = Vec::new();
-    // Collect declarations first (pre-pass) so forward declarations in
-    // the region are not treated as captures. Shadowing is approximated
-    // name-wise (the dialect forbids shadowing; see `lower`).
-    {
-        let mut on_decl = |n: &str| {
-            declared.insert(n.to_string());
-        };
-        let empty = HashSet::new();
-        walk_stmt(
-            body,
-            &empty,
-            &mut |_| {},
-            &mut |_| {},
-            &mut on_decl,
-            &mut |_| {},
-            true,
-        );
-    }
-    let mut on_ident = |n: &str| {
-        if outer.contains(n) && !declared.contains(n) && !captured.iter().any(|c| c == n) {
-            captured.push(n.to_string());
-        }
+/// The variables of one function, as lowering needs them.
+pub(crate) struct Locals {
+    /// Every name the function binds: parameters, locals and loop
+    /// variables.
+    pub(crate) names: HashSet<String>,
+    /// The names that must be globalized: address-taken,
+    /// array-passed-to-call, or captured *by reference* by a parallel
+    /// region (assigned in the region, address-taken, or an array whose
+    /// storage worker threads touch). Scalars that regions only read
+    /// are captured by value and stay private — mirroring Clang, where
+    /// firstprivate-style captures do not globalize the original.
+    pub(crate) escaping: HashSet<String>,
+}
+
+/// Computes the [`Locals`] of `f`.
+pub(crate) fn locals(f: &FuncDecl) -> Locals {
+    let mut names: HashSet<String> = f.params.iter().map(|p| p.name.clone()).collect();
+    let mut escaping = HashSet::new();
+    let Some(body) = &f.body else {
+        return Locals { names, escaping };
     };
-    let empty = HashSet::new();
-    walk_stmt(
+    let mut arrays = HashSet::new();
+    let mut passed: Vec<&str> = Vec::new();
+    walk(
         body,
-        &empty,
-        &mut on_ident,
-        &mut |_| {},
-        &mut |_| {},
-        &mut |_| {},
-        true,
-    );
-    captured
-}
-
-/// Names whose address is taken or that decay to pointers at call
-/// sites, anywhere in the function.
-pub fn address_taken(f: &FuncDecl) -> HashSet<String> {
-    let mut out = HashSet::new();
-    let arrays = array_decls(f);
-    if let Some(body) = &f.body {
-        let mut on_addr = |n: &str| {
-            out.insert(n.to_string());
-        };
-        walk_stmt(
-            body,
-            &arrays,
-            &mut |_| {},
-            &mut on_addr,
-            &mut |_| {},
-            &mut |_| {},
-            true,
-        );
-    }
-    out
-}
-
-/// Names declared as local arrays in the function.
-pub fn array_decls(f: &FuncDecl) -> HashSet<String> {
-    fn walk(s: &Stmt, out: &mut HashSet<String>) {
-        match s {
-            Stmt::Block(ss) => ss.iter().for_each(|s| walk(s, out)),
-            Stmt::VarDecl {
+        |s| {
+            if let Stmt::VarDecl {
                 name,
                 array: Some(_),
                 ..
-            } => {
-                out.insert(name.clone());
+            } = s
+            {
+                arrays.insert(name.as_str());
             }
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
+            names.extend(s.declared_name().map(str::to_string));
+            true
+        },
+        |e| match e {
+            Expr::Unary {
+                op: UnaryOp::Addr,
+                expr,
             } => {
-                walk(then_branch, out);
-                if let Some(e) = else_branch {
-                    walk(e, out);
+                if let Expr::Ident(n) = expr.as_ref() {
+                    escaping.insert(n.clone());
                 }
             }
-            Stmt::For { body, .. } | Stmt::While { body, .. } => walk(body, out),
-            Stmt::Omp { body: Some(b), .. } => walk(b, out),
+            Expr::Call { args, .. } => passed.extend(args.iter().filter_map(|a| match a {
+                Expr::Ident(n) => Some(n.as_str()),
+                _ => None,
+            })),
             _ => {}
-        }
-    }
-    let mut out = HashSet::new();
-    if let Some(body) = &f.body {
-        walk(body, &mut out);
-    }
-    out
-}
-
-/// The set of variable names in a function that must be globalized:
-/// address-taken, array-passed-to-call, or captured *by reference* by a
-/// parallel region (assigned in the region, address-taken, or an array
-/// whose storage worker threads touch). Scalars that regions only read
-/// are captured by value and stay private — mirroring Clang, where
-/// firstprivate-style captures do not globalize the original.
-pub fn escaping_locals(f: &FuncDecl) -> HashSet<String> {
-    let mut escaping = address_taken(f);
-    let Some(body) = &f.body else {
-        return escaping;
-    };
-    let arrays = array_decls(f);
-    let mut outer: HashSet<String> = f.params.iter().map(|p| p.name.clone()).collect();
-    {
-        let mut on_decl = |n: &str| {
-            outer.insert(n.to_string());
-        };
-        walk_stmt(
-            body,
-            &arrays,
-            &mut |_| {},
-            &mut |_| {},
-            &mut on_decl,
-            &mut |_| {},
-            true,
-        );
-    }
-    let mut regions: Vec<&Stmt> = Vec::new();
+        },
+    );
+    // A local array passed bare decays to a pointer to its storage;
+    // pointers and scalars passed bare go by value.
+    escaping.extend(
+        passed
+            .into_iter()
+            .filter(|n| arrays.contains(n))
+            .map(str::to_string),
+    );
+    let mut regions = Vec::new();
     collect_parallel_regions(body, &mut regions);
     for r in regions {
-        for c in captured_with_flags(r, &outer) {
-            if c.assigned || arrays.contains(&c.name) || escaping.contains(&c.name) {
+        for c in captured_with_flags(r, &names) {
+            if c.assigned || arrays.contains(c.name.as_str()) {
                 escaping.insert(c.name);
             }
         }
     }
-    escaping
+    Locals { names, escaping }
 }
 
-/// Collects all parallel-region bodies (including nested ones).
-pub fn collect_parallel_regions<'a>(s: &'a Stmt, out: &mut Vec<&'a Stmt>) {
-    match s {
-        Stmt::Block(ss) => {
-            for s in ss {
-                collect_parallel_regions(s, out);
+/// Collects all parallel-region bodies (including nested ones),
+/// outermost first.
+pub(crate) fn collect_parallel_regions<'a>(s: &'a Stmt, out: &mut Vec<&'a Stmt>) {
+    walk(
+        s,
+        |s| {
+            if let Stmt::Omp {
+                directive: OmpDirective::Parallel { .. },
+                body: Some(b),
+            } = s
+            {
+                out.push(b);
             }
-        }
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            collect_parallel_regions(then_branch, out);
-            if let Some(e) = else_branch {
-                collect_parallel_regions(e, out);
-            }
-        }
-        Stmt::For { body, .. } | Stmt::While { body, .. } => {
-            collect_parallel_regions(body, out);
-        }
-        Stmt::Omp {
-            directive: OmpDirective::Parallel { .. },
-            body: Some(b),
-        } => {
-            out.push(b);
-            collect_parallel_regions(b, out);
-        }
-        Stmt::Omp { body: Some(b), .. } => collect_parallel_regions(b, out),
-        _ => {}
-    }
+            true
+        },
+        |_| {},
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_program;
+
+    fn escaping_locals(f: &FuncDecl) -> HashSet<String> {
+        locals(f).escaping
+    }
 
     fn func(src: &str) -> FuncDecl {
         let p = parse_program(src).unwrap();
@@ -524,6 +265,40 @@ void f(long n) {
         let esc = escaping_locals(&f);
         // n is only read: by-value capture, not globalized.
         assert!(!esc.contains("n"));
+    }
+
+    /// Captures come in first-reference order, which fixes the slot
+    /// order of the capture struct in the IR: a `for` header's bounds
+    /// and step before its body, an assignment's left side before its
+    /// right side, an index's base before the index, and call
+    /// arguments left to right.
+    #[test]
+    fn capture_order_is_first_reference_order() {
+        let f = func(
+            r#"
+void f(double* d, long lo, long hi, long st, double x, double y, double u, double v) {
+  #pragma omp parallel
+  {
+    for (long i = hi; i < st; i += lo) {
+      v = u;
+      g(y, d[i], x);
+    }
+  }
+}
+"#,
+        );
+        let mut regions = Vec::new();
+        collect_parallel_regions(f.body.as_ref().unwrap(), &mut regions);
+        let outer: HashSet<String> = f.params.iter().map(|p| p.name.clone()).collect();
+        let caps = captured_with_flags(regions[0], &outer);
+        let names: Vec<&str> = caps.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["hi", "st", "lo", "v", "u", "y", "d", "x"]);
+        let assigned: Vec<&str> = caps
+            .iter()
+            .filter(|c| c.assigned)
+            .map(|c| c.name.as_str())
+            .collect();
+        assert_eq!(assigned, ["v"]);
     }
 
     #[test]

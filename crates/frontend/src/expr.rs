@@ -153,15 +153,18 @@ impl FnLowerer<'_, '_> {
             Expr::Unary {
                 op: UnaryOp::Deref,
                 expr,
-            } => {
-                let (pv, pt) = self.lower_expr(expr)?;
-                let CType::Ptr(elem) = pt else {
-                    return Err(self.err("dereferencing a non-pointer value"));
-                };
-                Ok((pv, elem.ctype()))
-            }
+            } => self.lower_deref(expr),
             _ => Err(self.err("expression is not an lvalue")),
         }
+    }
+
+    /// Lowers `*ptr` as an lvalue to `(address, element type)`.
+    fn lower_deref(&mut self, ptr: &Expr) -> Result<(Value, CType)> {
+        let (pv, pt) = self.lower_expr(ptr)?;
+        let CType::Ptr(elem) = pt else {
+            return Err(self.err("dereferencing a non-pointer value"));
+        };
+        Ok((pv, elem.ctype()))
     }
 
     fn emit_arith(&mut self, op: BinaryOp, ty: CType, lhs: Value, rhs: Value) -> Result<Value> {
@@ -198,25 +201,12 @@ impl FnLowerer<'_, '_> {
     fn lower_binary(&mut self, op: BinaryOp, lhs: &Expr, rhs: &Expr) -> Result<(Value, CType)> {
         use BinaryOp::*;
         match op {
-            LogicalAnd | LogicalOr => {
-                let v = self.lower_bool(&Expr::Binary {
-                    op,
-                    lhs: Box::new(lhs.clone()),
-                    rhs: Box::new(rhs.clone()),
-                })?;
-                let z = self.emit(InstKind::Cast {
-                    op: CastOp::ZExt,
-                    val: v,
-                    to: Type::I32,
-                });
-                Ok((z, CType::Int))
-            }
-            Lt | Le | Gt | Ge | Eq | Ne => {
-                let v = self.lower_bool(&Expr::Binary {
-                    op,
-                    lhs: Box::new(lhs.clone()),
-                    rhs: Box::new(rhs.clone()),
-                })?;
+            LogicalAnd | LogicalOr | Lt | Le | Gt | Ge | Eq | Ne => {
+                let v = if matches!(op, LogicalAnd | LogicalOr) {
+                    self.lower_logical(op, lhs, rhs)?
+                } else {
+                    self.lower_cmp(op, lhs, rhs)?
+                };
                 let z = self.emit(InstKind::Cast {
                     op: CastOp::ZExt,
                     val: v,
@@ -315,10 +305,7 @@ impl FnLowerer<'_, '_> {
                 Ok((r, t))
             }
             UnaryOp::Deref => {
-                let (addr, ty) = self.lower_lvalue(&Expr::Unary {
-                    op: UnaryOp::Deref,
-                    expr: Box::new(expr.clone()),
-                })?;
+                let (addr, ty) = self.lower_deref(expr)?;
                 let v = self.emit(InstKind::Load {
                     ptr: addr,
                     ty: ct2ty(ty),
@@ -349,84 +336,18 @@ impl FnLowerer<'_, '_> {
     /// Lowers an expression to an `i1`, using direct comparisons and
     /// short-circuit evaluation where possible.
     pub(crate) fn lower_bool(&mut self, e: &Expr) -> Result<Value> {
+        use BinaryOp::*;
         match e {
             Expr::Binary {
-                op:
-                    op @ (BinaryOp::Lt
-                    | BinaryOp::Le
-                    | BinaryOp::Gt
-                    | BinaryOp::Ge
-                    | BinaryOp::Eq
-                    | BinaryOp::Ne),
+                op: op @ (Lt | Le | Gt | Ge | Eq | Ne),
                 lhs,
                 rhs,
-            } => {
-                let (lv, lt) = self.lower_expr(lhs)?;
-                let (rv, rt) = self.lower_expr(rhs)?;
-                let ty = if matches!(lt, CType::Ptr(_)) || matches!(rt, CType::Ptr(_)) {
-                    CType::Ptr(ScalarType::Long)
-                } else {
-                    common_type(lt, rt)
-                };
-                let (lv, rv, irty) = if let CType::Ptr(_) = ty {
-                    (lv, rv, Type::Ptr)
-                } else {
-                    (
-                        self.convert(lv, lt, ty)?,
-                        self.convert(rv, rt, ty)?,
-                        ct2ty(ty),
-                    )
-                };
-                let is_f = ty.is_float();
-                let cop = match (op, is_f) {
-                    (BinaryOp::Lt, false) => CmpOp::Slt,
-                    (BinaryOp::Le, false) => CmpOp::Sle,
-                    (BinaryOp::Gt, false) => CmpOp::Sgt,
-                    (BinaryOp::Ge, false) => CmpOp::Sge,
-                    (BinaryOp::Eq, false) => CmpOp::Eq,
-                    (BinaryOp::Ne, false) => CmpOp::Ne,
-                    (BinaryOp::Lt, true) => CmpOp::FOlt,
-                    (BinaryOp::Le, true) => CmpOp::FOle,
-                    (BinaryOp::Gt, true) => CmpOp::FOgt,
-                    (BinaryOp::Ge, true) => CmpOp::FOge,
-                    (BinaryOp::Eq, true) => CmpOp::FOeq,
-                    (BinaryOp::Ne, true) => CmpOp::FOne,
-                    _ => unreachable!(),
-                };
-                Ok(self.emit(InstKind::Cmp {
-                    op: cop,
-                    ty: irty,
-                    lhs: lv,
-                    rhs: rv,
-                }))
-            }
+            } => self.lower_cmp(*op, lhs, rhs),
             Expr::Binary {
-                op: op @ (BinaryOp::LogicalAnd | BinaryOp::LogicalOr),
+                op: op @ (LogicalAnd | LogicalOr),
                 lhs,
                 rhs,
-            } => {
-                let and = *op == BinaryOp::LogicalAnd;
-                let l = self.lower_bool(lhs)?;
-                let lhs_end = self.block;
-                let rhs_bb = self.new_block();
-                let merge = self.new_block();
-                if and {
-                    self.cond_br(l, rhs_bb, merge);
-                } else {
-                    self.cond_br(l, merge, rhs_bb);
-                }
-                self.block = rhs_bb;
-                let r = self.lower_bool(rhs)?;
-                let rhs_end = self.block;
-                self.br(merge);
-                self.block = merge;
-                let short_val = Value::bool(!and);
-                let phi = self.emit(InstKind::Phi {
-                    ty: Type::I1,
-                    incoming: vec![(lhs_end, short_val), (rhs_end, r)],
-                });
-                Ok(phi)
-            }
+            } => self.lower_logical(*op, lhs, rhs),
             Expr::Unary {
                 op: UnaryOp::Not,
                 expr,
@@ -471,9 +392,71 @@ impl FnLowerer<'_, '_> {
         }
     }
 
-    /// Lowers a statement-level condition to an `i1`.
-    pub(crate) fn lower_condition(&mut self, e: &Expr) -> Result<Value> {
-        self.lower_bool(e)
+    /// Lowers the comparison `lhs op rhs` to an `i1`.
+    fn lower_cmp(&mut self, op: BinaryOp, lhs: &Expr, rhs: &Expr) -> Result<Value> {
+        let (lv, lt) = self.lower_expr(lhs)?;
+        let (rv, rt) = self.lower_expr(rhs)?;
+        let ty = if matches!(lt, CType::Ptr(_)) || matches!(rt, CType::Ptr(_)) {
+            CType::Ptr(ScalarType::Long)
+        } else {
+            common_type(lt, rt)
+        };
+        let (lv, rv, irty) = if let CType::Ptr(_) = ty {
+            (lv, rv, Type::Ptr)
+        } else {
+            (
+                self.convert(lv, lt, ty)?,
+                self.convert(rv, rt, ty)?,
+                ct2ty(ty),
+            )
+        };
+        let is_f = ty.is_float();
+        let cop = match (op, is_f) {
+            (BinaryOp::Lt, false) => CmpOp::Slt,
+            (BinaryOp::Le, false) => CmpOp::Sle,
+            (BinaryOp::Gt, false) => CmpOp::Sgt,
+            (BinaryOp::Ge, false) => CmpOp::Sge,
+            (BinaryOp::Eq, false) => CmpOp::Eq,
+            (BinaryOp::Ne, false) => CmpOp::Ne,
+            (BinaryOp::Lt, true) => CmpOp::FOlt,
+            (BinaryOp::Le, true) => CmpOp::FOle,
+            (BinaryOp::Gt, true) => CmpOp::FOgt,
+            (BinaryOp::Ge, true) => CmpOp::FOge,
+            (BinaryOp::Eq, true) => CmpOp::FOeq,
+            (BinaryOp::Ne, true) => CmpOp::FOne,
+            _ => unreachable!(),
+        };
+        Ok(self.emit(InstKind::Cmp {
+            op: cop,
+            ty: irty,
+            lhs: lv,
+            rhs: rv,
+        }))
+    }
+
+    /// Lowers the short-circuit `lhs && rhs` or `lhs || rhs` to an `i1`.
+    fn lower_logical(&mut self, op: BinaryOp, lhs: &Expr, rhs: &Expr) -> Result<Value> {
+        let and = op == BinaryOp::LogicalAnd;
+        let l = self.lower_bool(lhs)?;
+        let lhs_end = self.block;
+        let rhs_bb = self.new_block();
+        let merge = self.new_block();
+        if and {
+            self.cond_br(l, rhs_bb, merge);
+        } else {
+            self.cond_br(l, merge, rhs_bb);
+        }
+        self.block = rhs_bb;
+        let r = self.lower_bool(rhs)?;
+        let rhs_end = self.block;
+        self.br(merge);
+        self.block = merge;
+        let short_val = Value::bool(!and);
+        let phi = self.emit(InstKind::Phi {
+            ty: Type::I1,
+            incoming: vec![(lhs_end, short_val), (rhs_end, r)],
+        });
+        Ok(phi)
     }
 
     fn lower_call(&mut self, name: &str, args: &[Expr]) -> Result<(Value, CType)> {

@@ -39,13 +39,13 @@
 //! ```
 
 pub mod ast;
-pub mod capture;
 pub mod error;
 pub mod lexer;
 pub mod lower;
 pub mod parser;
 pub mod token;
 
+mod capture;
 mod expr;
 mod storage;
 

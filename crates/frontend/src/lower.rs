@@ -12,7 +12,7 @@
 //!   (LLVM 13, Figure 4c) scheme — see the `storage` module.
 
 use crate::ast::*;
-use crate::capture::{captured_with_flags, escaping_locals};
+use crate::capture::{captured_with_flags, locals, Locals};
 use crate::error::CompileError;
 use crate::parser::parse_program;
 use crate::storage::{LegacyAgg, VarInfo};
@@ -417,7 +417,7 @@ impl<'m, 'p> FnLowerer<'m, 'p> {
                 then_branch,
                 else_branch,
             } => {
-                let c = self.lower_condition(cond)?;
+                let c = self.lower_bool(cond)?;
                 let then_bb = self.new_block();
                 let join = self.new_block();
                 let else_bb = if else_branch.is_some() {
@@ -443,7 +443,7 @@ impl<'m, 'p> FnLowerer<'m, 'p> {
                 let exit = self.new_block();
                 self.br(header);
                 self.block = header;
-                let c = self.lower_condition(cond)?;
+                let c = self.lower_bool(cond)?;
                 self.cond_br(c, body_bb, exit);
                 self.block = body_bb;
                 self.loops.push(LoopCtx {
@@ -1031,8 +1031,10 @@ fn lower_device_function(
     f: &FuncDecl,
     fid: FuncId,
 ) -> Result<()> {
-    let escaping = escaping_locals(f);
-    let all_names = collect_all_names(f);
+    let Locals {
+        names: all_names,
+        escaping,
+    } = locals(f);
     let entry = m.func(fid).entry();
     let mut lw = FnLowerer {
         m,
@@ -1068,40 +1070,6 @@ fn lower_device_function(
     };
     lw.set_term(term);
     Ok(())
-}
-
-fn collect_all_names(f: &FuncDecl) -> HashSet<String> {
-    let mut names: HashSet<String> = f.params.iter().map(|p| p.name.clone()).collect();
-    if let Some(b) = &f.body {
-        collect_decl_names(b, &mut names);
-    }
-    names
-}
-
-fn collect_decl_names(s: &Stmt, out: &mut HashSet<String>) {
-    match s {
-        Stmt::Block(ss) => ss.iter().for_each(|s| collect_decl_names(s, out)),
-        Stmt::VarDecl { name, .. } => {
-            out.insert(name.clone());
-        }
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            collect_decl_names(then_branch, out);
-            if let Some(e) = else_branch {
-                collect_decl_names(e, out);
-            }
-        }
-        Stmt::For { header, body } => {
-            out.insert(header.var.clone());
-            collect_decl_names(body, out);
-        }
-        Stmt::While { body, .. } => collect_decl_names(body, out),
-        Stmt::Omp { body: Some(b), .. } => collect_decl_names(b, out),
-        _ => {}
-    }
 }
 
 fn bind_params(lw: &mut FnLowerer<'_, '_>, f: &FuncDecl) -> Result<()> {
@@ -1179,8 +1147,10 @@ fn lower_kernel(
             graph: target.graph,
         },
     });
-    let escaping = escaping_locals(f);
-    let all_names = collect_all_names(f);
+    let Locals {
+        names: all_names,
+        escaping,
+    } = locals(f);
     let entry = m.func(fid).entry();
     let mut lw = FnLowerer {
         m,

@@ -7,12 +7,15 @@ use crate::token::{Punct, Spanned, Token};
 
 type Result<T> = std::result::Result<T, CompileError>;
 
-/// How deeply source may nest. A statement, an expression (a
-/// parenthesized one, an argument, an index, a condition, the right
-/// side of an assignment), a unary operator and a cast each open one
-/// level. Deeper input is a compile error rather than a stack overflow:
-/// the parser and every walk over the AST recurse once per level. The
-/// proxies and the examples nest at most 12 levels.
+/// How deeply source may nest: a bound on the height of the syntax
+/// tree. A statement, an expression (a parenthesized one, an argument,
+/// an index, a condition, the right side of an assignment or of a
+/// binary operator), a unary operator and a cast each open one level,
+/// and a binary operator, an assignment or an index pushes its left
+/// operand, however tall, one level further down. Deeper input is a
+/// compile error rather than a stack overflow: the parser, `ast::walk`,
+/// lowering and dropping the tree recurse once per level. The proxies,
+/// the examples and the test fixtures nest at most 15 levels.
 pub const MAX_NESTING: u32 = 256;
 
 /// Parses a full translation unit.
@@ -22,6 +25,7 @@ pub fn parse_program(src: &str) -> Result<Program> {
         toks,
         pos: 0,
         depth: 0,
+        peak: 0,
     };
     p.program()
 }
@@ -31,7 +35,60 @@ struct Parser {
     pos: usize,
     /// Levels open at the current token (see [`MAX_NESTING`]).
     depth: u32,
+    /// The level of the deepest node of the expression being parsed,
+    /// whose root sits at `depth`.
+    peak: u32,
 }
+
+/// An operator between two operands: a binary operator, or an
+/// assignment (`None` for `=`, the compound operator for `+=` etc.).
+#[derive(Clone, Copy)]
+enum Infix {
+    Binary(BinaryOp),
+    Assign(Option<BinaryOp>),
+}
+
+impl Infix {
+    fn apply(self, lhs: Expr, rhs: Expr) -> Expr {
+        let (lhs, rhs) = (Box::new(lhs), Box::new(rhs));
+        match self {
+            Infix::Binary(op) => Expr::Binary { op, lhs, rhs },
+            Infix::Assign(op) => Expr::Assign { op, lhs, rhs },
+        }
+    }
+}
+
+/// Every [`Infix`] operator with its C precedence (higher binds
+/// tighter).
+const INFIX: [(Punct, u8, Infix); 23] = {
+    use BinaryOp::*;
+    use Infix::{Assign as A, Binary as B};
+    [
+        (Punct::Assign, 0, A(None)),
+        (Punct::PlusAssign, 0, A(Some(Add))),
+        (Punct::MinusAssign, 0, A(Some(Sub))),
+        (Punct::StarAssign, 0, A(Some(Mul))),
+        (Punct::SlashAssign, 0, A(Some(Div))),
+        (Punct::OrOr, 1, B(LogicalOr)),
+        (Punct::AndAnd, 2, B(LogicalAnd)),
+        (Punct::Pipe, 3, B(Or)),
+        (Punct::Caret, 4, B(Xor)),
+        (Punct::Amp, 5, B(And)),
+        (Punct::Eq, 6, B(Eq)),
+        (Punct::Ne, 6, B(Ne)),
+        (Punct::Lt, 7, B(Lt)),
+        (Punct::Le, 7, B(Le)),
+        (Punct::Gt, 7, B(Gt)),
+        (Punct::Ge, 7, B(Ge)),
+        (Punct::Shl, 8, B(Shl)),
+        (Punct::Shr, 8, B(Shr)),
+        (Punct::Plus, 9, B(Add)),
+        (Punct::Minus, 9, B(Sub)),
+        (Punct::Star, 10, B(Mul)),
+        (Punct::Slash, 10, B(Div)),
+        (Punct::Percent, 10, B(Rem)),
+    ]
+};
 
 impl Parser {
     fn peek(&self) -> &Token {
@@ -62,12 +119,28 @@ impl Parser {
     /// token when that would exceed [`MAX_NESTING`].
     fn nested<T>(&mut self, f: impl FnOnce(&mut Parser) -> Result<T>) -> Result<T> {
         if self.depth == MAX_NESTING {
-            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+            return Err(self.too_deep());
         }
         self.depth += 1;
+        self.peak = self.peak.max(self.depth);
         let parsed = f(self);
         self.depth -= 1;
         parsed
+    }
+
+    /// Pushes the operand parsed so far one level down, under the
+    /// operator at the current token, or fails when its deepest node
+    /// would pass [`MAX_NESTING`].
+    fn push_down(&mut self) -> Result<()> {
+        if self.peak == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.peak += 1;
+        Ok(())
+    }
+
+    fn too_deep(&self) -> CompileError {
+        self.err(format!("nesting deeper than {MAX_NESTING} levels"))
     }
 
     fn eat_punct(&mut self, p: Punct) -> bool {
@@ -412,202 +485,45 @@ impl Parser {
     // ---- expressions (precedence climbing) ----
 
     fn expr(&mut self) -> Result<Expr> {
-        self.nested(Self::assignment)
+        self.nested(|p| p.binary(0))
     }
 
-    fn assignment(&mut self) -> Result<Expr> {
-        let lhs = self.logical_or()?;
-        let op = match self.peek() {
-            Token::Punct(Punct::Assign) => Some(None),
-            Token::Punct(Punct::PlusAssign) => Some(Some(BinaryOp::Add)),
-            Token::Punct(Punct::MinusAssign) => Some(Some(BinaryOp::Sub)),
-            Token::Punct(Punct::StarAssign) => Some(Some(BinaryOp::Mul)),
-            Token::Punct(Punct::SlashAssign) => Some(Some(BinaryOp::Div)),
-            _ => None,
-        };
-        if let Some(op) = op {
+    /// Parses a chain of [`INFIX`] operators that bind at least as
+    /// tightly as `min`. Each operator pushes the operand built so far
+    /// one level down (see [`MAX_NESTING`]).
+    fn binary(&mut self, min: u8) -> Result<Expr> {
+        let outer = std::mem::replace(&mut self.peak, self.depth);
+        let mut lhs = self.unary()?;
+        while let Some((prec, op)) = self.infix(min) {
+            self.push_down()?;
             self.bump();
-            let rhs = self.expr()?;
-            return Ok(Expr::Assign {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            });
+            // Assignments group to the right, every other operator to
+            // the left.
+            let next = match op {
+                Infix::Assign(_) => prec,
+                Infix::Binary(_) => prec + 1,
+            };
+            let rhs = self.nested(|p| p.binary(next))?;
+            lhs = op.apply(lhs, rhs);
         }
+        self.peak = self.peak.max(outer);
         Ok(lhs)
     }
 
-    fn logical_or(&mut self) -> Result<Expr> {
-        let mut e = self.logical_and()?;
-        while self.eat_punct(Punct::OrOr) {
-            let r = self.logical_and()?;
-            e = Expr::Binary {
-                op: BinaryOp::LogicalOr,
-                lhs: Box::new(e),
-                rhs: Box::new(r),
-            };
+    /// The operator at the current token and its precedence, if it is
+    /// in [`INFIX`] and binds at least as tightly as `min`. A `&`
+    /// followed by another `&` is not a binary `&`.
+    fn infix(&self, min: u8) -> Option<(u8, Infix)> {
+        let Token::Punct(p) = *self.peek() else {
+            return None;
+        };
+        if p == Punct::Amp && *self.peek2() == Token::Punct(Punct::Amp) {
+            return None;
         }
-        Ok(e)
-    }
-
-    fn logical_and(&mut self) -> Result<Expr> {
-        let mut e = self.bit_or()?;
-        while self.eat_punct(Punct::AndAnd) {
-            let r = self.bit_or()?;
-            e = Expr::Binary {
-                op: BinaryOp::LogicalAnd,
-                lhs: Box::new(e),
-                rhs: Box::new(r),
-            };
-        }
-        Ok(e)
-    }
-
-    fn bit_or(&mut self) -> Result<Expr> {
-        let mut e = self.bit_xor()?;
-        while self.eat_punct(Punct::Pipe) {
-            let r = self.bit_xor()?;
-            e = Expr::Binary {
-                op: BinaryOp::Or,
-                lhs: Box::new(e),
-                rhs: Box::new(r),
-            };
-        }
-        Ok(e)
-    }
-
-    fn bit_xor(&mut self) -> Result<Expr> {
-        let mut e = self.bit_and()?;
-        while self.eat_punct(Punct::Caret) {
-            let r = self.bit_and()?;
-            e = Expr::Binary {
-                op: BinaryOp::Xor,
-                lhs: Box::new(e),
-                rhs: Box::new(r),
-            };
-        }
-        Ok(e)
-    }
-
-    fn bit_and(&mut self) -> Result<Expr> {
-        let mut e = self.equality()?;
-        while *self.peek() == Token::Punct(Punct::Amp) && *self.peek2() != Token::Punct(Punct::Amp)
-        {
-            self.bump();
-            let r = self.equality()?;
-            e = Expr::Binary {
-                op: BinaryOp::And,
-                lhs: Box::new(e),
-                rhs: Box::new(r),
-            };
-        }
-        Ok(e)
-    }
-
-    fn equality(&mut self) -> Result<Expr> {
-        let mut e = self.relational()?;
-        loop {
-            let op = if self.eat_punct(Punct::Eq) {
-                BinaryOp::Eq
-            } else if self.eat_punct(Punct::Ne) {
-                BinaryOp::Ne
-            } else {
-                break;
-            };
-            let r = self.relational()?;
-            e = Expr::Binary {
-                op,
-                lhs: Box::new(e),
-                rhs: Box::new(r),
-            };
-        }
-        Ok(e)
-    }
-
-    fn relational(&mut self) -> Result<Expr> {
-        let mut e = self.shift()?;
-        loop {
-            let op = if self.eat_punct(Punct::Lt) {
-                BinaryOp::Lt
-            } else if self.eat_punct(Punct::Le) {
-                BinaryOp::Le
-            } else if self.eat_punct(Punct::Gt) {
-                BinaryOp::Gt
-            } else if self.eat_punct(Punct::Ge) {
-                BinaryOp::Ge
-            } else {
-                break;
-            };
-            let r = self.shift()?;
-            e = Expr::Binary {
-                op,
-                lhs: Box::new(e),
-                rhs: Box::new(r),
-            };
-        }
-        Ok(e)
-    }
-
-    fn shift(&mut self) -> Result<Expr> {
-        let mut e = self.additive()?;
-        loop {
-            let op = if self.eat_punct(Punct::Shl) {
-                BinaryOp::Shl
-            } else if self.eat_punct(Punct::Shr) {
-                BinaryOp::Shr
-            } else {
-                break;
-            };
-            let r = self.additive()?;
-            e = Expr::Binary {
-                op,
-                lhs: Box::new(e),
-                rhs: Box::new(r),
-            };
-        }
-        Ok(e)
-    }
-
-    fn additive(&mut self) -> Result<Expr> {
-        let mut e = self.multiplicative()?;
-        loop {
-            let op = if self.eat_punct(Punct::Plus) {
-                BinaryOp::Add
-            } else if self.eat_punct(Punct::Minus) {
-                BinaryOp::Sub
-            } else {
-                break;
-            };
-            let r = self.multiplicative()?;
-            e = Expr::Binary {
-                op,
-                lhs: Box::new(e),
-                rhs: Box::new(r),
-            };
-        }
-        Ok(e)
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr> {
-        let mut e = self.unary()?;
-        loop {
-            let op = if self.eat_punct(Punct::Star) {
-                BinaryOp::Mul
-            } else if self.eat_punct(Punct::Slash) {
-                BinaryOp::Div
-            } else if self.eat_punct(Punct::Percent) {
-                BinaryOp::Rem
-            } else {
-                break;
-            };
-            let r = self.unary()?;
-            e = Expr::Binary {
-                op,
-                lhs: Box::new(e),
-                rhs: Box::new(r),
-            };
-        }
-        Ok(e)
+        INFIX
+            .iter()
+            .find(|row| row.0 == p && row.1 >= min)
+            .map(|&(_, prec, op)| (prec, op))
     }
 
     fn unary(&mut self) -> Result<Expr> {
@@ -638,7 +554,9 @@ impl Parser {
 
     fn postfix(&mut self) -> Result<Expr> {
         let mut e = self.primary()?;
-        while self.eat_punct(Punct::LBracket) {
+        while *self.peek() == Token::Punct(Punct::LBracket) {
+            self.push_down()?;
+            self.bump();
             let idx = self.expr()?;
             self.expect_punct(Punct::RBracket)?;
             e = Expr::Index {
@@ -1024,6 +942,117 @@ void f() {
     fn logical_ops_and_bitand_disambiguation() {
         let p = parse_program("int f(int a, int b) { return a && b & 3 || !a; }");
         assert!(p.is_ok());
+    }
+
+    /// The expression of `int f(int a, int b, int c) { return EXPR; }`.
+    fn returned(expr: &str) -> Expr {
+        let src = format!("int f(int a, int b, int c) {{ return {expr}; }}");
+        let p = parse_program(&src).unwrap_or_else(|e| panic!("{expr}: {e:?}"));
+        let Some(Stmt::Block(mut stmts)) = p.decls.into_iter().find_map(|Decl::Func(f)| f.body)
+        else {
+            panic!("{expr}: no body")
+        };
+        let Some(Stmt::Return(Some(e))) = stmts.pop() else {
+            panic!("{expr}: no return")
+        };
+        e
+    }
+
+    fn ident(n: &str) -> Box<Expr> {
+        Box::new(Expr::Ident(n.into()))
+    }
+
+    fn bin(op: BinaryOp, lhs: Box<Expr>, rhs: Box<Expr>) -> Box<Expr> {
+        Box::new(Expr::Binary { op, lhs, rhs })
+    }
+
+    /// `a o1 b o2 c` groups as in C for every ordered pair of binary
+    /// operators: the tighter operator binds first and equal ones
+    /// associate to the left.
+    #[test]
+    fn binary_operators_group_as_in_c() {
+        use BinaryOp::*;
+        // C's binary precedence levels, loosest first.
+        let levels: [&[(BinaryOp, &str)]; 10] = [
+            &[(LogicalOr, "||")],
+            &[(LogicalAnd, "&&")],
+            &[(Or, "|")],
+            &[(Xor, "^")],
+            &[(And, "&")],
+            &[(Eq, "=="), (Ne, "!=")],
+            &[(Lt, "<"), (Le, "<="), (Gt, ">"), (Ge, ">=")],
+            &[(Shl, "<<"), (Shr, ">>")],
+            &[(Add, "+"), (Sub, "-")],
+            &[(Mul, "*"), (Div, "/"), (Rem, "%")],
+        ];
+        let ops: Vec<(BinaryOp, &str, usize)> = levels
+            .iter()
+            .enumerate()
+            .flat_map(|(prec, ops)| ops.iter().map(move |&(op, s)| (op, s, prec)))
+            .collect();
+        assert_eq!(ops.len(), 18);
+        for &(o1, s1, p1) in &ops {
+            for &(o2, s2, p2) in &ops {
+                let want = if p1 >= p2 {
+                    bin(o2, bin(o1, ident("a"), ident("b")), ident("c"))
+                } else {
+                    bin(o1, ident("a"), bin(o2, ident("b"), ident("c")))
+                };
+                let src = format!("a {s1} b {s2} c");
+                assert_eq!(returned(&src), *want, "{src}");
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_operators_casts_and_assignments_bind_as_in_c() {
+        let neg_a = Box::new(Expr::Unary {
+            op: UnaryOp::Neg,
+            expr: ident("a"),
+        });
+        assert_eq!(returned("-a * b"), *bin(BinaryOp::Mul, neg_a, ident("b")));
+        let long_a = Box::new(Expr::Cast {
+            ty: CType::Long,
+            expr: ident("a"),
+        });
+        assert_eq!(
+            returned("(long)a + b"),
+            *bin(BinaryOp::Add, long_a, ident("b"))
+        );
+        let assign = |op, lhs, rhs| Box::new(Expr::Assign { op, lhs, rhs });
+        assert_eq!(
+            returned("a = b += c * a"),
+            *assign(
+                None,
+                ident("a"),
+                assign(
+                    Some(BinaryOp::Add),
+                    ident("b"),
+                    bin(BinaryOp::Mul, ident("c"), ident("a"))
+                )
+            )
+        );
+        assert_eq!(
+            returned("a || b = c"),
+            *assign(
+                None,
+                bin(BinaryOp::LogicalOr, ident("a"), ident("b")),
+                ident("c")
+            )
+        );
+        // A `&` followed by another `&` is never a binary `&`: the
+        // second would have to start an operand, and `a & &b` is an
+        // error rather than `a & (&b)`.
+        let err = parse_program("int f(int a, int b) { return a & &b; }").unwrap_err();
+        assert_eq!(err.message, "expected `;`, found Punct(Amp)");
+        assert_eq!(
+            returned("a & b && c"),
+            *bin(
+                BinaryOp::LogicalAnd,
+                bin(BinaryOp::And, ident("a"), ident("b")),
+                ident("c")
+            )
+        );
     }
 
     #[test]

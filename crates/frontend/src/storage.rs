@@ -14,7 +14,7 @@
 //! * **CUDA mode** (`-fopenmp-cuda-mode`): never globalize (unsound
 //!   opt-in that the paper's optimizations make unnecessary).
 
-use crate::ast::{CType, FuncDecl, OmpDirective, ScalarType, Stmt};
+use crate::ast::{walk, CType, FuncDecl, OmpDirective, ScalarType, Stmt};
 use crate::capture::captured_vars;
 use crate::error::CompileError;
 use crate::lower::{FnLowerer, GlobalizationScheme};
@@ -323,49 +323,35 @@ impl FnLowerer<'_, '_> {
 /// boundaries (their locals belong to the outlined function) but counts
 /// each region's capture struct.
 fn collect_legacy_slots(
-    s: &Stmt,
+    body: &Stmt,
     escaping: &HashSet<String>,
     all_names: &HashSet<String>,
     out: &mut Vec<u64>,
 ) {
-    match s {
-        Stmt::Block(ss) => {
-            for s in ss {
-                collect_legacy_slots(s, escaping, all_names, out);
+    walk(
+        body,
+        |s| {
+            match s {
+                Stmt::VarDecl {
+                    name, ty, array, ..
+                } if escaping.contains(name) => out.push(storage_size(*ty, *array)),
+                Stmt::For { header, .. } if escaping.contains(&header.var) => {
+                    out.push(storage_size(header.ty, None))
+                }
+                Stmt::Omp {
+                    directive: OmpDirective::Parallel { .. },
+                    body: Some(b),
+                } => {
+                    let ncaps = captured_vars(b, all_names).len();
+                    if ncaps > 0 {
+                        out.push(8 * ncaps as u64);
+                    }
+                    return false;
+                }
+                _ => {}
             }
-        }
-        Stmt::VarDecl {
-            name, ty, array, ..
-        } if escaping.contains(name) => {
-            out.push(storage_size(*ty, *array));
-        }
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            collect_legacy_slots(then_branch, escaping, all_names, out);
-            if let Some(e) = else_branch {
-                collect_legacy_slots(e, escaping, all_names, out);
-            }
-        }
-        Stmt::While { body, .. } => collect_legacy_slots(body, escaping, all_names, out),
-        Stmt::For { header, body } => {
-            if escaping.contains(&header.var) {
-                out.push(storage_size(header.ty, None));
-            }
-            collect_legacy_slots(body, escaping, all_names, out);
-        }
-        Stmt::Omp {
-            directive: OmpDirective::Parallel { .. },
-            body: Some(b),
-        } => {
-            let ncaps = captured_vars(b, all_names).len();
-            if ncaps > 0 {
-                out.push(8 * ncaps as u64);
-            }
-        }
-        Stmt::Omp { body: Some(b), .. } => collect_legacy_slots(b, escaping, all_names, out),
-        _ => {}
-    }
+            true
+        },
+        |_| {},
+    );
 }

@@ -186,6 +186,60 @@ double device_function(float arg) {
     assert!(text.contains("__kmpc_free_shared"));
 }
 
+/// The legacy aggregate's slots follow the order in which lowering asks
+/// for storage: an escaping loop variable, an escaping array (12 bytes,
+/// padded to 16), an escaping scalar, then a parallel region's capture
+/// struct. The region's own locals and its nested region's capture
+/// struct belong to the outlined function's aggregate. Each slot shows
+/// in the IR as `prefix * warp + size * lane`.
+#[test]
+fn legacy_slots_follow_storage_requests() {
+    let src = r#"
+void use(long* p);
+void fill(int* b);
+void f(long n) {
+  for (long i = 0; i < n; i++) { use(&i); }
+  int buf[3];
+  fill(buf);
+  double acc = 0.0;
+  #pragma omp parallel
+  {
+    long t = n;
+    use(&t);
+    #pragma omp parallel
+    { acc = (double)t; }
+  }
+}
+"#;
+    let m = compile(src, &legacy()).unwrap();
+    verifier::assert_valid(&m);
+    let text = print_module(&m);
+    // Per function with an aggregate: its size and, per slot, the
+    // constant operands of `prefix * warp` and `size * lane`.
+    let int_after = |line: &str, marker: &str| -> Option<u64> {
+        let rest = line.split(marker).nth(1)?;
+        rest.split([' ', ',']).next()?.parse().ok()
+    };
+    let aggregates: Vec<(u64, Vec<u64>)> = text
+        .split("\ndefine ")
+        .filter_map(|f| {
+            let total = f.lines().find_map(|l| int_after(l, " alloca "))?;
+            let slots = f
+                .lines()
+                .filter_map(|l| int_after(l, "mul i64 i64 "))
+                .collect();
+            Some((total, slots))
+        })
+        .collect();
+    assert_eq!(
+        aggregates,
+        [
+            (48, vec![0, 8, 8, 12, 24, 8, 32, 16]),
+            (24, vec![0, 8, 8, 16]),
+        ]
+    );
+}
+
 #[test]
 fn errors_are_reported() {
     let bad = "void f() { undefined_fn(); }";

@@ -24,7 +24,9 @@
 # same launch byte for byte, shutdown must be clean), checks the telemetry surface
 # (metrics op, access log, --telemetry artifact, unknown-schema exit
 # code), feeds `ompgpu json-validate` a file of 200,000 `[` (exit 1
-# with the reader's nesting error, not a signal), and runs a chaos leg (4 concurrent clients of mixed
+# with the reader's nesting error, not a signal), feeds `ompgpu build`
+# a 20,000-term operator chain and 120 nested 120-term groups (exit 1
+# with the parser's nesting error, not a signal), and runs a chaos leg (4 concurrent clients of mixed
 # good/malformed/fault-injected traffic against a tiny admission
 # queue; every reply structured, warm==cold afterwards, no panics,
 # clean shutdown), and builds a generated 64-kernel unit twice in two
@@ -371,9 +373,35 @@ EOF
         echo "smoke: 200,000 nested arrays exited $deep_rc, want 1 and the nesting error" >&2
         exit 1
     }
+    # Operator chains nest too. A flat chain of 20,000 terms, and 120
+    # nested groups of 120 terms (no chain and no parenthesis depth past
+    # 120, a tree some 14,000 levels tall), must fail to build naming
+    # the frontend's bound (exit 1), not abort on a stack overflow.
+    group="$(yes '+1.0' | head -n 119 | tr -d '\n')"
+    {
+        printf 'void deep(double* a) {\n  a[0] = 1.0'
+        yes '+1.0' | head -n 19999 | tr -d '\n'
+        printf ';\n}\n'
+    } > "$serve_dir/flat.c"
+    {
+        printf 'void deep(double* a) {\n  a[0] = '
+        yes '(' | head -n 119 | tr -d '\n'
+        printf '1.0'
+        yes "$group)" | head -n 119 | tr -d '\n'
+        printf '%s;\n}\n' "$group"
+    } > "$serve_dir/groups.c"
+    for shape in flat groups; do
+        chain_rc=0
+        "$ompgpu_bin" build "$serve_dir/$shape.c" > /dev/null \
+            2> "$serve_dir/$shape.err" || chain_rc=$?
+        [ "$chain_rc" -eq 1 ] && grep -q 'nesting deeper than 256' "$serve_dir/$shape.err" || {
+            echo "smoke: building the $shape operator chain exited $chain_rc, want 1 and the nesting error" >&2
+            exit 1
+        }
+    done
     rm -rf "$serve_dir"
     trap 'rm -f "$trace"' EXIT
-    echo "smoke: telemetry OK (artifact, access log, unknown-schema exit 6, deep nesting exit 1)"
+    echo "smoke: telemetry OK (artifact, access log, unknown-schema exit 6, deep JSON and operator chains exit 1)"
 
     echo "==> ompgpu serve chaos smoke (4 clients, mixed traffic, tiny queue)"
     # Four concurrent clients hammer a daemon with a 4-entry admission
