@@ -24,15 +24,15 @@ fn main() {
             if !relevant {
                 continue;
             }
-            match &o.stats {
-                Some(s) => println!(
+            match &o.result {
+                Ok(done) => println!(
                     "  {:<44} {:>14} {:>12.3} {:>8}",
                     o.config.label(),
-                    fmt_cycles(s.cycles),
-                    s.shared_mem_bytes as f64 / 1024.0,
-                    s.registers
+                    fmt_cycles(done.stats.cycles),
+                    done.stats.shared_mem_bytes as f64 / 1024.0,
+                    done.stats.registers
                 ),
-                None => println!("  {:<44} {:>14}", o.config.label(), o.failure()),
+                Err(e) => println!("  {:<44} {:>14}", o.config.label(), e.tagged()),
             }
         }
         println!();

@@ -7,7 +7,7 @@
 //! (case-insensitive substring); a name matching none is exit 2.
 
 use omp_bench::{args, collect, fmt_cycles};
-use omp_gpu::all_proxies;
+use omp_gpu::{all_proxies, Outcome};
 
 /// Paper-reported relative values (Figure 11), for side-by-side shape
 /// comparison. `None` = not reported / OOM.
@@ -75,7 +75,8 @@ fn main() {
         }
         println!();
         println!("== {} ==", pr.name);
-        let base = pr.outcomes[0].cycles();
+        let cycles = |o: &Outcome| o.result.as_ref().ok().map(|done| done.stats.cycles);
+        let base = cycles(&pr.outcomes[0]);
         let paper = paper_values(pr.name);
         println!(
             "  {:<44} {:>14} {:>9} {:>9}",
@@ -86,21 +87,22 @@ fn main() {
                 Some(v) => format!("{v:.2}x"),
                 None => "-".to_string(),
             };
-            match (&o.stats, base) {
-                (Some(s), Some(b)) => {
-                    let rel = b as f64 / s.cycles as f64;
+            match (cycles(o), base) {
+                (Some(c), Some(b)) => {
+                    let rel = b as f64 / c as f64;
                     let bar = "#".repeat((rel * 4.0).round().max(1.0) as usize);
                     println!(
                         "  {:<44} {:>14} {:>8.2}x {:>9}  {}",
                         o.config.label(),
-                        fmt_cycles(s.cycles),
+                        fmt_cycles(c),
                         rel,
                         paper_str,
                         bar
                     );
                 }
                 _ => {
-                    let out_of_memory = o.error.as_ref().is_some_and(|e| e.is_out_of_memory());
+                    let error = o.result.as_ref().err();
+                    let out_of_memory = error.is_some_and(|e| e.is_out_of_memory());
                     println!(
                         "  {:<44} {:>14} {:>9} {:>9}",
                         o.config.label(),
@@ -108,7 +110,7 @@ fn main() {
                         "-",
                         paper_str
                     );
-                    println!("      {}", o.failure());
+                    println!("      {}", error.map_or("failed".into(), |e| e.tagged()));
                 }
             }
         }

@@ -25,7 +25,7 @@ fn main() {
             .iter()
             .find(|o| o.config == BuildConfig::LlvmDev)
             .expect("dev outcome");
-        let Some(report) = &dev.report else {
+        let Some(report) = dev.report() else {
             continue;
         };
         let c = report.counts;

@@ -14,29 +14,26 @@
 //! (`benchmark/README.md`); these binaries print simulated counts.
 
 use omp_benchmarks::Scale;
-use omp_gpu::pipeline::RunOutcome;
-use omp_gpu::{all_proxies, pipeline};
+use omp_gpu::{all_proxies, BuildConfig, Job, Outcome, Store, Subject};
 
 /// Results for one proxy application across every configuration.
 pub struct ProxyResults {
     /// Benchmark name.
     pub name: &'static str,
-    /// One outcome per [`omp_gpu::BuildConfig::ALL`] entry.
-    pub outcomes: Vec<RunOutcome>,
+    /// One outcome per [`BuildConfig::ALL`] entry.
+    pub outcomes: Vec<Outcome>,
 }
 
-/// Runs every proxy under every configuration at the given scale.
+/// Runs every proxy under every configuration at the given scale, on
+/// one store: a proxy's configurations share its frontend runs.
 pub fn collect(scale: Scale) -> Vec<ProxyResults> {
+    let mut store = Store::new(0);
     all_proxies(scale)
         .into_iter()
         .map(|app| ProxyResults {
-            name: match app.name() {
-                "XSBench" => "XSBench",
-                "RSBench" => "RSBench",
-                "SU3Bench" => "SU3Bench",
-                _ => "miniQMC",
-            },
-            outcomes: pipeline::run_all_configs(app.as_ref()),
+            name: app.name(),
+            outcomes: Job::new(Subject::Proxy(app.as_ref()), BuildConfig::default())
+                .run_configs(&mut store, &BuildConfig::ALL),
         })
         .collect()
 }

@@ -5,19 +5,22 @@
 //!
 //! Run with: `cargo run --release -p omp-gpu --example config_matrix [bench]`
 
-use omp_gpu::{all_proxies, pipeline, Scale};
+use omp_gpu::{all_proxies, BuildConfig, Job, Scale, Store, Subject};
 fn main() {
     let scale = match std::env::args().nth(1).as_deref() {
         Some("bench") => Scale::Bench,
         _ => Scale::Small,
     };
+    let mut store = Store::new(0);
     for app in all_proxies(scale) {
         println!("== {} ==", app.name());
-        let outcomes = pipeline::run_all_configs(app.as_ref());
-        let base = outcomes[0].cycles();
+        let job = Job::new(Subject::Proxy(app.as_ref()), BuildConfig::default());
+        let outcomes = job.run_configs(&mut store, &BuildConfig::ALL);
+        let base = outcomes[0].snapshot().map(|s| s.cycles);
         for o in &outcomes {
-            match (&o.stats, &o.error) {
-                (Some(s), _) => {
+            match &o.result {
+                Ok(done) => {
+                    let s = &done.stats;
                     let rel = base.map(|b| b as f64 / s.cycles as f64).unwrap_or(0.0);
                     println!(
                         "  {:44} {:>10} cyc  {:>6.2}x  regs={:<3} smem={:<6} heap={}",
@@ -29,10 +32,9 @@ fn main() {
                         s.heap_bytes
                     );
                 }
-                (None, Some(e)) => println!("  {:44} FAILED: {e}", format!("{:?}", o.config)),
-                _ => unreachable!(),
+                Err(e) => println!("  {:44} FAILED: {e}", format!("{:?}", o.config)),
             }
-            if let Some(r) = &o.report {
+            if let Some(r) = o.report() {
                 let c = r.counts;
                 println!(
                     "      h2s={} h2shared={} spmd={} csm=({}) {} EM={} PL={} LP={} remarks={}",

@@ -36,10 +36,10 @@
 use omp_gpu::job::{
     self, EnvOverrides, JobError, JobResult, Store, EXIT_BUILD, EXIT_DIVERGED, EXIT_SIM, EXIT_USAGE,
 };
-use omp_gpu::oracle::{ArgSpec, BufInit, ORACLE_CONFIGS};
+use omp_gpu::oracle::{ArgSpec, BufInit};
 use omp_gpu::request::{self, Request, RequestError, Target};
 use omp_gpu::{pipeline, serve, BuildConfig, FaultPlan, LaunchDims, LaunchProfile, OptReport};
-use omp_gpu::{Job, Knobs, Mode, SimErrorKind, Subject};
+use omp_gpu::{Job, Knobs, Mode, Outcome, SimErrorKind, Subject};
 use omp_json::Value;
 use omp_telemetry::MetricsRegistry;
 use std::process::ExitCode;
@@ -190,10 +190,23 @@ fn sanitize_main(store: &mut Store, req: &Request, knobs: &Knobs) -> Result<Exit
     } else {
         println!("sanitize {subject}:");
         for o in &outcomes {
-            print!("{}", o.render());
+            let verdict = match &o.result {
+                Err(_) => "failed",
+                Ok(_) if o.error_findings() > 0 => "findings",
+                Ok(_) => "clean",
+            };
+            println!("{:<12} {verdict}", o.config.label());
+            match &o.result {
+                Ok(_) => {}
+                Err(JobError::Launch(e)) => println!("  error: {e}"),
+                Err(e) => println!("  setup error: {e}"),
+            }
+            for f in o.findings() {
+                println!("  {}", f.render());
+            }
         }
-        let errors: usize = outcomes.iter().map(|o| o.error_findings()).sum();
-        let notes = outcomes.iter().map(|o| o.findings.len()).sum::<usize>() - errors;
+        let errors: usize = outcomes.iter().map(Outcome::error_findings).sum();
+        let notes = outcomes.iter().map(|o| o.findings().len()).sum::<usize>() - errors;
         let n = outcomes.len();
         println!("{n} configuration(s), {errors} error finding(s), {notes} note(s)");
     }
@@ -604,8 +617,8 @@ fn profile_of(done: &JobResult) -> &LaunchProfile {
 
 /// Renders the `--all-configs` ablation view: a Figure-10-style summary
 /// per configuration plus a side-by-side exclusive-cycle table per
-/// function.
-fn render_ablation(results: &[(BuildConfig, Result<JobResult, String>)]) -> String {
+/// function. `failure` renders a configuration that did not run.
+fn render_ablation(outcomes: &[Outcome], failure: impl Fn(&JobError) -> String) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("ablation summary:\n");
     let _ = writeln!(
@@ -613,20 +626,20 @@ fn render_ablation(results: &[(BuildConfig, Result<JobResult, String>)]) -> Stri
         "  {:<12} {:>12} {:>10} {:>6} {:>12}",
         "CONFIG", "CYCLES", "SMEM B", "REGS", "INSTS"
     );
-    for (config, r) in results {
-        let name = config.cli_name();
-        let _ = match r {
+    for o in outcomes {
+        let name = o.config.cli_name();
+        let _ = match &o.result {
             Ok(p) => {
                 let s = &p.stats;
                 let (c, m, g, i) = (s.cycles, s.shared_mem_bytes, s.registers, s.instructions);
                 writeln!(out, "  {name:<12} {c:>12} {m:>10} {g:>6} {i:>12}")
             }
-            Err(e) => writeln!(out, "  {name:<12} failed: {e}"),
+            Err(e) => writeln!(out, "  {name:<12} failed: {}", failure(e)),
         };
     }
-    let profiles: Vec<Option<&LaunchProfile>> = results
+    let profiles: Vec<Option<&LaunchProfile>> = outcomes
         .iter()
-        .map(|(_, r)| r.as_ref().ok().map(profile_of))
+        .map(|o| o.result.as_ref().ok().map(profile_of))
         .collect();
     // Union of profiled functions, in first-seen hot order across the
     // configurations (so the fully optimized column drives the ranking
@@ -644,8 +657,8 @@ fn render_ablation(results: &[(BuildConfig, Result<JobResult, String>)]) -> Stri
     }
     out.push_str("\nexclusive cycles per function (- = not present):\n");
     let _ = write!(out, "  {:<28}", "FUNCTION");
-    for (config, _) in results {
-        let _ = write!(out, " {:>12}", config.cli_name());
+    for o in outcomes {
+        let _ = write!(out, " {:>12}", o.config.cli_name());
     }
     for name in names {
         let _ = write!(out, "\n  {name:<28}");
@@ -671,39 +684,32 @@ fn profile_main(store: &mut Store, req: &Request, knobs: &Knobs) -> Result<ExitC
     // A source's launch failure reads `launch failed: ...`; a proxy's
     // carries the figures' `OOM/memory: ` tag.
     let from_source = matches!(req.targets[0], Target::Source { .. });
-    let mut profile = |config: BuildConfig| match request::launch(store, req, config, knobs) {
-        Ok(done) => Ok(Ok(done.result)),
-        Err(RequestError::Job(JobError::Launch(sim))) if from_source => {
-            Ok(Err(format!("launch failed: {sim}")))
-        }
-        Err(RequestError::Job(e)) => Ok(Err(e.tagged())),
-        Err(e) => Err(request_error("profile", e)),
+    let failure = |e: &JobError| match e {
+        JobError::Launch(sim) if from_source => format!("launch failed: {sim}"),
+        e => e.tagged(),
     };
+    let (_, mut outcomes) = request::launch_configs(store, req, req.configs(), knobs)
+        .map_err(|e| request_error("profile", e))?;
 
     if req.all_configs {
-        // CUDA-style builds compile a different source; the ablation view
-        // covers the OpenMP-source configurations the paper ablates.
-        let results = ORACLE_CONFIGS
-            .iter()
-            .map(|&c| Ok((c, profile(c)?)))
-            .collect::<Result<Vec<_>, ExitCode>>()?;
         if req.time_passes {
-            for (config, r) in &results {
-                if let Ok(p) = r {
-                    eprintln!("[{}]", config.label());
+            for o in &outcomes {
+                if let Ok(p) = &o.result {
+                    eprintln!("[{}]", o.config.label());
                     print_time_passes(p.built.report.as_ref());
                 }
             }
         }
-        print!("{}", render_ablation(&results));
-        return Ok(match results.iter().any(|(_, r)| r.is_err()) {
+        print!("{}", render_ablation(&outcomes, failure));
+        return Ok(match outcomes.iter().any(|o| o.result.is_err()) {
             true => ExitCode::FAILURE,
             false => ExitCode::SUCCESS,
         });
     }
 
-    let profiled = profile(req.config)?.map_err(|e| {
-        eprintln!("ompgpu profile: [{}] {e}", req.config.label());
+    let outcome = outcomes.pop().expect("one outcome per configuration");
+    let profiled = outcome.result.map_err(|e| {
+        eprintln!("ompgpu profile: [{}] {}", req.config.label(), failure(&e));
         ExitCode::FAILURE
     })?;
     if req.time_passes {

@@ -15,9 +15,12 @@
 //! 2. **launch** — [`Job::launch`] is the only function that arms a
 //!    device, prepares inputs, launches in the requested [`Mode`],
 //!    host-verifies a proxy and reads buffers back.
-//! 3. **reduce / render** — callers fold results (`oracle::finish_case`,
-//!    `pipeline::sanitize_report_json`, the CLI's ablation table) and
-//!    render text or JSON from the same [`JobResult`] accessors.
+//! 3. **reduce / render** — [`Job::run_configs`] runs one job under a
+//!    list of configurations and returns one [`Outcome`] per
+//!    configuration; the oracle (`oracle::finish_case`), the sanitizer
+//!    report (`pipeline::sanitize_report_json`), the CLI's ablation
+//!    table and the figure binaries all fold that list, and render text
+//!    or JSON from the same accessors.
 //!
 //! [`JobError`] names the stage that failed and owns the one mapping
 //! from stage to exit code; classification reads the error *kind*
@@ -31,7 +34,8 @@ use omp_benchmarks::ProxyApp;
 use omp_frontend::GlobalizationScheme;
 use omp_gpusim::{
     Device, DeviceConfig, FaultPlan, Finding, KernelStats, Launch, LaunchDims, LaunchProfile,
-    MemError, ProfileMode, RtVal, SanitizeMode, SimError, SimErrorKind, Tier,
+    MemError, ProfileMode, RtVal, SanitizeMode, Severity, SimError, SimErrorKind, StatsSnapshot,
+    Tier,
 };
 use omp_ir::Module;
 use omp_json::{content_address, fnv1a, JsonWriter};
@@ -236,6 +240,58 @@ impl JobResult {
     /// `stats` member of every serve payload).
     pub fn stats_json(&self) -> String {
         self.stats.snapshot().to_json()
+    }
+}
+
+/// One configuration's run of a job: the build, when it succeeded, and
+/// the job's result. A launch that fails keeps its build, so the
+/// optimizer's report of a configuration that could not run stays
+/// readable.
+#[derive(Debug)]
+pub struct Outcome {
+    pub config: BuildConfig,
+    pub built: Option<Arc<Built>>,
+    pub result: Result<JobResult, JobError>,
+}
+
+impl Outcome {
+    /// Bit patterns of every buffer read back, in buffer order, if the
+    /// run succeeded.
+    pub fn bits(&self) -> Option<Vec<u64>> {
+        let done = self.result.as_ref().ok()?;
+        Some(done.buffers.iter().flat_map(Buffer::bits).collect())
+    }
+
+    /// Deterministic, order-stable statistics, if the run succeeded.
+    pub fn snapshot(&self) -> Option<StatsSnapshot> {
+        self.result.as_ref().ok().map(|done| done.stats.snapshot())
+    }
+
+    /// The optimizer's report, when the build ran the mid-end.
+    pub fn report(&self) -> Option<&OptReport> {
+        self.built.as_ref()?.report.as_ref()
+    }
+
+    /// Sanitizer findings: the launch's, or those a failed launch
+    /// carried (e.g. divergence notes attached to a deadlock).
+    pub fn findings(&self) -> &[Finding] {
+        match &self.result {
+            Ok(done) => &done.findings,
+            Err(JobError::Launch(e)) => &e.findings,
+            Err(_) => &[],
+        }
+    }
+
+    /// Error-severity findings (notes like shared-stack fallback do not
+    /// count against cleanliness).
+    pub fn error_findings(&self) -> usize {
+        let errors = self.findings().iter();
+        errors.filter(|f| f.severity == Severity::Error).count()
+    }
+
+    /// True when the run completed without an error-severity finding.
+    pub fn is_clean(&self) -> bool {
+        self.result.is_ok() && self.error_findings() == 0
     }
 }
 
@@ -687,14 +743,22 @@ fn init_value(init: BufInit, i: i64) -> f64 {
 
 /// Stages launch arguments: buffers are allocated and deterministically
 /// initialized (`i64` buffers scale the pseudo-random sequence to
-/// `0..1000`); scalars pass through.
+/// `0..1000`); scalars pass through. A buffer of 8-byte elements larger
+/// than the device's global memory is refused before its host copy is
+/// built.
 fn materialize(
     dev: &mut Device,
     specs: &[ArgSpec],
 ) -> Result<(Vec<RtVal>, Vec<BufferHandle>), SimError> {
     let mut args: Vec<RtVal> = Vec::new();
     let mut buffers: Vec<BufferHandle> = Vec::new();
+    let capacity = dev.config().global_mem_bytes;
     for a in specs {
+        if let ArgSpec::BufF64(n, _) | ArgSpec::BufI64(n, _) = *a {
+            if n.checked_mul(8).is_none_or(|bytes| bytes as u64 > capacity) {
+                return Err(MemError::GlobalExhausted.into());
+            }
+        }
         match *a {
             ArgSpec::BufF64(n, init) => {
                 let data: Vec<f64> = (0..n as i64).map(|i| init_value(init, i)).collect();
@@ -744,8 +808,37 @@ impl<'a> Job<'a> {
 
     /// Builds, then launches.
     pub fn run(&self, store: &mut Store) -> Result<JobResult, JobError> {
-        let built = self.build(store)?;
-        self.launch(store, &built)
+        self.outcome(store).result
+    }
+
+    /// Builds, then launches, keeping the build when the launch fails.
+    pub fn outcome(&self, store: &mut Store) -> Outcome {
+        let config = self.config;
+        match self.build(store) {
+            Ok(built) => Outcome {
+                config,
+                result: self.launch(store, &built),
+                built: Some(built),
+            },
+            Err(e) => Outcome {
+                config,
+                built: None,
+                result: Err(e),
+            },
+        }
+    }
+
+    /// Runs this job once under each of `configs` (its own `config` is
+    /// ignored) on `store`, one outcome per configuration in order: the
+    /// one loop over configurations. The configurations share the
+    /// store's tiers, so the OpenMP-source ones need at most two
+    /// frontend runs between them and the CUDA-style one a third.
+    pub fn run_configs(&self, store: &mut Store, configs: &[BuildConfig]) -> Vec<Outcome> {
+        let job = |config| Job {
+            config,
+            ..self.clone()
+        };
+        configs.iter().map(|&c| job(c).outcome(store)).collect()
     }
 
     /// Launches `built` on a pristine device of the store: arm the

@@ -13,8 +13,9 @@
 //!   configuration;
 //! * [`job`] — the one path a source takes from text to results:
 //!   [`Job`] → [`Store`] → device → launch → [`JobResult`];
-//! * [`pipeline::run_proxy`] / [`pipeline::run_all_configs`] — build,
-//!   launch, and verify one of the four proxy applications;
+//!   [`Job::run_configs`] runs a job (a source kernel, or one of the
+//!   four proxy applications, host-verified) under a list of
+//!   configurations, one [`Outcome`] each;
 //! * [`oracle`] — the differential-execution oracle: every subject runs
 //!   under the full ablation matrix and must produce bit-identical
 //!   outputs with monotone resource statistics (`ompgpu verify`).
@@ -41,7 +42,7 @@ pub mod request;
 pub mod serve;
 
 pub use config::BuildConfig;
-pub use job::{Job, JobError, JobResult, Knobs, Mode, Readback, Store, Subject};
+pub use job::{Job, JobError, JobResult, Knobs, Mode, Outcome, Readback, Store, Subject};
 pub use omp_benchmarks::{all_proxies, ProxyApp, Scale};
 pub use omp_frontend::{compile, FrontendOptions, GlobalizationScheme};
 pub use omp_gpusim::{
@@ -52,10 +53,7 @@ pub use omp_gpusim::{
 pub use omp_ir::Module;
 pub use omp_opt::{OpenMpOptConfig, OptReport, PassStat, PassTiming};
 pub use oracle::OracleCase;
-pub use pipeline::{
-    build, render_pass_timings, run_all_configs, run_proxy, sanitize, sanitize_report_json,
-    sanitize_source, RunOutcome, SanitizeOutcome,
-};
+pub use pipeline::{build, render_pass_timings, sanitize_report_json};
 pub use request::Request;
 pub use serve::{
     serve_unix, spawn_executor, ExecShared, ExecutorHandle, ServeJob, Session, SessionStats,

@@ -28,11 +28,9 @@
 //! `crates/core/tests/differential.rs` are thin drivers over this module.
 
 use crate::config::BuildConfig;
-use crate::job::{Built, Job, JobError, JobResult, Knobs, Readback, Store, Subject};
-use omp_gpusim::{LaunchDims, StatsSnapshot};
+use crate::job::{Job, JobError, Knobs, Outcome, Readback, Store, Subject};
+use omp_gpusim::{KernelStats, LaunchDims};
 use omp_json::JsonWriter;
-use omp_opt::PassStat;
-use std::sync::Arc;
 
 /// The configurations the oracle compares: every entry of the paper's
 /// ablation matrix that compiles the *OpenMP* source. (`CudaStyle`
@@ -59,58 +57,13 @@ pub const ABLATION_CHAIN: [BuildConfig; 5] = [
     BuildConfig::LlvmDev,
 ];
 
-/// Result of one (subject, configuration) execution.
-#[derive(Debug, Clone)]
-pub struct CaseResult {
-    /// Configuration executed.
-    pub config: BuildConfig,
-    /// Bit patterns of every output value (`f64::to_bits` /
-    /// `i64 as u64`), in buffer order. `None` when the run failed.
-    pub bits: Option<Vec<u64>>,
-    /// Deterministic launch statistics. `None` when the run failed.
-    pub stats: Option<StatsSnapshot>,
-    /// The staged error when the run failed.
-    pub error: Option<JobError>,
-    /// The build that ran (`None` when the run failed).
-    pub built: Option<Arc<Built>>,
-}
-
-impl CaseResult {
-    /// Folds one [`Readback::All`] job into its matrix entry.
-    pub fn of(config: BuildConfig, result: Result<JobResult, JobError>) -> CaseResult {
-        let (bits, stats, built, error) = match result {
-            Ok(r) => (
-                Some(r.buffers.iter().flat_map(|b| b.bits()).collect()),
-                Some(r.stats.snapshot()),
-                Some(r.built),
-                None,
-            ),
-            Err(e) => (None, None, None, Some(e)),
-        };
-        CaseResult {
-            config,
-            bits,
-            stats,
-            error,
-            built,
-        }
-    }
-
-    /// Per-pass optimizer statistics (empty when the OpenMP pass did
-    /// not run under this configuration).
-    pub fn pass_stats(&self) -> Vec<PassStat> {
-        let report = self.built.as_ref().and_then(|b| b.report.as_ref());
-        report.map(|r| r.pass_stats()).unwrap_or_default()
-    }
-}
-
 /// Differential verdict for one subject across all configurations.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct OracleCase {
     /// Subject name (proxy name or example file stem).
     pub name: String,
-    /// One result per entry of [`ORACLE_CONFIGS`], in order.
-    pub results: Vec<CaseResult>,
+    /// One outcome per entry of [`ORACLE_CONFIGS`], in order.
+    pub results: Vec<Outcome>,
     /// Divergences found (empty means the case passed).
     pub failures: Vec<String>,
     /// Failures that match a documented expectation (e.g. RSBench's
@@ -126,7 +79,7 @@ impl OracleCase {
 
     /// Number of configurations that executed to completion.
     pub fn successes(&self) -> usize {
-        self.results.iter().filter(|r| r.bits.is_some()).count()
+        self.results.iter().filter(|r| r.result.is_ok()).count()
     }
 
     /// The serve protocol's `verify` payload.
@@ -139,10 +92,9 @@ impl OracleCase {
         for r in &self.results {
             w.begin_object();
             w.key("config").string(r.config.cli_name());
-            match (&r.stats, &r.error) {
-                (Some(s), _) => w.key("stats").raw(&s.to_json()),
-                (None, Some(e)) => w.key("error").string(&e.to_string()),
-                (None, None) => unreachable!("failed result without error"),
+            match &r.result {
+                Ok(done) => w.key("stats").raw(&done.stats_json()),
+                Err(e) => w.key("error").string(&e.to_string()),
             };
             w.end_object();
         }
@@ -171,19 +123,16 @@ impl OracleCase {
             self.results.len()
         );
         for r in &self.results {
-            match (&r.stats, &r.error) {
-                (Some(s), _) => out.push_str(&format!(
+            match &r.result {
+                Ok(done) => out.push_str(&format!(
                     "  {:<40} cycles={:<10} heap={:<8} smem={:<6} galloc={}\n",
                     r.config.label(),
-                    s.cycles,
-                    s.heap_bytes,
-                    s.shared_mem_bytes,
-                    s.globalization_allocs
+                    done.stats.cycles,
+                    done.stats.heap_bytes,
+                    done.stats.shared_mem_bytes,
+                    done.stats.globalization_allocs
                 )),
-                (None, Some(e)) => {
-                    out.push_str(&format!("  {:<40} error: {e}\n", r.config.label()))
-                }
-                (None, None) => unreachable!("failed result without error"),
+                Err(e) => out.push_str(&format!("  {:<40} error: {e}\n", r.config.label())),
             }
         }
         for e in &self.expected_failures {
@@ -361,7 +310,7 @@ impl ExampleSpec {
 /// Derives the verdict from per-configuration results: bit-identical
 /// outputs across every successful configuration, tolerated documented
 /// failures, and monotone resource statistics along [`ABLATION_CHAIN`].
-pub fn finish_case(name: &str, results: Vec<CaseResult>) -> OracleCase {
+pub fn finish_case(name: &str, results: Vec<Outcome>) -> OracleCase {
     let mut failures = Vec::new();
     let mut expected_failures = Vec::new();
 
@@ -372,7 +321,7 @@ pub fn finish_case(name: &str, results: Vec<CaseResult>) -> OracleCase {
     //    (every thread globalizes into the deliberately small default
     //    heap; at bench scale the unoptimized ablation exhausts it too).
     for r in &results {
-        if let Some(e) = &r.error {
+        if let Err(e) = &r.result {
             let unoptimized = matches!(
                 r.config,
                 BuildConfig::Llvm12Baseline | BuildConfig::NoOpenmpOpt
@@ -390,10 +339,12 @@ pub fn finish_case(name: &str, results: Vec<CaseResult>) -> OracleCase {
 
     // 2. Bit-identical outputs. Reference: the first successful config
     //    in matrix order.
-    if let Some(reference) = results.iter().find(|r| r.bits.is_some()) {
-        let ref_bits = reference.bits.as_ref().unwrap();
-        for r in &results {
-            let Some(bits) = &r.bits else { continue };
+    let outputs: Vec<(&Outcome, Vec<u64>)> = results
+        .iter()
+        .filter_map(|r| Some((r, r.bits()?)))
+        .collect();
+    if let Some((reference, ref_bits)) = outputs.first() {
+        for (r, bits) in &outputs {
             if bits.len() != ref_bits.len() {
                 failures.push(format!(
                     "{}: {} output values vs {} under {}",
@@ -421,14 +372,13 @@ pub fn finish_case(name: &str, results: Vec<CaseResult>) -> OracleCase {
     }
 
     // 3. Monotone resource statistics along the ablation chain.
-    let chain: Vec<&CaseResult> = ABLATION_CHAIN
+    let chain: Vec<(&Outcome, &KernelStats)> = ABLATION_CHAIN
         .iter()
         .filter_map(|c| results.iter().find(|r| r.config == *c))
-        .filter(|r| r.stats.is_some())
+        .filter_map(|r| Some((r, &r.result.as_ref().ok()?.stats)))
         .collect();
     for pair in chain.windows(2) {
-        let (a, b) = (pair[0], pair[1]);
-        let (sa, sb) = (a.stats.as_ref().unwrap(), b.stats.as_ref().unwrap());
+        let ((a, sa), (b, sb)) = (pair[0], pair[1]);
         // Strictly monotone quantities: each optimization can only
         // remove runtime allocations and indirect dispatch.
         for (what, va, vb) in [
@@ -484,18 +434,12 @@ pub fn verify_subject(
     subject: Subject,
     knobs: &Knobs,
 ) -> OracleCase {
-    let results = ORACLE_CONFIGS
-        .iter()
-        .map(|&config| {
-            let job = Job {
-                knobs: knobs.clone(),
-                readback: Readback::All,
-                ..Job::new(subject, config)
-            };
-            CaseResult::of(config, job.run(store))
-        })
-        .collect();
-    finish_case(name, results)
+    let job = Job {
+        knobs: knobs.clone(),
+        readback: Readback::All,
+        ..Job::new(subject, BuildConfig::default())
+    };
+    finish_case(name, job.run_configs(store, &ORACLE_CONFIGS))
 }
 
 /// Verifies one example source (with an `// oracle-*:` header) across

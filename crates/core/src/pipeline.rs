@@ -1,16 +1,10 @@
 //! The compile → optimize → simulate pipeline.
 
 use crate::config::BuildConfig;
-use crate::job::{
-    Job, JobError, JobResult, Knobs, Mode, Store, Subject, EXIT_BUILD, EXIT_FINDINGS, EXIT_OK,
-    EXIT_SIM,
-};
-use crate::oracle::ExampleSpec;
-use omp_benchmarks::ProxyApp;
+use crate::job::{JobError, Outcome, EXIT_BUILD, EXIT_FINDINGS, EXIT_OK, EXIT_SIM};
 use omp_frontend::CompileError;
-use omp_gpusim::{Finding, KernelStats, Severity, SimError, StatsSnapshot};
 use omp_ir::Module;
-use omp_opt::{OptReport, PassStat, PassTiming};
+use omp_opt::{OptReport, PassTiming};
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
@@ -40,8 +34,9 @@ impl std::error::Error for BuildError {}
 /// The frontend output depends on `config` solely through its
 /// [`FrontendOptions`](omp_frontend::FrontendOptions) (in practice: the
 /// globalization scheme), which is what lets the job
-/// [`Store`]'s frontend tier serve many configurations of one source
-/// from at most two frontend runs, each feeding a clone to [`optimize`].
+/// [`Store`](crate::job::Store)'s frontend tier serve many
+/// configurations of one source from at most two frontend runs, each
+/// feeding a clone to [`optimize`].
 pub fn compile_frontend(source: &str, config: BuildConfig) -> Result<Module, BuildError> {
     let _span = omp_telemetry::span("frontend.compile", "pipeline");
     let fe = config.frontend_options("bench");
@@ -385,78 +380,6 @@ pub fn record_pipeline_metrics(report: &OptReport, reg: &mut omp_telemetry::Metr
     reg.counter_add("pipeline.remarks", report.remarks.len() as u64);
 }
 
-/// Result of running one proxy application under one configuration.
-#[derive(Debug)]
-pub struct RunOutcome {
-    /// The configuration label.
-    pub config: BuildConfig,
-    /// Launch statistics on success; `None` when the job failed
-    /// (e.g. out of memory — RSBench's unoptimized build).
-    pub stats: Option<KernelStats>,
-    /// The staged error when the job failed ([`JobError::tagged`] is
-    /// the rendering the figures print).
-    pub error: Option<JobError>,
-    /// Optimizer report, when the OpenMP pass ran.
-    pub report: Option<OptReport>,
-}
-
-impl RunOutcome {
-    /// Kernel cycles, if the run succeeded.
-    pub fn cycles(&self) -> Option<u64> {
-        self.stats.as_ref().map(|s| s.cycles)
-    }
-
-    /// Deterministic, order-stable statistics (sorted runtime-call
-    /// counts), if the run succeeded — the form the oracle records.
-    pub fn snapshot(&self) -> Option<StatsSnapshot> {
-        self.stats.as_ref().map(|s| s.snapshot())
-    }
-
-    /// The table cell the figures print for a failed run; memory faults
-    /// carry the `OOM/memory: ` tag (see [`JobError::tagged`]).
-    pub fn failure(&self) -> String {
-        self.error
-            .as_ref()
-            .map_or_else(|| "failed".to_string(), JobError::tagged)
-    }
-
-    /// Per-pass optimizer statistics, derived from the structured
-    /// remarks (empty when the OpenMP pass did not run).
-    pub fn pass_stats(&self) -> Vec<PassStat> {
-        self.report
-            .as_ref()
-            .map(|r| r.pass_stats())
-            .unwrap_or_default()
-    }
-}
-
-/// Builds and runs `app` under `config` against a fresh store, verifying
-/// results on success and keeping the optimizer report even when the
-/// launch fails.
-pub fn run_proxy(app: &dyn ProxyApp, config: BuildConfig) -> RunOutcome {
-    let (job, mut store) = (Job::new(Subject::Proxy(app), config), Store::new(0));
-    let built = job.build(&mut store);
-    let report = built.as_ref().ok().and_then(|b| b.report.clone());
-    let (stats, error) = match built.and_then(|b| job.launch(&mut store, &b)) {
-        Ok(r) => (Some(r.stats), None),
-        Err(e) => (None, Some(e)),
-    };
-    RunOutcome {
-        config,
-        stats,
-        error,
-        report,
-    }
-}
-
-/// Runs one proxy under every configuration.
-pub fn run_all_configs(app: &dyn ProxyApp) -> Vec<RunOutcome> {
-    BuildConfig::ALL
-        .iter()
-        .map(|&c| run_proxy(app, c))
-        .collect()
-}
-
 /// Renders the pass-timing table printed by `--time-passes`. Wall times
 /// are host measurements and vary run to run; the IR deltas are
 /// deterministic.
@@ -501,112 +424,37 @@ fn format_nanos(n: u64) -> String {
         format!("{:.1}us", n as f64 / 1e3)
     }
 }
-/// Result of one sanitized run under one configuration.
-#[derive(Debug)]
-pub struct SanitizeOutcome {
-    /// The configuration label.
-    pub config: BuildConfig,
-    /// Launch statistics on success.
-    pub stats: Option<KernelStats>,
-    /// Structured simulation error when the launch failed.
-    pub error: Option<SimError>,
-    /// Build/setup error when the subject never launched (compile or
-    /// verifier failure, bad spec, allocation failure while staging).
-    pub setup_error: Option<String>,
-    /// Sanitizer findings, merged in team-id order. On a failed launch
-    /// these are the findings the error carried (e.g. divergence notes
-    /// attached to a deadlock).
-    pub findings: Vec<Finding>,
-}
 
-impl SanitizeOutcome {
-    /// Folds one [`Mode::Sanitize`] job into its report entry.
-    pub fn of(config: BuildConfig, result: Result<JobResult, JobError>) -> SanitizeOutcome {
-        let (stats, error, setup_error, findings) = match result {
-            Ok(r) => (Some(r.stats), None, None, r.findings),
-            Err(JobError::Launch(e)) => {
-                let findings = e.findings.clone();
-                (None, Some(e), None, findings)
-            }
-            Err(e) => (None, None, Some(e.to_string()), Vec::new()),
-        };
-        SanitizeOutcome {
-            config,
-            stats,
-            error,
-            setup_error,
-            findings,
-        }
-    }
-
-    /// Error-severity findings (notes like shared-stack fallback do not
-    /// count against cleanliness).
-    pub fn error_findings(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Error)
-            .count()
-    }
-
-    /// True when the run completed and the sanitizer reported no
-    /// error-severity finding.
-    pub fn is_clean(&self) -> bool {
-        self.error.is_none() && self.setup_error.is_none() && self.error_findings() == 0
-    }
-
-    /// Human-readable per-configuration report.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let verdict = if self.is_clean() {
-            "clean"
-        } else if self.error.is_some() || self.setup_error.is_some() {
-            "failed"
-        } else {
-            "findings"
-        };
-        out.push_str(&format!("{:<12} {}\n", self.config.label(), verdict));
-        if let Some(e) = &self.setup_error {
-            out.push_str(&format!("  setup error: {e}\n"));
-        }
-        if let Some(e) = &self.error {
-            out.push_str(&format!("  error: {e}\n"));
-        }
-        for f in &self.findings {
-            out.push_str(&format!("  {}\n", f.render()));
-        }
-        out
-    }
-
-    /// Machine-readable report (`ompgpu-sanitize/v1`).
-    pub fn write_json(&self, w: &mut omp_json::JsonWriter) {
-        w.begin_object();
-        w.key("config").string(self.config.label());
-        w.key("clean").bool(self.is_clean());
-        if let Some(e) = &self.setup_error {
-            w.key("setup_error").string(e);
-        }
-        if let Some(e) = &self.error {
-            w.key("error").raw(&e.to_json());
-        }
-        w.key("findings").begin_array();
-        for f in &self.findings {
-            f.write_json(w);
-        }
-        w.end_array();
-        w.end_object();
-    }
-}
-
-/// Serializes sanitize outcomes as one `ompgpu-sanitize/v1` document.
-pub fn sanitize_report_json(subject: &str, outcomes: &[SanitizeOutcome]) -> String {
+/// Serializes the outcomes of [`Mode::Sanitize`](crate::job::Mode) jobs
+/// as one `ompgpu-sanitize/v1` document. A failed launch is an `error`
+/// object; a subject that never launched (spec, build or staging
+/// failure) a `setup_error` string.
+pub fn sanitize_report_json(subject: &str, outcomes: &[Outcome]) -> String {
     let mut w = omp_json::JsonWriter::with_capacity(1024);
     w.begin_object();
     w.key("schema").string("ompgpu-sanitize/v1");
     w.key("subject").string(subject);
-    w.key("clean").bool(outcomes.iter().all(|o| o.is_clean()));
+    w.key("clean").bool(outcomes.iter().all(Outcome::is_clean));
     w.key("configs").begin_array();
     for o in outcomes {
-        o.write_json(&mut w);
+        w.begin_object();
+        w.key("config").string(o.config.label());
+        w.key("clean").bool(o.is_clean());
+        match &o.result {
+            Ok(_) => {}
+            Err(JobError::Launch(e)) => {
+                w.key("error").raw(&e.to_json());
+            }
+            Err(e) => {
+                w.key("setup_error").string(&e.to_string());
+            }
+        }
+        w.key("findings").begin_array();
+        for f in o.findings() {
+            f.write_json(&mut w);
+        }
+        w.end_array();
+        w.end_object();
     }
     w.end_array();
     w.end_object();
@@ -615,39 +463,15 @@ pub fn sanitize_report_json(subject: &str, outcomes: &[SanitizeOutcome]) -> Stri
 
 /// The exit code of a sanitize report: findings outrank launch
 /// failures, which outrank subjects that never launched.
-pub fn sanitize_exit_code(outcomes: &[SanitizeOutcome]) -> u8 {
-    if outcomes.iter().any(|o| o.error_findings() > 0) {
+pub fn sanitize_exit_code(outcomes: &[Outcome]) -> u8 {
+    let any = |f: fn(&Outcome) -> bool| outcomes.iter().any(f);
+    if any(|o| o.error_findings() > 0) {
         EXIT_FINDINGS
-    } else if outcomes.iter().any(|o| o.error.is_some()) {
+    } else if any(|o| matches!(o.result, Err(JobError::Launch(_)))) {
         EXIT_SIM
-    } else if outcomes.iter().any(|o| o.setup_error.is_some()) {
+    } else if any(|o| o.result.is_err()) {
         EXIT_BUILD
     } else {
         EXIT_OK
-    }
-}
-
-/// Runs `subject` under `config` on `store` with the sanitizer on,
-/// collecting findings.
-pub fn sanitize(
-    store: &mut Store,
-    subject: Subject,
-    config: BuildConfig,
-    knobs: &Knobs,
-) -> SanitizeOutcome {
-    let job = Job {
-        mode: Mode::Sanitize,
-        knobs: knobs.clone(),
-        ..Job::new(subject, config)
-    };
-    SanitizeOutcome::of(config, job.run(store))
-}
-
-/// [`sanitize`] of an example source (with an `// oracle-*:` spec
-/// header, see [`ExampleSpec`]) against a fresh store.
-pub fn sanitize_source(source: &str, config: BuildConfig, knobs: &Knobs) -> SanitizeOutcome {
-    match ExampleSpec::parse(source) {
-        Ok(spec) => sanitize(&mut Store::new(0), spec.subject(source), config, knobs),
-        Err(e) => SanitizeOutcome::of(config, Err(JobError::Spec(e))),
     }
 }

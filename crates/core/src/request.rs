@@ -10,10 +10,9 @@
 //! wraps them with its deadline, panic isolation and accounting).
 
 use crate::config::BuildConfig;
-use crate::job::{Built, EnvOverrides, Job, JobError, JobResult, Knobs, Mode, Readback, Stage};
-use crate::job::{StageFault, Store, Subject, EXIT_BUILD, EXIT_USAGE};
+use crate::job::{Built, EnvOverrides, Job, JobError, JobResult, Knobs, Mode, Outcome, Readback};
+use crate::job::{Stage, StageFault, Store, Subject, EXIT_BUILD, EXIT_USAGE};
 use crate::oracle::{self, ArgSpec, ExampleSpec, OracleCase, ORACLE_CONFIGS};
-use crate::pipeline::{self, SanitizeOutcome};
 use crate::serve::{ALL_OPS, MAX_FRAME_BYTES};
 use omp_benchmarks::{all_proxies, ProxyApp, Scale};
 use omp_gpusim::FaultPlan;
@@ -426,6 +425,16 @@ impl Request {
         self.targets.first().ok_or_else(missing)
     }
 
+    /// The configurations a sweeping op runs: under `all_configs` the
+    /// six OpenMP-source ones the paper ablates (a CUDA-style build
+    /// compiles a different source), else the one asked for.
+    pub fn configs(&self) -> &[BuildConfig] {
+        match self.all_configs {
+            true => &ORACLE_CONFIGS,
+            false => std::slice::from_ref(&self.config),
+        }
+    }
+
     /// The device knobs the request asks for, a knob it leaves unset
     /// taken from the front end's `env` (a daemon also narrows the
     /// watchdog to its deadline). An error-mode `launch` fault is
@@ -479,15 +488,16 @@ pub struct Launched {
     pub result: JobResult,
 }
 
-/// `run` and `profile` under `config`: kernel, geometry and arguments
-/// from the request, each falling back to the source's `// oracle-*:`
-/// header.
-pub fn launch(
+/// `run` and `profile` under each of `configs`: the kernel that runs
+/// and one outcome per configuration. Kernel, geometry and arguments
+/// come from the request, each falling back to the source's
+/// `// oracle-*:` header.
+pub fn launch_configs(
     store: &mut Store,
     req: &Request,
-    config: BuildConfig,
+    configs: &[BuildConfig],
     knobs: &Knobs,
-) -> Result<Launched, RequestError> {
+) -> Result<(String, Vec<Outcome>), RequestError> {
     let (subject, kernel, app, spec);
     match req.target()? {
         Target::Proxy(name) => {
@@ -525,10 +535,24 @@ pub fn launch(
         mode,
         readback,
         knobs: knobs.clone(),
-        ..Job::new(subject, config)
+        ..Job::new(subject, req.config)
     };
-    let result = job.run(store)?;
-    let kernel = kernel.to_string();
+    Ok((kernel.to_string(), job.run_configs(store, configs)))
+}
+
+/// [`launch_configs`] under one configuration, whose failure is the
+/// request's.
+pub fn launch(
+    store: &mut Store,
+    req: &Request,
+    config: BuildConfig,
+    knobs: &Knobs,
+) -> Result<Launched, RequestError> {
+    let (kernel, mut outcomes) = launch_configs(store, req, &[config], knobs)?;
+    let result = outcomes
+        .pop()
+        .expect("one outcome per configuration")
+        .result?;
     Ok(Launched { kernel, result })
 }
 
@@ -539,7 +563,7 @@ pub fn sanitize(
     store: &mut Store,
     req: &Request,
     knobs: &Knobs,
-) -> Result<(String, Vec<SanitizeOutcome>), RequestError> {
+) -> Result<(String, Vec<Outcome>), RequestError> {
     let (app, spec);
     let (name, subject) = match req.target()? {
         Target::Proxy(name) => {
@@ -551,15 +575,24 @@ pub fn sanitize(
             (name.clone(), spec.as_ref().map(|s| s.subject(text)))
         }
     };
-    let configs = match req.all_configs {
-        true => &ORACLE_CONFIGS[..],
-        false => std::slice::from_ref(&req.config),
+    let configs = req.configs();
+    let outcomes = match subject {
+        Ok(subject) => Job {
+            mode: Mode::Sanitize,
+            knobs: knobs.clone(),
+            ..Job::new(subject, req.config)
+        }
+        .run_configs(store, configs),
+        Err(e) => configs
+            .iter()
+            .map(|&config| Outcome {
+                config,
+                built: None,
+                result: Err(e.clone()),
+            })
+            .collect(),
     };
-    let outcomes = configs.iter().map(|&c| match &subject {
-        Ok(s) => pipeline::sanitize(store, *s, c, knobs),
-        Err(e) => SanitizeOutcome::of(c, Err((*e).clone())),
-    });
-    Ok((name, outcomes.collect()))
+    Ok((name, outcomes))
 }
 
 /// `verify`: one oracle case per target.

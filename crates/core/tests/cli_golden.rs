@@ -208,6 +208,21 @@ fn verify() {
     check_golden("verify", &cases);
 }
 
+/// A buffer length of 8 PB, past any device and any host.
+const HUGE_LEN: &str = "1000000000000000";
+/// A buffer length whose size in bytes overflows 64 bits.
+const OVERFLOW_LEN: &str = "18446744073709551615";
+
+/// `saxpy`'s launch flags with a first buffer of `len` elements.
+fn oversized(len: &str) -> Vec<String> {
+    let args = [&format!("buf:f64:{len}"), "buf:f64:64", "f64:2.5", "i64:64"];
+    let mut flags = vec!["--kernel".to_string(), "saxpy".to_string()];
+    for a in args {
+        flags.extend(["--arg".to_string(), a.to_string()]);
+    }
+    flags
+}
+
 /// One failing invocation per exit code, plus the usage screen.
 #[test]
 fn failures() {
@@ -258,6 +273,10 @@ fn failures() {
             &[],
             &[],
         ),
+        // Buffers the device can never hold are refused before a host
+        // copy is built: 8 PB, and a length whose byte size overflows.
+        case(&["run", SAXPY], &oversized(HUGE_LEN), &[]),
+        case(&["run", SAXPY], &oversized(OVERFLOW_LEN), &[]),
         case(
             &["sanitize", SAXPY, "--max-insts", "10", "--json"],
             &[],
@@ -622,7 +641,9 @@ fn valid_env_max_insts_is_the_default_budget() {
 /// like any other compile error, and the daemon keeps serving: before
 /// the limit, 700 nested parentheses overflowed the executor's stack
 /// and aborted the process, and so did a flat chain of operators or
-/// indexes before the limit counted their operands.
+/// indexes before the limit counted their operands. A buffer argument
+/// the device can never hold is a launch error too: an 8 PB one used
+/// to abort the daemon on the failed host allocation.
 #[test]
 fn daemon_answers_an_over_deep_source_then_serves_on() {
     let socket = std::env::temp_dir().join(format!("ompgpu-deep-{}.sock", std::process::id()));
@@ -642,12 +663,17 @@ fn daemon_answers_an_over_deep_source_then_serves_on() {
                 for path in [TOO_DEEP].iter().chain(&LONG_CHAINS) {
                     writeln!(writer, "{{\"op\":\"compile\",\"path\":\"{path}\"}}").ok()?;
                 }
+                for len in [HUGE_LEN, OVERFLOW_LEN] {
+                    let args = format!("[\"buf:f64:{len}\",\"buf:f64:64\",\"f64:2.5\",\"i64:64\"]");
+                    let run = format!("\"op\":\"run\",\"path\":\"{SAXPY}\",\"kernel\":\"saxpy\"");
+                    writeln!(writer, "{{{run},\"args\":{args}}}").ok()?;
+                }
                 for line in ["{\"op\":\"ping\"}", "{\"op\":\"shutdown\"}"] {
                     writeln!(writer, "{line}").ok()?;
                 }
                 return BufReader::new(stream)
                     .lines()
-                    .take(LONG_CHAINS.len() + 3)
+                    .take(LONG_CHAINS.len() + 5)
                     .collect::<Result<Vec<_>, _>>()
                     .ok();
             }
@@ -660,10 +686,15 @@ fn daemon_answers_an_over_deep_source_then_serves_on() {
         panic!("no replies from ompgpu serve on {}", socket.display())
     });
     assert!(daemon.wait().expect("daemon exits").success());
-    let (compiles, ping) = replies.split_at(LONG_CHAINS.len() + 1);
+    let (compiles, rest) = replies.split_at(LONG_CHAINS.len() + 1);
     for reply in compiles {
         assert!(reply.contains("\"ok\":false,\"exit_code\":1,"), "{reply}");
         assert!(reply.contains("nesting deeper than 256 levels"), "{reply}");
+    }
+    let (runs, ping) = rest.split_at(2);
+    for reply in runs {
+        assert!(reply.contains("\"ok\":false,\"exit_code\":3,"), "{reply}");
+        assert!(reply.contains("global memory exhausted"), "{reply}");
     }
     assert!(ping[0].contains("\"ok\":true"), "{}", ping[0]);
 }

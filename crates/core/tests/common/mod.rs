@@ -1,7 +1,9 @@
-//! Shared helpers for the tests that drive the `ompgpu` binary.
+//! Shared helpers for the tests that drive the `ompgpu` binary or the
+//! sanitizer.
 #![allow(dead_code)]
 
 use omp_gpu::oracle::{ArgSpec, BufInit, ExampleSpec};
+use omp_gpu::{BuildConfig, Job, Knobs, Mode, Outcome, Store};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -46,6 +48,18 @@ pub fn c_files(dir: &str) -> Vec<String> {
         .collect();
     files.sort();
     files
+}
+
+/// A sanitized run of `source`, whose `// oracle-*:` header gives the
+/// kernel, geometry and arguments, under `config` on a fresh store.
+pub fn sanitized(source: &str, config: BuildConfig, knobs: &Knobs) -> Outcome {
+    let spec = ExampleSpec::parse(source).unwrap_or_else(|e| panic!("spec header: {e}"));
+    let job = Job {
+        mode: Mode::Sanitize,
+        knobs: knobs.clone(),
+        ..Job::new(spec.subject(source), config)
+    };
+    job.outcome(&mut Store::new(0))
 }
 
 pub fn read(path: &str) -> String {

@@ -7,7 +7,7 @@
 //! assertion anticipates.
 
 use omp_gpu::oracle::{self, OracleCase, ORACLE_CONFIGS};
-use omp_gpu::{all_proxies, BuildConfig, Knobs, ProxyApp, Scale, Store, Subject};
+use omp_gpu::{all_proxies, BuildConfig, Job, Knobs, ProxyApp, Scale, Store, Subject};
 use std::path::PathBuf;
 
 fn examples_dir() -> PathBuf {
@@ -95,9 +95,8 @@ fn optimizations_actually_fire_on_the_chain() {
         case.results
             .iter()
             .find(|r| r.config == c)
-            .and_then(|r| r.stats.as_ref())
+            .and_then(|r| r.snapshot())
             .expect("stats")
-            .clone()
     };
     let noopt = get(BuildConfig::NoOpenmpOpt);
     let dev = get(BuildConfig::LlvmDev);
@@ -120,10 +119,10 @@ fn pass_stats_surface_reaches_the_oracle() {
     let app = &all_proxies(Scale::Small)[0]; // XSBench
     let case = verify_proxy(app.as_ref());
     for r in &case.results {
+        let pass_stats = r.report().map(|r| r.pass_stats()).unwrap_or_default();
         match r.config {
-            BuildConfig::Llvm12Baseline => assert!(r.pass_stats().is_empty()),
+            BuildConfig::Llvm12Baseline => assert!(pass_stats.is_empty()),
             _ => {
-                let pass_stats = r.pass_stats();
                 assert!(!pass_stats.is_empty(), "{}", r.config.label());
                 let total: usize = pass_stats.iter().map(|s| s.transformed).sum();
                 if r.config == BuildConfig::LlvmDev {
@@ -157,11 +156,9 @@ fn stats_snapshots_are_deterministic() {
     // Two independent runs of the same build must produce identical
     // snapshots — the property every differential comparison rests on.
     let app = &all_proxies(Scale::Small)[0];
-    let a = omp_gpu::run_proxy(app.as_ref(), BuildConfig::LlvmDev);
-    let b = omp_gpu::run_proxy(app.as_ref(), BuildConfig::LlvmDev);
-    assert_eq!(a.snapshot().expect("run a"), b.snapshot().expect("run b"));
-    assert_eq!(
-        a.snapshot().unwrap().to_json(),
-        b.snapshot().unwrap().to_json()
-    );
+    let job = Job::new(Subject::Proxy(app.as_ref()), BuildConfig::LlvmDev);
+    let a = job.run(&mut Store::new(0)).expect("run a").stats.snapshot();
+    let b = job.run(&mut Store::new(0)).expect("run b").stats.snapshot();
+    assert_eq!(a, b);
+    assert_eq!(a.to_json(), b.to_json());
 }

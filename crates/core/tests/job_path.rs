@@ -6,10 +6,9 @@
 //! failure even though it renders as `memory error: ...` too.
 
 use omp_gpu::job::{Buffer, Stage, EXIT_BUILD, EXIT_SIM, EXIT_TIMEOUT};
-use omp_gpu::oracle::{finish_case, ArgSpec, BufInit, CaseResult, OracleCase, ORACLE_CONFIGS};
+use omp_gpu::oracle::{finish_case, ArgSpec, BufInit, OracleCase, ORACLE_CONFIGS};
 use omp_gpu::{
-    BuildConfig, Job, JobError, KernelStats, Knobs, LaunchDims, Readback, SimError, SimErrorKind,
-    Store, Subject,
+    BuildConfig, Job, JobError, Knobs, LaunchDims, Readback, SimError, SimErrorKind, Store, Subject,
 };
 use omp_gpusim::MemError;
 
@@ -122,21 +121,15 @@ fn errors_name_their_stage_and_exit_code() {
 /// A matrix where every configuration but `config` succeeds with
 /// identical outputs and `config` fails with `error`.
 fn case_failing(config: BuildConfig, error: JobError) -> OracleCase {
-    let results = ORACLE_CONFIGS
-        .iter()
-        .map(|&c| {
-            if c == config {
-                return CaseResult::of(c, Err(error.clone()));
-            }
-            CaseResult {
-                config: c,
-                bits: Some(vec![1, 2, 3]),
-                stats: Some(KernelStats::default().snapshot()),
-                error: None,
-                built: None,
-            }
-        })
-        .collect();
+    let args = [
+        ArgSpec::BufF64(8, BufInit::Iota),
+        ArgSpec::F64(3.0),
+        ArgSpec::I64(8),
+    ];
+    let mut results = scale_job(&args).run_configs(&mut Store::new(0), &ORACLE_CONFIGS);
+    for r in results.iter_mut().filter(|r| r.config == config) {
+        r.result = Err(error.clone());
+    }
     finish_case("seeded", results)
 }
 
@@ -186,4 +179,24 @@ fn unsound_memory_accesses_under_the_baselines_are_failures() {
         JobError::Build("device heap exhausted, out of memory".into()),
     );
     assert!(!case.passed());
+}
+
+#[test]
+fn a_failed_launch_keeps_its_build_and_optimizer_report() {
+    let subject = Subject::Source {
+        source: SRC,
+        kernel: "nope",
+        dims: LaunchDims::default(),
+        args: &[],
+    };
+    let outcome = Job::new(subject, BuildConfig::LlvmDev).outcome(&mut Store::new(0));
+    assert!(
+        matches!(outcome.result, Err(JobError::Launch(_))),
+        "{:?}",
+        outcome.result
+    );
+    let report = outcome
+        .report()
+        .expect("the build's report survives the launch");
+    assert!(!report.remarks.all().is_empty());
 }

@@ -40,8 +40,8 @@ fn profiling_does_not_perturb_stats() {
         .iter()
         .find(|p| p.name() == "SU3Bench")
         .expect("SU3Bench proxy");
-    let plain = pipeline::run_proxy(app.as_ref(), BuildConfig::LlvmDev);
-    let plain_snap = plain.snapshot();
+    let plain = Job::new(Subject::Proxy(app.as_ref()), BuildConfig::LlvmDev);
+    let plain_snap = plain.outcome(&mut Store::new(0)).snapshot();
     let prof_snap = Some(profile(app.as_ref(), None).stats.snapshot());
     // The profiled launch runs on the tier the plain one does, so the
     // snapshots compare with nothing normalised: the same

@@ -3,20 +3,18 @@
 //! documented RSBench OOM at bench scale), and the performance ordering
 //! matches the paper's Figure 11.
 
-use omp_gpu::{all_proxies, pipeline, Scale};
+use omp_gpu::{all_proxies, BuildConfig, Job, Scale, Store, Subject};
 
 #[test]
 fn every_proxy_correct_under_every_config_at_small_scale() {
+    let mut store = Store::new(0);
     for app in all_proxies(Scale::Small) {
-        for outcome in pipeline::run_all_configs(app.as_ref()) {
-            assert!(
-                outcome.error.is_none(),
-                "{} under {:?}: {}",
-                app.name(),
-                outcome.config,
-                outcome.error.unwrap()
-            );
-            assert!(outcome.cycles().unwrap() > 0);
+        let job = Job::new(Subject::Proxy(app.as_ref()), BuildConfig::default());
+        for outcome in job.run_configs(&mut store, &BuildConfig::ALL) {
+            let done = outcome
+                .result
+                .unwrap_or_else(|e| panic!("{} under {:?}: {e}", app.name(), outcome.config));
+            assert!(done.stats.cycles > 0);
         }
     }
 }

@@ -5,8 +5,10 @@
 //! optimized pipeline (the optimizer must neither mask a real bug nor
 //! fabricate one).
 
-use omp_gpu::pipeline::{sanitize_source, SanitizeOutcome};
-use omp_gpu::{BuildConfig, FaultPlan, FindingKind, Knobs, Severity};
+mod common;
+
+use common::sanitized;
+use omp_gpu::{BuildConfig, FaultPlan, FindingKind, Knobs, Outcome, Severity};
 
 fn fixture(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -15,20 +17,11 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
 }
 
-fn sanitize(name: &str, config: BuildConfig) -> SanitizeOutcome {
-    let out = sanitize_source(&fixture(name), config, &Knobs::default());
-    assert!(
-        out.setup_error.is_none(),
-        "{name} failed to build under {}: {:?}",
-        config.label(),
-        out.setup_error
-    );
-    assert!(
-        out.error.is_none(),
-        "{name} failed to run under {}: {}",
-        config.label(),
-        out.error.as_ref().unwrap()
-    );
+fn sanitize(name: &str, config: BuildConfig) -> Outcome {
+    let out = sanitized(&fixture(name), config, &Knobs::default());
+    if let Err(e) = &out.result {
+        panic!("{name} failed under {}: {e}", config.label());
+    }
     out
 }
 
@@ -39,7 +32,7 @@ fn seeded_race_is_reported_with_provenance() {
     for config in BOTH_ENDS {
         let out = sanitize("race.c", config);
         let races: Vec<_> = out
-            .findings
+            .findings()
             .iter()
             .filter(|f| f.kind == FindingKind::DataRace)
             .collect();
@@ -70,7 +63,7 @@ fn seeded_race_fixed_variant_is_clean() {
             out.is_clean(),
             "false positive under {}: {:?}",
             config.label(),
-            out.findings
+            out.findings()
         );
     }
 }
@@ -80,19 +73,19 @@ fn missing_barrier_is_a_data_race_and_barrier_fixes_it() {
     for config in BOTH_ENDS {
         let bad = sanitize("missing_barrier.c", config);
         assert!(
-            bad.findings
+            bad.findings()
                 .iter()
                 .any(|f| f.kind == FindingKind::DataRace && f.function.contains("prodcons")),
             "missing barrier not reported under {}: {:?}",
             config.label(),
-            bad.findings
+            bad.findings()
         );
         let good = sanitize("missing_barrier_fixed.c", config);
         assert!(
             good.is_clean(),
             "barrier-ordered accesses misreported under {}: {:?}",
             config.label(),
-            good.findings
+            good.findings()
         );
     }
 }
@@ -102,7 +95,7 @@ fn divergent_barrier_sites_are_reported() {
     for config in BOTH_ENDS {
         let bad = sanitize("divergent_barrier.c", config);
         let divs: Vec<_> = bad
-            .findings
+            .findings()
             .iter()
             .filter(|f| f.kind == FindingKind::BarrierDivergence)
             .collect();
@@ -110,7 +103,7 @@ fn divergent_barrier_sites_are_reported() {
             !divs.is_empty(),
             "no barrier-divergence under {}: {:?}",
             config.label(),
-            bad.findings
+            bad.findings()
         );
         for f in divs {
             assert_eq!(f.severity, Severity::Error);
@@ -121,7 +114,7 @@ fn divergent_barrier_sites_are_reported() {
             good.is_clean(),
             "convergent barrier misreported under {}: {:?}",
             config.label(),
-            good.findings
+            good.findings()
         );
     }
 }
@@ -138,23 +131,20 @@ fn capped_shared_stack_degrades_to_heap_fallback_notes() {
         },
         ..Knobs::default()
     };
-    let out = sanitize_source(
+    let out = sanitized(
         &fixture("stack_overflow.c"),
         BuildConfig::NoOpenmpOpt,
         &opts,
     );
-    assert!(out.setup_error.is_none(), "{:?}", out.setup_error);
-    assert!(
-        out.error.is_none(),
-        "fallback must not fail the run: {}",
-        out.error.as_ref().unwrap()
-    );
+    if let Err(e) = &out.result {
+        panic!("fallback must not fail the run: {e}");
+    }
     let notes: Vec<_> = out
-        .findings
+        .findings()
         .iter()
         .filter(|f| f.kind == FindingKind::SharedStackFallback)
         .collect();
-    assert!(!notes.is_empty(), "no fallback note: {:?}", out.findings);
+    assert!(!notes.is_empty(), "no fallback note: {:?}", out.findings());
     for f in &notes {
         assert_eq!(
             f.severity,
@@ -168,9 +158,9 @@ fn capped_shared_stack_degrades_to_heap_fallback_notes() {
     // silent.
     let calm = sanitize("stack_overflow.c", BuildConfig::NoOpenmpOpt);
     assert!(
-        calm.is_clean() && calm.findings.is_empty(),
+        calm.is_clean() && calm.findings().is_empty(),
         "{:?}",
-        calm.findings
+        calm.findings()
     );
 }
 
@@ -179,7 +169,7 @@ fn seeded_cross_kernel_race_is_reported_and_depend_edges_fix_it() {
     for config in BOTH_ENDS {
         let bad = sanitize("cross_kernel_race.c", config);
         let races: Vec<_> = bad
-            .findings
+            .findings()
             .iter()
             .filter(|f| f.kind == FindingKind::CrossKernelRace)
             .collect();
@@ -188,7 +178,7 @@ fn seeded_cross_kernel_race_is_reported_and_depend_edges_fix_it() {
             1,
             "exactly one unordered pair under {}: {:?}",
             config.label(),
-            bad.findings
+            bad.findings()
         );
         let f = races[0];
         assert_eq!(f.severity, Severity::Error);
@@ -208,7 +198,7 @@ fn seeded_cross_kernel_race_is_reported_and_depend_edges_fix_it() {
             good.is_clean(),
             "depend-ordered kernels misreported under {}: {:?}",
             config.label(),
-            good.findings
+            good.findings()
         );
     }
 }
@@ -220,11 +210,69 @@ fn findings_are_identical_across_worker_thread_counts() {
             jobs: Some(jobs),
             ..Knobs::default()
         };
-        let out = sanitize_source(&fixture("race.c"), BuildConfig::LlvmDev, &opts);
-        let baseline = sanitize_source(&fixture("race.c"), BuildConfig::LlvmDev, &Knobs::default());
+        let out = sanitized(&fixture("race.c"), BuildConfig::LlvmDev, &opts);
+        let baseline = sanitized(&fixture("race.c"), BuildConfig::LlvmDev, &Knobs::default());
         assert_eq!(
-            out.findings, baseline.findings,
+            out.findings(),
+            baseline.findings(),
             "findings differ at --jobs {jobs}"
         );
     }
+}
+
+/// A source whose header asks for an 800 MB buffer: it builds, then
+/// fails while staging its inputs on the 64 MiB device.
+const HUGE_BUFFER: &str = r#"
+// oracle-kernel: fill
+// oracle-arg: buf f64 100000000
+// oracle-arg: i64 8
+void fill(double* a, long n) {
+  #pragma omp target teams distribute parallel for
+  for (long i = 0; i < n; i++) { a[i] = 1.0; }
+}
+"#;
+
+/// The exit code of a report reads the worst entry: error findings (5)
+/// outrank a launch failure (3), which outranks a subject that never
+/// launched (1) — a build failure or a staging failure alike. A launch
+/// failure is an `error` object, one that never launched a
+/// `setup_error` string.
+#[test]
+fn exit_code_ranks_findings_over_launch_over_setup_failures() {
+    use omp_gpu::job::{EXIT_BUILD, EXIT_FINDINGS, EXIT_OK, EXIT_SIM};
+    use omp_gpu::pipeline::{sanitize_exit_code, sanitize_report_json};
+    let config = BuildConfig::LlvmDev;
+    let starve = Knobs {
+        max_insts: Some(1),
+        ..Knobs::default()
+    };
+    let broken = "// oracle-kernel: k\n// oracle-arg: i64 1\nvoid k( {";
+    let all = [
+        sanitized(&fixture("race_fixed.c"), config, &Knobs::default()),
+        sanitized(broken, config, &Knobs::default()),
+        sanitized(HUGE_BUFFER, config, &Knobs::default()),
+        sanitized(&fixture("race_fixed.c"), config, &starve),
+        sanitized(&fixture("race.c"), config, &Knobs::default()),
+    ];
+    assert_eq!(sanitize_exit_code(&all[..1]), EXIT_OK);
+    assert_eq!(sanitize_exit_code(&all[1..2]), EXIT_BUILD);
+    assert_eq!(sanitize_exit_code(&all[2..3]), EXIT_BUILD);
+    assert_eq!(sanitize_exit_code(&all[..3]), EXIT_BUILD);
+    assert_eq!(sanitize_exit_code(&all[..4]), EXIT_SIM);
+    assert_eq!(sanitize_exit_code(&all), EXIT_FINDINGS);
+    assert_eq!(sanitize_exit_code(&all[3..]), EXIT_FINDINGS);
+
+    let report = omp_json::parse(&sanitize_report_json("mixed", &all)).expect("valid JSON");
+    let configs = report.get("configs").and_then(|c| c.as_array()).unwrap();
+    let member = |i: usize, key: &str| configs[i].get(key).cloned();
+    for i in [1, 2] {
+        assert!(member(i, "setup_error").is_some_and(|e| e.as_str().is_some()));
+        assert!(member(i, "error").is_none());
+    }
+    let error = member(3, "error").expect("a launch failure is an error object");
+    assert_eq!(
+        error.get("schema").and_then(|s| s.as_str()),
+        Some("ompgpu-error/v1")
+    );
+    assert!(member(3, "setup_error").is_none());
 }

@@ -9,11 +9,13 @@
 //! `crates/gpusim/tests/tier_differential.rs`; these need the optimizer
 //! pipeline.
 
+mod common;
+
+use common::sanitized;
 use omp_gpu::oracle::verify_subject;
-use omp_gpu::pipeline::sanitize_source;
 use omp_gpu::{
-    all_proxies, findings_to_json, BuildConfig, FaultPlan, Job, Knobs, Mode, Scale, StatsSnapshot,
-    Store, Subject, Tier,
+    all_proxies, findings_to_json, BuildConfig, FaultPlan, Job, JobError, Knobs, Mode, Scale,
+    StatsSnapshot, Store, Subject, Tier,
 };
 
 const TIERS: [Tier; 2] = [Tier::Interp, Tier::Compiled];
@@ -50,7 +52,7 @@ fn proxy_verify_reports_are_tier_identical() {
             assert!(case.passed(), "on {tier:?}:\n{}", case.render());
             for r in &case.results {
                 let at = format!("{} {} on {tier:?}", app.name(), r.config.cli_name());
-                let ran = r.stats.as_ref().map(fused);
+                let ran = r.snapshot().as_ref().map(fused);
                 assert!(ran.is_none_or(|f| f == (tier == Tier::Compiled)), "{at}");
             }
             report.push_str(&case.render());
@@ -135,17 +137,17 @@ fn sanitizer_fixtures_report_the_same_on_both_tiers() {
                         fault: fault.clone(),
                         ..Knobs::default()
                     };
-                    let out = sanitize_source(&source, config, &knobs);
-                    // `error` carries kind, provenance, thread positions
-                    // and the findings gathered before the failure.
+                    let out = sanitized(&source, config, &knobs);
+                    // A launch error carries kind, provenance, thread
+                    // positions and the findings gathered before the
+                    // failure.
                     (
-                        findings_to_json(&out.findings),
-                        out.error,
-                        out.setup_error,
-                        out.stats.map(|s| tier_free(s.snapshot())),
+                        findings_to_json(out.findings()),
+                        out.snapshot().map(tier_free),
+                        out.result.err(),
                     )
                 });
-                if let Some(e) = &interp.1 {
+                if let Some(JobError::Launch(e)) = &interp.2 {
                     failures += 1;
                     failures_with_findings += usize::from(!e.findings.is_empty());
                 }

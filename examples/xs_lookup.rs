@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release -p omp-gpu --example xs_lookup`
 
-use omp_gpu::{all_proxies, pipeline, Scale};
+use omp_gpu::{all_proxies, BuildConfig, Job, Scale, Store, Subject};
 
 fn main() {
     let apps = all_proxies(Scale::Small);
@@ -13,17 +13,19 @@ fn main() {
         .expect("XSBench registered");
     println!("XSBench: continuous-energy macroscopic cross-section lookup");
     println!("(memory-bound; three globalized locals per lookup)\n");
-    let outcomes = pipeline::run_all_configs(xs.as_ref());
-    let base = outcomes[0].cycles().expect("baseline runs");
-    for o in &outcomes {
-        match o.cycles() {
-            Some(c) => println!(
+    let job = Job::new(Subject::Proxy(xs.as_ref()), BuildConfig::default());
+    let outcomes = job.run_configs(&mut Store::new(0), &BuildConfig::ALL);
+    let cycles = |i: usize| outcomes[i].result.as_ref().map(|done| done.stats.cycles);
+    let base = cycles(0).expect("baseline runs");
+    for (i, o) in outcomes.iter().enumerate() {
+        match cycles(i) {
+            Ok(c) => println!(
                 "  {:<44} {:>10} cycles   {:>5.2}x",
                 o.config.label(),
                 c,
                 base as f64 / c as f64
             ),
-            None => println!("  {:<44} {}", o.config.label(), o.failure()),
+            Err(e) => println!("  {:<44} {}", o.config.label(), e.tagged()),
         }
     }
     println!("\nAll configurations verified against the host reference.");

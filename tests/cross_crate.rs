@@ -2,7 +2,8 @@
 //! frontend → analyses → OpenMP optimizations → textual IR round-trip →
 //! GPU simulation.
 
-use omp_gpu::{all_proxies, pipeline, BuildConfig, Device, LaunchDims, RtVal, Scale};
+use omp_gpu::{all_proxies, pipeline, BuildConfig, Device, Job, LaunchDims, RtVal, Scale};
+use omp_gpu::{Store, Subject};
 use std::sync::Arc;
 
 /// Every proxy module survives a print → parse → print round-trip at
@@ -118,9 +119,9 @@ void bump(long* a, long n) {
 #[test]
 fn reports_agree_with_dynamic_behaviour() {
     for app in all_proxies(Scale::Small) {
-        let outcome = pipeline::run_proxy(app.as_ref(), BuildConfig::LlvmDev);
-        let stats = outcome.stats.expect("runs");
-        let report = outcome.report.expect("optimized");
+        let job = Job::new(Subject::Proxy(app.as_ref()), BuildConfig::LlvmDev);
+        let done = job.run(&mut Store::new(0)).expect("runs");
+        let (stats, report) = (&done.stats, done.built.report.as_ref().expect("optimized"));
         if report.counts.heap_to_shared == 0 {
             assert_eq!(
                 stats.rtl_count("__kmpc_alloc_shared"),

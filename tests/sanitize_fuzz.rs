@@ -6,8 +6,8 @@
 //! synchronization hazards (e.g. by promoting runtime globalization
 //! away) but must never *introduce* one.
 
-use omp_gpu::pipeline::sanitize_source;
-use omp_gpu::BuildConfig;
+use omp_gpu::oracle::ExampleSpec;
+use omp_gpu::{BuildConfig, Job, JobError, Mode, Store};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -118,20 +118,26 @@ void k(long* out, long x, long n) {{
 /// when the launch itself fails, so a config that errors out can never
 /// look "cleaner" than one that runs).
 fn finding_kinds(src: &str, config: BuildConfig) -> BTreeSet<String> {
-    let out = sanitize_source(src, config, &omp_gpu::Knobs::default());
-    assert!(
-        out.setup_error.is_none(),
-        "generated program failed to build under {}: {:?}",
-        config.label(),
-        out.setup_error
-    );
+    let spec = ExampleSpec::parse(src).expect("generated header");
+    let job = Job {
+        mode: Mode::Sanitize,
+        ..Job::new(spec.subject(src), config)
+    };
+    let out = job.outcome(&mut Store::new(0));
     let mut kinds: BTreeSet<String> = out
-        .findings
+        .findings()
         .iter()
         .map(|f| f.kind.name().to_string())
         .collect();
-    if let Some(e) = &out.error {
-        kinds.insert(format!("error:{}", e.kind.name()));
+    match &out.result {
+        Ok(_) => {}
+        Err(JobError::Launch(e)) => {
+            kinds.insert(format!("error:{}", e.kind.name()));
+        }
+        Err(e) => panic!(
+            "generated program failed to build under {}: {e}",
+            config.label()
+        ),
     }
     kinds
 }
